@@ -4,7 +4,7 @@ Everything is computed over Z[v, v^-1] with q = v^2; there is no floating
 point anywhere.  The package constructs the classical special elements
 (Murphy elements and their duals, elementary symmetric functions in them,
 the two symmetrizers and their truncations, the longest basis element),
-solves for the minimal basis of the centre, tests membership in the set of
+computes the minimal basis of the centre, tests membership in the set of
 square roots of central elements, and mechanically verifies every identity
 it implements at small degrees.
 """

@@ -23,7 +23,7 @@ of multiplication operators) is built on top of that.
 
 >>> ts = HeckeElement.generator(2, 1)
 >>> print(ts * ts)
-(q - 1)*T[1] + q*T[]
+q*T[] + (q - 1)*T[1]
 """
 
 from __future__ import annotations

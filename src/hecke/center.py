@@ -1,40 +1,33 @@
 """The centre of the Hecke algebra and its minimal basis.
 
-Two views of the centre are computed, both by exact linear algebra over the
-Laurent ring:
+Two views of the centre are computed:
 
 * ``centre_basis``: a spanning set over the rational-function field, read off
-  the nullspace of the stacked commutators-with-generators system.
+  the nullspace of the stacked commutators-with-generators system by exact
+  linear algebra over the Laurent ring.
 * ``gamma_basis``: the distinguished basis indexed by partitions.  The basis
   element for a partition is the unique central element whose coefficient is
   1 on every minimal-length permutation of that cycle type and 0 on the
-  minimal-length permutations of every other cycle type.  Those constraints
-  are fed to the solver together with the centrality equations, so
-  correctness is by construction; four independent invariants are still
-  checked on every result (and on every cache hit).
-
-A gamma basis is expensive enough at degree 5 to be worth caching, so
-``gamma_basis`` accepts an optional directory and stores one JSON file per
-degree there (plus an in-process memo either way).
+  minimal-length permutations of every other cycle type.  Its coefficients
+  are filled in by the class recursion of Geck and Pfeiffer (Characters of
+  Finite Coxeter Groups and Iwahori-Hecke Algebras, 2000, sections 3.2 and
+  8.2), with no linear algebra; four independent invariants are still
+  checked on every result.  ``_solve_gamma`` solves the pinned linear system
+  instead and is kept only as a reference for tests.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 
 from .algebra import (HeckeElement, as_context, is_central,
                       _lmul_gen, _rmul_gen)
-from .errors import (DegreeMismatchError, FormatError, MismatchError,
-                     NotCentralError)
+from .errors import DegreeMismatchError, MismatchError, NotCentralError
 from .laurent import LaurentPoly, ZERO, ONE
 from .linalg import SparseSystem, sparse_rank
 from .permutations import (Partition, Permutation, all_permutations,
                            conjugacy_class, minimal_class_elements,
                            partitions_of)
-
-CACHE_FORMAT = 1
 
 
 def _commutator_rows(n: int):
@@ -113,6 +106,10 @@ class GammaBasis:
 
 
 def _solve_gamma(n: int) -> GammaBasis:
+    """The minimal basis solved from the pinned linear system.
+
+    A slow, independent reference for ``_recursive_gamma``, used by tests.
+    """
     perms, rows = _commutator_rows(n)
     index = {w: j for j, w in enumerate(perms)}
     parts = partitions_of(n)
@@ -132,6 +129,66 @@ def _solve_gamma(n: int) -> GammaBasis:
         for j, w in enumerate(perms):
             if vec[j]:
                 terms[w] = vec[j].as_laurent()
+        elements[lam] = HeckeElement._raw(n, terms)
+    return GammaBasis(n, elements)
+
+
+def _recursive_gamma(n: int) -> GammaBasis:
+    """The minimal basis, filled in by the class recursion.
+
+    For central z = sum a_w T_w and a simple reflection s,
+
+        a_w = a_{sws}                                  if l(sws) = l(w),
+        a_w = q^-1 a_{sws} + (1 - q^-1) a_{sw}         if l(sws) = l(w) - 2.
+
+    S_n is walked in order of length, one cyclic-shift class (the elements
+    joined by length-preserving conjugations s w s) at a time.  A class of
+    minimal-length elements carries the pinned Kronecker deltas.  Any other
+    class holds an element with a length-dropping s (Geck-Pfeiffer, section
+    3.2), whose right-hand side is already filled at lengths l - 1 and l - 2.
+    """
+    perms = all_permutations(n, cap=n)
+    parts = partitions_of(n)
+    pinned = {w: lam for lam in parts
+              for w in minimal_class_elements(n, lam, cap=n)}
+    by_length: dict[int, list[Permutation]] = {}
+    for w in perms:
+        by_length.setdefault(w.length(), []).append(w)
+    # w -> {partition: coefficient of T_w in the basis element}
+    coeffs: dict[Permutation, dict[Partition, LaurentPoly]] = {}
+    for length in sorted(by_length):
+        for start in by_length[length]:
+            if start in coeffs:
+                continue
+            shift_class = [start]
+            seen = {start}
+            drop = None
+            for w in shift_class:
+                for i in range(1, n):
+                    sw = w.left_simple(i)
+                    sws = sw.right_simple(i)
+                    if sws.length() == length:
+                        if sws not in seen:
+                            seen.add(sws)
+                            shift_class.append(sws)
+                    elif drop is None and sws.length() < length:
+                        drop = (sws, sw)
+            if start in pinned:
+                value = {pinned[start]: ONE}
+            else:
+                a, b = coeffs[drop[0]], coeffs[drop[1]]
+                value = {}
+                for lam in a.keys() | b.keys():
+                    # q^-1 a + (1 - q^-1) b
+                    ca, cb = a.get(lam, ZERO), b.get(lam, ZERO)
+                    c = cb + (ca - cb).shift(-2)
+                    if c:
+                        value[lam] = c
+            for w in shift_class:
+                coeffs[w] = value
+    elements = {}
+    for lam in parts:
+        terms = {w: coeffs[w][lam] for w in perms if lam in coeffs[w]}
         elements[lam] = HeckeElement._raw(n, terms)
     return GammaBasis(n, elements)
 
@@ -173,70 +230,20 @@ def verify_gamma_invariants(gb: GammaBasis) -> None:
 _GAMMA_MEMO: dict[int, GammaBasis] = {}
 
 
-def _cache_path(cache_dir: str, n: int) -> str:
-    return os.path.join(cache_dir, f"gamma_n{n}.json")
+def gamma_basis(ctx) -> GammaBasis:
+    """The minimal basis of the centre, computed by the class recursion.
 
-
-def _gamma_to_json(gb: GammaBasis) -> dict:
-    data = []
-    for lam, g in gb.elements.items():
-        terms = [[list(w), g.coeff(w).to_pairs()] for w in g.support()]
-        data.append({"partition": list(lam), "terms": terms})
-    return {"format": CACHE_FORMAT, "n": gb.n, "gamma": data}
-
-
-def _gamma_from_json(obj: dict, n: int) -> GammaBasis:
-    if not isinstance(obj, dict) or obj.get("format") != CACHE_FORMAT:
-        raise FormatError("unrecognised cache format")
-    if obj.get("n") != n:
-        raise FormatError(f"cache file is for degree {obj.get('n')}, not {n}")
-    elements = {}
-    for entry in obj["gamma"]:
-        lam = Partition(tuple(int(p) for p in entry["partition"]))
-        terms = {}
-        for one_line, pairs in entry["terms"]:
-            w = Permutation(tuple(int(a) for a in one_line))
-            terms[w] = LaurentPoly.from_pairs(pairs)
-        elements[lam] = HeckeElement(n, terms)
-    return GammaBasis(n, elements)
-
-
-def gamma_basis(ctx, cache_dir: str | None = None) -> GammaBasis:
-    """The minimal basis of the centre, solved from the pinned system.
-
-    With a cache directory, results are stored per degree and re-verified
-    against the basis invariants when loaded back, so a stale or tampered
-    file is rejected rather than trusted.
+    Every result is checked against the basis invariants and memoized per
+    degree for the life of the process.
     """
     c = as_context(ctx)
-    c.check_linalg()
+    c.check_enum()
     n = c.n
-    if n in _GAMMA_MEMO:
-        return _GAMMA_MEMO[n]
-    gb = None
-    path = None
-    if cache_dir is not None:
-        path = _cache_path(cache_dir, n)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                gb = _gamma_from_json(json.load(fh), n)
-        except FileNotFoundError:
-            gb = None
-        except (FormatError, ValueError, KeyError, TypeError) as exc:
-            raise FormatError(f"bad cache file {path}: {exc}") from exc
-    if gb is None:
-        gb = _solve_gamma(n)
+    if n not in _GAMMA_MEMO:
+        gb = _recursive_gamma(n)
         verify_gamma_invariants(gb)
-        if path is not None:
-            os.makedirs(cache_dir, exist_ok=True)
-            tmp = path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(_gamma_to_json(gb), fh)
-            os.replace(tmp, path)
-    else:
-        verify_gamma_invariants(gb)
-    _GAMMA_MEMO[n] = gb
-    return gb
+        _GAMMA_MEMO[n] = gb
+    return _GAMMA_MEMO[n]
 
 
 def express_in_gamma(z: HeckeElement,

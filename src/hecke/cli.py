@@ -4,15 +4,14 @@ Exit codes: 0 success (and "true" for the predicate verbs), 1 mathematical
 false or a failed verification, 2 usage or input errors, 3 a resource cap.
 
 Element expressions follow the grammar in `parsing`; the degree always
-comes from --n.  The cache directory for minimal-basis solves comes from
---cache or the HECKE_CACHE_DIR environment variable.
+comes from --n.  The minimal basis of the centre falls under --enum-max, the
+n!-sized linear algebra of eigenvector searches under --linalg-max.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .algebra import AlgebraContext, Caps, is_central
@@ -35,18 +34,8 @@ def _add_caps(p: argparse.ArgumentParser) -> None:
                    help="cap for n!-sized linear algebra (default 5)")
 
 
-def _add_cache(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cache", default=None, metavar="DIR",
-                   help="cache directory for minimal-basis solves "
-                        "(default: $HECKE_CACHE_DIR)")
-
-
 def _caps(args) -> Caps:
     return Caps(enum_max=args.enum_max, linalg_max=args.linalg_max)
-
-
-def _cache_dir(args) -> str | None:
-    return args.cache or os.environ.get("HECKE_CACHE_DIR") or None
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:
@@ -100,7 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="one partition, e.g. 2,1,1; omit for the whole basis")
     p.add_argument("--json", action="store_true")
     _add_caps(p)
-    _add_cache(p)
 
     p = sub.add_parser("express",
                        help="coordinates of a central element over the "
@@ -109,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a")
     p.add_argument("--json", action="store_true")
     _add_caps(p)
-    _add_cache(p)
 
     p = sub.add_parser("eigen",
                        help="eigenvectors of multiplication by a "
@@ -121,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="candidate eigenvalue, e.g. 'q-1' or '-q'")
     p.add_argument("--json", action="store_true")
     _add_caps(p)
-    _add_cache(p)
 
     p = sub.add_parser("catalog", help="known square roots at a degree")
     p.add_argument("--n", type=int, required=True)
@@ -146,9 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated statement ids to run")
     p.add_argument("--list", action="store_true",
                    help="list statement ids without running")
-    p.add_argument("--workers", type=int, default=1)
     _add_caps(p)
-    _add_cache(p)
 
     p = sub.add_parser("export", help="write an element as JSON")
     p.add_argument("--n", type=int, required=True)
@@ -218,7 +202,7 @@ def _cmd_sqrt_check(args) -> int:
 
 def _cmd_gamma(args) -> int:
     ctx = AlgebraContext(args.n, _caps(args))
-    gb = gamma_basis(ctx, cache_dir=_cache_dir(args))
+    gb = gamma_basis(ctx)
     if args.shape is not None:
         lam = Partition(_parse_shape(args.shape))
         if lam.n != args.n:
@@ -238,7 +222,7 @@ def _cmd_gamma(args) -> int:
 def _cmd_express(args) -> int:
     ctx = AlgebraContext(args.n, _caps(args))
     a = parse_element(args.a, args.n, ctx.caps)
-    gb = gamma_basis(ctx, cache_dir=_cache_dir(args))
+    gb = gamma_basis(ctx)
     coords = express_in_gamma(a, gb)
     if args.json:
         print(json.dumps({_shape_key(lam): format_scalar(c)
@@ -254,7 +238,7 @@ def _cmd_eigen(args) -> int:
     lam = Partition(_parse_shape(args.gamma))
     if lam.n != args.n:
         raise DegreeMismatchError(f"{args.gamma} is not a partition of {args.n}")
-    gb = gamma_basis(ctx, cache_dir=_cache_dir(args))
+    gb = gamma_basis(ctx)
     k = parse_scalar(args.k)
     vecs = eigen_search(ctx, gb[tuple(lam)], k)
     if args.json:
@@ -299,9 +283,7 @@ def _cmd_verify(args) -> int:
             print(item_id)
         return 0
     only = args.only.split(",") if args.only else None
-    rep = run_verify(n_max=args.n_max, seed=args.seed, caps=caps,
-                     cache_dir=_cache_dir(args), only=only,
-                     workers=args.workers)
+    rep = run_verify(n_max=args.n_max, seed=args.seed, caps=caps, only=only)
     if args.json:
         sys.stdout.write(rep.to_json(timings=args.timings))
     else:

@@ -1,15 +1,10 @@
 """Exact linear algebra over Z[v, v^-1] and its fraction field.
 
-Two engines, both fraction-free:
-
-* bareiss_rank: dense rank by Bareiss elimination with complete pivoting.
-  Every intermediate entry is a minor of the original matrix, divided
-  exactly by the previous pivot, so growth stays polynomial.
-
-* SparseSystem: row echelon form of a sparse system by cross-multiplication
-  elimination with per-row content stripping.  Row operations only rescale
-  equations, so solutions and rank are preserved while everything stays in
-  the Laurent ring.  Back substitution happens over RationalFn at the end.
+SparseSystem computes the row echelon form of a sparse system by
+fraction-free cross-multiplication elimination with per-row content
+stripping.  Row operations only rescale equations, so solutions and rank are
+preserved while everything stays in the Laurent ring.  Back substitution
+happens over RationalFn at the end.
 """
 
 from __future__ import annotations
@@ -17,57 +12,6 @@ from __future__ import annotations
 from .errors import InconsistentSystemError
 from .laurent import (ONE, RF_ONE, RF_ZERO, ZERO, LaurentPoly, RationalFn,
                       lp_gcd, lp_lcm)
-
-
-def bareiss_rank(rows: list[list[LaurentPoly]]) -> int:
-    """Rank of a dense matrix over the fraction field of Z[v, v^-1]."""
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    if nr and any(len(r) != nc for r in m):
-        raise ValueError("ragged matrix")
-    rank = 0
-    prev = ONE
-    limit = min(nr, nc)
-    while rank < limit:
-        # complete pivoting; prefer the entry with the fewest terms
-        best = None
-        for i in range(rank, nr):
-            ri = m[i]
-            for j in range(rank, nc):
-                p = ri[j]
-                if p:
-                    k = p.num_terms()
-                    if best is None or k < best[0]:
-                        best = (k, i, j)
-                        if k == 1:
-                            break
-            if best and best[0] == 1:
-                break
-        if best is None:
-            return rank
-        _, pi, pj = best
-        if pi != rank:
-            m[rank], m[pi] = m[pi], m[rank]
-        if pj != rank:
-            for r in m:
-                r[rank], r[pj] = r[pj], r[rank]
-        piv_row = m[rank]
-        p = piv_row[rank]
-        for i in range(rank + 1, nr):
-            ri = m[i]
-            f = ri[rank]
-            if f:
-                for j in range(rank + 1, nc):
-                    ri[j] = (p * ri[j] - f * piv_row[j]).divexact(prev)
-                ri[rank] = ZERO
-            else:
-                for j in range(rank + 1, nc):
-                    if ri[j]:
-                        ri[j] = (p * ri[j]).divexact(prev)
-        prev = p
-        rank += 1
-    return rank
 
 
 def _strip_row(row: dict[int, LaurentPoly],

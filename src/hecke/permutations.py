@@ -292,13 +292,23 @@ def all_permutations(n: int, cap: int | None = None) -> tuple[Permutation, ...]:
     return _all_permutations(n)
 
 
+@lru_cache(maxsize=None)
+def _classes(n: int) -> dict[Partition, tuple[Permutation, ...]]:
+    """S_n split by cycle type, each class in lexicographic order."""
+    table: dict[Partition, list[Permutation]] = {
+        lam: [] for lam in partitions_of(n)}
+    for w in _all_permutations(n):
+        table[w.cycle_type()].append(w)
+    return {lam: tuple(ws) for lam, ws in table.items()}
+
+
 def conjugacy_class(n: int, shape: Partition,
                     cap: int | None = None) -> tuple[Permutation, ...]:
     """All permutations in S_n with the given cycle type."""
     if shape.n != n:
         raise DegreeMismatchError(f"partition {shape} is not a partition of {n}")
     _check_cap(n, cap)
-    return tuple(w for w in _all_permutations(n) if w.cycle_type() == shape)
+    return _classes(n)[shape]
 
 
 def minimal_class_elements(n: int, shape: Partition,

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -113,16 +112,15 @@ class VerificationReport:
 class _Env:
     """Shared state handed to every check: caps, seed, basis access."""
 
-    def __init__(self, seed: int, caps: Caps, cache_dir: str | None):
+    def __init__(self, seed: int, caps: Caps):
         self.seed = seed
         self.caps = caps
-        self.cache_dir = cache_dir
 
     def ctx(self, n: int) -> AlgebraContext:
         return AlgebraContext(n, self.caps)
 
     def gamma(self, n: int):
-        return gamma_basis(self.ctx(n), cache_dir=self.cache_dir)
+        return gamma_basis(self.ctx(n))
 
     def rng(self, item_id: str) -> random.Random:
         return random.Random(f"{self.seed}:{item_id}")
@@ -828,13 +826,11 @@ def _run_item(item: VerifyItem, env: _Env) -> ItemResult:
 
 
 def run_verify(n_max: int = 6, seed: int = 0, caps: Caps = DEFAULT_CAPS,
-               cache_dir: str | None = None, only: list[str] | None = None,
-               workers: int = 1) -> VerificationReport:
+               only: list[str] | None = None) -> VerificationReport:
     """Run the registered statements and collect a deterministic report.
 
     `only` restricts the run to the named statement ids; an unknown id is an
-    error.  With workers > 1 items run concurrently; the report order is
-    fixed by statement id either way.
+    error.  The report order is fixed by statement id.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
@@ -847,12 +843,8 @@ def run_verify(n_max: int = 6, seed: int = 0, caps: Caps = DEFAULT_CAPS,
                              f"known ids come from statement_ids(n_max)")
         items = [by_id[i] for i in only]
     items = sorted(items, key=lambda it: it.item_id)
-    env = _Env(seed, caps, cache_dir)
+    env = _Env(seed, caps)
     for n in sorted({it.n for it in items if it.needs_gamma}):
         env.gamma(n)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda it: _run_item(it, env), items))
-    else:
-        results = [_run_item(item, env) for item in items]
+    results = [_run_item(item, env) for item in items]
     return VerificationReport(n_max=n_max, seed=seed, results=tuple(results))

@@ -1,6 +1,4 @@
-"""Tests for the centre: minimal basis, coordinates, membership, caching."""
-
-import os
+"""Tests for the centre: minimal basis, coordinates, membership."""
 
 import pytest
 
@@ -8,11 +6,9 @@ from hecke import (
     HeckeElement,
     NotCentralError,
     Partition,
-    as_context,
     centre_basis,
     elem_sym,
     express_in_gamma,
-    gamma_basis,
     is_central,
     minimal_class_elements,
     parse_element,
@@ -139,29 +135,11 @@ def test_centre_membership(ctx3, gb3):
     assert len(cb.vectors) == 3
 
 
-def test_cache_roundtrip(tmp_path, monkeypatch):
-    import hecke.center as center
+def test_recursion_matches_the_pinned_solve():
+    from hecke.center import _recursive_gamma, _solve_gamma
 
-    from hecke import FormatError
-
-    # the in-process memo would otherwise bypass the file cache entirely
-    monkeypatch.setattr(center, "_GAMMA_MEMO", {})
-    ctx = as_context(3)
-    first = gamma_basis(ctx, cache_dir=str(tmp_path))
-    files = os.listdir(tmp_path)
-    assert files, "expected a cache file to be written"
-
-    monkeypatch.setattr(center, "_GAMMA_MEMO", {})
-    second = gamma_basis(ctx, cache_dir=str(tmp_path))
-    assert first.elements == second.elements
-
-    # a corrupted cache file must be rejected, not silently trusted
-    path = os.path.join(tmp_path, files[0])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("{not json")
-    monkeypatch.setattr(center, "_GAMMA_MEMO", {})
-    with pytest.raises(FormatError):
-        gamma_basis(ctx, cache_dir=str(tmp_path))
+    for n in range(3, 6):
+        assert _recursive_gamma(n).elements == _solve_gamma(n).elements
 
 
 def test_identity_is_the_all_fixed_class(gb4):
