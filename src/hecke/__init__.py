@@ -20,7 +20,7 @@ from .elements import (braid_murphy, dual_murphy, elem_sym,
                        x_elem, xbar, y_elem, ybar)
 from .errors import (DegreeMismatchError, FormatError, HeckeError,
                      InconsistentSystemError, MismatchError, NotCentralError,
-                     ParseError, ResourceCapError)
+                     ParseError, ResourceCapError, TermTypeError)
 from .laurent import LaurentPoly, RationalFn, q_power, v_power
 from .parsing import (element_from_json, element_to_json, format_element,
                       format_scalar, parse_element, parse_scalar)
@@ -46,7 +46,7 @@ __all__ = [
     "poincare", "t_longest", "x_elem", "xbar", "y_elem", "ybar",
     "DegreeMismatchError", "FormatError", "HeckeError",
     "InconsistentSystemError", "MismatchError", "NotCentralError",
-    "ParseError", "ResourceCapError",
+    "ParseError", "ResourceCapError", "TermTypeError",
     "LaurentPoly", "RationalFn", "q_power", "v_power",
     "element_from_json", "element_to_json", "format_element", "format_scalar",
     "parse_element", "parse_scalar",

@@ -16,10 +16,12 @@ single generator T_{s_i}:
     T_w T_{s_i} = T_{w s_i}                      if w(i) < w(i+1),
     T_w T_{s_i} = q T_{w s_i} + (q - 1) T_w      otherwise,
 
-and a general product a * b folds this primitive over the canonical
-reduced word of each basis element in the support of b.  Everything else
-(commutators, centrality, the q = 1 group-algebra specialisation, matrices
-of multiplication operators) is built on top of that.
+and a general product a * b walks the trie of the canonical reduced words
+of the support of b depth first, one step of this primitive per trie edge:
+the words are prefix-closed, so a T_w = (a T_{w s_d}) T_{s_d} reuses the
+partial product of the parent node.  Everything else (commutators,
+centrality, the q = 1 group-algebra specialisation, matrices of
+multiplication operators) is built on top of that.
 
 >>> ts = HeckeElement.generator(2, 1)
 >>> print(ts * ts)
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import DegreeMismatchError, ResourceCapError
+from .errors import DegreeMismatchError, ResourceCapError, TermTypeError
 from .laurent import ONE, Q, Q_MINUS_1, ZERO, LaurentPoly, v_power
 from .permutations import Permutation, all_permutations
 
@@ -119,19 +121,75 @@ def _lmul_gen(terms: dict[Permutation, LaurentPoly], i: int) -> dict:
     return out
 
 
+def _prefix_products(terms: dict[Permutation, LaurentPoly], keyed):
+    """Yield (terms * T_w, x) for every pair (w, x) in keyed; x is not None.
+
+    The canonical reduced words are prefix-closed: word(w) = word(w s_d) + (d)
+    for the smallest right descent d.  So the words of the keys form a trie,
+    and terms * T_w is one _rmul_gen away from the product at its parent
+    node: one generator step per trie edge instead of length(w) per key.
+    """
+    # a node is [x or None, {generator: child node}, number of keys below it]
+    root: list = [None, {}, 0]
+    for w, x in keyed:
+        node = root
+        node[2] += 1
+        for i in w.reduced_word():
+            child = node[1].get(i)
+            if child is None:
+                child = node[1][i] = [None, {}, 0]
+            node = child
+            node[2] += 1
+        node[0] = x
+    return _walk(terms, root)
+
+
+def _walk(acc: dict, node: list):
+    # Depth first.  The child with the most keys below it is followed in this
+    # frame instead of recursed into, so a partial product is held only while
+    # a sibling still needs it, and the recursion is at most log2(#keys) deep.
+    while True:
+        x, children, _ = node
+        if x is not None:
+            yield acc, x
+        if not children:
+            return
+        if len(children) == 1:
+            (heavy, node), = children.items()
+        else:
+            heavy = max(children, key=lambda i: children[i][2])
+            for j, child in children.items():
+                if j != heavy:
+                    yield from _walk(_rmul_gen(acc, j), child)
+            node = children[heavy]
+        acc = _rmul_gen(acc, heavy)
+
+
 class HeckeElement:
     """An element of H_n, stored over the standard basis {T_w}."""
 
     __slots__ = ("n", "_terms")
 
     def __init__(self, n: int, terms: dict[Permutation, LaurentPoly] | None = None):
+        """Keys must be Permutations of degree n; coefficients LaurentPolys
+        or ints.  Zero coefficients are dropped."""
         self.n = n
         clean: dict[Permutation, LaurentPoly] = {}
         if terms:
             for w, c in terms.items():
+                if not isinstance(w, Permutation):
+                    raise TermTypeError(
+                        f"support element {w!r} is a {type(w).__name__}, "
+                        f"not a Permutation")
                 if len(w) != n:
                     raise DegreeMismatchError(
                         f"support element of degree {len(w)} in H_{n}")
+                if isinstance(c, int):
+                    c = LaurentPoly(c)
+                elif not isinstance(c, LaurentPoly):
+                    raise TermTypeError(
+                        f"coefficient {c!r} is a {type(c).__name__}, "
+                        f"not a LaurentPoly")
                 if c:
                     clean[w] = c
         self._terms = clean
@@ -254,10 +312,7 @@ class HeckeElement:
             return NotImplemented
         self._check(other)
         out: dict[Permutation, LaurentPoly] = {}
-        for w, c in other._terms.items():
-            acc = self._terms
-            for i in w.reduced_word():
-                acc = _rmul_gen(acc, i)
+        for acc, c in _prefix_products(self._terms, other._terms.items()):
             if c.is_one():
                 for u, d in acc.items():
                     _acc(out, u, d)
@@ -378,10 +433,7 @@ def left_mult_matrix(h: HeckeElement,
     index = {w: k for k, w in enumerate(basis)}
     size = len(basis)
     rows: list[list[LaurentPoly]] = [[ZERO] * size for _ in range(size)]
-    for j, g in enumerate(basis):
-        acc = h._terms
-        for i in g.reduced_word():
-            acc = _rmul_gen(acc, i)
+    for acc, j in _prefix_products(h._terms, zip(basis, range(size))):
         for u, c in acc.items():
             rows[index[u]][j] = c
     return rows

@@ -9,6 +9,11 @@ class DegreeMismatchError(HeckeError, ValueError):
     """Operands live in algebras of different degrees."""
 
 
+class TermTypeError(HeckeError, TypeError):
+    """A Hecke element term whose key is not a Permutation or whose
+    coefficient is not a LaurentPoly."""
+
+
 class ResourceCapError(HeckeError, RuntimeError):
     """A computation exceeds a configured size cap."""
 

@@ -145,6 +145,15 @@ class Permutation(tuple):
         (1, 2, 1)
         >>> Permutation.transposition(3, 1, 3).reduced_word()
         (1, 2, 1)
+
+        The words are prefix-closed: word(w) = word(w s_d) + (d) for the
+        smallest right descent d, which the product kernel relies on.
+
+        >>> w = Permutation((3, 4, 1, 2))
+        >>> d = min(w.descents()); d
+        2
+        >>> w.reduced_word(), w.right_simple(d).reduced_word()
+        ((2, 3, 1, 2), (2, 3, 1))
         """
         return _reduced_word(self)
 

@@ -620,11 +620,12 @@ def build_registry(n_max: int, caps: Caps = DEFAULT_CAPS) -> list[VerifyItem]:
     """All registered statements for degrees up to n_max.
 
     Identity checks run up to min(n_max, 6); statements needing the minimal
-    basis of the centre stop at min(n_max, 5, linalg cap).  n_max = 2 leaves
-    only the degenerate commutative checks.
+    basis of the centre stop at min(n_max, 5, enumeration cap), the cap that
+    bounds computing that basis.  n_max = 2 leaves only the degenerate
+    commutative checks.
     """
     ident_max = min(n_max, 6)
-    gamma_max = min(n_max, 5, caps.linalg_max)
+    gamma_max = min(n_max, 5, caps.enum_max)
     items: list[VerifyItem] = []
 
     def add(item_id: str, statement: str, n: int, fn, needs_gamma: bool = False,

@@ -270,3 +270,15 @@ def test_registry_ids_match_the_published_listing(report):
 
     assert [r.item_id for r in report.results] == statement_ids(N_MAX)
     assert {r.n for r in report.results} == {2, 3, 4, 5, 6}
+
+
+def test_minimal_basis_items_follow_the_enumeration_cap():
+    from hecke import Caps, statement_ids
+
+    n5_gamma = {"03-esym-gamma-n5", "04-longestsq-qform-n5", "05-xy-gamma-n5",
+                "07-truncation-squares-n5", "11-gamma-classsums-n5",
+                "13-gamma-integrality-n5", "13-gamma-pinning-n5"}
+    assert len(statement_ids(N_MAX)) == 110
+    assert n5_gamma <= set(statement_ids(N_MAX, Caps(linalg_max=4)))
+    assert run_verify(N_MAX, caps=Caps(linalg_max=4), only=sorted(n5_gamma)).passed
+    assert not n5_gamma & set(statement_ids(N_MAX, Caps(enum_max=4)))

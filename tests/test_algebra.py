@@ -2,13 +2,18 @@
 
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
+import hecke.algebra
 from hecke import (
     DegreeMismatchError,
     HeckeElement,
+    HeckeError,
     LaurentPoly,
     Permutation,
+    TermTypeError,
     all_permutations,
     group_algebra_mul,
     left_mult_matrix,
@@ -16,6 +21,7 @@ from hecke import (
     q_power,
     v_power,
 )
+from hecke.algebra import _acc, _rmul_gen
 from hecke.linalg import sparse_rank
 
 ASSOCIATIVITY_TRIPLES = 500
@@ -31,6 +37,48 @@ def _random_element(rng, n, max_terms=3):
         coeff = LaurentPoly({rng.randint(-2, 2): rng.randint(-4, 4)})
         out = out + HeckeElement.basis(n, rng.choice(perms)).scale(coeff)
     return out
+
+
+def _fold_mul(a, b):
+    """a * b by folding _rmul_gen over the whole reduced word of every basis
+    element of b: the reference for the shared-prefix kernel."""
+    out = {}
+    for w, c in b._terms.items():
+        acc = a._terms
+        for i in w.reduced_word():
+            acc = _rmul_gen(acc, i)
+        for u, d in acc.items():
+            _acc(out, u, d * c)
+    return HeckeElement._raw(a.n, out)
+
+
+_big_scalars = st.dictionaries(
+    st.integers(-10**6, 10**6), st.integers(-10**30, 10**30),
+    min_size=1, max_size=3).map(LaurentPoly)
+
+
+@st.composite
+def _element_pairs(draw, n):
+    """The right factor, whose words the kernel shares, ranges up to all of
+    S_n; the left factor has at most 8 terms to bound the cost of an example."""
+    perms = all_permutations(n)
+    subsets = st.lists(st.sampled_from(perms), max_size=len(perms), unique=True)
+    left = draw(subsets.map(lambda ws: ws[:8]))
+    right = draw(st.one_of(st.just(perms), subsets))
+    return tuple(HeckeElement(n, {w: draw(_big_scalars) for w in support})
+                 for support in (left, right))
+
+
+def _count_rmul_gen(monkeypatch):
+    calls = []
+    real = hecke.algebra._rmul_gen
+
+    def counting(terms, i):
+        calls.append(i)
+        return real(terms, i)
+
+    monkeypatch.setattr(hecke.algebra, "_rmul_gen", counting)
+    return calls
 
 
 def _full_matrix_rank(m):
@@ -155,3 +203,53 @@ def test_support_and_items_are_canonically_ordered():
     lengths = [w.length() for w, _ in h.items()]
     assert lengths == sorted(lengths)
     assert list(h.support()) == [w for w, _ in h.items()]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(data=st.data())
+def test_product_kernel_matches_the_generator_fold(n, data):
+    a, b = data.draw(_element_pairs(n))
+    assert a * b == _fold_mul(a, b)
+
+
+def test_left_mult_matrix_columns_are_products():
+    rng = random.Random(11)
+    h = _random_element(rng, 4, max_terms=8)
+    basis = all_permutations(4)
+    m = left_mult_matrix(h)
+    for j, g in enumerate(basis):
+        col = h * HeckeElement.basis(4, g)
+        assert [m[i][j] for i in range(len(basis))] == [col.coeff(u) for u in basis]
+
+
+def test_left_mult_matrix_takes_one_step_per_non_identity_permutation(monkeypatch):
+    calls = _count_rmul_gen(monkeypatch)
+    left_mult_matrix(HeckeElement.generator(4, 2))
+    assert len(calls) == 23
+
+
+def test_full_support_product_takes_one_step_per_trie_edge(monkeypatch):
+    full = HeckeElement(5, {w: LaurentPoly(1) for w in all_permutations(5)})
+    calls = _count_rmul_gen(monkeypatch)
+    HeckeElement.generator(5, 1) * full
+    assert len(calls) == 119
+
+
+def test_constructor_rejects_non_permutation_keys():
+    with pytest.raises(TermTypeError) as info:
+        HeckeElement(3, {(1, 2, 3): LaurentPoly(1)})
+    assert isinstance(info.value, HeckeError)
+
+
+def test_constructor_rejects_non_laurent_coefficients():
+    with pytest.raises(TermTypeError):
+        HeckeElement(3, {Permutation((1, 2, 3)): 1.5})
+
+
+def test_constructor_converts_int_coefficients():
+    w = Permutation((2, 1, 3))
+    h = HeckeElement(3, {w: 4, Permutation((1, 2, 3)): 0})
+    assert h == HeckeElement.basis(3, w).scale(4)
+    assert h.coeff(w) == LaurentPoly(4)
