@@ -10,8 +10,9 @@ it implements at small degrees.
 """
 
 from .algebra import (AlgebraContext, Caps, DEFAULT_CAPS, HeckeElement,
-                      as_context, commutator, group_algebra_mul, is_central,
-                      left_mult_matrix)
+                      all_permutations, as_context, commutator,
+                      conjugacy_class, group_algebra_mul, is_central,
+                      left_mult_matrix, minimal_class_elements)
 from .center import (CentreBasis, GammaBasis, centre_basis, express_in_gamma,
                      gamma_basis, verify_gamma_invariants)
 from .elements import (braid_murphy, dual_murphy, elem_sym,
@@ -24,9 +25,7 @@ from .errors import (DegreeMismatchError, FormatError, HeckeError,
 from .laurent import LaurentPoly, RationalFn, q_power, v_power
 from .parsing import (element_from_json, element_to_json, format_element,
                       format_scalar, parse_element, parse_scalar)
-from .permutations import (Partition, Permutation, all_permutations,
-                           conjugacy_class, minimal_class_elements,
-                           partitions_of)
+from .permutations import Partition, Permutation, partitions_of
 from .sqrtcenter import (SqrtReport, catalog, catalog_h3, catalog_h4,
                          eigen_search, even_word_centrality,
                          h3_constraint_check, in_sqrt_centre, sample_sqrt_h3,
@@ -37,8 +36,10 @@ from .verify import VerificationReport, build_registry, run_verify, statement_id
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraContext", "Caps", "DEFAULT_CAPS", "HeckeElement", "as_context",
-    "commutator", "group_algebra_mul", "is_central", "left_mult_matrix",
+    "AlgebraContext", "Caps", "DEFAULT_CAPS", "HeckeElement",
+    "all_permutations", "as_context", "commutator", "conjugacy_class",
+    "group_algebra_mul", "is_central", "left_mult_matrix",
+    "minimal_class_elements",
     "CentreBasis", "GammaBasis", "centre_basis", "express_in_gamma",
     "gamma_basis", "verify_gamma_invariants",
     "braid_murphy", "dual_murphy", "elem_sym", "elem_sym_normalized",
@@ -50,8 +51,7 @@ __all__ = [
     "LaurentPoly", "RationalFn", "q_power", "v_power",
     "element_from_json", "element_to_json", "format_element", "format_scalar",
     "parse_element", "parse_scalar",
-    "Partition", "Permutation", "all_permutations", "conjugacy_class",
-    "minimal_class_elements", "partitions_of",
+    "Partition", "Permutation", "partitions_of",
     "SqrtReport", "catalog", "catalog_h3", "catalog_h4", "eigen_search",
     "even_word_centrality", "h3_constraint_check", "in_sqrt_centre",
     "sample_sqrt_h3", "span_in_sqrt", "sqrt_h3_from_coeffs",

@@ -34,7 +34,8 @@ from dataclasses import dataclass, field
 
 from .errors import DegreeMismatchError, ResourceCapError, TermTypeError
 from .laurent import ONE, Q, Q_MINUS_1, ZERO, LaurentPoly, v_power
-from .permutations import Permutation, all_permutations
+from .permutations import (Partition, Permutation, _all_permutations,
+                           _classes, _minimal_classes)
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,8 @@ class Caps:
     """Size limits for the expensive operations.
 
     enum_max bounds anything that walks all of S_n; linalg_max bounds the
-    operations that build n! x n! matrices or solve for the centre.
+    operations that build n! x n! matrices or solve for the centre.  Each
+    is compared in one place, AlgebraContext.check_enum / check_linalg.
     """
 
     enum_max: int = 7
@@ -79,6 +81,38 @@ def as_context(ctx) -> AlgebraContext:
     if isinstance(ctx, AlgebraContext):
         return ctx
     return AlgebraContext(int(ctx))
+
+
+def all_permutations(ctx) -> tuple[Permutation, ...]:
+    """Every element of S_n, in lexicographic one-line order (identity first).
+
+    ctx is a degree or an AlgebraContext; the enumeration cap applies.
+    """
+    c = as_context(ctx)
+    c.check_enum()
+    return _all_permutations(c.n)
+
+
+def _class_degree(ctx, shape: Partition) -> int:
+    c = as_context(ctx)
+    if shape.n != c.n:
+        raise DegreeMismatchError(f"partition {shape} is not a partition of {c.n}")
+    c.check_enum()
+    return c.n
+
+
+def conjugacy_class(ctx, shape: Partition) -> tuple[Permutation, ...]:
+    """All permutations in S_n with the given cycle type, lexicographically."""
+    return _classes(_class_degree(ctx, shape))[shape]
+
+
+def minimal_class_elements(ctx, shape: Partition) -> tuple[Permutation, ...]:
+    """The minimal-length elements of a conjugacy class.
+
+    >>> [w.reduced_word() for w in minimal_class_elements(3, Partition((3,)))]
+    [(1, 2), (2, 1)]
+    """
+    return _minimal_classes(_class_degree(ctx, shape))[shape]
 
 
 def _acc(out: dict, key, val: LaurentPoly) -> None:
@@ -165,6 +199,14 @@ def _walk(acc: dict, node: list):
         acc = _rmul_gen(acc, heavy)
 
 
+def _check_key(n: int, w) -> None:
+    if not isinstance(w, Permutation):
+        raise TermTypeError(
+            f"support element {w!r} is a {type(w).__name__}, not a Permutation")
+    if len(w) != n:
+        raise DegreeMismatchError(f"support element of degree {len(w)} in H_{n}")
+
+
 class HeckeElement:
     """An element of H_n, stored over the standard basis {T_w}."""
 
@@ -177,13 +219,7 @@ class HeckeElement:
         clean: dict[Permutation, LaurentPoly] = {}
         if terms:
             for w, c in terms.items():
-                if not isinstance(w, Permutation):
-                    raise TermTypeError(
-                        f"support element {w!r} is a {type(w).__name__}, "
-                        f"not a Permutation")
-                if len(w) != n:
-                    raise DegreeMismatchError(
-                        f"support element of degree {len(w)} in H_{n}")
+                _check_key(n, w)
                 if isinstance(c, int):
                     c = LaurentPoly(c)
                 elif not isinstance(c, LaurentPoly):
@@ -213,15 +249,13 @@ class HeckeElement:
 
     @classmethod
     def basis(cls, n: int, w: Permutation) -> "HeckeElement":
-        if len(w) != n:
-            raise DegreeMismatchError(f"basis element of degree {len(w)} in H_{n}")
+        _check_key(n, w)
         return cls._raw(n, {w: ONE})
 
     @classmethod
     def basis_normalized(cls, n: int, w: Permutation) -> "HeckeElement":
         """The normalised basis element T~_w = v^(-length(w)) T_w."""
-        if len(w) != n:
-            raise DegreeMismatchError(f"basis element of degree {len(w)} in H_{n}")
+        _check_key(n, w)
         return cls._raw(n, {w: v_power(-w.length())})
 
     @classmethod
@@ -418,22 +452,17 @@ def is_central(h: HeckeElement) -> bool:
     return True
 
 
-def left_mult_matrix(h: HeckeElement,
-                     caps: Caps = DEFAULT_CAPS) -> list[list[LaurentPoly]]:
-    """The matrix of g -> h*g over the standard basis.
+def left_mult_matrix(h: HeckeElement, caps: Caps = DEFAULT_CAPS
+                     ) -> dict[Permutation, dict[Permutation, LaurentPoly]]:
+    """The matrix of g -> h*g over the standard basis, as sparse rows.
 
-    Rows and columns are indexed by all_permutations(h.n); entry [i][j] is
-    the coefficient of T_{basis[i]} in h * T_{basis[j]}.
+    Entry [u][w] is the coefficient of T_u in h * T_w; zero entries, and
+    rows that are zero throughout, are left out.
     """
-    n = h.n
-    if n > caps.linalg_max:
-        raise ResourceCapError(
-            f"left multiplication matrix at degree {n} exceeds the cap {caps.linalg_max}")
-    basis = all_permutations(n, caps.enum_max)
-    index = {w: k for k, w in enumerate(basis)}
-    size = len(basis)
-    rows: list[list[LaurentPoly]] = [[ZERO] * size for _ in range(size)]
-    for acc, j in _prefix_products(h._terms, zip(basis, range(size))):
+    AlgebraContext(h.n, caps).check_linalg()
+    basis = _all_permutations(h.n)
+    rows: dict[Permutation, dict[Permutation, LaurentPoly]] = {}
+    for acc, w in _prefix_products(h._terms, zip(basis, basis)):
         for u, c in acc.items():
-            rows[index[u]][j] = c
+            rows.setdefault(u, {})[w] = c
     return rows

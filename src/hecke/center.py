@@ -25,21 +25,19 @@ from .algebra import (HeckeElement, as_context, is_central,
 from .errors import DegreeMismatchError, MismatchError, NotCentralError
 from .laurent import LaurentPoly, ZERO, ONE
 from .linalg import SparseSystem, sparse_rank
-from .permutations import (Partition, Permutation, all_permutations,
-                           conjugacy_class, minimal_class_elements,
-                           partitions_of)
+from .permutations import (Partition, Permutation, _all_permutations,
+                           _classes, _minimal_classes, partitions_of)
 
 
 def _commutator_rows(n: int):
     """Rows of the system 'commutes with every generator'.
 
-    Columns are indexed by S_n in lexicographic order; one row per
-    (generator, basis permutation) pair that actually occurs.
+    Columns are the permutations of S_n; one row per (generator, basis
+    permutation) pair that actually occurs, in that order.
     """
-    perms = all_permutations(n, cap=n)
-    rows: dict[tuple[int, Permutation], dict[int, LaurentPoly]] = {}
+    rows: dict[tuple[int, Permutation], dict[Permutation, LaurentPoly]] = {}
     for i in range(1, n):
-        for j, w in enumerate(perms):
+        for w in _all_permutations(n):
             base = {w: ONE}
             diff = _lmul_gen(base, i)
             for u, c in _rmul_gen(base, i).items():
@@ -49,10 +47,8 @@ def _commutator_rows(n: int):
                 else:
                     diff.pop(u, None)
             for u, c in diff.items():
-                rows.setdefault((i, u), {})[j] = c
-    index = {w: j for j, w in enumerate(perms)}
-    ordered = sorted(rows, key=lambda k: (k[0], index[k[1]]))
-    return perms, [rows[k] for k in ordered]
+                rows.setdefault((i, u), {})[w] = c
+    return [rows[k] for k in sorted(rows)]
 
 
 @dataclass(frozen=True)
@@ -67,28 +63,21 @@ class CentreBasis:
         if z.n != self.n:
             raise DegreeMismatchError(
                 f"element of degree {z.n} against a basis for degree {self.n}")
-        perms = all_permutations(self.n, cap=self.n)
-        index = {w: j for j, w in enumerate(perms)}
-        base = [{index[w]: c for w, c in v.items()} for v in self.vectors]
-        r0 = sparse_rank(base, len(perms))
+        base = [v._terms for v in self.vectors]
+        r0 = sparse_rank(base)
         if z.is_zero():
             return True
-        row = {index[w]: c for w, c in z.items()}
-        return sparse_rank(base + [row], len(perms)) == r0
+        return sparse_rank(base + [z._terms]) == r0
 
 
 def centre_basis(ctx) -> CentreBasis:
     """Solve for everything that commutes with all the generators."""
     c = as_context(ctx)
     c.check_linalg()
-    perms, rows = _commutator_rows(c.n)
-    system = SparseSystem(len(perms), num_rhs=0)
-    system.add_rows([(r, []) for r in rows])
-    vectors = []
-    for vec in system.nullspace():
-        terms = {perms[j]: vec[j] for j in range(len(perms)) if vec[j]}
-        vectors.append(HeckeElement._raw(c.n, terms))
-    return CentreBasis(c.n, tuple(vectors))
+    system = SparseSystem(_all_permutations(c.n))
+    system.add_rows([(r, []) for r in _commutator_rows(c.n)])
+    return CentreBasis(c.n, tuple(HeckeElement._raw(c.n, vec)
+                                  for vec in system.nullspace()))
 
 
 @dataclass(frozen=True)
@@ -110,26 +99,19 @@ def _solve_gamma(n: int) -> GammaBasis:
 
     A slow, independent reference for ``_recursive_gamma``, used by tests.
     """
-    perms, rows = _commutator_rows(n)
-    index = {w: j for j, w in enumerate(perms)}
     parts = partitions_of(n)
     k = len(parts)
-    sys_rows = [(r, [ZERO] * k) for r in rows]
+    sys_rows = [(r, [ZERO] * k) for r in _commutator_rows(n)]
     for mu in parts:
         rhs = [ONE if lam == mu else ZERO for lam in parts]
-        for w in minimal_class_elements(n, mu, cap=n):
-            sys_rows.append(({index[w]: ONE}, list(rhs)))
-    system = SparseSystem(len(perms), num_rhs=k)
+        for w in _minimal_classes(n)[mu]:
+            sys_rows.append(({w: ONE}, list(rhs)))
+    system = SparseSystem(_all_permutations(n), num_rhs=k)
     system.add_rows(sys_rows)
-    solutions = system.solve_unique()
     elements = {}
-    for a, lam in enumerate(parts):
-        vec = solutions[a]
-        terms = {}
-        for j, w in enumerate(perms):
-            if vec[j]:
-                terms[w] = vec[j].as_laurent()
-        elements[lam] = HeckeElement._raw(n, terms)
+    for lam, vec in zip(parts, system.solve_unique()):
+        elements[lam] = HeckeElement._raw(
+            n, {w: x.as_laurent() for w, x in vec.items() if x})
     return GammaBasis(n, elements)
 
 
@@ -147,10 +129,9 @@ def _recursive_gamma(n: int) -> GammaBasis:
     class holds an element with a length-dropping s (Geck-Pfeiffer, section
     3.2), whose right-hand side is already filled at lengths l - 1 and l - 2.
     """
-    perms = all_permutations(n, cap=n)
+    perms = _all_permutations(n)
     parts = partitions_of(n)
-    pinned = {w: lam for lam in parts
-              for w in minimal_class_elements(n, lam, cap=n)}
+    pinned = {w: lam for lam, ws in _minimal_classes(n).items() for w in ws}
     by_length: dict[int, list[Permutation]] = {}
     for w in perms:
         by_length.setdefault(w.length(), []).append(w)
@@ -205,11 +186,11 @@ def verify_gamma_invariants(gb: GammaBasis) -> None:
     parts = partitions_of(n)
     if set(gb.elements) != set(parts):
         raise MismatchError(f"basis for degree {n} has wrong index set")
-    minimals = {mu: minimal_class_elements(n, mu, cap=n) for mu in parts}
+    minimals = _minimal_classes(n)
     for lam, g in gb.elements.items():
         if not is_central(g):
             raise MismatchError(f"basis element for {lam} is not central")
-        expected = {w: 1 for w in conjugacy_class(n, lam, cap=n)}
+        expected = {w: 1 for w in _classes(n)[lam]}
         if g.specialize_group_algebra() != expected:
             raise MismatchError(
                 f"basis element for {lam} is not the class sum at q = 1")
@@ -261,7 +242,7 @@ def express_in_gamma(z: HeckeElement,
     coeffs: dict[Partition, LaurentPoly] = {}
     residual = z
     for lam in partitions_of(gb.n):
-        minimals = minimal_class_elements(gb.n, lam, cap=gb.n)
+        minimals = _minimal_classes(gb.n)[lam]
         c0 = z.coeff(minimals[0])
         for w in minimals[1:]:
             if z.coeff(w) != c0:

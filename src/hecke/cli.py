@@ -4,8 +4,9 @@ Exit codes: 0 success (and "true" for the predicate verbs), 1 mathematical
 false or a failed verification, 2 usage or input errors, 3 a resource cap.
 
 Element expressions follow the grammar in `parsing`; the degree always
-comes from --n.  The minimal basis of the centre falls under --enum-max, the
-n!-sized linear algebra of eigenvector searches under --linalg-max.
+comes from --n.  The minimal basis of the centre and the degree of an
+imported element fall under --enum-max, the n!-sized linear algebra of
+eigenvector searches under --linalg-max.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import argparse
 import json
 import sys
 
-from .algebra import AlgebraContext, Caps, is_central
+from .algebra import DEFAULT_CAPS, AlgebraContext, Caps, is_central
 from .center import express_in_gamma, gamma_basis
 from .errors import (DegreeMismatchError, FormatError, HeckeError,
                      MismatchError, NotCentralError, ParseError,
@@ -28,10 +29,11 @@ from .verify import run_verify, statement_ids
 
 
 def _add_caps(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--enum-max", type=int, default=7,
-                   help="cap for operations that walk all of S_n (default 7)")
-    p.add_argument("--linalg-max", type=int, default=5,
-                   help="cap for n!-sized linear algebra (default 5)")
+    p.add_argument("--enum-max", type=int, default=DEFAULT_CAPS.enum_max,
+                   help="cap for operations that walk all of S_n "
+                        "(default %(default)s)")
+    p.add_argument("--linalg-max", type=int, default=DEFAULT_CAPS.linalg_max,
+                   help="cap for n!-sized linear algebra (default %(default)s)")
 
 
 def _caps(args) -> Caps:
@@ -112,13 +114,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("catalog", help="known square roots at a degree")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--json", action="store_true")
-    _add_caps(p)
 
     p = sub.add_parser("sample-h3",
                        help="random degree-3 element whose square is central")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
-    _add_caps(p)
 
     p = sub.add_parser("verify",
                        help="run the statement registry (exit 0 iff no "
@@ -313,7 +313,7 @@ def _cmd_import(args) -> int:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON: {exc}")
-    el = element_from_json(doc)
+    el = element_from_json(doc, _caps(args))
     _print_element(el, args.json)
     return 0
 

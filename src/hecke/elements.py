@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from .algebra import HeckeElement, as_context
 from .laurent import LaurentPoly, ONE, q_power, v_power
-from .permutations import Permutation, all_permutations
+from .permutations import Permutation, _all_permutations
 
 
 def _check_index(i: int, lo: int, hi: int, what: str) -> None:
@@ -159,7 +159,7 @@ def _longest_length(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _x_elem(n: int) -> HeckeElement:
-    return HeckeElement._raw(n, {w: ONE for w in all_permutations(n, cap=n)})
+    return HeckeElement._raw(n, {w: ONE for w in _all_permutations(n)})
 
 
 def x_elem(ctx) -> HeckeElement:
@@ -173,7 +173,7 @@ def x_elem(ctx) -> HeckeElement:
 def _y_elem(n: int) -> HeckeElement:
     ell = _longest_length(n)
     terms = {}
-    for w in all_permutations(n, cap=n):
+    for w in _all_permutations(n):
         d = ell - w.length()
         # (-q)^d as a Laurent polynomial in v
         terms[w] = LaurentPoly({2 * d: 1 if d % 2 == 0 else -1})

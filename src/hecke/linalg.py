@@ -5,6 +5,9 @@ fraction-free cross-multiplication elimination with per-row content
 stripping.  Row operations only rescale equations, so solutions and rank are
 preserved while everything stays in the Laurent ring.  Back substitution
 happens over RationalFn at the end.
+
+Columns are labelled by any mutually comparable keys; the algebra uses the
+permutations themselves.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from .laurent import (ONE, RF_ONE, RF_ZERO, ZERO, LaurentPoly, RationalFn,
                       lp_gcd, lp_lcm)
 
 
-def _strip_row(row: dict[int, LaurentPoly],
+def _strip_row(row: dict,
                rhs: list[LaurentPoly]) -> None:
     """Divide a row (and its right-hand sides) by the gcd of its entries."""
     g = ZERO
@@ -37,26 +40,30 @@ def _strip_row(row: dict[int, LaurentPoly],
 class SparseSystem:
     """Echelonise rows of a sparse linear system A x = b exactly.
 
-    Rows are dicts column -> LaurentPoly; each row may carry several
-    right-hand-side columns.  After `reduce`, `solve_unique` produces the
+    Rows are dicts column label -> LaurentPoly; each row may carry several
+    right-hand-side columns.  After `add_rows`, `solve_unique` produces the
     solution for every right-hand side (requiring every column to be
     pivotal), and `nullspace` produces denominator-cleared kernel vectors
-    of the homogeneous system.
+    of the homogeneous system, both as dicts keyed by column label.
     """
 
-    def __init__(self, ncols: int, num_rhs: int = 0):
-        self.ncols = ncols
+    def __init__(self, columns, num_rhs: int = 0):
+        # the column labels, in increasing order
+        self.columns = columns
         self.num_rhs = num_rhs
         # registration order: (pivot column, row dict, rhs list)
-        self.pivots: list[tuple[int, dict[int, LaurentPoly], list[LaurentPoly]]] = []
-        self.pivot_index: dict[int, int] = {}
+        self.pivots: list[tuple[object, dict, list[LaurentPoly]]] = []
+        self.pivot_index: dict = {}
 
     def add_rows(self, rows) -> None:
-        # smallest rows first: pinning constraints become pivots immediately
+        # Smallest rows first: pinning constraints become pivots immediately.
+        # The sort is stable, so rows that tie keep the order they came in;
+        # callers pass them in label order, which with the label tie-break
+        # of the pivot choice makes the elimination canonical.
         for row, rhs in sorted(rows, key=lambda item: (len(item[0]), sorted(item[0]))):
             self._insert(dict(row), list(rhs))
 
-    def _insert(self, row: dict[int, LaurentPoly], rhs: list[LaurentPoly]) -> None:
+    def _insert(self, row: dict, rhs: list[LaurentPoly]) -> None:
         while row:
             hits = [c for c in row if c in self.pivot_index]
             if not hits:
@@ -92,11 +99,10 @@ class SparseSystem:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def free_columns(self) -> list[int]:
-        return [c for c in range(self.ncols) if c not in self.pivot_index]
+    def free_columns(self) -> list:
+        return [c for c in self.columns if c not in self.pivot_index]
 
-    def _back_substitute(self, values: dict[int, RationalFn],
-                         rhs_at) -> dict[int, RationalFn]:
+    def _back_substitute(self, values: dict, rhs_at) -> dict:
         for col, row, rhs in reversed(self.pivots):
             total = rhs_at(rhs)
             for c, a in row.items():
@@ -108,57 +114,57 @@ class SparseSystem:
             values[col] = total / RationalFn.from_poly(row[col])
         return values
 
-    def solve_unique(self) -> list[list[RationalFn]]:
-        """One solution vector per right-hand-side column."""
+    def solve_unique(self) -> list[dict]:
+        """One solution {column: RationalFn} per right-hand-side column."""
         free = self.free_columns()
         if free:
             raise InconsistentSystemError(
                 f"system is underdetermined; free columns {free[:5]}")
         solutions = []
         for k in range(self.num_rhs):
-            values: dict[int, RationalFn] = {}
+            values: dict = {}
             self._back_substitute(values,
                                   lambda rhs: RationalFn.from_poly(rhs[k]))
-            solutions.append([values[c] for c in range(self.ncols)])
+            solutions.append({c: values[c] for c in self.columns})
         return solutions
 
-    def nullspace(self) -> list[list[LaurentPoly]]:
+    def nullspace(self) -> list[dict]:
         """Kernel vectors of the homogeneous system, cleared to the ring.
 
-        One vector per free column, deterministically normalised: common
+        One vector per free column, as {column: LaurentPoly} over its nonzero
+        coordinates in column order, deterministically normalised: common
         content and v-shift stripped, first nonzero coordinate given a
         positive leading coefficient.
         """
         vectors = []
         for f in self.free_columns():
-            values: dict[int, RationalFn] = {f: RF_ONE}
+            values: dict = {f: RF_ONE}
             self._back_substitute(values, lambda rhs: RF_ZERO)
+            xs = [(c, values[c]) for c in self.columns
+                  if values.get(c, RF_ZERO)]
             den = ONE
-            for c in range(self.ncols):
-                x = values.get(c, RF_ZERO)
-                if x and not x.den.is_one():
+            for _, x in xs:
+                if not x.den.is_one():
                     den = lp_lcm(den, x.den)
-            vec = []
-            for c in range(self.ncols):
-                x = values.get(c, RF_ZERO)
-                vec.append(ZERO if not x else x.num * den.divexact(x.den))
+            vec = {c: x.num * den.divexact(x.den) for c, x in xs}
             g = ZERO
-            for c in vec:
-                g = lp_gcd(g, c)
+            for a in vec.values():
+                g = lp_gcd(g, a)
                 if g.is_one():
                     break
-            if not (g.is_zero() or g.is_one()):
-                vec = [c.divexact(g) for c in vec]
-            shift = min(c.min_exp() for c in vec if c)
+            if not g.is_one():
+                vec = {c: a.divexact(g) for c, a in vec.items()}
+            shift = min(a.min_exp() for a in vec.values())
             if shift:
-                vec = [c.shift(-shift) if c else c for c in vec]
-            if next(c for c in vec if c).leading_coeff() < 0:
-                vec = [-c for c in vec]
+                vec = {c: a.shift(-shift) for c, a in vec.items()}
+            if next(iter(vec.values())).leading_coeff() < 0:
+                vec = {c: -a for c, a in vec.items()}
             vectors.append(vec)
         return vectors
 
 
-def sparse_rank(rows: list[dict[int, LaurentPoly]], ncols: int) -> int:
-    sys_ = SparseSystem(ncols)
+def sparse_rank(rows) -> int:
+    """The rank of an iterable of sparse rows {column: LaurentPoly}."""
+    sys_ = SparseSystem(())   # the rank needs no column labels
     sys_.add_rows((row, []) for row in rows)
     return sys_.rank

@@ -334,8 +334,12 @@ def element_to_json(el: HeckeElement, basis: str = "T") -> dict:
     return {"n": el.n, "basis": basis, "terms": terms}
 
 
-def element_from_json(doc) -> HeckeElement:
-    """Rebuild an element from its JSON document, validating as it goes."""
+def element_from_json(doc, caps: Caps = DEFAULT_CAPS) -> HeckeElement:
+    """Rebuild an element from its JSON document, validating as it goes.
+
+    A degree above the enumeration cap raises ResourceCapError: lengths and
+    reduced words cost about n^3, so an unbounded degree never finishes.
+    """
     if not isinstance(doc, dict):
         raise FormatError("element document must be an object")
     missing = {"n", "basis", "terms"} - set(doc)
@@ -347,6 +351,7 @@ def element_from_json(doc) -> HeckeElement:
         raise FormatError(f"bad degree {doc['n']!r}")
     if n < 1:
         raise FormatError(f"bad degree {n}")
+    AlgebraContext(n, caps).check_enum()
     basis = doc["basis"]
     if basis not in ("T", "Ttilde"):
         raise FormatError(f"unknown basis {basis!r}")

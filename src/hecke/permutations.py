@@ -27,11 +27,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .errors import DegreeMismatchError, ResourceCapError
-
-#: Everything that walks all of S_n refuses to go past this degree unless
-#: the caller passes an explicit higher cap.
-DEFAULT_ENUM_CAP = 7
+from .errors import DegreeMismatchError
 
 
 class Permutation(tuple):
@@ -281,24 +277,11 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     return tuple(Partition(p) for p in gen(n, n))
 
 
-def _check_cap(n: int, cap: int | None) -> None:
-    cap = DEFAULT_ENUM_CAP if cap is None else cap
-    if n > cap:
-        raise ResourceCapError(
-            f"degree {n} exceeds the enumeration cap {cap}; "
-            f"pass a larger cap explicitly to override")
-
-
 @lru_cache(maxsize=None)
 def _all_permutations(n: int) -> tuple[Permutation, ...]:
+    """S_n in lexicographic order; uncapped, the public wrappers check."""
     return tuple(Permutation._unsafe(t)
                  for t in itertools.permutations(range(1, n + 1)))
-
-
-def all_permutations(n: int, cap: int | None = None) -> tuple[Permutation, ...]:
-    """Every element of S_n, in lexicographic one-line order (identity first)."""
-    _check_cap(n, cap)
-    return _all_permutations(n)
 
 
 @lru_cache(maxsize=None)
@@ -311,22 +294,8 @@ def _classes(n: int) -> dict[Partition, tuple[Permutation, ...]]:
     return {lam: tuple(ws) for lam, ws in table.items()}
 
 
-def conjugacy_class(n: int, shape: Partition,
-                    cap: int | None = None) -> tuple[Permutation, ...]:
-    """All permutations in S_n with the given cycle type."""
-    if shape.n != n:
-        raise DegreeMismatchError(f"partition {shape} is not a partition of {n}")
-    _check_cap(n, cap)
-    return _classes(n)[shape]
-
-
-def minimal_class_elements(n: int, shape: Partition,
-                           cap: int | None = None) -> tuple[Permutation, ...]:
-    """The minimal-length elements of a conjugacy class.
-
-    >>> [w.reduced_word() for w in minimal_class_elements(3, Partition((3,)))]
-    [(1, 2), (2, 1)]
-    """
-    target = shape.min_length()
-    return tuple(w for w in conjugacy_class(n, shape, cap)
-                 if w.length() == target)
+@lru_cache(maxsize=None)
+def _minimal_classes(n: int) -> dict[Partition, tuple[Permutation, ...]]:
+    """The minimal-length elements of each class, in lexicographic order."""
+    return {lam: tuple(w for w in ws if w.length() == lam.min_length())
+            for lam, ws in _classes(n).items()}

@@ -24,15 +24,16 @@ import hashlib
 import random
 from dataclasses import dataclass
 
-from .algebra import (HeckeElement, as_context, commutator, is_central,
-                      left_mult_matrix)
+from .algebra import (HeckeElement, _acc, as_context, commutator,
+                      is_central, left_mult_matrix)
 from .center import GammaBasis, _GAMMA_MEMO, express_in_gamma
 from .elements import elem_sym, poincare, t_longest, xbar, ybar
 from .errors import DegreeMismatchError, MismatchError, NotCentralError
 from .laurent import (LaurentPoly, ONE, Q, Q_MINUS_1, _as_rf, from_int,
                       q_power)
 from .linalg import SparseSystem, sparse_rank
-from .permutations import Partition, Permutation, all_permutations, partitions_of
+from .permutations import (Partition, Permutation, _all_permutations,
+                           partitions_of)
 
 
 @dataclass(frozen=True)
@@ -312,15 +313,6 @@ def catalog(n: int) -> dict[str, HeckeElement]:
     raise ValueError(f"no catalog for degree {n}")
 
 
-def _independent_rank(elements) -> int:
-    els = list(elements)
-    n = els[0].n
-    perms = all_permutations(n, cap=n)
-    index = {w: j for j, w in enumerate(perms)}
-    rows = [{index[w]: c for w, c in el.items()} for el in els]
-    return sparse_rank(rows, len(perms))
-
-
 def catalog_checks_h3(gb: GammaBasis) -> dict[str, bool]:
     """Every printed claim about the degree-3 catalog, checked exactly."""
     cat = catalog_h3()
@@ -329,7 +321,7 @@ def catalog_checks_h3(gb: GammaBasis) -> dict[str, bool]:
     for name, el in cat.items():
         rep = in_sqrt_centre(el, gb)
         out[f"{name}_in_sqrt_not_centre"] = rep.in_sqrt and not rep.in_centre
-    out["rank_5"] = _independent_rank(cat.values()) == 5
+    out["rank_5"] = sparse_rank(el._terms for el in cat.values()) == 5
     r4, r5 = cat["R4"], cat["R5"]
     g21, g3 = gb[(2, 1)], gb[(3,)]
     out["eigen_table"] = (
@@ -347,7 +339,7 @@ def catalog_checks_h3(gb: GammaBasis) -> dict[str, bool]:
                         and r5sq[P(3)] == Q)
     out["r5_sq_is_minus_q_r4_sq"] = r5 * r5 == (r4 * r4).scale(-Q)
     stacked = list(cat.values()) + [g for _, g in gb]
-    inter = 5 + len(gb.elements) - _independent_rank(stacked)
+    inter = 5 + len(gb.elements) - sparse_rank(el._terms for el in stacked)
     out["span_meets_centre_rank_2"] = inter == 2
     return out
 
@@ -360,7 +352,7 @@ def catalog_checks_h4() -> dict[str, bool]:
         el = cat[name]
         out[f"{name}_square_central"] = is_central(el * el)
         out[f"{name}_not_central"] = not is_central(el)
-    out["rank_6"] = _independent_rank(cat.values()) == 6
+    out["rank_6"] = sparse_rank(el._terms for el in cat.values()) == 6
     commuting = [cat["xbar"], cat["ybar"], cat["Twn"]]
     rs = [cat["R4"], cat["R5"], cat["R6"]]
     ok = True
@@ -392,24 +384,18 @@ def eigen_search(ctx, z: HeckeElement, k) -> list[HeckeElement]:
         raise NotCentralError("eigen search expects a central element")
     kr = _as_rf(k)
     m = left_mult_matrix(z, c.caps)
-    size = len(m)
+    perms = _all_permutations(c.n)
     rows = []
-    for i in range(size):
-        row = {}
-        for j in range(size):
-            v = kr.den * m[i][j]
-            if i == j:
-                v = v - kr.num
-            if v:
-                row[j] = v
-        rows.append(row)
-    system = SparseSystem(size, num_rhs=0)
-    system.add_rows([(r, []) for r in rows])
-    perms = all_permutations(c.n, cap=c.n)
+    for u in perms:
+        # den * M - num * I, row by row in label order
+        row = {w: kr.den * a for w, a in m.get(u, {}).items()}
+        _acc(row, u, -kr.num)
+        rows.append((row, []))
+    system = SparseSystem(perms)
+    system.add_rows(rows)
     vectors = []
     for vec in system.nullspace():
-        el = HeckeElement._raw(c.n, {perms[j]: vec[j]
-                                     for j in range(size) if vec[j]})
+        el = HeckeElement._raw(c.n, vec)
         if (z * el).scale(kr.den) != el.scale(kr.num):
             raise MismatchError("eigenvector failed re-verification")
         vectors.append(el)

@@ -30,9 +30,8 @@ from .errors import MismatchError
 from .laurent import (LaurentPoly, ONE, Q, Q_MINUS_1, XI, ZERO, from_int,
                       q_power, v_power)
 from .linalg import sparse_rank
-from .permutations import (Partition, Permutation, all_permutations,
-                           conjugacy_class, minimal_class_elements,
-                           partitions_of)
+from .permutations import (Partition, Permutation, _all_permutations,
+                           _classes, _minimal_classes, partitions_of)
 from .sqrtcenter import (catalog_checks_h3, catalog_checks_h4, catalog_h3,
                          catalog_h4, eigen_search, even_word_centrality,
                          h3_constraint_check, in_sqrt_centre, sample_sqrt_h3,
@@ -449,16 +448,10 @@ def _chk_h3_checks(env: _Env, n: int) -> None:
 def _chk_h3_eigen_search(env: _Env, n: int) -> None:
     gb = env.gamma(3)
     cat = catalog_h3()
-    perms = all_permutations(3, cap=3)
-    index = {w: j for j, w in enumerate(perms)}
-
-    def rows_of(els):
-        return [{index[w]: cf for w, cf in el.items()} for el in els]
-
     vecs = eigen_search(env.ctx(3), gb[(2, 1)], Q_MINUS_1)
     _true(len(vecs) >= 2, "eigenvalue q-1 should have at least two directions")
-    base = sparse_rank(rows_of(vecs), 6)
-    both = sparse_rank(rows_of(vecs + [cat["R4"], cat["R5"]]), 6)
+    base = sparse_rank(el._terms for el in vecs)
+    both = sparse_rank(el._terms for el in vecs + [cat["R4"], cat["R5"]])
     _true(base == both, "R4 and R5 should lie in the q-1 eigenspace")
     for vec in eigen_search(env.ctx(3), gb[(3,)], -Q):
         _eq(gb[(3,)] * vec, vec.scale(-Q), "re-check of a -q eigenvector")
@@ -515,7 +508,7 @@ def _chk_h3_classify(env: _Env, n: int) -> None:
 
 def _chk_oracle_products(env: _Env, n: int) -> None:
     rng = env.rng("11-oracle-products-n4")
-    perms = all_permutations(4, cap=4)
+    perms = _all_permutations(4)
     for trial in range(1000):
         a = HeckeElement.zero(4)
         b = HeckeElement.zero(4)
@@ -537,7 +530,7 @@ def _chk_gamma_classsums(env: _Env, n: int) -> None:
     gb = env.gamma(n)
     for lam, g in gb:
         got = g.specialize_group_algebra()
-        want = {w: 1 for w in conjugacy_class(n, lam, cap=n)}
+        want = {w: 1 for w in _classes(n)[lam]}
         if got != want:
             raise MismatchError(f"at q=1, the element for {tuple(lam)} is not "
                                 f"the plain class sum")
@@ -547,14 +540,10 @@ def _chk_gamma_classsums(env: _Env, n: int) -> None:
 
 def _chk_nonzerodivisor(env: _Env, n: int) -> None:
     c = env.ctx(n)
-    perms = all_permutations(n, cap=n)
-    size = len(perms)
+    size = len(_all_permutations(n))
     for name, el in (("truncated q-symmetrizer", xbar(c)),
                      ("truncated signed symmetrizer", ybar(c))):
-        m = left_mult_matrix(el, c.caps)
-        rows = [{j: m[i][j] for j in range(size) if m[i][j]}
-                for i in range(size)]
-        rank = sparse_rank(rows, size)
+        rank = sparse_rank(left_mult_matrix(el, c.caps).values())
         _true(rank == size,
               f"{name}: multiplication matrix rank {rank}, expected {size}")
 
@@ -574,7 +563,7 @@ def _chk_gamma_pinning(env: _Env, n: int) -> None:
     for lam, g in gb:
         for mu in partitions_of(n):
             want = ONE if mu == lam else ZERO
-            for w in minimal_class_elements(n, mu, cap=n):
+            for w in _minimal_classes(n)[mu]:
                 if g.coeff(w) != want:
                     raise MismatchError(
                         f"pinning at {tuple(lam)}: minimal element of "

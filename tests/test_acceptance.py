@@ -7,6 +7,7 @@ one pass/fail line per criterion; each test also prints its own CRITERION
 line for -s runs.
 """
 
+import hashlib
 import itertools
 
 import pytest
@@ -263,6 +264,13 @@ def test_full_registry_has_no_failures(report):
     assert counts["pass"] + counts["flag"] == len(report.results)
     assert {r.item_id for r in report.results if r.status == "flag"} == EXPECTED_FLAGS
     assert report.passed
+
+
+def test_report_matches_the_behavioural_fingerprint(report):
+    # sha256 of `hecke verify --n-max 6 --json`; any change to an exact
+    # result, an item id or a status changes it
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    assert digest == "2cb47925da7f0cdcb261f933e04ba233b4e49f60a6cab40580233df1e0cf87a9"
 
 
 def test_registry_ids_match_the_published_listing(report):

@@ -82,11 +82,7 @@ def _count_rmul_gen(monkeypatch):
 
 
 def _full_matrix_rank(m):
-    rows = [
-        {j: entry for j, entry in enumerate(row) if not entry.is_zero()}
-        for row in m
-    ]
-    return sparse_rank(rows, len(m))
+    return sparse_rank(m.values())
 
 
 def test_quadratic_relation():
@@ -219,9 +215,10 @@ def test_left_mult_matrix_columns_are_products():
     h = _random_element(rng, 4, max_terms=8)
     basis = all_permutations(4)
     m = left_mult_matrix(h)
-    for j, g in enumerate(basis):
+    assert all(c for row in m.values() for c in row.values())
+    for g in basis:
         col = h * HeckeElement.basis(4, g)
-        assert [m[i][j] for i in range(len(basis))] == [col.coeff(u) for u in basis]
+        assert {u: row[g] for u, row in m.items() if g in row} == col._terms
 
 
 def test_left_mult_matrix_takes_one_step_per_non_identity_permutation(monkeypatch):
@@ -241,6 +238,12 @@ def test_constructor_rejects_non_permutation_keys():
     with pytest.raises(TermTypeError) as info:
         HeckeElement(3, {(1, 2, 3): LaurentPoly(1)})
     assert isinstance(info.value, HeckeError)
+
+
+def test_basis_constructors_reject_non_permutation_keys():
+    for make in (HeckeElement.basis, HeckeElement.basis_normalized):
+        with pytest.raises(TermTypeError):
+            make(3, (2, 1, 3))
 
 
 def test_constructor_rejects_non_laurent_coefficients():

@@ -157,6 +157,19 @@ def test_import_rejects_bad_file(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_import_checks_the_degree_against_the_enumeration_cap(tmp_path, capsys):
+    for n in (8, 100000):
+        path = tmp_path / f"w{n}.json"
+        path.write_text(json.dumps({"n": n, "basis": "T", "terms": [
+            {"perm": list(range(n, 0, -1)), "coeff": [[0, "1"]]}]}))
+        rc, _, err = run(capsys, "import", str(path))
+        assert rc == 3
+        assert "cap" in err
+    rc, out, _ = run(capsys, "import", str(tmp_path / "w8.json"), "--enum-max", "8")
+    assert rc == 0
+    assert parse_element(out.strip(), 8) == parse_element("@Twn", 8)
+
+
 def test_parse_error_exit_code(capsys):
     rc, _, err = run(capsys, "mul", "--n", "3", "T[9]", "T[1]")
     assert rc == 2

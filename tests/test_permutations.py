@@ -3,12 +3,16 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
 from hecke import (
+    AlgebraContext,
+    Caps,
     Partition,
     Permutation,
+    ResourceCapError,
     all_permutations,
     conjugacy_class,
     minimal_class_elements,
@@ -133,6 +137,17 @@ def test_minimal_class_elements():
             for w in mins:
                 assert w in cls
                 assert w.length() == shape.min_length()
+
+
+def test_enumerators_check_the_enumeration_cap():
+    shape = Partition((8,))
+    with pytest.raises(ResourceCapError):
+        all_permutations(8)
+    with pytest.raises(ResourceCapError):
+        conjugacy_class(8, shape)
+    with pytest.raises(ResourceCapError):
+        minimal_class_elements(8, shape)
+    assert len(all_permutations(AlgebraContext(8, Caps(enum_max=8)))) == 40320
 
 
 def test_cycle_type_is_a_class_invariant():
