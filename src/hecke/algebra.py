@@ -23,6 +23,19 @@ partial product of the parent node.  Everything else (commutators,
 centrality, the q = 1 group-algebra specialisation, matrices of
 multiplication operators) is built on top of that.
 
+Products and centrality tests run on a packed, indexed form inside this
+module.  S_n is numbered by lexicographic position, with one table per
+generator giving the index of w s_i (and of s_i w) and whether the step
+drops length.  Each coefficient becomes one Python int, its value at
+v = 2^B after dividing by v^lo (Kronecker substitution), so a step
+multiplies by q with a shift and by q - 1 with a shift and a subtraction.
+B comes from one bound: |a T_s|_1 <= 3 |a|_1, hence every coefficient of
+every partial sum of a * b is at most 3^l(w_0) |a|_1 |b|_1 in magnitude,
+and digits below 2^(B-1) unpack exactly.  When B times the exponent window
+would pass _PACK_BITS, or the degree passes the default enumeration cap,
+the same walk runs on LaurentPoly coefficients instead; that path handles
+any exponent span and never enumerates S_n.
+
 >>> ts = HeckeElement.generator(2, 1)
 >>> print(ts * ts)
 q*T[] + (q - 1)*T[1]
@@ -30,7 +43,10 @@ q*T[] + (q - 1)*T[1]
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 from .errors import DegreeMismatchError, ResourceCapError, TermTypeError
 from .laurent import ONE, Q, Q_MINUS_1, ZERO, LaurentPoly, v_power
@@ -155,13 +171,170 @@ def _lmul_gen(terms: dict[Permutation, LaurentPoly], i: int) -> dict:
     return out
 
 
-def _prefix_products(terms: dict[Permutation, LaurentPoly], keyed):
+# Widest packed scalar, in bits (digit width times exponent window), that
+# products and centrality tests build; wider inputs take the LaurentPoly
+# path.  The whole verify registry at n_max = 6 peaks at 7,611 bits.  Near
+# 2^16, sparse coefficients (two terms spanning the whole window) multiplied
+# up to 2x slower packed than as LaurentPoly; at 2^14 they are faster packed.
+_PACK_BITS = 1 << 14
+
+# Largest degree whose S_n gets index tables: the default enumeration cap,
+# so a product or centrality test never numbers a group that the caps
+# refuse to walk (7! entries, about 60 ms and 1 MB).  Higher degrees take
+# the LaurentPoly path, whose cost follows the supports alone.
+_INDEX_MAX_DEGREE = DEFAULT_CAPS.enum_max
+
+
+class _Indexed(NamedTuple):
+    """S_n numbered by lexicographic position, which is Permutation order.
+
+    right[i][k] is the index of perms[k] * s_i and left[i][k] that of
+    s_i * perms[k], each complemented (~index) when the step drops length.
+    """
+
+    perms: tuple[Permutation, ...]
+    index: dict[Permutation, int]
+    right: list
+    left: list
+
+
+def _signed(k: int, drops: bool) -> int:
+    return ~k if drops else k
+
+
+@lru_cache(maxsize=None)
+def _indexed(n: int) -> _Indexed:
+    perms = _all_permutations(n)
+    index = {w: k for k, w in enumerate(perms)}
+    right: list = [None]
+    left: list = [None]
+    for i in range(1, n):
+        right.append(array("i", [
+            _signed(index[w.right_simple(i)], w[i - 1] > w[i]) for w in perms]))
+        left.append(array("i", [
+            _signed(index[w.left_simple(i)], w.index(i) > w.index(i + 1))
+            for w in perms]))
+    return _Indexed(perms, index, right, left)
+
+
+def _extent(terms: dict[Permutation, LaurentPoly]) -> tuple[int, int, int]:
+    """(lowest exponent, highest exponent, sum of |coefficients|) over all
+    coefficients of a nonempty term dict."""
+    exps = [e for c in terms.values() for e in c._terms]
+    norm = sum(abs(d) for c in terms.values() for d in c._terms.values())
+    return min(exps), max(exps), norm
+
+
+def _digit_bits(bound: int, window: int) -> int | None:
+    """Digit width that unpacks coefficients up to bound in magnitude, or
+    None when window digits of that width would pass _PACK_BITS."""
+    bits = bound.bit_length() + 1
+    return bits if bits * window <= _PACK_BITS else None
+
+
+def _product_packing(n: int, a: dict, b: dict) -> tuple[int, int, int] | None:
+    """(bits, lo_a, lo_b) for a packed product of nonempty a and b in H_n,
+    or None.
+
+    A step maps c to q c and (q - 1) c, so |a T_s|_1 <= 3 |a|_1 and every
+    coefficient of every partial sum is at most 3^l(w_0) |a|_1 |b|_1; the
+    exponents stay within lo_a + lo_b .. hi_a + hi_b + 2 l(w_0).
+    """
+    if n > _INDEX_MAX_DEGREE:
+        return None
+    top = n * (n - 1) // 2
+    lo_a, hi_a, norm_a = _extent(a)
+    lo_b, hi_b, norm_b = _extent(b)
+    bits = _digit_bits(3 ** top * norm_a * norm_b,
+                       hi_a + hi_b + 2 * top - lo_a - lo_b + 1)
+    return None if bits is None else (bits, lo_a, lo_b)
+
+
+def _central_packing(n: int, terms: dict) -> tuple[int, int] | None:
+    """(bits, lo) for a packed centrality test of nonempty terms in H_n, or
+    None.
+
+    Both h T_s and T_s h have coefficients at most 3 |h|_1 in magnitude and
+    exponents within lo .. hi + 2.
+    """
+    if n > _INDEX_MAX_DEGREE:
+        return None
+    lo, hi, norm = _extent(terms)
+    bits = _digit_bits(3 * norm, hi - lo + 3)
+    return None if bits is None else (bits, lo)
+
+
+def _pack(c: LaurentPoly, bits: int, lo: int) -> int:
+    """c / v^lo evaluated at v = 2^bits; lo is at most every exponent of c."""
+    x = 0
+    for e, d in c._terms.items():
+        x += d << bits * (e - lo)
+    return x
+
+
+def _unpack(x: int, bits: int, lo: int) -> LaurentPoly:
+    """Inverse of _pack, reading balanced digits in [-2^(bits-1), 2^(bits-1))."""
+    terms = {}
+    mask = (1 << bits) - 1
+    half = 1 << (bits - 1)
+    e = lo
+    while x:
+        d = x & mask
+        if not d:
+            # skip a run of zero digits in one shift: a sparse coefficient
+            # then costs its nonzero digits, not its window
+            run = ((x & -x).bit_length() - 1) // bits
+            x >>= bits * run
+            e += run
+            continue
+        x >>= bits
+        if d >= half:
+            d -= mask + 1
+            x += 1
+        if d:
+            terms[e] = d
+        e += 1
+    return LaurentPoly._raw(terms)
+
+
+def _packed_step(steps: list, shift: int, terms: dict[int, int], i: int) -> dict:
+    """A step of packed, indexed terms by T_{s_i}; steps is _Indexed.right
+    (or .left) and shift is twice the digit width, so c << shift is q c.
+
+    Insertions and deletions happen in the order of _rmul_gen and _acc, so
+    the keys come out in the same order as on the LaurentPoly path.
+    """
+    out: dict[int, int] = {}
+    get = out.get
+    tab = steps[i]
+    for k, c in terms.items():
+        j = tab[k]
+        if j < 0:
+            j = ~j
+            qc = c << shift
+            s = get(j, 0) + qc
+            if s:
+                out[j] = s
+            else:
+                del out[j]
+            j = k
+            c = qc - c
+        s = get(j, 0) + c
+        if s:
+            out[j] = s
+        else:
+            del out[j]
+    return out
+
+
+def _prefix_products(terms: dict, keyed, step):
     """Yield (terms * T_w, x) for every pair (w, x) in keyed; x is not None.
 
     The canonical reduced words are prefix-closed: word(w) = word(w s_d) + (d)
     for the smallest right descent d.  So the words of the keys form a trie,
-    and terms * T_w is one _rmul_gen away from the product at its parent
+    and terms * T_w is one step(acc, d) away from the product at its parent
     node: one generator step per trie edge instead of length(w) per key.
+    step is _rmul_gen, or _packed_step bound to the right-step tables.
     """
     # a node is [x or None, {generator: child node}, number of keys below it]
     root: list = [None, {}, 0]
@@ -175,10 +348,10 @@ def _prefix_products(terms: dict[Permutation, LaurentPoly], keyed):
             node = child
             node[2] += 1
         node[0] = x
-    return _walk(terms, root)
+    return _walk(step, terms, root)
 
 
-def _walk(acc: dict, node: list):
+def _walk(step, acc: dict, node: list):
     # Depth first.  The child with the most keys below it is followed in this
     # frame instead of recursed into, so a partial product is held only while
     # a sibling still needs it, and the recursion is at most log2(#keys) deep.
@@ -194,9 +367,47 @@ def _walk(acc: dict, node: list):
             heavy = max(children, key=lambda i: children[i][2])
             for j, child in children.items():
                 if j != heavy:
-                    yield from _walk(_rmul_gen(acc, j), child)
+                    yield from _walk(step, step(acc, j), child)
             node = children[heavy]
-        acc = _rmul_gen(acc, heavy)
+        acc = step(acc, heavy)
+
+
+def _dict_mul(a: dict, b: dict) -> dict[Permutation, LaurentPoly]:
+    out: dict[Permutation, LaurentPoly] = {}
+    for acc, c in _prefix_products(a, b.items(), _rmul_gen):
+        if c.is_one():
+            for u, d in acc.items():
+                _acc(out, u, d)
+        else:
+            for u, d in acc.items():
+                _acc(out, u, d * c)
+    return out
+
+
+def _packed_mul(n: int, a: dict, b: dict, bits: int, lo_a: int,
+                lo_b: int) -> dict[Permutation, LaurentPoly]:
+    ix = _indexed(n)
+    index = ix.index
+    packed = {index[w]: _pack(c, bits, lo_a) for w, c in a.items()}
+    # c = v^e c' packs as P(c') << bits (e - lo_b): monomials multiply as
+    # a small int and a shift
+    keyed = []
+    for w, c in b.items():
+        e = min(c._terms)
+        keyed.append((w, (_pack(c, bits, e), bits * (e - lo_b))))
+    out: dict[int, int] = {}
+    get = out.get
+    step = partial(_packed_step, ix.right, 2 * bits)
+    for acc, (c, shift) in _prefix_products(packed, keyed, step):
+        for k, d in acc.items():
+            s = get(k, 0) + (d * c << shift)
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    perms = ix.perms
+    lo = lo_a + lo_b
+    return {perms[k]: _unpack(x, bits, lo) for k, x in out.items()}
 
 
 def _check_key(n: int, w) -> None:
@@ -345,15 +556,13 @@ class HeckeElement:
         if not isinstance(other, HeckeElement):
             return NotImplemented
         self._check(other)
-        out: dict[Permutation, LaurentPoly] = {}
-        for acc, c in _prefix_products(self._terms, other._terms.items()):
-            if c.is_one():
-                for u, d in acc.items():
-                    _acc(out, u, d)
-            else:
-                for u, d in acc.items():
-                    _acc(out, u, d * c)
-        return HeckeElement._raw(self.n, out)
+        a, b = self._terms, other._terms
+        if not a or not b:
+            return HeckeElement.zero(self.n)
+        packing = _product_packing(self.n, a, b)
+        if packing is None:
+            return HeckeElement._raw(self.n, _dict_mul(a, b))
+        return HeckeElement._raw(self.n, _packed_mul(self.n, a, b, *packing))
 
     def __rmul__(self, other) -> "HeckeElement":
         if isinstance(other, (LaurentPoly, int)):
@@ -403,9 +612,9 @@ class HeckeElement:
         """Coefficients at q = 1 (v = 1): an element of the group algebra ZS_n."""
         out = {}
         for w, c in self._terms.items():
-            val = c.evaluate(1)
+            val = sum(c._terms.values())
             if val:
-                out[w] = int(val)
+                out[w] = val
         return out
 
     def __str__(self) -> str:
@@ -446,10 +655,18 @@ def is_central(h: HeckeElement) -> bool:
     Commuting with the generators decides centrality, since they generate
     the algebra.  Single-generator products on both sides keep this cheap.
     """
-    for i in range(1, h.n):
-        if _rmul_gen(h._terms, i) != _lmul_gen(h._terms, i):
-            return False
-    return True
+    terms = h._terms
+    packing = _central_packing(h.n, terms) if terms else None
+    if packing is None:
+        return all(_rmul_gen(terms, i) == _lmul_gen(terms, i)
+                   for i in range(1, h.n))
+    bits, lo = packing
+    ix = _indexed(h.n)
+    packed = {ix.index[w]: _pack(c, bits, lo) for w, c in terms.items()}
+    shift = 2 * bits
+    return all(_packed_step(ix.right, shift, packed, i)
+               == _packed_step(ix.left, shift, packed, i)
+               for i in range(1, h.n))
 
 
 def left_mult_matrix(h: HeckeElement, caps: Caps = DEFAULT_CAPS
@@ -462,7 +679,8 @@ def left_mult_matrix(h: HeckeElement, caps: Caps = DEFAULT_CAPS
     AlgebraContext(h.n, caps).check_linalg()
     basis = _all_permutations(h.n)
     rows: dict[Permutation, dict[Permutation, LaurentPoly]] = {}
-    for acc, w in _prefix_products(h._terms, zip(basis, basis)):
+    for acc, w in _prefix_products(h._terms, zip(basis, basis),
+                                     _rmul_gen):
         for u, c in acc.items():
             rows.setdefault(u, {})[w] = c
     return rows

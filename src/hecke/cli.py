@@ -334,8 +334,24 @@ _DISPATCH = {
 }
 
 
+def _join_scalar_options(argv: list[str]) -> list[str]:
+    """Rewrite `--k -q` as `--k=-q`: --k takes a scalar, which may start
+    with '-', and argparse would read -q as an option."""
+    out = []
+    tokens = iter(argv)
+    for tok in tokens:
+        if tok == "--k":
+            value = next(tokens, None)
+            if value is not None:
+                tok = f"{tok}={value}"
+        out.append(tok)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser().parse_args(_join_scalar_options(argv))
     try:
         return _DISPATCH[args.verb](args)
     except ResourceCapError as exc:

@@ -8,6 +8,8 @@ Scalar grammar (whitespace-insensitive):
     atom    := INT | 'q' | 'v' | 'xi' | '(' sum ')'
 
 Negative powers need a unit base (a single term with coefficient +-1).
+A power whose result could have more than MAX_POWER_TERMS terms raises
+ResourceCapError, since its cost grows with the square of that count.
 
 Element grammar:
 
@@ -28,11 +30,14 @@ from __future__ import annotations
 
 from .algebra import AlgebraContext, Caps, DEFAULT_CAPS, HeckeElement
 from .elements import INDEXED_KINDS, PLAIN_KINDS, named_element
-from .errors import FormatError, ParseError
+from .errors import FormatError, ParseError, ResourceCapError
 from .laurent import LaurentPoly, ONE, Q, XI, v_power
 from .permutations import Permutation
 
 _V = v_power(1)
+# Allows (v - 1)^512, which takes about 0.04 s; (v - 1)^2000 takes about
+# 2 s (Python 3.11, 2-core Xeon).
+MAX_POWER_TERMS = 513
 _SYMBOLS = "+-*^()[],@:"
 
 
@@ -63,6 +68,24 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             raise ParseError(f"unexpected character {ch!r}", i)
     tokens.append(("EOF", "", len(text)))
     return tokens
+
+
+def _power_terms(base: LaurentPoly, exp: int) -> int:
+    """A bound on the number of terms of base^exp, exact as to whether it
+    passes MAX_POWER_TERMS.
+
+    The exponents of base^exp lie in a window of exp * span + 1, and they
+    are sums of exp exponents of base, of which there are at most
+    C(exp + t - 1, t - 1) for t terms.  The binomial grows with every
+    factor, so it is built only until it passes the cap.
+    """
+    window = exp * (base.max_exp() - base.min_exp()) + 1
+    sums = 1
+    for k in range(1, base.num_terms()):
+        sums = sums * (exp + k) // k
+        if sums > MAX_POWER_TERMS:
+            break
+    return min(window, sums)
 
 
 class _Parser:
@@ -135,10 +158,14 @@ class _Parser:
             neg = True
         tok = self.expect("INT")
         exp = int(tok[1])
+        if neg and not base.is_unit():
+            raise ParseError("negative power of a non-unit scalar", tok[2])
+        if exp > 1 and _power_terms(base, exp) > MAX_POWER_TERMS:
+            raise ResourceCapError(
+                f"power {exp} of a {base.num_terms()}-term scalar could have "
+                f"more than {MAX_POWER_TERMS} terms")
         if not neg:
             return base ** exp
-        if not base.is_unit():
-            raise ParseError("negative power of a non-unit scalar", tok[2])
         (e, c), = base.items()
         return LaurentPoly({-e: c}) ** exp
 

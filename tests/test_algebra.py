@@ -4,10 +4,11 @@ import random
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 
 import hecke.algebra
 from hecke import (
+    DEFAULT_CAPS,
     DegreeMismatchError,
     HeckeElement,
     HeckeError,
@@ -15,13 +16,16 @@ from hecke import (
     Permutation,
     TermTypeError,
     all_permutations,
+    gamma_basis,
     group_algebra_mul,
+    is_central,
     left_mult_matrix,
     parse_scalar,
     q_power,
     v_power,
 )
-from hecke.algebra import _acc, _rmul_gen
+from hecke.algebra import (_acc, _central_packing, _dict_mul, _lmul_gen,
+                           _pack, _product_packing, _rmul_gen, _unpack)
 from hecke.linalg import sparse_rank
 
 ASSOCIATIVITY_TRIPLES = 500
@@ -52,32 +56,57 @@ def _fold_mul(a, b):
     return HeckeElement._raw(a.n, out)
 
 
-_big_scalars = st.dictionaries(
-    st.integers(-10**6, 10**6), st.integers(-10**30, 10**30),
-    min_size=1, max_size=3).map(LaurentPoly)
+def _scalars(exponents):
+    """Nonzero scalars of 1 to 3 terms with coefficients up to 10^30."""
+    coefficients = st.integers(-10**30, 10**30).filter(bool)
+    return st.dictionaries(exponents, coefficients,
+                           min_size=1, max_size=3).map(LaurentPoly)
+
+
+# exponents up to +-10^6 take the LaurentPoly path once _widen is applied;
+# a window of -8..8 keeps every product of degree <= 5 packed
+_big_scalars = _scalars(st.integers(-10**6, 10**6))
+_narrow_scalars = _scalars(st.integers(-8, 8))
+
+# outside the range of _big_scalars, so adding it never cancels a term
+_WIDE = LaurentPoly({-10**6 - 1: 1, 10**6 + 1: 1})
+
+
+def _widen(h):
+    """h plus a coefficient spanning 2*10^6 + 2 exponents at the identity,
+    far past what the packed kernel accepts."""
+    return h + HeckeElement(h.n, {Permutation.identity(h.n): _WIDE})
 
 
 @st.composite
-def _element_pairs(draw, n):
-    """The right factor, whose words the kernel shares, ranges up to all of
-    S_n; the left factor has at most 8 terms to bound the cost of an example."""
+def _element_pairs(draw, n, scalars):
+    """Two nonzero elements.  The right factor, whose words the kernel
+    shares, ranges up to all of S_n; the left factor has at most 8 terms to
+    bound the cost of an example."""
     perms = all_permutations(n)
-    subsets = st.lists(st.sampled_from(perms), max_size=len(perms), unique=True)
+    subsets = st.lists(st.sampled_from(perms), min_size=1,
+                       max_size=len(perms), unique=True)
     left = draw(subsets.map(lambda ws: ws[:8]))
     right = draw(st.one_of(st.just(perms), subsets))
-    return tuple(HeckeElement(n, {w: draw(_big_scalars) for w in support})
+    return tuple(HeckeElement(n, {w: draw(scalars) for w in support})
                  for support in (left, right))
 
 
-def _count_rmul_gen(monkeypatch):
+def _is_central_by_generators(h):
+    return all(_rmul_gen(h._terms, i) == _lmul_gen(h._terms, i)
+               for i in range(1, h.n))
+
+
+def _count_calls(monkeypatch, name):
+    """Record the generator argument of every call to hecke.algebra.<name>."""
     calls = []
-    real = hecke.algebra._rmul_gen
+    real = getattr(hecke.algebra, name)
 
-    def counting(terms, i):
-        calls.append(i)
-        return real(terms, i)
+    def counting(*args):
+        calls.append(args[-1])
+        return real(*args)
 
-    monkeypatch.setattr(hecke.algebra, "_rmul_gen", counting)
+    monkeypatch.setattr(hecke.algebra, name, counting)
     return calls
 
 
@@ -201,13 +230,62 @@ def test_support_and_items_are_canonically_ordered():
     assert list(h.support()) == [w for w, _ in h.items()]
 
 
+_KERNEL_SETTINGS = settings(
+    max_examples=12, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-@settings(max_examples=12, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@_KERNEL_SETTINGS
 @given(data=st.data())
 def test_product_kernel_matches_the_generator_fold(n, data):
-    a, b = data.draw(_element_pairs(n))
+    a, b = data.draw(_element_pairs(n, _big_scalars))
+    a = _widen(a)
+    assert _product_packing(n, a._terms, b._terms) is None
     assert a * b == _fold_mul(a, b)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@_KERNEL_SETTINGS
+@given(data=st.data())
+def test_packed_product_matches_the_generator_fold(n, data):
+    a, b = data.draw(_element_pairs(n, _narrow_scalars))
+    assert _product_packing(n, a._terms, b._terms) is not None
+    product = a * b
+    assert product == _fold_mul(a, b)
+    # the packed path inserts and deletes keys exactly as the dict path does
+    assert list(product._terms) == list(_dict_mul(a._terms, b._terms))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_packed_centrality_matches_the_generator_comparison(n, data):
+    gamma = gamma_basis(n)
+    h = data.draw(st.sampled_from(list(gamma.elements.values())))
+    h = h.scale(data.draw(_narrow_scalars))
+    wide = data.draw(st.booleans())
+    if wide:
+        h = h.scale(_WIDE)
+    perturbed = data.draw(st.booleans())
+    if perturbed:
+        w = data.draw(st.sampled_from(all_permutations(n)))
+        h = h + HeckeElement(n, {w: data.draw(_narrow_scalars)})
+    assume(h)
+    assert (_central_packing(n, h._terms) is None) == wide
+    expected = _is_central_by_generators(h)
+    assert is_central(h) == expected
+    if not perturbed:
+        assert expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(bits=st.integers(2, 200), lo=st.integers(-20, 20),
+       signs=st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=12))
+def test_pack_round_trips_the_largest_digits(bits, lo, signs):
+    top = (1 << (bits - 1)) - 1
+    c = LaurentPoly({lo + e: s * top for e, s in enumerate(signs)})
+    assert _unpack(_pack(c, bits, lo), bits, lo) == c
 
 
 def test_left_mult_matrix_columns_are_products():
@@ -222,14 +300,21 @@ def test_left_mult_matrix_columns_are_products():
 
 
 def test_left_mult_matrix_takes_one_step_per_non_identity_permutation(monkeypatch):
-    calls = _count_rmul_gen(monkeypatch)
+    calls = _count_calls(monkeypatch, "_rmul_gen")
     left_mult_matrix(HeckeElement.generator(4, 2))
     assert len(calls) == 23
 
 
 def test_full_support_product_takes_one_step_per_trie_edge(monkeypatch):
     full = HeckeElement(5, {w: LaurentPoly(1) for w in all_permutations(5)})
-    calls = _count_rmul_gen(monkeypatch)
+    calls = _count_calls(monkeypatch, "_packed_step")
+    HeckeElement.generator(5, 1) * full
+    assert len(calls) == 119
+
+
+def test_wide_full_support_product_takes_one_step_per_trie_edge(monkeypatch):
+    full = HeckeElement(5, {w: _WIDE for w in all_permutations(5)})
+    calls = _count_calls(monkeypatch, "_rmul_gen")
     HeckeElement.generator(5, 1) * full
     assert len(calls) == 119
 
@@ -256,3 +341,38 @@ def test_constructor_converts_int_coefficients():
     h = HeckeElement(3, {w: 4, Permutation((1, 2, 3)): 0})
     assert h == HeckeElement.basis(3, w).scale(4)
     assert h.coeff(w) == LaurentPoly(4)
+
+
+def test_products_match_the_fold_on_both_sides_of_the_packing_cap():
+    from hecke import xbar, ybar
+
+    a, b = xbar(3), ybar(3)
+
+    def widened(k):
+        return a.scale(LaurentPoly({0: 1, k: 1}))
+
+    k = 1
+    while _product_packing(3, widened(k + 1)._terms, b._terms) is not None:
+        k += 1
+    for span, packed in ((k, True), (k + 1, False)):
+        wide = widened(span)
+        assert (_product_packing(3, wide._terms, b._terms) is not None) == packed
+        assert wide * b == _fold_mul(wide, b)
+        assert is_central(wide * b) == _is_central_by_generators(wide * b)
+
+
+def test_products_above_the_enumeration_cap_do_not_index_the_group(monkeypatch):
+    # numbering S_12 would take minutes and gigabytes; the LaurentPoly path
+    # answers from the supports alone
+    def refuse(n):
+        raise AssertionError(f"indexed S_{n}")
+
+    monkeypatch.setattr(hecke.algebra, "_indexed", refuse)
+    n = DEFAULT_CAPS.enum_max + 1
+    t1, t2 = HeckeElement.generator(n, 1), HeckeElement.generator(n, 2)
+    assert _product_packing(n, t1._terms, t2._terms) is None
+    assert t1 * t2 == HeckeElement.from_word(n, (1, 2))
+    assert not is_central(HeckeElement.generator(12, 1))
+    assert is_central(HeckeElement.one(12).scale(q_power(1)))
+    t1, t2 = HeckeElement.generator(10, 1), HeckeElement.generator(10, 2)
+    assert t1 * t2 == _fold_mul(t1, t2)

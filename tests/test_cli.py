@@ -83,6 +83,16 @@ def test_eigen(capsys):
     assert doc["count"] == 4 and len(doc["vectors"]) == 4
 
 
+def test_eigen_reads_a_negative_scalar_after_its_option(capsys):
+    rc, spaced, _ = run(capsys, "eigen", "--n", "3", "--gamma", "3", "--k", "-q")
+    assert rc == 0
+    lines = spaced.splitlines()
+    assert lines[0] == "count: 4" and len(lines) == 5
+    rc, joined, _ = run(capsys, "eigen", "--n", "3", "--gamma", "3", "--k=-q")
+    assert rc == 0
+    assert joined == spaced
+
+
 def test_catalog(capsys):
     rc, out, _ = run(capsys, "catalog", "--n", "3")
     assert rc == 0
@@ -182,6 +192,15 @@ def test_resource_cap_exit_code(capsys):
     assert "cap" in err
     rc, out, _ = run(capsys, "central", "--n", "8", "@x", "--enum-max", "8")
     assert rc == 0
+
+
+def test_oversize_scalar_power_exits_with_the_cap_code(capsys):
+    rc, _, err = run(capsys, "mul", "--n", "3", "(v-1)^2000*T[1]", "T[1]")
+    assert rc == 3
+    assert "more than" in err
+    rc, _, err = run(capsys, "eigen", "--n", "3", "--gamma", "3", "--k",
+                     "-(q+1)^2000")
+    assert rc == 3
 
 
 def test_gamma_falls_under_the_enumeration_cap(capsys):

@@ -103,6 +103,32 @@ def test_fractional_power_needs_a_unit_base():
         parse_scalar("(q + 1)^-1")
 
 
+def test_powers_of_multi_term_scalars_are_bounded():
+    from hecke.parsing import MAX_POWER_TERMS
+
+    top = MAX_POWER_TERMS - 1
+    assert parse_scalar(f"(v-1)^{top}") == (v_power(1) - LaurentPoly(1)) ** top
+    assert parse_scalar(f"(q+1)^{top}").num_terms() == MAX_POWER_TERMS
+    for text in ("(v-1)^2000", f"(q+1)^{top + 1}", "(1+v+v^2)^300"):
+        with pytest.raises(ResourceCapError):
+            parse_scalar(text)
+    with pytest.raises(ResourceCapError):
+        parse_element("(v-1)^2000*T[1]", 3)
+    # the bound follows the terms of the result, not the span of exponents:
+    # sparse powers and short powers of many terms stay cheap
+    assert parse_scalar("(q^300+1)^2") == LaurentPoly({0: 1, 600: 2, 1200: 1})
+    assert parse_scalar("(v^-1+v)^300").num_terms() == 301
+    assert parse_scalar("(1+v^50+v^2500)^30").num_terms() == 496
+    many = "+".join(f"v^{e}" for e in range(600))
+    assert parse_scalar(f"({many})^1").num_terms() == 600
+    # a negative power of a non-unit stays a parse error, however large
+    with pytest.raises(ParseError):
+        parse_scalar("(v-1)^-2000")
+    # monomials never grow past one term, so their powers are not bounded
+    assert parse_scalar("v^100000") == v_power(100000)
+    assert parse_scalar("(2*q)^3") == LaurentPoly({6: 8})
+
+
 def test_scalar_parser_rejects_elements():
     with pytest.raises(ParseError):
         parse_scalar("T[1]")
