@@ -23,6 +23,38 @@ from fractions import Fraction
 from math import gcd as _igcd
 
 
+# Decimal strings of at most this many digits convert directly: every
+# interpreter with a limit on int/str conversion (Python 3.11 and later)
+# allows at least 640 digits.  Longer ones are split in halves.
+_DECIMAL_CHUNK = 600
+_DECIMAL_SMALL = 10 ** _DECIMAL_CHUNK
+
+
+def _to_decimal(x: int) -> str:
+    """str(x) for an int of any size, whatever the conversion limit."""
+    if -_DECIMAL_SMALL < x < _DECIMAL_SMALL:
+        return str(x)
+    if x < 0:
+        return "-" + _to_decimal(-x)
+    # x < 2^b has at most b log10(2) + 1 digits, and 0.30103 > log10(2)
+    k = (x.bit_length() * 30103 // 100000 + 1) // 2
+    hi, lo = divmod(x, 10 ** k)
+    return _to_decimal(hi) + _to_decimal(lo).zfill(k)
+
+
+def _from_decimal(text: str) -> int:
+    """int(text) for a decimal string of any length, whatever the
+    conversion limit; ValueError if it is not one."""
+    if len(text) <= _DECIMAL_CHUNK:
+        return int(text)
+    body = text.lstrip("+-")
+    if len(text) - len(body) > 1 or not body.isdecimal():
+        raise ValueError(f"invalid decimal of {len(text)} characters")
+    k = len(body) // 2
+    x = _from_decimal(body[:-k]) * 10 ** k + _from_decimal(body[-k:])
+    return -x if text.startswith("-") else x
+
+
 class LaurentPoly:
     """An element of Z[v, v^-1] in canonical sparse form."""
 
@@ -276,12 +308,13 @@ class LaurentPoly:
         for e, c in sorted(self._terms.items(), reverse=True):
             power = self._power_token(e)
             mag = abs(c)
-            if not power:
-                body = str(mag)
-            elif mag == 1:
+            if mag == 1 and power:
                 body = power
             else:
-                body = f"{mag}*{power}"
+                # the comparison spares the usual small coefficient a call
+                body = str(mag) if mag < _DECIMAL_SMALL else _to_decimal(mag)
+                if power:
+                    body = f"{body}*{power}"
             pieces.append((c < 0, body))
         first_neg, first_body = pieces[0]
         out = ("-" if first_neg else "") + first_body
@@ -296,7 +329,7 @@ class LaurentPoly:
 
     def to_pairs(self) -> list[list]:
         """JSON form: ascending [exponent, coefficient-as-string] pairs."""
-        return [[e, str(c)] for e, c in sorted(self._terms.items())]
+        return [[e, _to_decimal(c)] for e, c in sorted(self._terms.items())]
 
     @classmethod
     def from_pairs(cls, pairs) -> "LaurentPoly":
@@ -304,7 +337,9 @@ class LaurentPoly:
         for pair in pairs:
             if len(pair) != 2:
                 raise ValueError(f"malformed scalar pair {pair!r}")
-            e, c = int(pair[0]), int(pair[1])
+            e, c = pair
+            e = int(e)
+            c = _from_decimal(c) if isinstance(c, str) else int(c)
             if e in terms:
                 raise ValueError(f"duplicate exponent {e} in scalar")
             if c:

@@ -4,7 +4,9 @@ SparseSystem computes the row echelon form of a sparse system by
 fraction-free cross-multiplication elimination with per-row content
 stripping.  Row operations only rescale equations, so solutions and rank are
 preserved while everything stays in the Laurent ring.  Back substitution
-happens over RationalFn at the end.
+for solutions and nullspaces happens over RationalFn at the end;
+reduced_basis and kernel_basis, which give one canonical basis of a span
+or of a kernel, stay fraction-free throughout.
 
 Columns are labelled by any mutually comparable keys; the algebra uses the
 permutations themselves.
@@ -35,6 +37,49 @@ def _strip_row(row: dict,
         row[k] = row[k].divexact(g)
     for i, c in enumerate(rhs):
         rhs[i] = c.divexact(g)
+
+
+def _eliminate(row: dict, rhs: list[LaurentPoly], col, prow: dict,
+               prhs: list[LaurentPoly]) -> None:
+    """Clear row[col] fraction-free against the pivot row prow, in place.
+
+    The row becomes p * row - f * prow (p the pivot entry, f the cleared
+    one), then its content is stripped.
+    """
+    p = prow[col]
+    f = row.pop(col)
+    for c, pc in prow.items():
+        if c == col:
+            continue
+        cur = row.get(c)
+        val = (p * cur - f * pc) if cur is not None else -f * pc
+        if val:
+            row[c] = val
+        else:
+            row.pop(c, None)
+    for c in [c for c in row if c not in prow]:
+        row[c] = p * row[c]
+    for i in range(len(rhs)):
+        rhs[i] = p * rhs[i] - f * prhs[i]
+    _strip_row(row, rhs)
+
+
+def _normalise(vec: dict) -> dict:
+    """Strip a nonzero vector's common content and v-shift, and give its
+    first coordinate a positive leading coefficient."""
+    g = ZERO
+    for a in vec.values():
+        g = lp_gcd(g, a)
+        if g.is_one():
+            break
+    if not g.is_one():
+        vec = {c: a.divexact(g) for c, a in vec.items()}
+    shift = min(a.min_exp() for a in vec.values())
+    if shift:
+        vec = {c: a.shift(-shift) for c, a in vec.items()}
+    if next(iter(vec.values())).leading_coeff() < 0:
+        vec = {c: -a for c, a in vec.items()}
+    return vec
 
 
 class SparseSystem:
@@ -72,22 +117,7 @@ class SparseSystem:
             # increases the smallest pivot index in the row, so it terminates
             col = min(hits, key=lambda c: self.pivot_index[c])
             _, prow, prhs = self.pivots[self.pivot_index[col]]
-            p = prow[col]
-            f = row.pop(col)
-            for c, pc in prow.items():
-                if c == col:
-                    continue
-                cur = row.get(c)
-                val = (p * cur - f * pc) if cur is not None else -f * pc
-                if val:
-                    row[c] = val
-                else:
-                    row.pop(c, None)
-            for c in [c for c in row if c not in prow and c != col]:
-                row[c] = p * row[c]
-            for i in range(len(rhs)):
-                rhs[i] = p * rhs[i] - f * prhs[i]
-            _strip_row(row, rhs)
+            _eliminate(row, rhs, col, prow, prhs)
         if row:
             col = min(row, key=lambda c: (row[c].num_terms(), c))
             self.pivot_index[col] = len(self.pivots)
@@ -146,21 +176,66 @@ class SparseSystem:
             for _, x in xs:
                 if not x.den.is_one():
                     den = lp_lcm(den, x.den)
-            vec = {c: x.num * den.divexact(x.den) for c, x in xs}
-            g = ZERO
-            for a in vec.values():
-                g = lp_gcd(g, a)
-                if g.is_one():
-                    break
-            if not g.is_one():
-                vec = {c: a.divexact(g) for c, a in vec.items()}
-            shift = min(a.min_exp() for a in vec.values())
-            if shift:
-                vec = {c: a.shift(-shift) for c, a in vec.items()}
-            if next(iter(vec.values())).leading_coeff() < 0:
-                vec = {c: -a for c, a in vec.items()}
-            vectors.append(vec)
+            vectors.append(_normalise(
+                {c: x.num * den.divexact(x.den) for c, x in xs}))
         return vectors
+
+
+def reduced_basis(rows: list[dict], columns) -> list[dict]:
+    """The reduced echelon basis of the span of linearly independent rows.
+
+    columns is the sequence of column labels, in label order.
+
+    Pivot columns are chosen from the largest label down, so they are the
+    label-greatest set of columns on which the span projects
+    isomorphically.  Each vector is nonzero at its own pivot column and
+    zero at every other one; elimination is fraction-free, as in
+    SparseSystem.add_rows.  Vectors come in label order of their pivot
+    columns, over their nonzero coordinates in column order, normalised as
+    in SparseSystem.nullspace.
+    """
+    rows = [dict(row) for row in rows]
+    done = []
+    for col in reversed(columns):
+        hits = [i for i, row in enumerate(rows) if col in row]
+        if not hits:
+            continue
+        prow = rows.pop(min(hits, key=lambda i: rows[i][col].num_terms()))
+        for row in rows + [row for _, row in done]:
+            if col in row:
+                _eliminate(row, [], col, prow, [])
+        done.append((col, prow))
+        if not rows:
+            break
+    return [_normalise({c: row[c] for c in columns if c in row})
+            for _, row in reversed(done)]
+
+
+def kernel_basis(rows: list[dict], columns) -> list[dict]:
+    """The kernel of linearly independent rows, in the form reduced_basis
+    gives it.  columns lists the column labels in increasing order.
+
+    The rows are brought to reduced echelon form with pivots from the
+    smallest label up; the remaining (free) columns are then the
+    label-greatest set on which the kernel projects isomorphically.  One
+    vector per free column, nonzero there and zero at the other free
+    columns, in label order and normalised as in reduced_basis.
+    """
+    echelon = [(min(row), row) for row in reduced_basis(rows, columns[::-1])]
+    pivots = {c for c, _ in echelon}
+    vectors = []
+    for f in columns:
+        if f in pivots:
+            continue
+        hits = [(c, row) for c, row in echelon if f in row]
+        scale = ONE
+        for c, row in hits:
+            scale = lp_lcm(scale, row[c])
+        vec = {f: scale}
+        for c, row in hits:
+            vec[c] = -row[f] * scale.divexact(row[c])
+        vectors.append(_normalise({c: vec[c] for c in columns if c in vec}))
+    return vectors
 
 
 def sparse_rank(rows) -> int:

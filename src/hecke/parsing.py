@@ -8,8 +8,10 @@ Scalar grammar (whitespace-insensitive):
     atom    := INT | 'q' | 'v' | 'xi' | '(' sum ')'
 
 Negative powers need a unit base (a single term with coefficient +-1).
-A power whose result could have more than MAX_POWER_TERMS terms raises
-ResourceCapError, since its cost grows with the square of that count.
+A power whose result could have more than MAX_POWER_TERMS terms, or
+coefficients of more than MAX_POWER_BITS bits, raises ResourceCapError,
+since its cost grows with the square of the one and with the other.
+INT literals may have any number of digits.
 
 Element grammar:
 
@@ -31,13 +33,17 @@ from __future__ import annotations
 from .algebra import AlgebraContext, Caps, DEFAULT_CAPS, HeckeElement
 from .elements import INDEXED_KINDS, PLAIN_KINDS, named_element
 from .errors import FormatError, ParseError, ResourceCapError
-from .laurent import LaurentPoly, ONE, Q, XI, v_power
+from .laurent import LaurentPoly, ONE, Q, XI, _from_decimal, v_power
 from .permutations import Permutation
 
 _V = v_power(1)
 # Allows (v - 1)^512, which takes about 0.04 s; (v - 1)^2000 takes about
 # 2 s (Python 3.11, 2-core Xeon).
 MAX_POWER_TERMS = 513
+# |b^e|_1 <= |b|_1^e, so no coefficient of b^e passes
+# 2^(e * ceil(log2 |b|_1)).  Allows 3^10000 (20,000 bits); 3^10000000
+# took 5.7 s.
+MAX_POWER_BITS = 1 << 16
 _SYMBOLS = "+-*^()[],@:"
 
 
@@ -157,10 +163,16 @@ class _Parser:
             self.next()
             neg = True
         tok = self.expect("INT")
-        exp = int(tok[1])
+        exp = _from_decimal(tok[1])
         if neg and not base.is_unit():
             raise ParseError("negative power of a non-unit scalar", tok[2])
-        if exp > 1 and _power_terms(base, exp) > MAX_POWER_TERMS:
+        if not base.is_unit():
+            norm = sum(abs(c) for _, c in base.items())
+            if exp * max(norm - 1, 0).bit_length() > MAX_POWER_BITS:
+                raise ResourceCapError(
+                    f"power could have coefficients of more than "
+                    f"{MAX_POWER_BITS} bits")
+        if exp > 1 and base and _power_terms(base, exp) > MAX_POWER_TERMS:
             raise ResourceCapError(
                 f"power {exp} of a {base.num_terms()}-term scalar could have "
                 f"more than {MAX_POWER_TERMS} terms")
@@ -172,7 +184,7 @@ class _Parser:
     def scalar_atom(self) -> LaurentPoly:
         kind, val, pos = self.next()
         if kind == "INT":
-            return LaurentPoly(int(val))
+            return LaurentPoly(_from_decimal(val))
         if kind == "NAME":
             if val == "q":
                 return Q

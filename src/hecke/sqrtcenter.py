@@ -15,7 +15,10 @@ degree 3 admits a complete linear description.  This module provides:
 * the degree-3 and degree-4 catalogs of known square roots (the degree-4
   ones are literal fixtures, guarded by a checksum);
 * ``eigen_search``: exact eigenvectors for multiplication by a central
-  element, for a caller-supplied eigenvalue.
+  element, for a caller-supplied eigenvalue.  The eigenspace is a
+  two-sided ideal, so it is found from its central part, solved in
+  minimal-basis coordinates, and its dimension is certified by a rank
+  modulo a prime; every vector is re-verified by multiplication.
 """
 
 from __future__ import annotations
@@ -26,12 +29,12 @@ from dataclasses import dataclass
 
 from .algebra import (HeckeElement, _acc, as_context, commutator,
                       is_central, left_mult_matrix)
-from .center import GammaBasis, _GAMMA_MEMO, express_in_gamma
+from .center import GammaBasis, _GAMMA_MEMO, express_in_gamma, gamma_basis
 from .elements import elem_sym, poincare, t_longest, xbar, ybar
 from .errors import DegreeMismatchError, MismatchError, NotCentralError
-from .laurent import (LaurentPoly, ONE, Q, Q_MINUS_1, _as_rf, from_int,
-                      q_power)
-from .linalg import SparseSystem, sparse_rank
+from .laurent import (LaurentPoly, ONE, Q, Q_MINUS_1, ZERO, RationalFn,
+                      _as_rf, from_int, q_power)
+from .linalg import SparseSystem, kernel_basis, reduced_basis, sparse_rank
 from .permutations import (Partition, Permutation, _all_permutations,
                            partitions_of)
 
@@ -369,12 +372,151 @@ def catalog_checks_h4() -> dict[str, bool]:
     return out
 
 
-def eigen_search(ctx, z: HeckeElement, k) -> list[HeckeElement]:
-    """Exact eigenvectors of multiplication by a central element.
+# The certificate's modulus and its evaluation points.  Any unit v0 gives a
+# valid bound; an unlucky one (where two central characters of z meet k
+# modulo the prime, or independent rows become dependent) only fails to
+# certify, and the next point is tried.
+_CERT_PRIME = (1 << 61) - 1
+_CERT_POINTS = (1_000_003, 998_244_353, 3_141_592_653)
 
-    k may be a Laurent polynomial or a ratio of two; the kernel of the
-    cleared-denominator matrix is computed exactly, and every returned
-    vector is re-verified by direct multiplication before it is returned.
+
+class _ModEchelon:
+    """Rows modulo p = _CERT_PRIME kept in echelon form, to test each new
+    one for independence.
+
+    A row is one int whose width-bit digit j holds entry j.  Stored pivot
+    rows have digits below p, and a row takes at most one multiple below p
+    of each of them, so a digit stays below p + size * p^2 < 2^width and
+    never carries into the next.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self.width = 2 * _CERT_PRIME.bit_length() + size.bit_length() + 1
+        self.pivots: dict[int, int] = {}
+
+    def pack(self, entries: dict[int, int]) -> int:
+        """Pack {column index: int} into a row."""
+        return sum(x % _CERT_PRIME << self.width * j
+                   for j, x in entries.items())
+
+    def insert(self, row: int) -> bool:
+        """Add a packed row; False if it depends on the rows before it."""
+        p, width = _CERT_PRIME, self.width
+        mask = (1 << width) - 1
+        for j in range(self.size):
+            f = (row >> width * j & mask) % p
+            if not f:
+                continue
+            pivot = self.pivots.get(j)
+            if pivot is not None:
+                row += (p - f) * pivot
+                continue
+            inv = pow(f, -1, p)
+            pivot = 0
+            for i in range(self.size - 1, j - 1, -1):
+                pivot = pivot << width | (row >> width * i & mask) * inv % p
+            self.pivots[j] = pivot << width * j
+            return True
+        return False
+
+
+def _at(a: LaurentPoly, v0: int, powers: dict[int, int]) -> int:
+    """An int congruent to a(v0) modulo _CERT_PRIME, with the powers of v0
+    cached by exponent."""
+    total = 0
+    for e, c in a._terms.items():
+        x = powers.get(e)
+        if x is None:
+            x = powers[e] = pow(v0, e, _CERT_PRIME)
+        total += c * x
+    return total
+
+
+def _certified_basis(c, z: HeckeElement, num: LaurentPoly,
+                     den: LaurentPoly, central: list[HeckeElement]) -> list:
+    """The basis of ker(den * z - num) in the convention of eigen_search,
+    from the products g * T_w for g in central, which lie in it.
+
+    M is the matrix of left multiplication by z.  At a point v0, the rank
+    of den * M - num * I modulo the prime bounds its rank from below, so
+    its corank bounds the kernel from above.  Rows and products
+    independent modulo the prime are independent, so once there are as
+    many products as that corank, they span the kernel, and the rows kept
+    cut it out.  Whichever of the two systems is smaller is then solved
+    exactly; both give the same basis.
+    """
+    perms = _all_permutations(c.n)
+    index = {w: j for j, w in enumerate(perms)}
+    m = left_mult_matrix(z, c.caps)
+    for v0 in _CERT_POINTS:
+        powers: dict[int, int] = {}
+        d, k = _at(den, v0, powers), _at(num, v0, powers)
+        matrix = _ModEchelon(len(perms))
+        cuts = []
+        for j, u in enumerate(perms):
+            entries = {index[w]: d * _at(a, v0, powers)
+                       for w, a in m.get(u, {}).items()}
+            entries[j] = entries.get(j, 0) - k
+            if matrix.insert(matrix.pack(entries)):
+                cuts.append(u)
+        span = _ModEchelon(len(perms))
+        spans = []
+        for row in ((g * HeckeElement.basis(c.n, w))._terms
+                    for g in central for w in perms):
+            if span.insert(span.pack({index[u]: _at(a, v0, powers)
+                                      for u, a in row.items()})):
+                spans.append(row)
+                if len(spans) + len(cuts) == len(perms):
+                    break
+        if len(spans) + len(cuts) < len(perms):
+            continue
+        if len(spans) <= len(cuts):
+            return reduced_basis(spans, perms)
+        rows = []
+        for u in cuts:
+            row = {w: den * a for w, a in m.get(u, {}).items()}
+            _acc(row, u, -num)
+            rows.append(row)
+        return kernel_basis(rows, perms)
+    raise MismatchError(
+        f"eigenspace dimension not certified at any of "
+        f"{len(_CERT_POINTS)} points")
+
+
+def eigen_search(ctx, z: HeckeElement, k) -> list[HeckeElement]:
+    """A basis of the eigenspace ker(z - k) of a central element z.
+
+    k may be a Laurent polynomial, a RationalFn or a (num, den) pair; the
+    eigenspace is the kernel of den * z - num.  Because z is central, that
+    kernel is a two-sided ideal, the sum of the Wedderburn blocks (over
+    Q(v)) on which z acts by k, so it equals K * H with K the central
+    eigenvectors (Geck and Pfeiffer, Characters of Finite Coxeter Groups
+    and Iwahori-Hecke Algebras, 2000, chapters 7-9).
+
+    Method: K is the nullspace of a p(n) x p(n) system in minimal-basis
+    coordinates.  If K = 0 there is no eigenvector; if K is the whole
+    centre every T_w is one.  Otherwise products c * T_w, for c in a basis
+    of K, are taken while they stay independent modulo the prime, until
+    there are as many as the certified bound.  Their span (rank r) is
+    brought to reduced echelon form exactly (linalg.reduced_basis), or,
+    when r > n!/2, the kernel of n! - r independent rows of
+    den * M - num * I is (linalg.kernel_basis), with the same result.
+
+    Certificate: den * M - num * I, with M the matrix of left
+    multiplication by z, is evaluated at v = v0 modulo the prime 2^61 - 1.
+    Its corank there bounds the true dimension from above, and products
+    independent modulo the prime bound it from below, so equal bounds
+    prove the basis complete.  A few fixed points v0 are tried;
+    MismatchError if none certifies.  Every returned vector is also
+    re-verified by direct multiplication.
+
+    Basis: the distinguished coordinates are the label-greatest set of
+    permutations on which the eigenspace projects isomorphically.  Each
+    vector is (a multiple of) 1 at one distinguished coordinate and 0 at
+    the others, cleared to the ring and normalised as in
+    SparseSystem.nullspace; vectors are listed in label order of that
+    coordinate.
     """
     c = as_context(ctx)
     c.check_linalg()
@@ -382,21 +524,34 @@ def eigen_search(ctx, z: HeckeElement, k) -> list[HeckeElement]:
         raise DegreeMismatchError(f"element degree {z.n} does not match {c.n}")
     if not is_central(z):
         raise NotCentralError("eigen search expects a central element")
-    kr = _as_rf(k)
-    m = left_mult_matrix(z, c.caps)
+    kr = RationalFn(*k) if isinstance(k, tuple) else _as_rf(k)
+    num, den = kr.num, kr.den
+    gb = gamma_basis(c)
+    parts = partitions_of(c.n)
+    # column mu: den * (z * gamma_mu) - num * gamma_mu in gamma coordinates
+    rows: dict[Partition, dict] = {lam: {} for lam in parts}
+    for mu in parts:
+        coords = express_in_gamma(z * gb.elements[mu], gb)
+        for lam in parts:
+            entry = den * coords[lam] - (num if lam == mu else ZERO)
+            if entry:
+                rows[lam][mu] = entry
+    centre = SparseSystem(parts)
+    centre.add_rows((row, []) for row in rows.values() if row)
+    kernel = centre.nullspace()
+    if not kernel:
+        return []
     perms = _all_permutations(c.n)
-    rows = []
-    for u in perms:
-        # den * M - num * I, row by row in label order
-        row = {w: kr.den * a for w, a in m.get(u, {}).items()}
-        _acc(row, u, -kr.num)
-        rows.append((row, []))
-    system = SparseSystem(perms)
-    system.add_rows(rows)
-    vectors = []
-    for vec in system.nullspace():
+    if len(kernel) == len(parts):
+        vectors = [{w: ONE} for w in perms]
+    else:
+        vectors = _certified_basis(c, z, num, den, [
+            sum((gb.elements[mu].scale(a) for mu, a in vec.items()),
+                HeckeElement.zero(c.n)) for vec in kernel])
+    out = []
+    for vec in vectors:
         el = HeckeElement._raw(c.n, vec)
-        if (z * el).scale(kr.den) != el.scale(kr.num):
+        if (z * el).scale(den) != el.scale(num):
             raise MismatchError("eigenvector failed re-verification")
-        vectors.append(el)
-    return vectors
+        out.append(el)
+    return out

@@ -2,7 +2,7 @@
 
 import json
 
-from hecke import parse_element
+from hecke import element_from_json, parse_element
 from hecke.cli import main
 
 
@@ -91,6 +91,28 @@ def test_eigen_reads_a_negative_scalar_after_its_option(capsys):
     rc, joined, _ = run(capsys, "eigen", "--n", "3", "--gamma", "3", "--k=-q")
     assert rc == 0
     assert joined == spaced
+
+
+def test_eigen_answers_at_degree_five(capsys):
+    # the trivial-character eigenvalue of gamma_(2,1,1,1); the eigenspace is
+    # spanned by x, the sum of all T_w
+    rc, out, _ = run(capsys, "eigen", "--n", "5", "--gamma", "2,1,1,1",
+                     "--k", "q^4 + 2*q^3 + 3*q^2 + 4*q")
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[0] == "count: 1"
+    assert parse_element(lines[1], 5) == parse_element("@x", 5)
+
+
+def test_coefficients_beyond_the_conversion_limit_print_and_parse_back(capsys):
+    want = parse_element("3^10000*T[1]", 3) * parse_element("T[1]", 3)
+    rc, out, _ = run(capsys, "mul", "--n", "3", "3^10000*T[1]", "T[1]")
+    assert rc == 0
+    assert parse_element(out.strip(), 3) == want
+    rc, out, _ = run(capsys, "mul", "--n", "3", "3^10000*T[1]", "T[1]",
+                     "--json")
+    assert rc == 0
+    assert element_from_json(json.loads(out)) == want
 
 
 def test_catalog(capsys):

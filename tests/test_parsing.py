@@ -1,6 +1,8 @@
 """Tests for the element grammar, the scalar grammar, and JSON interchange."""
 
+import json
 import random
+import time
 
 import pytest
 
@@ -124,9 +126,42 @@ def test_powers_of_multi_term_scalars_are_bounded():
     # a negative power of a non-unit stays a parse error, however large
     with pytest.raises(ParseError):
         parse_scalar("(v-1)^-2000")
-    # monomials never grow past one term, so their powers are not bounded
+    # monomials never grow past one term, so only their coefficients bound
+    # their powers, and unit monomials are not bounded at all
     assert parse_scalar("v^100000") == v_power(100000)
+    assert parse_scalar("(-v)^1000001") == -v_power(1000001)
     assert parse_scalar("(2*q)^3") == LaurentPoly({6: 8})
+    assert parse_scalar("0^100000000").is_zero()
+
+
+def test_powers_are_bounded_by_their_coefficient_bits():
+    from hecke.parsing import MAX_POWER_BITS
+
+    assert parse_scalar("3^10000") == LaurentPoly(3 ** 10000)
+    assert parse_scalar(f"2^{MAX_POWER_BITS}") == LaurentPoly(1 << MAX_POWER_BITS)
+    assert parse_scalar("(v-2)^100").coeff(0) == 2 ** 100
+    start = time.perf_counter()
+    for text in ("3^10000000", f"2^{MAX_POWER_BITS + 1}", "(3*q)^100000",
+                 "(v-2)^100000"):
+        with pytest.raises(ResourceCapError, match="bits"):
+            parse_scalar(text)
+    # the parent computed 3^10000000 in 5.7 s
+    assert time.perf_counter() - start < 1.0
+
+
+def test_decimals_of_any_size():
+    digits = "7" * 5001
+    value = int(digits[:2500]) * 10 ** 2501 + int(digits[2500:])
+    big = parse_scalar(f"{digits}*q - 1")
+    assert big == LaurentPoly({2: value, 0: -1})
+    assert str(big) == f"{digits}*q - 1"
+    assert parse_scalar(str(big)) == big
+    assert LaurentPoly.from_pairs(big.to_pairs()) == big
+    assert big.to_pairs()[1] == [2, digits]
+    el = parse_element(f"-{digits}*T[1]", 3)
+    assert element_from_json(json.loads(json.dumps(element_to_json(el)))) == el
+    with pytest.raises(ValueError):
+        LaurentPoly.from_pairs([[0, digits + "x"]])
 
 
 def test_scalar_parser_rejects_elements():

@@ -1,18 +1,24 @@
 """Tests for square roots of the centre: membership, catalogs, branches."""
 
+import random
+
 import pytest
 
 from hecke import (
+    HeckeElement,
     LaurentPoly,
+    MismatchError,
     NotCentralError,
     catalog,
     catalog_h3,
     commutator,
     eigen_search,
     even_word_centrality,
+    gamma_basis,
     h3_constraint_check,
     in_sqrt_centre,
     is_central,
+    left_mult_matrix,
     parse_element,
     parse_scalar,
     sample_sqrt_h3,
@@ -22,9 +28,17 @@ from hecke import (
     verify_xbar_ybar_squares,
     x_elem,
     xbar,
+    y_elem,
     ybar,
 )
-from hecke.sqrtcenter import catalog_checks_h3, catalog_checks_h4
+from hecke import sqrtcenter
+from hecke.algebra import _acc
+from hecke.laurent import RationalFn, _as_rf
+from hecke.linalg import (SparseSystem, kernel_basis, reduced_basis,
+                          sparse_rank)
+from hecke.permutations import _all_permutations
+from hecke.sqrtcenter import (_CERT_PRIME, _ModEchelon, catalog_checks_h3,
+                              catalog_checks_h4)
 
 SAMPLER_SEEDS = 25
 
@@ -100,6 +114,174 @@ def test_eigen_search_recovers_the_table(ctx3, gb3):
     # R4 and R5 solve the same eigenvalue problem
     for r in (cat["R4"], cat["R5"]):
         assert gb3[(2, 1)] * r == r.scale(q_minus_one)
+
+
+def _eigen_by_elimination(n, z, k):
+    """The reference search: the nullspace of den * M - num * I over the
+    whole of S_n, by exact elimination over Laurent polynomials."""
+    kr = _as_rf(k)
+    m = left_mult_matrix(z)
+    perms = _all_permutations(n)
+    rows = []
+    for u in perms:
+        row = {w: kr.den * a for w, a in m.get(u, {}).items()}
+        _acc(row, u, -kr.num)
+        rows.append((row, []))
+    system = SparseSystem(perms)
+    system.add_rows(rows)
+    return [HeckeElement._raw(n, vec) for vec in system.nullspace()]
+
+
+def _eigenvalue(z, d):
+    """The scalar by which z acts on d, or None if d is no eigenvector."""
+    w = d.support()[0]
+    zd = z * d
+    k = zd.coeff(w).divexact(d.coeff(w))
+    return k if zd == d.scale(k) else None
+
+
+def _eigen_cases(n, shapes=None):
+    """(shape, k) pairs: the trivial and sign eigenvalues of each gamma, at
+    n = 3 and 4 the eigenvalues of the catalog roots R4, R5 (and R6), a
+    non-eigenvalue, and an unreduced (num, den) ratio."""
+    gb = gamma_basis(n)
+    x, y = x_elem(n), y_elem(n)
+    roots = [el for name, el in catalog(n).items()
+             if name.startswith("R")] if n in (3, 4) else []
+    cases = []
+    for lam, g in gb:
+        if shapes is not None and tuple(lam) not in shapes:
+            continue
+        triv, sign = _eigenvalue(g, x), _eigenvalue(g, y)
+        ks = [triv, sign]
+        for r in roots:
+            ks.append(_eigenvalue(g, r))
+        # |k(1)| > n! >= every class size, so k is no eigenvalue
+        ks.append(LaurentPoly({0: 31, 2: 1}))
+        q_plus_1 = parse_scalar("q + 1")
+        ks.append((sign * q_plus_1, q_plus_1))
+        for k in ks:
+            assert k is not None
+            if (tuple(lam), k) not in cases:
+                cases.append((tuple(lam), k))
+    return gb, cases
+
+
+def _check_against_elimination(n, shapes=None):
+    gb, cases = _eigen_cases(n, shapes)
+    for shape, k in cases:
+        z = gb[shape]
+        got = eigen_search(n, z, k)
+        want = _eigen_by_elimination(
+            n, z, RationalFn(*k) if isinstance(k, tuple) else k)
+        assert len(got) == len(want), (shape, k)
+        rows = [v._terms for v in got]
+        assert sparse_rank(rows) == len(got)
+        assert sparse_rank(rows + [v._terms for v in want]) == len(got)
+        if len(got) == 1 or n <= 3:
+            assert [str(v) for v in got] == [str(v) for v in want], (shape, k)
+        # the basis convention: each vector's last support element is its
+        # own distinguished coordinate, and the others vanish there
+        tops = [max(v.support()) for v in got]
+        assert tops == sorted(set(tops))
+        for v in got:
+            assert [t for t in tops if v.coeff(t)] == [max(v.support())]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_eigen_search_matches_elimination_exhaustively(n):
+    _check_against_elimination(n)
+
+
+def test_eigen_search_matches_elimination_at_degree_four():
+    _check_against_elimination(4, shapes={(2, 2), (2, 1, 1)})
+
+
+def test_eigen_search_tries_the_next_point_and_refuses_a_loose_bound(
+        monkeypatch, ctx3, gb3):
+    # at q = omega, a cube root of unity modulo the prime, the trivial
+    # eigenvalue q^2 + 2q of gamma_(2,1) meets q - 1, so the rank there
+    # bounds the eigenspace by 5, not 4
+    p = _CERT_PRIME
+    omega = next(w for w in (pow(g, (p - 1) // 3, p) for g in range(2, 50))
+                 if w != 1)
+    unlucky = omega * omega % p     # v0 with v0^2 = omega
+    z, k = gb3[(2, 1)], parse_scalar("q - 1")
+    want = eigen_search(ctx3, z, k)
+    monkeypatch.setattr(sqrtcenter, "_CERT_POINTS", (unlucky, 1_000_003))
+    assert eigen_search(ctx3, z, k) == want
+    monkeypatch.setattr(sqrtcenter, "_CERT_POINTS", (unlucky,))
+    with pytest.raises(MismatchError, match="not certified"):
+        eigen_search(ctx3, z, k)
+
+
+@pytest.mark.parametrize("n, shape, k", [
+    (3, (2, 1), "q - 1"),       # 4 of 6 dimensions
+    (4, (2, 1, 1), "q - 1"),    # 4 of 24
+    (4, (2, 2), "-q"),          # 18 of 24
+])
+def test_span_and_kernel_give_the_same_basis(n, shape, k):
+    z, k = gamma_basis(n)[shape], parse_scalar(k)
+    perms = _all_permutations(n)
+    m = left_mult_matrix(z)
+    cuts = SparseSystem(perms)
+    for u in perms:
+        row = {w: a for w, a in m.get(u, {}).items()}
+        _acc(row, u, -k)
+        cuts.add_rows([(row, [])])
+    # the products of the eigenvectors with every T_w span the eigenspace
+    spans = SparseSystem(perms)
+    for v in eigen_search(n, z, k):
+        spans.add_rows([((v * HeckeElement.basis(n, w))._terms, [])
+                        for w in perms])
+    assert spans.rank + cuts.rank == len(perms)
+    got = [v._terms for v in eigen_search(n, z, k)]
+    want = [v._terms for v in _eigen_by_elimination(n, z, k)]
+    assert sparse_rank(got + want) == len(got) == len(want)
+    assert reduced_basis([row for _, row, _ in spans.pivots], perms) == got
+    assert kernel_basis([row for _, row, _ in cuts.pivots], perms) == got
+
+
+def test_modular_echelon_matches_a_plain_rank():
+    p = _CERT_PRIME
+    rng = random.Random(5)
+
+    def plain_rank(rows):
+        rows = [list(r) for r in rows]
+        rank = 0
+        for col in range(len(rows[0])):
+            at = next((i for i in range(rank, len(rows)) if rows[i][col]),
+                      None)
+            if at is None:
+                continue
+            rows[rank], rows[at] = rows[at], rows[rank]
+            inv = pow(rows[rank][col], -1, p)
+            for i in range(len(rows)):
+                if i != rank and rows[i][col]:
+                    f = rows[i][col] * inv
+                    rows[i] = [(a - f * b) % p
+                               for a, b in zip(rows[i], rows[rank])]
+            rank += 1
+        return rank
+
+    for size in (1, 2, 5, 24):
+        for deficiency in (0, 1, 3, size):
+            base = [[rng.randrange(p) if rng.random() < 0.6 else 0
+                     for _ in range(size)]
+                    for _ in range(size - min(deficiency, size))]
+            while len(base) < size:
+                cs = [rng.randrange(p) for _ in base[:3]]
+                base.append([sum(c * r[j] for c, r in zip(cs, base)) % p
+                             for j in range(size)])
+            rng.shuffle(base)
+            ech = _ModEchelon(size)
+            independent = [ech.insert(ech.pack(dict(enumerate(r))))
+                           for r in base]
+            assert sum(independent) == plain_rank(base)
+            # each row kept is independent of the rows before it
+            for i in range(size):
+                assert independent[i] == (plain_rank(base[:i + 1])
+                                          > plain_rank(base[:i] or [[0] * size]))
 
 
 def test_eigen_search_rejects_noncentral_operator(ctx3):
