@@ -219,12 +219,17 @@ def gamma_basis(ctx) -> GammaBasis:
     """
     c = as_context(ctx)
     c.check_enum()
-    n = c.n
-    if n not in _GAMMA_MEMO:
-        gb = _recursive_gamma(n)
-        verify_gamma_invariants(gb)
-        _GAMMA_MEMO[n] = gb
-    return _GAMMA_MEMO[n]
+    if c.n not in _GAMMA_MEMO:
+        _GAMMA_MEMO[c.n] = _checked_gamma(c.n)
+    return _GAMMA_MEMO[c.n]
+
+
+def _checked_gamma(n: int) -> GammaBasis:
+    """The minimal basis by the class recursion, checked against the basis
+    invariants but not memoized."""
+    gb = _recursive_gamma(n)
+    verify_gamma_invariants(gb)
+    return gb
 
 
 def express_in_gamma(z: HeckeElement,

@@ -311,8 +311,7 @@ class LaurentPoly:
             if mag == 1 and power:
                 body = power
             else:
-                # the comparison spares the usual small coefficient a call
-                body = str(mag) if mag < _DECIMAL_SMALL else _to_decimal(mag)
+                body = _to_decimal(mag)
                 if power:
                     body = f"{body}*{power}"
             pieces.append((c < 0, body))

@@ -5,8 +5,8 @@ fraction-free cross-multiplication elimination with per-row content
 stripping.  Row operations only rescale equations, so solutions and rank are
 preserved while everything stays in the Laurent ring.  Back substitution
 for solutions and nullspaces happens over RationalFn at the end;
-reduced_basis and kernel_basis, which give one canonical basis of a span
-or of a kernel, stay fraction-free throughout.
+reduced_basis, which gives one canonical basis of a span, stays
+fraction-free throughout.
 
 Columns are labelled by any mutually comparable keys; the algebra uses the
 permutations themselves.
@@ -209,33 +209,6 @@ def reduced_basis(rows: list[dict], columns) -> list[dict]:
             break
     return [_normalise({c: row[c] for c in columns if c in row})
             for _, row in reversed(done)]
-
-
-def kernel_basis(rows: list[dict], columns) -> list[dict]:
-    """The kernel of linearly independent rows, in the form reduced_basis
-    gives it.  columns lists the column labels in increasing order.
-
-    The rows are brought to reduced echelon form with pivots from the
-    smallest label up; the remaining (free) columns are then the
-    label-greatest set on which the kernel projects isomorphically.  One
-    vector per free column, nonzero there and zero at the other free
-    columns, in label order and normalised as in reduced_basis.
-    """
-    echelon = [(min(row), row) for row in reduced_basis(rows, columns[::-1])]
-    pivots = {c for c, _ in echelon}
-    vectors = []
-    for f in columns:
-        if f in pivots:
-            continue
-        hits = [(c, row) for c, row in echelon if f in row]
-        scale = ONE
-        for c, row in hits:
-            scale = lp_lcm(scale, row[c])
-        vec = {f: scale}
-        for c, row in hits:
-            vec[c] = -row[f] * scale.divexact(row[c])
-        vectors.append(_normalise({c: vec[c] for c in columns if c in vec}))
-    return vectors
 
 
 def sparse_rank(rows) -> int:

@@ -11,7 +11,9 @@ Negative powers need a unit base (a single term with coefficient +-1).
 A power whose result could have more than MAX_POWER_TERMS terms, or
 coefficients of more than MAX_POWER_BITS bits, raises ResourceCapError,
 since its cost grows with the square of the one and with the other.
-INT literals may have any number of digits.
+Coefficient literals may have any number of digits; an exponent must
+convert with int(), within the interpreter's limit on int/str conversion
+(4,300 digits by default), since it is printed with str().
 
 Element grammar:
 
@@ -163,7 +165,13 @@ class _Parser:
             self.next()
             neg = True
         tok = self.expect("INT")
-        exp = _from_decimal(tok[1])
+        try:
+            # exponents print with plain str(), so they keep the
+            # interpreter's limit on int/str conversion
+            exp = int(tok[1])
+        except ValueError:
+            raise ParseError(f"exponent of {len(tok[1])} digits is too long",
+                             tok[2]) from None
         if neg and not base.is_unit():
             raise ParseError("negative power of a non-unit scalar", tok[2])
         if not base.is_unit():

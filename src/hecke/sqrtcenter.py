@@ -27,14 +27,15 @@ import hashlib
 import random
 from dataclasses import dataclass
 
-from .algebra import (HeckeElement, _acc, as_context, commutator,
+from .algebra import (HeckeElement, as_context, commutator,
                       is_central, left_mult_matrix)
-from .center import GammaBasis, _GAMMA_MEMO, express_in_gamma, gamma_basis
+from .center import (GammaBasis, _GAMMA_MEMO, _checked_gamma,
+                     express_in_gamma)
 from .elements import elem_sym, poincare, t_longest, xbar, ybar
 from .errors import DegreeMismatchError, MismatchError, NotCentralError
 from .laurent import (LaurentPoly, ONE, Q, Q_MINUS_1, ZERO, RationalFn,
                       _as_rf, from_int, q_power)
-from .linalg import SparseSystem, kernel_basis, reduced_basis, sparse_rank
+from .linalg import SparseSystem, reduced_basis, sparse_rank
 from .permutations import (Partition, Permutation, _all_permutations,
                            partitions_of)
 
@@ -382,42 +383,26 @@ _CERT_POINTS = (1_000_003, 998_244_353, 3_141_592_653)
 
 class _ModEchelon:
     """Rows modulo p = _CERT_PRIME kept in echelon form, to test each new
-    one for independence.
+    one for independence of the rows before it."""
 
-    A row is one int whose width-bit digit j holds entry j.  Stored pivot
-    rows have digits below p, and a row takes at most one multiple below p
-    of each of them, so a digit stays below p + size * p^2 < 2^width and
-    never carries into the next.
-    """
+    def __init__(self):
+        # column -> stored row that is 1 there and 0 at every column before
+        self.pivots: dict[int, list[int]] = {}
 
-    def __init__(self, size: int):
-        self.size = size
-        self.width = 2 * _CERT_PRIME.bit_length() + size.bit_length() + 1
-        self.pivots: dict[int, int] = {}
-
-    def pack(self, entries: dict[int, int]) -> int:
-        """Pack {column index: int} into a row."""
-        return sum(x % _CERT_PRIME << self.width * j
-                   for j, x in entries.items())
-
-    def insert(self, row: int) -> bool:
-        """Add a packed row; False if it depends on the rows before it."""
-        p, width = _CERT_PRIME, self.width
-        mask = (1 << width) - 1
-        for j in range(self.size):
-            f = (row >> width * j & mask) % p
+    def insert(self, row: list[int]) -> bool:
+        """Add a row of ints; False if it depends on the rows before it."""
+        p = _CERT_PRIME
+        row = [x % p for x in row]
+        for j in range(len(row)):
+            f = row[j]
             if not f:
                 continue
             pivot = self.pivots.get(j)
-            if pivot is not None:
-                row += (p - f) * pivot
-                continue
-            inv = pow(f, -1, p)
-            pivot = 0
-            for i in range(self.size - 1, j - 1, -1):
-                pivot = pivot << width | (row >> width * i & mask) * inv % p
-            self.pivots[j] = pivot << width * j
-            return True
+            if pivot is None:
+                inv = pow(f, -1, p)
+                self.pivots[j] = [x * inv % p for x in row]
+                return True
+            row = [(x - f * y) % p for x, y in zip(row, pivot)]
         return False
 
 
@@ -433,6 +418,16 @@ def _at(a: LaurentPoly, v0: int, powers: dict[int, int]) -> int:
     return total
 
 
+def _residues(terms: dict, index: dict, v0: int,
+              powers: dict[int, int]) -> list[int]:
+    """The coordinates {permutation: LaurentPoly} at v0, as a dense row of
+    ints in the order of index."""
+    row = [0] * len(index)
+    for w, a in terms.items():
+        row[index[w]] = _at(a, v0, powers)
+    return row
+
+
 def _certified_basis(c, z: HeckeElement, num: LaurentPoly,
                      den: LaurentPoly, central: list[HeckeElement]) -> list:
     """The basis of ker(den * z - num) in the convention of eigen_search,
@@ -440,11 +435,9 @@ def _certified_basis(c, z: HeckeElement, num: LaurentPoly,
 
     M is the matrix of left multiplication by z.  At a point v0, the rank
     of den * M - num * I modulo the prime bounds its rank from below, so
-    its corank bounds the kernel from above.  Rows and products
-    independent modulo the prime are independent, so once there are as
-    many products as that corank, they span the kernel, and the rows kept
-    cut it out.  Whichever of the two systems is smaller is then solved
-    exactly; both give the same basis.
+    its corank bounds the kernel from above.  Products independent modulo
+    the prime are independent, so once there are as many of them as that
+    corank, they span the kernel, and they are solved exactly.
     """
     perms = _all_permutations(c.n)
     index = {w: j for j, w in enumerate(perms)}
@@ -452,33 +445,20 @@ def _certified_basis(c, z: HeckeElement, num: LaurentPoly,
     for v0 in _CERT_POINTS:
         powers: dict[int, int] = {}
         d, k = _at(den, v0, powers), _at(num, v0, powers)
-        matrix = _ModEchelon(len(perms))
-        cuts = []
+        matrix = _ModEchelon()
+        bound = len(perms)
         for j, u in enumerate(perms):
-            entries = {index[w]: d * _at(a, v0, powers)
-                       for w, a in m.get(u, {}).items()}
-            entries[j] = entries.get(j, 0) - k
-            if matrix.insert(matrix.pack(entries)):
-                cuts.append(u)
-        span = _ModEchelon(len(perms))
+            row = [d * x for x in _residues(m.get(u, {}), index, v0, powers)]
+            row[j] -= k
+            bound -= matrix.insert(row)
+        span = _ModEchelon()
         spans = []
         for row in ((g * HeckeElement.basis(c.n, w))._terms
                     for g in central for w in perms):
-            if span.insert(span.pack({index[u]: _at(a, v0, powers)
-                                      for u, a in row.items()})):
+            if span.insert(_residues(row, index, v0, powers)):
                 spans.append(row)
-                if len(spans) + len(cuts) == len(perms):
-                    break
-        if len(spans) + len(cuts) < len(perms):
-            continue
-        if len(spans) <= len(cuts):
-            return reduced_basis(spans, perms)
-        rows = []
-        for u in cuts:
-            row = {w: den * a for w, a in m.get(u, {}).items()}
-            _acc(row, u, -num)
-            rows.append(row)
-        return kernel_basis(rows, perms)
+                if len(spans) == bound:
+                    return reduced_basis(spans, perms)
     raise MismatchError(
         f"eigenspace dimension not certified at any of "
         f"{len(_CERT_POINTS)} points")
@@ -498,10 +478,8 @@ def eigen_search(ctx, z: HeckeElement, k) -> list[HeckeElement]:
     coordinates.  If K = 0 there is no eigenvector; if K is the whole
     centre every T_w is one.  Otherwise products c * T_w, for c in a basis
     of K, are taken while they stay independent modulo the prime, until
-    there are as many as the certified bound.  Their span (rank r) is
-    brought to reduced echelon form exactly (linalg.reduced_basis), or,
-    when r > n!/2, the kernel of n! - r independent rows of
-    den * M - num * I is (linalg.kernel_basis), with the same result.
+    there are as many as the certified bound.  Their span is brought to
+    reduced echelon form exactly (linalg.reduced_basis).
 
     Certificate: den * M - num * I, with M the matrix of left
     multiplication by z, is evaluated at v = v0 modulo the prime 2^61 - 1.
@@ -526,7 +504,10 @@ def eigen_search(ctx, z: HeckeElement, k) -> list[HeckeElement]:
         raise NotCentralError("eigen search expects a central element")
     kr = RationalFn(*k) if isinstance(k, tuple) else _as_rf(k)
     num, den = kr.num, kr.den
-    gb = gamma_basis(c)
+    c.check_enum()
+    # a basis built here is not memoized: in_sqrt_centre reports
+    # coordinates only when the memo holds one
+    gb = _GAMMA_MEMO.get(c.n) or _checked_gamma(c.n)
     parts = partitions_of(c.n)
     # column mu: den * (z * gamma_mu) - num * gamma_mu in gamma coordinates
     rows: dict[Partition, dict] = {lam: {} for lam in parts}

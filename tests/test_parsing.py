@@ -164,6 +164,20 @@ def test_decimals_of_any_size():
         LaurentPoly.from_pairs([[0, digits + "x"]])
 
 
+def test_exponents_keep_the_conversion_limit():
+    # exponents print with str(), so a literal past the interpreter's
+    # int/str limit is refused before any power is taken
+    long = "1" + "0" * 5000
+    with pytest.raises(ParseError, match="5001 digits"):
+        parse_scalar(f"v^{long}")
+    with pytest.raises(ParseError, match="5001 digits"):
+        parse_element(f"(v+1)^{long}*T[1]", 3)
+    e = 10 ** 4000
+    big = parse_scalar(f"v^{e}")
+    assert big == v_power(e)
+    assert parse_scalar(str(big)) == big
+
+
 def test_scalar_parser_rejects_elements():
     with pytest.raises(ParseError):
         parse_scalar("T[1]")

@@ -33,9 +33,9 @@ from hecke import (
 )
 from hecke import sqrtcenter
 from hecke.algebra import _acc
+from hecke.center import _GAMMA_MEMO
 from hecke.laurent import RationalFn, _as_rf
-from hecke.linalg import (SparseSystem, kernel_basis, reduced_basis,
-                          sparse_rank)
+from hecke.linalg import SparseSystem, reduced_basis, sparse_rank
 from hecke.permutations import _all_permutations
 from hecke.sqrtcenter import (_CERT_PRIME, _ModEchelon, catalog_checks_h3,
                               catalog_checks_h4)
@@ -220,7 +220,7 @@ def test_eigen_search_tries_the_next_point_and_refuses_a_loose_bound(
     (4, (2, 1, 1), "q - 1"),    # 4 of 24
     (4, (2, 2), "-q"),          # 18 of 24
 ])
-def test_span_and_kernel_give_the_same_basis(n, shape, k):
+def test_reduced_basis_of_all_products_gives_the_same_basis(n, shape, k):
     z, k = gamma_basis(n)[shape], parse_scalar(k)
     perms = _all_permutations(n)
     m = left_mult_matrix(z)
@@ -229,17 +229,17 @@ def test_span_and_kernel_give_the_same_basis(n, shape, k):
         row = {w: a for w, a in m.get(u, {}).items()}
         _acc(row, u, -k)
         cuts.add_rows([(row, [])])
-    # the products of the eigenvectors with every T_w span the eigenspace
+    # the products of the eigenvectors with every T_w fill the kernel
+    got = eigen_search(n, z, k)
     spans = SparseSystem(perms)
-    for v in eigen_search(n, z, k):
+    for v in got:
         spans.add_rows([((v * HeckeElement.basis(n, w))._terms, [])
                         for w in perms])
     assert spans.rank + cuts.rank == len(perms)
-    got = [v._terms for v in eigen_search(n, z, k)]
+    got = [v._terms for v in got]
     want = [v._terms for v in _eigen_by_elimination(n, z, k)]
     assert sparse_rank(got + want) == len(got) == len(want)
     assert reduced_basis([row for _, row, _ in spans.pivots], perms) == got
-    assert kernel_basis([row for _, row, _ in cuts.pivots], perms) == got
 
 
 def test_modular_echelon_matches_a_plain_rank():
@@ -274,14 +274,22 @@ def test_modular_echelon_matches_a_plain_rank():
                 base.append([sum(c * r[j] for c, r in zip(cs, base)) % p
                              for j in range(size)])
             rng.shuffle(base)
-            ech = _ModEchelon(size)
-            independent = [ech.insert(ech.pack(dict(enumerate(r))))
-                           for r in base]
+            ech = _ModEchelon()
+            independent = [ech.insert(r) for r in base]
             assert sum(independent) == plain_rank(base)
             # each row kept is independent of the rows before it
             for i in range(size):
                 assert independent[i] == (plain_rank(base[:i + 1])
                                           > plain_rank(base[:i] or [[0] * size]))
+
+
+def test_eigen_search_leaves_the_basis_memo_alone(monkeypatch, gb3):
+    # in_sqrt_centre without a basis reads the memo, so a search that
+    # filled it would change that report
+    monkeypatch.delitem(_GAMMA_MEMO, 3, raising=False)
+    assert len(eigen_search(3, gb3[(2, 1)], parse_scalar("q - 1"))) == 4
+    assert 3 not in _GAMMA_MEMO
+    assert in_sqrt_centre(catalog_h3()["R4"]).square_in_gamma is None
 
 
 def test_eigen_search_rejects_noncentral_operator(ctx3):
