@@ -26,9 +26,11 @@ multiplication operators) is built on top of that.
 Products and centrality tests run on a packed, indexed form inside this
 module.  S_n is numbered by lexicographic position, with one table per
 generator giving the index of w s_i (and of s_i w) and whether the step
-drops length.  Each coefficient becomes one Python int, its value at
-v = 2^B after dividing by v^lo (Kronecker substitution), so a step
-multiplies by q with a shift and by q - 1 with a shift and a subtraction.
+drops length; the tables of S_n are assembled from those of S_(n-1), block
+by block, without forming a permutation (_step_tables).  Each coefficient
+becomes one Python int, its value at v = 2^B after dividing by v^lo
+(Kronecker substitution), so a step multiplies by q with a shift and by
+q - 1 with a shift and a subtraction.
 B comes from one bound: |a T_s|_1 <= 3 |a|_1, hence every coefficient of
 every partial sum of a * b is at most 3^l(w_0) |a|_1 |b|_1 in magnitude,
 and digits below 2^(B-1) unpack exactly.  When B times the exponent window
@@ -44,18 +46,17 @@ q*T[] + (q - 1)*T[1]
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import NamedTuple
+from math import factorial
 
 from .errors import DegreeMismatchError, ResourceCapError, TermTypeError
 from .laurent import ONE, Q, Q_MINUS_1, ZERO, LaurentPoly, v_power
 from .permutations import (Partition, Permutation, _all_permutations,
                            _classes, _minimal_classes)
+from .records import Record, _set
 
 
-@dataclass(frozen=True)
-class Caps:
+class Caps(Record):
     """Size limits for the expensive operations.
 
     enum_max bounds anything that walks all of S_n; linalg_max bounds the
@@ -63,23 +64,26 @@ class Caps:
     is compared in one place, AlgebraContext.check_enum / check_linalg.
     """
 
-    enum_max: int = 7
-    linalg_max: int = 5
+    __slots__ = ("enum_max", "linalg_max")
+
+    def __init__(self, enum_max: int = 7, linalg_max: int = 5):
+        _set(self, "enum_max", enum_max)
+        _set(self, "linalg_max", linalg_max)
 
 
 DEFAULT_CAPS = Caps()
 
 
-@dataclass(frozen=True)
-class AlgebraContext:
+class AlgebraContext(Record):
     """A degree n together with the resource caps in force."""
 
-    n: int
-    caps: Caps = field(default=DEFAULT_CAPS)
+    __slots__ = ("n", "caps")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"degree must be at least 1, got {self.n}")
+    def __init__(self, n: int, caps: Caps = DEFAULT_CAPS):
+        if n < 1:
+            raise ValueError(f"degree must be at least 1, got {n}")
+        _set(self, "n", n)
+        _set(self, "caps", caps)
 
     def check_enum(self) -> None:
         if self.n > self.caps.enum_max:
@@ -180,41 +184,92 @@ _PACK_BITS = 1 << 14
 
 # Largest degree whose S_n gets index tables: the default enumeration cap,
 # so a product or centrality test never numbers a group that the caps
-# refuse to walk (7! entries, about 60 ms and 1 MB).  Higher degrees take
+# refuse to walk (7! entries, about 10 ms and 1 MB).  Higher degrees take
 # the LaurentPoly path, whose cost follows the supports alone.
 _INDEX_MAX_DEGREE = DEFAULT_CAPS.enum_max
 
 
-class _Indexed(NamedTuple):
+class _Indexed:
     """S_n numbered by lexicographic position, which is Permutation order.
 
     right[i][k] is the index of perms[k] * s_i and left[i][k] that of
     s_i * perms[k], each complemented (~index) when the step drops length.
     """
 
-    perms: tuple[Permutation, ...]
-    index: dict[Permutation, int]
-    right: list
-    left: list
+    __slots__ = ("perms", "index", "right", "left")
 
-
-def _signed(k: int, drops: bool) -> int:
-    return ~k if drops else k
+    def __init__(self, perms, index, right, left):
+        self.perms = perms
+        self.index = index
+        self.right = right
+        self.left = left
 
 
 @lru_cache(maxsize=None)
 def _indexed(n: int) -> _Indexed:
     perms = _all_permutations(n)
-    index = {w: k for k, w in enumerate(perms)}
+    return _Indexed(perms, {w: k for k, w in enumerate(perms)},
+                    *_step_tables(n))
+
+
+def _offset(steps, off: int) -> list:
+    """A step table of S_(n-1) moved into the block at offset off of S_n."""
+    return [j + off if j >= 0 else j - off for j in steps]
+
+
+@lru_cache(maxsize=None)
+def _step_tables(n: int) -> tuple[list, list]:
+    """The right and left step tables of _Indexed, built from those of
+    S_(n-1) without forming a permutation.
+
+    In lexicographic order S_n is n blocks of f = (n-1)! permutations; block
+    b holds those with first value b + 1, and their tails run through
+    S_(n-1) in lexicographic order once relabelled.  A step that touches
+    neither position 1 nor the first value is a step of S_(n-1) inside the
+    block: s_i on the right for i >= 2 is s_(i-1) of the tail, and s_i on
+    the left is s_(i-1) or s_i of the tail as b + 1 lies below or above
+    {i, i+1}.  When the first value is i or i + 1, s_i on the left swaps it
+    for the other and keeps the tail: an ascent into block i, or a descent
+    into block i - 1.  s_1 on the right follows from the first two digits
+    d0, d1 of k in the factorial base (k = d0 f + d1 g + r, g = (n-2)!):
+    the first two values are d0 + 1 and the (d1 + 1)-th smallest of the
+    rest, so swapping them is an ascent exactly when d0 <= d1.
+    """
     right: list = [None]
     left: list = [None]
+    if n < 2:
+        return right, left
+    f = factorial(n - 1)
+    g = f // (n - 1)
+    first = array("i")
+    for d0 in range(n):
+        for d1 in range(n - 1):
+            k = d0 * f + d1 * g
+            if d0 <= d1:
+                t = k + (d1 + 1 - d0) * f + (d0 - d1) * g
+                first.extend(range(t, t + g))
+            else:
+                t = ~(k + (d1 - d0) * f + (d0 - 1 - d1) * g)
+                first.extend(range(t, t - g, -1))
+    right.append(first)
+    below_right, below_left = _step_tables(n - 1)
+    for i in range(2, n):
+        tab = array("i")
+        for b in range(n):
+            tab.extend(_offset(below_right[i - 1], b * f))
+        right.append(tab)
     for i in range(1, n):
-        right.append(array("i", [
-            _signed(index[w.right_simple(i)], w[i - 1] > w[i]) for w in perms]))
-        left.append(array("i", [
-            _signed(index[w.left_simple(i)], w.index(i) > w.index(i + 1))
-            for w in perms]))
-    return _Indexed(perms, index, right, left)
+        tab = array("i")
+        for b in range(n):
+            if b == i - 1:
+                tab.extend(range(i * f, i * f + f))
+            elif b == i:
+                t = ~((i - 1) * f)
+                tab.extend(range(t, t - f, -1))
+            else:
+                tab.extend(_offset(below_left[i if b > i else i - 1], b * f))
+        left.append(tab)
+    return right, left
 
 
 def _extent(terms: dict[Permutation, LaurentPoly]) -> tuple[int, int, int]:

@@ -18,8 +18,6 @@ Two views of the centre are computed:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import (HeckeElement, as_context, is_central,
                       _lmul_gen, _rmul_gen)
 from .errors import DegreeMismatchError, MismatchError, NotCentralError
@@ -27,6 +25,7 @@ from .laurent import LaurentPoly, ZERO, ONE
 from .linalg import SparseSystem, sparse_rank
 from .permutations import (Partition, Permutation, _all_permutations,
                            _classes, _minimal_classes, partitions_of)
+from .records import Record, _set
 
 
 def _commutator_rows(n: int):
@@ -51,12 +50,14 @@ def _commutator_rows(n: int):
     return [rows[k] for k in sorted(rows)]
 
 
-@dataclass(frozen=True)
-class CentreBasis:
+class CentreBasis(Record):
     """A basis of the centre over the rational-function field."""
 
-    n: int
-    vectors: tuple[HeckeElement, ...]
+    __slots__ = ("n", "vectors")
+
+    def __init__(self, n: int, vectors: tuple[HeckeElement, ...]):
+        _set(self, "n", n)
+        _set(self, "vectors", vectors)
 
     def contains(self, z: HeckeElement) -> bool:
         """Membership in the span, decided by elimination."""
@@ -80,12 +81,14 @@ def centre_basis(ctx) -> CentreBasis:
                                   for vec in system.nullspace()))
 
 
-@dataclass(frozen=True)
-class GammaBasis:
+class GammaBasis(Record):
     """The minimal basis of the centre, one element per partition."""
 
-    n: int
-    elements: dict[Partition, HeckeElement]
+    __slots__ = ("n", "elements")
+
+    def __init__(self, n: int, elements: dict[Partition, HeckeElement]):
+        _set(self, "n", n)
+        _set(self, "elements", elements)
 
     def __iter__(self):
         return iter(self.elements.items())

@@ -19,7 +19,6 @@ coefficient.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd as _igcd
 
 
@@ -284,6 +283,7 @@ class LaurentPoly:
 
     def evaluate(self, v0) -> Fraction:
         """Evaluate at a nonzero rational point v = v0."""
+        from fractions import Fraction  # imported on use: it pulls in decimal
         v0 = Fraction(v0)
         if v0 == 0:
             raise ZeroDivisionError("evaluation of a Laurent polynomial at v = 0")

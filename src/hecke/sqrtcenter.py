@@ -23,9 +23,7 @@ degree 3 admits a complete linear description.  This module provides:
 
 from __future__ import annotations
 
-import hashlib
 import random
-from dataclasses import dataclass
 
 from .algebra import (HeckeElement, as_context, commutator,
                       is_central, left_mult_matrix)
@@ -38,16 +36,20 @@ from .laurent import (LaurentPoly, ONE, Q, Q_MINUS_1, ZERO, RationalFn,
 from .linalg import SparseSystem, reduced_basis, sparse_rank
 from .permutations import (Partition, Permutation, _all_permutations,
                            partitions_of)
+from .records import Record, _set
 
 
-@dataclass(frozen=True)
-class SqrtReport:
+class SqrtReport(Record):
     """Result of a square-root-of-centre membership test."""
 
-    label: str
-    in_sqrt: bool
-    in_centre: bool
-    square_in_gamma: dict[Partition, LaurentPoly] | None = None
+    __slots__ = ("label", "in_sqrt", "in_centre", "square_in_gamma")
+
+    def __init__(self, label: str, in_sqrt: bool, in_centre: bool,
+                 square_in_gamma: dict[Partition, LaurentPoly] | None = None):
+        _set(self, "label", label)
+        _set(self, "in_sqrt", in_sqrt)
+        _set(self, "in_centre", in_centre)
+        _set(self, "square_in_gamma", square_in_gamma)
 
 
 def in_sqrt_centre(h: HeckeElement, gb: GammaBasis | None = None,
@@ -294,6 +296,7 @@ def _h4_r_fixtures() -> dict[str, HeckeElement]:
 
 
 def _h4_fixture_digest() -> str:
+    import hashlib  # imported on use: it loads OpenSSL
     parts = []
     for name, el in sorted(_h4_r_fixtures().items()):
         for w, cf in el.items():

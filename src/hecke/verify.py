@@ -16,8 +16,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 from .algebra import (AlgebraContext, Caps, DEFAULT_CAPS, HeckeElement,
                       commutator, group_algebra_mul, is_central,
@@ -32,37 +31,46 @@ from .laurent import (LaurentPoly, ONE, Q, Q_MINUS_1, XI, ZERO, from_int,
 from .linalg import sparse_rank
 from .permutations import (Partition, Permutation, _all_permutations,
                            _classes, _minimal_classes, partitions_of)
+from .records import Record, _set
 from .sqrtcenter import (catalog_checks_h3, catalog_checks_h4, catalog_h3,
                          catalog_h4, eigen_search, even_word_centrality,
                          h3_constraint_check, in_sqrt_centre, sample_sqrt_h3,
                          span_in_sqrt, verify_xbar_ybar_squares)
 
 
-@dataclass(frozen=True)
-class VerifyItem:
-    item_id: str
-    statement: str
-    n: int
-    needs_gamma: bool
-    fn: object
-    flag_note: str | None = None
+class VerifyItem(Record):
+    __slots__ = ("item_id", "statement", "n", "needs_gamma", "fn", "flag_note")
+
+    def __init__(self, item_id: str, statement: str, n: int,
+                 needs_gamma: bool, fn, flag_note: str | None = None):
+        _set(self, "item_id", item_id)
+        _set(self, "statement", statement)
+        _set(self, "n", n)
+        _set(self, "needs_gamma", needs_gamma)
+        _set(self, "fn", fn)
+        _set(self, "flag_note", flag_note)
 
 
-@dataclass(frozen=True)
-class ItemResult:
-    item_id: str
-    statement: str
-    n: int
-    status: str            # "pass" | "flag" | "fail"
-    detail: str = ""
-    seconds: float = 0.0
+class ItemResult(Record):
+    __slots__ = ("item_id", "statement", "n", "status", "detail", "seconds")
+
+    def __init__(self, item_id: str, statement: str, n: int,
+                 status: str, detail: str = "", seconds: float = 0.0):
+        _set(self, "item_id", item_id)
+        _set(self, "statement", statement)
+        _set(self, "n", n)
+        _set(self, "status", status)            # "pass" | "flag" | "fail"
+        _set(self, "detail", detail)
+        _set(self, "seconds", seconds)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    n_max: int
-    seed: int
-    results: tuple[ItemResult, ...]
+class VerificationReport(Record):
+    __slots__ = ("n_max", "seed", "results")
+
+    def __init__(self, n_max: int, seed: int, results: tuple[ItemResult, ...]):
+        _set(self, "n_max", n_max)
+        _set(self, "seed", seed)
+        _set(self, "results", results)
 
     @property
     def counts(self) -> dict[str, int]:
@@ -611,8 +619,14 @@ def build_registry(n_max: int, caps: Caps = DEFAULT_CAPS) -> list[VerifyItem]:
     Identity checks run up to min(n_max, 6); statements needing the minimal
     basis of the centre stop at min(n_max, 5, enumeration cap), the cap that
     bounds computing that basis.  n_max = 2 leaves only the degenerate
-    commutative checks.
+    commutative checks.  The items are built once per (n_max, caps); each
+    call returns a new list of them.
     """
+    return list(_registry(n_max, caps))
+
+
+@lru_cache(maxsize=32)
+def _registry(n_max: int, caps: Caps) -> tuple[VerifyItem, ...]:
     ident_max = min(n_max, 6)
     gamma_max = min(n_max, 5, caps.enum_max)
     items: list[VerifyItem] = []
@@ -795,11 +809,11 @@ def build_registry(n_max: int, caps: Caps = DEFAULT_CAPS) -> list[VerifyItem]:
             "at degree 2 every element is a central square root", 2,
             partial(_chk_h2_sqrt_all, n=2))
 
-    return items
+    return tuple(items)
 
 
 def statement_ids(n_max: int = 6, caps: Caps = DEFAULT_CAPS) -> list[str]:
-    return sorted(item.item_id for item in build_registry(n_max, caps))
+    return sorted(item.item_id for item in _registry(n_max, caps))
 
 
 def _run_item(item: VerifyItem, env: _Env) -> ItemResult:
@@ -824,7 +838,7 @@ def run_verify(n_max: int = 6, seed: int = 0, caps: Caps = DEFAULT_CAPS,
     """
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
-    items = build_registry(n_max, caps)
+    items = _registry(n_max, caps)
     if only is not None:
         by_id = {item.item_id: item for item in items}
         unknown = [i for i in only if i not in by_id]

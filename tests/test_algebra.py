@@ -24,9 +24,11 @@ from hecke import (
     q_power,
     v_power,
 )
-from hecke.algebra import (_acc, _central_packing, _dict_mul, _lmul_gen,
-                           _pack, _product_packing, _rmul_gen, _unpack)
+from hecke.algebra import (_acc, _central_packing, _dict_mul, _indexed,
+                           _lmul_gen, _pack, _product_packing, _rmul_gen,
+                           _unpack)
 from hecke.linalg import sparse_rank
+from hecke.permutations import _all_permutations
 
 ASSOCIATIVITY_TRIPLES = 500
 ORACLE_PAIRS = 200
@@ -376,3 +378,31 @@ def test_products_above_the_enumeration_cap_do_not_index_the_group(monkeypatch):
     assert is_central(HeckeElement.one(12).scale(q_power(1)))
     t1, t2 = HeckeElement.generator(10, 1), HeckeElement.generator(10, 2)
     assert t1 * t2 == _fold_mul(t1, t2)
+
+
+def _step_tables_by_permutations(n):
+    """The step tables of _indexed(n), read off Permutation objects one
+    step at a time: the oracle for the block construction from S_(n-1)."""
+    perms = _all_permutations(n)
+    index = {w: k for k, w in enumerate(perms)}
+
+    def signed(k, drops):
+        return ~k if drops else k
+
+    right, left = [None], [None]
+    for i in range(1, n):
+        right.append([signed(index[w.right_simple(i)], w[i - 1] > w[i])
+                      for w in perms])
+        left.append([signed(index[w.left_simple(i)],
+                            w.index(i) > w.index(i + 1)) for w in perms])
+    return right, left
+
+
+@pytest.mark.parametrize("n", range(1, DEFAULT_CAPS.enum_max + 1))
+def test_step_tables_match_the_permutation_oracle(n):
+    right, left = _step_tables_by_permutations(n)
+    ix = _indexed(n)
+    assert ix.perms == _all_permutations(n)
+    assert all(ix.index[w] == k for k, w in enumerate(ix.perms))
+    assert [None] + [list(t) for t in ix.right[1:]] == right
+    assert [None] + [list(t) for t in ix.left[1:]] == left
