@@ -10,18 +10,22 @@ Setting T~_w = v^(-length(w)) T_w gives the normalised basis, in which the
 quadratic relation reads T~_s^2 = T~_1 + xi T~_s with xi = v - v^-1.
 
 Elements are stored as {Permutation: LaurentPoly} over the standard basis,
-always.  The one multiplication primitive is right multiplication by a
-single generator T_{s_i}:
+always.  The multiplication primitives are right and left multiplication
+by a single generator T_{s_i}:
 
     T_w T_{s_i} = T_{w s_i}                      if w(i) < w(i+1),
     T_w T_{s_i} = q T_{w s_i} + (q - 1) T_w      otherwise,
 
-and a general product a * b walks the trie of the canonical reduced words
-of the support of b depth first, one step of this primitive per trie edge:
-the words are prefix-closed, so a T_w = (a T_{w s_d}) T_{s_d} reuses the
-partial product of the parent node.  Everything else (commutators,
-centrality, the q = 1 group-algebra specialisation, matrices of
-multiplication operators) is built on top of that.
+and its mirror image T_{s_i} T_w, with the descent read on the left
+(i before i+1 in w, or not).  A general product a * b walks a trie of
+canonical reduced words depth first, one generator step per trie edge: the
+words are prefix-closed, so a T_w = (a T_{w s_d}) T_{s_d} reuses the partial
+product of the parent node.  The walk follows the factor with fewer terms.
+For b it follows the words of supp(b) by right steps on a.  For a it
+follows the words (j1, ..., jk) of u^-1 for u in supp(a) by left steps on
+b, since T_u b = T_{s_jk} (... (T_{s_j1} b)).  Everything else
+(commutators, centrality, the q = 1 group-algebra specialisation, matrices
+of multiplication operators) is built on top of that.
 
 Products and centrality tests run on a packed, indexed form inside this
 module.  S_n is numbered by lexicographic position, with one table per
@@ -30,13 +34,21 @@ drops length; the tables of S_n are assembled from those of S_(n-1), block
 by block, without forming a permutation (_step_tables).  Each coefficient
 becomes one Python int, its value at v = 2^B after dividing by v^lo
 (Kronecker substitution), so a step multiplies by q with a shift and by
-q - 1 with a shift and a subtraction.
-B comes from one bound: |a T_s|_1 <= 3 |a|_1, hence every coefficient of
-every partial sum of a * b is at most 3^l(w_0) |a|_1 |b|_1 in magnitude,
-and digits below 2^(B-1) unpack exactly.  When B times the exponent window
-would pass _PACK_BITS, or the degree passes the default enumeration cap,
-the same walk runs on LaurentPoly coefficients instead; that path handles
-any exponent span and never enumerates S_n.
+q - 1 with a shift and a subtraction.  When the exponents of each factor
+share one parity, as they do for x, y, their truncations, T_{w_0} and their
+words, which lie in Z[q, q^-1], every exponent of every partial sum is lo
+plus an even number.  The packing then takes one digit per power of q: the
+int is the value at q = 2^B, half as long, and q c is c << B.  Otherwise it
+takes one digit per power of v, and q c is c << 2B.
+B comes from one bound: |a T_s|_1 <= 3 |a|_1 (and likewise on the left),
+hence every coefficient of every partial sum of a * b is at most
+3^l(w_0) |a|_1 |b|_1 in magnitude, and digits below 2^(B-1) unpack
+exactly.  When B times the exponent window would pass _PACK_BITS, or the
+degree passes the default enumeration cap, the same walk runs on
+LaurentPoly coefficients instead; that path handles any exponent span and
+never enumerates S_n.  Both paths choose the walked factor by the same
+rule and insert keys in the same order, so a product's term order does not
+depend on its path.
 
 >>> ts = HeckeElement.generator(2, 1)
 >>> print(ts * ts)
@@ -177,9 +189,10 @@ def _lmul_gen(terms: dict[Permutation, LaurentPoly], i: int) -> dict:
 
 # Widest packed scalar, in bits (digit width times exponent window), that
 # products and centrality tests build; wider inputs take the LaurentPoly
-# path.  The whole verify registry at n_max = 6 peaks at 7,611 bits.  Near
-# 2^16, sparse coefficients (two terms spanning the whole window) multiplied
-# up to 2x slower packed than as LaurentPoly; at 2^14 they are faster packed.
+# path.  The whole verify registry at n_max = 6 peaks at 3,835 bits (7,611
+# when every product was packed in v).  Near 2^16, sparse coefficients (two
+# terms spanning the whole window) multiplied up to 2x slower packed than as
+# LaurentPoly; at 2^14 they are faster packed.
 _PACK_BITS = 1 << 14
 
 # Largest degree whose S_n gets index tables: the default enumeration cap,
@@ -272,12 +285,14 @@ def _step_tables(n: int) -> tuple[list, list]:
     return right, left
 
 
-def _extent(terms: dict[Permutation, LaurentPoly]) -> tuple[int, int, int]:
-    """(lowest exponent, highest exponent, sum of |coefficients|) over all
-    coefficients of a nonempty term dict."""
+def _extent(terms: dict[Permutation, LaurentPoly]) -> tuple[int, int, int, bool]:
+    """(lowest exponent, highest exponent, sum of |coefficients|, whether
+    every exponent has the parity of the lowest) over all coefficients of a
+    nonempty term dict."""
     exps = [e for c in terms.values() for e in c._terms]
     norm = sum(abs(d) for c in terms.values() for d in c._terms.values())
-    return min(exps), max(exps), norm
+    lo = min(exps)
+    return lo, max(exps), norm, not any((e - lo) & 1 for e in exps)
 
 
 def _digit_bits(bound: int, window: int) -> int | None:
@@ -287,47 +302,54 @@ def _digit_bits(bound: int, window: int) -> int | None:
     return bits if bits * window <= _PACK_BITS else None
 
 
-def _product_packing(n: int, a: dict, b: dict) -> tuple[int, int, int] | None:
-    """(bits, lo_a, lo_b) for a packed product of nonempty a and b in H_n,
-    or None.
+def _product_packing(n: int, a: dict, b: dict) -> tuple[int, int, int, int] | None:
+    """(bits, lo_a, lo_b, stride) for a packed product of nonempty a and b
+    in H_n, or None.
 
     A step maps c to q c and (q - 1) c, so |a T_s|_1 <= 3 |a|_1 and every
     coefficient of every partial sum is at most 3^l(w_0) |a|_1 |b|_1; the
-    exponents stay within lo_a + lo_b .. hi_a + hi_b + 2 l(w_0).
+    exponents stay within lo_a + lo_b .. hi_a + hi_b + 2 l(w_0).  stride is
+    2, one digit per power of q, when the exponents of a share one parity
+    and those of b share one parity, and 1, one digit per power of v,
+    otherwise.
     """
     if n > _INDEX_MAX_DEGREE:
         return None
     top = n * (n - 1) // 2
-    lo_a, hi_a, norm_a = _extent(a)
-    lo_b, hi_b, norm_b = _extent(b)
+    lo_a, hi_a, norm_a, one_a = _extent(a)
+    lo_b, hi_b, norm_b, one_b = _extent(b)
+    stride = 2 if one_a and one_b else 1
     bits = _digit_bits(3 ** top * norm_a * norm_b,
-                       hi_a + hi_b + 2 * top - lo_a - lo_b + 1)
-    return None if bits is None else (bits, lo_a, lo_b)
+                       (hi_a + hi_b + 2 * top - lo_a - lo_b) // stride + 1)
+    return None if bits is None else (bits, lo_a, lo_b, stride)
 
 
-def _central_packing(n: int, terms: dict) -> tuple[int, int] | None:
-    """(bits, lo) for a packed centrality test of nonempty terms in H_n, or
-    None.
+def _central_packing(n: int, terms: dict) -> tuple[int, int, int] | None:
+    """(bits, lo, stride) for a packed centrality test of nonempty terms in
+    H_n, or None.
 
     Both h T_s and T_s h have coefficients at most 3 |h|_1 in magnitude and
-    exponents within lo .. hi + 2.
+    exponents within lo .. hi + 2; stride is 2 when the exponents of h
+    share one parity, as in _product_packing.
     """
     if n > _INDEX_MAX_DEGREE:
         return None
-    lo, hi, norm = _extent(terms)
-    bits = _digit_bits(3 * norm, hi - lo + 3)
-    return None if bits is None else (bits, lo)
+    lo, hi, norm, one = _extent(terms)
+    stride = 2 if one else 1
+    bits = _digit_bits(3 * norm, (hi + 2 - lo) // stride + 1)
+    return None if bits is None else (bits, lo, stride)
 
 
-def _pack(c: LaurentPoly, bits: int, lo: int) -> int:
-    """c / v^lo evaluated at v = 2^bits; lo is at most every exponent of c."""
+def _pack(c: LaurentPoly, bits: int, lo: int, stride: int) -> int:
+    """c / v^lo evaluated at v^stride = 2^bits; lo is at most every exponent
+    of c, and stride divides the difference."""
     x = 0
     for e, d in c._terms.items():
-        x += d << bits * (e - lo)
+        x += d << (e - lo) // stride * bits
     return x
 
 
-def _unpack(x: int, bits: int, lo: int) -> LaurentPoly:
+def _unpack(x: int, bits: int, lo: int, stride: int) -> LaurentPoly:
     """Inverse of _pack, reading balanced digits in [-2^(bits-1), 2^(bits-1))."""
     terms = {}
     mask = (1 << bits) - 1
@@ -340,7 +362,7 @@ def _unpack(x: int, bits: int, lo: int) -> LaurentPoly:
             # then costs its nonzero digits, not its window
             run = ((x & -x).bit_length() - 1) // bits
             x >>= bits * run
-            e += run
+            e += run * stride
             continue
         x >>= bits
         if d >= half:
@@ -348,16 +370,18 @@ def _unpack(x: int, bits: int, lo: int) -> LaurentPoly:
             x += 1
         if d:
             terms[e] = d
-        e += 1
+        e += stride
     return LaurentPoly._raw(terms)
 
 
 def _packed_step(steps: list, shift: int, terms: dict[int, int], i: int) -> dict:
     """A step of packed, indexed terms by T_{s_i}; steps is _Indexed.right
-    (or .left) and shift is twice the digit width, so c << shift is q c.
+    (or .left) and c << shift is q c: twice the digit width when packed in
+    v, the digit width when packed in q.
 
-    Insertions and deletions happen in the order of _rmul_gen and _acc, so
-    the keys come out in the same order as on the LaurentPoly path.
+    Insertions and deletions happen in the order of _rmul_gen (or
+    _lmul_gen) and _acc, so the keys come out in the same order as on the
+    LaurentPoly path.
     """
     out: dict[int, int] = {}
     get = out.get
@@ -389,7 +413,8 @@ def _prefix_products(terms: dict, keyed, step):
     for the smallest right descent d.  So the words of the keys form a trie,
     and terms * T_w is one step(acc, d) away from the product at its parent
     node: one generator step per trie edge instead of length(w) per key.
-    step is _rmul_gen, or _packed_step bound to the right-step tables.
+    step is _rmul_gen, or _packed_step bound to the right-step tables.  With
+    _lmul_gen or the left-step tables it yields T_(w^-1) * terms instead.
     """
     # a node is [x or None, {generator: child node}, number of keys below it]
     root: list = [None, {}, 0]
@@ -427,9 +452,24 @@ def _walk(step, acc: dict, node: list):
         acc = step(acc, heavy)
 
 
+def _sides(a: dict, b: dict) -> tuple[dict, list, bool]:
+    """(walked, keyed, left) for a product a * b of nonempty term dicts.
+
+    The walk follows the words of the factor with fewer terms, b on a tie:
+    keyed holds its (key, coefficient) pairs, walked is the other factor,
+    and left says whether the steps multiply on the left.  The keys of a
+    are inverted, so that the walk reaches T_u b for u in supp(a).
+    """
+    if len(a) < len(b):
+        return b, [(u.inverse(), c) for u, c in a.items()], True
+    return a, list(b.items()), False
+
+
 def _dict_mul(a: dict, b: dict) -> dict[Permutation, LaurentPoly]:
+    walked, keyed, left = _sides(a, b)
     out: dict[Permutation, LaurentPoly] = {}
-    for acc, c in _prefix_products(a, b.items(), _rmul_gen):
+    for acc, c in _prefix_products(walked, keyed,
+                                   _lmul_gen if left else _rmul_gen):
         if c.is_one():
             for u, d in acc.items():
                 _acc(out, u, d)
@@ -439,21 +479,26 @@ def _dict_mul(a: dict, b: dict) -> dict[Permutation, LaurentPoly]:
     return out
 
 
-def _packed_mul(n: int, a: dict, b: dict, bits: int, lo_a: int,
-                lo_b: int) -> dict[Permutation, LaurentPoly]:
+def _packed_mul(n: int, a: dict, b: dict, bits: int, lo_a: int, lo_b: int,
+                stride: int) -> dict[Permutation, LaurentPoly]:
     ix = _indexed(n)
     index = ix.index
-    packed = {index[w]: _pack(c, bits, lo_a) for w, c in a.items()}
-    # c = v^e c' packs as P(c') << bits (e - lo_b): monomials multiply as
-    # a small int and a shift
-    keyed = []
-    for w, c in b.items():
+    walked, keyed, left = _sides(a, b)
+    lo_walked, lo_keyed = (lo_b, lo_a) if left else (lo_a, lo_b)
+    packed = {index[w]: _pack(c, bits, lo_walked, stride)
+              for w, c in walked.items()}
+    # c = v^e c' packs as P(c') << bits (e - lo) / stride: monomials
+    # multiply as a small int and a shift
+    scaled = []
+    for w, c in keyed:
         e = min(c._terms)
-        keyed.append((w, (_pack(c, bits, e), bits * (e - lo_b))))
+        scaled.append((w, (_pack(c, bits, e, stride),
+                           (e - lo_keyed) // stride * bits)))
     out: dict[int, int] = {}
     get = out.get
-    step = partial(_packed_step, ix.right, 2 * bits)
-    for acc, (c, shift) in _prefix_products(packed, keyed, step):
+    step = partial(_packed_step, ix.left if left else ix.right,
+                   2 // stride * bits)
+    for acc, (c, shift) in _prefix_products(packed, scaled, step):
         for k, d in acc.items():
             s = get(k, 0) + (d * c << shift)
             if s:
@@ -462,7 +507,7 @@ def _packed_mul(n: int, a: dict, b: dict, bits: int, lo_a: int,
                 del out[k]
     perms = ix.perms
     lo = lo_a + lo_b
-    return {perms[k]: _unpack(x, bits, lo) for k, x in out.items()}
+    return {perms[k]: _unpack(x, bits, lo, stride) for k, x in out.items()}
 
 
 def _check_key(n: int, w) -> None:
@@ -715,10 +760,10 @@ def is_central(h: HeckeElement) -> bool:
     if packing is None:
         return all(_rmul_gen(terms, i) == _lmul_gen(terms, i)
                    for i in range(1, h.n))
-    bits, lo = packing
+    bits, lo, stride = packing
     ix = _indexed(h.n)
-    packed = {ix.index[w]: _pack(c, bits, lo) for w, c in terms.items()}
-    shift = 2 * bits
+    packed = {ix.index[w]: _pack(c, bits, lo, stride) for w, c in terms.items()}
+    shift = 2 // stride * bits
     return all(_packed_step(ix.right, shift, packed, i)
                == _packed_step(ix.left, shift, packed, i)
                for i in range(1, h.n))

@@ -22,7 +22,9 @@ Element grammar:
     part  := 'T' '[' [INT (',' INT)*] ']' | '@' ref
 
 T[i1,...,ik] is the product of the generators with those indices; the word
-need not be reduced, so T[1,1] parses to q*T[] + (q-1)*T[1].  A term-level
+need not be reduced, so T[1,1] parses to q*T[] + (q-1)*T[1].  A word of
+more than MAX_WORD_LENGTH letters raises ResourceCapError, since an
+unreduced word multiplies out one generator at a time.  A term-level
 scalar is a product, not a sum: sums need parentheses, as in (q+1)*T[2].
 
 References (degree comes from the parse call): @x @y @xbar @ybar @Twn
@@ -46,6 +48,11 @@ MAX_POWER_TERMS = 513
 # 2^(e * ceil(log2 |b|_1)).  Allows 3^10000 (20,000 bits); 3^10000000
 # took 5.7 s.
 MAX_POWER_BITS = 1 << 16
+# Twice the longest reduced word at the default enumeration cap (21 letters
+# at degree 7) fits.  At degree 7 the slowest 48-letter words measured (the
+# longest word repeated, 1..6 repeated) take about 0.45 s, 64-letter ones
+# 1.7-2.1 s (Python 3.11, 2-core Xeon).
+MAX_WORD_LENGTH = 48
 _SYMBOLS = "+-*^()[],@:"
 
 
@@ -252,6 +259,10 @@ class _Parser:
                         break
                     self.next()
             self.expect("]")
+            if len(word) > MAX_WORD_LENGTH:
+                raise ResourceCapError(
+                    f"a word of {len(word)} letters passes the limit of "
+                    f"{MAX_WORD_LENGTH}")
             return HeckeElement.from_word(self.n, word)
         if kind == "@":
             return self.reference()

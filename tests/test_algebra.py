@@ -70,6 +70,14 @@ def _scalars(exponents):
 _big_scalars = _scalars(st.integers(-10**6, 10**6))
 _narrow_scalars = _scalars(st.integers(-8, 8))
 
+# scalars in the window of _narrow_scalars whose exponents are all even
+# (in Z[q, q^-1]), all odd (such as xi), or either
+_parity_scalars = st.sampled_from([
+    _scalars(st.integers(-4, 4).map(lambda e: 2 * e)),
+    _scalars(st.integers(-4, 3).map(lambda e: 2 * e + 1)),
+    _narrow_scalars,
+])
+
 # outside the range of _big_scalars, so adding it never cancels a term
 _WIDE = LaurentPoly({-10**6 - 1: 1, 10**6 + 1: 1})
 
@@ -81,17 +89,59 @@ def _widen(h):
 
 
 @st.composite
-def _element_pairs(draw, n, scalars):
-    """Two nonzero elements.  The right factor, whose words the kernel
-    shares, ranges up to all of S_n; the left factor has at most 8 terms to
-    bound the cost of an example."""
+def _element_pairs(draw, n, scalars, right_scalars=None):
+    """Two nonzero elements.  One factor ranges up to all of S_n; the other
+    has at most 8 terms to bound the cost of an example.  Either may come
+    first, so the kernel walks the words of either side.  Coefficients are
+    drawn from scalars, those of the second factor from right_scalars when
+    it is given."""
     perms = all_permutations(n)
     subsets = st.lists(st.sampled_from(perms), min_size=1,
                        max_size=len(perms), unique=True)
-    left = draw(subsets.map(lambda ws: ws[:8]))
-    right = draw(st.one_of(st.just(perms), subsets))
-    return tuple(HeckeElement(n, {w: draw(scalars) for w in support})
-                 for support in (left, right))
+    small = draw(subsets.map(lambda ws: ws[:8]))
+    large = draw(st.one_of(st.just(perms), subsets))
+    supports = (large, small) if draw(st.booleans()) else (small, large)
+    if right_scalars is None:
+        right_scalars = scalars
+    return tuple(HeckeElement(n, {w: draw(sc) for w in support})
+                 for support, sc in zip(supports, (scalars, right_scalars)))
+
+
+def _one_parity(h):
+    return len({e & 1 for c in h._terms.values() for e in c._terms}) == 1
+
+
+def _steps_taken(n, compute):
+    """compute() and the set of (path, side) of the generator steps it
+    takes: path "packed" or "dict", side "left" or "right"."""
+    ix = _indexed(n)
+    taken = set()
+    real_packed = hecke.algebra._packed_step
+
+    def packed(steps, *args):
+        taken.add(("packed", "left" if steps is ix.left else "right"))
+        return real_packed(steps, *args)
+
+    def by_dict(side, real):
+        def step(*args):
+            taken.add(("dict", side))
+            return real(*args)
+        return step
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hecke.algebra, "_packed_step", packed)
+        mp.setattr(hecke.algebra, "_rmul_gen", by_dict("right", _rmul_gen))
+        mp.setattr(hecke.algebra, "_lmul_gen", by_dict("left", _lmul_gen))
+        result = compute()
+    return result, taken
+
+
+def _walked_side(a, b):
+    """The side the kernel steps on for a * b, when its walk has an edge."""
+    walked = a if len(a._terms) < len(b._terms) else b
+    if all(w.length() == 0 for w in walked._terms):
+        return set()
+    return {"left" if walked is a else "right"}
 
 
 def _is_central_by_generators(h):
@@ -244,17 +294,24 @@ def test_product_kernel_matches_the_generator_fold(n, data):
     a, b = data.draw(_element_pairs(n, _big_scalars))
     a = _widen(a)
     assert _product_packing(n, a._terms, b._terms) is None
-    assert a * b == _fold_mul(a, b)
+    product, taken = _steps_taken(n, lambda: a * b)
+    assert product == _fold_mul(a, b)
+    assert taken == {("dict", side) for side in _walked_side(a, b)}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @_KERNEL_SETTINGS
 @given(data=st.data())
 def test_packed_product_matches_the_generator_fold(n, data):
-    a, b = data.draw(_element_pairs(n, _narrow_scalars))
-    assert _product_packing(n, a._terms, b._terms) is not None
-    product = a * b
+    a, b = data.draw(_element_pairs(n, data.draw(_parity_scalars),
+                                    data.draw(_parity_scalars)))
+    packing = _product_packing(n, a._terms, b._terms)
+    assert packing is not None
+    # one digit per power of q exactly when each factor has one parity
+    assert packing[-1] == (2 if _one_parity(a) and _one_parity(b) else 1)
+    product, taken = _steps_taken(n, lambda: a * b)
     assert product == _fold_mul(a, b)
+    assert taken == {("packed", side) for side in _walked_side(a, b)}
     # the packed path inserts and deletes keys exactly as the dict path does
     assert list(product._terms) == list(_dict_mul(a._terms, b._terms))
 
@@ -265,16 +322,20 @@ def test_packed_product_matches_the_generator_fold(n, data):
 def test_packed_centrality_matches_the_generator_comparison(n, data):
     gamma = gamma_basis(n)
     h = data.draw(st.sampled_from(list(gamma.elements.values())))
-    h = h.scale(data.draw(_narrow_scalars))
+    scalars = data.draw(_parity_scalars)
+    h = h.scale(data.draw(scalars))
     wide = data.draw(st.booleans())
     if wide:
         h = h.scale(_WIDE)
     perturbed = data.draw(st.booleans())
     if perturbed:
         w = data.draw(st.sampled_from(all_permutations(n)))
-        h = h + HeckeElement(n, {w: data.draw(_narrow_scalars)})
+        h = h + HeckeElement(n, {w: data.draw(scalars)})
     assume(h)
-    assert (_central_packing(n, h._terms) is None) == wide
+    packing = _central_packing(n, h._terms)
+    assert (packing is None) == wide
+    if not wide:
+        assert packing[-1] == (2 if _one_parity(h) else 1)
     expected = _is_central_by_generators(h)
     assert is_central(h) == expected
     if not perturbed:
@@ -283,11 +344,14 @@ def test_packed_centrality_matches_the_generator_comparison(n, data):
 
 @settings(max_examples=60, deadline=None)
 @given(bits=st.integers(2, 200), lo=st.integers(-20, 20),
-       signs=st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=12))
-def test_pack_round_trips_the_largest_digits(bits, lo, signs):
+       signs=st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=12),
+       stride=st.sampled_from([1, 2]))
+def test_pack_round_trips_the_largest_digits(bits, lo, signs, stride):
     top = (1 << (bits - 1)) - 1
-    c = LaurentPoly({lo + e: s * top for e, s in enumerate(signs)})
-    assert _unpack(_pack(c, bits, lo), bits, lo) == c
+    c = LaurentPoly({lo + stride * e: s * top for e, s in enumerate(signs)})
+    x = _pack(c, bits, lo, stride)
+    assert x.bit_length() <= bits * len(signs)
+    assert _unpack(x, bits, lo, stride) == c
 
 
 def test_left_mult_matrix_columns_are_products():
@@ -310,15 +374,36 @@ def test_left_mult_matrix_takes_one_step_per_non_identity_permutation(monkeypatc
 def test_full_support_product_takes_one_step_per_trie_edge(monkeypatch):
     full = HeckeElement(5, {w: LaurentPoly(1) for w in all_permutations(5)})
     calls = _count_calls(monkeypatch, "_packed_step")
-    HeckeElement.generator(5, 1) * full
+    full * full
     assert len(calls) == 119
 
 
 def test_wide_full_support_product_takes_one_step_per_trie_edge(monkeypatch):
     full = HeckeElement(5, {w: _WIDE for w in all_permutations(5)})
     calls = _count_calls(monkeypatch, "_rmul_gen")
-    HeckeElement.generator(5, 1) * full
+    full * full
     assert len(calls) == 119
+
+
+def test_products_walk_the_words_of_the_factor_with_fewer_terms(monkeypatch):
+    from hecke import t_longest, xbar
+
+    full = HeckeElement(5, {w: LaurentPoly(1) for w in all_permutations(5)})
+    t1 = HeckeElement.generator(5, 1)
+    calls = _count_calls(monkeypatch, "_packed_step")
+    t_longest(5) * xbar(5)
+    assert len(calls) == 10
+    calls.clear()
+    t1 * full
+    assert calls == [1]
+    calls.clear()
+    full * t1
+    assert calls == [1]
+    wide = HeckeElement(5, {w: _WIDE for w in all_permutations(5)})
+    left = _count_calls(monkeypatch, "_lmul_gen")
+    right = _count_calls(monkeypatch, "_rmul_gen")
+    t1 * wide
+    assert (left, right) == ([1], [])
 
 
 def test_constructor_rejects_non_permutation_keys():

@@ -225,6 +225,13 @@ def test_oversize_scalar_power_exits_with_the_cap_code(capsys):
     assert rc == 3
 
 
+def test_oversize_word_exits_with_the_cap_code(capsys):
+    word = "T[" + ",".join(["1"] * 20000) + "]"
+    rc, _, err = run(capsys, "mul", "--n", "2", word, "T[]")
+    assert rc == 3
+    assert "letters" in err
+
+
 def test_gamma_falls_under_the_enumeration_cap(capsys):
     rc, out, _ = run(capsys, "gamma", "6")
     assert rc == 0

@@ -1,8 +1,10 @@
-"""The usage examples in the docstrings of every hecke module still hold."""
+"""The usage examples in the docstrings of every hecke module, and in the
+README quick start, still hold."""
 
 import doctest
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -21,3 +23,10 @@ def test_doctests_are_collected():
     attempted = sum(doctest.testmod(importlib.import_module(name)).attempted
                     for name in MODULES)
     assert attempted >= 20
+
+
+def test_readme_examples():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False)
+    assert result.attempted >= 10
+    assert result.failed == 0, f"{result.failed} of {result.attempted} failed"

@@ -134,6 +134,22 @@ def test_powers_of_multi_term_scalars_are_bounded():
     assert parse_scalar("0^100000000").is_zero()
 
 
+def test_words_are_bounded_by_their_length():
+    from hecke.parsing import MAX_WORD_LENGTH
+
+    longest = [1, 2, 1, 3, 2, 1]
+    word = (longest * MAX_WORD_LENGTH)[:MAX_WORD_LENGTH]
+    text = "T[" + ",".join(map(str, word)) + "]"
+    assert parse_element(text, 4) == HeckeElement.from_word(4, word)
+    assert parse_element(f"2*{text} - {text}", 4) == HeckeElement.from_word(4, word)
+    start = time.perf_counter()
+    for n, letters in ((4, word + [1]), (2, [1] * 20000)):
+        with pytest.raises(ResourceCapError, match="letters"):
+            parse_element("T[" + ",".join(map(str, letters)) + "]", n)
+    # unbounded, the 20,000-letter word ran for more than a minute
+    assert time.perf_counter() - start < 1.0
+
+
 def test_powers_are_bounded_by_their_coefficient_bits():
     from hecke.parsing import MAX_POWER_BITS
 
