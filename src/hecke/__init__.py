@@ -22,7 +22,7 @@ from .elements import (braid_murphy, dual_murphy, elem_sym,
 from .errors import (DegreeMismatchError, FormatError, HeckeError,
                      InconsistentSystemError, MismatchError, NotCentralError,
                      ParseError, ResourceCapError, TermTypeError)
-from .laurent import LaurentPoly, RationalFn, q_power, v_power
+from .laurent import LaurentPoly, q_power, v_power
 from .parsing import (element_from_json, element_to_json, format_element,
                       format_scalar, parse_element, parse_scalar)
 from .permutations import Partition, Permutation, partitions_of
@@ -48,7 +48,7 @@ __all__ = [
     "DegreeMismatchError", "FormatError", "HeckeError",
     "InconsistentSystemError", "MismatchError", "NotCentralError",
     "ParseError", "ResourceCapError", "TermTypeError",
-    "LaurentPoly", "RationalFn", "q_power", "v_power",
+    "LaurentPoly", "q_power", "v_power",
     "element_from_json", "element_to_json", "format_element", "format_scalar",
     "parse_element", "parse_scalar",
     "Partition", "Permutation", "partitions_of",

@@ -195,6 +195,14 @@ def _lmul_gen(terms: dict[Permutation, LaurentPoly], i: int) -> dict:
 # LaurentPoly; at 2^14 they are faster packed.
 _PACK_BITS = 1 << 14
 
+# Longest word HeckeElement.from_word multiplies out, one generator at a
+# time: the cost of an unreduced word grows about with its square.  Twice
+# the longest reduced word at the default enumeration cap (21 letters at
+# degree 7) fits.  At degree 7 the slowest 48-letter words measured (the
+# longest word repeated, 1..6 repeated) take about 0.45 s, 64-letter ones
+# 1.7-2.1 s (Python 3.11, 2-core Xeon).
+MAX_WORD_LENGTH = 48
+
 # Largest degree whose S_n gets index tables: the default enumeration cap,
 # so a product or centrality test never numbers a group that the caps
 # refuse to walk (7! entries, about 10 ms and 1 MB).  Higher degrees take
@@ -577,7 +585,14 @@ class HeckeElement:
     def from_word(cls, n: int, word) -> "HeckeElement":
         """The product T_{s_{i_1}} T_{s_{i_2}} ... (any word, not necessarily
         reduced; non-reduced words multiply out through the quadratic relation).
+
+        A word of more than MAX_WORD_LENGTH letters raises ResourceCapError.
         """
+        word = list(word)
+        if len(word) > MAX_WORD_LENGTH:
+            raise ResourceCapError(
+                f"a word of {len(word)} letters passes the limit of "
+                f"{MAX_WORD_LENGTH}")
         terms = {Permutation.identity(n): ONE}
         for i in word:
             if not 1 <= i <= n - 1:

@@ -12,8 +12,7 @@ Two views of the centre are computed:
   are filled in by the class recursion of Geck and Pfeiffer (Characters of
   Finite Coxeter Groups and Iwahori-Hecke Algebras, 2000, sections 3.2 and
   8.2), with no linear algebra; four independent invariants are still
-  checked on every result.  ``_solve_gamma`` solves the pinned linear system
-  instead and is kept only as a reference for tests.
+  checked on every result.
 """
 
 from __future__ import annotations
@@ -76,7 +75,7 @@ def centre_basis(ctx) -> CentreBasis:
     c = as_context(ctx)
     c.check_linalg()
     system = SparseSystem(_all_permutations(c.n))
-    system.add_rows([(r, []) for r in _commutator_rows(c.n)])
+    system.add_rows(_commutator_rows(c.n))
     return CentreBasis(c.n, tuple(HeckeElement._raw(c.n, vec)
                                   for vec in system.nullspace()))
 
@@ -95,27 +94,6 @@ class GammaBasis(Record):
 
     def __getitem__(self, shape) -> HeckeElement:
         return self.elements[Partition(tuple(shape))]
-
-
-def _solve_gamma(n: int) -> GammaBasis:
-    """The minimal basis solved from the pinned linear system.
-
-    A slow, independent reference for ``_recursive_gamma``, used by tests.
-    """
-    parts = partitions_of(n)
-    k = len(parts)
-    sys_rows = [(r, [ZERO] * k) for r in _commutator_rows(n)]
-    for mu in parts:
-        rhs = [ONE if lam == mu else ZERO for lam in parts]
-        for w in _minimal_classes(n)[mu]:
-            sys_rows.append(({w: ONE}, list(rhs)))
-    system = SparseSystem(_all_permutations(n), num_rhs=k)
-    system.add_rows(sys_rows)
-    elements = {}
-    for lam, vec in zip(parts, system.solve_unique()):
-        elements[lam] = HeckeElement._raw(
-            n, {w: x.as_laurent() for w, x in vec.items() if x})
-    return GammaBasis(n, elements)
 
 
 def _recursive_gamma(n: int) -> GammaBasis:

@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: Laurent polynomials over Z and their fractions.
+"""Exact scalar arithmetic: Laurent polynomials over Z.
 
 Every scalar in this package lives in Z[v, v^-1], the ring of Laurent
 polynomials with integer coefficients in a single variable v.  The Hecke
@@ -10,11 +10,9 @@ A polynomial is stored sparsely as {exponent: coefficient} with zero
 coefficients stripped, so structural equality coincides with equality in
 the ring.  Coefficients are Python ints and never overflow.
 
-RationalFn is a reduced fraction num/den of two LaurentPoly values.  It
-only appears at the boundary of the exact linear algebra; the reduction
-uses a content-and-primitive-part gcd, and the canonical form fixes the
-denominator to have minimal v-exponent zero and positive leading
-coefficient.
+No fractions of Laurent polynomials are formed: the exact linear algebra
+is fraction-free, and an eigenvalue num/den is passed as its two parts.
+lp_gcd, a content-and-primitive-part gcd, is the one gcd the package uses.
 """
 
 from __future__ import annotations
@@ -441,153 +439,3 @@ def lp_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     if pa[max(pa)] < 0:
         pa = {e: -k for e, k in pa.items()}
     return LaurentPoly._raw({e: k * c for e, k in pa.items()})
-
-
-def lp_lcm(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    if a.is_zero() or b.is_zero():
-        return ZERO
-    return (a * b).divexact(lp_gcd(a, b))
-
-
-class RationalFn:
-    """A reduced fraction of Laurent polynomials.
-
-    Canonical form: num and den share no factor (content and primitive
-    part both reduced), den has minimal v-exponent zero and positive
-    leading coefficient.  Equality is therefore structural.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly, den: LaurentPoly = ONE):
-        if isinstance(num, int):
-            num = LaurentPoly(num)
-        if isinstance(den, int):
-            den = LaurentPoly(den)
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            self.num, self.den = ZERO, ONE
-            return
-        s = -den.min_exp()
-        num = num.shift(s)
-        den = den.shift(s)
-        g = lp_gcd(num, den)
-        if not g.is_one():
-            num = num.divexact(g)
-            den = den.divexact(g)
-        s = -den.min_exp()
-        if s:
-            num = num.shift(s)
-            den = den.shift(s)
-        if den.leading_coeff() < 0:
-            num, den = -num, -den
-        self.num, self.den = num, den
-
-    @classmethod
-    def from_poly(cls, p: LaurentPoly) -> "RationalFn":
-        r = object.__new__(cls)
-        r.num, r.den = p, ONE
-        return r
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __bool__(self) -> bool:
-        return bool(self.num)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (LaurentPoly, int)):
-            other = RationalFn(other if isinstance(other, LaurentPoly)
-                               else LaurentPoly(other))
-        if not isinstance(other, RationalFn):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    def __add__(self, other) -> "RationalFn":
-        other = _as_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFn(self.num * other.den + other.num * self.den,
-                          self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalFn":
-        r = object.__new__(RationalFn)
-        r.num, r.den = -self.num, self.den
-        return r
-
-    def __sub__(self, other) -> "RationalFn":
-        other = _as_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFn(self.num * other.den - other.num * self.den,
-                          self.den * other.den)
-
-    def __rsub__(self, other) -> "RationalFn":
-        return (-self) + other
-
-    def __mul__(self, other) -> "RationalFn":
-        other = _as_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFn(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RationalFn":
-        other = _as_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division of rational functions by zero")
-        return RationalFn(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other) -> "RationalFn":
-        return _as_rf(other) / self
-
-    def inverse(self) -> "RationalFn":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of the zero rational function")
-        return RationalFn(self.den, self.num)
-
-    def evaluate(self, v0) -> Fraction:
-        d = self.den.evaluate(v0)
-        if d == 0:
-            raise ZeroDivisionError(f"denominator vanishes at v = {v0}")
-        return self.num.evaluate(v0) / d
-
-    def as_laurent(self) -> LaurentPoly:
-        """The underlying Laurent polynomial, if the denominator is a unit."""
-        if self.den.is_one():
-            return self.num
-        if self.den.is_unit():
-            (e, c), = self.den._terms.items()
-            return self.num * LaurentPoly._raw({-e: c})
-        raise ArithmeticError(f"not a Laurent polynomial: denominator {self.den}")
-
-    def __str__(self) -> str:
-        if self.den.is_one():
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-    def __repr__(self) -> str:
-        return f"RationalFn({self.num!r}, {self.den!r})"
-
-
-def _as_rf(x) -> "RationalFn":
-    if isinstance(x, RationalFn):
-        return x
-    if isinstance(x, LaurentPoly):
-        return RationalFn.from_poly(x)
-    if isinstance(x, int):
-        return RationalFn.from_poly(LaurentPoly(x))
-    return NotImplemented
-
-
-RF_ZERO = RationalFn.from_poly(ZERO)
-RF_ONE = RationalFn.from_poly(ONE)

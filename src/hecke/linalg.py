@@ -1,12 +1,13 @@
-"""Exact linear algebra over Z[v, v^-1] and its fraction field.
+"""Exact linear algebra over Z[v, v^-1], without fractions.
 
-SparseSystem computes the row echelon form of a sparse system by
-fraction-free cross-multiplication elimination with per-row content
-stripping.  Row operations only rescale equations, so solutions and rank are
-preserved while everything stays in the Laurent ring.  Back substitution
-for solutions and nullspaces happens over RationalFn at the end;
-reduced_basis, which gives one canonical basis of a span, stays
-fraction-free throughout.
+SparseSystem computes the row echelon form of a sparse homogeneous system
+by fraction-free cross-multiplication elimination with per-row content
+stripping.  Row operations only rescale equations, so the kernel and rank
+are preserved while everything stays in the Laurent ring.  The nullspace
+comes from a fraction-free back substitution (Bareiss, Math. Comp. 1968):
+a pivot that is not a unit scales the partial vector instead of dividing
+it.  reduced_basis, which gives one canonical basis of a span, is
+fraction-free too.
 
 Columns are labelled by any mutually comparable keys; the algebra uses the
 permutations themselves.
@@ -14,33 +15,27 @@ permutations themselves.
 
 from __future__ import annotations
 
-from .errors import InconsistentSystemError
-from .laurent import (ONE, RF_ONE, RF_ZERO, ZERO, LaurentPoly, RationalFn,
-                      lp_gcd, lp_lcm)
+from .laurent import ONE, ZERO, lp_gcd
 
 
-def _strip_row(row: dict,
-               rhs: list[LaurentPoly]) -> None:
-    """Divide a row (and its right-hand sides) by the gcd of its entries."""
+def _strip_row(row: dict) -> None:
+    """Divide a row by the gcd of its entries."""
+    # a unit entry makes the content 1, with no gcd to compute
+    for c in row.values():
+        if c.is_unit():
+            return
     g = ZERO
     for c in row.values():
         g = lp_gcd(g, c)
         if g.is_one():
-            break
-    if g.is_one() or g.is_zero():
-        return
-    for c in rhs:
-        g = lp_gcd(g, c)
-        if g.is_one():
             return
+    if g.is_zero():
+        return
     for k in row:
         row[k] = row[k].divexact(g)
-    for i, c in enumerate(rhs):
-        rhs[i] = c.divexact(g)
 
 
-def _eliminate(row: dict, rhs: list[LaurentPoly], col, prow: dict,
-               prhs: list[LaurentPoly]) -> None:
+def _eliminate(row: dict, col, prow: dict) -> None:
     """Clear row[col] fraction-free against the pivot row prow, in place.
 
     The row becomes p * row - f * prow (p the pivot entry, f the cleared
@@ -59,9 +54,7 @@ def _eliminate(row: dict, rhs: list[LaurentPoly], col, prow: dict,
             row.pop(c, None)
     for c in [c for c in row if c not in prow]:
         row[c] = p * row[c]
-    for i in range(len(rhs)):
-        rhs[i] = p * rhs[i] - f * prhs[i]
-    _strip_row(row, rhs)
+    _strip_row(row)
 
 
 def _normalise(vec: dict) -> dict:
@@ -83,21 +76,18 @@ def _normalise(vec: dict) -> dict:
 
 
 class SparseSystem:
-    """Echelonise rows of a sparse linear system A x = b exactly.
+    """Echelonise the rows of a sparse homogeneous system A x = 0 exactly.
 
-    Rows are dicts column label -> LaurentPoly; each row may carry several
-    right-hand-side columns.  After `add_rows`, `solve_unique` produces the
-    solution for every right-hand side (requiring every column to be
-    pivotal), and `nullspace` produces denominator-cleared kernel vectors
-    of the homogeneous system, both as dicts keyed by column label.
+    Rows are dicts column label -> LaurentPoly.  After `add_rows`,
+    `nullspace` produces ring-valued kernel vectors as dicts keyed by
+    column label.
     """
 
-    def __init__(self, columns, num_rhs: int = 0):
+    def __init__(self, columns):
         # the column labels, in increasing order
         self.columns = columns
-        self.num_rhs = num_rhs
-        # registration order: (pivot column, row dict, rhs list)
-        self.pivots: list[tuple[object, dict, list[LaurentPoly]]] = []
+        # registration order: (pivot column, row dict)
+        self.pivots: list[tuple[object, dict]] = []
         self.pivot_index: dict = {}
 
     def add_rows(self, rows) -> None:
@@ -105,10 +95,10 @@ class SparseSystem:
         # The sort is stable, so rows that tie keep the order they came in;
         # callers pass them in label order, which with the label tie-break
         # of the pivot choice makes the elimination canonical.
-        for row, rhs in sorted(rows, key=lambda item: (len(item[0]), sorted(item[0]))):
-            self._insert(dict(row), list(rhs))
+        for row in sorted(rows, key=lambda row: (len(row), sorted(row))):
+            self._insert(dict(row))
 
-    def _insert(self, row: dict, rhs: list[LaurentPoly]) -> None:
+    def _insert(self, row: dict) -> None:
         while row:
             hits = [c for c in row if c in self.pivot_index]
             if not hits:
@@ -116,14 +106,11 @@ class SparseSystem:
             # eliminate the earliest registered pivot present; this strictly
             # increases the smallest pivot index in the row, so it terminates
             col = min(hits, key=lambda c: self.pivot_index[c])
-            _, prow, prhs = self.pivots[self.pivot_index[col]]
-            _eliminate(row, rhs, col, prow, prhs)
+            _eliminate(row, col, self.pivots[self.pivot_index[col]][1])
         if row:
             col = min(row, key=lambda c: (row[c].num_terms(), c))
             self.pivot_index[col] = len(self.pivots)
-            self.pivots.append((col, row, rhs))
-        elif any(rhs):
-            raise InconsistentSystemError("inconsistent linear system")
+            self.pivots.append((col, row))
 
     @property
     def rank(self) -> int:
@@ -132,52 +119,42 @@ class SparseSystem:
     def free_columns(self) -> list:
         return [c for c in self.columns if c not in self.pivot_index]
 
-    def _back_substitute(self, values: dict, rhs_at) -> dict:
-        for col, row, rhs in reversed(self.pivots):
-            total = rhs_at(rhs)
-            for c, a in row.items():
-                if c == col:
-                    continue
-                xc = values.get(c, RF_ZERO)
-                if xc:
-                    total = total - RationalFn.from_poly(a) * xc
-            values[col] = total / RationalFn.from_poly(row[col])
-        return values
-
-    def solve_unique(self) -> list[dict]:
-        """One solution {column: RationalFn} per right-hand-side column."""
-        free = self.free_columns()
-        if free:
-            raise InconsistentSystemError(
-                f"system is underdetermined; free columns {free[:5]}")
-        solutions = []
-        for k in range(self.num_rhs):
-            values: dict = {}
-            self._back_substitute(values,
-                                  lambda rhs: RationalFn.from_poly(rhs[k]))
-            solutions.append({c: values[c] for c in self.columns})
-        return solutions
-
     def nullspace(self) -> list[dict]:
-        """Kernel vectors of the homogeneous system, cleared to the ring.
+        """Kernel vectors of the system, in the ring.
 
-        One vector per free column, as {column: LaurentPoly} over its nonzero
-        coordinates in column order, deterministically normalised: common
-        content and v-shift stripped, first nonzero coordinate given a
-        positive leading coefficient.
+        One vector per free column f, proportional to the kernel vector
+        that is 1 at f and 0 at the other free columns, as
+        {column: LaurentPoly} over its nonzero coordinates in column order,
+        deterministically normalised: common content and v-shift stripped,
+        first nonzero coordinate given a positive leading coefficient.
+
+        A pivot row meets only its own column, free columns and the pivot
+        columns registered after it, so the pivots are solved in reverse.
+        With p the pivot entry and s the sum of the row's other terms,
+        x_col = -s/p.  When p is not a unit the vector is scaled by p/g,
+        g = gcd(p, s), and x_col = -s/g, so no coordinate leaves the ring.
         """
         vectors = []
         for f in self.free_columns():
-            values: dict = {f: RF_ONE}
-            self._back_substitute(values, lambda rhs: RF_ZERO)
-            xs = [(c, values[c]) for c in self.columns
-                  if values.get(c, RF_ZERO)]
-            den = ONE
-            for _, x in xs:
-                if not x.den.is_one():
-                    den = lp_lcm(den, x.den)
+            x = {f: ONE}
+            for col, row in reversed(self.pivots):
+                s = ZERO
+                for c, a in row.items():
+                    xc = x.get(c)     # None at col: it is not solved yet
+                    if xc is not None:
+                        s = s + a * xc
+                if not s:
+                    continue
+                p = row[col]
+                if p.is_unit():
+                    x[col] = -s.divexact(p)
+                    continue
+                g = lp_gcd(p, s)
+                scale = p.divexact(g)
+                x = {c: a * scale for c, a in x.items()}
+                x[col] = -s.divexact(g)
             vectors.append(_normalise(
-                {c: x.num * den.divexact(x.den) for c, x in xs}))
+                {c: x[c] for c in self.columns if c in x}))
         return vectors
 
 
@@ -203,7 +180,7 @@ def reduced_basis(rows: list[dict], columns) -> list[dict]:
         prow = rows.pop(min(hits, key=lambda i: rows[i][col].num_terms()))
         for row in rows + [row for _, row in done]:
             if col in row:
-                _eliminate(row, [], col, prow, [])
+                _eliminate(row, col, prow)
         done.append((col, prow))
         if not rows:
             break
@@ -214,5 +191,5 @@ def reduced_basis(rows: list[dict], columns) -> list[dict]:
 def sparse_rank(rows) -> int:
     """The rank of an iterable of sparse rows {column: LaurentPoly}."""
     sys_ = SparseSystem(())   # the rank needs no column labels
-    sys_.add_rows((row, []) for row in rows)
+    sys_.add_rows(rows)
     return sys_.rank

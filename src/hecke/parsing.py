@@ -23,9 +23,10 @@ Element grammar:
 
 T[i1,...,ik] is the product of the generators with those indices; the word
 need not be reduced, so T[1,1] parses to q*T[] + (q-1)*T[1].  A word of
-more than MAX_WORD_LENGTH letters raises ResourceCapError, since an
-unreduced word multiplies out one generator at a time.  A term-level
-scalar is a product, not a sum: sums need parentheses, as in (q+1)*T[2].
+more than MAX_WORD_LENGTH letters raises ResourceCapError: the bound
+belongs to HeckeElement.from_word, which multiplies an unreduced word out
+one generator at a time.  A term-level scalar is a product, not a sum:
+sums need parentheses, as in (q+1)*T[2].
 
 References (degree comes from the parse call): @x @y @xbar @ybar @Twn
 @fulltwist; @L:i @Lt:i @calL:i @Mt:i @e:i @et:i; @catalog:NAME;
@@ -34,7 +35,9 @@ References (degree comes from the parse call): @x @y @xbar @ybar @Twn
 
 from __future__ import annotations
 
-from .algebra import AlgebraContext, Caps, DEFAULT_CAPS, HeckeElement
+# MAX_WORD_LENGTH is the grammar's word bound, kept importable from here
+from .algebra import (AlgebraContext, Caps, DEFAULT_CAPS, HeckeElement,
+                      MAX_WORD_LENGTH)
 from .elements import INDEXED_KINDS, PLAIN_KINDS, named_element
 from .errors import FormatError, ParseError, ResourceCapError
 from .laurent import LaurentPoly, ONE, Q, XI, _from_decimal, v_power
@@ -48,11 +51,6 @@ MAX_POWER_TERMS = 513
 # 2^(e * ceil(log2 |b|_1)).  Allows 3^10000 (20,000 bits); 3^10000000
 # took 5.7 s.
 MAX_POWER_BITS = 1 << 16
-# Twice the longest reduced word at the default enumeration cap (21 letters
-# at degree 7) fits.  At degree 7 the slowest 48-letter words measured (the
-# longest word repeated, 1..6 repeated) take about 0.45 s, 64-letter ones
-# 1.7-2.1 s (Python 3.11, 2-core Xeon).
-MAX_WORD_LENGTH = 48
 _SYMBOLS = "+-*^()[],@:"
 
 
@@ -259,10 +257,7 @@ class _Parser:
                         break
                     self.next()
             self.expect("]")
-            if len(word) > MAX_WORD_LENGTH:
-                raise ResourceCapError(
-                    f"a word of {len(word)} letters passes the limit of "
-                    f"{MAX_WORD_LENGTH}")
+            # from_word refuses a word of more than MAX_WORD_LENGTH letters
             return HeckeElement.from_word(self.n, word)
         if kind == "@":
             return self.reference()

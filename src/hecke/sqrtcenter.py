@@ -24,15 +24,16 @@ degree 3 admits a complete linear description.  This module provides:
 from __future__ import annotations
 
 import random
+from functools import partial
 
-from .algebra import (HeckeElement, as_context, commutator,
-                      is_central, left_mult_matrix)
+from .algebra import (HeckeElement, _indexed, _prefix_products,
+                      as_context, commutator, is_central)
 from .center import (GammaBasis, _GAMMA_MEMO, _checked_gamma,
                      express_in_gamma)
 from .elements import elem_sym, poincare, t_longest, xbar, ybar
 from .errors import DegreeMismatchError, MismatchError, NotCentralError
-from .laurent import (LaurentPoly, ONE, Q, Q_MINUS_1, ZERO, RationalFn,
-                      _as_rf, from_int, q_power)
+from .laurent import (LaurentPoly, ONE, Q, Q_MINUS_1, ZERO, from_int,
+                      lp_gcd, q_power)
 from .linalg import SparseSystem, reduced_basis, sparse_rank
 from .permutations import (Partition, Permutation, _all_permutations,
                            partitions_of)
@@ -431,34 +432,72 @@ def _residues(terms: dict, index: dict, v0: int,
     return row
 
 
+def _mod_step(steps: list, q0: int, terms: dict[int, int], i: int) -> dict:
+    """Residues modulo _CERT_PRIME of indexed terms, times T_{s_i} on the
+    right; steps is _Indexed.right and q0 the residue of q."""
+    p = _CERT_PRIME
+    out: dict[int, int] = {}
+    get = out.get
+    tab = steps[i]
+    for k, c in terms.items():
+        j = tab[k]
+        if j < 0:
+            j = ~j
+            out[j] = (get(j, 0) + q0 * c) % p
+            out[k] = (get(k, 0) + (q0 - 1) * c) % p
+        else:
+            out[j] = (get(j, 0) + c) % p
+    return out
+
+
+def _corank(n: int, z: HeckeElement, d: int, k: int, v0: int,
+            powers: dict[int, int]) -> int:
+    """The corank modulo _CERT_PRIME of d * M - k * I at v = v0, with M the
+    matrix of left multiplication by z and d, k the residues of den, num.
+
+    Column w of M is z * T_w.  The columns are built modulo the prime
+    alone, one generator step per edge of the trie of reduced words of
+    S_n, never as Laurent polynomials.
+    """
+    ix = _indexed(n)
+    size = len(ix.perms)
+    residues = {ix.index[w]: _at(a, v0, powers) % _CERT_PRIME
+                for w, a in z._terms.items()}
+    step = partial(_mod_step, ix.right, pow(v0, 2, _CERT_PRIME))
+    matrix = _ModEchelon()
+    corank = size
+    for column, j in _prefix_products(residues, zip(ix.perms, range(size)),
+                                      step):
+        row = [0] * size
+        for i, x in column.items():
+            row[i] = d * x
+        row[j] -= k
+        corank -= matrix.insert(row)
+    return corank
+
+
 def _certified_basis(c, z: HeckeElement, num: LaurentPoly,
                      den: LaurentPoly, central: list[HeckeElement]) -> list:
     """The basis of ker(den * z - num) in the convention of eigen_search,
     from the products g * T_w for g in central, which lie in it.
 
-    M is the matrix of left multiplication by z.  At a point v0, the rank
-    of den * M - num * I modulo the prime bounds its rank from below, so
-    its corank bounds the kernel from above.  Products independent modulo
-    the prime are independent, so once there are as many of them as that
-    corank, they span the kernel, and they are solved exactly.
+    At a point v0, the rank of den * M - num * I modulo the prime bounds
+    its rank from below, so its corank bounds the kernel from above.
+    Products independent modulo the prime are independent, so once there
+    are as many of them as that corank, they span the kernel, and they are
+    solved exactly.
     """
-    perms = _all_permutations(c.n)
-    index = {w: j for j, w in enumerate(perms)}
-    m = left_mult_matrix(z, c.caps)
+    ix = _indexed(c.n)
+    perms = ix.perms
     for v0 in _CERT_POINTS:
         powers: dict[int, int] = {}
-        d, k = _at(den, v0, powers), _at(num, v0, powers)
-        matrix = _ModEchelon()
-        bound = len(perms)
-        for j, u in enumerate(perms):
-            row = [d * x for x in _residues(m.get(u, {}), index, v0, powers)]
-            row[j] -= k
-            bound -= matrix.insert(row)
+        bound = _corank(c.n, z, _at(den, v0, powers), _at(num, v0, powers),
+                        v0, powers)
         span = _ModEchelon()
         spans = []
         for row in ((g * HeckeElement.basis(c.n, w))._terms
                     for g in central for w in perms):
-            if span.insert(_residues(row, index, v0, powers)):
+            if span.insert(_residues(row, ix.index, v0, powers)):
                 spans.append(row)
                 if len(spans) == bound:
                     return reduced_basis(spans, perms)
@@ -467,15 +506,40 @@ def _certified_basis(c, z: HeckeElement, num: LaurentPoly,
         f"{len(_CERT_POINTS)} points")
 
 
+def _ratio(k) -> tuple[LaurentPoly, LaurentPoly]:
+    """(num, den) for an eigenvalue given as a LaurentPoly, an int or a
+    (num, den) pair of them.  A pair is reduced: divided by its gcd, then
+    den given least exponent 0 and a positive leading coefficient."""
+    pair = k if isinstance(k, tuple) and len(k) == 2 else (k, ONE)
+    num, den = (LaurentPoly(x) if isinstance(x, int) else x for x in pair)
+    if not (isinstance(num, LaurentPoly) and isinstance(den, LaurentPoly)):
+        raise TypeError(f"eigenvalue must be a LaurentPoly, an int or a "
+                        f"(num, den) pair of them, not {k!r}")
+    if den.is_zero():
+        raise ZeroDivisionError("eigenvalue with zero denominator")
+    if den.is_one():
+        return num, den
+    if num.is_zero():
+        return ZERO, ONE
+    g = lp_gcd(num, den)
+    num, den = num.divexact(g), den.divexact(g)
+    s = -den.min_exp()
+    num, den = num.shift(s), den.shift(s)
+    if den.leading_coeff() < 0:
+        return -num, -den
+    return num, den
+
+
 def eigen_search(ctx, z: HeckeElement, k) -> list[HeckeElement]:
     """A basis of the eigenspace ker(z - k) of a central element z.
 
-    k may be a Laurent polynomial, a RationalFn or a (num, den) pair; the
-    eigenspace is the kernel of den * z - num.  Because z is central, that
-    kernel is a two-sided ideal, the sum of the Wedderburn blocks (over
-    Q(v)) on which z acts by k, so it equals K * H with K the central
-    eigenvectors (Geck and Pfeiffer, Characters of Finite Coxeter Groups
-    and Iwahori-Hecke Algebras, 2000, chapters 7-9).
+    k may be a LaurentPoly, an int or a (num, den) pair of them; a pair
+    is reduced by its gcd, and the eigenspace is the kernel of
+    den * z - num.  Because z is central, that kernel is a two-sided
+    ideal, the sum of the Wedderburn blocks (over Q(v)) on which z acts by
+    k, so it equals K * H with K the central eigenvectors (Geck and
+    Pfeiffer, Characters of Finite Coxeter Groups and Iwahori-Hecke
+    Algebras, 2000, chapters 7-9).
 
     Method: K is the nullspace of a p(n) x p(n) system in minimal-basis
     coordinates.  If K = 0 there is no eigenvector; if K is the whole
@@ -485,7 +549,8 @@ def eigen_search(ctx, z: HeckeElement, k) -> list[HeckeElement]:
     reduced echelon form exactly (linalg.reduced_basis).
 
     Certificate: den * M - num * I, with M the matrix of left
-    multiplication by z, is evaluated at v = v0 modulo the prime 2^61 - 1.
+    multiplication by z, is built at v = v0 modulo the prime 2^61 - 1
+    only, column by column (z * T_w), never as exact Laurent polynomials.
     Its corank there bounds the true dimension from above, and products
     independent modulo the prime bound it from below, so equal bounds
     prove the basis complete.  A few fixed points v0 are tried;
@@ -505,8 +570,7 @@ def eigen_search(ctx, z: HeckeElement, k) -> list[HeckeElement]:
         raise DegreeMismatchError(f"element degree {z.n} does not match {c.n}")
     if not is_central(z):
         raise NotCentralError("eigen search expects a central element")
-    kr = RationalFn(*k) if isinstance(k, tuple) else _as_rf(k)
-    num, den = kr.num, kr.den
+    num, den = _ratio(k)
     c.check_enum()
     # a basis built here is not memoized: in_sqrt_centre reports
     # coordinates only when the memo holds one
@@ -521,7 +585,7 @@ def eigen_search(ctx, z: HeckeElement, k) -> list[HeckeElement]:
             if entry:
                 rows[lam][mu] = entry
     centre = SparseSystem(parts)
-    centre.add_rows((row, []) for row in rows.values() if row)
+    centre.add_rows(row for row in rows.values() if row)
     kernel = centre.nullspace()
     if not kernel:
         return []

@@ -1,6 +1,7 @@
 """Tests for the exact multiplication engine and the generic-basis change."""
 
 import random
+import time
 
 import hypothesis.strategies as st
 import pytest
@@ -14,6 +15,7 @@ from hecke import (
     HeckeError,
     LaurentPoly,
     Permutation,
+    ResourceCapError,
     TermTypeError,
     all_permutations,
     gamma_basis,
@@ -227,6 +229,21 @@ def test_from_word_expands_unreduced_words():
     t1 = HeckeElement.generator(3, 1)
     assert HeckeElement.from_word(3, [1, 1]) == t1 * t1
     assert HeckeElement.from_word(3, [1, 2, 1]) == t1 * HeckeElement.generator(3, 2) * t1
+
+
+def test_from_word_refuses_an_oversize_word_at_once():
+    from hecke.algebra import MAX_WORD_LENGTH
+
+    word = [1, 2] * (MAX_WORD_LENGTH // 2)
+    assert HeckeElement.from_word(3, word) == HeckeElement.from_word(
+        3, word[:-1]) * HeckeElement.generator(3, 2)
+    start = time.perf_counter()
+    # unbounded, this word took 6.25 s
+    with pytest.raises(ResourceCapError, match="4000 letters"):
+        HeckeElement.from_word(2, [1] * 4000)
+    with pytest.raises(ResourceCapError):
+        HeckeElement.from_word(3, iter(word + [1]))
+    assert time.perf_counter() - start < 0.5
 
 
 def test_normalized_basis_quadratic_relation():

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from hecke import LaurentPoly, RationalFn, parse_scalar, q_power, v_power
+from hecke import LaurentPoly, parse_scalar, q_power, v_power
+
+from fraction_oracle import RationalFn
 
 Q = q_power(1)
 V = v_power(1)

@@ -34,11 +34,13 @@ from hecke import (
 from hecke import sqrtcenter
 from hecke.algebra import _acc
 from hecke.center import _GAMMA_MEMO
-from hecke.laurent import RationalFn, _as_rf
 from hecke.linalg import SparseSystem, reduced_basis, sparse_rank
 from hecke.permutations import _all_permutations
-from hecke.sqrtcenter import (_CERT_PRIME, _ModEchelon, catalog_checks_h3,
+from hecke.sqrtcenter import (_CERT_POINTS, _CERT_PRIME, _ModEchelon, _at,
+                              _corank, _ratio, _residues, catalog_checks_h3,
                               catalog_checks_h4)
+
+from fraction_oracle import RationalFn, _as_rf
 
 SAMPLER_SEEDS = 25
 
@@ -126,7 +128,7 @@ def _eigen_by_elimination(n, z, k):
     for u in perms:
         row = {w: kr.den * a for w, a in m.get(u, {}).items()}
         _acc(row, u, -kr.num)
-        rows.append((row, []))
+        rows.append(row)
     system = SparseSystem(perms)
     system.add_rows(rows)
     return [HeckeElement._raw(n, vec) for vec in system.nullspace()]
@@ -215,6 +217,67 @@ def test_eigen_search_tries_the_next_point_and_refuses_a_loose_bound(
         eigen_search(ctx3, z, k)
 
 
+def _corank_from_matrix(n, z, k, v0):
+    """The certificate's corank as it was computed: rows of the exact
+    matrix left_mult_matrix(z), read modulo the prime."""
+    kr = RationalFn(*k) if isinstance(k, tuple) else _as_rf(k)
+    powers = {}
+    perms = _all_permutations(n)
+    index = {w: j for j, w in enumerate(perms)}
+    m = left_mult_matrix(z)
+    d, c = _at(kr.den, v0, powers), _at(kr.num, v0, powers)
+    matrix = _ModEchelon()
+    corank = len(perms)
+    for j, u in enumerate(perms):
+        row = [d * x for x in _residues(m.get(u, {}), index, v0, powers)]
+        row[j] -= c
+        corank -= matrix.insert(row)
+    return corank
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_modular_columns_give_the_corank_of_the_exact_matrix(n):
+    gb, cases = _eigen_cases(n)
+    assert any(isinstance(k, tuple) and not k[1].is_one() for _, k in cases)
+    p = _CERT_PRIME
+    omega = next(w for w in (pow(g, (p - 1) // 3, p) for g in range(2, 50))
+                 if w != 1)
+    for shape, k in cases:
+        z = gb[shape]
+        num, den = _ratio(k)
+        if isinstance(k, tuple):
+            kr = RationalFn(*k)
+            assert (num, den) == (kr.num, kr.den)
+        dim = len(eigen_search(n, z, k))
+        for v0 in _CERT_POINTS + (omega * omega % p,):
+            powers = {}
+            got = _corank(n, z, _at(den, v0, powers), _at(num, v0, powers),
+                          v0, powers)
+            assert got == _corank_from_matrix(n, z, k, v0), (shape, k, v0)
+            assert got >= dim
+            if v0 in _CERT_POINTS:
+                assert got == dim, (shape, k, v0)
+
+
+def test_eigen_search_takes_the_eigenvalue_in_three_forms(ctx3, gb3):
+    z = gb3[(2, 1)]
+    qm1 = parse_scalar("q - 1")
+    want = eigen_search(ctx3, z, qm1)
+    assert len(want) == 4
+    two_v = parse_scalar("-2*v^3")
+    assert eigen_search(ctx3, z, (qm1 * two_v, two_v)) == want
+    assert eigen_search(ctx3, z, (qm1, 1)) == want
+    ones = eigen_search(ctx3, gb3[(1, 1, 1)], 1)
+    assert len(ones) == 6
+    assert eigen_search(ctx3, gb3[(1, 1, 1)], (LaurentPoly(2), 2)) == ones
+    with pytest.raises(TypeError):
+        eigen_search(ctx3, z, "q - 1")
+    with pytest.raises(TypeError):
+        eigen_search(ctx3, z, RationalFn(qm1))
+    with pytest.raises(ZeroDivisionError):
+        eigen_search(ctx3, z, (qm1, 0))
+
+
 @pytest.mark.parametrize("n, shape, k", [
     (3, (2, 1), "q - 1"),       # 4 of 6 dimensions
     (4, (2, 1, 1), "q - 1"),    # 4 of 24
@@ -228,18 +291,18 @@ def test_reduced_basis_of_all_products_gives_the_same_basis(n, shape, k):
     for u in perms:
         row = {w: a for w, a in m.get(u, {}).items()}
         _acc(row, u, -k)
-        cuts.add_rows([(row, [])])
+        cuts.add_rows([row])
     # the products of the eigenvectors with every T_w fill the kernel
     got = eigen_search(n, z, k)
     spans = SparseSystem(perms)
     for v in got:
-        spans.add_rows([((v * HeckeElement.basis(n, w))._terms, [])
+        spans.add_rows([(v * HeckeElement.basis(n, w))._terms
                         for w in perms])
     assert spans.rank + cuts.rank == len(perms)
     got = [v._terms for v in got]
     want = [v._terms for v in _eigen_by_elimination(n, z, k)]
     assert sparse_rank(got + want) == len(got) == len(want)
-    assert reduced_basis([row for _, row, _ in spans.pivots], perms) == got
+    assert reduced_basis([row for _, row in spans.pivots], perms) == got
 
 
 def test_modular_echelon_matches_a_plain_rank():
