@@ -20,8 +20,8 @@ from .elements import (braid_murphy, dual_murphy, elem_sym,
                        murphy_normalized, named_element, poincare, t_longest,
                        x_elem, xbar, y_elem, ybar)
 from .errors import (DegreeMismatchError, FormatError, HeckeError,
-                     InconsistentSystemError, MismatchError, NotCentralError,
-                     ParseError, ResourceCapError, TermTypeError)
+                     MismatchError, NotCentralError, ParseError,
+                     ResourceCapError, TermTypeError)
 from .laurent import LaurentPoly, q_power, v_power
 from .parsing import (element_from_json, element_to_json, format_element,
                       format_scalar, parse_element, parse_scalar)
@@ -45,9 +45,8 @@ __all__ = [
     "braid_murphy", "dual_murphy", "elem_sym", "elem_sym_normalized",
     "full_twist_product", "murphy", "murphy_normalized", "named_element",
     "poincare", "t_longest", "x_elem", "xbar", "y_elem", "ybar",
-    "DegreeMismatchError", "FormatError", "HeckeError",
-    "InconsistentSystemError", "MismatchError", "NotCentralError",
-    "ParseError", "ResourceCapError", "TermTypeError",
+    "DegreeMismatchError", "FormatError", "HeckeError", "MismatchError",
+    "NotCentralError", "ParseError", "ResourceCapError", "TermTypeError",
     "LaurentPoly", "q_power", "v_power",
     "element_from_json", "element_to_json", "format_element", "format_scalar",
     "parse_element", "parse_scalar",

@@ -21,7 +21,7 @@ from .algebra import (HeckeElement, as_context, is_central,
                       _lmul_gen, _rmul_gen)
 from .errors import DegreeMismatchError, MismatchError, NotCentralError
 from .laurent import LaurentPoly, ZERO, ONE
-from .linalg import SparseSystem, sparse_rank
+from .linalg import SparseSystem
 from .permutations import (Partition, Permutation, _all_permutations,
                            _classes, _minimal_classes, partitions_of)
 from .records import Record, _set
@@ -59,15 +59,15 @@ class CentreBasis(Record):
         _set(self, "vectors", vectors)
 
     def contains(self, z: HeckeElement) -> bool:
-        """Membership in the span, decided by elimination."""
+        """Membership in the centre of H_n, decided by is_central.
+
+        For the vectors of centre_basis(n) that is membership in their span
+        over the fraction field; the stored vectors are not read.
+        """
         if z.n != self.n:
             raise DegreeMismatchError(
                 f"element of degree {z.n} against a basis for degree {self.n}")
-        base = [v._terms for v in self.vectors]
-        r0 = sparse_rank(base)
-        if z.is_zero():
-            return True
-        return sparse_rank(base + [z._terms]) == r0
+        return is_central(z)
 
 
 def centre_basis(ctx) -> CentreBasis:
@@ -155,6 +155,31 @@ def _recursive_gamma(n: int) -> GammaBasis:
     return GammaBasis(n, elements)
 
 
+def _check_class_sum(lam: Partition, g: HeckeElement) -> None:
+    expected = {w: 1 for w in _classes(g.n)[lam]}
+    if g.specialize_group_algebra() != expected:
+        raise MismatchError(
+            f"basis element for {lam} is not the class sum at q = 1")
+
+
+def _check_pinning(lam: Partition, g: HeckeElement) -> None:
+    for mu, minimals in _minimal_classes(g.n).items():
+        want = ONE if mu == lam else ZERO
+        for w in minimals:
+            if g.coeff(w) != want:
+                raise MismatchError(
+                    f"basis element for {lam} has coefficient "
+                    f"{g.coeff(w)} on a minimal element of {mu}")
+
+
+def _check_integral(lam: Partition, g: HeckeElement) -> None:
+    for _, cf in g.items():
+        if not cf.has_even_exponents():
+            raise MismatchError(
+                f"basis element for {lam} has a coefficient {cf} "
+                f"outside Z[q, q^-1]")
+
+
 def verify_gamma_invariants(gb: GammaBasis) -> None:
     """Check the four defining properties; raise MismatchError on any failure.
 
@@ -163,30 +188,14 @@ def verify_gamma_invariants(gb: GammaBasis) -> None:
     3. the minimal-length coefficients are exactly the Kronecker delta;
     4. every coefficient lies in Z[q, q^-1] (no odd powers of v).
     """
-    n = gb.n
-    parts = partitions_of(n)
-    if set(gb.elements) != set(parts):
-        raise MismatchError(f"basis for degree {n} has wrong index set")
-    minimals = _minimal_classes(n)
+    if set(gb.elements) != set(partitions_of(gb.n)):
+        raise MismatchError(f"basis for degree {gb.n} has wrong index set")
     for lam, g in gb.elements.items():
         if not is_central(g):
             raise MismatchError(f"basis element for {lam} is not central")
-        expected = {w: 1 for w in _classes(n)[lam]}
-        if g.specialize_group_algebra() != expected:
-            raise MismatchError(
-                f"basis element for {lam} is not the class sum at q = 1")
-        for mu in parts:
-            want = ONE if mu == lam else ZERO
-            for w in minimals[mu]:
-                if g.coeff(w) != want:
-                    raise MismatchError(
-                        f"basis element for {lam} has coefficient "
-                        f"{g.coeff(w)} on a minimal element of {mu}")
-        for _, cf in g.items():
-            if not cf.has_even_exponents():
-                raise MismatchError(
-                    f"basis element for {lam} has a coefficient {cf} "
-                    f"outside Z[q, q^-1]")
+        _check_class_sum(lam, g)
+        _check_pinning(lam, g)
+        _check_integral(lam, g)
 
 
 _GAMMA_MEMO: dict[int, GammaBasis] = {}

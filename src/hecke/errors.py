@@ -32,10 +32,6 @@ class NotCentralError(HeckeError, ValueError):
     """An operation requiring a central element got a non-central one."""
 
 
-class InconsistentSystemError(HeckeError, RuntimeError):
-    """An exact linear system has no solution where one was expected."""
-
-
 class MismatchError(HeckeError, ValueError):
     """An exact identity failed; the message carries the differing term."""
 

@@ -21,16 +21,17 @@ from functools import lru_cache, partial
 from .algebra import (AlgebraContext, Caps, DEFAULT_CAPS, HeckeElement,
                       commutator, group_algebra_mul, is_central,
                       left_mult_matrix)
-from .center import centre_basis, express_in_gamma, gamma_basis
+from .center import (_check_class_sum, _check_integral, _check_pinning,
+                     centre_basis, express_in_gamma, gamma_basis)
 from .elements import (braid_murphy, dual_murphy, elem_sym,
                        elem_sym_normalized, murphy, murphy_normalized,
                        poincare, t_longest, x_elem, xbar, y_elem, ybar)
 from .errors import MismatchError
-from .laurent import (LaurentPoly, ONE, Q, Q_MINUS_1, XI, ZERO, from_int,
-                      q_power, v_power)
+from .laurent import (LaurentPoly, ONE, Q, Q_MINUS_1, XI, from_int, q_power,
+                      v_power)
 from .linalg import sparse_rank
 from .permutations import (Partition, Permutation, _all_permutations,
-                           _classes, _minimal_classes, partitions_of)
+                           partitions_of)
 from .records import Record, _set
 from .sqrtcenter import (catalog_checks_h3, catalog_checks_h4, catalog_h3,
                          catalog_h4, eigen_search, even_word_centrality,
@@ -535,13 +536,8 @@ def _chk_oracle_products(env: _Env, n: int) -> None:
 
 
 def _chk_gamma_classsums(env: _Env, n: int) -> None:
-    gb = env.gamma(n)
-    for lam, g in gb:
-        got = g.specialize_group_algebra()
-        want = {w: 1 for w in _classes(n)[lam]}
-        if got != want:
-            raise MismatchError(f"at q=1, the element for {tuple(lam)} is not "
-                                f"the plain class sum")
+    for lam, g in env.gamma(n):
+        _check_class_sum(lam, g)
 
 
 # -- group 12: nonzerodivisors ---------------------------------------------------
@@ -559,23 +555,13 @@ def _chk_nonzerodivisor(env: _Env, n: int) -> None:
 # -- group 13: minimal-basis integrality -----------------------------------------
 
 def _chk_gamma_integrality(env: _Env, n: int) -> None:
-    gb = env.gamma(n)
-    for lam, g in gb:
-        for w, cf in g.items():
-            _true(cf.has_even_exponents(),
-                  f"coefficient at {tuple(lam)} / T_{list(w)} leaves Z[q,q^-1]")
+    for lam, g in env.gamma(n):
+        _check_integral(lam, g)
 
 
 def _chk_gamma_pinning(env: _Env, n: int) -> None:
-    gb = env.gamma(n)
-    for lam, g in gb:
-        for mu in partitions_of(n):
-            want = ONE if mu == lam else ZERO
-            for w in _minimal_classes(n)[mu]:
-                if g.coeff(w) != want:
-                    raise MismatchError(
-                        f"pinning at {tuple(lam)}: minimal element of "
-                        f"{tuple(mu)} carries {g.coeff(w)}, expected {want}")
+    for lam, g in env.gamma(n):
+        _check_pinning(lam, g)
 
 
 # -- group 14: the degenerate degree ----------------------------------------------

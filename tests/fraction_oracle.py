@@ -14,12 +14,16 @@ the fraction field as an oracle for tests:
 
 from fractions import Fraction
 
-from hecke import HeckeElement, InconsistentSystemError
+from hecke import HeckeElement, HeckeError
 from hecke.center import GammaBasis, _commutator_rows
 from hecke.laurent import ONE, ZERO, LaurentPoly, lp_gcd
 from hecke.linalg import _eliminate, _normalise
 from hecke.permutations import (_all_permutations, _minimal_classes,
                                 partitions_of)
+
+
+class InconsistentSystemError(HeckeError, RuntimeError):
+    """An exact linear system has no solution where one was expected."""
 
 
 def lp_lcm(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:

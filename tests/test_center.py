@@ -1,14 +1,19 @@
 """Tests for the centre: minimal basis, coordinates, membership."""
 
+import random
+
 import pytest
 
 from hecke import (
     HeckeElement,
+    LaurentPoly,
     NotCentralError,
     Partition,
+    all_permutations,
     centre_basis,
     elem_sym,
     express_in_gamma,
+    gamma_basis,
     is_central,
     minimal_class_elements,
     parse_element,
@@ -19,6 +24,7 @@ from hecke import (
     x_elem,
     y_elem,
 )
+from hecke.linalg import sparse_rank
 
 
 def _coords(z, gb):
@@ -133,6 +139,53 @@ def test_centre_membership(ctx3, gb3):
     assert not cb.contains(parse_element("T[1]", 3))
     assert not cb.contains(t_longest(ctx3))
     assert len(cb.vectors) == 3
+
+
+def test_minimal_basis_spans_the_commutator_nullspace():
+    # two independent algorithms: the class recursion and the kernel of
+    # "commutes with every generator"
+    for n in range(1, 6):
+        kernel = [v._terms for v in centre_basis(n).vectors]
+        gamma = [g._terms for g in gamma_basis(n).elements.values()]
+        rank = sparse_rank(kernel)
+        assert rank == len(kernel) == len(gamma) == sparse_rank(gamma)
+        assert sparse_rank(kernel + gamma) == rank
+
+
+def _in_span(z, cb):
+    """Membership by elimination over the stored vectors."""
+    base = [v._terms for v in cb.vectors]
+    return sparse_rank(base + [z._terms]) == sparse_rank(base)
+
+
+def _random_scalar(rng):
+    return LaurentPoly({rng.randint(-2, 2): rng.randint(-3, 3)
+                        for _ in range(rng.randint(1, 2))})
+
+
+def test_membership_matches_the_commutator_oracle(ctx3, gb3):
+    cb = centre_basis(ctx3)
+    fixed = [x_elem(ctx3), y_elem(ctx3), parse_element("T[1]", 3),
+             t_longest(ctx3), HeckeElement.zero(3)] + [z for _, z in gb3]
+    for z in fixed:
+        assert cb.contains(z) == _in_span(z, cb)
+    rng = random.Random(31)
+    for n in (3, 4):
+        cb = centre_basis(n)
+        perms = all_permutations(n)
+        verdicts = []
+        for _ in range(12):
+            central = sum((g.scale(_random_scalar(rng))
+                           for g in gamma_basis(n).elements.values()),
+                          HeckeElement.zero(n))
+            noise = HeckeElement.zero(n)
+            for _ in range(rng.randint(1, 3)):
+                noise = noise + HeckeElement.basis(
+                    n, rng.choice(perms)).scale(_random_scalar(rng))
+            for z in (central, noise, central + noise):
+                verdicts.append(cb.contains(z))
+                assert verdicts[-1] == _in_span(z, cb)
+        assert True in verdicts and False in verdicts
 
 
 def test_recursion_matches_the_pinned_solve():

@@ -1,5 +1,7 @@
 """The public names of the package."""
 
+from pathlib import Path
+
 import hecke
 
 
@@ -17,3 +19,14 @@ def test_star_import_gives_exactly_the_public_names():
     # fractions of Laurent polynomials are no longer part of the package
     assert "RationalFn" not in namespace
     assert not hasattr(hecke.laurent, "RationalFn")
+
+
+def test_every_public_error_is_raised_in_the_package():
+    # an exported error type that nothing raises is dead public API
+    source = "".join(path.read_text() for path in
+                     Path(hecke.__file__).parent.glob("*.py"))
+    for name in hecke.__all__:
+        obj = getattr(hecke, name)
+        if (isinstance(obj, type) and issubclass(obj, hecke.HeckeError)
+                and obj is not hecke.HeckeError):
+            assert f"raise {name}" in source, name
