@@ -200,6 +200,10 @@ def verify_gamma_invariants(gb: GammaBasis) -> None:
 
 _GAMMA_MEMO: dict[int, GammaBasis] = {}
 
+# n -> {lam: {mu: coordinates of gamma_lam * gamma_mu}}: the multiplication
+# table of the centre, one row filled the first time it is read
+_TABLE_MEMO: dict[int, dict[Partition, dict]] = {}
+
 
 def gamma_basis(ctx) -> GammaBasis:
     """The minimal basis of the centre, computed by the class recursion.
@@ -252,3 +256,18 @@ def express_in_gamma(z: HeckeElement,
             "element is central but is not an R-combination of the basis "
             f"(residual has {residual.num_terms()} terms)")
     return coeffs
+
+
+def _table_row(gb: GammaBasis,
+               lam: Partition) -> dict[Partition, dict[Partition, LaurentPoly]]:
+    """{mu: coordinates of gamma_lam * gamma_mu} for every partition mu.
+
+    The table depends on the degree alone, so each row is multiplied out
+    and checked by express_in_gamma once per process.
+    """
+    rows = _TABLE_MEMO.setdefault(gb.n, {})
+    row = rows.get(lam)
+    if row is None:
+        g = gb.elements[lam]
+        row = rows[lam] = {mu: express_in_gamma(g * h, gb) for mu, h in gb}
+    return row

@@ -296,8 +296,8 @@ class LaurentPoly:
             return ""
         if e % 2 == 0:
             h = e // 2
-            return "q" if h == 1 else f"q^{h}"
-        return "v" if e == 1 else f"v^{e}"
+            return "q" if h == 1 else f"q^{_to_decimal(h)}"
+        return "v" if e == 1 else f"v^{_to_decimal(e)}"
 
     def __str__(self) -> str:
         if not self._terms:

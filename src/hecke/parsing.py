@@ -13,7 +13,9 @@ coefficients of more than MAX_POWER_BITS bits, raises ResourceCapError,
 since its cost grows with the square of the one and with the other.
 Coefficient literals may have any number of digits; an exponent must
 convert with int(), within the interpreter's limit on int/str conversion
-(4,300 digits by default), since it is printed with str().
+(4,300 digits by default), since JSON writes it as a number.  A product
+can pass that limit: its text still prints, and element_to_json raises
+ResourceCapError.
 
 Element grammar:
 
@@ -40,7 +42,8 @@ from .algebra import (AlgebraContext, Caps, DEFAULT_CAPS, HeckeElement,
                       MAX_WORD_LENGTH)
 from .elements import INDEXED_KINDS, PLAIN_KINDS, named_element
 from .errors import FormatError, ParseError, ResourceCapError
-from .laurent import LaurentPoly, ONE, Q, XI, _from_decimal, v_power
+from .laurent import (LaurentPoly, ONE, Q, XI, _DECIMAL_SMALL, _from_decimal,
+                      v_power)
 from .permutations import Permutation
 
 _V = v_power(1)
@@ -171,8 +174,8 @@ class _Parser:
             neg = True
         tok = self.expect("INT")
         try:
-            # exponents print with plain str(), so they keep the
-            # interpreter's limit on int/str conversion
+            # exponents are JSON numbers, so they keep the interpreter's
+            # limit on int/str conversion
             exp = int(tok[1])
         except ValueError:
             raise ParseError(f"exponent of {len(tok[1])} digits is too long",
@@ -376,14 +379,30 @@ def format_element(el: HeckeElement) -> str:
 # -- JSON --------------------------------------------------------------------
 
 def element_to_json(el: HeckeElement, basis: str = "T") -> dict:
-    """JSON document for an element, in T or normalized-T coordinates."""
+    """JSON document for an element, in T or normalized-T coordinates.
+
+    Exponents are JSON numbers, so one with more digits than the
+    interpreter converts to a string (4,300 by default from Python 3.11
+    on) raises ResourceCapError.
+    """
     if basis not in ("T", "Ttilde"):
         raise ValueError(f"basis must be 'T' or 'Ttilde', got {basis!r}")
     terms = []
     for w, c in el.items():
         if basis == "Ttilde":
             c = c * v_power(w.length())
-        terms.append({"perm": list(w), "coeff": c.to_pairs()})
+        pairs = c.to_pairs()
+        # ascending, so the widest exponent is at one end; every limit
+        # converts numbers below _DECIMAL_SMALL
+        lo, hi = pairs[0][0], pairs[-1][0]
+        if not -_DECIMAL_SMALL < lo <= hi < _DECIMAL_SMALL:
+            try:
+                str(lo), str(hi)
+            except ValueError:
+                raise ResourceCapError(
+                    f"an exponent of the coefficient of {list(w)} has too "
+                    f"many digits to write as a JSON number") from None
+        terms.append({"perm": list(w), "coeff": pairs})
     return {"n": el.n, "basis": basis, "terms": terms}
 
 

@@ -17,8 +17,10 @@ degree 3 admits a complete linear description.  This module provides:
 * ``eigen_search``: exact eigenvectors for multiplication by a central
   element, for a caller-supplied eigenvalue.  The eigenspace is a
   two-sided ideal, so it is found from its central part, solved in
-  minimal-basis coordinates, and its dimension is certified by a rank
-  modulo a prime; every vector is re-verified by multiplication.
+  minimal-basis coordinates from the memoized multiplication table of the
+  centre, and its dimension is certified by a rank modulo a prime; a full
+  rank modulo the prime ends a search for a non-eigenvalue before any
+  exact elimination.  Every vector is re-verified by multiplication.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from functools import partial
 
 from .algebra import (HeckeElement, _indexed, _prefix_products,
                       as_context, commutator, is_central)
-from .center import (GammaBasis, _GAMMA_MEMO, _checked_gamma,
+from .center import (GammaBasis, _GAMMA_MEMO, _checked_gamma, _table_row,
                      express_in_gamma)
 from .elements import elem_sym, poincare, t_longest, xbar, ybar
 from .errors import DegreeMismatchError, MismatchError, NotCentralError
@@ -390,23 +392,26 @@ class _ModEchelon:
     one for independence of the rows before it."""
 
     def __init__(self):
-        # column -> stored row that is 1 there and 0 at every column before
+        # column j -> the stored row from column j on, 1 at j; the row is 0
+        # at every column before j, so only its tail is kept
         self.pivots: dict[int, list[int]] = {}
 
     def insert(self, row: list[int]) -> bool:
         """Add a row of ints; False if it depends on the rows before it."""
         p = _CERT_PRIME
-        row = [x % p for x in row]
+        row = list(row)
         for j in range(len(row)):
-            f = row[j]
+            f = row[j] % p
             if not f:
                 continue
             pivot = self.pivots.get(j)
             if pivot is None:
                 inv = pow(f, -1, p)
-                self.pivots[j] = [x * inv % p for x in row]
+                self.pivots[j] = [x * inv % p for x in row[j:]]
                 return True
-            row = [(x - f * y) % p for x, y in zip(row, pivot)]
+            # reduced modulo p only when read: each step adds less than
+            # p^2, so the entries stay a few bits wider than p^2
+            row[j:] = [x - f * y for x, y in zip(row[j:], pivot)]
         return False
 
 
@@ -541,12 +546,19 @@ def eigen_search(ctx, z: HeckeElement, k) -> list[HeckeElement]:
     Pfeiffer, Characters of Finite Coxeter Groups and Iwahori-Hecke
     Algebras, 2000, chapters 7-9).
 
-    Method: K is the nullspace of a p(n) x p(n) system in minimal-basis
-    coordinates.  If K = 0 there is no eigenvector; if K is the whole
-    centre every T_w is one.  Otherwise products c * T_w, for c in a basis
-    of K, are taken while they stay independent modulo the prime, until
-    there are as many as the certified bound.  Their span is brought to
-    reduced echelon form exactly (linalg.reduced_basis).
+    Method: K is the nullspace of den * M_z - num * I, with M_z the
+    p(n) x p(n) matrix of z in minimal-basis coordinates.  Its column mu,
+    z * gamma_mu = sum_nu z_nu gamma_nu gamma_mu, is read off the
+    multiplication table of the centre, memoized per degree, each row
+    multiplied out and checked once per process (center._table_row).  If
+    the matrix has full rank at v = v0 modulo the prime, it has full rank
+    over the ring (specialisation only lowers a rank): K = 0 and the
+    search ends with no exact elimination.  Otherwise K is solved exactly.
+    If K = 0 there is no eigenvector; if K is the whole centre every T_w
+    is one.  Otherwise products c * T_w, for c in a basis of K, are taken
+    while they stay independent modulo the prime, until there are as many
+    as the certified bound.  Their span is brought to reduced echelon
+    form exactly (linalg.reduced_basis).
 
     Certificate: den * M - num * I, with M the matrix of left
     multiplication by z, is built at v = v0 modulo the prime 2^61 - 1
@@ -576,14 +588,29 @@ def eigen_search(ctx, z: HeckeElement, k) -> list[HeckeElement]:
     # coordinates only when the memo holds one
     gb = _GAMMA_MEMO.get(c.n) or _checked_gamma(c.n)
     parts = partitions_of(c.n)
-    # column mu: den * (z * gamma_mu) - num * gamma_mu in gamma coordinates
+    # column mu of M_z: z * gamma_mu = sum_nu z_nu gamma_nu gamma_mu, in
+    # gamma coordinates, read off the multiplication table
+    columns: dict[Partition, dict] = {mu: {} for mu in parts}
+    for nu, a in express_in_gamma(z, gb).items():
+        if not a:
+            continue
+        for mu, coords in _table_row(gb, nu).items():
+            col = columns[mu]
+            for lam, b in coords.items():
+                if b:
+                    col[lam] = col.get(lam, ZERO) + a * b
     rows: dict[Partition, dict] = {lam: {} for lam in parts}
-    for mu in parts:
-        coords = express_in_gamma(z * gb.elements[mu], gb)
+    for mu, col in columns.items():
         for lam in parts:
-            entry = den * coords[lam] - (num if lam == mu else ZERO)
+            entry = den * col.get(lam, ZERO) - (num if lam == mu else ZERO)
             if entry:
                 rows[lam][mu] = entry
+    # full rank modulo the prime at v0 means full rank over the ring, as
+    # specialisation only lowers a rank: k is no eigenvalue
+    residues, powers = _ModEchelon(), {}
+    if all(residues.insert([_at(row.get(mu, ZERO), _CERT_POINTS[0], powers)
+                            for mu in parts]) for row in rows.values()):
+        return []
     centre = SparseSystem(parts)
     centre.add_rows(row for row in rows.values() if row)
     kernel = centre.nullspace()

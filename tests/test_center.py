@@ -199,3 +199,24 @@ def test_recursion_matches_the_pinned_solve():
 def test_identity_is_the_all_fixed_class(gb4):
     assert gb4[(1, 1, 1, 1)] == HeckeElement.one(4)
     assert gb4[Partition((1, 1, 1, 1))] == HeckeElement.one(4)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_multiplication_table_of_the_centre(monkeypatch, n):
+    from hecke.center import _TABLE_MEMO, _table_row
+
+    monkeypatch.delitem(_TABLE_MEMO, n, raising=False)
+    gb = gamma_basis(n)
+    parts = partitions_of(n)
+    table = {lam: _table_row(gb, lam) for lam in parts}
+    for lam in parts:
+        assert _table_row(gb, lam) is table[lam]
+        assert tuple(table[lam]) == parts
+        for mu in parts:
+            fresh = express_in_gamma(gb.elements[lam] * gb.elements[mu], gb)
+            assert table[lam][mu] == fresh, (lam, mu)
+            # the centre is commutative
+            assert table[lam][mu] == table[mu][lam], (lam, mu)
+    one = Partition((1,) * n)
+    assert table[one] == {mu: {nu: LaurentPoly(int(nu == mu)) for nu in parts}
+                          for mu in parts}

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line, driven through main()."""
 
 import json
+import sys
 
 from hecke import element_from_json, parse_element
 from hecke.cli import main
@@ -113,6 +114,26 @@ def test_coefficients_beyond_the_conversion_limit_print_and_parse_back(capsys):
                      "--json")
     assert rc == 0
     assert element_from_json(json.loads(out)) == want
+
+
+def test_exponents_beyond_the_conversion_limit(capsys):
+    # the product has exponent 2 * (10^4300 - 1) + 2, past the 4,300
+    # digits that str() converts from Python 3.11 on
+    nines = "9" * 4300
+    factor = f"v^{nines}*T[1]"
+    rc, out, _ = run(capsys, "mul", "--n", "3", factor, factor)
+    assert rc == 0
+    ten = "1" + "0" * 4300
+    assert out.strip() == f"q^{ten}*T[] + (q^{ten} - q^{nines})*T[1]"
+    rc, out, err = run(capsys, "mul", "--n", "3", factor, factor, "--json")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if 0 < limit <= 4300:
+        assert (rc, out) == (3, "")
+        assert "too many digits" in err
+    else:
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["terms"][0]["coeff"] == [[2 * int(nines) + 2, "1"]]
 
 
 def test_catalog(capsys):

@@ -14,6 +14,7 @@ from hecke import (
     commutator,
     eigen_search,
     even_word_centrality,
+    express_in_gamma,
     gamma_basis,
     h3_constraint_check,
     in_sqrt_centre,
@@ -21,6 +22,7 @@ from hecke import (
     left_mult_matrix,
     parse_element,
     parse_scalar,
+    partitions_of,
     sample_sqrt_h3,
     span_in_sqrt,
     sqrt_h3_from_coeffs,
@@ -199,15 +201,20 @@ def test_eigen_search_matches_elimination_at_degree_four():
     _check_against_elimination(4, shapes={(2, 2), (2, 1, 1)})
 
 
+def _unlucky_point():
+    """v0 with v0^2 = omega, a cube root of unity modulo the prime."""
+    p = _CERT_PRIME
+    omega = next(w for w in (pow(g, (p - 1) // 3, p) for g in range(2, 50))
+                 if w != 1)
+    return omega * omega % p
+
+
 def test_eigen_search_tries_the_next_point_and_refuses_a_loose_bound(
         monkeypatch, ctx3, gb3):
     # at q = omega, a cube root of unity modulo the prime, the trivial
     # eigenvalue q^2 + 2q of gamma_(2,1) meets q - 1, so the rank there
     # bounds the eigenspace by 5, not 4
-    p = _CERT_PRIME
-    omega = next(w for w in (pow(g, (p - 1) // 3, p) for g in range(2, 50))
-                 if w != 1)
-    unlucky = omega * omega % p     # v0 with v0^2 = omega
+    unlucky = _unlucky_point()
     z, k = gb3[(2, 1)], parse_scalar("q - 1")
     want = eigen_search(ctx3, z, k)
     monkeypatch.setattr(sqrtcenter, "_CERT_POINTS", (unlucky, 1_000_003))
@@ -215,6 +222,109 @@ def test_eigen_search_tries_the_next_point_and_refuses_a_loose_bound(
     monkeypatch.setattr(sqrtcenter, "_CERT_POINTS", (unlucky,))
     with pytest.raises(MismatchError, match="not certified"):
         eigen_search(ctx3, z, k)
+
+
+def _centre_rows(n, z, k):
+    """den * M_z - num * I in minimal-basis coordinates, its columns the
+    products z * gamma_mu expanded afresh, without the table."""
+    gb = gamma_basis(n)
+    num, den = _ratio(k)
+    parts = partitions_of(n)
+    rows = {lam: {} for lam in parts}
+    for mu in parts:
+        coords = express_in_gamma(z * gb.elements[mu], gb)
+        for lam in parts:
+            entry = den * coords[lam] - (num if lam == mu else LaurentPoly(0))
+            if entry:
+                rows[lam][mu] = entry
+    return parts, rows
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_full_rank_modulo_the_prime_means_no_eigenvector(n):
+    gb, cases = _eigen_cases(n)
+    v0 = _CERT_POINTS[0]
+    verdicts = []
+    for shape, k in cases:
+        parts, rows = _centre_rows(n, gb[shape], k)
+        powers = {}
+        ech = _ModEchelon()
+        full = all([ech.insert([_at(rows[lam].get(mu, LaurentPoly(0)), v0,
+                                    powers) for lam in parts])
+                    for mu in parts])
+        system = SparseSystem(parts)
+        system.add_rows(row for row in rows.values() if row)
+        kernel = system.nullspace()
+        if full:
+            assert kernel == [], (shape, k)
+            assert eigen_search(n, gb[shape], k) == [], (shape, k)
+        verdicts.append((full, bool(kernel)))
+    # both branches occur, and here the modular rank is never unlucky
+    assert (True, False) in verdicts and (False, True) in verdicts
+    assert all(full != nonzero for full, nonzero in verdicts)
+
+
+def test_eigen_search_of_a_two_term_central_element():
+    gb = gamma_basis(4)
+    z = gb[(2, 2)] + gb[(4,)].scale(parse_scalar("q"))
+    triv = _eigenvalue(z, x_elem(4))
+    assert triv is not None
+    for k in (triv, LaurentPoly(41), LaurentPoly(0)):
+        got = eigen_search(4, z, k)
+        want = _eigen_by_elimination(4, z, k)
+        assert [str(v) for v in got] == [str(v) for v in want], k
+    assert len(eigen_search(4, z, triv)) == 1
+
+
+def test_the_multiplication_table_is_read_not_rebuilt(monkeypatch):
+    from hecke import center
+
+    z, k = gamma_basis(4)[(2, 1, 1)], parse_scalar("q - 1")
+    expansions = []
+
+    def counted(el, gb):
+        expansions.append(el)
+        return express_in_gamma(el, gb)
+
+    monkeypatch.setattr(center, "express_in_gamma", counted)
+    monkeypatch.delitem(center._TABLE_MEMO, 4, raising=False)
+    cold = eigen_search(4, z, k)
+    assert len(expansions) == len(partitions_of(4))
+    warm = eigen_search(4, z, k)
+    assert len(expansions) == len(partitions_of(4))
+    assert warm == cold and len(cold) == 4
+    # the output does not depend on what the process computed before
+    monkeypatch.delitem(center._TABLE_MEMO, 4)
+    assert eigen_search(4, z, k) == warm
+    assert len(expansions) == 2 * len(partitions_of(4))
+
+
+def test_an_unlucky_point_falls_through_to_exact_elimination(monkeypatch,
+                                                             ctx3, gb3):
+    # the eigenvalues of gamma_(2,1) are q^2 + 2q, -2 - q^-1 and q - 1;
+    # k = (q - 1) + 2 (q^2 + q + 1) is none of them, but meets q - 1 where
+    # q is a cube root of unity
+    z, k = gb3[(2, 1)], parse_scalar("2*q^2 + 3*q + 1")
+    assert eigen_search(ctx3, z, k) == []
+    solved = []
+    nullspace = SparseSystem.nullspace
+
+    def spy(self):
+        solved.append(self)
+        return nullspace(self)
+
+    monkeypatch.setattr(SparseSystem, "nullspace", spy)
+    assert eigen_search(ctx3, z, k) == []
+    assert solved == []
+    monkeypatch.setattr(sqrtcenter, "_CERT_POINTS", (_unlucky_point(),))
+    assert eigen_search(ctx3, z, k) == []
+    assert len(solved) == 1
+    # an eigenvalue takes the same path, and its vectors do not move
+    want = [str(v) for v in _eigen_by_elimination(3, z, parse_scalar("q - 1"))]
+    monkeypatch.setattr(sqrtcenter, "_CERT_POINTS",
+                        (_unlucky_point(), 1_000_003))
+    assert [str(v) for v in eigen_search(ctx3, z, parse_scalar("q - 1"))] \
+        == want
 
 
 def _corank_from_matrix(n, z, k, v0):
