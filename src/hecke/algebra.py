@@ -47,8 +47,16 @@ exactly.  When B times the exponent window would pass _PACK_BITS, or the
 degree passes the default enumeration cap, the same walk runs on
 LaurentPoly coefficients instead; that path handles any exponent span and
 never enumerates S_n.  Both paths choose the walked factor by the same
-rule and insert keys in the same order, so a product's term order does not
-depend on its path.
+rule.
+
+The packed factor that is stepped on (the one whose words are not walked,
+or the element tested for centrality) is held in one of two ways, chosen
+by its size.  With terms on at least half of S_n it is a list indexed like
+S_n, 0 off the support, and a step is one pass over the step table: each
+entry of the result is read from at most two entries of the list.  The
+product is then summed into a list of the same shape.  With fewer terms it
+is a dict by index, and a step costs a dict get and store per term.  Every
+path returns its terms in index order, which is Permutation order.
 
 >>> ts = HeckeElement.generator(2, 1)
 >>> print(ts * ts)
@@ -196,7 +204,8 @@ def _lmul_gen(terms: dict[Permutation, LaurentPoly], i: int) -> dict:
 _PACK_BITS = 1 << 14
 
 # Longest word HeckeElement.from_word multiplies out, one generator at a
-# time: the cost of an unreduced word grows about with its square.  Twice
+# time, and highest power HeckeElement.__pow__ takes (T_s ** k is the word
+# s^k): the cost of an unreduced word grows about with its square.  Twice
 # the longest reduced word at the default enumeration cap (21 letters at
 # degree 7) fits.  At degree 7 the slowest 48-letter words measured (the
 # longest word repeated, 1..6 repeated) take about 0.45 s, 64-letter ones
@@ -385,12 +394,7 @@ def _unpack(x: int, bits: int, lo: int, stride: int) -> LaurentPoly:
 def _packed_step(steps: list, shift: int, terms: dict[int, int], i: int) -> dict:
     """A step of packed, indexed terms by T_{s_i}; steps is _Indexed.right
     (or .left) and c << shift is q c: twice the digit width when packed in
-    v, the digit width when packed in q.
-
-    Insertions and deletions happen in the order of _rmul_gen (or
-    _lmul_gen) and _acc, so the keys come out in the same order as on the
-    LaurentPoly path.
-    """
+    v, the digit width when packed in q."""
     out: dict[int, int] = {}
     get = out.get
     tab = steps[i]
@@ -414,14 +418,43 @@ def _packed_step(steps: list, shift: int, terms: dict[int, int], i: int) -> dict
     return out
 
 
-def _prefix_products(terms: dict, keyed, step):
+def _dense_step(steps: list, shift: int, acc: list, i: int) -> list:
+    """_packed_step on terms held densely, acc[k] the packed coefficient of
+    _Indexed.perms[k] (0 off the support).
+
+    The step table is an involution, so entry k of the result reads at most
+    two entries of acc.  With j the index of perms[k] s: when perms[k] s is
+    longer, only T_(perms[k] s) T_s reaches T_perms[k], and entry k is
+    q acc[j]; otherwise it is acc[j] + (q - 1) acc[k].
+    """
+    return [acc[j] << shift if j >= 0 else acc[~j] + (a << shift) - a
+            for a, j in zip(acc, steps[i])]
+
+
+def _packed_terms(ix: _Indexed, terms: dict, bits: int, lo: int, stride: int):
+    """(packed terms, the step that takes them).  Terms on at least half of
+    S_n are held in a list indexed like ix.perms and take _dense_step: one
+    pass over n! entries then beats a dict get and store per term.  Fewer
+    are held in a dict by index and take _packed_step."""
+    index = ix.index
+    if 2 * len(terms) >= len(ix.perms):
+        dense = [0] * len(ix.perms)
+        for w, c in terms.items():
+            dense[index[w]] = _pack(c, bits, lo, stride)
+        return dense, _dense_step
+    return ({index[w]: _pack(c, bits, lo, stride) for w, c in terms.items()},
+            _packed_step)
+
+
+def _prefix_products(terms: dict | list, keyed, step):
     """Yield (terms * T_w, x) for every pair (w, x) in keyed; x is not None.
 
     The canonical reduced words are prefix-closed: word(w) = word(w s_d) + (d)
     for the smallest right descent d.  So the words of the keys form a trie,
     and terms * T_w is one step(acc, d) away from the product at its parent
     node: one generator step per trie edge instead of length(w) per key.
-    step is _rmul_gen, or _packed_step bound to the right-step tables.  With
+    step is _rmul_gen, or _packed_step or _dense_step bound to the
+    right-step tables; none changes its argument, so siblings share it.  With
     _lmul_gen or the left-step tables it yields T_(w^-1) * terms instead.
     """
     # a node is [x or None, {generator: child node}, number of keys below it]
@@ -484,17 +517,15 @@ def _dict_mul(a: dict, b: dict) -> dict[Permutation, LaurentPoly]:
         else:
             for u, d in acc.items():
                 _acc(out, u, d * c)
-    return out
+    return dict(sorted(out.items()))
 
 
 def _packed_mul(n: int, a: dict, b: dict, bits: int, lo_a: int, lo_b: int,
                 stride: int) -> dict[Permutation, LaurentPoly]:
     ix = _indexed(n)
-    index = ix.index
     walked, keyed, left = _sides(a, b)
     lo_walked, lo_keyed = (lo_b, lo_a) if left else (lo_a, lo_b)
-    packed = {index[w]: _pack(c, bits, lo_walked, stride)
-              for w, c in walked.items()}
+    packed, step = _packed_terms(ix, walked, bits, lo_walked, stride)
     # c = v^e c' packs as P(c') << bits (e - lo) / stride: monomials
     # multiply as a small int and a shift
     scaled = []
@@ -502,20 +533,28 @@ def _packed_mul(n: int, a: dict, b: dict, bits: int, lo_a: int, lo_b: int,
         e = min(c._terms)
         scaled.append((w, (_pack(c, bits, e, stride),
                            (e - lo_keyed) // stride * bits)))
-    out: dict[int, int] = {}
-    get = out.get
-    step = partial(_packed_step, ix.left if left else ix.right,
-                   2 // stride * bits)
-    for acc, (c, shift) in _prefix_products(packed, scaled, step):
-        for k, d in acc.items():
-            s = get(k, 0) + (d * c << shift)
-            if s:
-                out[k] = s
-            else:
-                del out[k]
+    walk = _prefix_products(packed, scaled,
+                            partial(step, ix.left if left else ix.right,
+                                    2 // stride * bits))
+    if isinstance(packed, list):
+        out = [0] * len(packed)
+        for acc, (c, shift) in walk:
+            out = [x + (d * c << shift) for x, d in zip(out, acc)]
+        found = enumerate(out)
+    else:
+        sparse: dict[int, int] = {}
+        get = sparse.get
+        for acc, (c, shift) in walk:
+            for k, d in acc.items():
+                s = get(k, 0) + (d * c << shift)
+                if s:
+                    sparse[k] = s
+                else:
+                    del sparse[k]
+        found = sorted(sparse.items())
     perms = ix.perms
     lo = lo_a + lo_b
-    return {perms[k]: _unpack(x, bits, lo, stride) for k, x in out.items()}
+    return {perms[k]: _unpack(x, bits, lo, stride) for k, x in found if x}
 
 
 def _check_key(n: int, w) -> None:
@@ -685,8 +724,13 @@ class HeckeElement:
         return NotImplemented
 
     def __pow__(self, k: int) -> "HeckeElement":
+        """k repeated products; k above MAX_WORD_LENGTH raises
+        ResourceCapError, since T_s ** k is the word s^k."""
         if k < 0:
             raise ValueError("negative powers of Hecke elements are not supported")
+        if k > MAX_WORD_LENGTH:
+            raise ResourceCapError(
+                f"a power of {k} passes the limit of {MAX_WORD_LENGTH}")
         result = HeckeElement.one(self.n)
         for _ in range(k):
             result = result * self
@@ -777,10 +821,9 @@ def is_central(h: HeckeElement) -> bool:
                    for i in range(1, h.n))
     bits, lo, stride = packing
     ix = _indexed(h.n)
-    packed = {ix.index[w]: _pack(c, bits, lo, stride) for w, c in terms.items()}
+    packed, step = _packed_terms(ix, terms, bits, lo, stride)
     shift = 2 // stride * bits
-    return all(_packed_step(ix.right, shift, packed, i)
-               == _packed_step(ix.left, shift, packed, i)
+    return all(step(ix.right, shift, packed, i) == step(ix.left, shift, packed, i)
                for i in range(1, h.n))
 
 

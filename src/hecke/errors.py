@@ -11,7 +11,8 @@ class DegreeMismatchError(HeckeError, ValueError):
 
 class TermTypeError(HeckeError, TypeError):
     """A Hecke element term whose key is not a Permutation or whose
-    coefficient is not a LaurentPoly."""
+    coefficient is not a LaurentPoly, or a scalar term whose exponent or
+    coefficient is not an int."""
 
 
 class ResourceCapError(HeckeError, RuntimeError):

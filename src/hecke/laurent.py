@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from math import gcd as _igcd
 
+from .errors import TermTypeError
+
 
 # Decimal strings of at most this many digits convert directly: every
 # interpreter with a limit on int/str conversion (Python 3.11 and later)
@@ -58,10 +60,25 @@ class LaurentPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[int, int] | int = 0):
+        """An int, or a mapping of int exponents to int coefficients;
+        anything else raises TermTypeError."""
         if isinstance(terms, int):
             self._terms = {0: terms} if terms else {}
-        else:
-            self._terms = {e: c for e, c in terms.items() if c}
+            return
+        items = getattr(terms, "items", None)
+        if items is None:
+            raise TermTypeError(
+                f"a scalar is an int or a mapping of exponents to "
+                f"coefficients, not a {type(terms).__name__}")
+        out = {}
+        for e, c in items():
+            if not (isinstance(e, int) and isinstance(c, int)):
+                raise TermTypeError(
+                    f"scalar term {e!r}: {c!r} is not an int exponent "
+                    f"with an int coefficient")
+            if c:
+                out[e] = c
+        self._terms = out
 
     @classmethod
     def _raw(cls, terms: dict[int, int]) -> "LaurentPoly":

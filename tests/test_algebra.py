@@ -60,6 +60,20 @@ def _fold_mul(a, b):
     return HeckeElement._raw(a.n, out)
 
 
+def _left_fold_mul(a, b):
+    """a * b by folding _lmul_gen over the reversed reduced word of every
+    basis element of a, T_u b = T_(s_j1) (... (T_(s_jk) b)): the reference
+    when a is the factor with few terms."""
+    out = {}
+    for u, c in a._terms.items():
+        acc = b._terms
+        for i in reversed(u.reduced_word()):
+            acc = _lmul_gen(acc, i)
+        for w, d in acc.items():
+            _acc(out, w, c * d)
+    return HeckeElement._raw(a.n, out)
+
+
 def _scalars(exponents):
     """Nonzero scalars of 1 to 3 terms with coefficients up to 10^30."""
     coefficients = st.integers(-10**30, 10**30).filter(bool)
@@ -115,14 +129,15 @@ def _one_parity(h):
 
 def _steps_taken(n, compute):
     """compute() and the set of (path, side) of the generator steps it
-    takes: path "packed" or "dict", side "left" or "right"."""
+    takes: path "dense", "packed" or "dict", side "left" or "right"."""
     ix = _indexed(n)
     taken = set()
-    real_packed = hecke.algebra._packed_step
 
-    def packed(steps, *args):
-        taken.add(("packed", "left" if steps is ix.left else "right"))
-        return real_packed(steps, *args)
+    def by_table(path, real):
+        def step(steps, *args):
+            taken.add((path, "left" if steps is ix.left else "right"))
+            return real(steps, *args)
+        return step
 
     def by_dict(side, real):
         def step(*args):
@@ -131,7 +146,10 @@ def _steps_taken(n, compute):
         return step
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hecke.algebra, "_packed_step", packed)
+        mp.setattr(hecke.algebra, "_packed_step",
+                   by_table("packed", hecke.algebra._packed_step))
+        mp.setattr(hecke.algebra, "_dense_step",
+                   by_table("dense", hecke.algebra._dense_step))
         mp.setattr(hecke.algebra, "_rmul_gen", by_dict("right", _rmul_gen))
         mp.setattr(hecke.algebra, "_lmul_gen", by_dict("left", _lmul_gen))
         result = compute()
@@ -140,10 +158,16 @@ def _steps_taken(n, compute):
 
 def _walked_side(a, b):
     """The side the kernel steps on for a * b, when its walk has an edge."""
-    walked = a if len(a._terms) < len(b._terms) else b
-    if all(w.length() == 0 for w in walked._terms):
+    keyed = a if len(a._terms) < len(b._terms) else b
+    if all(w.length() == 0 for w in keyed._terms):
         return set()
-    return {"left" if walked is a else "right"}
+    return {"left" if keyed is a else "right"}
+
+
+def _packed_path(n, terms):
+    """The packed step that terms (the factor stepped on, or the element
+    tested for centrality) take: dense on at least half of S_n."""
+    return "dense" if 2 * len(terms) >= len(all_permutations(n)) else "packed"
 
 
 def _is_central_by_generators(h):
@@ -151,16 +175,20 @@ def _is_central_by_generators(h):
                for i in range(1, h.n))
 
 
-def _count_calls(monkeypatch, name):
-    """Record the generator argument of every call to hecke.algebra.<name>."""
+def _count_calls(monkeypatch, *names):
+    """Record the generator argument of every call to the functions
+    hecke.algebra.<name>, in one list."""
     calls = []
-    real = getattr(hecke.algebra, name)
 
-    def counting(*args):
-        calls.append(args[-1])
-        return real(*args)
+    def counting(real):
+        def step(*args):
+            calls.append(args[-1])
+            return real(*args)
+        return step
 
-    monkeypatch.setattr(hecke.algebra, name, counting)
+    for name in names:
+        monkeypatch.setattr(hecke.algebra, name,
+                            counting(getattr(hecke.algebra, name)))
     return calls
 
 
@@ -246,6 +274,23 @@ def test_from_word_refuses_an_oversize_word_at_once():
     assert time.perf_counter() - start < 0.5
 
 
+def test_powers_refuse_an_oversize_exponent_at_once():
+    from hecke.algebra import MAX_WORD_LENGTH
+
+    h = HeckeElement.generator(3, 1) + HeckeElement.generator(3, 2)
+    expected = HeckeElement.one(3)
+    for _ in range(MAX_WORD_LENGTH):
+        expected = expected * h
+    assert h ** MAX_WORD_LENGTH == expected
+    start = time.perf_counter()
+    # unbounded, this power took 10.8 s
+    with pytest.raises(ResourceCapError, match="4000"):
+        HeckeElement.generator(3, 1) ** 4000
+    with pytest.raises(ResourceCapError):
+        h ** (MAX_WORD_LENGTH + 1)
+    assert time.perf_counter() - start < 0.5
+
+
 def test_normalized_basis_quadratic_relation():
     # in the rescaled basis the relation reads Tt_s^2 = Tt_1 + xi Tt_s
     for n in range(2, 5):
@@ -328,9 +373,12 @@ def test_packed_product_matches_the_generator_fold(n, data):
     assert packing[-1] == (2 if _one_parity(a) and _one_parity(b) else 1)
     product, taken = _steps_taken(n, lambda: a * b)
     assert product == _fold_mul(a, b)
-    assert taken == {("packed", side) for side in _walked_side(a, b)}
-    # the packed path inserts and deletes keys exactly as the dict path does
-    assert list(product._terms) == list(_dict_mul(a._terms, b._terms))
+    walked = b if len(a._terms) < len(b._terms) else a
+    assert taken == {(_packed_path(n, walked._terms), side)
+                     for side in _walked_side(a, b)}
+    # every path returns its terms in index (Permutation) order
+    assert (list(product._terms) == sorted(product._terms)
+            == list(_dict_mul(a._terms, b._terms)))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -354,9 +402,52 @@ def test_packed_centrality_matches_the_generator_comparison(n, data):
     if not wide:
         assert packing[-1] == (2 if _one_parity(h) else 1)
     expected = _is_central_by_generators(h)
-    assert is_central(h) == expected
+    central, taken = _steps_taken(n, lambda: is_central(h))
+    assert central == expected
+    path = "dict" if wide else _packed_path(n, h._terms)
+    assert taken == {(path, "left"), (path, "right")}
     if not perturbed:
         assert expected
+
+
+def _random_scalar(rng, parity):
+    """A nonzero scalar of 1 to 3 terms with exponents in -8..8, all of the
+    given parity (0 or 1) or of either (None)."""
+    exps = [e for e in range(-8, 9) if parity is None or e & 1 == parity]
+    return LaurentPoly({e: rng.choice([-1, 1]) * rng.randint(1, 10**30)
+                        for e in rng.sample(exps, rng.randint(1, 3))})
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_products_and_centrality_on_both_sides_of_the_density_rule(n, data):
+    # the factor stepped on covers one less than, exactly or one more than
+    # half of S_n; the other has 1 to 4 terms, fewer than the first, and
+    # sits on either side
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    perms = all_permutations(n)
+    size = len(perms) // 2 + data.draw(st.sampled_from([-1, 0, 1]))
+    parities = data.draw(st.sampled_from([(0, 0), (1, 0), (1, 1), (None, 0)]))
+    big = HeckeElement(n, {w: _random_scalar(rng, parities[0])
+                           for w in rng.sample(perms, size)})
+    few = rng.randint(1, min(4, size - 1))
+    small = HeckeElement(n, {w: _random_scalar(rng, parities[1])
+                             for w in rng.sample(perms, few)})
+    big_left = data.draw(st.booleans())
+    a, b = (big, small) if big_left else (small, big)
+    packing = _product_packing(n, a._terms, b._terms)
+    assert packing[-1] == (2 if _one_parity(a) and _one_parity(b) else 1)
+    path = _packed_path(n, big._terms)
+    assert (path == "dense") == (size >= len(perms) // 2)
+    product, taken = _steps_taken(n, lambda: a * b)
+    assert product == (_fold_mul(a, b) if big_left else _left_fold_mul(a, b))
+    assert taken == {(path, side) for side in _walked_side(a, b)}
+    assert list(product._terms) == sorted(product._terms)
+    central, taken = _steps_taken(n, lambda: is_central(big))
+    assert central == _is_central_by_generators(big)
+    assert taken == {(path, "left"), (path, "right")}
 
 
 @settings(max_examples=60, deadline=None)
@@ -390,7 +481,7 @@ def test_left_mult_matrix_takes_one_step_per_non_identity_permutation(monkeypatc
 
 def test_full_support_product_takes_one_step_per_trie_edge(monkeypatch):
     full = HeckeElement(5, {w: LaurentPoly(1) for w in all_permutations(5)})
-    calls = _count_calls(monkeypatch, "_packed_step")
+    calls = _count_calls(monkeypatch, "_packed_step", "_dense_step")
     full * full
     assert len(calls) == 119
 
@@ -407,7 +498,7 @@ def test_products_walk_the_words_of_the_factor_with_fewer_terms(monkeypatch):
 
     full = HeckeElement(5, {w: LaurentPoly(1) for w in all_permutations(5)})
     t1 = HeckeElement.generator(5, 1)
-    calls = _count_calls(monkeypatch, "_packed_step")
+    calls = _count_calls(monkeypatch, "_packed_step", "_dense_step")
     t_longest(5) * xbar(5)
     assert len(calls) == 10
     calls.clear()

@@ -230,10 +230,13 @@ def test_parse_error_exit_code(capsys):
 
 
 def test_resource_cap_exit_code(capsys):
-    rc, _, err = run(capsys, "central", "--n", "8", "@x")
+    # @x at degree 8 walks S_8; a zero product then keeps the lifted call
+    # cheap, with no degree-8 centrality test
+    rc, _, err = run(capsys, "mul", "--n", "8", "@x", "0*T[]")
     assert rc == 3
     assert "cap" in err
-    rc, out, _ = run(capsys, "central", "--n", "8", "@x", "--enum-max", "8")
+    rc, out, _ = run(capsys, "mul", "--n", "8", "@x", "0*T[]",
+                     "--enum-max", "8")
     assert rc == 0
 
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from hecke import LaurentPoly, parse_scalar, q_power, v_power
+from hecke import (HeckeError, LaurentPoly, TermTypeError, parse_scalar, q_power,
+                   v_power)
 
 from fraction_oracle import RationalFn
 
@@ -32,6 +33,14 @@ def test_construction_and_predicates():
     assert Q.is_monomial() and Q.is_unit()
     assert (Q + ONE).is_unit() is False
     assert LaurentPoly({-3: -1}).is_unit()
+
+
+@pytest.mark.parametrize("terms", [{0.5: 1}, {0: 1.5}, {"a": 1}, 2.5, "3",
+                                   [(0, 1)], None])
+def test_constructor_takes_only_int_exponents_and_coefficients(terms):
+    with pytest.raises(TermTypeError) as info:
+        LaurentPoly(terms)
+    assert isinstance(info.value, HeckeError)
 
 
 def test_cube_of_q_minus_one():
