@@ -12,7 +12,7 @@ it implements at small degrees.
 from .algebra import (AlgebraContext, Caps, DEFAULT_CAPS, HeckeElement,
                       all_permutations, as_context, commutator,
                       conjugacy_class, group_algebra_mul, is_central,
-                      left_mult_matrix, minimal_class_elements)
+                      minimal_class_elements)
 from .center import (CentreBasis, GammaBasis, centre_basis, express_in_gamma,
                      gamma_basis, verify_gamma_invariants)
 from .elements import (braid_murphy, dual_murphy, elem_sym,
@@ -38,8 +38,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraContext", "Caps", "DEFAULT_CAPS", "HeckeElement",
     "all_permutations", "as_context", "commutator", "conjugacy_class",
-    "group_algebra_mul", "is_central", "left_mult_matrix",
-    "minimal_class_elements",
+    "group_algebra_mul", "is_central", "minimal_class_elements",
     "CentreBasis", "GammaBasis", "centre_basis", "express_in_gamma",
     "gamma_basis", "verify_gamma_invariants",
     "braid_murphy", "dual_murphy", "elem_sym", "elem_sym_normalized",

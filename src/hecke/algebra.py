@@ -24,8 +24,8 @@ product of the parent node.  The walk follows the factor with fewer terms.
 For b it follows the words of supp(b) by right steps on a.  For a it
 follows the words (j1, ..., jk) of u^-1 for u in supp(a) by left steps on
 b, since T_u b = T_{s_jk} (... (T_{s_j1} b)).  Everything else
-(commutators, centrality, the q = 1 group-algebra specialisation, matrices
-of multiplication operators) is built on top of that.
+(commutators, centrality, the q = 1 group-algebra specialisation) is built
+on top of that.
 
 Products and centrality tests run on a packed, indexed form inside this
 module.  S_n is numbered by lexicographic position, with one table per
@@ -80,8 +80,8 @@ class Caps(Record):
     """Size limits for the expensive operations.
 
     enum_max bounds anything that walks all of S_n; linalg_max bounds the
-    operations that build n! x n! matrices or solve for the centre.  Each
-    is compared in one place, AlgebraContext.check_enum / check_linalg.
+    exact linear algebra over the centre: centre_basis and eigen searches.
+    Each is compared in one place, AlgebraContext.check_enum / check_linalg.
     """
 
     __slots__ = ("enum_max", "linalg_max")
@@ -825,20 +825,3 @@ def is_central(h: HeckeElement) -> bool:
     shift = 2 // stride * bits
     return all(step(ix.right, shift, packed, i) == step(ix.left, shift, packed, i)
                for i in range(1, h.n))
-
-
-def left_mult_matrix(h: HeckeElement, caps: Caps = DEFAULT_CAPS
-                     ) -> dict[Permutation, dict[Permutation, LaurentPoly]]:
-    """The matrix of g -> h*g over the standard basis, as sparse rows.
-
-    Entry [u][w] is the coefficient of T_u in h * T_w; zero entries, and
-    rows that are zero throughout, are left out.
-    """
-    AlgebraContext(h.n, caps).check_linalg()
-    basis = _all_permutations(h.n)
-    rows: dict[Permutation, dict[Permutation, LaurentPoly]] = {}
-    for acc, w in _prefix_products(h._terms, zip(basis, basis),
-                                     _rmul_gen):
-        for u, c in acc.items():
-            rows.setdefault(u, {})[w] = c
-    return rows

@@ -213,16 +213,11 @@ def gamma_basis(ctx) -> GammaBasis:
     """
     c = as_context(ctx)
     c.check_enum()
-    if c.n not in _GAMMA_MEMO:
-        _GAMMA_MEMO[c.n] = _checked_gamma(c.n)
-    return _GAMMA_MEMO[c.n]
-
-
-def _checked_gamma(n: int) -> GammaBasis:
-    """The minimal basis by the class recursion, checked against the basis
-    invariants but not memoized."""
-    gb = _recursive_gamma(n)
-    verify_gamma_invariants(gb)
+    gb = _GAMMA_MEMO.get(c.n)
+    if gb is None:
+        gb = _recursive_gamma(c.n)
+        verify_gamma_invariants(gb)
+        _GAMMA_MEMO[c.n] = gb
     return gb
 
 

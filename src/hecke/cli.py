@@ -5,8 +5,8 @@ false or a failed verification, 2 usage or input errors, 3 a resource cap.
 
 Element expressions follow the grammar in `parsing`; the degree always
 comes from --n.  The minimal basis of the centre and the degree of an
-imported element fall under --enum-max, the n!-sized linear algebra of
-eigenvector searches under --linalg-max.
+imported element fall under --enum-max, the exact linear algebra over the
+centre (centre-basis solves, eigenvector searches) under --linalg-max.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ def _add_caps(p: argparse.ArgumentParser) -> None:
                    help="cap for operations that walk all of S_n "
                         "(default %(default)s)")
     p.add_argument("--linalg-max", type=int, default=DEFAULT_CAPS.linalg_max,
-                   help="cap for n!-sized linear algebra (default %(default)s)")
+                   help="cap for centre-basis solves and eigen searches "
+                        "(default %(default)s)")
 
 
 def _caps(args) -> Caps:
@@ -185,18 +186,11 @@ def _cmd_sqrt_check(args) -> int:
     a = parse_element(args.a, args.n, _caps(args))
     rep = in_sqrt_centre(a, label=args.a)
     if args.json:
-        doc = {"n": args.n, "in_sqrt": rep.in_sqrt, "in_centre": rep.in_centre}
-        if rep.square_in_gamma is not None:
-            doc["square_in_gamma"] = {
-                _shape_key(lam): format_scalar(c)
-                for lam, c in rep.square_in_gamma.items()}
-        print(json.dumps(doc, sort_keys=True))
+        print(json.dumps({"n": args.n, "in_sqrt": rep.in_sqrt,
+                          "in_centre": rep.in_centre}, sort_keys=True))
     else:
         print(f"in_sqrt: {'true' if rep.in_sqrt else 'false'}")
         print(f"in_centre: {'true' if rep.in_centre else 'false'}")
-        if rep.square_in_gamma is not None:
-            for lam, c in rep.square_in_gamma.items():
-                print(f"  square[{_shape_key(lam)}] = {format_scalar(c)}")
     return 0 if rep.in_sqrt else 1
 
 

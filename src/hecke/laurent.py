@@ -365,11 +365,8 @@ class LaurentPoly:
 # safe to reuse everywhere.
 ZERO = LaurentPoly()
 ONE = LaurentPoly(1)
-TWO = LaurentPoly(2)
 V = LaurentPoly({1: 1})
-V_INV = LaurentPoly({-1: 1})
 Q = LaurentPoly({2: 1})
-Q_INV = LaurentPoly({-2: 1})
 Q_MINUS_1 = LaurentPoly({2: 1, 0: -1})
 XI = LaurentPoly({1: 1, -1: -1})
 

@@ -42,11 +42,10 @@ from .algebra import (AlgebraContext, Caps, DEFAULT_CAPS, HeckeElement,
                       MAX_WORD_LENGTH)
 from .elements import INDEXED_KINDS, PLAIN_KINDS, named_element
 from .errors import FormatError, ParseError, ResourceCapError
-from .laurent import (LaurentPoly, ONE, Q, XI, _DECIMAL_SMALL, _from_decimal,
-                      v_power)
+from .laurent import (LaurentPoly, ONE, Q, V, XI, _DECIMAL_SMALL,
+                      _from_decimal, v_power)
 from .permutations import Permutation
 
-_V = v_power(1)
 # Allows (v - 1)^512, which takes about 0.04 s; (v - 1)^2000 takes about
 # 2 s (Python 3.11, 2-core Xeon).
 MAX_POWER_TERMS = 513
@@ -205,7 +204,7 @@ class _Parser:
             if val == "q":
                 return Q
             if val == "v":
-                return _V
+                return V
             if val == "xi":
                 return XI
             raise ParseError(f"unknown scalar name {val!r}", pos)

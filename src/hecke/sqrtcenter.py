@@ -4,7 +4,8 @@ The object of interest is the set of elements whose square is central.  It
 contains the centre, is closed under scaling but not under addition, and at
 degree 3 admits a complete linear description.  This module provides:
 
-* ``in_sqrt_centre``: the definitional membership test (square and check);
+* ``in_sqrt_centre``: the definitional membership test (square and check),
+  with the square's minimal-basis coordinates when a basis is at hand;
 * ``span_in_sqrt``: whether every linear combination of a family has a
   central square, decided by the polarization identity (all squares and
   symmetrized pairwise products central);
@@ -20,7 +21,9 @@ degree 3 admits a complete linear description.  This module provides:
   minimal-basis coordinates from the memoized multiplication table of the
   centre, and its dimension is certified by a rank modulo a prime; a full
   rank modulo the prime ends a search for a non-eigenvalue before any
-  exact elimination.  Every vector is re-verified by multiplication.
+  exact elimination.  Every vector is re-verified by multiplication.  At
+  k = 0 the search decides from the p(n)-dimensional centre alone whether
+  a central element is a nonzerodivisor: it is one iff nothing is found.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from functools import partial
 
 from .algebra import (HeckeElement, _indexed, _prefix_products,
                       as_context, commutator, is_central)
-from .center import (GammaBasis, _GAMMA_MEMO, _checked_gamma, _table_row,
-                     express_in_gamma)
+from .center import (GammaBasis, _GAMMA_MEMO, _table_row, express_in_gamma,
+                     gamma_basis)
 from .elements import elem_sym, poincare, t_longest, xbar, ybar
 from .errors import DegreeMismatchError, MismatchError, NotCentralError
 from .laurent import (LaurentPoly, ONE, Q, Q_MINUS_1, ZERO, from_int,
@@ -60,8 +63,11 @@ def in_sqrt_centre(h: HeckeElement, gb: GammaBasis | None = None,
     """Square the element and test the square for centrality.
 
     When the square is central and a minimal basis for the degree is at
-    hand (passed in, or already memoized), the square's coordinates in it
-    are included in the report.
+    hand, the square's coordinates in it are included in the report: gb
+    if passed, else the basis gamma_basis has memoized for the degree, if
+    any.  Without gb the coordinates therefore appear only once something
+    in the process (gamma_basis, an eigen search) has built that basis;
+    pass gb for a report that depends on the input alone.
     """
     in_centre = is_central(h)
     square = h * h
@@ -547,8 +553,8 @@ def eigen_search(ctx, z: HeckeElement, k) -> list[HeckeElement]:
     Algebras, 2000, chapters 7-9).
 
     Method: K is the nullspace of den * M_z - num * I, with M_z the
-    p(n) x p(n) matrix of z in minimal-basis coordinates.  Its column mu,
-    z * gamma_mu = sum_nu z_nu gamma_nu gamma_mu, is read off the
+    p(n) x p(n) matrix of z in the coordinates of gamma_basis(n).  Its
+    column mu, z * gamma_mu = sum_nu z_nu gamma_nu gamma_mu, is read off the
     multiplication table of the centre, memoized per degree, each row
     multiplied out and checked once per process (center._table_row).  If
     the matrix has full rank at v = v0 modulo the prime, it has full rank
@@ -583,10 +589,7 @@ def eigen_search(ctx, z: HeckeElement, k) -> list[HeckeElement]:
     if not is_central(z):
         raise NotCentralError("eigen search expects a central element")
     num, den = _ratio(k)
-    c.check_enum()
-    # a basis built here is not memoized: in_sqrt_centre reports
-    # coordinates only when the memo holds one
-    gb = _GAMMA_MEMO.get(c.n) or _checked_gamma(c.n)
+    gb = gamma_basis(c)
     parts = partitions_of(c.n)
     # column mu of M_z: z * gamma_mu = sum_nu z_nu gamma_nu gamma_mu, in
     # gamma coordinates, read off the multiplication table

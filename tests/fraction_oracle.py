@@ -1,20 +1,23 @@
 """The fraction-field reference for the ring-only linear algebra.
 
 hecke's linear algebra never leaves Z[v, v^-1]: elimination and back
-substitution are fraction-free.  This module keeps the slower route over
-the fraction field as an oracle for tests:
+substitution are fraction-free, and it stays on the p(n)-dimensional
+centre.  This module keeps the slower routes as oracles for tests:
 
 * RationalFn, a reduced fraction of two Laurent polynomials;
 * ``nullspace``, the kernel of an echelonised SparseSystem by back
   substitution over RationalFn, with denominators cleared afterwards;
 * ``solve_unique`` and ``solve_gamma``: the minimal basis of the centre
   solved from its pinned linear system, a reference for the class
-  recursion.
+  recursion;
+* ``left_mult_matrix``: the exact n! x n! matrix of multiplication by an
+  element, whose rank decides a nonzerodivisor without the centre.
 """
 
 from fractions import Fraction
 
 from hecke import HeckeElement, HeckeError
+from hecke.algebra import _prefix_products, _rmul_gen
 from hecke.center import GammaBasis, _commutator_rows
 from hecke.laurent import ONE, ZERO, LaurentPoly, lp_gcd
 from hecke.linalg import _eliminate, _normalise
@@ -274,3 +277,19 @@ def solve_gamma(n: int) -> GammaBasis:
         lam: HeckeElement._raw(
             n, {w: x.as_laurent() for w, x in vec.items() if x})
         for lam, vec in zip(parts, solutions)})
+
+
+def left_mult_matrix(h: HeckeElement) -> dict:
+    """The matrix of g -> h*g over the standard basis, as sparse rows.
+
+    Entry [u][w] is the coefficient of T_u in h * T_w; zero entries, and
+    rows that are zero throughout, are left out.  Column w is h T_w by
+    single-generator steps along the trie of reduced words, not by the
+    product kernel.
+    """
+    basis = _all_permutations(h.n)
+    rows: dict = {}
+    for acc, w in _prefix_products(h._terms, zip(basis, basis), _rmul_gen):
+        for u, c in acc.items():
+            rows.setdefault(u, {})[w] = c
+    return rows

@@ -4,6 +4,7 @@ import json
 import sys
 
 from hecke import element_from_json, parse_element
+from hecke.center import _GAMMA_MEMO
 from hecke.cli import main
 
 
@@ -51,6 +52,17 @@ def test_sqrt_check(capsys):
     rc, out, _ = run(capsys, "sqrt-check", "--n", "3", "T[] + T[1]")
     assert rc == 1
     assert "in_sqrt: false" in out
+
+
+def test_sqrt_check_output_depends_on_the_input_alone(capsys, monkeypatch):
+    # the second input builds the degree-3 minimal basis on its way
+    monkeypatch.delitem(_GAMMA_MEMO, 3, raising=False)
+    for extra in ([], ["--json"]):
+        outs = [run(capsys, "sqrt-check", "--n", "3", a, *extra)[:2]
+                for a in ("@catalog:R4", "@catalog:R4 + 0*@gamma:3",
+                          "@catalog:R4")]
+        assert outs[0] == outs[1] == outs[2]
+        assert outs[0][0] == 0
 
 
 def test_gamma_single_and_table(capsys):

@@ -9,6 +9,7 @@ from hecke import (
     LaurentPoly,
     MismatchError,
     NotCentralError,
+    as_context,
     catalog,
     catalog_h3,
     commutator,
@@ -19,7 +20,6 @@ from hecke import (
     h3_constraint_check,
     in_sqrt_centre,
     is_central,
-    left_mult_matrix,
     parse_element,
     parse_scalar,
     partitions_of,
@@ -33,7 +33,7 @@ from hecke import (
     y_elem,
     ybar,
 )
-from hecke import sqrtcenter
+from hecke import center, sqrtcenter, verify
 from hecke.algebra import _acc
 from hecke.center import _GAMMA_MEMO
 from hecke.linalg import SparseSystem, reduced_basis, sparse_rank
@@ -42,7 +42,7 @@ from hecke.sqrtcenter import (_CERT_POINTS, _CERT_PRIME, _ModEchelon, _at,
                               _corank, _ratio, _residues, catalog_checks_h3,
                               catalog_checks_h4)
 
-from fraction_oracle import RationalFn, _as_rf
+from fraction_oracle import RationalFn, _as_rf, left_mult_matrix
 
 SAMPLER_SEEDS = 25
 
@@ -456,13 +456,51 @@ def test_modular_echelon_matches_a_plain_rank():
                                           > plain_rank(base[:i] or [[0] * size]))
 
 
-def test_eigen_search_leaves_the_basis_memo_alone(monkeypatch, gb3):
-    # in_sqrt_centre without a basis reads the memo, so a search that
-    # filled it would change that report
+def test_square_coordinates_come_from_the_basis_at_hand(monkeypatch, gb3):
+    r4 = catalog_h3()["R4"]
     monkeypatch.delitem(_GAMMA_MEMO, 3, raising=False)
-    assert len(eigen_search(3, gb3[(2, 1)], parse_scalar("q - 1"))) == 4
+    assert in_sqrt_centre(r4).square_in_gamma is None
     assert 3 not in _GAMMA_MEMO
-    assert in_sqrt_centre(catalog_h3()["R4"]).square_in_gamma is None
+    assert in_sqrt_centre(r4, gb3).square_in_gamma == express_in_gamma(
+        r4 * r4, gb3)
+
+
+def test_eigen_searches_share_one_memoized_basis(monkeypatch, gb4):
+    monkeypatch.delitem(_GAMMA_MEMO, 4, raising=False)
+    calls = []
+    build = center._recursive_gamma
+    monkeypatch.setattr(center, "_recursive_gamma",
+                        lambda n: calls.append(n) or build(n))
+    for k in (parse_scalar("-q"), parse_scalar("q + 7")):
+        eigen_search(4, gb4[(2, 2)], k)
+    assert calls == [4]
+    assert 4 in _GAMMA_MEMO
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_nonzerodivisors_from_the_centre_match_the_full_rank(n):
+    ctx = as_context(n)
+    size = len(_all_permutations(n))
+    found = {}
+    for name, make in (("xbar", xbar), ("ybar", ybar), ("Tw0", t_longest),
+                       ("x", x_elem), ("y", y_elem)):
+        z = make(ctx)
+        kernel = eigen_search(ctx, z * z, 0)
+        rank = sparse_rank(left_mult_matrix(z).values())
+        assert (not kernel) == (rank == size), name
+        # ker z^2 = ker z for each of these, of dimension n! - rank
+        assert len(kernel) == size - rank, name
+        found[name] = not kernel
+    assert found == {"xbar": True, "ybar": True, "Tw0": True,
+                     "x": False, "y": False}
+
+
+def test_nonzerodivisor_check_fails_on_a_zero_divisor(monkeypatch):
+    env = verify._Env(0, verify.DEFAULT_CAPS)
+    verify._chk_nonzerodivisor(env, 3)
+    monkeypatch.setattr(verify, "xbar", x_elem)
+    with pytest.raises(MismatchError, match="q-symmetrizer"):
+        verify._chk_nonzerodivisor(env, 3)
 
 
 def test_eigen_search_rejects_noncentral_operator(ctx3):
