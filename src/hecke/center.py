@@ -17,7 +17,7 @@ Two views of the centre are computed:
 
 from __future__ import annotations
 
-from .algebra import (HeckeElement, as_context, is_central,
+from .algebra import (HeckeElement, as_context, is_central, _indexed,
                       _lmul_gen, _rmul_gen)
 from .errors import DegreeMismatchError, MismatchError, NotCentralError
 from .laurent import LaurentPoly, ZERO, ONE
@@ -109,48 +109,51 @@ def _recursive_gamma(n: int) -> GammaBasis:
     minimal-length elements carries the pinned Kronecker deltas.  Any other
     class holds an element with a length-dropping s (Geck-Pfeiffer, section
     3.2), whose right-hand side is already filled at lengths l - 1 and l - 2.
+    The conjugations are read off the step tables of _indexed, which mark
+    each step that drops length, so no permutation is formed.
     """
-    perms = _all_permutations(n)
-    parts = partitions_of(n)
-    pinned = {w: lam for lam, ws in _minimal_classes(n).items() for w in ws}
-    by_length: dict[int, list[Permutation]] = {}
-    for w in perms:
-        by_length.setdefault(w.length(), []).append(w)
-    # w -> {partition: coefficient of T_w in the basis element}
-    coeffs: dict[Permutation, dict[Partition, LaurentPoly]] = {}
-    for length in sorted(by_length):
-        for start in by_length[length]:
-            if start in coeffs:
-                continue
-            shift_class = [start]
-            seen = {start}
-            drop = None
-            for w in shift_class:
-                for i in range(1, n):
-                    sw = w.left_simple(i)
-                    sws = sw.right_simple(i)
-                    if sws.length() == length:
-                        if sws not in seen:
-                            seen.add(sws)
-                            shift_class.append(sws)
-                    elif drop is None and sws.length() < length:
-                        drop = (sws, sw)
-            if start in pinned:
-                value = {pinned[start]: ONE}
-            else:
-                a, b = coeffs[drop[0]], coeffs[drop[1]]
-                value = {}
-                for lam in a.keys() | b.keys():
-                    # q^-1 a + (1 - q^-1) b
-                    ca, cb = a.get(lam, ZERO), b.get(lam, ZERO)
-                    c = cb + (ca - cb).shift(-2)
-                    if c:
-                        value[lam] = c
-            for w in shift_class:
-                coeffs[w] = value
+    ix = _indexed(n)
+    perms, left, right = ix.perms, ix.left, ix.right
+    pinned = {ix.index[w]: lam for lam, ws in _minimal_classes(n).items()
+              for w in ws}
+    lengths = [w.length() for w in perms]
+    # index k -> {partition: coefficient of T_(perms[k]) in the basis element}
+    coeffs: list = [None] * len(perms)
+    for start in sorted(range(len(perms)), key=lengths.__getitem__):
+        if coeffs[start] is not None:
+            continue
+        shift_class = [start]
+        seen = {start}
+        drop = None
+        for k in shift_class:
+            for i in range(1, n):
+                # s w, then s w s; a negative (complemented) index marks a
+                # step that drops length
+                sw = left[i][k]
+                sws = right[i][~sw if sw < 0 else sw]
+                if (sw < 0) != (sws < 0):
+                    sws = ~sws if sws < 0 else sws
+                    if sws not in seen:
+                        seen.add(sws)
+                        shift_class.append(sws)
+                elif drop is None and sw < 0:
+                    drop = (~sws, ~sw)
+        if start in pinned:
+            value = {pinned[start]: ONE}
+        else:
+            a, b = coeffs[drop[0]], coeffs[drop[1]]
+            value = {}
+            for lam in a.keys() | b.keys():
+                # q^-1 a + (1 - q^-1) b
+                ca, cb = a.get(lam, ZERO), b.get(lam, ZERO)
+                c = cb + (ca - cb).shift(-2)
+                if c:
+                    value[lam] = c
+        for k in shift_class:
+            coeffs[k] = value
     elements = {}
-    for lam in parts:
-        terms = {w: coeffs[w][lam] for w in perms if lam in coeffs[w]}
+    for lam in partitions_of(n):
+        terms = {perms[k]: c[lam] for k, c in enumerate(coeffs) if lam in c}
         elements[lam] = HeckeElement._raw(n, terms)
     return GammaBasis(n, elements)
 

@@ -21,7 +21,8 @@ from functools import lru_cache, partial
 from .algebra import (AlgebraContext, Caps, DEFAULT_CAPS, HeckeElement,
                       commutator, group_algebra_mul, is_central)
 from .center import (_check_class_sum, _check_integral, _check_pinning,
-                     centre_basis, express_in_gamma, gamma_basis)
+                     _recursive_gamma, centre_basis, express_in_gamma,
+                     gamma_basis)
 from .elements import (braid_murphy, dual_murphy, elem_sym,
                        elem_sym_normalized, murphy, murphy_normalized,
                        poincare, t_longest, x_elem, xbar, y_elem, ybar)
@@ -534,8 +535,12 @@ def _chk_oracle_products(env: _Env, n: int) -> None:
                                 f"with the group-algebra product")
 
 
+# The basis invariants of groups 11 and 13 are checked on the basis rebuilt
+# by the class recursion, not on the memoized one: gamma_basis ran the same
+# checks on that one when it built it, so there they could not fail.
+
 def _chk_gamma_classsums(env: _Env, n: int) -> None:
-    for lam, g in env.gamma(n):
+    for lam, g in _recursive_gamma(n):
         _check_class_sum(lam, g)
 
 
@@ -555,12 +560,12 @@ def _chk_nonzerodivisor(env: _Env, n: int) -> None:
 # -- group 13: minimal-basis integrality -----------------------------------------
 
 def _chk_gamma_integrality(env: _Env, n: int) -> None:
-    for lam, g in env.gamma(n):
+    for lam, g in _recursive_gamma(n):
         _check_integral(lam, g)
 
 
 def _chk_gamma_pinning(env: _Env, n: int) -> None:
-    for lam, g in env.gamma(n):
+    for lam, g in _recursive_gamma(n):
         _check_pinning(lam, g)
 
 

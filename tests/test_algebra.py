@@ -2,6 +2,8 @@
 
 import random
 import time
+from collections import Counter
+from math import factorial
 
 import hypothesis.strategies as st
 import pytest
@@ -23,11 +25,14 @@ from hecke import (
     is_central,
     parse_scalar,
     q_power,
+    t_longest,
     v_power,
+    xbar,
+    ybar,
 )
-from hecke.algebra import (_acc, _central_packing, _dict_mul, _indexed,
-                           _lmul_gen, _pack, _product_packing, _rmul_gen,
-                           _unpack)
+from hecke.algebra import (_acc, _central_packing, _dict_mul, _grouped_keys,
+                           _indexed, _lmul_gen, _pack, _product_packing,
+                           _rmul_gen, _unpack)
 from hecke.linalg import sparse_rank
 from hecke.permutations import _all_permutations
 
@@ -449,6 +454,154 @@ def test_products_and_centrality_on_both_sides_of_the_density_rule(n, data):
     central, taken = _steps_taken(n, lambda: is_central(big))
     assert central == _is_central_by_generators(big)
     assert taken == {(path, "left"), (path, "right")}
+
+
+def _pool_scalar(rng, parity):
+    """A nonzero scalar: one of _random_scalar for parity 0 or 1, or one
+    with an even and an odd exponent for None."""
+    if parity is None:
+        return LaurentPoly({0: rng.choice([-1, 1]) * rng.randint(1, 10**6),
+                            1: rng.choice([-1, 1]) * rng.randint(1, 10**6)})
+    return _random_scalar(rng, parity)
+
+
+@st.composite
+def _repeated_key_pairs(draw, n):
+    """(a, b, over_cap, cancel): a product whose walked factor covers at
+    least half of S_n and whose keyed factor draws its coefficients from 2
+    or 3 scalars times v^(2j), so that keys repeat.
+
+    over_cap: more keys repeat than _packed_mul keeps sums for (l(w_0) + 1),
+    so repeated keys are both summed and folded term by term.  cancel: the
+    keyed factor holds c (T_1 + T_s) for a key c of its own, and the walked
+    factor is Y (T_s - q) (or (T_s - q) Y when the keyed factor is on the
+    left), so the sum kept for c is zero at every index.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    perms = all_permutations(n)
+    cap = n * (n - 1) // 2 + 1
+    keyed_left = draw(st.booleans())
+    # the walked factor covers all of S_n or exactly half of it, or is
+    # Y (T_s - q); more keys than the cap repeat only where they fit
+    modes = ["full", "half", "cancel"] + ["over_cap"] * (n > 3)
+    mode = draw(st.sampled_from(modes))
+    over_cap, cancel = mode == "over_cap", mode == "cancel"
+    parities = draw(st.sampled_from([(0, 0), (1, 0), (1, 1), (None, 0),
+                                     (0, None)]))
+    pool = [_pool_scalar(rng, parities[0])
+            for _ in range(draw(st.integers(2, 3)))]
+    shifts = -(-(cap + 1) // len(pool)) if over_cap else draw(st.integers(1, 2))
+    size = len(perms) // 2 if mode == "half" else len(perms)
+    # the keyed factor has fewer terms than the walked one, or as many when
+    # it is on the right; every key occurs at least twice, the rest at random
+    room = size - keyed_left - 2 * cancel
+    keys = [c.shift(2 * j) for j in range(shifts) for c in pool][:room // 2]
+    few = min(room, 2 * len(keys) + rng.randint(0, 6))
+    coeffs = keys * 2 + [rng.choice(keys) for _ in range(few - 2 * len(keys))]
+    rng.shuffle(coeffs)
+    s = Permutation.simple(n, rng.randint(1, n - 1))
+    ident = Permutation.identity(n)
+    if cancel:
+        support = [ident, s] + rng.sample(
+            [w for w in perms if w not in (ident, s)], len(coeffs))
+        coeffs = [pool[0].shift(2 * shifts)] * 2 + coeffs
+        y = HeckeElement(n, {w: _random_scalar(rng, parities[1])
+                             for w in perms})
+        t_s = HeckeElement.generator(n, s.reduced_word()[0])
+        t_s = t_s - HeckeElement.one(n).scale(q_power(1))
+        walked = t_s * y if keyed_left else y * t_s
+    else:
+        support = rng.sample(perms, len(coeffs))
+        walked = HeckeElement(n, {w: _random_scalar(rng, parities[1])
+                                  for w in rng.sample(perms, size)})
+    keyed = HeckeElement(n, dict(zip(support, coeffs)))
+    assume(len(walked._terms) > len(keyed._terms)
+           or not keyed_left and len(walked._terms) == len(keyed._terms))
+    a, b = (keyed, walked) if keyed_left else (walked, keyed)
+    return a, b, over_cap, cancel
+
+
+def _grouping(compute):
+    """compute() and the (keys, grouped keys) of the one call to
+    _grouped_keys that it makes."""
+    calls = []
+
+    def spy(keys, n):
+        grouped = _grouped_keys(keys, n)
+        calls.append((keys, grouped))
+        return grouped
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hecke.algebra, "_grouped_keys", spy)
+        result = compute()
+    call, = calls
+    return result, call
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@_KERNEL_SETTINGS
+@given(data=st.data())
+def test_dense_products_sum_repeated_keys_exactly(n, data):
+    a, b, over_cap, cancel = data.draw(_repeated_key_pairs(n))
+    keyed_left = len(a._terms) < len(b._terms)
+    walked, keyed = (b, a) if keyed_left else (a, b)
+    assert 2 * len(walked._terms) >= factorial(n)
+    packing = _product_packing(n, a._terms, b._terms)
+    assert packing[-1] == (2 if _one_parity(a) and _one_parity(b) else 1)
+    product, (keys, grouped) = _grouping(lambda: a * b)
+    most = n * (n - 1) // 2 + 1
+    repeated = [k for k, m in Counter(keys).items() if m > 1]
+    assert (len(repeated) > most) == over_cap
+    # S_3 folds every keyed term on its own
+    assert len(grouped) == (min(len(repeated), most) if n > 3 else 0)
+    if cancel and n > 3:
+        # the first key is that of c (T_1 + T_s), seen first on a tie
+        assert keys[0] in grouped and Counter(keys)[keys[0]] == 2
+    fold = _left_fold_mul(a, b) if keyed_left else _fold_mul(a, b)
+    assert product == fold
+    # key order included
+    dict_product = _dict_mul(a._terms, b._terms)
+    assert product._terms == dict_product
+    assert list(product._terms) == list(dict_product) == sorted(fold._terms)
+
+
+def test_grouped_keys_keep_the_most_frequent_repeated_keys():
+    # degree 4: l(w_0) + 1 = 7 sums at most, here for 9 repeated keys
+    most = 4 * 3 // 2 + 1
+    keys = ([(k, 0) for k in range(9) for _ in range(2 + k % 4)]
+            + [(100 + k, 3) for k in range(5)])
+    random.Random(4).shuffle(keys)
+    grouped = _grouped_keys(keys, 4)
+    counts = Counter(keys)
+    assert len(grouped) == most
+    assert all(counts[k] >= 2 for k in grouped)
+    multiplicity = [counts[k] for k in grouped]
+    assert multiplicity == sorted(multiplicity, reverse=True)
+    # no key left out repeats more often than a kept one
+    assert max(counts[k] for k in counts if k not in grouped) <= multiplicity[-1]
+    assert _grouped_keys([(k, 0) for k in range(30)], 4) == []
+    assert _grouped_keys([(1, 0), (1, 2), (2, 0), (1, 0)], 4) == [(1, 0)]
+    # the first seen first on a tie
+    assert _grouped_keys([(2, 0), (1, 0), (1, 0), (2, 0)], 4) == [(2, 0), (1, 0)]
+    # below degree 4 nothing is grouped
+    assert _grouped_keys(keys, 3) == []
+
+
+def test_grouped_keys_count_nothing_when_no_key_repeats(monkeypatch):
+    def refuse(keys):
+        raise AssertionError("counted keys that do not repeat")
+
+    monkeypatch.setattr(hecke.algebra, "Counter", refuse)
+    assert _grouped_keys([(k, 0) for k in range(24)], 4) == []
+
+
+def test_named_dense_products_match_the_fold_at_degree_5():
+    x, y, t = xbar(5), ybar(5), t_longest(5)
+    yt = y * t * t
+    for a, b in ((x, x), (y, y), (x, y), (yt, yt)):
+        product, (keys, grouped) = _grouping(lambda: a * b)
+        assert grouped
+        assert product == _fold_mul(a, b)
 
 
 @settings(max_examples=60, deadline=None)

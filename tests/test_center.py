@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+import hecke.verify
 from hecke import (
+    GammaBasis,
     HeckeElement,
     LaurentPoly,
     NotCentralError,
@@ -19,6 +21,7 @@ from hecke import (
     parse_element,
     parse_scalar,
     partitions_of,
+    run_verify,
     t_longest,
     verify_gamma_invariants,
     x_elem,
@@ -120,6 +123,43 @@ def test_express_is_linear(gb3):
 def test_gamma_invariants_hold(gb3, gb4):
     verify_gamma_invariants(gb3)
     verify_gamma_invariants(gb4)
+
+
+def _broken(gb, invariant):
+    """gb with one element broken in one basis invariant alone.
+
+    T_(w_0) lies in no minimal class, so changing its coefficient leaves the
+    pinning alone: + 1 changes the class sum at q = 1, and + (v - 1) puts an
+    odd power of v in and vanishes at v = 1.  Multiplying by q moves every
+    minimal coefficient off 1 and changes nothing at q = 1.
+    """
+    elements = dict(gb.elements)
+    lam, g = next(iter(elements.items()))
+    if invariant == "pinning":
+        elements[lam] = g.scale(parse_scalar("q"))
+    else:
+        bump = {"classsums": "1", "integrality": "v - 1"}[invariant]
+        elements[lam] = g + t_longest(gb.n).scale(parse_scalar(bump))
+    return GammaBasis(gb.n, elements)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_minimal_basis_items_check_a_rebuilt_basis(monkeypatch, n):
+    # the memoized basis is built and good; a broken rebuild fails exactly
+    # the item of the broken invariant
+    gb = gamma_basis(n)
+    items = {"classsums": f"11-gamma-classsums-n{n}",
+             "integrality": f"13-gamma-integrality-n{n}",
+             "pinning": f"13-gamma-pinning-n{n}"}
+    assert run_verify(n, only=list(items.values())).passed
+    for invariant in items:
+        monkeypatch.setattr(hecke.verify, "_recursive_gamma",
+                            lambda m, inv=invariant: _broken(gamma_basis(m), inv))
+        report = run_verify(n, only=list(items.values()))
+        failed = {r.item_id for r in report.results if r.status == "fail"}
+        assert failed == {items[invariant]}
+    assert gamma_basis(n) is gb
+    verify_gamma_invariants(gb)
 
 
 def test_coefficients_avoid_odd_powers(gb3, gb4):
