@@ -4,9 +4,9 @@ Exit codes: 0 success (and "true" for the predicate verbs), 1 mathematical
 false or a failed verification, 2 usage or input errors, 3 a resource cap.
 
 Element expressions follow the grammar in `parsing`; the degree always
-comes from --n.  The minimal basis of the centre and the degree of an
-imported element fall under --enum-max, the exact linear algebra over the
-centre (centre-basis solves, eigenvector searches) under --linalg-max.
+comes from --n.  Parsed and imported degrees and the minimal basis of the
+centre fall under --enum-max; eigen searches and the registry's
+centre-basis solve under --linalg-max, which only `eigen` and `verify` take.
 """
 
 from __future__ import annotations
@@ -28,17 +28,19 @@ from .sqrtcenter import (catalog, eigen_search, h3_constraint_check,
 from .verify import run_verify, statement_ids
 
 
-def _add_caps(p: argparse.ArgumentParser) -> None:
+def _add_caps(p: argparse.ArgumentParser, linalg: bool = False) -> None:
     p.add_argument("--enum-max", type=int, default=DEFAULT_CAPS.enum_max,
-                   help="cap for operations that walk all of S_n "
-                        "(default %(default)s)")
-    p.add_argument("--linalg-max", type=int, default=DEFAULT_CAPS.linalg_max,
-                   help="cap for centre-basis solves and eigen searches "
-                        "(default %(default)s)")
+                   help="cap on the degree of anything that walks all of "
+                        "S_n or parses an element (default %(default)s)")
+    if linalg:  # only the verbs that can run a solve
+        p.add_argument("--linalg-max", type=int, default=DEFAULT_CAPS.linalg_max,
+                       help="cap on the degree of eigen searches and "
+                            "centre-basis solves (default %(default)s)")
 
 
 def _caps(args) -> Caps:
-    return Caps(enum_max=args.enum_max, linalg_max=args.linalg_max)
+    linalg_max = getattr(args, "linalg_max", DEFAULT_CAPS.linalg_max)
+    return Caps(enum_max=args.enum_max, linalg_max=linalg_max)
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:
@@ -110,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", required=True, metavar="SCALAR",
                    help="candidate eigenvalue, e.g. 'q-1' or '-q'")
     p.add_argument("--json", action="store_true")
-    _add_caps(p)
+    _add_caps(p, linalg=True)
 
     p = sub.add_parser("catalog", help="known square roots at a degree")
     p.add_argument("--n", type=int, required=True)
@@ -133,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated statement ids to run")
     p.add_argument("--list", action="store_true",
                    help="list statement ids without running")
-    _add_caps(p)
+    _add_caps(p, linalg=True)
 
     p = sub.add_parser("export", help="write an element as JSON")
     p.add_argument("--n", type=int, required=True)
@@ -184,7 +186,7 @@ def _cmd_central(args) -> int:
 
 def _cmd_sqrt_check(args) -> int:
     a = parse_element(args.a, args.n, _caps(args))
-    rep = in_sqrt_centre(a, label=args.a)
+    rep = in_sqrt_centre(a)
     if args.json:
         print(json.dumps({"n": args.n, "in_sqrt": rep.in_sqrt,
                           "in_centre": rep.in_centre}, sort_keys=True))
@@ -307,6 +309,8 @@ def _cmd_import(args) -> int:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON: {exc}")
+    except RecursionError:
+        raise FormatError("JSON nested too deeply to read") from None
     el = element_from_json(doc, _caps(args))
     _print_element(el, args.json)
     return 0

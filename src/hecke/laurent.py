@@ -11,7 +11,7 @@ coefficients stripped, so structural equality coincides with equality in
 the ring.  Coefficients are Python ints and never overflow.
 
 No fractions of Laurent polynomials are formed: the exact linear algebra
-is fraction-free, and an eigenvalue num/den is passed as its two parts.
+is fraction-free, and the eigenvalues it searches for lie in the ring.
 lp_gcd, a content-and-primitive-part gcd, is the one gcd the package uses.
 """
 
@@ -52,6 +52,11 @@ def _from_decimal(text: str) -> int:
     k = len(body) // 2
     x = _from_decimal(body[:-k]) * 10 ** k + _from_decimal(body[-k:])
     return -x if text.startswith("-") else x
+
+
+def _is_int(x) -> bool:
+    """Whether x is an int and not a bool (which subclasses int)."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class LaurentPoly:
@@ -347,13 +352,27 @@ class LaurentPoly:
 
     @classmethod
     def from_pairs(cls, pairs) -> "LaurentPoly":
+        """Inverse of to_pairs: a list of [exponent, coefficient] pairs,
+        the exponent an int and the coefficient an int or a string of
+        ASCII digits after an optional '-'.  Anything else, a bool or a
+        float included, raises ValueError."""
+        if not isinstance(pairs, (list, tuple)):
+            raise ValueError("scalar must be a list of pairs")
         terms: dict[int, int] = {}
         for pair in pairs:
-            if len(pair) != 2:
-                raise ValueError(f"malformed scalar pair {pair!r}")
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise ValueError("malformed scalar pair")
             e, c = pair
-            e = int(e)
-            c = _from_decimal(c) if isinstance(c, str) else int(c)
+            if not _is_int(e):
+                raise ValueError("exponent must be an int")
+            if isinstance(c, str):
+                digits = c[1:] if c.startswith("-") else c
+                if not (digits.isascii() and digits.isdigit()):
+                    raise ValueError("coefficient must be a decimal string")
+                c = _from_decimal(c)
+            elif not _is_int(c):
+                raise ValueError("coefficient must be a decimal string or "
+                                 "an int")
             if e in terms:
                 raise ValueError(f"duplicate exponent {e} in scalar")
             if c:

@@ -10,7 +10,9 @@ Scalar grammar (whitespace-insensitive):
 Negative powers need a unit base (a single term with coefficient +-1).
 A power whose result could have more than MAX_POWER_TERMS terms, or
 coefficients of more than MAX_POWER_BITS bits, raises ResourceCapError,
-since its cost grows with the square of the one and with the other.
+since its cost grows with the square of the one and with the other, and
+so do parentheses nested more than MAX_NESTING deep, which the recursive
+descent could not parse.
 Coefficient literals may have any number of digits; an exponent must
 convert with int(), within the interpreter's limit on int/str conversion
 (4,300 digits by default), since JSON writes it as a number.  A product
@@ -30,9 +32,10 @@ belongs to HeckeElement.from_word, which multiplies an unreduced word out
 one generator at a time.  A term-level scalar is a product, not a sum:
 sums need parentheses, as in (q+1)*T[2].
 
-References (degree comes from the parse call): @x @y @xbar @ybar @Twn
-@fulltwist; @L:i @Lt:i @calL:i @Mt:i @e:i @et:i; @catalog:NAME;
-@gamma:p1,p2,... for a minimal-basis element by partition.
+The degree comes from the parse call and falls under the enumeration cap.
+References: @x @y @xbar @ybar @Twn @fulltwist; @L:i @Lt:i @calL:i @Mt:i
+@e:i @et:i; @catalog:NAME; @gamma:p1,p2,... for a minimal-basis element
+by partition.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .algebra import (AlgebraContext, Caps, DEFAULT_CAPS, HeckeElement,
 from .elements import INDEXED_KINDS, PLAIN_KINDS, named_element
 from .errors import FormatError, ParseError, ResourceCapError
 from .laurent import (LaurentPoly, ONE, Q, V, XI, _DECIMAL_SMALL,
-                      _from_decimal, v_power)
+                      _from_decimal, _is_int, v_power)
 from .permutations import Permutation
 
 # Allows (v - 1)^512, which takes about 0.04 s; (v - 1)^2000 takes about
@@ -53,6 +56,9 @@ MAX_POWER_TERMS = 513
 # 2^(e * ceil(log2 |b|_1)).  Allows 3^10000 (20,000 bits); 3^10000000
 # took 5.7 s.
 MAX_POWER_BITS = 1 << 16
+# Each level of parentheses takes four frames of the recursive descent, so
+# about 250 levels reach the interpreter's default recursion limit.
+MAX_NESTING = 100
 _SYMBOLS = "+-*^()[],@:"
 
 
@@ -110,6 +116,7 @@ class _Parser:
         self.k = 0
         self.n = n
         self.caps = caps
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> tuple[str, str, int]:
         return self.tokens[min(self.k + ahead, len(self.tokens) - 1)]
@@ -209,8 +216,13 @@ class _Parser:
                 return XI
             raise ParseError(f"unknown scalar name {val!r}", pos)
         if kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ResourceCapError(
+                    f"scalar nested more than {MAX_NESTING} parentheses deep")
+            self.depth += 1
             inner = self.scalar_sum()
             self.expect(")")
+            self.depth -= 1
             return inner
         raise ParseError(f"expected a scalar, found {val or 'end of input'!r}", pos)
 
@@ -326,9 +338,13 @@ def parse_scalar(text: str) -> LaurentPoly:
 
 
 def parse_element(text: str, n: int, caps: Caps = DEFAULT_CAPS) -> HeckeElement:
-    """Parse an element expression at the given degree."""
-    if n < 1:
-        raise ValueError(f"degree must be at least 1, got {n}")
+    """Parse an element expression at the given degree.
+
+    A degree above the enumeration cap raises ResourceCapError, as in
+    element_from_json: a permutation's length costs about n^2, and a word
+    of commuting squares expands to 2^(letters / 2) terms.
+    """
+    AlgebraContext(n, caps).check_enum()
     p = _Parser(text, n, caps)
     out = p.element()
     if not p.at_end():
@@ -408,44 +424,48 @@ def element_to_json(el: HeckeElement, basis: str = "T") -> dict:
 def element_from_json(doc, caps: Caps = DEFAULT_CAPS) -> HeckeElement:
     """Rebuild an element from its JSON document, validating as it goes.
 
-    A degree above the enumeration cap raises ResourceCapError: lengths and
-    reduced words cost about n^3, so an unbounded degree never finishes.
+    It takes exactly what element_to_json writes: the degree, each
+    permutation entry and each exponent a JSON integer (not a bool, not a
+    float), each coefficient a list of [exponent, coefficient] pairs with
+    the coefficient a decimal string or an integer.  Anything else raises
+    FormatError.  A degree above the enumeration cap raises
+    ResourceCapError: lengths and reduced words cost about n^3, so an
+    unbounded degree never finishes.
     """
     if not isinstance(doc, dict):
         raise FormatError("element document must be an object")
     missing = {"n", "basis", "terms"} - set(doc)
     if missing:
         raise FormatError(f"element document missing keys {sorted(missing)}")
-    try:
-        n = int(doc["n"])
-    except (TypeError, ValueError):
-        raise FormatError(f"bad degree {doc['n']!r}")
-    if n < 1:
-        raise FormatError(f"bad degree {n}")
+    n = doc["n"]
+    if not _is_int(n) or n < 1:
+        raise FormatError("degree must be a positive JSON integer")
     AlgebraContext(n, caps).check_enum()
     basis = doc["basis"]
     if basis not in ("T", "Ttilde"):
-        raise FormatError(f"unknown basis {basis!r}")
+        raise FormatError("basis must be 'T' or 'Ttilde'")
     if not isinstance(doc["terms"], list):
         raise FormatError("terms must be a list")
     terms: dict[Permutation, LaurentPoly] = {}
-    for entry in doc["terms"]:
+    for i, entry in enumerate(doc["terms"]):
         if not isinstance(entry, dict) or set(entry) != {"perm", "coeff"}:
-            raise FormatError(f"malformed term entry {entry!r}")
-        if not isinstance(entry["perm"], (list, tuple)):
-            raise FormatError(f"permutation must be a list, got {entry['perm']!r}")
+            raise FormatError(f"term {i} is not an object with keys "
+                              f"'perm' and 'coeff'")
+        perm = entry["perm"]
+        if (not isinstance(perm, (list, tuple)) or len(perm) != n
+                or not all(_is_int(x) for x in perm)):
+            raise FormatError(f"term {i}: permutation must be a list of "
+                              f"{n} JSON integers")
         try:
-            w = Permutation(tuple(int(x) for x in entry["perm"]))
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"bad permutation {entry['perm']!r}: {exc}")
-        if w.n != n:
-            raise FormatError(f"permutation {entry['perm']!r} has wrong degree")
+            w = Permutation(perm)
+        except ValueError as exc:
+            raise FormatError(f"bad permutation in term {i}: {exc}")
         if w in terms:
-            raise FormatError(f"duplicate permutation {entry['perm']!r}")
+            raise FormatError(f"duplicate permutation {list(w)}")
         try:
             c = LaurentPoly.from_pairs(entry["coeff"])
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"bad coefficient for {entry['perm']!r}: {exc}")
+        except ValueError as exc:
+            raise FormatError(f"bad coefficient for {list(w)}: {exc}")
         if basis == "Ttilde":
             c = c * v_power(-w.length())
         if c:

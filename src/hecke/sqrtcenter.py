@@ -16,8 +16,9 @@ degree 3 admits a complete linear description.  This module provides:
 * the degree-3 and degree-4 catalogs of known square roots (the degree-4
   ones are literal fixtures, guarded by a checksum);
 * ``eigen_search``: exact eigenvectors for multiplication by a central
-  element, for a caller-supplied eigenvalue.  The eigenspace is a
-  two-sided ideal, so it is found from its central part, solved in
+  element, for a caller-supplied eigenvalue in Z[v, v^-1], where every
+  eigenvalue of a central element lies.  The eigenspace is a two-sided
+  ideal, so it is found from its central part, solved in
   minimal-basis coordinates from the memoized multiplication table of the
   centre, and its dimension is certified by a rank modulo a prime; a full
   rank modulo the prime ends a search for a non-eigenvalue before any
@@ -37,8 +38,7 @@ from .center import (GammaBasis, _GAMMA_MEMO, _table_row, express_in_gamma,
                      gamma_basis)
 from .elements import elem_sym, poincare, t_longest, xbar, ybar
 from .errors import DegreeMismatchError, MismatchError, NotCentralError
-from .laurent import (LaurentPoly, ONE, Q, Q_MINUS_1, ZERO, from_int,
-                      lp_gcd, q_power)
+from .laurent import LaurentPoly, ONE, Q, Q_MINUS_1, ZERO, from_int, q_power
 from .linalg import SparseSystem, reduced_basis, sparse_rank
 from .permutations import (Partition, Permutation, _all_permutations,
                            partitions_of)
@@ -48,18 +48,16 @@ from .records import Record, _set
 class SqrtReport(Record):
     """Result of a square-root-of-centre membership test."""
 
-    __slots__ = ("label", "in_sqrt", "in_centre", "square_in_gamma")
+    __slots__ = ("in_sqrt", "in_centre", "square_in_gamma")
 
-    def __init__(self, label: str, in_sqrt: bool, in_centre: bool,
+    def __init__(self, in_sqrt: bool, in_centre: bool,
                  square_in_gamma: dict[Partition, LaurentPoly] | None = None):
-        _set(self, "label", label)
         _set(self, "in_sqrt", in_sqrt)
         _set(self, "in_centre", in_centre)
         _set(self, "square_in_gamma", square_in_gamma)
 
 
-def in_sqrt_centre(h: HeckeElement, gb: GammaBasis | None = None,
-                   label: str = "") -> SqrtReport:
+def in_sqrt_centre(h: HeckeElement, gb: GammaBasis | None = None) -> SqrtReport:
     """Square the element and test the square for centrality.
 
     When the square is central and a minimal basis for the degree is at
@@ -77,7 +75,7 @@ def in_sqrt_centre(h: HeckeElement, gb: GammaBasis | None = None,
         basis = gb if gb is not None else _GAMMA_MEMO.get(h.n)
         if basis is not None:
             coords = express_in_gamma(square, basis)
-    return SqrtReport(label=label, in_sqrt=in_sqrt, in_centre=in_centre,
+    return SqrtReport(in_sqrt=in_sqrt, in_centre=in_centre,
                       square_in_gamma=coords)
 
 
@@ -461,10 +459,10 @@ def _mod_step(steps: list, q0: int, terms: dict[int, int], i: int) -> dict:
     return out
 
 
-def _corank(n: int, z: HeckeElement, d: int, k: int, v0: int,
+def _corank(n: int, z: HeckeElement, k0: int, v0: int,
             powers: dict[int, int]) -> int:
-    """The corank modulo _CERT_PRIME of d * M - k * I at v = v0, with M the
-    matrix of left multiplication by z and d, k the residues of den, num.
+    """The corank modulo _CERT_PRIME of M - k0 * I at v = v0, with M the
+    matrix of left multiplication by z and k0 the residue of the eigenvalue.
 
     Column w of M is z * T_w.  The columns are built modulo the prime
     alone, one generator step per edge of the trie of reduced words of
@@ -481,18 +479,18 @@ def _corank(n: int, z: HeckeElement, d: int, k: int, v0: int,
                                       step):
         row = [0] * size
         for i, x in column.items():
-            row[i] = d * x
-        row[j] -= k
+            row[i] = x
+        row[j] -= k0
         corank -= matrix.insert(row)
     return corank
 
 
-def _certified_basis(c, z: HeckeElement, num: LaurentPoly,
-                     den: LaurentPoly, central: list[HeckeElement]) -> list:
-    """The basis of ker(den * z - num) in the convention of eigen_search,
-    from the products g * T_w for g in central, which lie in it.
+def _certified_basis(c, z: HeckeElement, k: LaurentPoly,
+                     central: list[HeckeElement]) -> list:
+    """The basis of ker(z - k) in the convention of eigen_search, from the
+    products g * T_w for g in central, which lie in it.
 
-    At a point v0, the rank of den * M - num * I modulo the prime bounds
+    At a point v0, the rank of M - k * I modulo the prime bounds
     its rank from below, so its corank bounds the kernel from above.
     Products independent modulo the prime are independent, so once there
     are as many of them as that corank, they span the kernel, and they are
@@ -502,8 +500,7 @@ def _certified_basis(c, z: HeckeElement, num: LaurentPoly,
     perms = ix.perms
     for v0 in _CERT_POINTS:
         powers: dict[int, int] = {}
-        bound = _corank(c.n, z, _at(den, v0, powers), _at(num, v0, powers),
-                        v0, powers)
+        bound = _corank(c.n, z, _at(k, v0, powers), v0, powers)
         span = _ModEchelon()
         spans = []
         for row in ((g * HeckeElement.basis(c.n, w))._terms
@@ -517,44 +514,23 @@ def _certified_basis(c, z: HeckeElement, num: LaurentPoly,
         f"{len(_CERT_POINTS)} points")
 
 
-def _ratio(k) -> tuple[LaurentPoly, LaurentPoly]:
-    """(num, den) for an eigenvalue given as a LaurentPoly, an int or a
-    (num, den) pair of them.  A pair is reduced: divided by its gcd, then
-    den given least exponent 0 and a positive leading coefficient."""
-    pair = k if isinstance(k, tuple) and len(k) == 2 else (k, ONE)
-    num, den = (LaurentPoly(x) if isinstance(x, int) else x for x in pair)
-    if not (isinstance(num, LaurentPoly) and isinstance(den, LaurentPoly)):
-        raise TypeError(f"eigenvalue must be a LaurentPoly, an int or a "
-                        f"(num, den) pair of them, not {k!r}")
-    if den.is_zero():
-        raise ZeroDivisionError("eigenvalue with zero denominator")
-    if den.is_one():
-        return num, den
-    if num.is_zero():
-        return ZERO, ONE
-    g = lp_gcd(num, den)
-    num, den = num.divexact(g), den.divexact(g)
-    s = -den.min_exp()
-    num, den = num.shift(s), den.shift(s)
-    if den.leading_coeff() < 0:
-        return -num, -den
-    return num, den
-
-
 def eigen_search(ctx, z: HeckeElement, k) -> list[HeckeElement]:
     """A basis of the eigenspace ker(z - k) of a central element z.
 
-    k may be a LaurentPoly, an int or a (num, den) pair of them; a pair
-    is reduced by its gcd, and the eigenspace is the kernel of
-    den * z - num.  Because z is central, that kernel is a two-sided
+    k is a LaurentPoly or an int; anything else raises TypeError.  No
+    other eigenvalue can occur: the matrix of left multiplication by z on
+    the free Z[v, v^-1]-module H has entries in the ring, so its
+    characteristic polynomial is monic over it, and an eigenvalue in Q(v)
+    is a root of that polynomial, hence integral over Z[v, v^-1], which
+    is integrally closed.  Because z is central, ker(z - k) is a two-sided
     ideal, the sum of the Wedderburn blocks (over Q(v)) on which z acts by
     k, so it equals K * H with K the central eigenvectors (Geck and
     Pfeiffer, Characters of Finite Coxeter Groups and Iwahori-Hecke
     Algebras, 2000, chapters 7-9).
 
-    Method: K is the nullspace of den * M_z - num * I, with M_z the
-    p(n) x p(n) matrix of z in the coordinates of gamma_basis(n).  Its
-    column mu, z * gamma_mu = sum_nu z_nu gamma_nu gamma_mu, is read off the
+    Method: K is the nullspace of M_z - k * I, with M_z the p(n) x p(n)
+    matrix of z in the coordinates of gamma_basis(n).  Its column mu,
+    z * gamma_mu = sum_nu z_nu gamma_nu gamma_mu, is read off the
     multiplication table of the centre, memoized per degree, each row
     multiplied out and checked once per process (center._table_row).  If
     the matrix has full rank at v = v0 modulo the prime, it has full rank
@@ -566,14 +542,14 @@ def eigen_search(ctx, z: HeckeElement, k) -> list[HeckeElement]:
     as the certified bound.  Their span is brought to reduced echelon
     form exactly (linalg.reduced_basis).
 
-    Certificate: den * M - num * I, with M the matrix of left
-    multiplication by z, is built at v = v0 modulo the prime 2^61 - 1
-    only, column by column (z * T_w), never as exact Laurent polynomials.
-    Its corank there bounds the true dimension from above, and products
-    independent modulo the prime bound it from below, so equal bounds
-    prove the basis complete.  A few fixed points v0 are tried;
-    MismatchError if none certifies.  Every returned vector is also
-    re-verified by direct multiplication.
+    Certificate: M - k * I, with M the matrix of left multiplication by
+    z, is built at v = v0 modulo the prime 2^61 - 1 only, column by
+    column (z * T_w), never as exact Laurent polynomials.  Its corank
+    there bounds the true dimension from above, and products independent
+    modulo the prime bound it from below, so equal bounds prove the basis
+    complete.  A few fixed points v0 are tried; MismatchError if none
+    certifies.  Every returned vector is also re-verified by direct
+    multiplication.
 
     Basis: the distinguished coordinates are the label-greatest set of
     permutations on which the eigenspace projects isomorphically.  Each
@@ -588,7 +564,11 @@ def eigen_search(ctx, z: HeckeElement, k) -> list[HeckeElement]:
         raise DegreeMismatchError(f"element degree {z.n} does not match {c.n}")
     if not is_central(z):
         raise NotCentralError("eigen search expects a central element")
-    num, den = _ratio(k)
+    if isinstance(k, int):
+        k = LaurentPoly(k)
+    elif not isinstance(k, LaurentPoly):
+        raise TypeError(f"eigenvalue must be a LaurentPoly or an int, "
+                        f"not {k!r}")
     gb = gamma_basis(c)
     parts = partitions_of(c.n)
     # column mu of M_z: z * gamma_mu = sum_nu z_nu gamma_nu gamma_mu, in
@@ -605,7 +585,7 @@ def eigen_search(ctx, z: HeckeElement, k) -> list[HeckeElement]:
     rows: dict[Partition, dict] = {lam: {} for lam in parts}
     for mu, col in columns.items():
         for lam in parts:
-            entry = den * col.get(lam, ZERO) - (num if lam == mu else ZERO)
+            entry = col.get(lam, ZERO) - (k if lam == mu else ZERO)
             if entry:
                 rows[lam][mu] = entry
     # full rank modulo the prime at v0 means full rank over the ring, as
@@ -623,13 +603,13 @@ def eigen_search(ctx, z: HeckeElement, k) -> list[HeckeElement]:
     if len(kernel) == len(parts):
         vectors = [{w: ONE} for w in perms]
     else:
-        vectors = _certified_basis(c, z, num, den, [
+        vectors = _certified_basis(c, z, k, [
             sum((gb.elements[mu].scale(a) for mu, a in vec.items()),
                 HeckeElement.zero(c.n)) for vec in kernel])
     out = []
     for vec in vectors:
         el = HeckeElement._raw(c.n, vec)
-        if (z * el).scale(den) != el.scale(num):
+        if z * el != el.scale(k):
             raise MismatchError("eigenvector failed re-verification")
         out.append(el)
     return out

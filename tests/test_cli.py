@@ -1,11 +1,19 @@
 """End-to-end tests of the command line, driven through main()."""
 
+import contextlib
+import io
 import json
 import sys
+from datetime import timedelta
+from unittest import mock
 
-from hecke import element_from_json, parse_element
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from hecke import Caps, element_from_json, parse_element
 from hecke.center import _GAMMA_MEMO
-from hecke.cli import main
+from hecke.cli import build_parser, main
 
 
 def run(capsys, *args):
@@ -232,7 +240,33 @@ def test_import_checks_the_degree_against_the_enumeration_cap(tmp_path, capsys):
         assert "cap" in err
     rc, out, _ = run(capsys, "import", str(tmp_path / "w8.json"), "--enum-max", "8")
     assert rc == 0
-    assert parse_element(out.strip(), 8) == parse_element("@Twn", 8)
+    caps = Caps(enum_max=8)
+    assert parse_element(out.strip(), 8, caps) == parse_element("@Twn", 8, caps)
+
+
+def test_import_refuses_truncated_numbers_and_deep_nesting(capsys, monkeypatch):
+    def imported(doc):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        return run(capsys, "import", "-")
+
+    term = '{"perm": %s, "coeff": %s}'
+    for bad in (term % ("[1.9, 2.2]", '[[0, "1"]]'),
+                term % ("[2, 1]", '[[0.5, "1"]]'),
+                term % ("[2, 1]", "[[0, 2.5]]"),
+                term % ("[2, 1]", "[[0, true]]"),
+                term % ("[2, 1]", '[[0, "1_0"]]')):
+        rc, _, err = imported('{"n": 2, "basis": "T", "terms": [%s]}' % bad)
+        assert rc == 2, bad
+        assert "error:" in err
+    rc, _, _ = imported('{"n": 2.7, "basis": "T", "terms": []}')
+    assert rc == 2
+    rc, out, _ = imported('{"n": 2, "basis": "T", "terms": [%s]}'
+                          % term % ("[2, 1]", '[[0, 3], [2, "-12"]]'))
+    assert (rc, out.strip()) == (0, "-(12*q - 3)*T[1]")
+    # unbounded, json.loads raised RecursionError: the exit code of "false"
+    rc, _, err = imported("[" * 100000 + "]" * 100000)
+    assert rc == 2
+    assert "nested" in err
 
 
 def test_parse_error_exit_code(capsys):
@@ -261,6 +295,45 @@ def test_oversize_scalar_power_exits_with_the_cap_code(capsys):
     assert rc == 3
 
 
+def test_deep_parentheses_exit_with_the_cap_code(capsys):
+    from hecke.parsing import MAX_NESTING
+
+    # unbounded, 1,000 levels raised RecursionError: the exit code of "false"
+    for depth, code in ((MAX_NESTING, 0), (MAX_NESTING + 1, 3), (1000, 3)):
+        text = "(" * depth + "1" + ")" * depth + "*T[1]"
+        rc, _, err = run(capsys, "mul", "--n", "3", text, "T[]")
+        assert rc == code, depth
+    assert "parentheses" in err
+
+
+def test_text_input_falls_under_the_enumeration_cap(capsys):
+    # unbounded, degree 16,000 took 10.5 s, and this word at degree 29
+    # 0.92 s (about 4 times more per added pair of letters)
+    word = "T[" + ",".join(str(i) for i in range(1, 28, 2) for _ in "ab") + "]"
+    for argv in (("mul", "--n", "16000", "T[1]", "T[2]"),
+                 ("central", "--n", "29", word)):
+        rc, _, err = run(capsys, *argv)
+        assert rc == 3
+        assert "enumeration cap" in err
+    rc, out, _ = run(capsys, "mul", "--n", "8", "T[1]", "T[2]",
+                     "--enum-max", "8")
+    assert (rc, out.strip()) == (0, "T[1,2]")
+
+
+def test_linalg_cap_is_an_option_only_where_a_solve_runs(capsys):
+    sub = next(a for a in build_parser()._actions if a.dest == "verb")
+    takes = {verb for verb, p in sub.choices.items()
+             if any("--linalg-max" in a.option_strings for a in p._actions)}
+    assert takes == {"eigen", "verify"}
+    with pytest.raises(SystemExit) as exc:
+        main(["mul", "--n", "3", "--linalg-max", "3", "T[1]", "T[2]"])
+    assert exc.value.code == 2
+    rc, _, err = run(capsys, "eigen", "--n", "3", "--gamma", "2,1", "--k",
+                     "q-1", "--linalg-max", "2")
+    assert rc == 3
+    assert "linear-algebra cap" in err
+
+
 def test_oversize_word_exits_with_the_cap_code(capsys):
     word = "T[" + ",".join(["1"] * 20000) + "]"
     rc, _, err = run(capsys, "mul", "--n", "2", word, "T[]")
@@ -275,3 +348,114 @@ def test_gamma_falls_under_the_enumeration_cap(capsys):
     rc, _, err = run(capsys, "gamma", "8")
     assert rc == 3
     assert "cap" in err
+
+
+# -- fuzzing: whatever the input, main() answers with an exit code ------------
+
+def _exit_code(argv, stdin=""):
+    """main(argv) with its output discarded; a usage error, which argparse
+    raises as SystemExit, counts as its exit code."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink), \
+            mock.patch.object(sys, "stdin", io.StringIO(stdin)):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+_FUZZ_SETTINGS = settings(max_examples=120, deadline=timedelta(seconds=2))
+
+
+@st.composite
+def _scalars(draw, depth=2):
+    if depth and draw(st.booleans()):
+        op = draw(st.sampled_from(["+", "-", "*"]))
+        text = (f"({draw(_scalars(depth - 1))}{op}"
+                f"{draw(_scalars(depth - 1))})")
+    else:
+        text = draw(st.sampled_from(
+            ["1", "2", "0", "q", "v", "xi", "12345678901234567890"]))
+    if draw(st.booleans()):
+        exp = draw(st.sampled_from([0, 1, 2, 3, 7, 600, 70000]))
+        text = f"{text}^{'-' if draw(st.booleans()) else ''}{exp}"
+    nest = draw(st.sampled_from([0, 0, 0, 1, 99, 100, 101, 300, 1000]))
+    return "(" * nest + text + ")" * nest
+
+
+@st.composite
+def _elements(draw, n):
+    refs = ["x", "y", "xbar", "ybar", "Twn", "fulltwist", "L:1", "e:2",
+            "Mt:9", "catalog:R4", "catalog:Q", "gamma:2,1", "gamma:1,1",
+            "nope", "x:1"]
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            word = draw(st.lists(st.integers(0, n), max_size=52))
+            part = "T[" + ",".join(map(str, word)) + "]"
+        else:
+            part = "@" + draw(st.sampled_from(refs))
+        if draw(st.booleans()):
+            part = f"{draw(_scalars())}*{part}"
+        terms.append(part)
+    text = draw(st.sampled_from(["", "-"])) + " + ".join(terms)
+    if draw(st.integers(0, 9)) == 0:
+        cut = draw(st.integers(0, len(text)))
+        text = text[:cut] + draw(st.sampled_from(
+            ["", "(", ")", "]", "^", "@", "*", "$", "T", ","])) + text[cut:]
+    return text
+
+
+@_FUZZ_SETTINGS
+@given(st.data())
+def test_fuzzed_element_text_gets_an_exit_code(data):
+    n = data.draw(st.integers(2, 4))
+    verb = data.draw(st.sampled_from(["mul", "central", "sqrt-check",
+                                      "express"]))
+    texts = [data.draw(_elements(n)) for _ in range(2 if verb == "mul" else 1)]
+    assert _exit_code([verb, "--n", str(n), *texts]) in (0, 1, 2, 3)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def _json_documents(draw):
+    """What export writes, with at most one field replaced by any JSON
+    value, inside 0 to 100,000 levels of arrays."""
+    n = draw(st.integers(1, 4))
+    junk = draw(st.sampled_from([None, None, "n", "perm", "coeff", "pair",
+                                 "term", "doc"]))
+
+    def field(name, good):
+        return _json_values if junk == name else good
+
+    def unique(key):
+        # a repeated exponent or permutation is refused, so well-formed
+        # documents have none
+        return None if junk in ("pair", "perm", "term") else key
+
+    ints = st.integers(-3, 3)
+    pair = field("pair", st.tuples(ints, st.one_of(ints, ints.map(str))))
+    term = field("term", st.fixed_dictionaries({
+        "perm": field("perm", st.permutations(range(1, n + 1))),
+        "coeff": field("coeff", st.lists(pair, max_size=3,
+                                         unique_by=unique(lambda p: p[0])))}))
+    doc = field("doc", st.fixed_dictionaries({
+        "n": field("n", st.just(n)),
+        "basis": st.sampled_from(["T", "Ttilde"]),
+        "terms": st.lists(term, max_size=3,
+                          unique_by=unique(lambda t: tuple(t["perm"])))}))
+    depth = draw(st.sampled_from([0, 0, 0, 0, 10, 900, 2000, 100000]))
+    return "[" * depth + json.dumps(draw(doc)) + "]" * depth
+
+
+@_FUZZ_SETTINGS
+@given(_json_documents())
+def test_fuzzed_json_import_gets_an_exit_code(text):
+    assert _exit_code(["import", "-"], stdin=text) in (0, 1, 2, 3)

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from hecke import (
+    Caps,
     FormatError,
     HeckeElement,
     LaurentPoly,
@@ -200,8 +201,11 @@ def test_scalar_parser_rejects_elements():
 
 
 def test_reference_respects_resource_caps():
-    with pytest.raises(ResourceCapError):
-        parse_element("@x", 8)
+    for text, n in (("@x", 8), ("T[1]", 8), ("T[]", 16000)):
+        with pytest.raises(ResourceCapError):
+            parse_element(text, n)
+    assert parse_element("T[1,1]", 8, Caps(enum_max=8)) == parse_element(
+        "q*T[] + (q-1)*T[1]", 8, Caps(enum_max=8))
 
 
 def test_format_fixtures(ctx3):
@@ -262,6 +266,14 @@ def test_json_validation_rejects_malformed_documents():
         {"n": 2, "basis": "T", "terms": [good_term]},
         {"n": 3, "basis": "T", "terms": [{"perm": [1, 1, 2], "coeff": [[0, "1"]]}]},
         "not a dict",
+        # each of these was truncated by int() and imported
+        {"n": 2.7, "basis": "T", "terms": []},
+        {"n": True, "basis": "T", "terms": []},
+        {"n": 2, "basis": "T", "terms": [{"perm": [1.9, 2.2], "coeff": [[0, "1"]]}]},
+        {"n": 2, "basis": "T", "terms": [{"perm": [2, 1], "coeff": [[0.5, "1"]]}]},
+        {"n": 2, "basis": "T", "terms": [{"perm": [2, 1], "coeff": [[0, 2.5]]}]},
+        {"n": 2, "basis": "T", "terms": [{"perm": [2, 1], "coeff": [[0, " 2"]]}]},
+        {"n": 2, "basis": "T", "terms": [{"perm": [2, 1], "coeff": {"12": 1}}]},
     ]
     for doc in bad_docs:
         with pytest.raises(FormatError):

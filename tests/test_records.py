@@ -17,7 +17,7 @@ SIGNATURES = {
     AlgebraContext: [("n", EMPTY), ("caps", DEFAULT_CAPS)],
     CentreBasis: [("n", EMPTY), ("vectors", EMPTY)],
     GammaBasis: [("n", EMPTY), ("elements", EMPTY)],
-    SqrtReport: [("label", EMPTY), ("in_sqrt", EMPTY), ("in_centre", EMPTY),
+    SqrtReport: [("in_sqrt", EMPTY), ("in_centre", EMPTY),
                  ("square_in_gamma", None)],
     VerifyItem: [("item_id", EMPTY), ("statement", EMPTY), ("n", EMPTY),
                  ("needs_gamma", EMPTY), ("fn", EMPTY), ("flag_note", None)],
@@ -55,7 +55,7 @@ def test_record_semantics():
         with pytest.raises(ValueError, match="degree must be at least 1"):
             AlgebraContext(bad)
     for record, field in ((ctx, "n"), (Caps(), "enum_max"),
-                          (SqrtReport("", True, False), "in_sqrt")):
+                          (SqrtReport(True, False), "in_sqrt")):
         with pytest.raises(AttributeError):
             setattr(record, field, 4)
         with pytest.raises(AttributeError):
