@@ -17,11 +17,13 @@ Two views of the centre are computed:
 
 from __future__ import annotations
 
+from math import factorial
+
 from .algebra import (HeckeElement, as_context, is_central, _indexed,
                       _lmul_gen, _rmul_gen)
 from .errors import DegreeMismatchError, MismatchError, NotCentralError
-from .laurent import LaurentPoly, ZERO, ONE
-from .linalg import SparseSystem
+from .laurent import LaurentPoly, ONE, Q_MINUS_1, ZERO
+from .linalg import SparseSystem, _normalise
 from .permutations import (Partition, Permutation, _all_permutations,
                            _classes, _minimal_classes, partitions_of)
 from .records import Record, _set
@@ -207,6 +209,9 @@ _GAMMA_MEMO: dict[int, GammaBasis] = {}
 # table of the centre, one row filled the first time it is read
 _TABLE_MEMO: dict[int, dict[Partition, dict]] = {}
 
+# n -> _blocks(gamma_basis(n)): the blocks of the centre, built once
+_BLOCK_MEMO: dict[int, list] = {}
+
 
 def gamma_basis(ctx) -> GammaBasis:
     """The minimal basis of the centre, computed by the class recursion.
@@ -269,3 +274,72 @@ def _table_row(gb: GammaBasis,
         g = gb.elements[lam]
         row = rows[lam] = {mu: express_in_gamma(g * h, gb) for mu, h in gb}
     return row
+
+
+
+def _act(columns: dict, vec: dict) -> dict[Partition, LaurentPoly]:
+    """Columns {mu: {nu: entry}}, such as a table row, times {mu: entry}."""
+    out: dict[Partition, LaurentPoly] = {}
+    for mu, b in vec.items():
+        for nu, a in columns[mu].items():
+            out[nu] = out.get(nu, ZERO) + a * b
+    return {nu: a for nu, a in out.items() if a}
+
+
+def _content_scalar(lam: Partition) -> LaurentPoly:
+    """The sum over the boxes b of lam of q [c(b)]_q, c(b) = column - row:
+    the scalar by which the sum of the Murphy elements acts on the block
+    of lam (Mathas, Iwahori-Hecke Algebras and Schur Algebras of the
+    Symmetric Group, 1999, chapter 3)."""
+    num = {2: -lam.n}    # q [c]_q = (q^(c+1) - q) / (q - 1)
+    for row, length in enumerate(lam):
+        for c in range(-row, length - row):
+            num[2 * c + 2] = num.get(2 * c + 2, 0) + 1
+    return LaurentPoly(num).divexact(Q_MINUS_1)
+
+
+def _block_dimension(lam: Partition) -> int:
+    """(f^lam)^2, with f^lam = n! / (product of the hook lengths of lam)."""
+    hooks = 1
+    for i, length in enumerate(lam):
+        for j in range(length):
+            hooks *= length - j + sum(p > j for p in lam[i + 1:])
+    return (factorial(lam.n) // hooks) ** 2
+
+
+def _blocks(gb: GammaBasis) -> list[tuple[Partition, dict, int]]:
+    """[(lam, E_lam, (f^lam)^2)] for the partitions lam of n, in order.
+
+    E_lam = prod over mu != lam of (e_1 - omega_mu), applied to 1 in
+    minimal-basis coordinates and normalised, where e_1 = gamma_(2,1^(n-2))
+    is the sum of the Murphy elements and omega_mu = _content_scalar(mu).
+    The omega_mu are distinct, so E_lam is a nonzero multiple of the
+    central idempotent of the block of lam, of dimension (f^lam)^2
+    (Mathas, chapter 3).  E_lam != 0, its
+    eigenvalue omega_lam and the sum n! of the dimensions are checked.
+    """
+    if gb.n in _BLOCK_MEMO:
+        return _BLOCK_MEMO[gb.n]
+    parts = partitions_of(gb.n)
+    # degree 1 has no gamma_(2,...); its e_1 is 0
+    e1 = (_table_row(gb, Partition((2,) + (1,) * (gb.n - 2))) if gb.n > 1
+          else {parts[0]: {}})
+    omegas = {lam: _content_scalar(lam) for lam in parts}
+
+    def minus(vec, omega):   # (e_1 - omega) vec, in the order of parts
+        out = _act(e1, vec)
+        return {mu: a for mu in parts
+                if (a := out.get(mu, ZERO) - omega * vec.get(mu, ZERO))}
+
+    blocks = []
+    for i, lam in enumerate(parts):
+        vec = {parts[-1]: ONE}    # gamma_(1^n) is the identity
+        for mu in parts[:i] + parts[i + 1:]:
+            vec = minus(vec, omegas[mu])
+        if not vec or minus(vec := _normalise(vec), omegas[lam]):
+            raise MismatchError(f"no block element of {lam} for {omegas[lam]}")
+        blocks.append((lam, vec, _block_dimension(lam)))
+    if sum(d for _, _, d in blocks) != factorial(gb.n):
+        raise MismatchError(f"the block dimensions do not add up to {gb.n}!")
+    _BLOCK_MEMO[gb.n] = blocks
+    return blocks

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .algebra import DEFAULT_CAPS, AlgebraContext, Caps, is_central
@@ -332,18 +333,31 @@ _DISPATCH = {
 }
 
 
+# an option, or one written as --name=value; the options that take no value
+_OPTION = re.compile(r"-h|--[a-z][a-z-]*(=.*)?", re.S)
+_FLAGS = ("-h", "--help", "--json", "--list", "--timings")
+
+
 def _join_scalar_options(argv: list[str]) -> list[str]:
-    """Rewrite `--k -q` as `--k=-q`: --k takes a scalar, which may start
-    with '-', and argparse would read -q as an option."""
-    out = []
-    tokens = iter(argv)
+    """Put a verb's options first, each joined to its value (`--k=-q`), and
+    every other token after '--': values and elements may start with '-',
+    as in `--k -q` or `-T[1]`, and argparse would read them as options."""
+    if not argv or argv[0] not in _DISPATCH:
+        return argv
+    options, positionals = [], []
+    tokens = iter(argv[1:])
     for tok in tokens:
-        if tok == "--k":
+        if tok == "--":
+            positionals += tokens
+        elif not _OPTION.fullmatch(tok):
+            positionals.append(tok)
+        # a prefix of a flag is that flag, as argparse abbreviates it
+        elif "=" in tok or any(f.startswith(tok) for f in _FLAGS):
+            options.append(tok)
+        else:
             value = next(tokens, None)
-            if value is not None:
-                tok = f"{tok}={value}"
-        out.append(tok)
-    return out
+            options.append(tok if value is None else f"{tok}={value}")
+    return [argv[0], *options] + (["--", *positionals] if positionals else [])
 
 
 def main(argv: list[str] | None = None) -> int:

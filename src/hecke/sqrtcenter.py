@@ -17,29 +17,24 @@ degree 3 admits a complete linear description.  This module provides:
   ones are literal fixtures, guarded by a checksum);
 * ``eigen_search``: exact eigenvectors for multiplication by a central
   element, for a caller-supplied eigenvalue in Z[v, v^-1], where every
-  eigenvalue of a central element lies.  The eigenspace is a two-sided
-  ideal, so it is found from its central part, solved in
-  minimal-basis coordinates from the memoized multiplication table of the
-  centre, and its dimension is certified by a rank modulo a prime; a full
-  rank modulo the prime ends a search for a non-eigenvalue before any
-  exact elimination.  Every vector is re-verified by multiplication.  At
-  k = 0 the search decides from the p(n)-dimensional centre alone whether
-  a central element is a nonzerodivisor: it is one iff nothing is found.
+  eigenvalue of a central element lies.  The eigenspace is a sum of
+  Wedderburn blocks, read off the blocks of the centre and spanned by
+  products with the T_w up to the blocks' dimension.  Every vector is re-verified by multiplication.
+  At k = 0 the search decides from the centre alone whether a central
+  element is a nonzerodivisor: it is one iff nothing is found.
 """
 
 from __future__ import annotations
 
 import random
-from functools import partial
 
-from .algebra import (HeckeElement, _indexed, _prefix_products,
-                      as_context, commutator, is_central)
-from .center import (GammaBasis, _GAMMA_MEMO, _table_row, express_in_gamma,
-                     gamma_basis)
+from .algebra import HeckeElement, _indexed, as_context, commutator, is_central
+from .center import (GammaBasis, _GAMMA_MEMO, _act, _blocks, _table_row,
+                     express_in_gamma, gamma_basis)
 from .elements import elem_sym, poincare, t_longest, xbar, ybar
 from .errors import DegreeMismatchError, MismatchError, NotCentralError
-from .laurent import LaurentPoly, ONE, Q, Q_MINUS_1, ZERO, from_int, q_power
-from .linalg import SparseSystem, reduced_basis, sparse_rank
+from .laurent import LaurentPoly, ONE, Q, Q_MINUS_1, from_int, q_power
+from .linalg import reduced_basis, sparse_rank
 from .permutations import (Partition, Permutation, _all_permutations,
                            partitions_of)
 from .records import Record, _set
@@ -383,10 +378,10 @@ def catalog_checks_h4() -> dict[str, bool]:
     return out
 
 
-# The certificate's modulus and its evaluation points.  Any unit v0 gives a
-# valid bound; an unlucky one (where two central characters of z meet k
-# modulo the prime, or independent rows become dependent) only fails to
-# certify, and the next point is tried.
+# The modulus and the evaluation points of the lower bound.  Products
+# independent modulo the prime at any unit v0 are independent; at an
+# unlucky point (where the ideal specialises to a smaller one) they fall
+# short of the block dimension, and the next point is tried.
 _CERT_PRIME = (1 << 61) - 1
 _CERT_POINTS = (1_000_003, 998_244_353, 3_141_592_653)
 
@@ -441,77 +436,26 @@ def _residues(terms: dict, index: dict, v0: int,
     return row
 
 
-def _mod_step(steps: list, q0: int, terms: dict[int, int], i: int) -> dict:
-    """Residues modulo _CERT_PRIME of indexed terms, times T_{s_i} on the
-    right; steps is _Indexed.right and q0 the residue of q."""
-    p = _CERT_PRIME
-    out: dict[int, int] = {}
-    get = out.get
-    tab = steps[i]
-    for k, c in terms.items():
-        j = tab[k]
-        if j < 0:
-            j = ~j
-            out[j] = (get(j, 0) + q0 * c) % p
-            out[k] = (get(k, 0) + (q0 - 1) * c) % p
-        else:
-            out[j] = (get(j, 0) + c) % p
-    return out
-
-
-def _corank(n: int, z: HeckeElement, k0: int, v0: int,
-            powers: dict[int, int]) -> int:
-    """The corank modulo _CERT_PRIME of M - k0 * I at v = v0, with M the
-    matrix of left multiplication by z and k0 the residue of the eigenvalue.
-
-    Column w of M is z * T_w.  The columns are built modulo the prime
-    alone, one generator step per edge of the trie of reduced words of
-    S_n, never as Laurent polynomials.
-    """
+def _spanned_basis(n: int, central: list[HeckeElement],
+                   dim: int) -> list[dict]:
+    """The basis of the ideal spanned by the products g * T_w, g in
+    central, in the convention of eigen_search, given that it has
+    dimension dim: products independent modulo the prime at a point v0
+    are independent, so dim of them span it.  A point where they fall
+    short is passed over; MismatchError if every point does."""
     ix = _indexed(n)
-    size = len(ix.perms)
-    residues = {ix.index[w]: _at(a, v0, powers) % _CERT_PRIME
-                for w, a in z._terms.items()}
-    step = partial(_mod_step, ix.right, pow(v0, 2, _CERT_PRIME))
-    matrix = _ModEchelon()
-    corank = size
-    for column, j in _prefix_products(residues, zip(ix.perms, range(size)),
-                                      step):
-        row = [0] * size
-        for i, x in column.items():
-            row[i] = x
-        row[j] -= k0
-        corank -= matrix.insert(row)
-    return corank
-
-
-def _certified_basis(c, z: HeckeElement, k: LaurentPoly,
-                     central: list[HeckeElement]) -> list:
-    """The basis of ker(z - k) in the convention of eigen_search, from the
-    products g * T_w for g in central, which lie in it.
-
-    At a point v0, the rank of M - k * I modulo the prime bounds
-    its rank from below, so its corank bounds the kernel from above.
-    Products independent modulo the prime are independent, so once there
-    are as many of them as that corank, they span the kernel, and they are
-    solved exactly.
-    """
-    ix = _indexed(c.n)
-    perms = ix.perms
     for v0 in _CERT_POINTS:
         powers: dict[int, int] = {}
-        bound = _corank(c.n, z, _at(k, v0, powers), v0, powers)
-        span = _ModEchelon()
-        spans = []
-        for row in ((g * HeckeElement.basis(c.n, w))._terms
-                    for g in central for w in perms):
-            if span.insert(_residues(row, ix.index, v0, powers)):
-                spans.append(row)
-                if len(spans) == bound:
-                    return reduced_basis(spans, perms)
-    raise MismatchError(
-        f"eigenspace dimension not certified at any of "
-        f"{len(_CERT_POINTS)} points")
+        span, spans = _ModEchelon(), []
+        for g in central:
+            for w in ix.perms:
+                row = (g * HeckeElement.basis(n, w))._terms
+                if span.insert(_residues(row, ix.index, v0, powers)):
+                    spans.append(row)
+                    if len(spans) == dim:
+                        return reduced_basis(spans, ix.perms)
+    raise MismatchError(f"{dim} independent products not found at any of "
+                        f"{len(_CERT_POINTS)} points")
 
 
 def eigen_search(ctx, z: HeckeElement, k) -> list[HeckeElement]:
@@ -524,32 +468,18 @@ def eigen_search(ctx, z: HeckeElement, k) -> list[HeckeElement]:
     is a root of that polynomial, hence integral over Z[v, v^-1], which
     is integrally closed.  Because z is central, ker(z - k) is a two-sided
     ideal, the sum of the Wedderburn blocks (over Q(v)) on which z acts by
-    k, so it equals K * H with K the central eigenvectors (Geck and
-    Pfeiffer, Characters of Finite Coxeter Groups and Iwahori-Hecke
-    Algebras, 2000, chapters 7-9).
+    k (Geck and Pfeiffer, Characters of Finite Coxeter Groups and
+    Iwahori-Hecke Algebras, 2000, chapters 7-9).
 
-    Method: K is the nullspace of M_z - k * I, with M_z the p(n) x p(n)
-    matrix of z in the coordinates of gamma_basis(n).  Its column mu,
-    z * gamma_mu = sum_nu z_nu gamma_nu gamma_mu, is read off the
-    multiplication table of the centre, memoized per degree, each row
-    multiplied out and checked once per process (center._table_row).  If
-    the matrix has full rank at v = v0 modulo the prime, it has full rank
-    over the ring (specialisation only lowers a rank): K = 0 and the
-    search ends with no exact elimination.  Otherwise K is solved exactly.
-    If K = 0 there is no eigenvector; if K is the whole centre every T_w
-    is one.  Otherwise products c * T_w, for c in a basis of K, are taken
-    while they stay independent modulo the prime, until there are as many
-    as the certified bound.  Their span is brought to reduced echelon
-    form exactly (linalg.reduced_basis).
-
-    Certificate: M - k * I, with M the matrix of left multiplication by
-    z, is built at v = v0 modulo the prime 2^61 - 1 only, column by
-    column (z * T_w), never as exact Laurent polynomials.  Its corank
-    there bounds the true dimension from above, and products independent
-    modulo the prime bound it from below, so equal bounds prove the basis
-    complete.  A few fixed points v0 are tried; MismatchError if none
-    certifies.  Every returned vector is also re-verified by direct
-    multiplication.
+    Method: the block of lam (center._blocks) is kept when
+    M_z E_lam = k E_lam exactly, with M_z the p(n) x p(n) matrix of z in
+    the coordinates of gamma_basis(n), read off the multiplication table
+    of the centre (center._table_row).  The eigenspace is the sum of the
+    ideals E_lam * H of the kept blocks, and its dimension d is the sum of
+    their (f^lam)^2: nothing if no block is kept, all of H if d = n!, and
+    otherwise d products E_lam * T_w, found by a rank modulo a prime that
+    bounds their span from below only (_spanned_basis).  Every returned
+    vector is re-verified by direct multiplication.
 
     Basis: the distinguished coordinates are the label-greatest set of
     permutations on which the eigenspace projects isomorphically.  Each
@@ -570,42 +500,23 @@ def eigen_search(ctx, z: HeckeElement, k) -> list[HeckeElement]:
         raise TypeError(f"eigenvalue must be a LaurentPoly or an int, "
                         f"not {k!r}")
     gb = gamma_basis(c)
-    parts = partitions_of(c.n)
     # column mu of M_z: z * gamma_mu = sum_nu z_nu gamma_nu gamma_mu, in
     # gamma coordinates, read off the multiplication table
-    columns: dict[Partition, dict] = {mu: {} for mu in parts}
-    for nu, a in express_in_gamma(z, gb).items():
-        if not a:
-            continue
-        for mu, coords in _table_row(gb, nu).items():
-            col = columns[mu]
-            for lam, b in coords.items():
-                if b:
-                    col[lam] = col.get(lam, ZERO) + a * b
-    rows: dict[Partition, dict] = {lam: {} for lam in parts}
-    for mu, col in columns.items():
-        for lam in parts:
-            entry = col.get(lam, ZERO) - (k if lam == mu else ZERO)
-            if entry:
-                rows[lam][mu] = entry
-    # full rank modulo the prime at v0 means full rank over the ring, as
-    # specialisation only lowers a rank: k is no eigenvalue
-    residues, powers = _ModEchelon(), {}
-    if all(residues.insert([_at(row.get(mu, ZERO), _CERT_POINTS[0], powers)
-                            for mu in parts]) for row in rows.values()):
-        return []
-    centre = SparseSystem(parts)
-    centre.add_rows(row for row in rows.values() if row)
-    kernel = centre.nullspace()
-    if not kernel:
+    zs = {nu: a for nu, a in express_in_gamma(z, gb).items() if a}
+    columns = {mu: _act({nu: _table_row(gb, nu)[mu] for nu in zs}, zs)
+               for mu in partitions_of(c.n)}
+    kept = [(e, d) for _, e, d in _blocks(gb)
+            if _act(columns, e) == {mu: k * a for mu, a in e.items() if k}]
+    if not kept:
         return []
     perms = _all_permutations(c.n)
-    if len(kernel) == len(parts):
+    dim = sum(d for _, d in kept)
+    if dim == len(perms):
         vectors = [{w: ONE} for w in perms]
     else:
-        vectors = _certified_basis(c, z, k, [
-            sum((gb.elements[mu].scale(a) for mu, a in vec.items()),
-                HeckeElement.zero(c.n)) for vec in kernel])
+        vectors = _spanned_basis(c.n, [
+            sum((gb.elements[mu].scale(a) for mu, a in e.items()),
+                HeckeElement.zero(c.n)) for e, _ in kept], dim)
     out = []
     for vec in vectors:
         el = HeckeElement._raw(c.n, vec)

@@ -11,18 +11,23 @@ centre.  This module keeps the slower routes as oracles for tests:
   solved from its pinned linear system, a reference for the class
   recursion;
 * ``left_mult_matrix``: the exact n! x n! matrix of multiplication by an
-  element, whose rank decides a nonzerodivisor without the centre.
+  element, whose rank decides a nonzerodivisor without the centre;
+* ``_corank``: the corank of that matrix minus an eigenvalue, modulo a
+  prime at a point, an upper bound on the eigenspace that does not use
+  the blocks of the centre.
 """
 
 from fractions import Fraction
+from functools import partial
 
 from hecke import HeckeElement, HeckeError
-from hecke.algebra import _prefix_products, _rmul_gen
+from hecke.algebra import _indexed, _prefix_products, _rmul_gen
 from hecke.center import GammaBasis, _commutator_rows
 from hecke.laurent import ONE, ZERO, LaurentPoly, lp_gcd
 from hecke.linalg import _eliminate, _normalise
 from hecke.permutations import (_all_permutations, _minimal_classes,
                                 partitions_of)
+from hecke.sqrtcenter import _CERT_PRIME, _ModEchelon, _at
 
 
 class InconsistentSystemError(HeckeError, RuntimeError):
@@ -293,3 +298,48 @@ def left_mult_matrix(h: HeckeElement) -> dict:
         for u, c in acc.items():
             rows.setdefault(u, {})[w] = c
     return rows
+
+
+def _mod_step(steps: list, q0: int, terms: dict[int, int], i: int) -> dict:
+    """Residues modulo _CERT_PRIME of indexed terms, times T_{s_i} on the
+    right; steps is _Indexed.right and q0 the residue of q."""
+    p = _CERT_PRIME
+    out: dict[int, int] = {}
+    get = out.get
+    tab = steps[i]
+    for k, c in terms.items():
+        j = tab[k]
+        if j < 0:
+            j = ~j
+            out[j] = (get(j, 0) + q0 * c) % p
+            out[k] = (get(k, 0) + (q0 - 1) * c) % p
+        else:
+            out[j] = (get(j, 0) + c) % p
+    return out
+
+
+def _corank(n: int, z: HeckeElement, k0: int, v0: int,
+            powers: dict[int, int]) -> int:
+    """The corank modulo _CERT_PRIME of M - k0 * I at v = v0, with M the
+    matrix of left multiplication by z and k0 the residue of the eigenvalue.
+
+    It bounds the dimension of the eigenspace from above.  Column w of M
+    is z * T_w.  The columns are built modulo the prime alone, one
+    generator step per edge of the trie of reduced words of S_n, never as
+    Laurent polynomials.
+    """
+    ix = _indexed(n)
+    size = len(ix.perms)
+    residues = {ix.index[w]: _at(a, v0, powers) % _CERT_PRIME
+                for w, a in z._terms.items()}
+    step = partial(_mod_step, ix.right, pow(v0, 2, _CERT_PRIME))
+    matrix = _ModEchelon()
+    corank = size
+    for column, j in _prefix_products(residues, zip(ix.perms, range(size)),
+                                      step):
+        row = [0] * size
+        for i, x in column.items():
+            row[i] = x
+        row[j] -= k0
+        corank -= matrix.insert(row)
+    return corank

@@ -260,3 +260,12 @@ def test_multiplication_table_of_the_centre(monkeypatch, n):
     one = Partition((1,) * n)
     assert table[one] == {mu: {nu: LaurentPoly(int(nu == mu)) for nu in parts}
                           for mu in parts}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_the_sum_of_the_murphy_elements_is_a_minimal_basis_element(n):
+    # the block table applies gamma_(2,1^(n-2)) as e_1
+    gb = gamma_basis(n)
+    e1 = Partition((2,) + (1,) * (n - 2))
+    assert express_in_gamma(elem_sym(n, 1), gb) == {
+        lam: LaurentPoly(int(lam == e1)) for lam in partitions_of(n)}

@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from hecke import Caps, element_from_json, parse_element
+from hecke import Caps, HeckeError, element_from_json, parse_element
 from hecke.center import _GAMMA_MEMO
 from hecke.cli import build_parser, main
 
@@ -112,6 +112,32 @@ def test_eigen_reads_a_negative_scalar_after_its_option(capsys):
     rc, joined, _ = run(capsys, "eigen", "--n", "3", "--gamma", "3", "--k=-q")
     assert rc == 0
     assert joined == spaced
+
+
+def test_element_arguments_may_start_with_a_minus(capsys):
+    cases = [(["central", "--n", "3"], ["-T[1]"], "false"),
+             (["mul", "--n", "3"], ["T[1]", "-2*T[2]"], "-2*T[1,2]")]
+    for head, elements, want in cases:
+        rc, out, err = run(capsys, *head, *elements)
+        assert out.strip() == want and err == ""
+        assert run(capsys, *head, "--", *elements) == (rc, out, err)
+    # options may come after the elements, or between them
+    rc, out, _ = run(capsys, "mul", "--n", "3", "-T[1]", "--json", "-2*T[2]")
+    assert rc == 0
+    assert json.loads(out)["terms"] == [
+        {"coeff": [[0, "2"]], "perm": [2, 3, 1]}]
+    rc, out, _ = run(capsys, "central", "-T[1]", "--js", "--n", "3")
+    assert rc == 1 and json.loads(out) == {"n": 3, "central": False}
+
+
+def test_the_flags_are_the_options_that_take_no_value():
+    # the pre-scan joins every other option to the token after it
+    from hecke.cli import _FLAGS, _OPTION
+    sub = next(a for a in build_parser()._actions if a.dest == "verb")
+    options = {s: a.nargs == 0 for p in sub.choices.values()
+               for a in p._actions for s in a.option_strings}
+    assert {s for s, flag in options.items() if flag} == set(_FLAGS)
+    assert all(_OPTION.fullmatch(s) for s in options)
 
 
 def test_eigen_answers_at_degree_five(capsys):
@@ -352,16 +378,29 @@ def test_gamma_falls_under_the_enumeration_cap(capsys):
 
 # -- fuzzing: whatever the input, main() answers with an exit code ------------
 
-def _exit_code(argv, stdin=""):
-    """main(argv) with its output discarded; a usage error, which argparse
-    raises as SystemExit, counts as its exit code."""
+def _quiet_main(argv, stdin=""):
+    """main(argv) with its output discarded."""
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink), \
             mock.patch.object(sys, "stdin", io.StringIO(stdin)):
-        try:
-            return main(argv)
-        except SystemExit as exc:
-            return exc.code
+        return main(argv)
+
+
+def _exit_code(argv, stdin=""):
+    """_quiet_main(argv); a usage error, which argparse raises as
+    SystemExit, counts as its exit code."""
+    try:
+        return _quiet_main(argv, stdin)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _parses(text, n):
+    try:
+        parse_element(text, n)
+    except HeckeError:
+        return False
+    return True
 
 
 _FUZZ_SETTINGS = settings(max_examples=120, deadline=timedelta(seconds=2))
@@ -413,7 +452,12 @@ def test_fuzzed_element_text_gets_an_exit_code(data):
     verb = data.draw(st.sampled_from(["mul", "central", "sqrt-check",
                                       "express"]))
     texts = [data.draw(_elements(n)) for _ in range(2 if verb == "mul" else 1)]
-    assert _exit_code([verb, "--n", str(n), *texts]) in (0, 1, 2, 3)
+    argv = [verb, "--n", str(n), *texts]
+    if all(_parses(text, n) for text in texts):
+        # argparse takes every element that parses: no usage error
+        assert _quiet_main(argv) in (0, 1, 2, 3)
+    else:
+        assert _exit_code(argv) in (0, 1, 2, 3)
 
 
 _json_values = st.recursive(

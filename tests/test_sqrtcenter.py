@@ -40,10 +40,10 @@ from hecke.center import _GAMMA_MEMO
 from hecke.linalg import SparseSystem, reduced_basis, sparse_rank
 from hecke.permutations import _all_permutations
 from hecke.sqrtcenter import (_CERT_POINTS, _CERT_PRIME, _ModEchelon, _at,
-                              _corank, _residues, catalog_checks_h3,
+                              _residues, catalog_checks_h3,
                               catalog_checks_h4)
 
-from fraction_oracle import RationalFn, _as_rf, left_mult_matrix
+from fraction_oracle import RationalFn, _as_rf, _corank, left_mult_matrix
 
 SAMPLER_SEEDS = 25
 
@@ -207,19 +207,103 @@ def _unlucky_point():
     return omega * omega % p
 
 
-def test_eigen_search_tries_the_next_point_and_refuses_a_loose_bound(
-        monkeypatch, ctx3, gb3):
-    # at q = omega, a cube root of unity modulo the prime, the trivial
-    # eigenvalue q^2 + 2q of gamma_(2,1) meets q - 1, so the rank there
-    # bounds the eigenspace by 5, not 4
+def _products_fall_short(n, g, dim, v0):
+    """Whether the products g * T_w have rank below dim modulo the prime at
+    v0, counted as _spanned_basis counts them."""
+    perms = _all_permutations(n)
+    index = {w: j for j, w in enumerate(perms)}
+    span, powers = _ModEchelon(), {}
+    return sum(span.insert(_residues((g * HeckeElement.basis(n, w))._terms,
+                                     index, v0, powers))
+               for w in perms) < dim
+
+
+def test_a_point_where_the_products_fall_short_is_passed_over(monkeypatch,
+                                                             ctx3, gb3):
+    # at q = omega, a cube root of unity modulo the prime, H_3 is not
+    # semisimple: the block element of (2,1) specialises to one whose
+    # products span fewer than the block's 4 dimensions
     unlucky = _unlucky_point()
     z, k = gb3[(2, 1)], parse_scalar("q - 1")
+    (e, dim), = [(e, d) for lam, e, d in center._blocks(gb3)
+                 if lam == (2, 1)]
+    g = sum((gb3.elements[mu].scale(a) for mu, a in e.items()),
+            HeckeElement.zero(3))
+    assert dim == 4
+    assert _products_fall_short(3, g, dim, unlucky)
+    assert not _products_fall_short(3, g, dim, _CERT_POINTS[0])
     want = eigen_search(ctx3, z, k)
     monkeypatch.setattr(sqrtcenter, "_CERT_POINTS", (unlucky, 1_000_003))
     assert eigen_search(ctx3, z, k) == want
+    assert [str(v) for v in want] == [
+        str(v) for v in _eigen_by_elimination(3, z, k)]
+
+
+def test_only_points_where_the_products_fall_short_raise(monkeypatch, ctx3,
+                                                         gb3):
+    monkeypatch.setattr(sqrtcenter, "_CERT_POINTS", (_unlucky_point(),))
+    with pytest.raises(MismatchError, match="independent products"):
+        eigen_search(ctx3, gb3[(2, 1)], parse_scalar("q - 1"))
+
+
+def test_a_block_dimension_one_too_high_raises(monkeypatch, ctx3, gb3):
+    k = parse_scalar("q - 1")
+    assert len(eigen_search(ctx3, gb3[(2, 1)], k)) == 4
+    forced = [(lam, e, d + (lam == (2, 1))) for lam, e, d
+              in center._blocks(gb3)]
+    monkeypatch.setitem(center._BLOCK_MEMO, 3, forced)
+    with pytest.raises(MismatchError, match="5 independent products"):
+        eigen_search(ctx3, gb3[(2, 1)], k)
+
+
+def test_a_non_eigenvalue_met_modulo_the_prime_finds_nothing(monkeypatch,
+                                                             ctx3, gb3):
+    # the eigenvalues of gamma_(2,1) are q^2 + 2q, -2 - q^-1 and q - 1;
+    # k = (q - 1) + 2 (q^2 + q + 1) is none of them, but meets q - 1 where
+    # q is a cube root of unity
+    z, k = gb3[(2, 1)], parse_scalar("2*q^2 + 3*q + 1")
+    unlucky = _unlucky_point()
+    assert (_at(k, unlucky, {}) - _at(parse_scalar("q - 1"), unlucky, {})) \
+        % _CERT_PRIME == 0
     monkeypatch.setattr(sqrtcenter, "_CERT_POINTS", (unlucky,))
-    with pytest.raises(MismatchError, match="not certified"):
-        eigen_search(ctx3, z, k)
+    assert eigen_search(ctx3, z, k) == []
+    assert _eigen_by_elimination(3, z, k) == []
+
+
+def test_eigen_search_at_degrees_one_and_two():
+    q = parse_scalar("q")
+    one = gamma_basis(1)[(1,)]
+    assert [str(v) for v in eigen_search(1, one, 1)] == ["T[]"]
+    assert [str(v) for v in eigen_search(1, one.scale(q), q)] == ["T[]"]
+    for k in (0, -1, q):
+        assert eigen_search(1, one, k) == []
+    gb = gamma_basis(2)
+    found = {(shape, str(k)): [str(v) for v in eigen_search(2, gb[shape], k)]
+             for shape in ((2,), (1, 1)) for k in (0, 1, -1, q)}
+    assert found == {
+        ((2,), "0"): [], ((2,), "1"): [],
+        ((2,), "-1"): ["q*T[] - T[1]"], ((2,), "q"): ["T[] + T[1]"],
+        ((1, 1), "0"): [], ((1, 1), "1"): ["T[]", "T[1]"],
+        ((1, 1), "-1"): [], ((1, 1), "q"): []}
+    z = gb[(2,)] + gb[(1, 1)]
+    assert [str(v) for v in eigen_search(2, z, q + 1)] == ["T[] + T[1]"]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_block_dimensions_match_the_corank_of_the_full_matrix(n):
+    # the differential gate of the block table: a dimension too low would
+    # give a partial basis that still re-verifies
+    gb, cases = _eigen_cases(n)
+    v0 = _CERT_POINTS[0]
+    elements = [(sum((gb.elements[mu].scale(a) for mu, a in e.items()),
+                     HeckeElement.zero(n)), d)
+                for _, e, d in center._blocks(gb)]
+    for shape, k in cases:
+        z = gb[shape]
+        dim = sum(d for e, d in elements if z * e == e.scale(k))
+        powers = {}
+        assert dim == _corank(n, z, _at(k, v0, powers), v0, powers), \
+            (shape, k)
 
 
 def _centre_rows(n, z, k):
@@ -294,34 +378,6 @@ def test_the_multiplication_table_is_read_not_rebuilt(monkeypatch):
     monkeypatch.delitem(center._TABLE_MEMO, 4)
     assert eigen_search(4, z, k) == warm
     assert len(expansions) == 2 * len(partitions_of(4))
-
-
-def test_an_unlucky_point_falls_through_to_exact_elimination(monkeypatch,
-                                                             ctx3, gb3):
-    # the eigenvalues of gamma_(2,1) are q^2 + 2q, -2 - q^-1 and q - 1;
-    # k = (q - 1) + 2 (q^2 + q + 1) is none of them, but meets q - 1 where
-    # q is a cube root of unity
-    z, k = gb3[(2, 1)], parse_scalar("2*q^2 + 3*q + 1")
-    assert eigen_search(ctx3, z, k) == []
-    solved = []
-    nullspace = SparseSystem.nullspace
-
-    def spy(self):
-        solved.append(self)
-        return nullspace(self)
-
-    monkeypatch.setattr(SparseSystem, "nullspace", spy)
-    assert eigen_search(ctx3, z, k) == []
-    assert solved == []
-    monkeypatch.setattr(sqrtcenter, "_CERT_POINTS", (_unlucky_point(),))
-    assert eigen_search(ctx3, z, k) == []
-    assert len(solved) == 1
-    # an eigenvalue takes the same path, and its vectors do not move
-    want = [str(v) for v in _eigen_by_elimination(3, z, parse_scalar("q - 1"))]
-    monkeypatch.setattr(sqrtcenter, "_CERT_POINTS",
-                        (_unlucky_point(), 1_000_003))
-    assert [str(v) for v in eigen_search(ctx3, z, parse_scalar("q - 1"))] \
-        == want
 
 
 def _corank_from_matrix(n, z, k, v0):
