@@ -146,11 +146,16 @@ def _recursive_gamma(n: int) -> GammaBasis:
             a, b = coeffs[drop[0]], coeffs[drop[1]]
             value = {}
             for lam in a.keys() | b.keys():
-                # q^-1 a + (1 - q^-1) b
-                ca, cb = a.get(lam, ZERO), b.get(lam, ZERO)
-                c = cb + (ca - cb).shift(-2)
-                if c:
-                    value[lam] = c
+                # q^-1 a + (1 - q^-1) b = b + v^-2 a - v^-2 b, in one dict
+                ta, tb = a.get(lam, ZERO)._terms, b.get(lam, ZERO)._terms
+                terms = dict(tb)
+                for e, x in ta.items():
+                    terms[e - 2] = terms.get(e - 2, 0) + x
+                for e, x in tb.items():
+                    terms[e - 2] = terms.get(e - 2, 0) - x
+                terms = {e: x for e, x in terms.items() if x}
+                if terms:
+                    value[lam] = LaurentPoly._raw(terms)
         for k in shift_class:
             coeffs[k] = value
     elements = {}
@@ -178,7 +183,7 @@ def _check_pinning(lam: Partition, g: HeckeElement) -> None:
 
 
 def _check_integral(lam: Partition, g: HeckeElement) -> None:
-    for _, cf in g.items():
+    for cf in g._terms.values():
         if not cf.has_even_exponents():
             raise MismatchError(
                 f"basis element for {lam} has a coefficient {cf} "

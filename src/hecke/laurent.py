@@ -41,6 +41,26 @@ def _to_decimal(x: int) -> str:
     return _to_decimal(hi) + _to_decimal(lo).zfill(k)
 
 
+# The token of v^e for |e| below this bound is kept in _TOKENS once written,
+# so the cache holds at most 2 * _TOKEN_BOUND - 1 short strings; a wider
+# exponent converts through _to_decimal on every use.
+_TOKEN_BOUND = 1024
+_TOKENS: dict[int, str] = {}
+
+
+def _power_token(e: int) -> str:
+    """'' for v^0, 'q' or 'q^h' for v^(2h), 'v' or 'v^e' for odd e."""
+    if e == 0:
+        token = ""
+    elif e % 2 == 0:
+        token = "q" if e == 2 else f"q^{_to_decimal(e // 2)}"
+    else:
+        token = "v" if e == 1 else f"v^{_to_decimal(e)}"
+    if -_TOKEN_BOUND < e < _TOKEN_BOUND:
+        _TOKENS[e] = token
+    return token
+
+
 def _from_decimal(text: str) -> int:
     """int(text) for a decimal string of any length, whatever the
     conversion limit; ValueError if it is not one."""
@@ -312,34 +332,34 @@ class LaurentPoly:
             total += c * v0 ** e
         return total
 
-    @staticmethod
-    def _power_token(e: int) -> str:
-        if e == 0:
-            return ""
-        if e % 2 == 0:
-            h = e // 2
-            return "q" if h == 1 else f"q^{_to_decimal(h)}"
-        return "v" if e == 1 else f"v^{_to_decimal(e)}"
-
-    def __str__(self) -> str:
-        if not self._terms:
+    def _text(self, negate: bool = False) -> str:
+        """The canonical text of self, or of -self when negate is set,
+        written in one pass: terms by descending exponent, each power token
+        read from _TOKENS, and one join."""
+        terms = self._terms
+        if not terms:
             return "0"
-        pieces = []
-        for e, c in sorted(self._terms.items(), reverse=True):
-            power = self._power_token(e)
-            mag = abs(c)
-            if mag == 1 and power:
-                body = power
+        out = []
+        for e in sorted(terms, reverse=True):
+            c = terms[e]
+            power = _TOKENS.get(e)
+            if power is None:
+                power = _power_token(e)
+            if c < 0:
+                c = -c
+                out.append(" + " if negate else " - ")
             else:
-                body = _to_decimal(mag)
+                out.append(" - " if negate else " + ")
+            if c == 1 and power:
+                out.append(power)
+            else:
+                out.append(str(c) if c < _DECIMAL_SMALL else _to_decimal(c))
                 if power:
-                    body = f"{body}*{power}"
-            pieces.append((c < 0, body))
-        first_neg, first_body = pieces[0]
-        out = ("-" if first_neg else "") + first_body
-        for neg, body in pieces[1:]:
-            out += (" - " if neg else " + ") + body
-        return out
+                    out.append("*" + power)
+        out[0] = "-" if out[0] == " - " else ""
+        return "".join(out)
+
+    __str__ = _text
 
     def __repr__(self) -> str:
         return f"LaurentPoly({dict(sorted(self._terms.items()))!r})"

@@ -45,7 +45,7 @@ from .algebra import (AlgebraContext, Caps, DEFAULT_CAPS, HeckeElement,
                       MAX_WORD_LENGTH)
 from .elements import INDEXED_KINDS, PLAIN_KINDS, named_element
 from .errors import FormatError, ParseError, ResourceCapError
-from .laurent import (LaurentPoly, ONE, Q, V, XI, _DECIMAL_SMALL,
+from .laurent import (LaurentPoly, Q, V, XI, _DECIMAL_SMALL,
                       _from_decimal, _is_int, v_power)
 from .permutations import Permutation
 
@@ -355,7 +355,19 @@ def parse_element(text: str, n: int, caps: Caps = DEFAULT_CAPS) -> HeckeElement:
 
 def format_scalar(p: LaurentPoly) -> str:
     """Canonical text for a scalar; parse_scalar round-trips it."""
-    return str(p)
+    return p._text()
+
+
+# T[...] for each basis permutation of degree at most the default
+# enumeration cap, written once: at most 1! + 2! + ... + 7! strings
+_T_WORDS: dict[Permutation, str] = {}
+
+
+def _t_word(w: Permutation) -> str:
+    word = "T[" + ",".join(map(str, w.reduced_word())) + "]"
+    if len(w) <= DEFAULT_CAPS.enum_max:
+        _T_WORDS[w] = word
+    return word
 
 
 def format_element(el: HeckeElement) -> str:
@@ -363,32 +375,29 @@ def format_element(el: HeckeElement) -> str:
 
     Terms are ordered by (length, one-line notation) of the basis
     permutation; coefficients print bare when they are single terms and
-    parenthesized otherwise.
+    parenthesized otherwise.  A negative single term, or a sum with a
+    negative leading coefficient, prints its sign between the terms.
     """
-    if el.is_zero():
+    terms = el._terms
+    if not terms:
         return "0*T[]"
-    pieces = []
-    for w, c in el.items():
-        t_part = "T[" + ",".join(str(i) for i in w.reduced_word()) + "]"
-        if c.is_one():
-            pieces.append((False, t_part))
-            continue
-        if c == -ONE:
-            pieces.append((True, t_part))
-            continue
-        if c.num_terms() == 1:
-            body = str(c)
-            neg = body.startswith("-")
-            pieces.append((neg, f"{body.lstrip('-')}*{t_part}"))
-        elif c.leading_coeff() < 0:
-            pieces.append((True, f"({-c})*{t_part}"))
+    out = []
+    for w in el.support():
+        t_part = _T_WORDS.get(w) or _t_word(w)
+        c = terms[w]
+        cterms = c._terms
+        if len(cterms) == 1:
+            (e, a), = cterms.items()
+            neg = a < 0
+            body = (t_part if e == 0 and (a == 1 or a == -1)
+                    else f"{c._text(neg)}*{t_part}")
         else:
-            pieces.append((False, f"({c})*{t_part}"))
-    neg0, body0 = pieces[0]
-    out = ("-" if neg0 else "") + body0
-    for neg, body in pieces[1:]:
-        out += (" - " if neg else " + ") + body
-    return out
+            neg = cterms[max(cterms)] < 0
+            body = f"({c._text(neg)})*{t_part}"
+        out.append(" - " if neg else " + ")
+        out.append(body)
+    out[0] = "-" if out[0] == " - " else ""
+    return "".join(out)
 
 
 # -- JSON --------------------------------------------------------------------

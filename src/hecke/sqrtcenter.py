@@ -33,7 +33,8 @@ from .center import (GammaBasis, _GAMMA_MEMO, _act, _blocks, _table_row,
                      express_in_gamma, gamma_basis)
 from .elements import elem_sym, poincare, t_longest, xbar, ybar
 from .errors import DegreeMismatchError, MismatchError, NotCentralError
-from .laurent import LaurentPoly, ONE, Q, Q_MINUS_1, from_int, q_power
+from .laurent import (LaurentPoly, ONE, Q, Q_MINUS_1, ZERO, from_int,
+                      q_power)
 from .linalg import reduced_basis, sparse_rank
 from .permutations import (Partition, Permutation, _all_permutations,
                            partitions_of)
@@ -505,8 +506,16 @@ def eigen_search(ctx, z: HeckeElement, k) -> list[HeckeElement]:
     zs = {nu: a for nu, a in express_in_gamma(z, gb).items() if a}
     columns = {mu: _act({nu: _table_row(gb, nu)[mu] for nu in zs}, zs)
                for mu in partitions_of(c.n)}
-    kept = [(e, d) for _, e, d in _blocks(gb)
-            if _act(columns, e) == {mu: k * a for mu, a in e.items() if k}]
+    kept = []
+    for _, e, d in _blocks(gb):
+        # one coordinate of M_z E_lam, p(n) products, drops most blocks
+        # before the full comparison
+        nu = next(iter(e))
+        at_nu = sum((columns[mu].get(nu, ZERO) * a for mu, a in e.items()),
+                    ZERO)
+        if at_nu == k * e[nu] and _act(columns, e) == {
+                mu: k * a for mu, a in e.items() if k}:
+            kept.append((e, d))
     if not kept:
         return []
     perms = _all_permutations(c.n)
