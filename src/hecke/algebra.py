@@ -75,7 +75,7 @@ from functools import lru_cache, partial
 from math import factorial
 
 from .errors import DegreeMismatchError, ResourceCapError, TermTypeError
-from .laurent import ONE, Q, Q_MINUS_1, ZERO, LaurentPoly, v_power
+from .laurent import ONE, Q, Q_MINUS_1, ZERO, LaurentPoly, _is_int, v_power
 from .permutations import (Partition, Permutation, _all_permutations,
                            _classes, _minimal_classes)
 from .records import Record, _set
@@ -616,13 +616,13 @@ class HeckeElement:
 
     def __init__(self, n: int, terms: dict[Permutation, LaurentPoly] | None = None):
         """Keys must be Permutations of degree n; coefficients LaurentPolys
-        or ints.  Zero coefficients are dropped."""
+        or ints (not bools).  Zero coefficients are dropped."""
         self.n = n
         clean: dict[Permutation, LaurentPoly] = {}
         if terms:
             for w, c in terms.items():
                 _check_key(n, w)
-                if isinstance(c, int):
+                if _is_int(c):
                     c = LaurentPoly(c)
                 elif not isinstance(c, LaurentPoly):
                     raise TermTypeError(

@@ -210,11 +210,8 @@ def verify_gamma_invariants(gb: GammaBasis) -> None:
 
 _GAMMA_MEMO: dict[int, GammaBasis] = {}
 
-# n -> {lam: {mu: coordinates of gamma_lam * gamma_mu}}: the multiplication
-# table of the centre, one row filled the first time it is read
-_TABLE_MEMO: dict[int, dict[Partition, dict]] = {}
-
-# n -> _blocks(gamma_basis(n)): the blocks of the centre, built once
+# n -> _blocks(gamma_basis(n)): the blocks of the centre and their
+# characters, built once per degree
 _BLOCK_MEMO: dict[int, list] = {}
 
 
@@ -266,29 +263,20 @@ def express_in_gamma(z: HeckeElement,
     return coeffs
 
 
-def _table_row(gb: GammaBasis,
-               lam: Partition) -> dict[Partition, dict[Partition, LaurentPoly]]:
-    """{mu: coordinates of gamma_lam * gamma_mu} for every partition mu.
-
-    The table depends on the degree alone, so each row is multiplied out
-    and checked by express_in_gamma once per process.
-    """
-    rows = _TABLE_MEMO.setdefault(gb.n, {})
-    row = rows.get(lam)
-    if row is None:
-        g = gb.elements[lam]
-        row = rows[lam] = {mu: express_in_gamma(g * h, gb) for mu, h in gb}
-    return row
-
-
-
-def _act(columns: dict, vec: dict) -> dict[Partition, LaurentPoly]:
-    """Columns {mu: {nu: entry}}, such as a table row, times {mu: entry}."""
-    out: dict[Partition, LaurentPoly] = {}
-    for mu, b in vec.items():
-        for nu, a in columns[mu].items():
-            out[nu] = out.get(nu, ZERO) + a * b
-    return {nu: a for nu, a in out.items() if a}
+def _traces(gb: GammaBasis) -> dict[tuple[Partition, Partition], LaurentPoly]:
+    """{(nu, mu): tau(gamma_nu gamma_mu)} for the symmetrizing trace tau,
+    tau(T_u T_w) = q^l(w) [u = w^-1] (Geck and Pfeiffer, section 8.1).  A
+    central element has the same coefficient at w and w^-1, so this is the
+    sum over w of the two coefficients at w times q^l(w), once per pair."""
+    weighted = [(nu, {w: a.shift(2 * w.length()) for w, a in g._terms.items()})
+                for nu, g in gb]
+    out = {}
+    for i, (nu, a) in enumerate(weighted):
+        for mu, _ in weighted[i:]:
+            b = gb.elements[mu]._terms
+            out[nu, mu] = out[mu, nu] = sum(
+                (x * b[w] for w, x in a.items() if w in b), ZERO)
+    return out
 
 
 def _content_scalar(lam: Partition) -> LaurentPoly:
@@ -312,39 +300,56 @@ def _block_dimension(lam: Partition) -> int:
     return (factorial(lam.n) // hooks) ** 2
 
 
-def _blocks(gb: GammaBasis) -> list[tuple[Partition, dict, int]]:
-    """[(lam, E_lam, (f^lam)^2)] for the partitions lam of n, in order.
+def _blocks(gb: GammaBasis) -> list[tuple[Partition, dict, int, dict]]:
+    """[(lam, E_lam, (f^lam)^2, omega_lam)] for the partitions lam of n.
 
-    E_lam = prod over mu != lam of (e_1 - omega_mu), applied to 1 in
+    E_lam = prod over mu != lam of (e_1 - c_mu), applied to 1 in
     minimal-basis coordinates and normalised, where e_1 = gamma_(2,1^(n-2))
-    is the sum of the Murphy elements and omega_mu = _content_scalar(mu).
-    The omega_mu are distinct, so E_lam is a nonzero multiple of the
-    central idempotent of the block of lam, of dimension (f^lam)^2
-    (Mathas, chapter 3).  E_lam != 0, its
-    eigenvalue omega_lam and the sum n! of the dimensions are checked.
+    is the sum of the Murphy elements and c_mu = _content_scalar(mu).
+    The c_mu are distinct, so E_lam is a nonzero multiple of the central
+    idempotent of the block of lam, of dimension (f^lam)^2 (Mathas,
+    chapter 3).  A central z acts on that block by a scalar omega_lam(z),
+    so tau(z E_lam) = omega_lam(z) tau(E_lam) (_traces) gives omega_lam =
+    {nu: omega_lam(gamma_nu)}; tau(E_lam), the coordinate of E_lam at
+    gamma_(1^n) = 1, is a multiple of tau(e_lam) = f^lam / (the Schur
+    element of lam).  Checked: that coordinate is nonzero, e_1 E_lam =
+    c_lam E_lam, the divisions are exact, omega_lam(e_1) = c_lam and the
+    dimensions add up to n!.
     """
     if gb.n in _BLOCK_MEMO:
         return _BLOCK_MEMO[gb.n]
     parts = partitions_of(gb.n)
-    # degree 1 has no gamma_(2,...); its e_1 is 0
-    e1 = (_table_row(gb, Partition((2,) + (1,) * (gb.n - 2))) if gb.n > 1
-          else {parts[0]: {}})
-    omegas = {lam: _content_scalar(lam) for lam in parts}
+    one = parts[-1]    # gamma_(1^n) is the identity
+    # the row of e_1 in the multiplication table of the centre; degree 1
+    # has no gamma_(2,...), and its e_1 is 0
+    e1 = Partition((2,) + (1,) * (gb.n - 2)) if gb.n > 1 else None
+    row = ({mu: express_in_gamma(gb.elements[e1] * h, gb) for mu, h in gb}
+           if e1 else {one: {}})
+    contents = {lam: _content_scalar(lam) for lam in parts}
+    traces = _traces(gb)
 
-    def minus(vec, omega):   # (e_1 - omega) vec, in the order of parts
-        out = _act(e1, vec)
+    def minus(vec, c):   # (e_1 - c) vec, in the order of parts
+        out = {}
+        for mu, b in vec.items():
+            for nu, a in row[mu].items():
+                out[nu] = out.get(nu, ZERO) + a * b
         return {mu: a for mu in parts
-                if (a := out.get(mu, ZERO) - omega * vec.get(mu, ZERO))}
+                if (a := out.get(mu, ZERO) - c * vec.get(mu, ZERO))}
 
     blocks = []
     for i, lam in enumerate(parts):
-        vec = {parts[-1]: ONE}    # gamma_(1^n) is the identity
+        vec = {one: ONE}
         for mu in parts[:i] + parts[i + 1:]:
-            vec = minus(vec, omegas[mu])
-        if not vec or minus(vec := _normalise(vec), omegas[lam]):
-            raise MismatchError(f"no block element of {lam} for {omegas[lam]}")
-        blocks.append((lam, vec, _block_dimension(lam)))
-    if sum(d for _, _, d in blocks) != factorial(gb.n):
+            vec = minus(vec, contents[mu])
+        if one not in vec or minus(vec := _normalise(vec), contents[lam]):
+            raise MismatchError(f"no block element of {lam} for "
+                                f"{contents[lam]}")
+        chars = {nu: sum((a * traces[nu, mu] for mu, a in vec.items()), ZERO)
+                 .divexact(vec[one]) for nu in parts}
+        if e1 and chars[e1] != contents[lam]:
+            raise MismatchError(f"e_1 acts on {lam} by {chars[e1]} in trace")
+        blocks.append((lam, vec, _block_dimension(lam), chars))
+    if sum(d for _, _, d, _ in blocks) != factorial(gb.n):
         raise MismatchError(f"the block dimensions do not add up to {gb.n}!")
     _BLOCK_MEMO[gb.n] = blocks
     return blocks

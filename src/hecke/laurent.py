@@ -86,8 +86,8 @@ class LaurentPoly:
 
     def __init__(self, terms: dict[int, int] | int = 0):
         """An int, or a mapping of int exponents to int coefficients;
-        anything else raises TermTypeError."""
-        if isinstance(terms, int):
+        anything else, a bool included, raises TermTypeError."""
+        if _is_int(terms):
             self._terms = {0: terms} if terms else {}
             return
         items = getattr(terms, "items", None)
@@ -97,7 +97,7 @@ class LaurentPoly:
                 f"coefficients, not a {type(terms).__name__}")
         out = {}
         for e, c in items():
-            if not (isinstance(e, int) and isinstance(c, int)):
+            if not (_is_int(e) and _is_int(c)):
                 raise TermTypeError(
                     f"scalar term {e!r}: {c!r} is not an int exponent "
                     f"with an int coefficient")

@@ -18,10 +18,11 @@ degree 3 admits a complete linear description.  This module provides:
 * ``eigen_search``: exact eigenvectors for multiplication by a central
   element, for a caller-supplied eigenvalue in Z[v, v^-1], where every
   eigenvalue of a central element lies.  The eigenspace is a sum of
-  Wedderburn blocks, read off the blocks of the centre and spanned by
-  products with the T_w up to the blocks' dimension.  Every vector is re-verified by multiplication.
-  At k = 0 the search decides from the centre alone whether a central
-  element is a nonzerodivisor: it is one iff nothing is found.
+  Wedderburn blocks, read off the characters of the centre and spanned
+  by products with the T_w up to the blocks' dimension.  Every vector is
+  re-verified by multiplication.  At k = 0 the search decides from the
+  centre alone whether a central element is a nonzerodivisor: it is one
+  iff nothing is found.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from __future__ import annotations
 import random
 
 from .algebra import HeckeElement, _indexed, as_context, commutator, is_central
-from .center import (GammaBasis, _GAMMA_MEMO, _act, _blocks, _table_row,
-                     express_in_gamma, gamma_basis)
+from .center import (GammaBasis, _GAMMA_MEMO, _blocks, express_in_gamma,
+                     gamma_basis)
 from .elements import elem_sym, poincare, t_longest, xbar, ybar
-from .errors import DegreeMismatchError, MismatchError, NotCentralError
+from .errors import DegreeMismatchError, MismatchError
 from .laurent import (LaurentPoly, ONE, Q, Q_MINUS_1, ZERO, from_int,
                       q_power)
 from .linalg import reduced_basis, sparse_rank
@@ -472,10 +473,11 @@ def eigen_search(ctx, z: HeckeElement, k) -> list[HeckeElement]:
     k (Geck and Pfeiffer, Characters of Finite Coxeter Groups and
     Iwahori-Hecke Algebras, 2000, chapters 7-9).
 
-    Method: the block of lam (center._blocks) is kept when
-    M_z E_lam = k E_lam exactly, with M_z the p(n) x p(n) matrix of z in
-    the coordinates of gamma_basis(n), read off the multiplication table
-    of the centre (center._table_row).  The eigenspace is the sum of the
+    Method: z acts on the block of lam (center._blocks) by the scalar
+    omega_lam(z) = sum over nu of z_nu omega_lam(gamma_nu), with z_nu the
+    coordinates of z in gamma_basis(n) (express_in_gamma, which also
+    raises NotCentralError for a z that is not central), and the block is
+    kept when that scalar equals k.  The eigenspace is the sum of the
     ideals E_lam * H of the kept blocks, and its dimension d is the sum of
     their (f^lam)^2: nothing if no block is kept, all of H if d = n!, and
     otherwise d products E_lam * T_w, found by a rank modulo a prime that
@@ -493,29 +495,15 @@ def eigen_search(ctx, z: HeckeElement, k) -> list[HeckeElement]:
     c.check_linalg()
     if z.n != c.n:
         raise DegreeMismatchError(f"element degree {z.n} does not match {c.n}")
-    if not is_central(z):
-        raise NotCentralError("eigen search expects a central element")
     if isinstance(k, int):
         k = LaurentPoly(k)
     elif not isinstance(k, LaurentPoly):
         raise TypeError(f"eigenvalue must be a LaurentPoly or an int, "
                         f"not {k!r}")
     gb = gamma_basis(c)
-    # column mu of M_z: z * gamma_mu = sum_nu z_nu gamma_nu gamma_mu, in
-    # gamma coordinates, read off the multiplication table
-    zs = {nu: a for nu, a in express_in_gamma(z, gb).items() if a}
-    columns = {mu: _act({nu: _table_row(gb, nu)[mu] for nu in zs}, zs)
-               for mu in partitions_of(c.n)}
-    kept = []
-    for _, e, d in _blocks(gb):
-        # one coordinate of M_z E_lam, p(n) products, drops most blocks
-        # before the full comparison
-        nu = next(iter(e))
-        at_nu = sum((columns[mu].get(nu, ZERO) * a for mu, a in e.items()),
-                    ZERO)
-        if at_nu == k * e[nu] and _act(columns, e) == {
-                mu: k * a for mu, a in e.items() if k}:
-            kept.append((e, d))
+    zs = express_in_gamma(z, gb)
+    kept = [(e, d) for _, e, d, omega in _blocks(gb)
+            if sum((a * omega[nu] for nu, a in zs.items()), ZERO) == k]
     if not kept:
         return []
     perms = _all_permutations(c.n)

@@ -675,8 +675,16 @@ def test_basis_constructors_reject_non_permutation_keys():
 
 
 def test_constructor_rejects_non_laurent_coefficients():
+    # a True coefficient was once kept, and element_to_json wrote it as
+    # "True", which element_from_json refuses
+    for c in (1.5, True, False):
+        with pytest.raises(TermTypeError):
+            HeckeElement(3, {Permutation((1, 2, 3)): c})
+
+
+def test_scale_rejects_a_bool():
     with pytest.raises(TermTypeError):
-        HeckeElement(3, {Permutation((1, 2, 3)): 1.5})
+        HeckeElement.one(3).scale(True)
 
 
 def test_constructor_converts_int_coefficients():

@@ -27,7 +27,10 @@ from hecke import (
     x_elem,
     y_elem,
 )
+from hecke.center import _blocks
 from hecke.linalg import sparse_rank
+
+from content_oracle import contents, elementary, partitions, q_content
 
 
 def _coords(z, gb):
@@ -242,24 +245,72 @@ def test_identity_is_the_all_fixed_class(gb4):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_multiplication_table_of_the_centre(monkeypatch, n):
-    from hecke.center import _TABLE_MEMO, _table_row
-
-    monkeypatch.delitem(_TABLE_MEMO, n, raising=False)
+def test_multiplication_table_of_the_centre(n):
+    # the table from fresh products: each block character is a ring
+    # homomorphism of it
     gb = gamma_basis(n)
     parts = partitions_of(n)
-    table = {lam: _table_row(gb, lam) for lam in parts}
+    table = {lam: {mu: express_in_gamma(g * h, gb) for mu, h in gb}
+             for lam, g in gb}
+    omegas = [omega for *_, omega in _blocks(gb)]
     for lam in parts:
-        assert _table_row(gb, lam) is table[lam]
-        assert tuple(table[lam]) == parts
         for mu in parts:
-            fresh = express_in_gamma(gb.elements[lam] * gb.elements[mu], gb)
-            assert table[lam][mu] == fresh, (lam, mu)
+            assert tuple(table[lam][mu]) == parts
             # the centre is commutative
             assert table[lam][mu] == table[mu][lam], (lam, mu)
+            for omega in omegas:
+                assert sum((a * omega[nu] for nu, a in table[lam][mu].items()),
+                           LaurentPoly(0)) == omega[lam] * omega[mu], (lam, mu)
     one = Partition((1,) * n)
     assert table[one] == {mu: {nu: LaurentPoly(int(nu == mu)) for nu in parts}
                           for mu in parts}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_each_minimal_basis_element_acts_on_a_block_by_its_character(n):
+    # the fact the characters are read off: gamma_nu * E_lam =
+    # omega_lam(gamma_nu) E_lam, here from fresh products
+    gb = gamma_basis(n)
+    for lam, e, _, omega in _blocks(gb):
+        assert list(omega) == list(partitions_of(n))
+        block = sum((gb.elements[mu].scale(a) for mu, a in e.items()),
+                    HeckeElement.zero(n))
+        for nu, g in gb:
+            got = {mu: a for mu, a in express_in_gamma(g * block, gb).items()
+                   if a}
+            assert got == {mu: omega[nu] * a for mu, a in e.items()
+                           if omega[nu]}, (lam, nu)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_minimal_basis_coefficients_agree_at_w_and_its_inverse(n):
+    # the trace form of the block characters sums (gamma_nu)_w
+    # (gamma_mu)_w q^l(w), which needs this symmetry
+    for lam, g in gamma_basis(n):
+        for w, a in g._terms.items():
+            assert g.coeff(w.inverse()) == a, (lam, w)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_block_characters_match_the_contents(n):
+    gb = gamma_basis(n)
+    esym = [express_in_gamma(elem_sym(n, j), gb) for j in range(n)]
+    w0 = t_longest(n)
+    w0_sq = express_in_gamma(w0 * w0, gb)
+    blocks = _blocks(gb)
+    assert [tuple(lam) for lam, *_ in blocks] == list(partitions(n))
+    for lam, _, _, omega in blocks:
+        cs = contents(lam)
+        values = [q_content(c) for c in cs]
+
+        def acts_by(coords):
+            return sum((a * omega[nu] for nu, a in coords.items()),
+                       LaurentPoly(0))
+
+        for j, coords in enumerate(esym):
+            assert acts_by(coords) == elementary(j, values), (lam, j)
+        assert acts_by(w0_sq) == LaurentPoly(
+            {2 * (n * (n - 1) // 2 + sum(cs)): 1}), lam
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

@@ -35,8 +35,10 @@ def test_construction_and_predicates():
     assert LaurentPoly({-3: -1}).is_unit()
 
 
+# bool subclasses int, and str(LaurentPoly(True)) once printed "True"
 @pytest.mark.parametrize("terms", [{0.5: 1}, {0: 1.5}, {"a": 1}, 2.5, "3",
-                                   [(0, 1)], None])
+                                   [(0, 1)], None, True, {0: True},
+                                   {True: 1}])
 def test_constructor_takes_only_int_exponents_and_coefficients(terms):
     with pytest.raises(TermTypeError) as info:
         LaurentPoly(terms)

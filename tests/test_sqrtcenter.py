@@ -225,7 +225,7 @@ def test_a_point_where_the_products_fall_short_is_passed_over(monkeypatch,
     # products span fewer than the block's 4 dimensions
     unlucky = _unlucky_point()
     z, k = gb3[(2, 1)], parse_scalar("q - 1")
-    (e, dim), = [(e, d) for lam, e, d in center._blocks(gb3)
+    (e, dim), = [(e, d) for lam, e, d, _ in center._blocks(gb3)
                  if lam == (2, 1)]
     g = sum((gb3.elements[mu].scale(a) for mu, a in e.items()),
             HeckeElement.zero(3))
@@ -249,7 +249,7 @@ def test_only_points_where_the_products_fall_short_raise(monkeypatch, ctx3,
 def test_a_block_dimension_one_too_high_raises(monkeypatch, ctx3, gb3):
     k = parse_scalar("q - 1")
     assert len(eigen_search(ctx3, gb3[(2, 1)], k)) == 4
-    forced = [(lam, e, d + (lam == (2, 1))) for lam, e, d
+    forced = [(lam, e, d + (lam == (2, 1)), omega) for lam, e, d, omega
               in center._blocks(gb3)]
     monkeypatch.setitem(center._BLOCK_MEMO, 3, forced)
     with pytest.raises(MismatchError, match="5 independent products"):
@@ -297,7 +297,7 @@ def test_block_dimensions_match_the_corank_of_the_full_matrix(n):
     v0 = _CERT_POINTS[0]
     elements = [(sum((gb.elements[mu].scale(a) for mu, a in e.items()),
                      HeckeElement.zero(n)), d)
-                for _, e, d in center._blocks(gb)]
+                for _, e, d, _ in center._blocks(gb)]
     for shape, k in cases:
         z = gb[shape]
         dim = sum(d for e, d in elements if z * e == e.scale(k))
@@ -357,9 +357,7 @@ def test_eigen_search_of_a_two_term_central_element():
     assert len(eigen_search(4, z, triv)) == 1
 
 
-def test_the_multiplication_table_is_read_not_rebuilt(monkeypatch):
-    from hecke import center
-
+def test_the_blocks_are_read_not_rebuilt(monkeypatch):
     z, k = gamma_basis(4)[(2, 1, 1)], parse_scalar("q - 1")
     expansions = []
 
@@ -368,16 +366,19 @@ def test_the_multiplication_table_is_read_not_rebuilt(monkeypatch):
         return express_in_gamma(el, gb)
 
     monkeypatch.setattr(center, "express_in_gamma", counted)
-    monkeypatch.delitem(center._TABLE_MEMO, 4, raising=False)
+    monkeypatch.delitem(center._BLOCK_MEMO, 4, raising=False)
+    # a cold search expands the row of e_1 in the multiplication table of
+    # the centre, p(n) products, and nothing else
     cold = eigen_search(4, z, k)
-    assert len(expansions) == len(partitions_of(4))
+    gb = gamma_basis(4)
+    assert expansions == [gb[(2, 1, 1)] * g for _, g in gb]
+    # a warm one expands none
     warm = eigen_search(4, z, k)
     assert len(expansions) == len(partitions_of(4))
     assert warm == cold and len(cold) == 4
     # the output does not depend on what the process computed before
-    monkeypatch.delitem(center._TABLE_MEMO, 4)
+    monkeypatch.delitem(center._BLOCK_MEMO, 4)
     assert eigen_search(4, z, k) == warm
-    assert len(expansions) == 2 * len(partitions_of(4))
 
 
 def _corank_from_matrix(n, z, k, v0):
@@ -422,7 +423,7 @@ def test_eigen_search_takes_the_eigenvalue_in_the_ring(ctx3, gb3):
     ones = eigen_search(ctx3, gb3[(1, 1, 1)], 1)
     assert ones == eigen_search(ctx3, gb3[(1, 1, 1)], LaurentPoly(1))
     assert len(ones) == 6
-    for k in ((qm1, 1), "q - 1", RationalFn(qm1)):
+    for k in ((qm1, 1), "q - 1", RationalFn(qm1), True):
         with pytest.raises(TypeError):
             eigen_search(ctx3, z, k)
 
