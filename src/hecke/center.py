@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from math import factorial
 
-from .algebra import (HeckeElement, as_context, is_central, _indexed,
-                      _lmul_gen, _rmul_gen)
+from .algebra import (HeckeElement, as_context, is_central, _acc,
+                      _indexed, _lmul_gen, _rmul_gen)
 from .errors import DegreeMismatchError, MismatchError, NotCentralError
 from .laurent import LaurentPoly, ONE, Q_MINUS_1, ZERO
 from .linalg import SparseSystem, _normalise
@@ -236,7 +236,8 @@ def express_in_gamma(z: HeckeElement,
     """Coordinates of a central element in the minimal basis.
 
     Read off the minimal-length coefficients class by class, then confirm
-    the expansion reproduces the element exactly.
+    the expansion reproduces the element exactly: each c * gamma is taken
+    off one copy of the terms of z, without a product when c is 1.
     """
     if z.n != gb.n:
         raise DegreeMismatchError(
@@ -244,7 +245,7 @@ def express_in_gamma(z: HeckeElement,
     if not is_central(z):
         raise NotCentralError("element is not central")
     coeffs: dict[Partition, LaurentPoly] = {}
-    residual = z
+    residual = dict(z._terms)
     for lam in partitions_of(gb.n):
         minimals = _minimal_classes(gb.n)[lam]
         c0 = z.coeff(minimals[0])
@@ -255,11 +256,13 @@ def express_in_gamma(z: HeckeElement,
                     f"{c0} vs {z.coeff(w)}")
         coeffs[lam] = c0
         if c0:
-            residual = residual - gb.elements[lam].scale(c0)
-    if not residual.is_zero():
+            one, minus = c0.is_one(), -c0
+            for w, a in gb.elements[lam]._terms.items():
+                _acc(residual, w, -a if one else a * minus)
+    if residual:
         raise MismatchError(
             "element is central but is not an R-combination of the basis "
-            f"(residual has {residual.num_terms()} terms)")
+            f"(residual has {len(residual)} terms)")
     return coeffs
 
 

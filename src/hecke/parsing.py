@@ -36,16 +36,29 @@ The degree comes from the parse call and falls under the enumeration cap.
 References: @x @y @xbar @ybar @Twn @fulltwist; @L:i @Lt:i @calL:i @Mt:i
 @e:i @et:i; @catalog:NAME; @gamma:p1,p2,... for a minimal-basis element
 by partition.
+
+Tokens: INT is ASCII digits 0-9, NAME an ASCII letter and then ASCII
+letters, digits and '_', and any other token one of + - * ^ ( ) [ ] , @ :.
+Whitespace (str.isspace) separates tokens.  Any other character, a
+non-ASCII digit or letter included, raises ParseError at its position, as
+does a generator index too long to convert.  One scan makes the list of
+token strings, which the parser walks by index; a token's character
+position is worked out only when an error is raised there.  A power of a
+monomial is built as its one term, and each term's scalar times part goes
+straight into one term dict.  A text that is one unscaled, unnegated part
+returns that part's element as it is: @x is the memoized x, not a copy.
 """
 
 from __future__ import annotations
+
+import re
 
 # MAX_WORD_LENGTH is the grammar's word bound, kept importable from here
 from .algebra import (AlgebraContext, Caps, DEFAULT_CAPS, HeckeElement,
                       MAX_WORD_LENGTH)
 from .elements import INDEXED_KINDS, PLAIN_KINDS, named_element
 from .errors import FormatError, ParseError, ResourceCapError
-from .laurent import (LaurentPoly, Q, V, XI, _DECIMAL_SMALL,
+from .laurent import (LaurentPoly, ONE, Q, V, XI, _DECIMAL_SMALL,
                       _from_decimal, _is_int, v_power)
 from .permutations import Permutation
 
@@ -59,35 +72,24 @@ MAX_POWER_BITS = 1 << 16
 # Each level of parentheses takes four frames of the recursive descent, so
 # about 250 levels reach the interpreter's default recursion limit.
 MAX_NESTING = 100
-_SYMBOLS = "+-*^()[],@:"
+# An INT, a NAME or one other character; a token that starts with none of
+# _PLAIN is stray, and a text of _PLAIN characters alone holds none
+_TOKEN = re.compile(r"[0-9]+|[A-Za-z][A-Za-z0-9_]*|\S")
+_PLAIN = frozenset("0123456789abcdefghijklmnopqrstuvwxyz"
+                   "ABCDEFGHIJKLMNOPQRSTUVWXYZ+-*^()[],@: \t\n\r")
+_NAMES = {"q": Q, "v": V, "xi": XI}
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("INT", text[i:j], i))
-            i = j
-        elif ch.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("NAME", text[i:j], i))
-            i = j
-        elif ch in _SYMBOLS:
-            tokens.append((ch, ch, i))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("EOF", "", len(text)))
+def _tokens(text: str) -> list[str]:
+    """The tokens of text, then '' for its end; a stray character raises
+    ParseError at its position."""
+    if not _PLAIN.issuperset(text):
+        for m in _TOKEN.finditer(text):
+            if m.group()[0] not in _PLAIN:
+                raise ParseError(f"unexpected character {m.group()!r}",
+                                 m.start())
+    tokens = _TOKEN.findall(text)
+    tokens.append("")
     return tokens
 
 
@@ -110,85 +112,90 @@ def _power_terms(base: LaurentPoly, exp: int) -> int:
 
 
 class _Parser:
+    """Recursive descent over the token list; k indexes the next token."""
+
     def __init__(self, text: str, n: int | None = None,
                  caps: Caps = DEFAULT_CAPS):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.toks = _tokens(text)
         self.k = 0
         self.n = n
         self.caps = caps
         self.depth = 0
 
-    def peek(self, ahead: int = 0) -> tuple[str, str, int]:
-        return self.tokens[min(self.k + ahead, len(self.tokens) - 1)]
+    def fail(self, message: str, k: int) -> ParseError:
+        """A ParseError at the start of token k, found by scanning again."""
+        for i, m in enumerate(_TOKEN.finditer(self.text)):
+            if i == k:
+                return ParseError(message, m.start())
+        return ParseError(message, len(self.text))
 
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.k]
-        if tok[0] != "EOF":
-            self.k += 1
-        return tok
+    def expected(self, kind: str, k: int) -> ParseError:
+        return self.fail(f"expected {kind!r}, found "
+                         f"{self.toks[k] or 'end of input'!r}", k)
 
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}",
-                             tok[2])
-        return tok
+    def finish(self) -> None:
+        tok = self.toks[self.k]
+        if tok:
+            raise self.fail(f"unexpected trailing input {tok!r}", self.k)
 
-    def at_end(self) -> bool:
-        return self.peek()[0] == "EOF"
+    def _starts_part(self, k: int) -> bool:
+        tok = self.toks[k]
+        return tok == "@" or (tok == "T" and self.toks[k + 1] == "[")
 
     # -- scalars -------------------------------------------------------------
 
-    def _starts_part(self, ahead: int = 0) -> bool:
-        kind, val, _ = self.peek(ahead)
-        return (kind == "NAME" and val == "T"
-                and self.peek(ahead + 1)[0] == "[") or kind == "@"
-
     def scalar_sum(self) -> LaurentPoly:
-        negate = False
-        if self.peek()[0] == "-":
-            self.next()
-            negate = True
+        toks = self.toks
+        negate = toks[self.k] == "-"
+        if negate:
+            self.k += 1
         out = self.scalar_product()
         if negate:
             out = -out
-        while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
+        op = toks[self.k]
+        while op == "+" or op == "-":
+            self.k += 1
             rhs = self.scalar_product()
             out = out + rhs if op == "+" else out - rhs
+            op = toks[self.k]
         return out
 
     def scalar_product(self, stop_at_part: bool = False) -> LaurentPoly:
         out = self.scalar_power()
-        while True:
-            if self.peek()[0] == "*":
-                if stop_at_part and self._starts_part(1):
-                    return out
-                self.next()
-                out = out * self.scalar_power()
-            else:
-                return out
+        toks = self.toks
+        while toks[self.k] == "*":
+            if stop_at_part and self._starts_part(self.k + 1):
+                break
+            self.k += 1
+            out = out * self.scalar_power()
+        return out
 
     def scalar_power(self) -> LaurentPoly:
         base = self.scalar_atom()
-        if self.peek()[0] != "^":
+        toks = self.toks
+        k = self.k
+        if toks[k] != "^":
             return base
-        self.next()
-        neg = False
-        if self.peek()[0] == "-":
-            self.next()
-            neg = True
-        tok = self.expect("INT")
+        k += 1
+        neg = toks[k] == "-"
+        if neg:
+            k += 1
+        digits = toks[k]
+        if not digits.isdigit():
+            raise self.expected("INT", k)
+        self.k = k + 1
         try:
             # exponents are JSON numbers, so they keep the interpreter's
             # limit on int/str conversion
-            exp = int(tok[1])
+            exp = int(digits)
         except ValueError:
-            raise ParseError(f"exponent of {len(tok[1])} digits is too long",
-                             tok[2]) from None
-        if neg and not base.is_unit():
-            raise ParseError("negative power of a non-unit scalar", tok[2])
-        if not base.is_unit():
+            raise self.fail(f"exponent of {len(digits)} digits is too long",
+                            k) from None
+        unit = base.is_unit()
+        if neg and not unit:
+            raise self.fail("negative power of a non-unit scalar", k)
+        if not unit:
             norm = sum(abs(c) for _, c in base.items())
             if exp * max(norm - 1, 0).bit_length() > MAX_POWER_BITS:
                 raise ResourceCapError(
@@ -198,104 +205,145 @@ class _Parser:
             raise ResourceCapError(
                 f"power {exp} of a {base.num_terms()}-term scalar could have "
                 f"more than {MAX_POWER_TERMS} terms")
-        if not neg:
+        if len(base._terms) != 1:
             return base ** exp
-        (e, c), = base.items()
-        return LaurentPoly({-e: c}) ** exp
+        # a monomial's power is its one term
+        (e, c), = base._terms.items()
+        return LaurentPoly._raw({(-e if neg else e) * exp: c ** exp})
 
     def scalar_atom(self) -> LaurentPoly:
-        kind, val, pos = self.next()
-        if kind == "INT":
-            return LaurentPoly(_from_decimal(val))
-        if kind == "NAME":
-            if val == "q":
-                return Q
-            if val == "v":
-                return V
-            if val == "xi":
-                return XI
-            raise ParseError(f"unknown scalar name {val!r}", pos)
-        if kind == "(":
+        k = self.k
+        tok = self.toks[k]
+        if tok.isdigit():
+            self.k = k + 1
+            return LaurentPoly(_from_decimal(tok))
+        if tok == "(":
             if self.depth == MAX_NESTING:
                 raise ResourceCapError(
                     f"scalar nested more than {MAX_NESTING} parentheses deep")
             self.depth += 1
+            self.k = k + 1
             inner = self.scalar_sum()
-            self.expect(")")
+            if self.toks[self.k] != ")":
+                raise self.expected(")", self.k)
+            self.k += 1
             self.depth -= 1
             return inner
-        raise ParseError(f"expected a scalar, found {val or 'end of input'!r}", pos)
+        named = _NAMES.get(tok)
+        if named is not None:
+            self.k = k + 1
+            return named
+        if tok.isidentifier():
+            raise self.fail(f"unknown scalar name {tok!r}", k)
+        raise self.fail(f"expected a scalar, found {tok or 'end of input'!r}",
+                        k)
 
     # -- elements ------------------------------------------------------------
 
     def element(self) -> HeckeElement:
-        negate = self.peek()[0] == "-"
+        """The sum of the terms, each scalar times part added straight into
+        one term dict; a lone unscaled part is returned as it is."""
+        toks = self.toks
+        negate = toks[self.k] == "-"
         if negate:
-            self.next()
-        out = self.term()
-        if negate:
-            out = -out
-        while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
-            rhs = self.term()
-            out = out + rhs if op == "+" else out - rhs
-        return out
+            self.k += 1
+        scalar, part = self.term()
+        op = toks[self.k]
+        if not negate and scalar is None and op != "+" and op != "-":
+            return part
+        terms: dict[Permutation, LaurentPoly] = {}
+        get = terms.get
+        while True:
+            if scalar is None or scalar:
+                for w, c in part._terms.items():
+                    if scalar is not None:
+                        # a reduced word's one coefficient is ONE itself
+                        c = scalar if c is ONE else c * scalar
+                    cur = get(w)
+                    if cur is None:
+                        terms[w] = -c if negate else c
+                    else:
+                        c = cur - c if negate else cur + c
+                        if c:
+                            terms[w] = c
+                        else:
+                            del terms[w]
+            if op != "+" and op != "-":
+                return HeckeElement._raw(self.n, terms)
+            self.k += 1
+            negate = op == "-"
+            scalar, part = self.term()
+            op = toks[self.k]
 
-    def term(self) -> HeckeElement:
-        if self._starts_part():
-            return self.part()
+    def term(self) -> tuple[LaurentPoly | None, HeckeElement]:
+        """(scalar, part), the scalar None when the term has none."""
+        if self._starts_part(self.k):
+            return None, self.part()
         scalar = self.scalar_product(stop_at_part=True)
-        if self.peek()[0] == "*":
-            self.next()
-        if not self._starts_part():
-            tok = self.peek()
-            raise ParseError("expected T[...] or an @reference after the scalar",
-                             tok[2])
-        return self.part().scale(scalar)
+        k = self.k
+        if self.toks[k] == "*":
+            k += 1
+        if not self._starts_part(k):
+            raise self.fail("expected T[...] or an @reference after the scalar",
+                            k)
+        self.k = k
+        return scalar, self.part()
 
     def part(self) -> HeckeElement:
-        kind, val, pos = self.next()
-        if kind == "NAME" and val == "T":
-            self.expect("[")
-            word = []
-            if self.peek()[0] != "]":
-                while True:
-                    tok = self.expect("INT")
-                    i = int(tok[1])
-                    if not 1 <= i <= self.n - 1:
-                        raise ParseError(
-                            f"generator index {i} out of range for degree {self.n}",
-                            tok[2])
-                    word.append(i)
-                    if self.peek()[0] != ",":
-                        break
-                    self.next()
-            self.expect("]")
-            # from_word refuses a word of more than MAX_WORD_LENGTH letters
-            return HeckeElement.from_word(self.n, word)
-        if kind == "@":
+        toks = self.toks
+        k = self.k
+        if toks[k] == "@":
             return self.reference()
-        raise ParseError(f"expected T[...] or an @reference, found "
-                         f"{val or 'end of input'!r}", pos)
+        k += 2
+        n = self.n
+        word = []
+        if toks[k] != "]":
+            while True:
+                tok = toks[k]
+                if not tok.isdigit():
+                    raise self.expected("INT", k)
+                try:
+                    i = int(tok)
+                except ValueError:
+                    raise self.fail(f"generator index of {len(tok)} digits "
+                                    f"out of range for degree {n}", k) from None
+                if not 0 < i < n:
+                    raise self.fail(
+                        f"generator index {i} out of range for degree {n}", k)
+                word.append(i)
+                k += 1
+                if toks[k] != ",":
+                    break
+                k += 1
+        if toks[k] != "]":
+            raise self.expected("]", k)
+        self.k = k + 1
+        # from_word refuses a word of more than MAX_WORD_LENGTH letters
+        return HeckeElement.from_word(n, word)
 
     def reference(self) -> HeckeElement:
-        name_tok = self.expect("NAME")
-        ref, pos = name_tok[1], name_tok[2]
+        toks = self.toks
+        at = self.k + 1
+        ref = toks[at]
+        if not ref.isidentifier():
+            raise self.expected("NAME", at)
+        k = at + 1
         args: list[str] = []
-        if self.peek()[0] == ":":
-            self.next()
+        if toks[k] == ":":
             while True:
-                tok = self.next()
-                if tok[0] not in ("INT", "NAME"):
-                    raise ParseError("expected a reference argument", tok[2])
-                args.append(tok[1])
-                if self.peek()[0] != ",":
+                k += 1
+                arg = toks[k]
+                if not (arg.isdigit() or arg.isidentifier()):
+                    raise self.fail("expected a reference argument", k)
+                args.append(arg)
+                k += 1
+                if toks[k] != ",":
                     break
-                self.next()
+        self.k = k
         try:
             return _resolve_reference(ref, args, self.n, self.caps)
         except (ValueError, KeyError, IndexError) as exc:
-            raise ParseError(str(exc), pos) from exc
+            raise self.fail(str(exc), at) from exc
 
 
 def _resolve_reference(ref: str, args: list[str], n: int,
@@ -331,9 +379,7 @@ def parse_scalar(text: str) -> LaurentPoly:
     """Parse a scalar expression over Z[v, v^-1]."""
     p = _Parser(text)
     out = p.scalar_sum()
-    if not p.at_end():
-        tok = p.peek()
-        raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
+    p.finish()
     return out
 
 
@@ -347,9 +393,7 @@ def parse_element(text: str, n: int, caps: Caps = DEFAULT_CAPS) -> HeckeElement:
     AlgebraContext(n, caps).check_enum()
     p = _Parser(text, n, caps)
     out = p.element()
-    if not p.at_end():
-        tok = p.peek()
-        raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
+    p.finish()
     return out
 
 

@@ -9,8 +9,10 @@ from hecke import (
     GammaBasis,
     HeckeElement,
     LaurentPoly,
+    MismatchError,
     NotCentralError,
     Partition,
+    Permutation,
     all_permutations,
     centre_basis,
     elem_sym,
@@ -110,6 +112,21 @@ def test_symmetric_sums_decompose_by_minimal_length(ctx3, gb3, ctx4, gb4):
 def test_express_rejects_noncentral_input(gb3):
     with pytest.raises(NotCentralError):
         express_in_gamma(parse_element("T[1]", 3), gb3)
+
+
+def test_express_checks_the_expansion_against_the_basis_it_is_given(gb4):
+    # each basis element in turn gains a term off the minimal classes, so
+    # the coordinates read as before and the residual is c * q * T_w0
+    w0 = Permutation.longest(4)
+    for z in (x_elem(4), gb4[(3, 1)], gb4[(3, 1)].scale(parse_scalar("q-1"))):
+        coords = express_in_gamma(z, gb4)
+        for lam, g in gb4:
+            if not coords[lam]:
+                continue
+            bent = dict(gb4.elements)
+            bent[lam] = g + HeckeElement.basis(4, w0).scale(parse_scalar("q"))
+            with pytest.raises(MismatchError, match="residual has 1 terms"):
+                express_in_gamma(z, GammaBasis(4, bent))
 
 
 def test_express_is_linear(gb3):

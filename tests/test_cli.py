@@ -299,6 +299,12 @@ def test_parse_error_exit_code(capsys):
     rc, _, err = run(capsys, "mul", "--n", "3", "T[9]", "T[1]")
     assert rc == 2
     assert "error:" in err
+    # digits int() refuses are parse errors with a position, not a
+    # ValueError that only the catch-all turned into exit 2
+    for arg, pos in (("\u00b2*T[1]", 0), ("T[" + "1" * 5000 + "]", 2)):
+        rc, _, err = run(capsys, "mul", "--n", "3", "T[1]", arg)
+        assert rc == 2
+        assert f"(at position {pos})" in err
 
 
 def test_resource_cap_exit_code(capsys):

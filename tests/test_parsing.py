@@ -1,15 +1,23 @@
-"""Tests for the element grammar, the scalar grammar, and JSON interchange."""
+"""Tests for the element grammar, the scalar grammar, and JSON interchange.
+
+The one-pass parser is checked against the earlier parser
+(tests/parser_oracle.py) on texts that follow the grammar and texts that
+break it: the same elements, key order included, and the same errors.
+"""
 
 import json
 import random
 import time
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from hecke import (
     Caps,
     FormatError,
     HeckeElement,
+    HeckeError,
     LaurentPoly,
     ParseError,
     ResourceCapError,
@@ -24,6 +32,10 @@ from hecke import (
     v_power,
     x_elem,
 )
+from hecke.parsing import (MAX_NESTING, MAX_POWER_BITS, MAX_POWER_TERMS,
+                           MAX_WORD_LENGTH)
+
+from parser_oracle import oracle_element, oracle_scalar
 
 ROUNDTRIP_TRIALS = 300
 
@@ -287,3 +299,180 @@ def test_json_drops_zero_terms():
         "terms": [{"perm": [2, 1, 3], "coeff": []}],
     }
     assert element_from_json(doc).is_zero()
+
+
+def test_digits_and_names_are_ascii():
+    # str.isdigit accepts these, and int() then refused some of them with
+    # a bare ValueError; '٣' (Arabic-Indic three) parsed as 3
+    for text, pos in (("²", 0), ("q^²", 2), ("٣", 0),
+                      ("q²", 1), ("2*é", 2)):
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            parse_scalar(text)
+        assert err.value.pos == pos, text
+    for text, pos in (("T[²]", 2), ("²*T[1]", 0), ("@é", 1),
+                      ("T[1] + ٣*T[2]", 7)):
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            parse_element(text, 3)
+        assert err.value.pos == pos, text
+    # non-ASCII whitespace still separates tokens
+    assert parse_element("2\u00a0*\u2003T[1]", 3) == parse_element("2*T[1]", 3)
+
+
+def test_a_generator_index_too_long_to_convert_is_a_parse_error():
+    with pytest.raises(ParseError, match="generator index") as err:
+        parse_element("T[" + "1" * 5000 + "]", 3)
+    assert err.value.pos == 2
+    with pytest.raises(ParseError) as err:
+        parse_element("T[1," + "0" * 5000 + "9]", 3)
+    assert err.value.pos == 4
+
+
+def test_a_lone_reference_is_returned_as_it_is(gb4):
+    assert parse_element("@x", 4) is x_elem(4)
+    assert parse_element(" @gamma:2,2 ", 4) is gb4[(2, 2)]
+    # anything more builds a fresh element
+    assert parse_element("1*@x", 4) is not x_elem(4)
+    assert parse_element("1*@x", 4) == x_elem(4)
+
+
+# -- the earlier parser as the oracle ------------------------------------------
+
+_INTS = st.one_of(st.integers(0, 12).map(str),
+                  st.sampled_from(("007", "12345678901234567890", "9" * 700)))
+# both sides of the caps on powers and on nesting, then powers the caps
+# leave alone
+_CAPPED = (
+    f"(v-1)^{MAX_POWER_TERMS - 1}", f"(v-1)^{MAX_POWER_TERMS}",
+    f"(q+1)^{MAX_POWER_TERMS - 1}", f"(q+1)^{MAX_POWER_TERMS}",
+    f"2^{MAX_POWER_BITS}", f"2^{MAX_POWER_BITS + 1}", "(3*q)^100000",
+    "(" * MAX_NESTING + "q" + ")" * MAX_NESTING,
+    "(" * (MAX_NESTING + 1) + "q" + ")" * (MAX_NESTING + 1),
+    "(-v)^1000001", "(2*q)^3", "0^0", "0^100000000", "(-q)^-3", "xi^0",
+    "(q^300+1)^2", "v^" + "9" * 60)
+# references that resolve, then words on both sides of MAX_WORD_LENGTH
+_FIXED_PARTS = (
+    "@x", "@y", "@xbar", "@ybar", "@Twn", "@fulltwist", "@L:2", "@Lt:2",
+    "@calL:2", "@Mt:1", "@e:1", "@et:1", "@gamma:1,1", "@catalog:R4",
+    "T[" + ",".join("1" * MAX_WORD_LENGTH) + "]",
+    "T[" + ",".join("1" * (MAX_WORD_LENGTH + 1)) + "]")
+# parts the grammar refuses, or whose reference does not resolve
+_BAD_PARTS = (
+    "@catalog:nope", "@nosuch", "@x:1", "@e", "@e:0", "@e:q",
+    "@e:" + "1" * 5000, "@gamma:", "@gamma:3", "@", "@:1", "@e:1,", "T[1,]",
+    "T[,1]", "T[", "T", "T[1 2]", "T[1]]", "T[" + "1" * 5000 + "]")
+
+
+def _scalars(good):
+    """Scalar texts: by the grammar when good, else with unknown names,
+    negative powers of non-units and exponents past the conversion limit."""
+    names = ("q", "v", "xi") + (() if good else ("z", "T", "qv"))
+    signs = ("",) if good else ("", "-")
+    small = st.integers(0, 4).map(str)
+    exponents = small if good else st.one_of(small, st.sampled_from((
+        str(MAX_POWER_TERMS), str(MAX_POWER_BITS + 1), "1" + "0" * 5000)))
+
+    def layer(inner):
+        return st.one_of(
+            st.builds(lambda a, s, e: f"{a}^{s}{e}", inner,
+                      st.sampled_from(signs), exponents),
+            st.lists(inner, min_size=2, max_size=3).map("*".join),
+            st.builds(lambda s, a, op, b: f"{s}{a}{op}{b}",
+                      st.sampled_from(("", "-")), inner,
+                      st.sampled_from(("+", " - ", " + ")), inner),
+            inner.map(lambda a: f"({a})"))
+
+    return st.one_of(
+        st.recursive(st.one_of(_INTS, st.sampled_from(names)), layer,
+                     max_leaves=6),
+        st.sampled_from(_CAPPED))
+
+
+def _elements(n, good):
+    """Element texts at degree n: signed sums of T-words, references and
+    scaled parts; when not good, also generator indices out of range, bad
+    parts, bare scalars and terms joined by '*'."""
+    letters = st.integers(1, n - 1).map(str)
+    refs = _FIXED_PARTS
+    if not good:
+        letters = st.one_of(letters, st.sampled_from(("0", str(n), "01")))
+        refs += _BAD_PARTS
+    words = st.lists(letters, max_size=6)
+    parts = st.one_of(words.map(lambda w: f"T[{','.join(w)}]"),
+                      words.map(lambda w: f"T[ {', '.join(w)} ]"),
+                      st.sampled_from(refs))
+    scalars = _scalars(good)
+    scaled = st.builds(lambda s, sep, p: f"{s}{sep}{p}", scalars,
+                       st.sampled_from(("*", " * ", " ")), parts)
+    terms = st.one_of(parts, scaled) if good else st.one_of(parts, scaled,
+                                                            scalars)
+    ops = ("+", "-", " + ", " - ") + (() if good else ("*",))
+    return st.builds(
+        lambda sign, first, rest: sign + first + "".join(o + t for o, t in rest),
+        st.sampled_from(("", "-", " - ")), terms,
+        st.lists(st.tuples(st.sampled_from(ops), terms), max_size=3))
+
+
+_ELEMENTS = {(n, good): _elements(n, good) for n in (2, 3, 4)
+             for good in (True, False)}
+# characters that break the grammar: symbols, ASCII and non-ASCII strays,
+# whitespace of both kinds, and non-ASCII digits and letters
+_NOISE = "+-*^()[],@:_$.!xqT019 \t\u00a0\u2003\u00b2\u0663\u00e9\u20ac"
+
+
+@st.composite
+def _texts(draw, good):
+    """(text, degree); a text that breaks the grammar also has up to two
+    characters inserted, replaced or deleted."""
+    n = draw(st.integers(2, 4))
+    text = draw(_ELEMENTS[n, good])
+    for _ in range(0 if good else draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 1))
+        text = (text[:i] + draw(st.sampled_from(_NOISE) | st.just(""))
+                + text[i + cut:])
+    return text, n
+
+
+def _outcome(parse, *args):
+    try:
+        return parse(*args)
+    except HeckeError as exc:
+        return type(exc), str(exc), getattr(exc, "pos", None)
+    except ValueError:
+        return ValueError
+
+
+def _agree(text, parse, oracle, *args):
+    got, want = _outcome(parse, text, *args), _outcome(oracle, text, *args)
+    if any(not ch.isascii() and ch.isalnum() for ch in text):
+        # the oracle read such characters as digits or name letters; the
+        # parser refuses each as a stray character, before any other check
+        assert got[0] is ParseError and got[1].startswith("unexpected character")
+    elif want is ValueError:
+        # an index the oracle could not convert
+        assert isinstance(got, tuple) and got[0] is ParseError
+    elif isinstance(want, HeckeElement):
+        assert got == want and list(got._terms.items()) == list(want._terms.items())
+    else:
+        assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(_texts(good=True))
+@example(("-2*T[1] + (q-1) T[2,1] - @x + T[]", 3))
+@example(("T[1,1] - T[1,1] + 2 @gamma:2,1", 3))
+def test_the_parser_matches_the_oracle_on_the_grammar(case):
+    text, n = case
+    _agree(text, parse_element, oracle_element, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_texts(good=False))
+@example(("T[1] + @nosuch $", 3))
+@example(("q q", 3))
+@example(("T[1]*2", 3))
+@example(("   ", 3))
+def test_the_parser_matches_the_oracle_off_the_grammar(case):
+    text, n = case
+    _agree(text, parse_element, oracle_element, n)
+    _agree(text, parse_scalar, oracle_scalar)
