@@ -279,7 +279,7 @@ def _cmd_verify(args) -> int:
         for item_id in statement_ids(args.n_max, caps):
             print(item_id)
         return 0
-    only = args.only.split(",") if args.only else None
+    only = None if args.only is None else args.only.split(",")
     rep = run_verify(n_max=args.n_max, seed=args.seed, caps=caps, only=only)
     if args.json:
         sys.stdout.write(rep.to_json(timings=args.timings))

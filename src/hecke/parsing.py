@@ -41,12 +41,14 @@ Tokens: INT is ASCII digits 0-9, NAME an ASCII letter and then ASCII
 letters, digits and '_', and any other token one of + - * ^ ( ) [ ] , @ :.
 Whitespace (str.isspace) separates tokens.  Any other character, a
 non-ASCII digit or letter included, raises ParseError at its position, as
-does a generator index too long to convert.  One scan makes the list of
-token strings, which the parser walks by index; a token's character
-position is worked out only when an error is raised there.  A power of a
-monomial is built as its one term, and each term's scalar times part goes
-straight into one term dict.  A text that is one unscaled, unnegated part
-returns that part's element as it is: @x is the memoized x, not a copy.
+does a generator index or an integer reference argument too long to
+convert, and a NAME where @gamma or an indexed reference wants an INT.
+One scan makes the list of token strings, which the parser walks by
+index; a token's character position is worked out only when an error is
+raised there.  A power of a monomial is built as its one term, and each
+term's scalar times part goes straight into one term dict.  A text that
+is one unscaled, unnegated part returns that part's element as it is: @x
+is the memoized x, not a copy.
 """
 
 from __future__ import annotations
@@ -346,6 +348,17 @@ class _Parser:
             raise self.fail(str(exc), at) from exc
 
 
+def _index(ref: str, arg: str, n: int) -> int:
+    """An integer argument of @ref, read as a generator index is read."""
+    if not arg.isdigit():
+        raise ValueError(f"@{ref} argument {arg!r} is not an integer")
+    try:
+        return int(arg)
+    except ValueError:
+        raise ValueError(f"@{ref} argument of {len(arg)} digits out of range "
+                         f"for degree {n}") from None
+
+
 def _resolve_reference(ref: str, args: list[str], n: int,
                        caps: Caps) -> HeckeElement:
     ctx = AlgebraContext(n, caps)
@@ -360,14 +373,14 @@ def _resolve_reference(ref: str, args: list[str], n: int,
         return table[args[0]]
     if ref == "gamma":
         from .center import gamma_basis
-        parts = tuple(int(a) for a in args)
+        parts = tuple(_index(ref, a, n) for a in args)
         if sum(parts) != n:
             raise ValueError(f"{parts} is not a partition of {n}")
         return gamma_basis(ctx)[parts]
     if ref in INDEXED_KINDS:
         if len(args) != 1:
             raise ValueError(f"@{ref} takes one index, e.g. @{ref}:2")
-        return named_element(ref, ctx, int(args[0]))
+        return named_element(ref, ctx, _index(ref, args[0], n))
     if ref in PLAIN_KINDS:
         if args:
             raise ValueError(f"@{ref} takes no arguments")

@@ -1,9 +1,14 @@
 """Mechanical verification of every identity the library implements.
 
-The registry pairs each identity with the degrees it is checked at.  Running
-it recomputes both sides of every statement from scratch, exactly over
-Z[v, v^-1]; there are no tolerances anywhere.  Items whose checks pass but
-whose printed source is known to disagree with the computation carry status
+The registry is one table, a row per statement: id stem, check, the
+degrees it is checked at, and whether the check reads the minimal basis of
+the centre.  A row gives an item at each of its degrees up to n_max; a row
+that reads the basis also stops at the enumeration cap, which bounds
+building it.  The first check that reads a basis builds it.  Items run in
+id order; `only` runs the named ones, each once.  Running them recomputes
+both sides of every statement from scratch, exactly over Z[v, v^-1];
+there are no tolerances anywhere.  Items whose checks pass but whose
+printed source is known to disagree with the computation carry status
 "flag" instead of "pass", with a note saying what the discrepancy is.
 
 Reports are deterministic: for a fixed (n_max, seed) the text and JSON
@@ -40,14 +45,13 @@ from .sqrtcenter import (catalog_checks_h3, catalog_checks_h4, catalog_h3,
 
 
 class VerifyItem(Record):
-    __slots__ = ("item_id", "statement", "n", "needs_gamma", "fn", "flag_note")
+    __slots__ = ("item_id", "statement", "n", "fn", "flag_note")
 
-    def __init__(self, item_id: str, statement: str, n: int,
-                 needs_gamma: bool, fn, flag_note: str | None = None):
+    def __init__(self, item_id: str, statement: str, n: int, fn,
+                 flag_note: str | None = None):
         _set(self, "item_id", item_id)
         _set(self, "statement", statement)
         _set(self, "n", n)
-        _set(self, "needs_gamma", needs_gamma)
         _set(self, "fn", fn)
         _set(self, "flag_note", flag_note)
 
@@ -593,23 +597,123 @@ def _chk_h2_sqrt_all(env: _Env, n: int) -> None:
 
 # -- registry -------------------------------------------------------------------
 
-_FLAG_LONGEST = ("the reference table at degree 3 omits the overall q^3 "
-                 "factor; the computation confirms the form that carries "
-                 "the factor")
-_FLAG_YBARSQ = ("the listed square matches the unscaled truncation, not the "
-                "rescaled catalog element; the catalog square is q^-6 times "
-                "the listed values, as confirmed here")
-_FLAG_R4R5 = ("R4 and R5 anticommute exactly, so their span passes the "
-              "operational span test; the source remark asserting the span "
-              "leaves the square-root set does not hold under this test")
+_N3_6 = (3, 4, 5, 6)
+_N3_5 = (3, 4, 5)
+
+# One row per statement: id stem, check, degrees, whether the check reads
+# the minimal basis of the centre, statement ({n} is the degree, {m} = n+1)
+# and the flag note of a statement whose printed source is known to be off.
+_TABLE = (
+    ("01-murphy-commute", _chk_murphy_commute, _N3_6, False,
+     "Murphy elements pairwise commute (n={n})", None),
+    ("02-dual-flip", _chk_dual_flip, _N3_6, False,
+     "dual family is the diagram flip of the normalized family (n={n})", None),
+    ("02-dual-sum", _chk_dual_sum, _N3_6, False,
+     "dual and plain families have equal sums (n={n})", None),
+    ("02-dual-nested", _chk_dual_nested, _N3_6, False,
+     "top dual elements nest one transposition at a time (n={n})", None),
+    ("02-dual-cyclepair", _chk_dual_cyclepair, _N3_6, False,
+     "forward/backward cycle product expands via the top dual element "
+     "(n={n}, ambient n={m})", None),
+    ("03-esym-recursion", _chk_esym_recursion, _N3_6, False,
+     "normalized symmetric functions satisfy the top-row recursion (n={n})",
+     None),
+    ("03-esym-flip", _chk_esym_rho, _N3_6, False,
+     "normalized symmetric functions are flip-invariant (n={n})", None),
+    ("03-esym-central", _chk_esym_central, _N3_6, False,
+     "symmetric functions in Murphy elements are central (n={n})", None),
+    ("03-esym-gamma", _chk_esym_gamma, _N3_5, True,
+     "each symmetric function is the sum of its minimal-basis slice (n={n})",
+     None),
+    ("04-longestsq-esym", _chk_longestsq_esym, _N3_6, False,
+     "longest-element square equals the xi-weighted symmetric sum (n={n})",
+     None),
+    ("04-longestsq-twist", _chk_longestsq_twist, _N3_6, False,
+     "longest-element square equals the braid Murphy product (n={n})", None),
+    ("04-braidmurphy-linear", _chk_braidmurphy_linear, _N3_6, False,
+     "braid Murphy elements are affine in the normalized ones (n={n})", None),
+    ("04-longestsq-qform", _chk_longestsq_qform, _N3_5, True,
+     "longest-element square has the stated minimal-basis coordinates (n={n})",
+     None),
+    ("04-longestsq-printed-scale", _chk_longestsq_printed_scale, (3,), True,
+     "the listed degree-3 expansion needs the q^3 factor restored",
+     "the reference table at degree 3 omits the overall q^3 factor; the "
+     "computation confirms the form that carries the factor"),
+    ("05-xy-action", _chk_xy_action, _N3_5, False,
+     "generators act on the symmetrizers by q and -1 (n={n})", None),
+    ("05-xy-central", _chk_xy_central, _N3_5, False,
+     "both symmetrizers are central and multiply to zero (n={n})", None),
+    ("05-xy-squares", _chk_xy_squares, _N3_5, False,
+     "symmetrizer squares are the right scalar multiples (n={n})", None),
+    ("05-xy-gamma", _chk_xy_gamma, _N3_5, True,
+     "symmetrizer coordinates over the minimal basis (n={n})", None),
+    ("06-sqrt-membership", _chk_sqrt_membership, _N3_5, False,
+     "the three truncations are non-central square roots (n={n})", None),
+    ("06-sqrt-products", _chk_sqrt_products, _N3_5, False,
+     "pairwise products of the three roots are central and commute (n={n})",
+     None),
+    ("06-sqrt-span", _chk_sqrt_span, _N3_5, False,
+     "the span of the three roots stays in the square-root set (n={n})", None),
+    ("06-sqrt-sumdiff", _chk_sqrt_sumdiff, _N3_5, False,
+     "difference of the truncations is central, the sum is not (n={n})", None),
+    ("06-sqrt-mixed-not", _chk_sqrt_mixed_not, _N3_5, False,
+     "the twisted combination leaves the square-root set (n={n})", None),
+    ("06-even-words", _chk_even_words, _N3_5, False,
+     "even words in the roots are central, odd words are roots (n={n})", None),
+    ("06-sqrt-increment", _chk_sqrt_increment, (3, 4), False,
+     "no catalog root survives adding its own square (n={n})", None),
+    ("06-sqrt-r4r5-span-note", _chk_r4r5_span_note, (3,), False,
+     "the generator/braid difference pair anticommutes, so its span passes "
+     "the span test",
+     "R4 and R5 anticommute exactly, so their span passes the operational "
+     "span test; the source remark asserting the span leaves the "
+     "square-root set does not hold under this test"),
+    ("07-truncation-squares", _chk_truncation_squares, _N3_5, True,
+     "closed forms of both truncation squares, in both bases (n={n})", None),
+    ("07-xbarsq-printed", _chk_xbarsq_printed, (3,), True,
+     "listed degree-3 coefficients of the q-truncation square", None),
+    ("07-ybarsq-printed", _chk_ybarsq_printed, (3,), True,
+     "listed degree-3 coefficients of the signed truncation square",
+     "the listed square matches the unscaled truncation, not the rescaled "
+     "catalog element; the catalog square is q^-6 times the listed values, "
+     "as confirmed here"),
+    ("08-h3-fixtures", _chk_h3_fixtures, (3,), False,
+     "degree-3 catalog entries match their defining expressions", None),
+    ("08-h3-checks", _chk_h3_checks, (3,), True,
+     "every recorded property of the degree-3 catalog", None),
+    ("08-h3-eigen-search", _chk_h3_eigen_search, (3,), True,
+     "eigen search recovers the catalog eigenvectors", None),
+    ("09-h4-checks", _chk_h4_checks, (4,), False,
+     "every recorded property of the degree-4 catalog", None),
+    ("10-branch-random", _chk_h3_branch_random, (3,), False,
+     "100 random elements of the square-root branch behave as claimed", None),
+    ("10-classify-fixtures", _chk_h3_classify, (3,), False,
+     "catalog elements classify onto the square-root branch", None),
+    ("10-central-branch", _chk_h3_central_branch, (3,), True,
+     "the central-branch relations cut out exactly the minimal basis", None),
+    ("11-oracle-products", _chk_oracle_products, (4,), False,
+     "1000 random products match the group-algebra oracle at q=1", None),
+    ("11-gamma-classsums", _chk_gamma_classsums, _N3_5, True,
+     "at q=1 the minimal basis collapses to class sums (n={n})", None),
+    ("12-nonzerodivisor", _chk_nonzerodivisor, (3, 4), True,
+     "both truncations are nonzerodivisors (n={n})", None),
+    ("13-gamma-integrality", _chk_gamma_integrality, _N3_5, True,
+     "minimal-basis coefficients stay in Z[q, q^-1] (n={n})", None),
+    ("13-gamma-pinning", _chk_gamma_pinning, _N3_5, True,
+     "minimal-length coefficients are Kronecker deltas (n={n})", None),
+    ("14-commutative", _chk_h2_commutative, (2,), False,
+     "degree 2 is commutative and its centre is everything", None),
+    ("14-sqrt-is-everything", _chk_h2_sqrt_all, (2,), False,
+     "at degree 2 every element is a central square root", None),
+)
 
 
 def build_registry(n_max: int, caps: Caps = DEFAULT_CAPS) -> list[VerifyItem]:
-    """All registered statements for degrees up to n_max.
+    """All registered statements for degrees up to n_max, in id order.
 
-    Identity checks run up to min(n_max, 6); statements needing the minimal
-    basis of the centre stop at min(n_max, 5, enumeration cap), the cap that
-    bounds computing that basis.  n_max = 2 leaves only the degenerate
+    Each statement runs at its own degrees up to n_max; one that reads the
+    minimal basis of the centre also stops at the enumeration cap, the cap
+    that bounds computing that basis.  n_max = 2 leaves only the degenerate
     commutative checks.  The items are built once per (n_max, caps); each
     call returns a new list of them.
     """
@@ -618,193 +722,16 @@ def build_registry(n_max: int, caps: Caps = DEFAULT_CAPS) -> list[VerifyItem]:
 
 @lru_cache(maxsize=32)
 def _registry(n_max: int, caps: Caps) -> tuple[VerifyItem, ...]:
-    ident_max = min(n_max, 6)
-    gamma_max = min(n_max, 5, caps.enum_max)
-    items: list[VerifyItem] = []
-
-    def add(item_id: str, statement: str, n: int, fn, needs_gamma: bool = False,
-            flag_note: str | None = None) -> None:
-        items.append(VerifyItem(item_id, statement, n, needs_gamma, fn,
-                                flag_note))
-
-    for n in range(3, ident_max + 1):
-        add(f"01-murphy-commute-n{n}",
-            f"Murphy elements pairwise commute (n={n})", n,
-            partial(_chk_murphy_commute, n=n))
-
-    for n in range(3, ident_max + 1):
-        add(f"02-dual-flip-n{n}",
-            f"dual family is the diagram flip of the normalized family (n={n})",
-            n, partial(_chk_dual_flip, n=n))
-        add(f"02-dual-sum-n{n}",
-            f"dual and plain families have equal sums (n={n})", n,
-            partial(_chk_dual_sum, n=n))
-        add(f"02-dual-nested-n{n}",
-            f"top dual elements nest one transposition at a time (n={n})", n,
-            partial(_chk_dual_nested, n=n))
-        add(f"02-dual-cyclepair-n{n}",
-            f"forward/backward cycle product expands via the top dual element "
-            f"(n={n}, ambient n={n + 1})", n,
-            partial(_chk_dual_cyclepair, n=n))
-
-    for n in range(3, ident_max + 1):
-        add(f"03-esym-recursion-n{n}",
-            f"normalized symmetric functions satisfy the top-row recursion "
-            f"(n={n})", n, partial(_chk_esym_recursion, n=n))
-        add(f"03-esym-flip-n{n}",
-            f"normalized symmetric functions are flip-invariant (n={n})", n,
-            partial(_chk_esym_rho, n=n))
-        add(f"03-esym-central-n{n}",
-            f"symmetric functions in Murphy elements are central (n={n})", n,
-            partial(_chk_esym_central, n=n))
-    for n in range(3, gamma_max + 1):
-        add(f"03-esym-gamma-n{n}",
-            f"each symmetric function is the sum of its minimal-basis slice "
-            f"(n={n})", n, partial(_chk_esym_gamma, n=n), needs_gamma=True)
-
-    for n in range(3, ident_max + 1):
-        add(f"04-longestsq-esym-n{n}",
-            f"longest-element square equals the xi-weighted symmetric sum "
-            f"(n={n})", n, partial(_chk_longestsq_esym, n=n))
-        add(f"04-longestsq-twist-n{n}",
-            f"longest-element square equals the braid Murphy product (n={n})",
-            n, partial(_chk_longestsq_twist, n=n))
-        add(f"04-braidmurphy-linear-n{n}",
-            f"braid Murphy elements are affine in the normalized ones (n={n})",
-            n, partial(_chk_braidmurphy_linear, n=n))
-    for n in range(3, gamma_max + 1):
-        add(f"04-longestsq-qform-n{n}",
-            f"longest-element square has the stated minimal-basis coordinates "
-            f"(n={n})", n, partial(_chk_longestsq_qform, n=n), needs_gamma=True)
-    if gamma_max >= 3:
-        add("04-longestsq-printed-scale-n3",
-            "the listed degree-3 expansion needs the q^3 factor restored",
-            3, partial(_chk_longestsq_printed_scale, n=3), needs_gamma=True,
-            flag_note=_FLAG_LONGEST)
-
-    for n in range(3, min(n_max, 5) + 1):
-        add(f"05-xy-action-n{n}",
-            f"generators act on the symmetrizers by q and -1 (n={n})", n,
-            partial(_chk_xy_action, n=n))
-        add(f"05-xy-central-n{n}",
-            f"both symmetrizers are central and multiply to zero (n={n})", n,
-            partial(_chk_xy_central, n=n))
-        add(f"05-xy-squares-n{n}",
-            f"symmetrizer squares are the right scalar multiples (n={n})", n,
-            partial(_chk_xy_squares, n=n))
-    for n in range(3, gamma_max + 1):
-        add(f"05-xy-gamma-n{n}",
-            f"symmetrizer coordinates over the minimal basis (n={n})", n,
-            partial(_chk_xy_gamma, n=n), needs_gamma=True)
-
-    for n in range(3, min(n_max, 5) + 1):
-        add(f"06-sqrt-membership-n{n}",
-            f"the three truncations are non-central square roots (n={n})", n,
-            partial(_chk_sqrt_membership, n=n))
-        add(f"06-sqrt-products-n{n}",
-            f"pairwise products of the three roots are central and commute "
-            f"(n={n})", n, partial(_chk_sqrt_products, n=n))
-        add(f"06-sqrt-span-n{n}",
-            f"the span of the three roots stays in the square-root set (n={n})",
-            n, partial(_chk_sqrt_span, n=n))
-        add(f"06-sqrt-sumdiff-n{n}",
-            f"difference of the truncations is central, the sum is not (n={n})",
-            n, partial(_chk_sqrt_sumdiff, n=n))
-        add(f"06-sqrt-mixed-not-n{n}",
-            f"the twisted combination leaves the square-root set (n={n})", n,
-            partial(_chk_sqrt_mixed_not, n=n))
-        add(f"06-even-words-n{n}",
-            f"even words in the roots are central, odd words are roots (n={n})",
-            n, partial(_chk_even_words, n=n))
-    for n in (3, 4):
-        if n <= n_max:
-            add(f"06-sqrt-increment-n{n}",
-                f"no catalog root survives adding its own square (n={n})", n,
-                partial(_chk_sqrt_increment, n=n))
-    if n_max >= 3:
-        add("06-sqrt-r4r5-span-note-n3",
-            "the generator/braid difference pair anticommutes, so its span "
-            "passes the span test", 3, partial(_chk_r4r5_span_note, n=3),
-            flag_note=_FLAG_R4R5)
-
-    for n in range(3, gamma_max + 1):
-        add(f"07-truncation-squares-n{n}",
-            f"closed forms of both truncation squares, in both bases (n={n})",
-            n, partial(_chk_truncation_squares, n=n), needs_gamma=True)
-    if gamma_max >= 3:
-        add("07-xbarsq-printed-n3",
-            "listed degree-3 coefficients of the q-truncation square", 3,
-            partial(_chk_xbarsq_printed, n=3), needs_gamma=True)
-        add("07-ybarsq-printed-n3",
-            "listed degree-3 coefficients of the signed truncation square",
-            3, partial(_chk_ybarsq_printed, n=3), needs_gamma=True,
-            flag_note=_FLAG_YBARSQ)
-
-    if n_max >= 3:
-        add("08-h3-fixtures-n3",
-            "degree-3 catalog entries match their defining expressions", 3,
-            partial(_chk_h3_fixtures, n=3))
-    if gamma_max >= 3:
-        add("08-h3-checks-n3",
-            "every recorded property of the degree-3 catalog", 3,
-            partial(_chk_h3_checks, n=3), needs_gamma=True)
-        add("08-h3-eigen-search-n3",
-            "eigen search recovers the catalog eigenvectors", 3,
-            partial(_chk_h3_eigen_search, n=3), needs_gamma=True)
-
-    if n_max >= 4:
-        add("09-h4-checks-n4",
-            "every recorded property of the degree-4 catalog", 4,
-            partial(_chk_h4_checks, n=4))
-
-    if n_max >= 3:
-        add("10-branch-random-n3",
-            "100 random elements of the square-root branch behave as claimed",
-            3, partial(_chk_h3_branch_random, n=3))
-        add("10-classify-fixtures-n3",
-            "catalog elements classify onto the square-root branch", 3,
-            partial(_chk_h3_classify, n=3))
-    if gamma_max >= 3:
-        add("10-central-branch-n3",
-            "the central-branch relations cut out exactly the minimal basis",
-            3, partial(_chk_h3_central_branch, n=3), needs_gamma=True)
-
-    if n_max >= 4:
-        add("11-oracle-products-n4",
-            "1000 random products match the group-algebra oracle at q=1", 4,
-            partial(_chk_oracle_products, n=4))
-    for n in range(3, gamma_max + 1):
-        add(f"11-gamma-classsums-n{n}",
-            f"at q=1 the minimal basis collapses to class sums (n={n})", n,
-            partial(_chk_gamma_classsums, n=n), needs_gamma=True)
-
-    for n in (3, 4):
-        if n <= n_max:
-            add(f"12-nonzerodivisor-n{n}",
-                f"both truncations are nonzerodivisors (n={n})", n,
-                partial(_chk_nonzerodivisor, n=n), needs_gamma=True)
-
-    for n in range(3, gamma_max + 1):
-        add(f"13-gamma-integrality-n{n}",
-            f"minimal-basis coefficients stay in Z[q, q^-1] (n={n})", n,
-            partial(_chk_gamma_integrality, n=n), needs_gamma=True)
-        add(f"13-gamma-pinning-n{n}",
-            f"minimal-length coefficients are Kronecker deltas (n={n})", n,
-            partial(_chk_gamma_pinning, n=n), needs_gamma=True)
-
-    if n_max >= 2:
-        add("14-commutative-n2",
-            "degree 2 is commutative and its centre is everything", 2,
-            partial(_chk_h2_commutative, n=2))
-        add("14-sqrt-is-everything-n2",
-            "at degree 2 every element is a central square root", 2,
-            partial(_chk_h2_sqrt_all, n=2))
-
-    return tuple(items)
+    items = [VerifyItem(f"{stem}-n{n}", statement.format(n=n, m=n + 1), n,
+                        partial(fn, n=n), note)
+             for stem, fn, degrees, basis, statement, note in _TABLE
+             for n in degrees
+             if n <= n_max and (not basis or n <= caps.enum_max)]
+    return tuple(sorted(items, key=lambda it: it.item_id))
 
 
 def statement_ids(n_max: int = 6, caps: Caps = DEFAULT_CAPS) -> list[str]:
-    return sorted(item.item_id for item in _registry(n_max, caps))
+    return [item.item_id for item in _registry(n_max, caps)]
 
 
 def _run_item(item: VerifyItem, env: _Env) -> ItemResult:
@@ -824,22 +751,20 @@ def run_verify(n_max: int = 6, seed: int = 0, caps: Caps = DEFAULT_CAPS,
                only: list[str] | None = None) -> VerificationReport:
     """Run the registered statements and collect a deterministic report.
 
-    `only` restricts the run to the named statement ids; an unknown id is an
-    error.  The report order is fixed by statement id.
+    `only` restricts the run to the named statement ids, each run once; an
+    unknown id is an error.  The report order is fixed by statement id.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
     items = _registry(n_max, caps)
     if only is not None:
-        by_id = {item.item_id: item for item in items}
-        unknown = [i for i in only if i not in by_id]
+        wanted = set(only)
+        unknown = wanted - {item.item_id for item in items}
         if unknown:
-            raise ValueError(f"unknown statement ids: {', '.join(sorted(unknown))}; "
+            raise ValueError(f"unknown statement ids: "
+                             f"{', '.join(map(repr, sorted(unknown)))}; "
                              f"known ids come from statement_ids(n_max)")
-        items = [by_id[i] for i in only]
-    items = sorted(items, key=lambda it: it.item_id)
+        items = [item for item in items if item.item_id in wanted]
     env = _Env(seed, caps)
-    for n in sorted({it.n for it in items if it.needs_gamma}):
-        env.gamma(n)
     results = [_run_item(item, env) for item in items]
     return VerificationReport(n_max=n_max, seed=seed, results=tuple(results))

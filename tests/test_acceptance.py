@@ -9,10 +9,13 @@ line for -s runs.
 
 import hashlib
 import itertools
+import json
 
 import pytest
 
 from hecke import (
+    Caps,
+    build_registry,
     catalog_h3,
     commutator,
     elem_sym,
@@ -22,6 +25,7 @@ from hecke import (
     parse_scalar,
     run_verify,
     sample_sqrt_h3,
+    statement_ids,
 )
 
 SEED = 0
@@ -290,3 +294,33 @@ def test_minimal_basis_items_follow_the_enumeration_cap():
     assert n5_gamma <= set(statement_ids(N_MAX, Caps(linalg_max=4)))
     assert run_verify(N_MAX, caps=Caps(linalg_max=4), only=sorted(n5_gamma)).passed
     assert not n5_gamma & set(statement_ids(N_MAX, Caps(enum_max=4)))
+
+
+@pytest.mark.parametrize("caps, digest", [
+    (Caps(), "e1c7c1d4dbe41fa799c332c6708eb28dab281b3f1610f005a3dc066c91482c99"),
+    (Caps(enum_max=4),
+     "21aaa522b41880ac2d9a241aa339a1e68ea7bb371a1c86ba8d6802c7302bdcc6"),
+    (Caps(linalg_max=4),
+     "e1c7c1d4dbe41fa799c332c6708eb28dab281b3f1610f005a3dc066c91482c99"),
+], ids=["default", "enum_max=4", "linalg_max=4"])
+def test_registry_listing_is_pinned(caps, digest):
+    # (id, statement, degree, flag note) of every item at n_max = 2..7, in
+    # the order build_registry returns them, which is id order
+    doc = [[it.item_id, it.statement, it.n, it.flag_note]
+           for n_max in range(2, 8) for it in build_registry(n_max, caps)]
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest
+
+
+def test_a_low_enumeration_cap_drops_the_basis_items_above_it():
+    # the first check that reads the basis builds it, inside the run, so
+    # a cap of 3 leaves out the basis items at 4 and 5 and runs the rest
+    report = run_verify(N_MAX, caps=Caps(enum_max=3))
+    ran = {r.item_id for r in report.results}
+    stems = ("03-esym-gamma", "04-longestsq-qform", "05-xy-gamma",
+             "07-truncation-squares", "11-gamma-classsums",
+             "13-gamma-integrality", "13-gamma-pinning")
+    assert set(statement_ids(N_MAX)) - ran == (
+        {f"{stem}-n{n}" for stem in stems for n in (4, 5)}
+        | {"12-nonzerodivisor-n4"})
+    assert ran == set(statement_ids(N_MAX, Caps(enum_max=3)))
+    assert all(r.status != "fail" for r in report.results if r.n <= 3)

@@ -218,6 +218,22 @@ def test_verify_only_and_list(capsys):
     assert rc == 2
 
 
+def test_verify_only_runs_each_listed_id_once(capsys):
+    rc, out, _ = run(capsys, "verify", "--n-max", "2", "--only",
+                     "14-commutative-n2,14-commutative-n2")
+    assert rc == 0
+    assert "items=1 pass=1" in out
+    assert out.count("14-commutative-n2") == 1
+
+
+def test_verify_an_empty_only_names_an_unknown_id(capsys):
+    # '' is a list of one empty id, not a missing option
+    rc, out, err = run(capsys, "verify", "--n-max", "2", "--only", "")
+    assert rc == 2
+    assert out == ""
+    assert "unknown statement ids: ''" in err
+
+
 def test_verify_output_is_deterministic(capsys):
     rc, first, _ = run(capsys, "verify", "--n-max", "2", "--json")
     rc, second, _ = run(capsys, "verify", "--n-max", "2", "--json")

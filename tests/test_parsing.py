@@ -327,6 +327,19 @@ def test_a_generator_index_too_long_to_convert_is_a_parse_error():
     assert err.value.pos == 4
 
 
+@pytest.mark.parametrize("text", [
+    "@e:" + "1" * 5000, "@gamma:2," + "1" * 5000, "@gamma:" + "0" * 5000 + "3",
+    "@gamma:x", "@gamma:2,x", "@e:q", "@L:i"],
+    ids=lambda text: text if len(text) < 20 else f"{text[:8]}...{len(text)}")
+def test_a_reference_argument_is_read_as_a_generator_index_is(text):
+    # no conversion error of the interpreter's reaches the message
+    with pytest.raises(ParseError, match="argument") as err:
+        parse_element("2*" + text, 3)
+    assert err.value.pos == 3
+    assert "int()" not in str(err.value)
+    assert "set_int_max_str_digits" not in str(err.value)
+
+
 def test_a_lone_reference_is_returned_as_it_is(gb4):
     assert parse_element("@x", 4) is x_elem(4)
     assert parse_element(" @gamma:2,2 ", 4) is gb4[(2, 2)]

@@ -20,7 +20,7 @@ SIGNATURES = {
     SqrtReport: [("in_sqrt", EMPTY), ("in_centre", EMPTY),
                  ("square_in_gamma", None)],
     VerifyItem: [("item_id", EMPTY), ("statement", EMPTY), ("n", EMPTY),
-                 ("needs_gamma", EMPTY), ("fn", EMPTY), ("flag_note", None)],
+                 ("fn", EMPTY), ("flag_note", None)],
     ItemResult: [("item_id", EMPTY), ("statement", EMPTY), ("n", EMPTY),
                  ("status", EMPTY), ("detail", ""), ("seconds", 0.0)],
     VerificationReport: [("n_max", EMPTY), ("seed", EMPTY),
