@@ -10,37 +10,38 @@ Setting T~_w = v^(-length(w)) T_w gives the normalised basis, in which the
 quadratic relation reads T~_s^2 = T~_1 + xi T~_s with xi = v - v^-1.
 
 Elements are stored as {Permutation: LaurentPoly} over the standard basis,
-always.  The multiplication primitives are right and left multiplication
-by a single generator T_{s_i}:
+always.  The one multiplication primitive is right multiplication by a
+single generator T_{s_i}:
 
     T_w T_{s_i} = T_{w s_i}                      if w(i) < w(i+1),
-    T_w T_{s_i} = q T_{w s_i} + (q - 1) T_w      otherwise,
+    T_w T_{s_i} = q T_{w s_i} + (q - 1) T_w      otherwise.
 
-and its mirror image T_{s_i} T_w, with the descent read on the left
-(i before i+1 in w, or not).  A general product a * b walks a trie of
-canonical reduced words depth first, one generator step per trie edge: the
-words are prefix-closed, so a T_w = (a T_{w s_d}) T_{s_d} reuses the partial
-product of the parent node.  The walk follows the factor with fewer terms.
-For b it follows the words of supp(b) by right steps on a.  For a it
-follows the words (j1, ..., jk) of u^-1 for u in supp(a) by left steps on
-b, since T_u b = T_{s_jk} (... (T_{s_j1} b)).  Everything else
-(commutators, centrality, the q = 1 group-algebra specialisation) is built
-on top of that.
+The left side goes through the flip iota(T_w) = T_(w^-1), an
+anti-automorphism of H_n: iota(a b) = iota(b) iota(a).  A general product
+a * b walks a trie of canonical reduced words depth first, one generator
+step per trie edge: the words are prefix-closed, so a T_w =
+(a T_{w s_d}) T_{s_d} reuses the partial product of the parent node.  The
+walk follows the words of the factor with fewer terms: those of supp(b) by
+right steps on a, or, for a, a b = iota(iota(b) iota(a)), those of u^-1 for
+u in supp(a) by right steps on iota(b).  h is central exactly when
+iota(h) = h and iota(h T_s) = h T_s for every generator s (is_central
+gives the reason).  Everything else (commutators, the q = 1 group-algebra
+specialisation) is built on top of that.
 
 Products and centrality tests run on a packed, indexed form inside this
 module.  S_n is numbered by lexicographic position, with one table per
-generator giving the index of w s_i (and of s_i w) and whether the step
-drops length; the tables of S_n are assembled from those of S_(n-1), block
-by block, without forming a permutation (_step_tables).  Each coefficient
-becomes one Python int, its value at v = 2^B after dividing by v^lo
-(Kronecker substitution), so a step multiplies by q with a shift and by
-q - 1 with a shift and a subtraction.  When the exponents of each factor
-share one parity, as they do for x, y, their truncations, T_{w_0} and their
-words, which lie in Z[q, q^-1], every exponent of every partial sum is lo
-plus an even number.  The packing then takes one digit per power of q: the
-int is the value at q = 2^B, half as long, and q c is c << B.  Otherwise it
-takes one digit per power of v, and q c is c << 2B.
-B comes from one bound: |a T_s|_1 <= 3 |a|_1 (and likewise on the left),
+generator giving the index of w s_i and whether the step drops length, and
+one giving the index of w^-1; the tables of S_n are assembled from those of
+S_(n-1), block by block, without forming a permutation (_step_tables).
+Each coefficient becomes one Python int, its value at v = 2^B after
+dividing by v^lo (Kronecker substitution), so a step multiplies by q with a
+shift and by q - 1 with a shift and a subtraction.  When the exponents of
+each factor share one parity, as they do for x, y, their truncations,
+T_{w_0} and their words, which lie in Z[q, q^-1], every exponent of every
+partial sum is lo plus an even number.  The packing then takes one digit
+per power of q: the int is the value at q = 2^B, half as long, and q c is
+c << B.  Otherwise it takes one digit per power of v, and q c is c << 2B.
+B comes from one bound: |a T_s|_1 <= 3 |a|_1, and the flip keeps |a|_1,
 hence every coefficient of every partial sum of a * b is at most
 3^l(w_0) |a|_1 |b|_1 in magnitude, and digits below 2^(B-1) unpack
 exactly.  When B times the exponent window would pass _PACK_BITS, or the
@@ -70,7 +71,7 @@ q*T[] + (q - 1)*T[1]
 from __future__ import annotations
 
 from array import array
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import lru_cache, partial
 from math import factorial
 
@@ -187,17 +188,9 @@ def _rmul_gen(terms: dict[Permutation, LaurentPoly], i: int) -> dict:
     return out
 
 
-def _lmul_gen(terms: dict[Permutation, LaurentPoly], i: int) -> dict:
-    """Left-multiply a term dict by T_{s_i}."""
-    out: dict[Permutation, LaurentPoly] = {}
-    for w, c in terms.items():
-        sw = w.left_simple(i)
-        if w.index(i) < w.index(i + 1):
-            _acc(out, sw, c)
-        else:
-            _acc(out, sw, c * Q)
-            _acc(out, w, c * Q_MINUS_1)
-    return out
+def _flip(terms: dict[Permutation, LaurentPoly]) -> dict:
+    """iota(T_w) = T_(w^-1) applied to a term dict."""
+    return {w.inverse(): c for w, c in terms.items()}
 
 
 # Widest packed scalar, in bits (digit width times exponent window), that
@@ -231,20 +224,10 @@ _GROUP_MIN_DEGREE = 4
 _INDEX_MAX_DEGREE = DEFAULT_CAPS.enum_max
 
 
-class _Indexed:
-    """S_n numbered by lexicographic position, which is Permutation order.
-
-    right[i][k] is the index of perms[k] * s_i and left[i][k] that of
-    s_i * perms[k], each complemented (~index) when the step drops length.
-    """
-
-    __slots__ = ("perms", "index", "right", "left")
-
-    def __init__(self, perms, index, right, left):
-        self.perms = perms
-        self.index = index
-        self.right = right
-        self.left = left
+# S_n numbered by lexicographic position, which is Permutation order.
+# right[i][k] is the index of perms[k] * s_i, complemented (~index) when the
+# step drops length; inv[k] is the index of perms[k]^-1.
+_Indexed = namedtuple("_Indexed", ("perms", "index", "right", "inv"))
 
 
 @lru_cache(maxsize=None)
@@ -254,33 +237,28 @@ def _indexed(n: int) -> _Indexed:
                     *_step_tables(n))
 
 
-def _offset(steps, off: int) -> list:
-    """A step table of S_(n-1) moved into the block at offset off of S_n."""
-    return [j + off if j >= 0 else j - off for j in steps]
-
-
 @lru_cache(maxsize=None)
 def _step_tables(n: int) -> tuple[list, list]:
-    """The right and left step tables of _Indexed, built from those of
-    S_(n-1) without forming a permutation.
+    """The right step tables and the inverse table of _Indexed, built from
+    those of S_(n-1) without forming a permutation.
 
     In lexicographic order S_n is n blocks of f = (n-1)! permutations; block
     b holds those with first value b + 1, and their tails run through
-    S_(n-1) in lexicographic order once relabelled.  A step that touches
-    neither position 1 nor the first value is a step of S_(n-1) inside the
-    block: s_i on the right for i >= 2 is s_(i-1) of the tail, and s_i on
-    the left is s_(i-1) or s_i of the tail as b + 1 lies below or above
-    {i, i+1}.  When the first value is i or i + 1, s_i on the left swaps it
-    for the other and keeps the tail: an ascent into block i, or a descent
-    into block i - 1.  s_1 on the right follows from the first two digits
-    d0, d1 of k in the factorial base (k = d0 f + d1 g + r, g = (n-2)!):
-    the first two values are d0 + 1 and the (d1 + 1)-th smallest of the
-    rest, so swapping them is an ascent exactly when d0 <= d1.
+    S_(n-1) in lexicographic order once relabelled.  s_i on the right for
+    i >= 2 is s_(i-1) of the tail, inside the block.  s_1 on the right
+    follows from the first two digits d0, d1 of k in the factorial base
+    (k = d0 f + d1 g + r, g = (n-2)!): the first two values are d0 + 1 and
+    the (d1 + 1)-th smallest of the rest, so swapping them is an ascent
+    exactly when d0 <= d1.
+
+    The inverse of w = (b + 1, tail t) is t^-1, its values raised by one,
+    with 1 put in at position b + 1.  In the factorial base that is the
+    index of t^-1 with its first b digits raised by one (1 is still to
+    come) and a 0 digit after them; heads holds those b digits, weighted.
     """
     right: list = [None]
-    left: list = [None]
     if n < 2:
-        return right, left
+        return right, [0]
     f = factorial(n - 1)
     g = f // (n - 1)
     first = array("i")
@@ -294,24 +272,20 @@ def _step_tables(n: int) -> tuple[list, list]:
                 t = ~(k + (d1 - d0) * f + (d0 - 1 - d1) * g)
                 first.extend(range(t, t - g, -1))
     right.append(first)
-    below_right, below_left = _step_tables(n - 1)
-    for i in range(2, n):
-        tab = array("i")
-        for b in range(n):
-            tab.extend(_offset(below_right[i - 1], b * f))
-        right.append(tab)
-    for i in range(1, n):
-        tab = array("i")
-        for b in range(n):
-            if b == i - 1:
-                tab.extend(range(i * f, i * f + f))
-            elif b == i:
-                t = ~((i - 1) * f)
-                tab.extend(range(t, t - f, -1))
-            else:
-                tab.extend(_offset(below_left[i if b > i else i - 1], b * f))
-        left.append(tab)
-    return right, left
+    below_right, below_inv = _step_tables(n - 1)
+    # s_i for i >= 2: s_(i-1) of S_(n-1), moved into each block
+    right += [array("i", [j + off if j >= 0 else j - off
+                          for off in range(0, n * f, f) for j in tab])
+              for tab in below_right[1:]]
+    inv = list(below_inv)
+    heads = [0]
+    for b in range(1, n):
+        weight = factorial(n - b)
+        heads = [h + d * weight for h in heads for d in range(1, n - b + 1)]
+        low = factorial(n - 1 - b)
+        spread = [h + r for h in heads for r in range(low)]
+        inv.extend([spread[k] for k in below_inv])
+    return right, inv
 
 
 def _extent(terms: dict[Permutation, LaurentPoly]) -> tuple[int, int, int, bool]:
@@ -357,9 +331,9 @@ def _central_packing(n: int, terms: dict) -> tuple[int, int, int] | None:
     """(bits, lo, stride) for a packed centrality test of nonempty terms in
     H_n, or None.
 
-    Both h T_s and T_s h have coefficients at most 3 |h|_1 in magnitude and
-    exponents within lo .. hi + 2; stride is 2 when the exponents of h
-    share one parity, as in _product_packing.
+    h T_s has coefficients at most 3 |h|_1 in magnitude and exponents
+    within lo .. hi + 2; stride is 2 when the exponents of h share one
+    parity, as in _product_packing.
     """
     if n > _INDEX_MAX_DEGREE:
         return None
@@ -404,9 +378,9 @@ def _unpack(x: int, bits: int, lo: int, stride: int) -> LaurentPoly:
 
 
 def _packed_step(steps: list, shift: int, terms: dict[int, int], i: int) -> dict:
-    """A step of packed, indexed terms by T_{s_i}; steps is _Indexed.right
-    (or .left) and c << shift is q c: twice the digit width when packed in
-    v, the digit width when packed in q."""
+    """A right step of packed, indexed terms by T_{s_i}; steps is
+    _Indexed.right and c << shift is q c: twice the digit width when packed
+    in v, the digit width when packed in q."""
     out: dict[int, int] = {}
     get = out.get
     tab = steps[i]
@@ -458,6 +432,14 @@ def _packed_terms(ix: _Indexed, terms: dict, bits: int, lo: int, stride: int):
             _packed_step)
 
 
+def _flip_packed(inv: list, terms: dict | list) -> dict | list:
+    """_flip on packed terms, held densely or by index: entry k of the
+    result is entry inv[k] of terms."""
+    if isinstance(terms, list):
+        return [terms[j] for j in inv]
+    return {inv[k]: x for k, x in terms.items()}
+
+
 def _prefix_products(terms: dict | list, keyed, step):
     """Yield (terms * T_w, x) for every pair (w, x) in keyed; x is not None.
 
@@ -465,9 +447,8 @@ def _prefix_products(terms: dict | list, keyed, step):
     for the smallest right descent d.  So the words of the keys form a trie,
     and terms * T_w is one step(acc, d) away from the product at its parent
     node: one generator step per trie edge instead of length(w) per key.
-    step is _rmul_gen, or _packed_step or _dense_step bound to the
-    right-step tables; none changes its argument, so siblings share it.  With
-    _lmul_gen or the left-step tables it yields T_(w^-1) * terms instead.
+    step is _rmul_gen, or _packed_step or _dense_step bound to the step
+    tables; none changes its argument, so siblings share it.
     """
     # a node is [x or None, {generator: child node}, number of keys below it]
     root: list = [None, {}, 0]
@@ -506,12 +487,12 @@ def _walk(step, acc: dict, node: list):
 
 
 def _sides(a: dict, b: dict) -> tuple[dict, list, bool]:
-    """(walked, keyed, left) for a product a * b of nonempty term dicts.
+    """(walked, keyed, flipped) for a product a * b of nonempty term dicts.
 
     The walk follows the words of the factor with fewer terms, b on a tie:
-    keyed holds its (key, coefficient) pairs, walked is the other factor,
-    and left says whether the steps multiply on the left.  The keys of a
-    are inverted, so that the walk reaches T_u b for u in supp(a).
+    keyed holds its (key, coefficient) pairs, walked is the other factor.
+    When that is a, a * b = iota(iota(b) iota(a)): the keys of a are
+    inverted, and flipped tells the caller to flip b and the product.
     """
     if len(a) < len(b):
         return b, [(u.inverse(), c) for u, c in a.items()], True
@@ -519,17 +500,17 @@ def _sides(a: dict, b: dict) -> tuple[dict, list, bool]:
 
 
 def _dict_mul(a: dict, b: dict) -> dict[Permutation, LaurentPoly]:
-    walked, keyed, left = _sides(a, b)
+    walked, keyed, flipped = _sides(a, b)
     out: dict[Permutation, LaurentPoly] = {}
-    for acc, c in _prefix_products(walked, keyed,
-                                   _lmul_gen if left else _rmul_gen):
+    for acc, c in _prefix_products(_flip(walked) if flipped else walked,
+                                   keyed, _rmul_gen):
         if c.is_one():
             for u, d in acc.items():
                 _acc(out, u, d)
         else:
             for u, d in acc.items():
                 _acc(out, u, d * c)
-    return dict(sorted(out.items()))
+    return dict(sorted((_flip(out) if flipped else out).items()))
 
 
 def _grouped_keys(keys: list, n: int) -> list:
@@ -553,9 +534,10 @@ def _grouped_keys(keys: list, n: int) -> list:
 def _packed_mul(n: int, a: dict, b: dict, bits: int, lo_a: int, lo_b: int,
                 stride: int) -> dict[Permutation, LaurentPoly]:
     ix = _indexed(n)
-    walked, keyed, left = _sides(a, b)
-    lo_walked, lo_keyed = (lo_b, lo_a) if left else (lo_a, lo_b)
+    walked, keyed, flipped = _sides(a, b)
+    lo_walked, lo_keyed = (lo_b, lo_a) if flipped else (lo_a, lo_b)
     packed, step = _packed_terms(ix, walked, bits, lo_walked, stride)
+    packed = _flip_packed(ix.inv, packed) if flipped else packed
     # c = v^e c' packs as P(c') << bits (e - lo) / stride: monomials
     # multiply as a small int and a shift
     scaled = []
@@ -564,8 +546,7 @@ def _packed_mul(n: int, a: dict, b: dict, bits: int, lo_a: int, lo_b: int,
         scaled.append((w, (_pack(c, bits, e, stride),
                            (e - lo_keyed) // stride * bits)))
     walk = _prefix_products(packed, scaled,
-                            partial(step, ix.left if left else ix.right,
-                                    2 // stride * bits))
+                            partial(step, ix.right, 2 // stride * bits))
     if isinstance(packed, list):
         # the partial products of a repeated key are summed unscaled and
         # scaled once at the end: one multiply of n! entries per key, not one
@@ -584,18 +565,18 @@ def _packed_mul(n: int, a: dict, b: dict, bits: int, lo_a: int, lo_b: int,
                 sums[key] = [x + d for x, d in zip(g, acc)] if g else acc
         for (c, shift), g in sums.items():
             out = [x + (d * c << shift) for x, d in zip(out, g)]
-        found = enumerate(out)
     else:
-        sparse: dict[int, int] = {}
-        get = sparse.get
+        out = {}
+        get = out.get
         for acc, (c, shift) in walk:
             for k, d in acc.items():
                 s = get(k, 0) + (d * c << shift)
                 if s:
-                    sparse[k] = s
+                    out[k] = s
                 else:
-                    del sparse[k]
-        found = sorted(sparse.items())
+                    del out[k]
+    out = _flip_packed(ix.inv, out) if flipped else out
+    found = enumerate(out) if isinstance(out, list) else sorted(out.items())
     perms = ix.perms
     lo = lo_a + lo_b
     return {perms[k]: _unpack(x, bits, lo, stride) for k, x in found if x}
@@ -856,16 +837,22 @@ def is_central(h: HeckeElement) -> bool:
     """Does h commute with every generator T_{s_i}?
 
     Commuting with the generators decides centrality, since they generate
-    the algebra.  Single-generator products on both sides keep this cheap.
+    the algebra.  With the flip iota(T_w) = T_(w^-1), h is central exactly
+    when iota(h) = h and iota(h T_s) = h T_s for every s: one right step per
+    generator.  A central z is iota-fixed: in Young's orthogonal form over
+    Q(v) each rho_lam(T_s) is symmetric, so rho_lam(iota(z)) = rho_lam(z)^T,
+    which is rho_lam(z) when that is a scalar, and the rho_lam together are
+    faithful.  For iota-fixed h, T_s h = iota(iota(h) T_s) = iota(h T_s).
     """
     terms = h._terms
     packing = _central_packing(h.n, terms) if terms else None
     if packing is None:
-        return all(_rmul_gen(terms, i) == _lmul_gen(terms, i)
-                   for i in range(1, h.n))
-    bits, lo, stride = packing
-    ix = _indexed(h.n)
-    packed, step = _packed_terms(ix, terms, bits, lo, stride)
-    shift = 2 // stride * bits
-    return all(step(ix.right, shift, packed, i) == step(ix.left, shift, packed, i)
-               for i in range(1, h.n))
+        flip, step = _flip, _rmul_gen
+    else:
+        bits, lo, stride = packing
+        ix = _indexed(h.n)
+        terms, step = _packed_terms(ix, terms, bits, lo, stride)
+        flip = partial(_flip_packed, ix.inv)
+        step = partial(step, ix.right, 2 // stride * bits)
+    return flip(terms) == terms and all(
+        flip(ht) == ht for ht in (step(terms, i) for i in range(1, h.n)))

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from math import factorial
 
-from .algebra import (HeckeElement, as_context, is_central, _acc,
-                      _indexed, _lmul_gen, _rmul_gen)
+from .algebra import (HeckeElement, as_context, is_central, _acc, _flip,
+                      _indexed, _rmul_gen)
 from .errors import DegreeMismatchError, MismatchError, NotCentralError
 from .laurent import LaurentPoly, ONE, Q_MINUS_1, ZERO
 from .linalg import SparseSystem, _normalise
@@ -33,19 +33,15 @@ def _commutator_rows(n: int):
     """Rows of the system 'commutes with every generator'.
 
     Columns are the permutations of S_n; one row per (generator, basis
-    permutation) pair that actually occurs, in that order.
+    permutation) pair that actually occurs, in that order; T_s T_w =
+    iota(T_(w^-1) T_s), iota(T_u) = T_(u^-1).
     """
     rows: dict[tuple[int, Permutation], dict[Permutation, LaurentPoly]] = {}
     for i in range(1, n):
         for w in _all_permutations(n):
-            base = {w: ONE}
-            diff = _lmul_gen(base, i)
-            for u, c in _rmul_gen(base, i).items():
-                cur = diff.get(u, ZERO) - c
-                if cur:
-                    diff[u] = cur
-                else:
-                    diff.pop(u, None)
+            diff = _flip(_rmul_gen({w.inverse(): ONE}, i))
+            for u, c in _rmul_gen({w: ONE}, i).items():
+                _acc(diff, u, -c)
             for u, c in diff.items():
                 rows.setdefault((i, u), {})[w] = c
     return [rows[k] for k in sorted(rows)]
@@ -111,11 +107,11 @@ def _recursive_gamma(n: int) -> GammaBasis:
     minimal-length elements carries the pinned Kronecker deltas.  Any other
     class holds an element with a length-dropping s (Geck-Pfeiffer, section
     3.2), whose right-hand side is already filled at lengths l - 1 and l - 2.
-    The conjugations are read off the step tables of _indexed, which mark
-    each step that drops length, so no permutation is formed.
+    The conjugations are read off the tables of _indexed, which mark each
+    step that drops length, so no permutation is formed (s w = (w^-1 s)^-1).
     """
     ix = _indexed(n)
-    perms, left, right = ix.perms, ix.left, ix.right
+    perms, inv, right = ix.perms, ix.inv, ix.right
     pinned = {ix.index[w]: lam for lam, ws in _minimal_classes(n).items()
               for w in ws}
     lengths = [w.length() for w in perms]
@@ -131,7 +127,8 @@ def _recursive_gamma(n: int) -> GammaBasis:
             for i in range(1, n):
                 # s w, then s w s; a negative (complemented) index marks a
                 # step that drops length
-                sw = left[i][k]
+                sw = right[i][inv[k]]
+                sw = ~inv[~sw] if sw < 0 else inv[sw]
                 sws = right[i][~sw if sw < 0 else sw]
                 if (sw < 0) != (sws < 0):
                     sws = ~sws if sws < 0 else sws
@@ -237,32 +234,36 @@ def express_in_gamma(z: HeckeElement,
 
     Read off the minimal-length coefficients class by class, then confirm
     the expansion reproduces the element exactly: each c * gamma is taken
-    off one copy of the terms of z, without a product when c is 1.
+    off one copy of the terms of z, without a product when c is 1.  That
+    proves z central, so only a failed expansion tests centrality.
     """
     if z.n != gb.n:
         raise DegreeMismatchError(
             f"element of degree {z.n} against a basis for degree {gb.n}")
-    if not is_central(z):
-        raise NotCentralError("element is not central")
     coeffs: dict[Partition, LaurentPoly] = {}
     residual = dict(z._terms)
-    for lam in partitions_of(gb.n):
-        minimals = _minimal_classes(gb.n)[lam]
-        c0 = z.coeff(minimals[0])
-        for w in minimals[1:]:
-            if z.coeff(w) != c0:
-                raise MismatchError(
-                    f"coefficients differ across minimal elements of {lam}: "
-                    f"{c0} vs {z.coeff(w)}")
-        coeffs[lam] = c0
-        if c0:
-            one, minus = c0.is_one(), -c0
-            for w, a in gb.elements[lam]._terms.items():
-                _acc(residual, w, -a if one else a * minus)
-    if residual:
-        raise MismatchError(
-            "element is central but is not an R-combination of the basis "
-            f"(residual has {len(residual)} terms)")
+    try:
+        for lam in partitions_of(gb.n):
+            minimals = _minimal_classes(gb.n)[lam]
+            c0 = z.coeff(minimals[0])
+            for w in minimals[1:]:
+                if z.coeff(w) != c0:
+                    raise MismatchError(
+                        f"coefficients differ across minimal elements of "
+                        f"{lam}: {c0} vs {z.coeff(w)}")
+            coeffs[lam] = c0
+            if c0:
+                one, minus = c0.is_one(), -c0
+                for w, a in gb.elements[lam]._terms.items():
+                    _acc(residual, w, -a if one else a * minus)
+        if residual:
+            raise MismatchError(
+                "element is central but is not an R-combination of the "
+                f"basis (residual has {len(residual)} terms)")
+    except MismatchError:
+        if not is_central(z):
+            raise NotCentralError("element is not central") from None
+        raise
     return coeffs
 
 

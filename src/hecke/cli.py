@@ -135,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", default=None, metavar="IDS",
                    help="comma-separated statement ids to run")
     p.add_argument("--list", action="store_true",
-                   help="list statement ids without running")
+                   help="list the ids (of --only, if given) without running")
     _add_caps(p, linalg=True)
 
     p = sub.add_parser("export", help="write an element as JSON")
@@ -275,11 +275,11 @@ def _cmd_sample_h3(args) -> int:
 
 def _cmd_verify(args) -> int:
     caps = _caps(args)
+    only = None if args.only is None else args.only.split(",")
     if args.list:
-        for item_id in statement_ids(args.n_max, caps):
+        for item_id in statement_ids(args.n_max, caps, only):
             print(item_id)
         return 0
-    only = None if args.only is None else args.only.split(",")
     rep = run_verify(n_max=args.n_max, seed=args.seed, caps=caps, only=only)
     if args.json:
         sys.stdout.write(rep.to_json(timings=args.timings))

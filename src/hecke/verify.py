@@ -730,8 +730,18 @@ def _registry(n_max: int, caps: Caps) -> tuple[VerifyItem, ...]:
     return tuple(sorted(items, key=lambda it: it.item_id))
 
 
-def statement_ids(n_max: int = 6, caps: Caps = DEFAULT_CAPS) -> list[str]:
-    return [item.item_id for item in _registry(n_max, caps)]
+def statement_ids(n_max: int = 6, caps: Caps = DEFAULT_CAPS,
+                  only: list[str] | None = None) -> list[str]:
+    """The ids run_verify runs with the same arguments, in id order."""
+    ids = [item.item_id for item in _registry(n_max, caps)]
+    if only is None:
+        return ids
+    unknown = set(only) - set(ids)
+    if unknown:
+        raise ValueError(f"unknown statement ids: "
+                         f"{', '.join(map(repr, sorted(unknown)))}; "
+                         f"known ids come from statement_ids(n_max)")
+    return [item_id for item_id in ids if item_id in only]
 
 
 def _run_item(item: VerifyItem, env: _Env) -> ItemResult:
@@ -756,15 +766,8 @@ def run_verify(n_max: int = 6, seed: int = 0, caps: Caps = DEFAULT_CAPS,
     """
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
-    items = _registry(n_max, caps)
-    if only is not None:
-        wanted = set(only)
-        unknown = wanted - {item.item_id for item in items}
-        if unknown:
-            raise ValueError(f"unknown statement ids: "
-                             f"{', '.join(map(repr, sorted(unknown)))}; "
-                             f"known ids come from statement_ids(n_max)")
-        items = [item for item in items if item.item_id in wanted]
+    wanted = set(statement_ids(n_max, caps, only))
     env = _Env(seed, caps)
-    results = [_run_item(item, env) for item in items]
+    results = [_run_item(item, env) for item in _registry(n_max, caps)
+               if item.item_id in wanted]
     return VerificationReport(n_max=n_max, seed=seed, results=tuple(results))

@@ -30,13 +30,14 @@ from hecke import (
     xbar,
     ybar,
 )
-from hecke.algebra import (_acc, _central_packing, _dict_mul, _grouped_keys,
-                           _indexed, _lmul_gen, _pack, _product_packing,
+from hecke.algebra import (_acc, _central_packing, _dict_mul, _flip,
+                           _grouped_keys, _indexed, _pack, _product_packing,
                            _rmul_gen, _unpack)
 from hecke.linalg import sparse_rank
 from hecke.permutations import _all_permutations
 
 from fraction_oracle import left_mult_matrix
+from generator_oracle import is_central_by_generators, lmul_gen
 
 ASSOCIATIVITY_TRIPLES = 500
 ORACLE_PAIRS = 200
@@ -67,14 +68,15 @@ def _fold_mul(a, b):
 
 
 def _left_fold_mul(a, b):
-    """a * b by folding _lmul_gen over the reversed reduced word of every
+    """a * b by folding lmul_gen over the reversed reduced word of every
     basis element of a, T_u b = T_(s_j1) (... (T_(s_jk) b)): the reference
-    when a is the factor with few terms."""
+    when a is the factor with few terms, which the kernel reaches through
+    the flip instead."""
     out = {}
     for u, c in a._terms.items():
         acc = b._terms
         for i in reversed(u.reduced_word()):
-            acc = _lmul_gen(acc, i)
+            acc = lmul_gen(acc, i)
         for w, d in acc.items():
             _acc(out, w, c * d)
     return HeckeElement._raw(a.n, out)
@@ -134,51 +136,48 @@ def _one_parity(h):
 
 
 def _steps_taken(n, compute):
-    """compute() and the set of (path, side) of the generator steps it
-    takes: path "dense", "packed" or "dict", side "left" or "right"."""
+    """compute() and the set of paths of the generator steps it takes:
+    "dense", "packed" or "dict".  Every step is a right step; a step on the
+    packed form reads the right-step tables."""
     ix = _indexed(n)
     taken = set()
 
     def by_table(path, real):
         def step(steps, *args):
-            taken.add((path, "left" if steps is ix.left else "right"))
+            assert steps is ix.right
+            taken.add(path)
             return real(steps, *args)
         return step
 
-    def by_dict(side, real):
-        def step(*args):
-            taken.add(("dict", side))
-            return real(*args)
-        return step
+    def by_dict(*args):
+        taken.add("dict")
+        return _rmul_gen(*args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hecke.algebra, "_packed_step",
                    by_table("packed", hecke.algebra._packed_step))
         mp.setattr(hecke.algebra, "_dense_step",
                    by_table("dense", hecke.algebra._dense_step))
-        mp.setattr(hecke.algebra, "_rmul_gen", by_dict("right", _rmul_gen))
-        mp.setattr(hecke.algebra, "_lmul_gen", by_dict("left", _lmul_gen))
+        mp.setattr(hecke.algebra, "_rmul_gen", by_dict)
         result = compute()
     return result, taken
 
 
-def _walked_side(a, b):
-    """The side the kernel steps on for a * b, when its walk has an edge."""
+def _walk_has_an_edge(a, b):
+    """Whether the kernel takes a step for a * b: the factor whose words it
+    walks, the one with fewer terms, has a key other than the identity."""
     keyed = a if len(a._terms) < len(b._terms) else b
-    if all(w.length() == 0 for w in keyed._terms):
-        return set()
-    return {"left" if keyed is a else "right"}
+    return any(w.length() for w in keyed._terms)
+
+
+def _is_flip_fixed(h):
+    return _flip(h._terms) == h._terms
 
 
 def _packed_path(n, terms):
     """The packed step that terms (the factor stepped on, or the element
     tested for centrality) take: dense on at least half of S_n."""
     return "dense" if 2 * len(terms) >= len(all_permutations(n)) else "packed"
-
-
-def _is_central_by_generators(h):
-    return all(_rmul_gen(h._terms, i) == _lmul_gen(h._terms, i)
-               for i in range(1, h.n))
 
 
 def _count_calls(monkeypatch, *names):
@@ -364,7 +363,7 @@ def test_product_kernel_matches_the_generator_fold(n, data):
     assert _product_packing(n, a._terms, b._terms) is None
     product, taken = _steps_taken(n, lambda: a * b)
     assert product == _fold_mul(a, b)
-    assert taken == {("dict", side) for side in _walked_side(a, b)}
+    assert taken == ({"dict"} if _walk_has_an_edge(a, b) else set())
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -380,8 +379,8 @@ def test_packed_product_matches_the_generator_fold(n, data):
     product, taken = _steps_taken(n, lambda: a * b)
     assert product == _fold_mul(a, b)
     walked = b if len(a._terms) < len(b._terms) else a
-    assert taken == {(_packed_path(n, walked._terms), side)
-                     for side in _walked_side(a, b)}
+    assert taken == ({_packed_path(n, walked._terms)}
+                     if _walk_has_an_edge(a, b) else set())
     # every path returns its terms in index (Permutation) order
     assert (list(product._terms) == sorted(product._terms)
             == list(_dict_mul(a._terms, b._terms)))
@@ -407,12 +406,44 @@ def test_packed_centrality_matches_the_generator_comparison(n, data):
     assert (packing is None) == wide
     if not wide:
         assert packing[-1] == (2 if _one_parity(h) else 1)
-    expected = _is_central_by_generators(h)
+    expected = is_central_by_generators(h)
     central, taken = _steps_taken(n, lambda: is_central(h))
     assert central == expected
     path = "dict" if wide else _packed_path(n, h._terms)
-    assert taken == {(path, "left"), (path, "right")}
+    # an element that the flip moves is refused before any step
+    assert taken == ({path} if _is_flip_fixed(h) else set())
     if not perturbed:
+        assert expected
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_centrality_matches_the_two_sided_oracle(n, data):
+    # a Laurent combination of minimal-basis elements (central), plus
+    # c (T_w + T_(w^-1)) (fixed by the flip, and central only by chance) or
+    # c T_w, on either packing, either density and the LaurentPoly path
+    gamma = gamma_basis(n)
+    scalars = data.draw(_parity_scalars)
+    shapes = data.draw(st.lists(st.sampled_from(list(gamma.elements)),
+                                min_size=1, max_size=3, unique=True))
+    h = HeckeElement.zero(n)
+    for lam in shapes:
+        h = h + gamma.elements[lam].scale(data.draw(scalars))
+    extra = data.draw(st.sampled_from(["none", "flip-fixed", "one term"]))
+    if extra != "none":
+        w = data.draw(st.sampled_from(all_permutations(n)))
+        ws = [w, w.inverse()] if extra == "flip-fixed" else [w]
+        c = data.draw(scalars)
+        for u in ws:
+            h = h + HeckeElement.basis(n, u).scale(c)
+    if data.draw(st.booleans()):
+        h = _widen(h)
+    assume(h)
+    expected = is_central_by_generators(h)
+    assert is_central(h) == expected
+    if extra == "none":
         assert expected
 
 
@@ -449,11 +480,11 @@ def test_products_and_centrality_on_both_sides_of_the_density_rule(n, data):
     assert (path == "dense") == (size >= len(perms) // 2)
     product, taken = _steps_taken(n, lambda: a * b)
     assert product == (_fold_mul(a, b) if big_left else _left_fold_mul(a, b))
-    assert taken == {(path, side) for side in _walked_side(a, b)}
+    assert taken == ({path} if _walk_has_an_edge(a, b) else set())
     assert list(product._terms) == sorted(product._terms)
     central, taken = _steps_taken(n, lambda: is_central(big))
-    assert central == _is_central_by_generators(big)
-    assert taken == {(path, "left"), (path, "right")}
+    assert central == is_central_by_generators(big)
+    assert taken == ({path} if _is_flip_fixed(big) else set())
 
 
 def _pool_scalar(rng, parity):
@@ -656,10 +687,9 @@ def test_products_walk_the_words_of_the_factor_with_fewer_terms(monkeypatch):
     full * t1
     assert calls == [1]
     wide = HeckeElement(5, {w: _WIDE for w in all_permutations(5)})
-    left = _count_calls(monkeypatch, "_lmul_gen")
     right = _count_calls(monkeypatch, "_rmul_gen")
     t1 * wide
-    assert (left, right) == ([1], [])
+    assert right == [1]
 
 
 def test_constructor_rejects_non_permutation_keys():
@@ -709,7 +739,7 @@ def test_products_match_the_fold_on_both_sides_of_the_packing_cap():
         wide = widened(span)
         assert (_product_packing(3, wide._terms, b._terms) is not None) == packed
         assert wide * b == _fold_mul(wide, b)
-        assert is_central(wide * b) == _is_central_by_generators(wide * b)
+        assert is_central(wide * b) == is_central_by_generators(wide * b)
 
 
 def test_products_above_the_enumeration_cap_do_not_index_the_group(monkeypatch):
@@ -730,28 +760,27 @@ def test_products_above_the_enumeration_cap_do_not_index_the_group(monkeypatch):
 
 
 def _step_tables_by_permutations(n):
-    """The step tables of _indexed(n), read off Permutation objects one
-    step at a time: the oracle for the block construction from S_(n-1)."""
+    """The step tables and the inverse table of _indexed(n), read off
+    Permutation objects one at a time: the oracle for the block
+    construction from S_(n-1)."""
     perms = _all_permutations(n)
     index = {w: k for k, w in enumerate(perms)}
 
     def signed(k, drops):
         return ~k if drops else k
 
-    right, left = [None], [None]
+    right = [None]
     for i in range(1, n):
         right.append([signed(index[w.right_simple(i)], w[i - 1] > w[i])
                       for w in perms])
-        left.append([signed(index[w.left_simple(i)],
-                            w.index(i) > w.index(i + 1)) for w in perms])
-    return right, left
+    return right, [index[w.inverse()] for w in perms]
 
 
 @pytest.mark.parametrize("n", range(1, DEFAULT_CAPS.enum_max + 1))
 def test_step_tables_match_the_permutation_oracle(n):
-    right, left = _step_tables_by_permutations(n)
+    right, inv = _step_tables_by_permutations(n)
     ix = _indexed(n)
     assert ix.perms == _all_permutations(n)
     assert all(ix.index[w] == k for k, w in enumerate(ix.perms))
     assert [None] + [list(t) for t in ix.right[1:]] == right
-    assert [None] + [list(t) for t in ix.left[1:]] == left
+    assert list(ix.inv) == inv

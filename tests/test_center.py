@@ -114,6 +114,36 @@ def test_express_rejects_noncentral_input(gb3):
         express_in_gamma(parse_element("T[1]", 3), gb3)
 
 
+def test_express_tests_centrality_only_when_the_expansion_fails(
+        gb3, monkeypatch):
+    import hecke.center
+
+    calls = []
+
+    def counted(h):
+        calls.append(h)
+        return is_central(h)
+
+    monkeypatch.setattr(hecke.center, "is_central", counted)
+    z = gb3[(2, 1)].scale(parse_scalar("q")) + gb3[(3,)]
+    assert express_in_gamma(z, gb3) == {
+        Partition((3,)): LaurentPoly(1), Partition((2, 1)): parse_scalar("q"),
+        Partition((1, 1, 1)): LaurentPoly(0)}
+    assert calls == []
+    # T[1]: its coefficients differ across the minimal elements s_1, s_2
+    # of (2, 1).  T[1] + T[2] + T[1,2,1]: they agree, every coordinate
+    # reads 0 but for 1 at (2, 1), and the residual is (1 - q^-1) T_w0
+    for z, differ in ((parse_element("T[1]", 3), True),
+                      (parse_element("T[1] + T[2] + T[1,2,1]", 3), False)):
+        minimal = minimal_class_elements(3, Partition((2, 1)))
+        assert (z.coeff(minimal[0]) != z.coeff(minimal[1])) == differ
+        calls.clear()
+        with pytest.raises(NotCentralError) as info:
+            express_in_gamma(z, gb3)
+        assert str(info.value) == "element is not central"
+        assert calls == [z]
+
+
 def test_express_checks_the_expansion_against_the_basis_it_is_given(gb4):
     # each basis element in turn gains a term off the minimal classes, so
     # the coordinates read as before and the residual is c * q * T_w0

@@ -218,6 +218,19 @@ def test_verify_only_and_list(capsys):
     assert rc == 2
 
 
+def test_verify_list_prints_only_the_named_ids_in_id_order(capsys):
+    rc, out, _ = run(capsys, "verify", "--list", "--n-max", "3", "--only",
+                     "14-commutative-n2,01-murphy-commute-n3,14-commutative-n2")
+    assert rc == 0
+    assert out.split() == ["01-murphy-commute-n3", "14-commutative-n2"]
+    rc, out, err = run(capsys, "verify", "--list", "--n-max", "2",
+                       "--only", "14-commutative-n2,no-such-id")
+    _, _, run_err = run(capsys, "verify", "--n-max", "2",
+                        "--only", "14-commutative-n2,no-such-id")
+    assert (rc, out) == (2, "")
+    assert err == run_err and "unknown statement ids: 'no-such-id'" in err
+
+
 def test_verify_only_runs_each_listed_id_once(capsys):
     rc, out, _ = run(capsys, "verify", "--n-max", "2", "--only",
                      "14-commutative-n2,14-commutative-n2")
