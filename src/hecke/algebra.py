@@ -18,15 +18,16 @@ single generator T_{s_i}:
 
 The left side goes through the flip iota(T_w) = T_(w^-1), an
 anti-automorphism of H_n: iota(a b) = iota(b) iota(a).  A general product
-a * b walks a trie of canonical reduced words depth first, one generator
-step per trie edge: the words are prefix-closed, so a T_w =
-(a T_{w s_d}) T_{s_d} reuses the partial product of the parent node.  The
-walk follows the words of the factor with fewer terms: those of supp(b) by
-right steps on a, or, for a, a b = iota(iota(b) iota(a)), those of u^-1 for
-u in supp(a) by right steps on iota(b).  h is central exactly when
-iota(h) = h and iota(h T_s) = h T_s for every generator s (is_central
-gives the reason).  Everything else (commutators, the q = 1 group-algebra
-specialisation) is built on top of that.
+a * b takes the canonical reduced words of the keys in sorted order, one
+generator step per letter past the prefix a word shares with the previous
+one: the words are prefix-closed, so a T_w = (a T_{w s_d}) T_{s_d} reuses
+a partial product, and each edge of the trie of words is stepped once.
+The walk follows the words of the factor with fewer terms: those of
+supp(b) by right steps on a, or, for a, a b = iota(iota(b) iota(a)), those
+of u^-1 for u in supp(a) by right steps on iota(b).  h is central exactly
+when iota(h) = h and iota(h T_s) = h T_s for every generator s
+(is_central gives the reason).  Everything else (commutators, the q = 1
+group-algebra specialisation) is built on top of that.
 
 Products and centrality tests run on a packed, indexed form inside this
 module.  S_n is numbered by lexicographic position, with one table per
@@ -41,14 +42,12 @@ T_{w_0} and their words, which lie in Z[q, q^-1], every exponent of every
 partial sum is lo plus an even number.  The packing then takes one digit
 per power of q: the int is the value at q = 2^B, half as long, and q c is
 c << B.  Otherwise it takes one digit per power of v, and q c is c << 2B.
-B comes from one bound: |a T_s|_1 <= 3 |a|_1, and the flip keeps |a|_1,
-hence every coefficient of every partial sum of a * b is at most
-3^l(w_0) |a|_1 |b|_1 in magnitude, and digits below 2^(B-1) unpack
-exactly.  When B times the exponent window would pass _PACK_BITS, or the
-degree passes the default enumeration cap, the same walk runs on
-LaurentPoly coefficients instead; that path handles any exponent span and
-never enumerates S_n.  Both paths choose the walked factor by the same
-rule.
+B comes from one bound (_packing): k steps multiply |.|_1 by at most 3^k,
+with k = l(w_0) for a product and 1 for a centrality test.  When B times
+the exponent window would pass _PACK_BITS, or the degree passes the
+default enumeration cap, the same walk runs on LaurentPoly coefficients
+instead; that path handles any exponent span and never enumerates S_n.
+Both paths choose the walked factor by the same rule.
 
 The packed factor that is stepped on (the one whose words are not walked,
 or the element tested for centrality) is held in one of two ways, chosen
@@ -288,59 +287,34 @@ def _step_tables(n: int) -> tuple[list, list]:
     return right, inv
 
 
-def _extent(terms: dict[Permutation, LaurentPoly]) -> tuple[int, int, int, bool]:
-    """(lowest exponent, highest exponent, sum of |coefficients|, whether
-    every exponent has the parity of the lowest) over all coefficients of a
-    nonempty term dict."""
-    exps = [e for c in terms.values() for e in c._terms]
-    norm = sum(abs(d) for c in terms.values() for d in c._terms.values())
-    lo = min(exps)
-    return lo, max(exps), norm, not any((e - lo) & 1 for e in exps)
-
-
-def _digit_bits(bound: int, window: int) -> int | None:
-    """Digit width that unpacks coefficients up to bound in magnitude, or
-    None when window digits of that width would pass _PACK_BITS."""
-    bits = bound.bit_length() + 1
-    return bits if bits * window <= _PACK_BITS else None
-
-
-def _product_packing(n: int, a: dict, b: dict) -> tuple[int, int, int, int] | None:
-    """(bits, lo_a, lo_b, stride) for a packed product of nonempty a and b
-    in H_n, or None.
+def _packing(n: int, factors: list, steps: int) -> tuple[int, list, int] | None:
+    """(bits, lows, stride) for packed work on the nonempty term dicts
+    factors of H_n that takes steps generator steps, or None.
 
     A step maps c to q c and (q - 1) c, so |a T_s|_1 <= 3 |a|_1 and every
-    coefficient of every partial sum is at most 3^l(w_0) |a|_1 |b|_1; the
-    exponents stay within lo_a + lo_b .. hi_a + hi_b + 2 l(w_0).  stride is
-    2, one digit per power of q, when the exponents of a share one parity
-    and those of b share one parity, and 1, one digit per power of v,
-    otherwise.
+    coefficient of every partial sum is at most 3^steps times the product
+    of the |f|_1; the exponents stay within sum(lo_f) .. sum(hi_f) +
+    2 steps.  lows holds each lo_f.  stride is 2, one digit per power of
+    q, when the exponents of each factor share one parity, and 1, one digit
+    per power of v, otherwise.  None above _INDEX_MAX_DEGREE or when the
+    digits would pass _PACK_BITS.  A product a * b takes l(w_0) steps, a
+    centrality test one.
     """
     if n > _INDEX_MAX_DEGREE:
         return None
-    top = n * (n - 1) // 2
-    lo_a, hi_a, norm_a, one_a = _extent(a)
-    lo_b, hi_b, norm_b, one_b = _extent(b)
-    stride = 2 if one_a and one_b else 1
-    bits = _digit_bits(3 ** top * norm_a * norm_b,
-                       (hi_a + hi_b + 2 * top - lo_a - lo_b) // stride + 1)
-    return None if bits is None else (bits, lo_a, lo_b, stride)
-
-
-def _central_packing(n: int, terms: dict) -> tuple[int, int, int] | None:
-    """(bits, lo, stride) for a packed centrality test of nonempty terms in
-    H_n, or None.
-
-    h T_s has coefficients at most 3 |h|_1 in magnitude and exponents
-    within lo .. hi + 2; stride is 2 when the exponents of h share one
-    parity, as in _product_packing.
-    """
-    if n > _INDEX_MAX_DEGREE:
+    bound, window, lows, stride = 3 ** steps, 2 * steps, [], 2
+    for terms in factors:
+        exps = [e for c in terms.values() for e in c._terms]
+        lo = min(exps)
+        lows.append(lo)
+        window += max(exps) - lo
+        bound *= sum(abs(d) for c in terms.values() for d in c._terms.values())
+        if any((e - lo) & 1 for e in exps):
+            stride = 1
+    bits = bound.bit_length() + 1
+    if bits * (window // stride + 1) > _PACK_BITS:
         return None
-    lo, hi, norm, one = _extent(terms)
-    stride = 2 if one else 1
-    bits = _digit_bits(3 * norm, (hi + 2 - lo) // stride + 1)
-    return None if bits is None else (bits, lo, stride)
+    return bits, lows, stride
 
 
 def _pack(c: LaurentPoly, bits: int, lo: int, stride: int) -> int:
@@ -418,18 +392,22 @@ def _dense_step(steps: list, shift: int, acc: list, i: int) -> list:
 
 
 def _packed_terms(ix: _Indexed, terms: dict, bits: int, lo: int, stride: int):
-    """(packed terms, the step that takes them).  Terms on at least half of
-    S_n are held in a list indexed like ix.perms and take _dense_step: one
-    pass over n! entries then beats a dict get and store per term.  Fewer
-    are held in a dict by index and take _packed_step."""
+    """(packed terms, the right step that takes them), the step bound to
+    ix.right and to the shift of q: 2 bits packed in v, bits packed in q.
+    Terms on at least half of S_n are held in a list indexed like ix.perms
+    and take _dense_step: one pass over n! entries then beats a dict get
+    and store per term.  Fewer are held in a dict by index and take
+    _packed_step."""
     index = ix.index
     if 2 * len(terms) >= len(ix.perms):
-        dense = [0] * len(ix.perms)
+        packed = [0] * len(ix.perms)
         for w, c in terms.items():
-            dense[index[w]] = _pack(c, bits, lo, stride)
-        return dense, _dense_step
-    return ({index[w]: _pack(c, bits, lo, stride) for w, c in terms.items()},
-            _packed_step)
+            packed[index[w]] = _pack(c, bits, lo, stride)
+        step = _dense_step
+    else:
+        packed = {index[w]: _pack(c, bits, lo, stride) for w, c in terms.items()}
+        step = _packed_step
+    return packed, partial(step, ix.right, 2 // stride * bits)
 
 
 def _flip_packed(inv: list, terms: dict | list) -> dict | list:
@@ -441,49 +419,34 @@ def _flip_packed(inv: list, terms: dict | list) -> dict | list:
 
 
 def _prefix_products(terms: dict | list, keyed, step):
-    """Yield (terms * T_w, x) for every pair (w, x) in keyed; x is not None.
+    """Yield (terms * T_w, x) for every pair (w, x) in keyed.
 
     The canonical reduced words are prefix-closed: word(w) = word(w s_d) + (d)
-    for the smallest right descent d.  So the words of the keys form a trie,
-    and terms * T_w is one step(acc, d) away from the product at its parent
-    node: one generator step per trie edge instead of length(w) per key.
-    step is _rmul_gen, or _packed_step or _dense_step bound to the step
-    tables; none changes its argument, so siblings share it.
+    for the smallest right descent d.  The keys are taken in the order of
+    their words; held[d] is the product by the first d letters of the
+    current word.  When the next word comes, the products past the prefix
+    it shares with the current one are dropped, and terms * T_w is one
+    step(acc, i) per letter after that prefix.  In sorted order no later
+    word shares a longer prefix with the current one than the next word
+    does, so nothing a later key needs is dropped: each edge of the trie
+    of words is stepped once, and at most l(w_0) + 1 products are held.
+    step is _rmul_gen, or a step of _packed_terms; none changes its
+    argument.
     """
-    # a node is [x or None, {generator: child node}, number of keys below it]
-    root: list = [None, {}, 0]
-    for w, x in keyed:
-        node = root
-        node[2] += 1
-        for i in w.reduced_word():
-            child = node[1].get(i)
-            if child is None:
-                child = node[1][i] = [None, {}, 0]
-            node = child
-            node[2] += 1
-        node[0] = x
-    return _walk(step, terms, root)
-
-
-def _walk(step, acc: dict, node: list):
-    # Depth first.  The child with the most keys below it is followed in this
-    # frame instead of recursed into, so a partial product is held only while
-    # a sibling still needs it, and the recursion is at most log2(#keys) deep.
-    while True:
-        x, children, _ = node
-        if x is not None:
-            yield acc, x
-        if not children:
-            return
-        if len(children) == 1:
-            (heavy, node), = children.items()
-        else:
-            heavy = max(children, key=lambda i: children[i][2])
-            for j, child in children.items():
-                if j != heavy:
-                    yield from _walk(step, step(acc, j), child)
-            node = children[heavy]
-        acc = step(acc, heavy)
+    held = [terms]
+    last: tuple = ()
+    for word, x in sorted([(w.reduced_word(), x) for w, x in keyed],
+                          key=lambda pair: pair[0]):
+        depth = 0
+        for i, j in zip(word, last):
+            if i != j:
+                break
+            depth += 1
+        del held[depth + 1:]
+        for i in word[depth:]:
+            held.append(step(held[-1], i))
+        yield held[-1], x
+        last = word
 
 
 def _sides(a: dict, b: dict) -> tuple[dict, list, bool]:
@@ -531,9 +494,10 @@ def _grouped_keys(keys: list, n: int) -> list:
     return [key for key, m in counts if m > 1]
 
 
-def _packed_mul(n: int, a: dict, b: dict, bits: int, lo_a: int, lo_b: int,
+def _packed_mul(n: int, a: dict, b: dict, bits: int, lows: list,
                 stride: int) -> dict[Permutation, LaurentPoly]:
     ix = _indexed(n)
+    lo_a, lo_b = lows
     walked, keyed, flipped = _sides(a, b)
     lo_walked, lo_keyed = (lo_b, lo_a) if flipped else (lo_a, lo_b)
     packed, step = _packed_terms(ix, walked, bits, lo_walked, stride)
@@ -545,8 +509,7 @@ def _packed_mul(n: int, a: dict, b: dict, bits: int, lo_a: int, lo_b: int,
         e = min(c._terms)
         scaled.append((w, (_pack(c, bits, e, stride),
                            (e - lo_keyed) // stride * bits)))
-    walk = _prefix_products(packed, scaled,
-                            partial(step, ix.right, 2 // stride * bits))
+    walk = _prefix_products(packed, scaled, step)
     if isinstance(packed, list):
         # the partial products of a repeated key are summed unscaled and
         # scaled once at the end: one multiply of n! entries per key, not one
@@ -738,7 +701,7 @@ class HeckeElement:
         a, b = self._terms, other._terms
         if not a or not b:
             return HeckeElement.zero(self.n)
-        packing = _product_packing(self.n, a, b)
+        packing = _packing(self.n, [a, b], self.n * (self.n - 1) // 2)
         if packing is None:
             return HeckeElement._raw(self.n, _dict_mul(a, b))
         return HeckeElement._raw(self.n, _packed_mul(self.n, a, b, *packing))
@@ -845,14 +808,13 @@ def is_central(h: HeckeElement) -> bool:
     faithful.  For iota-fixed h, T_s h = iota(iota(h) T_s) = iota(h T_s).
     """
     terms = h._terms
-    packing = _central_packing(h.n, terms) if terms else None
+    packing = _packing(h.n, [terms], 1) if terms else None
     if packing is None:
         flip, step = _flip, _rmul_gen
     else:
-        bits, lo, stride = packing
+        bits, (lo,), stride = packing
         ix = _indexed(h.n)
         terms, step = _packed_terms(ix, terms, bits, lo, stride)
         flip = partial(_flip_packed, ix.inv)
-        step = partial(step, ix.right, 2 // stride * bits)
     return flip(terms) == terms and all(
         flip(ht) == ht for ht in (step(terms, i) for i in range(1, h.n)))

@@ -1,15 +1,17 @@
 """Mechanical verification of every identity the library implements.
 
 The registry is one table, a row per statement: id stem, check, the
-degrees it is checked at, and whether the check reads the minimal basis of
-the centre.  A row gives an item at each of its degrees up to n_max; a row
-that reads the basis also stops at the enumeration cap, which bounds
-building it.  The first check that reads a basis builds it.  Items run in
-id order; `only` runs the named ones, each once.  Running them recomputes
-both sides of every statement from scratch, exactly over Z[v, v^-1];
-there are no tolerances anywhere.  Items whose checks pass but whose
-printed source is known to disagree with the computation carry status
-"flag" instead of "pass", with a note saying what the discrepancy is.
+degrees it is checked at, and the caps (fields of Caps) that bound what
+the check computes.  A row gives an item at each of its degrees up to
+n_max and up to each cap it names: enum_max for a check that enumerates
+S_n (the symmetrizers, their truncations, or the minimal basis of the
+centre), linalg_max for one that solves over the centre.  The first check
+that reads a basis builds it.  Items run in id order; `only` runs the
+named ones, each once.  Running them recomputes both sides of every
+statement from scratch, exactly over Z[v, v^-1]; there are no tolerances
+anywhere.  Items whose checks pass but whose printed source is known to
+disagree with the computation carry status "flag" instead of "pass", with
+a note saying what the discrepancy is.
 
 Reports are deterministic: for a fixed (n_max, seed) the text and JSON
 forms are byte-for-byte identical across runs.  Timings are kept out of the
@@ -600,110 +602,115 @@ def _chk_h2_sqrt_all(env: _Env, n: int) -> None:
 _N3_6 = (3, 4, 5, 6)
 _N3_5 = (3, 4, 5)
 
-# One row per statement: id stem, check, degrees, whether the check reads
-# the minimal basis of the centre, statement ({n} is the degree, {m} = n+1)
-# and the flag note of a statement whose printed source is known to be off.
+# The caps a row's check reaches: enumerating S_n, solving over the centre.
+_ENUM = ("enum_max",)
+_LINALG = ("linalg_max",)
+_BOTH = _ENUM + _LINALG
+
+# One row per statement: id stem, check, degrees, the caps its check
+# reaches, statement ({n} is the degree, {m} = n+1) and the flag note of a
+# statement whose printed source is known to be off.
 _TABLE = (
-    ("01-murphy-commute", _chk_murphy_commute, _N3_6, False,
+    ("01-murphy-commute", _chk_murphy_commute, _N3_6, (),
      "Murphy elements pairwise commute (n={n})", None),
-    ("02-dual-flip", _chk_dual_flip, _N3_6, False,
+    ("02-dual-flip", _chk_dual_flip, _N3_6, (),
      "dual family is the diagram flip of the normalized family (n={n})", None),
-    ("02-dual-sum", _chk_dual_sum, _N3_6, False,
+    ("02-dual-sum", _chk_dual_sum, _N3_6, (),
      "dual and plain families have equal sums (n={n})", None),
-    ("02-dual-nested", _chk_dual_nested, _N3_6, False,
+    ("02-dual-nested", _chk_dual_nested, _N3_6, (),
      "top dual elements nest one transposition at a time (n={n})", None),
-    ("02-dual-cyclepair", _chk_dual_cyclepair, _N3_6, False,
+    ("02-dual-cyclepair", _chk_dual_cyclepair, _N3_6, (),
      "forward/backward cycle product expands via the top dual element "
      "(n={n}, ambient n={m})", None),
-    ("03-esym-recursion", _chk_esym_recursion, _N3_6, False,
+    ("03-esym-recursion", _chk_esym_recursion, _N3_6, (),
      "normalized symmetric functions satisfy the top-row recursion (n={n})",
      None),
-    ("03-esym-flip", _chk_esym_rho, _N3_6, False,
+    ("03-esym-flip", _chk_esym_rho, _N3_6, (),
      "normalized symmetric functions are flip-invariant (n={n})", None),
-    ("03-esym-central", _chk_esym_central, _N3_6, False,
+    ("03-esym-central", _chk_esym_central, _N3_6, (),
      "symmetric functions in Murphy elements are central (n={n})", None),
-    ("03-esym-gamma", _chk_esym_gamma, _N3_5, True,
+    ("03-esym-gamma", _chk_esym_gamma, _N3_5, _ENUM,
      "each symmetric function is the sum of its minimal-basis slice (n={n})",
      None),
-    ("04-longestsq-esym", _chk_longestsq_esym, _N3_6, False,
+    ("04-longestsq-esym", _chk_longestsq_esym, _N3_6, (),
      "longest-element square equals the xi-weighted symmetric sum (n={n})",
      None),
-    ("04-longestsq-twist", _chk_longestsq_twist, _N3_6, False,
+    ("04-longestsq-twist", _chk_longestsq_twist, _N3_6, (),
      "longest-element square equals the braid Murphy product (n={n})", None),
-    ("04-braidmurphy-linear", _chk_braidmurphy_linear, _N3_6, False,
+    ("04-braidmurphy-linear", _chk_braidmurphy_linear, _N3_6, (),
      "braid Murphy elements are affine in the normalized ones (n={n})", None),
-    ("04-longestsq-qform", _chk_longestsq_qform, _N3_5, True,
+    ("04-longestsq-qform", _chk_longestsq_qform, _N3_5, _ENUM,
      "longest-element square has the stated minimal-basis coordinates (n={n})",
      None),
-    ("04-longestsq-printed-scale", _chk_longestsq_printed_scale, (3,), True,
+    ("04-longestsq-printed-scale", _chk_longestsq_printed_scale, (3,), _ENUM,
      "the listed degree-3 expansion needs the q^3 factor restored",
      "the reference table at degree 3 omits the overall q^3 factor; the "
      "computation confirms the form that carries the factor"),
-    ("05-xy-action", _chk_xy_action, _N3_5, False,
+    ("05-xy-action", _chk_xy_action, _N3_5, _ENUM,
      "generators act on the symmetrizers by q and -1 (n={n})", None),
-    ("05-xy-central", _chk_xy_central, _N3_5, False,
+    ("05-xy-central", _chk_xy_central, _N3_5, _ENUM,
      "both symmetrizers are central and multiply to zero (n={n})", None),
-    ("05-xy-squares", _chk_xy_squares, _N3_5, False,
+    ("05-xy-squares", _chk_xy_squares, _N3_5, _ENUM,
      "symmetrizer squares are the right scalar multiples (n={n})", None),
-    ("05-xy-gamma", _chk_xy_gamma, _N3_5, True,
+    ("05-xy-gamma", _chk_xy_gamma, _N3_5, _ENUM,
      "symmetrizer coordinates over the minimal basis (n={n})", None),
-    ("06-sqrt-membership", _chk_sqrt_membership, _N3_5, False,
+    ("06-sqrt-membership", _chk_sqrt_membership, _N3_5, _ENUM,
      "the three truncations are non-central square roots (n={n})", None),
-    ("06-sqrt-products", _chk_sqrt_products, _N3_5, False,
+    ("06-sqrt-products", _chk_sqrt_products, _N3_5, _ENUM,
      "pairwise products of the three roots are central and commute (n={n})",
      None),
-    ("06-sqrt-span", _chk_sqrt_span, _N3_5, False,
+    ("06-sqrt-span", _chk_sqrt_span, _N3_5, _ENUM,
      "the span of the three roots stays in the square-root set (n={n})", None),
-    ("06-sqrt-sumdiff", _chk_sqrt_sumdiff, _N3_5, False,
+    ("06-sqrt-sumdiff", _chk_sqrt_sumdiff, _N3_5, _ENUM,
      "difference of the truncations is central, the sum is not (n={n})", None),
-    ("06-sqrt-mixed-not", _chk_sqrt_mixed_not, _N3_5, False,
+    ("06-sqrt-mixed-not", _chk_sqrt_mixed_not, _N3_5, _ENUM,
      "the twisted combination leaves the square-root set (n={n})", None),
-    ("06-even-words", _chk_even_words, _N3_5, False,
+    ("06-even-words", _chk_even_words, _N3_5, _ENUM,
      "even words in the roots are central, odd words are roots (n={n})", None),
-    ("06-sqrt-increment", _chk_sqrt_increment, (3, 4), False,
+    ("06-sqrt-increment", _chk_sqrt_increment, (3, 4), (),
      "no catalog root survives adding its own square (n={n})", None),
-    ("06-sqrt-r4r5-span-note", _chk_r4r5_span_note, (3,), False,
+    ("06-sqrt-r4r5-span-note", _chk_r4r5_span_note, (3,), (),
      "the generator/braid difference pair anticommutes, so its span passes "
      "the span test",
      "R4 and R5 anticommute exactly, so their span passes the operational "
      "span test; the source remark asserting the span leaves the "
      "square-root set does not hold under this test"),
-    ("07-truncation-squares", _chk_truncation_squares, _N3_5, True,
+    ("07-truncation-squares", _chk_truncation_squares, _N3_5, _ENUM,
      "closed forms of both truncation squares, in both bases (n={n})", None),
-    ("07-xbarsq-printed", _chk_xbarsq_printed, (3,), True,
+    ("07-xbarsq-printed", _chk_xbarsq_printed, (3,), _ENUM,
      "listed degree-3 coefficients of the q-truncation square", None),
-    ("07-ybarsq-printed", _chk_ybarsq_printed, (3,), True,
+    ("07-ybarsq-printed", _chk_ybarsq_printed, (3,), _ENUM,
      "listed degree-3 coefficients of the signed truncation square",
      "the listed square matches the unscaled truncation, not the rescaled "
      "catalog element; the catalog square is q^-6 times the listed values, "
      "as confirmed here"),
-    ("08-h3-fixtures", _chk_h3_fixtures, (3,), False,
+    ("08-h3-fixtures", _chk_h3_fixtures, (3,), _ENUM,
      "degree-3 catalog entries match their defining expressions", None),
-    ("08-h3-checks", _chk_h3_checks, (3,), True,
+    ("08-h3-checks", _chk_h3_checks, (3,), _ENUM,
      "every recorded property of the degree-3 catalog", None),
-    ("08-h3-eigen-search", _chk_h3_eigen_search, (3,), True,
+    ("08-h3-eigen-search", _chk_h3_eigen_search, (3,), _BOTH,
      "eigen search recovers the catalog eigenvectors", None),
-    ("09-h4-checks", _chk_h4_checks, (4,), False,
+    ("09-h4-checks", _chk_h4_checks, (4,), (),
      "every recorded property of the degree-4 catalog", None),
-    ("10-branch-random", _chk_h3_branch_random, (3,), False,
+    ("10-branch-random", _chk_h3_branch_random, (3,), (),
      "100 random elements of the square-root branch behave as claimed", None),
-    ("10-classify-fixtures", _chk_h3_classify, (3,), False,
+    ("10-classify-fixtures", _chk_h3_classify, (3,), (),
      "catalog elements classify onto the square-root branch", None),
-    ("10-central-branch", _chk_h3_central_branch, (3,), True,
+    ("10-central-branch", _chk_h3_central_branch, (3,), _ENUM,
      "the central-branch relations cut out exactly the minimal basis", None),
-    ("11-oracle-products", _chk_oracle_products, (4,), False,
+    ("11-oracle-products", _chk_oracle_products, (4,), (),
      "1000 random products match the group-algebra oracle at q=1", None),
-    ("11-gamma-classsums", _chk_gamma_classsums, _N3_5, True,
+    ("11-gamma-classsums", _chk_gamma_classsums, _N3_5, _ENUM,
      "at q=1 the minimal basis collapses to class sums (n={n})", None),
-    ("12-nonzerodivisor", _chk_nonzerodivisor, (3, 4), True,
+    ("12-nonzerodivisor", _chk_nonzerodivisor, (3, 4), _BOTH,
      "both truncations are nonzerodivisors (n={n})", None),
-    ("13-gamma-integrality", _chk_gamma_integrality, _N3_5, True,
+    ("13-gamma-integrality", _chk_gamma_integrality, _N3_5, _ENUM,
      "minimal-basis coefficients stay in Z[q, q^-1] (n={n})", None),
-    ("13-gamma-pinning", _chk_gamma_pinning, _N3_5, True,
+    ("13-gamma-pinning", _chk_gamma_pinning, _N3_5, _ENUM,
      "minimal-length coefficients are Kronecker deltas (n={n})", None),
-    ("14-commutative", _chk_h2_commutative, (2,), False,
+    ("14-commutative", _chk_h2_commutative, (2,), _LINALG,
      "degree 2 is commutative and its centre is everything", None),
-    ("14-sqrt-is-everything", _chk_h2_sqrt_all, (2,), False,
+    ("14-sqrt-is-everything", _chk_h2_sqrt_all, (2,), (),
      "at degree 2 every element is a central square root", None),
 )
 
@@ -711,11 +718,10 @@ _TABLE = (
 def build_registry(n_max: int, caps: Caps = DEFAULT_CAPS) -> list[VerifyItem]:
     """All registered statements for degrees up to n_max, in id order.
 
-    Each statement runs at its own degrees up to n_max; one that reads the
-    minimal basis of the centre also stops at the enumeration cap, the cap
-    that bounds computing that basis.  n_max = 2 leaves only the degenerate
-    commutative checks.  The items are built once per (n_max, caps); each
-    call returns a new list of them.
+    Each statement runs at its own degrees up to n_max and up to each cap
+    its check reaches, so no item stops on a ResourceCapError.  n_max = 2
+    leaves only the degenerate commutative checks.  The items are built
+    once per (n_max, caps); each call returns a new list of them.
     """
     return list(_registry(n_max, caps))
 
@@ -724,15 +730,20 @@ def build_registry(n_max: int, caps: Caps = DEFAULT_CAPS) -> list[VerifyItem]:
 def _registry(n_max: int, caps: Caps) -> tuple[VerifyItem, ...]:
     items = [VerifyItem(f"{stem}-n{n}", statement.format(n=n, m=n + 1), n,
                         partial(fn, n=n), note)
-             for stem, fn, degrees, basis, statement, note in _TABLE
+             for stem, fn, degrees, reached, statement, note in _TABLE
              for n in degrees
-             if n <= n_max and (not basis or n <= caps.enum_max)]
+             if n <= n_max and all(n <= getattr(caps, cap) for cap in reached)]
     return tuple(sorted(items, key=lambda it: it.item_id))
 
 
 def statement_ids(n_max: int = 6, caps: Caps = DEFAULT_CAPS,
                   only: list[str] | None = None) -> list[str]:
-    """The ids run_verify runs with the same arguments, in id order."""
+    """The ids run_verify runs with the same arguments, in id order.
+
+    n_max below 2 or an unknown id in only raises ValueError, as a run does.
+    """
+    if n_max < 2:
+        raise ValueError(f"n_max must be at least 2, got {n_max}")
     ids = [item.item_id for item in _registry(n_max, caps)]
     if only is None:
         return ids
@@ -764,8 +775,6 @@ def run_verify(n_max: int = 6, seed: int = 0, caps: Caps = DEFAULT_CAPS,
     `only` restricts the run to the named statement ids, each run once; an
     unknown id is an error.  The report order is fixed by statement id.
     """
-    if n_max < 2:
-        raise ValueError(f"n_max must be at least 2, got {n_max}")
     wanted = set(statement_ids(n_max, caps, only))
     env = _Env(seed, caps)
     results = [_run_item(item, env) for item in _registry(n_max, caps)

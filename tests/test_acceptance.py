@@ -299,7 +299,7 @@ def test_minimal_basis_items_follow_the_enumeration_cap():
 @pytest.mark.parametrize("caps, digest", [
     (Caps(), "e1c7c1d4dbe41fa799c332c6708eb28dab281b3f1610f005a3dc066c91482c99"),
     (Caps(enum_max=4),
-     "21aaa522b41880ac2d9a241aa339a1e68ea7bb371a1c86ba8d6802c7302bdcc6"),
+     "d1373e9d9aac3d8568542e3ca199be3fa3282e439e6f8cccc0aaeb2e1b647098"),
     (Caps(linalg_max=4),
      "e1c7c1d4dbe41fa799c332c6708eb28dab281b3f1610f005a3dc066c91482c99"),
 ], ids=["default", "enum_max=4", "linalg_max=4"])
@@ -313,14 +313,28 @@ def test_registry_listing_is_pinned(caps, digest):
 
 def test_a_low_enumeration_cap_drops_the_basis_items_above_it():
     # the first check that reads the basis builds it, inside the run, so
-    # a cap of 3 leaves out the basis items at 4 and 5 and runs the rest
+    # a cap of 3 leaves out the basis items at 4 and 5, and those that
+    # enumerate S_n for the symmetrizers or their truncations, and runs the
+    # rest; a linear-algebra cap leaves out the items that solve over the
+    # centre above it.  No item that runs stops on a cap.
     report = run_verify(N_MAX, caps=Caps(enum_max=3))
     ran = {r.item_id for r in report.results}
     stems = ("03-esym-gamma", "04-longestsq-qform", "05-xy-gamma",
              "07-truncation-squares", "11-gamma-classsums",
-             "13-gamma-integrality", "13-gamma-pinning")
+             "13-gamma-integrality", "13-gamma-pinning", "05-xy-action",
+             "05-xy-central", "05-xy-squares", "06-sqrt-membership",
+             "06-sqrt-products", "06-sqrt-span", "06-sqrt-sumdiff",
+             "06-sqrt-mixed-not", "06-even-words")
     assert set(statement_ids(N_MAX)) - ran == (
         {f"{stem}-n{n}" for stem in stems for n in (4, 5)}
         | {"12-nonzerodivisor-n4"})
     assert ran == set(statement_ids(N_MAX, Caps(enum_max=3)))
-    assert all(r.status != "fail" for r in report.results if r.n <= 3)
+    assert report.passed
+    solving = {"08-h3-eigen-search-n3", "12-nonzerodivisor-n3",
+               "12-nonzerodivisor-n4"}
+    for cap, dropped in ((2, solving), (1, solving | {"14-commutative-n2"})):
+        report = run_verify(N_MAX, caps=Caps(linalg_max=cap))
+        ran = {r.item_id for r in report.results}
+        assert set(statement_ids(N_MAX)) - ran == dropped
+        assert ran == set(statement_ids(N_MAX, Caps(linalg_max=cap)))
+        assert report.passed

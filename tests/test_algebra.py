@@ -2,7 +2,9 @@
 
 import random
 import time
+import weakref
 from collections import Counter
+from functools import reduce
 from math import factorial
 
 import hypothesis.strategies as st
@@ -30,8 +32,8 @@ from hecke import (
     xbar,
     ybar,
 )
-from hecke.algebra import (_acc, _central_packing, _dict_mul, _flip,
-                           _grouped_keys, _indexed, _pack, _product_packing,
+from hecke.algebra import (_acc, _dict_mul, _flip, _grouped_keys, _indexed,
+                           _pack, _packed_terms, _packing, _prefix_products,
                            _rmul_gen, _unpack)
 from hecke.linalg import sparse_rank
 from hecke.permutations import _all_permutations
@@ -360,7 +362,7 @@ _KERNEL_SETTINGS = settings(
 def test_product_kernel_matches_the_generator_fold(n, data):
     a, b = data.draw(_element_pairs(n, _big_scalars))
     a = _widen(a)
-    assert _product_packing(n, a._terms, b._terms) is None
+    assert _packing(n, [a._terms, b._terms], n * (n - 1) // 2) is None
     product, taken = _steps_taken(n, lambda: a * b)
     assert product == _fold_mul(a, b)
     assert taken == ({"dict"} if _walk_has_an_edge(a, b) else set())
@@ -372,7 +374,7 @@ def test_product_kernel_matches_the_generator_fold(n, data):
 def test_packed_product_matches_the_generator_fold(n, data):
     a, b = data.draw(_element_pairs(n, data.draw(_parity_scalars),
                                     data.draw(_parity_scalars)))
-    packing = _product_packing(n, a._terms, b._terms)
+    packing = _packing(n, [a._terms, b._terms], n * (n - 1) // 2)
     assert packing is not None
     # one digit per power of q exactly when each factor has one parity
     assert packing[-1] == (2 if _one_parity(a) and _one_parity(b) else 1)
@@ -402,7 +404,7 @@ def test_packed_centrality_matches_the_generator_comparison(n, data):
         w = data.draw(st.sampled_from(all_permutations(n)))
         h = h + HeckeElement(n, {w: data.draw(scalars)})
     assume(h)
-    packing = _central_packing(n, h._terms)
+    packing = _packing(n, [h._terms], 1)
     assert (packing is None) == wide
     if not wide:
         assert packing[-1] == (2 if _one_parity(h) else 1)
@@ -474,7 +476,7 @@ def test_products_and_centrality_on_both_sides_of_the_density_rule(n, data):
                              for w in rng.sample(perms, few)})
     big_left = data.draw(st.booleans())
     a, b = (big, small) if big_left else (small, big)
-    packing = _product_packing(n, a._terms, b._terms)
+    packing = _packing(n, [a._terms, b._terms], n * (n - 1) // 2)
     assert packing[-1] == (2 if _one_parity(a) and _one_parity(b) else 1)
     path = _packed_path(n, big._terms)
     assert (path == "dense") == (size >= len(perms) // 2)
@@ -577,7 +579,7 @@ def test_dense_products_sum_repeated_keys_exactly(n, data):
     keyed_left = len(a._terms) < len(b._terms)
     walked, keyed = (b, a) if keyed_left else (a, b)
     assert 2 * len(walked._terms) >= factorial(n)
-    packing = _product_packing(n, a._terms, b._terms)
+    packing = _packing(n, [a._terms, b._terms], n * (n - 1) // 2)
     assert packing[-1] == (2 if _one_parity(a) and _one_parity(b) else 1)
     product, (keys, grouped) = _grouping(lambda: a * b)
     most = n * (n - 1) // 2 + 1
@@ -672,6 +674,64 @@ def test_wide_full_support_product_takes_one_step_per_trie_edge(monkeypatch):
     assert len(calls) == 119
 
 
+class _Held:
+    """Terms in a wrapper that a weak reference can follow, so that the
+    partial products a walk keeps alive can be counted."""
+
+    __slots__ = ("terms", "__weakref__")
+
+    def __init__(self, terms):
+        self.terms = terms
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_prefix_products_step_each_edge_of_the_words_once(n, data):
+    # any subset of S_n or a single key, with or without the identity and
+    # the parent of every key (its word less the last letter), on _rmul_gen
+    # or a packed step
+    perms = all_permutations(n)
+    keys = data.draw(st.one_of(
+        st.sampled_from(perms).map(lambda w: [w]),
+        st.lists(st.sampled_from(perms), min_size=1, max_size=40, unique=True)))
+    if data.draw(st.booleans()):
+        keys.append(Permutation.identity(n))
+    if data.draw(st.booleans()):
+        keys += [w.right_simple(w.reduced_word()[-1]) for w in keys if w.length()]
+    keys = list(dict.fromkeys(keys))
+    h = _random_element(random.Random(data.draw(st.integers(0, 2**32))), n)
+    assume(h)
+    if data.draw(st.booleans()):
+        bits, (lo,), stride = _packing(n, [h._terms], n * (n - 1) // 2)
+        terms, real = _packed_terms(_indexed(n), h._terms, bits, lo, stride)
+    else:
+        terms, real = h._terms, _rmul_gen
+    alive = weakref.WeakSet()
+    steps = []
+
+    def step(held, i):
+        steps.append(i)
+        out = _Held(real(held.terms, i))
+        alive.add(out)
+        return out
+
+    root = _Held(terms)
+    alive.add(root)
+    seen = []
+    for acc, w in _prefix_products(root, [(w, w) for w in keys], step):
+        word = w.reduced_word()
+        seen.append(w)
+        assert acc.terms == reduce(real, word, terms)
+        # the products by the prefixes of this word, the root included
+        assert len(alive) <= len(word) + 1
+    assert sorted(seen) == sorted(keys)
+    words = [w.reduced_word() for w in keys]
+    assert len(steps) == len({word[:d] for word in words
+                              for d in range(1, len(word) + 1)})
+
+
 def test_products_walk_the_words_of_the_factor_with_fewer_terms(monkeypatch):
     from hecke import t_longest, xbar
 
@@ -733,11 +793,11 @@ def test_products_match_the_fold_on_both_sides_of_the_packing_cap():
         return a.scale(LaurentPoly({0: 1, k: 1}))
 
     k = 1
-    while _product_packing(3, widened(k + 1)._terms, b._terms) is not None:
+    while _packing(3, [widened(k + 1)._terms, b._terms], 3) is not None:
         k += 1
     for span, packed in ((k, True), (k + 1, False)):
         wide = widened(span)
-        assert (_product_packing(3, wide._terms, b._terms) is not None) == packed
+        assert (_packing(3, [wide._terms, b._terms], 3) is not None) == packed
         assert wide * b == _fold_mul(wide, b)
         assert is_central(wide * b) == is_central_by_generators(wide * b)
 
@@ -751,7 +811,7 @@ def test_products_above_the_enumeration_cap_do_not_index_the_group(monkeypatch):
     monkeypatch.setattr(hecke.algebra, "_indexed", refuse)
     n = DEFAULT_CAPS.enum_max + 1
     t1, t2 = HeckeElement.generator(n, 1), HeckeElement.generator(n, 2)
-    assert _product_packing(n, t1._terms, t2._terms) is None
+    assert _packing(n, [t1._terms, t2._terms], n * (n - 1) // 2) is None
     assert t1 * t2 == HeckeElement.from_word(n, (1, 2))
     assert not is_central(HeckeElement.generator(12, 1))
     assert is_central(HeckeElement.one(12).scale(q_power(1)))

@@ -231,6 +231,13 @@ def test_verify_list_prints_only_the_named_ids_in_id_order(capsys):
     assert err == run_err and "unknown statement ids: 'no-such-id'" in err
 
 
+def test_verify_list_refuses_the_degree_bound_a_run_refuses(capsys):
+    rc, out, err = run(capsys, "verify", "--list", "--n-max", "1")
+    _, _, run_err = run(capsys, "verify", "--n-max", "1")
+    assert (rc, out) == (2, "")
+    assert err == run_err and "n_max must be at least 2, got 1" in err
+
+
 def test_verify_only_runs_each_listed_id_once(capsys):
     rc, out, _ = run(capsys, "verify", "--n-max", "2", "--only",
                      "14-commutative-n2,14-commutative-n2")
