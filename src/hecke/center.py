@@ -56,17 +56,6 @@ class CentreBasis(Record):
         _set(self, "n", n)
         _set(self, "vectors", vectors)
 
-    def contains(self, z: HeckeElement) -> bool:
-        """Membership in the centre of H_n, decided by is_central.
-
-        For the vectors of centre_basis(n) that is membership in their span
-        over the fraction field; the stored vectors are not read.
-        """
-        if z.n != self.n:
-            raise DegreeMismatchError(
-                f"element of degree {z.n} against a basis for degree {self.n}")
-        return is_central(z)
-
 
 def centre_basis(ctx) -> CentreBasis:
     """Solve for everything that commutes with all the generators."""

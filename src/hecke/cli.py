@@ -18,12 +18,11 @@ import sys
 
 from .algebra import DEFAULT_CAPS, AlgebraContext, Caps, is_central
 from .center import express_in_gamma, gamma_basis
-from .errors import (DegreeMismatchError, FormatError, HeckeError,
-                     MismatchError, NotCentralError, ParseError,
-                     ResourceCapError)
+from .errors import (FormatError, HeckeError, MismatchError,
+                     NotCentralError, ResourceCapError)
 from .parsing import (element_from_json, element_to_json, format_element,
-                      format_scalar, parse_element, parse_scalar)
-from .permutations import Partition
+                      format_scalar, parse_element, parse_scalar,
+                      read_partition)
 from .sqrtcenter import (catalog, eigen_search, h3_constraint_check,
                          in_sqrt_centre, sample_sqrt_h3)
 from .verify import run_verify, statement_ids
@@ -42,13 +41,6 @@ def _add_caps(p: argparse.ArgumentParser, linalg: bool = False) -> None:
 def _caps(args) -> Caps:
     linalg_max = getattr(args, "linalg_max", DEFAULT_CAPS.linalg_max)
     return Caps(enum_max=args.enum_max, linalg_max=linalg_max)
-
-
-def _parse_shape(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise ParseError(f"bad partition {text!r}; expected e.g. 2,1,1")
 
 
 def _shape_key(lam) -> str:
@@ -201,11 +193,8 @@ def _cmd_gamma(args) -> int:
     ctx = AlgebraContext(args.n, _caps(args))
     gb = gamma_basis(ctx)
     if args.shape is not None:
-        lam = Partition(_parse_shape(args.shape))
-        if lam.n != args.n:
-            raise DegreeMismatchError(
-                f"{args.shape} is not a partition of {args.n}")
-        _print_element(gb[tuple(lam)], args.json)
+        lam = read_partition("--lambda", args.shape.split(","), args.n)
+        _print_element(gb[lam], args.json)
         return 0
     if args.json:
         doc = {_shape_key(lam): element_to_json(g) for lam, g in gb}
@@ -232,12 +221,10 @@ def _cmd_express(args) -> int:
 
 def _cmd_eigen(args) -> int:
     ctx = AlgebraContext(args.n, _caps(args))
-    lam = Partition(_parse_shape(args.gamma))
-    if lam.n != args.n:
-        raise DegreeMismatchError(f"{args.gamma} is not a partition of {args.n}")
+    lam = read_partition("--gamma", args.gamma.split(","), args.n)
     gb = gamma_basis(ctx)
     k = parse_scalar(args.k)
-    vecs = eigen_search(ctx, gb[tuple(lam)], k)
+    vecs = eigen_search(ctx, gb[lam], k)
     if args.json:
         print(json.dumps({"count": len(vecs),
                           "vectors": [element_to_json(v) for v in vecs]},
@@ -372,9 +359,6 @@ def main(argv: list[str] | None = None) -> int:
     except (NotCentralError, MismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, FormatError, DegreeMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (HeckeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

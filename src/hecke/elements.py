@@ -1,9 +1,13 @@
 """Constructors for the distinguished elements of the Hecke algebra.
 
-Everything here is a pure function of (degree, index); results are memoized,
-so repeated identity checks do not recompute the towers.  All elements are
-returned in the standard T-basis; callers who want the rescaled basis apply
-``to_normalized`` at the boundary.
+Everything here is a pure function of (degree, index).  ``murphy``,
+``murphy_normalized``, ``braid_murphy``, ``elem_sym_normalized``, ``x_elem``,
+``y_elem`` and ``full_twist_product`` are memoized, so repeated identity
+checks do not recompute the towers; ``elem_sym``, ``xbar``, ``ybar``,
+``dual_murphy``, ``t_longest`` and ``poincare`` build a new result on each
+call.  An index that is not an int, a bool included, raises TermTypeError.
+All elements are in the standard T-basis; callers who want the rescaled
+basis apply ``to_normalized`` at the boundary.
 
 The families:
 
@@ -24,11 +28,14 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .algebra import HeckeElement, as_context
-from .laurent import LaurentPoly, ONE, q_power, v_power
+from .errors import TermTypeError
+from .laurent import LaurentPoly, ONE, _is_int, q_power, v_power
 from .permutations import Permutation, _all_permutations
 
 
 def _check_index(i: int, lo: int, hi: int, what: str) -> None:
+    if not _is_int(i):
+        raise TermTypeError(f"{what} index {i!r} is not an int")
     if not lo <= i <= hi:
         raise IndexError(f"{what} index {i} not in [{lo}, {hi}]")
 
@@ -85,6 +92,9 @@ def dual_murphy(ctx, m: int, i: int) -> HeckeElement:
     reflections.  The first one (i = 1) is zero.
     """
     c = as_context(ctx)
+    if not (_is_int(m) and _is_int(i)):
+        raise TermTypeError(
+            f"dual Murphy indices (m={m!r}, i={i!r}) are not both ints")
     if not 1 <= i <= m <= c.n:
         raise IndexError(f"dual Murphy indices (m={m}, i={i}) need 1 <= i <= m <= {c.n}")
     el = HeckeElement.zero(c.n)
@@ -237,39 +247,32 @@ def full_twist_product(ctx) -> HeckeElement:
 
 # -- name table for the CLI and the @ref syntax -----------------------------
 
-INDEXED_KINDS = ("L", "Lt", "calL", "Mt", "e", "et")
-PLAIN_KINDS = ("x", "y", "xbar", "ybar", "Twn", "fulltwist")
+# kind -> (takes an index, builder); each builder calls its constructor by
+# its module-level name, so a wrapper put in place of that name is called
+NAMED_KINDS = {
+    "L": (True, lambda c, i: murphy(c, i)),
+    "Lt": (True, lambda c, i: murphy_normalized(c, i)),
+    "calL": (True, lambda c, i: braid_murphy(c, i)),
+    "Mt": (True, lambda c, i: dual_murphy(c, c.n, i)),
+    "e": (True, lambda c, i: elem_sym(c, i)),
+    "et": (True, lambda c, i: elem_sym_normalized(c, i)),
+    "x": (False, lambda c, i: x_elem(c)),
+    "y": (False, lambda c, i: y_elem(c)),
+    "xbar": (False, lambda c, i: xbar(c)),
+    "ybar": (False, lambda c, i: ybar(c)),
+    "Twn": (False, lambda c, i: t_longest(c)),
+    "fulltwist": (False, lambda c, i: full_twist_product(c)),
+}
 
 
 def named_element(kind: str, ctx, i: int | None = None) -> HeckeElement:
     """Resolve a named-element reference like ('L', 4, 2) to the element."""
     c = as_context(ctx)
-    if kind in INDEXED_KINDS:
-        if i is None:
-            raise ValueError(f"named element {kind!r} needs an index")
-        if kind == "L":
-            return murphy(c, i)
-        if kind == "Lt":
-            return murphy_normalized(c, i)
-        if kind == "calL":
-            return braid_murphy(c, i)
-        if kind == "Mt":
-            return dual_murphy(c, c.n, i)
-        if kind == "e":
-            return elem_sym(c, i)
-        return elem_sym_normalized(c, i)
-    if kind in PLAIN_KINDS:
-        if i is not None:
-            raise ValueError(f"named element {kind!r} takes no index")
-        if kind == "x":
-            return x_elem(c)
-        if kind == "y":
-            return y_elem(c)
-        if kind == "xbar":
-            return xbar(c)
-        if kind == "ybar":
-            return ybar(c)
-        if kind == "Twn":
-            return t_longest(c)
-        return full_twist_product(c)
-    raise ValueError(f"unknown named element kind {kind!r}")
+    if kind not in NAMED_KINDS:
+        raise ValueError(f"unknown named element kind {kind!r}")
+    indexed, build = NAMED_KINDS[kind]
+    if indexed and i is None:
+        raise ValueError(f"named element {kind!r} needs an index")
+    if not indexed and i is not None:
+        raise ValueError(f"named element {kind!r} takes no index")
+    return build(c, i)

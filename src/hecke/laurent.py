@@ -418,10 +418,6 @@ def q_power(k: int) -> LaurentPoly:
     return LaurentPoly._raw({2 * k: 1})
 
 
-def from_int(c: int) -> LaurentPoly:
-    return LaurentPoly(c)
-
-
 # -- gcd machinery -----------------------------------------------------------
 #
 # Pseudo-remainder sequences on the sparse representation.  Primitive parts

@@ -58,15 +58,9 @@ def _eliminate(row: dict, col, prow: dict) -> None:
 
 
 def _normalise(vec: dict) -> dict:
-    """Strip a nonzero vector's common content and v-shift, and give its
-    first coordinate a positive leading coefficient."""
-    g = ZERO
-    for a in vec.values():
-        g = lp_gcd(g, a)
-        if g.is_one():
-            break
-    if not g.is_one():
-        vec = {c: a.divexact(g) for c, a in vec.items()}
+    """Strip a nonzero vector's common content (in place) and v-shift, and
+    give its first coordinate a positive leading coefficient."""
+    _strip_row(vec)
     shift = min(a.min_exp() for a in vec.values())
     if shift:
         vec = {c: a.shift(-shift) for c, a in vec.items()}

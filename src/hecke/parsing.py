@@ -58,11 +58,11 @@ import re
 # MAX_WORD_LENGTH is the grammar's word bound, kept importable from here
 from .algebra import (AlgebraContext, Caps, DEFAULT_CAPS, HeckeElement,
                       MAX_WORD_LENGTH)
-from .elements import INDEXED_KINDS, PLAIN_KINDS, named_element
+from .elements import NAMED_KINDS, named_element
 from .errors import FormatError, ParseError, ResourceCapError
 from .laurent import (LaurentPoly, ONE, Q, V, XI, _DECIMAL_SMALL,
                       _from_decimal, _is_int, v_power)
-from .permutations import Permutation
+from .permutations import Partition, Permutation
 
 # Allows (v - 1)^512, which takes about 0.04 s; (v - 1)^2000 takes about
 # 2 s (Python 3.11, 2-core Xeon).
@@ -348,15 +348,26 @@ class _Parser:
             raise self.fail(str(exc), at) from exc
 
 
-def _index(ref: str, arg: str, n: int) -> int:
-    """An integer argument of @ref, read as a generator index is read."""
-    if not arg.isdigit():
-        raise ValueError(f"@{ref} argument {arg!r} is not an integer")
+def _index(what: str, arg: str, n: int) -> int:
+    """An integer argument of what, read as a generator index is read."""
+    # str.isdigit() also holds for non-ASCII digits, which int() reads
+    if not (arg.isdigit() and arg.isascii()):
+        raise ValueError(f"{what} argument {arg!r} is not an integer")
     try:
         return int(arg)
     except ValueError:
-        raise ValueError(f"@{ref} argument of {len(arg)} digits out of range "
+        raise ValueError(f"{what} argument of {len(arg)} digits out of range "
                          f"for degree {n}") from None
+
+
+def read_partition(what: str, parts: list[str], n: int) -> Partition:
+    """The partition of n with the given parts, each ASCII digits with
+    whitespace allowed around it, as @gamma: reads them; anything else
+    raises ValueError."""
+    lam = tuple(_index(what, p.strip(), n) for p in parts)
+    if sum(lam) != n:
+        raise ValueError(f"{lam} is not a partition of {n}")
+    return Partition(lam)
 
 
 def _resolve_reference(ref: str, args: list[str], n: int,
@@ -373,19 +384,18 @@ def _resolve_reference(ref: str, args: list[str], n: int,
         return table[args[0]]
     if ref == "gamma":
         from .center import gamma_basis
-        parts = tuple(_index(ref, a, n) for a in args)
-        if sum(parts) != n:
-            raise ValueError(f"{parts} is not a partition of {n}")
-        return gamma_basis(ctx)[parts]
-    if ref in INDEXED_KINDS:
+        lam = read_partition("@gamma", args, n)
+        return gamma_basis(ctx)[lam]
+    if ref not in NAMED_KINDS:
+        raise ValueError(f"unknown element reference @{ref}")
+    indexed, _ = NAMED_KINDS[ref]
+    if indexed:
         if len(args) != 1:
             raise ValueError(f"@{ref} takes one index, e.g. @{ref}:2")
-        return named_element(ref, ctx, _index(ref, args[0], n))
-    if ref in PLAIN_KINDS:
-        if args:
-            raise ValueError(f"@{ref} takes no arguments")
-        return named_element(ref, ctx)
-    raise ValueError(f"unknown element reference @{ref}")
+        return named_element(ref, ctx, _index(f"@{ref}", args[0], n))
+    if args:
+        raise ValueError(f"@{ref} takes no arguments")
+    return named_element(ref, ctx)
 
 
 def parse_scalar(text: str) -> LaurentPoly:

@@ -34,8 +34,7 @@ from .center import (GammaBasis, _GAMMA_MEMO, _blocks, express_in_gamma,
                      gamma_basis)
 from .elements import elem_sym, poincare, t_longest, xbar, ybar
 from .errors import DegreeMismatchError, MismatchError
-from .laurent import (LaurentPoly, ONE, Q, Q_MINUS_1, ZERO, from_int,
-                      q_power)
+from .laurent import LaurentPoly, ONE, Q, Q_MINUS_1, ZERO, q_power
 from .linalg import reduced_basis, sparse_rank
 from .permutations import (Partition, Permutation, _all_permutations,
                            partitions_of)
@@ -130,7 +129,7 @@ def _xbar_sq_gamma_coeff(n: int, l: int) -> LaurentPoly:
 def _ybar_sq_gamma_coeff(n: int, l: int) -> LaurentPoly:
     ell = n * (n - 1) // 2
     sign = ONE if l % 2 == 0 else -ONE
-    inner = poincare(n) - from_int(2) + (ONE - Q) ** l
+    inner = poincare(n) - LaurentPoly(2) + (ONE - Q) ** l
     return sign * q_power(ell - l) * inner
 
 

@@ -34,8 +34,7 @@ from .elements import (braid_murphy, dual_murphy, elem_sym,
                        elem_sym_normalized, murphy, murphy_normalized,
                        poincare, t_longest, x_elem, xbar, y_elem, ybar)
 from .errors import MismatchError
-from .laurent import (LaurentPoly, ONE, Q, Q_MINUS_1, XI, from_int, q_power,
-                      v_power)
+from .laurent import LaurentPoly, ONE, Q, Q_MINUS_1, XI, q_power, v_power
 from .linalg import sparse_rank
 from .permutations import (Partition, Permutation, _all_permutations,
                            partitions_of)
@@ -427,7 +426,7 @@ def _chk_ybarsq_printed(env: _Env, n: int) -> None:
     plain = express_in_gamma((y_elem(c) - t_longest(c)) ** 2, gb)
     want = {(1, 1, 1): q_power(4) * LaurentPoly({4: 1, 2: 2, 0: 2}),
             (2, 1): -q_power(3) * (Q + ONE) ** 2,
-            (3,): q_power(3) * (Q + from_int(3))}
+            (3,): q_power(3) * (Q + LaurentPoly(3))}
     for shape, w in want.items():
         if plain[Partition(shape)] != w:
             raise MismatchError(f"listed coefficient at {shape}: expected {w}, "
@@ -529,10 +528,10 @@ def _chk_oracle_products(env: _Env, n: int) -> None:
         b = HeckeElement.zero(4)
         for _ in range(rng.randint(1, 4)):
             a = a + HeckeElement.basis(4, rng.choice(perms)).scale(
-                from_int(rng.randint(-3, 3)))
+                LaurentPoly(rng.randint(-3, 3)))
         for _ in range(rng.randint(1, 4)):
             b = b + HeckeElement.basis(4, rng.choice(perms)).scale(
-                from_int(rng.randint(-3, 3)))
+                LaurentPoly(rng.randint(-3, 3)))
         got = (a * b).specialize_group_algebra()
         want = group_algebra_mul(a.specialize_group_algebra(),
                                  b.specialize_group_algebra())

@@ -84,6 +84,35 @@ def test_gamma_single_and_table(capsys):
     assert lines[-1] == "1,1,1: T[]"
 
 
+# the partition options read their parts as @gamma: does
+_PARTITION_VERBS = [("gamma", "3", "--lambda"),
+                    ("eigen", "--n", "3", "--k", "q-1", "--gamma")]
+
+
+@pytest.mark.parametrize("parts", ["\uff12,\uff11", "+2,1", "2,x", "2,2"])
+@pytest.mark.parametrize("verb", _PARTITION_VERBS, ids=lambda v: v[0])
+def test_partition_options_refuse_what_the_grammar_refuses(capsys, verb,
+                                                           parts):
+    # int() took full-width digits and a plus sign
+    rc, out, err = run(capsys, *verb, parts)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ")
+    with pytest.raises(HeckeError):
+        parse_element(f"@gamma:{parts}", 3)
+
+
+@pytest.mark.parametrize("parts", ["2,1", " 2, 1"])
+def test_partition_options_read_spaced_parts(capsys, parts):
+    rc, out, _ = run(capsys, *_PARTITION_VERBS[0], parts)
+    assert (rc, out) == (0, "T[2] + T[1] + q^-1*T[1,2,1]\n")
+    rc, out, _ = run(capsys, *_PARTITION_VERBS[1], parts)
+    assert (rc, out) == (0, "count: 4\n"
+                            "T[2] - T[1]\n"
+                            "q*T[] + (q - 1)*T[2] - T[1,2]\n"
+                            "q*T[] + (q - 1)*T[2] - T[2,1]\n"
+                            "(q^2 - q)*T[] + (q^2 - q + 1)*T[2] - T[1,2,1]\n")
+
+
 def test_express(capsys):
     rc, out, _ = run(capsys, "express", "--n", "3", "@x")
     assert rc == 0

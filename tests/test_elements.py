@@ -2,8 +2,11 @@
 
 import itertools
 
+import pytest
+
 from hecke import (
     HeckeElement,
+    TermTypeError,
     as_context,
     braid_murphy,
     commutator,
@@ -14,6 +17,7 @@ from hecke import (
     is_central,
     murphy,
     murphy_normalized,
+    named_element,
     parse_element,
     parse_scalar,
     poincare,
@@ -25,6 +29,7 @@ from hecke import (
     y_elem,
     ybar,
 )
+from hecke.elements import NAMED_KINDS
 
 XI = parse_scalar("xi")
 
@@ -181,3 +186,80 @@ def test_x_and_y_contraction_identities(ctx3, ctx4):
 def test_t_longest(ctx3, ctx4):
     assert t_longest(ctx3) == parse_element("T[1,2,1]", 3)
     assert t_longest(ctx4) == HeckeElement.from_word(4, [1, 2, 1, 3, 2, 1])
+
+
+# each reference kind, by the constructor it names and its index range
+# (None for a kind that takes no index), written out independently of
+# the table in hecke.elements
+_KINDS = {
+    "L": (murphy, lambda n: range(1, n + 1)),
+    "Lt": (murphy_normalized, lambda n: range(1, n + 1)),
+    "calL": (braid_murphy, lambda n: range(1, n + 1)),
+    "Mt": (lambda c, i: dual_murphy(c, c.n, i), lambda n: range(1, n + 1)),
+    "e": (elem_sym, lambda n: range(n)),
+    "et": (elem_sym_normalized, lambda n: range(n)),
+    "x": (x_elem, None),
+    "y": (y_elem, None),
+    "xbar": (xbar, None),
+    "ybar": (ybar, None),
+    "Twn": (t_longest, None),
+    "fulltwist": (full_twist_product, None),
+}
+
+
+def _same(a, b):
+    return a == b and list(a._terms) == list(b._terms)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_every_named_kind_resolves_to_its_constructor(n):
+    assert set(NAMED_KINDS) == set(_KINDS)
+    ctx = as_context(n)
+    for kind, (build, indices) in _KINDS.items():
+        assert NAMED_KINDS[kind][0] == (indices is not None), kind
+        if indices is None:
+            want = build(ctx)
+            assert _same(named_element(kind, ctx), want), kind
+            assert _same(parse_element(f"@{kind}", n), want), kind
+            continue
+        for i in indices(n):
+            want = build(ctx, i)
+            assert _same(named_element(kind, ctx, i), want), (kind, i)
+            assert _same(parse_element(f"@{kind}:{i}", n), want), (kind, i)
+
+
+def test_named_kinds_keep_their_error_messages():
+    cases = [(("L", 3), "named element 'L' needs an index"),
+             (("x", 3, 1), "named element 'x' takes no index"),
+             (("zz", 3), "unknown named element kind 'zz'"),
+             (("zz", 3, 1), "unknown named element kind 'zz'")]
+    for args, message in cases:
+        with pytest.raises(ValueError) as info:
+            named_element(*args)
+        assert str(info.value) == message
+    cases = [("@L", "@L takes one index, e.g. @L:2 (at position 1)"),
+             ("@et:1,2", "@et takes one index, e.g. @et:2 (at position 1)"),
+             ("@x:1", "@x takes no arguments (at position 1)"),
+             ("@zz", "unknown element reference @zz (at position 1)")]
+    for text, message in cases:
+        with pytest.raises(ValueError) as info:
+            parse_element(text, 3)
+        assert str(info.value) == message
+
+
+def test_constructors_refuse_an_index_that_is_not_an_int(ctx3):
+    # a bool is an int to Python: murphy(3, True) was L_1, and
+    # murphy(3, 2.0) escaped as a bare TypeError from range
+    calls = [lambda: murphy(ctx3, True), lambda: murphy(ctx3, 2.0),
+             lambda: murphy_normalized(ctx3, True),
+             lambda: braid_murphy(ctx3, False),
+             lambda: elem_sym(ctx3, False),
+             lambda: elem_sym_normalized(ctx3, 1.0),
+             lambda: dual_murphy(ctx3, 3, True),
+             lambda: dual_murphy(ctx3, 3.0, 2),
+             lambda: named_element("e", ctx3, True),
+             lambda: named_element("L", ctx3, "2")]
+    for call in calls:
+        with pytest.raises(TermTypeError):
+            call()
+    assert murphy(ctx3, 2) == named_element("L", ctx3, 2)
