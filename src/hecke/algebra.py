@@ -62,6 +62,20 @@ l(w_0) + 1 of the most frequent ones.  With fewer terms it is a dict by
 index, and a step costs a dict get and store per term.  Every path returns
 its terms in index order, which is Permutation order.
 
+When the factor whose words the walk would follow is c X_a plus a few
+corrections, with X_a the sum of a^l(w) T_w over S_n and c = +-v^f,
+a = +-v^e (x, y, their truncations and their rescalings), its words are
+not walked one by one (_geometric).  X_a is D_2(a) D_3(a) ... D_n(a),
+where D_k(a) sums a^j T_(k-1) T_(k-2) ... T_(k-j) over j < k: the
+distinguished right coset representatives of S_(k-1) in S_k, whose lengths
+add to those of S_(k-1) (Geck and Pfeiffer 2000, 2.1).  So h X_a is
+l(w_0) dense steps and as many shifted adds (_coset_sums), and X_a h goes
+through the flip, since X_a is iota-fixed.  The corrections are walked as
+keys into the same sum, which is unpacked once.  The rule takes this path
+when l(w_0) (1 + corrections) is below the number of keys the walk would
+step to, with at most n corrections.  The digit width stays the walk's:
+only the final sum is unpacked, and it is the same product.
+
 >>> ts = HeckeElement.generator(2, 1)
 >>> print(ts * ts)
 q*T[] + (q - 1)*T[1]
@@ -225,15 +239,20 @@ _INDEX_MAX_DEGREE = DEFAULT_CAPS.enum_max
 
 # S_n numbered by lexicographic position, which is Permutation order.
 # right[i][k] is the index of perms[k] * s_i, complemented (~index) when the
-# step drops length; inv[k] is the index of perms[k]^-1.
-_Indexed = namedtuple("_Indexed", ("perms", "index", "right", "inv"))
+# step drops length; inv[k] is the index of perms[k]^-1; length[k] is the
+# length of perms[k], the sum of the digits of k in the factorial base
+# (its Lehmer code).
+_Indexed = namedtuple("_Indexed", ("perms", "index", "right", "inv", "length"))
 
 
 @lru_cache(maxsize=None)
 def _indexed(n: int) -> _Indexed:
     perms = _all_permutations(n)
+    length = [0]
+    for m in range(2, n + 1):
+        length = [d + k for d in range(m) for k in length]
     return _Indexed(perms, {w: k for k, w in enumerate(perms)},
-                    *_step_tables(n))
+                    *_step_tables(n), length)
 
 
 @lru_cache(maxsize=None)
@@ -494,6 +513,65 @@ def _grouped_keys(keys: list, n: int) -> list:
     return [key for key, m in counts if m > 1]
 
 
+def _geometric(n: int, terms: dict):
+    """(s, f, sign, e, corrections) when terms is s v^f X_a plus the
+    corrections, a = sign v^e with s and sign +-1, and the coset sums take
+    fewer steps than the walk; None otherwise.
+
+    c = s v^f is read at the identity and c a at perms[1], a simple
+    reflection.  A scan of S_n in index order then lists each term that
+    differs from c a^l(w), or is missing, as (w, its difference).  The
+    coset sums take l(w_0) steps and each correction at most l(w_0) more;
+    the walk takes a step at least per key other than the identity.  The
+    scan gives up at the first correction past what that allows, or past n.
+    """
+    if n < 3 or n > _INDEX_MAX_DEGREE:
+        return None
+    top = n * (n - 1) // 2
+    allowed = min(n, (len(terms) - 2) // top - 1)
+    if allowed < 0 or len(terms) < factorial(n) - allowed:
+        return None
+    ix = _indexed(n)
+    get = terms.get
+    c, ca = get(ix.perms[0]), get(ix.perms[1])
+    if c is None or ca is None or len(c._terms) != 1 or len(ca._terms) != 1:
+        return None
+    (f, s), = c._terms.items()
+    (fe, sa), = ca._terms.items()
+    if s * s != 1 or sa * sa != 1:
+        return None
+    sign, e = s * sa, fe - f
+    want = [{f + e * k: s * sign ** k} for k in range(top + 1)]
+    corrections = []
+    for w, k in zip(ix.perms, ix.length):
+        d = get(w)
+        if d is None or d._terms != want[k]:
+            if len(corrections) == allowed:
+                return None
+            corrections.append((w, (d or ZERO) - LaurentPoly(want[k])))
+    return s, f, sign, e, corrections
+
+
+def _coset_sums(n: int, terms: list, step, sign: int, shift: int) -> list:
+    """terms * X_a on packed terms held densely, a = sign v^e, with
+    c << shift being v^e c: terms * D_2(a) * ... * D_n(a), k - 1 steps and
+    shifted adds for D_k(a).  When e < 0, D_k(a) is divided by v^(e (k - 1))
+    so that every shift is non-negative, and the result by v^(e l(w_0)).
+    """
+    for k in range(2, n + 1):
+        base = min(0, (k - 1) * shift)
+        total = [x << -base for x in terms] if base else terms
+        for j in range(1, k):
+            terms = step(terms, k - j)
+            by = j * shift - base
+            if sign ** j > 0:
+                total = [t + (x << by) for t, x in zip(total, terms)]
+            else:
+                total = [t - (x << by) for t, x in zip(total, terms)]
+        terms = total
+    return terms
+
+
 def _packed_mul(n: int, a: dict, b: dict, bits: int, lows: list,
                 stride: int) -> dict[Permutation, LaurentPoly]:
     ix = _indexed(n)
@@ -502,6 +580,20 @@ def _packed_mul(n: int, a: dict, b: dict, bits: int, lows: list,
     lo_walked, lo_keyed = (lo_b, lo_a) if flipped else (lo_a, lo_b)
     packed, step = _packed_terms(ix, walked, bits, lo_walked, stride)
     packed = _flip_packed(ix.inv, packed) if flipped else packed
+    # a keyed factor s v^f X_a + corrections has at least n! - n terms, and
+    # the walked factor as many: at least half of S_n from n = 3, so dense
+    geometric = _geometric(n, a if flipped else b)
+    if geometric is not None:
+        unit, f, sign, e, keyed = geometric
+        if flipped:
+            keyed = [(w.inverse(), d) for w, d in keyed]
+        base = min(0, e * n * (n - 1) // 2)
+        lo_keyed = min(lo_keyed, f + base)
+        start = (f + base - lo_keyed) // stride * bits
+        out = packed
+        if unit != 1 or start:
+            out = [unit * x << start for x in packed]
+        out = _coset_sums(n, out, step, sign, e // stride * bits)
     # c = v^e c' packs as P(c') << bits (e - lo) / stride: monomials
     # multiply as a small int and a shift
     scaled = []
@@ -517,7 +609,8 @@ def _packed_mul(n: int, a: dict, b: dict, bits: int, lows: list,
         # repeated keys at most; the others fold in term by term.  Each sum
         # starts as [], so a key's first partial product becomes its sum as
         # it is: a step never changes its argument.
-        out = [0] * len(packed)
+        if geometric is None:
+            out = [0] * len(packed)
         sums = dict.fromkeys(_grouped_keys([key for _, key in scaled], n), [])
         for acc, key in walk:
             g = sums.get(key)
@@ -541,7 +634,7 @@ def _packed_mul(n: int, a: dict, b: dict, bits: int, lows: list,
     out = _flip_packed(ix.inv, out) if flipped else out
     found = enumerate(out) if isinstance(out, list) else sorted(out.items())
     perms = ix.perms
-    lo = lo_a + lo_b
+    lo = lo_walked + lo_keyed
     return {perms[k]: _unpack(x, bits, lo, stride) for k, x in found if x}
 
 

@@ -191,9 +191,11 @@ def _cmd_sqrt_check(args) -> int:
 
 def _cmd_gamma(args) -> int:
     ctx = AlgebraContext(args.n, _caps(args))
-    gb = gamma_basis(ctx)
+    lam = None
     if args.shape is not None:
         lam = read_partition("--lambda", args.shape.split(","), args.n)
+    gb = gamma_basis(ctx)
+    if lam is not None:
         _print_element(gb[lam], args.json)
         return 0
     if args.json:

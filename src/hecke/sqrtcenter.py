@@ -212,11 +212,8 @@ def sqrt_h3_from_coeffs(a2: LaurentPoly, a3: LaurentPoly, a4: LaurentPoly,
     else:
         coeffs = (twice_a1, a2 + a2, a3 + a3, a4 + a4, a5 + a5, a6 + a6)
     words = ([], [1], [2], [1, 2], [2, 1], [1, 2, 1])
-    out = HeckeElement.zero(3)
-    for cf, w in zip(coeffs, words):
-        if cf:
-            out = out + HeckeElement.basis(3, Permutation.from_word(3, w)).scale(cf)
-    return out
+    return HeckeElement._raw(3, {Permutation.from_word(3, w): cf
+                                 for cf, w in zip(coeffs, words) if cf})
 
 
 def sample_sqrt_h3(seed: int) -> HeckeElement:

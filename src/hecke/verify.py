@@ -26,7 +26,7 @@ import time
 from functools import lru_cache, partial
 
 from .algebra import (AlgebraContext, Caps, DEFAULT_CAPS, HeckeElement,
-                      commutator, group_algebra_mul, is_central)
+                      _acc, commutator, group_algebra_mul, is_central)
 from .center import (_check_class_sum, _check_integral, _check_pinning,
                      _recursive_gamma, centre_basis, express_in_gamma,
                      gamma_basis)
@@ -524,14 +524,11 @@ def _chk_oracle_products(env: _Env, n: int) -> None:
     rng = env.rng("11-oracle-products-n4")
     perms = _all_permutations(4)
     for trial in range(1000):
-        a = HeckeElement.zero(4)
-        b = HeckeElement.zero(4)
-        for _ in range(rng.randint(1, 4)):
-            a = a + HeckeElement.basis(4, rng.choice(perms)).scale(
-                LaurentPoly(rng.randint(-3, 3)))
-        for _ in range(rng.randint(1, 4)):
-            b = b + HeckeElement.basis(4, rng.choice(perms)).scale(
-                LaurentPoly(rng.randint(-3, 3)))
+        a, b = {}, {}
+        for terms in (a, b):
+            for _ in range(rng.randint(1, 4)):
+                _acc(terms, rng.choice(perms), LaurentPoly(rng.randint(-3, 3)))
+        a, b = HeckeElement._raw(4, a), HeckeElement._raw(4, b)
         got = (a * b).specialize_group_algebra()
         want = group_algebra_mul(a.specialize_group_algebra(),
                                  b.specialize_group_algebra())

@@ -489,6 +489,106 @@ def test_products_and_centrality_on_both_sides_of_the_density_rule(n, data):
     assert taken == ({path} if _is_flip_fixed(big) else set())
 
 
+def _allowed_corrections(n, size):
+    """The most corrections a geometric factor of size terms may carry and
+    still take the coset sums: l(w_0) (1 + m) steps below the size - 1
+    keys the walk would step to, and m <= n."""
+    top = n * (n - 1) // 2
+    return min(n, (size - 2) // top - 1)
+
+
+@st.composite
+def _geometric_factors(draw, n, keyed_left):
+    """(g, m): g = c X_a plus m corrections, c = +-v^f and a = +-v^e, the
+    corrections missing terms or terms plus a nonzero scalar, never at the
+    identity or perms[1], where c and c a are read.  m is at the rule's
+    limit, one past it, one term short of it (all corrections missing
+    terms), or any number up to n + 1."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    perms = all_permutations(n)
+    c_sign, a_sign = draw(st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]))
+    f, e = draw(st.integers(-4, 4)), draw(st.integers(-2, 2))
+    g = {w: LaurentPoly({f + e * w.length(): c_sign * a_sign ** w.length()})
+         for w in perms}
+    full = len(perms)
+    mode = draw(st.sampled_from(["limit", "over", "short", "any"]))
+    if mode == "short":
+        deleted = next(d for d in range(full)
+                       if d > _allowed_corrections(n, full - d))
+        m = deleted
+    elif mode == "any":
+        deleted = draw(st.integers(0, n))
+        m = draw(st.integers(deleted, n + 1))
+    else:
+        # on the left the factor needs fewer terms than the other one
+        most = max(_allowed_corrections(n, full - keyed_left), keyed_left)
+        deleted = draw(st.integers(min(keyed_left, most), most))
+        allowed = _allowed_corrections(n, full - deleted)
+        m = max(deleted, allowed + (mode == "over"))
+    parity = f & 1 if e % 2 == 0 and draw(st.booleans()) else None
+    for k, w in enumerate(rng.sample(perms[2:], m)):
+        if k < deleted:
+            del g[w]
+        else:
+            g[w] = g[w] + _random_scalar(rng, parity)
+    return HeckeElement(n, g), m
+
+
+def _took_coset_sums(compute):
+    """compute() and whether it took the coset sums."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = hecke.algebra._coset_sums
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hecke.algebra, "_coset_sums", spy)
+        result = compute()
+    assert len(calls) <= 1
+    return result, bool(calls)
+
+
+def _walked(compute):
+    """compute() with the geometric rule switched off: the generic walk."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hecke.algebra, "_geometric", lambda n, terms: None)
+        return compute()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@settings(max_examples=6, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_geometric_factors_multiply_as_coset_sums(n, data):
+    # c X_a plus 0..n+1 corrections, on either side of a factor on all of
+    # S_n; the product takes the coset sums exactly when the rule allows,
+    # and equals the generic walk's, key order included
+    keyed_left = data.draw(st.booleans())
+    g, m = data.draw(_geometric_factors(n, keyed_left))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    parity = data.draw(st.sampled_from([0, 1, None]))
+    exps = [e for e in range(-4, 5) if parity is None or e & 1 == parity]
+    h = HeckeElement(n, {w: LaurentPoly({e: rng.choice([-1, 1]) * rng.randint(1, 99)
+                                         for e in rng.sample(exps, 2)})
+                         for w in all_permutations(n)})
+    a, b = (g, h) if keyed_left else (h, g)
+    assert _packing(n, [a._terms, b._terms], n * (n - 1) // 2) is not None
+    product, coset = _took_coset_sums(lambda: a * b)
+    keyed = (len(g._terms) < len(h._terms) if keyed_left
+             else len(g._terms) <= len(h._terms))
+    assert coset == (keyed and m <= _allowed_corrections(n, len(g._terms)))
+    walked = _walked(lambda: a * b) if coset else product
+    assert product == walked
+    assert list(product._terms) == list(walked._terms)
+    if n <= 5:
+        assert product == (_left_fold_mul(a, b) if keyed_left
+                           else _fold_mul(a, b))
+        assert product.specialize_group_algebra() == group_algebra_mul(
+            a.specialize_group_algebra(), b.specialize_group_algebra())
+
+
 def _pool_scalar(rng, parity):
     """A nonzero scalar: one of _random_scalar for parity 0 or 1, or one
     with an even and an odd exponent for None."""
@@ -629,11 +729,16 @@ def test_grouped_keys_count_nothing_when_no_key_repeats(monkeypatch):
 
 
 def test_named_dense_products_match_the_fold_at_degree_5():
+    # xbar and ybar are geometric factors with one correction, -T_w0: the
+    # coset sums take the rest, and the walk that one key, which cannot
+    # repeat; (ybar T_w0^2)^2 walks every key and sums the repeated ones
     x, y, t = xbar(5), ybar(5), t_longest(5)
     yt = y * t * t
-    for a, b in ((x, x), (y, y), (x, y), (yt, yt)):
+    for a, b, geometric in ((x, x, True), (y, y, True), (x, y, True),
+                            (yt, yt, False)):
         product, (keys, grouped) = _grouping(lambda: a * b)
-        assert grouped
+        assert (len(keys) == 1) == geometric
+        assert bool(grouped) != geometric
         assert product == _fold_mul(a, b)
 
 
@@ -661,10 +766,27 @@ def test_left_mult_matrix_columns_are_products():
 
 
 def test_full_support_product_takes_one_step_per_trie_edge(monkeypatch):
-    full = HeckeElement(5, {w: LaurentPoly(1) for w in all_permutations(5)})
+    # 1 at the identity and 2 at s_4: not c X_a for a monomial a, so the
+    # kernel walks every word
+    full = HeckeElement(5, {w: LaurentPoly(1 + k % 2)
+                            for k, w in enumerate(all_permutations(5))})
     calls = _count_calls(monkeypatch, "_packed_step", "_dense_step")
     full * full
     assert len(calls) == 119
+
+
+def test_geometric_factors_take_one_step_per_coset_letter(monkeypatch):
+    # x = X_1 multiplies as D_2 ... D_5: generators 1; 2, 1; 3, 2, 1; ...
+    x = HeckeElement(5, {w: LaurentPoly(1) for w in all_permutations(5)})
+    calls = _count_calls(monkeypatch, "_packed_step", "_dense_step")
+    x * x
+    assert calls == [1, 2, 1, 3, 2, 1, 4, 3, 2, 1]
+    # xbar = x - T_w0: the coset sums, then the word of w_0 for its one
+    # correction
+    calls.clear()
+    x * xbar(5)
+    assert calls[:10] == [1, 2, 1, 3, 2, 1, 4, 3, 2, 1]
+    assert calls[10:] == list(Permutation.longest(5).reduced_word())
 
 
 def test_wide_full_support_product_takes_one_step_per_trie_edge(monkeypatch):

@@ -447,6 +447,17 @@ def test_gamma_falls_under_the_enumeration_cap(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("n", ["7", "9"])
+def test_gamma_reads_its_partition_before_the_basis(capsys, n):
+    # a bad --lambda is a usage error at any degree, found before the
+    # basis is built or the enumeration cap is consulted
+    with mock.patch("hecke.cli.gamma_basis",
+                    side_effect=AssertionError("built the basis")):
+        rc, out, err = run(capsys, "gamma", n, "--lambda", "x")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 # -- fuzzing: whatever the input, main() answers with an exit code ------------
 
 def _quiet_main(argv, stdin=""):
