@@ -113,14 +113,21 @@ class Caps(Record):
 DEFAULT_CAPS = Caps()
 
 
+def _check_degree(n) -> None:
+    """A degree is an int, not a bool, and at least 1."""
+    if not _is_int(n):
+        raise TermTypeError(f"degree {n!r} is a {type(n).__name__}, not an int")
+    if n < 1:
+        raise DegreeMismatchError(f"degree must be at least 1, got {n}")
+
+
 class AlgebraContext(Record):
     """A degree n together with the resource caps in force."""
 
     __slots__ = ("n", "caps")
 
     def __init__(self, n: int, caps: Caps = DEFAULT_CAPS):
-        if n < 1:
-            raise ValueError(f"degree must be at least 1, got {n}")
+        _check_degree(n)
         _set(self, "n", n)
         _set(self, "caps", caps)
 
@@ -137,9 +144,7 @@ class AlgebraContext(Record):
 
 def as_context(ctx) -> AlgebraContext:
     """Accept either an AlgebraContext or a bare degree."""
-    if isinstance(ctx, AlgebraContext):
-        return ctx
-    return AlgebraContext(int(ctx))
+    return ctx if isinstance(ctx, AlgebraContext) else AlgebraContext(ctx)
 
 
 def all_permutations(ctx) -> tuple[Permutation, ...]:
@@ -654,6 +659,7 @@ class HeckeElement:
     def __init__(self, n: int, terms: dict[Permutation, LaurentPoly] | None = None):
         """Keys must be Permutations of degree n; coefficients LaurentPolys
         or ints (not bools).  Zero coefficients are dropped."""
+        _check_degree(n)
         self.n = n
         clean: dict[Permutation, LaurentPoly] = {}
         if terms:
@@ -680,39 +686,49 @@ class HeckeElement:
 
     @classmethod
     def zero(cls, n: int) -> "HeckeElement":
+        _check_degree(n)
         return cls._raw(n, {})
 
     @classmethod
     def one(cls, n: int) -> "HeckeElement":
+        _check_degree(n)
         return cls._raw(n, {Permutation.identity(n): ONE})
 
     @classmethod
     def basis(cls, n: int, w: Permutation) -> "HeckeElement":
+        _check_degree(n)
         _check_key(n, w)
         return cls._raw(n, {w: ONE})
 
     @classmethod
     def basis_normalized(cls, n: int, w: Permutation) -> "HeckeElement":
         """The normalised basis element T~_w = v^(-length(w)) T_w."""
+        _check_degree(n)
         _check_key(n, w)
         return cls._raw(n, {w: v_power(-w.length())})
 
     @classmethod
     def generator(cls, n: int, i: int) -> "HeckeElement":
-        return cls.basis(n, Permutation.simple(n, i))
+        return cls.from_word(n, (i,))
 
     @classmethod
     def from_word(cls, n: int, word) -> "HeckeElement":
         """The product T_{s_{i_1}} T_{s_{i_2}} ... (any word, not necessarily
         reduced; non-reduced words multiply out through the quadratic relation).
 
-        A word of more than MAX_WORD_LENGTH letters raises ResourceCapError.
+        A word of more than MAX_WORD_LENGTH letters raises ResourceCapError,
+        a letter that is not an int (a bool included) TermTypeError.
         """
+        _check_degree(n)
         word = list(word)
         if len(word) > MAX_WORD_LENGTH:
             raise ResourceCapError(
                 f"a word of {len(word)} letters passes the limit of "
                 f"{MAX_WORD_LENGTH}")
+        if not set(map(type, word)) <= {int}:   # one pass over the letters
+            for i in word:
+                if not _is_int(i):
+                    raise TermTypeError(f"generator index {i!r} is not an int")
         terms = {Permutation.identity(n): ONE}
         for i in word:
             if not 1 <= i <= n - 1:

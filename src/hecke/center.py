@@ -92,21 +92,20 @@ def _recursive_gamma(n: int) -> GammaBasis:
         a_w = q^-1 a_{sws} + (1 - q^-1) a_{sw}         if l(sws) = l(w) - 2.
 
     S_n is walked in order of length, one cyclic-shift class (the elements
-    joined by length-preserving conjugations s w s) at a time.  A class of
-    minimal-length elements carries the pinned Kronecker deltas.  Any other
-    class holds an element with a length-dropping s (Geck-Pfeiffer, section
-    3.2), whose right-hand side is already filled at lengths l - 1 and l - 2.
-    The conjugations are read off the tables of _indexed, which mark each
-    step that drops length, so no permutation is formed (s w = (w^-1 s)^-1).
+    joined by length-preserving conjugations s w s) at a time.  A class in
+    which no s drops length is made of minimal-length elements of its
+    conjugacy class (Geck-Pfeiffer, 3.2.9), and carries the Kronecker delta
+    of the cycle type of its elements.  Any other class holds an element
+    with a length-dropping s, whose right-hand side is already filled at
+    lengths l - 1 and l - 2.  The conjugations are read off the tables of
+    _indexed, which mark each step that drops length, so no permutation is
+    formed (s w = (w^-1 s)^-1).
     """
     ix = _indexed(n)
     perms, inv, right = ix.perms, ix.inv, ix.right
-    pinned = {ix.index[w]: lam for lam, ws in _minimal_classes(n).items()
-              for w in ws}
-    lengths = [w.length() for w in perms]
     # index k -> {partition: coefficient of T_(perms[k]) in the basis element}
     coeffs: list = [None] * len(perms)
-    for start in sorted(range(len(perms)), key=lengths.__getitem__):
+    for start in sorted(range(len(perms)), key=ix.length.__getitem__):
         if coeffs[start] is not None:
             continue
         shift_class = [start]
@@ -126,8 +125,8 @@ def _recursive_gamma(n: int) -> GammaBasis:
                         shift_class.append(sws)
                 elif drop is None and sw < 0:
                     drop = (~sws, ~sw)
-        if start in pinned:
-            value = {pinned[start]: ONE}
+        if drop is None:
+            value = {perms[start].cycle_type(): ONE}
         else:
             a, b = coeffs[drop[0]], coeffs[drop[1]]
             value = {}

@@ -15,6 +15,7 @@ import argparse
 import json
 import re
 import sys
+from collections import namedtuple
 
 from .algebra import DEFAULT_CAPS, AlgebraContext, Caps, is_central
 from .center import express_in_gamma, gamma_basis
@@ -28,16 +29,6 @@ from .sqrtcenter import (catalog, eigen_search, h3_constraint_check,
 from .verify import run_verify, statement_ids
 
 
-def _add_caps(p: argparse.ArgumentParser, linalg: bool = False) -> None:
-    p.add_argument("--enum-max", type=int, default=DEFAULT_CAPS.enum_max,
-                   help="cap on the degree of anything that walks all of "
-                        "S_n or parses an element (default %(default)s)")
-    if linalg:  # only the verbs that can run a solve
-        p.add_argument("--linalg-max", type=int, default=DEFAULT_CAPS.linalg_max,
-                       help="cap on the degree of eigen searches and "
-                            "centre-basis solves (default %(default)s)")
-
-
 def _caps(args) -> Caps:
     linalg_max = getattr(args, "linalg_max", DEFAULT_CAPS.linalg_max)
     return Caps(enum_max=args.enum_max, linalg_max=linalg_max)
@@ -45,105 +36,6 @@ def _caps(args) -> Caps:
 
 def _shape_key(lam) -> str:
     return ",".join(str(p) for p in lam)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="hecke",
-        description="Exact computations in the Hecke algebra of the "
-                    "symmetric group over Z[v, v^-1] (q = v^2).")
-    sub = ap.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("mul", help="multiply two elements")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--json", action="store_true")
-    _add_caps(p)
-
-    p = sub.add_parser("square", help="square an element")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("a")
-    p.add_argument("--json", action="store_true")
-    _add_caps(p)
-
-    p = sub.add_parser("central", help="test centrality (exit 0 iff central)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("a")
-    p.add_argument("--json", action="store_true")
-    _add_caps(p)
-
-    p = sub.add_parser("sqrt-check",
-                       help="test whether the square is central "
-                            "(exit 0 iff it is)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("a")
-    p.add_argument("--json", action="store_true")
-    _add_caps(p)
-
-    p = sub.add_parser("gamma", help="minimal basis of the centre")
-    p.add_argument("n", type=int)
-    p.add_argument("--lambda", dest="shape", default=None, metavar="PARTS",
-                   help="one partition, e.g. 2,1,1; omit for the whole basis")
-    p.add_argument("--json", action="store_true")
-    _add_caps(p)
-
-    p = sub.add_parser("express",
-                       help="coordinates of a central element over the "
-                            "minimal basis")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("a")
-    p.add_argument("--json", action="store_true")
-    _add_caps(p)
-
-    p = sub.add_parser("eigen",
-                       help="eigenvectors of multiplication by a "
-                            "minimal-basis element")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--gamma", required=True, metavar="PARTS",
-                   help="partition naming the central element, e.g. 2,1")
-    p.add_argument("--k", required=True, metavar="SCALAR",
-                   help="candidate eigenvalue, e.g. 'q-1' or '-q'")
-    p.add_argument("--json", action="store_true")
-    _add_caps(p, linalg=True)
-
-    p = sub.add_parser("catalog", help="known square roots at a degree")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("sample-h3",
-                       help="random degree-3 element whose square is central")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("verify",
-                       help="run the statement registry (exit 0 iff no "
-                            "failures)")
-    p.add_argument("--n-max", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--timings", action="store_true",
-                   help="include wall-clock times (not byte-deterministic)")
-    p.add_argument("--only", default=None, metavar="IDS",
-                   help="comma-separated statement ids to run")
-    p.add_argument("--list", action="store_true",
-                   help="list the ids (of --only, if given) without running")
-    _add_caps(p, linalg=True)
-
-    p = sub.add_parser("export", help="write an element as JSON")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("a")
-    p.add_argument("--out", required=True, metavar="FILE",
-                   help="output path, or - for stdout")
-    p.add_argument("--basis", choices=("T", "Ttilde"), default="T")
-    _add_caps(p)
-
-    p = sub.add_parser("import", help="read an element JSON and print it")
-    p.add_argument("file", metavar="FILE", help="input path, or - for stdin")
-    p.add_argument("--json", action="store_true")
-    _add_caps(p)
-
-    return ap
 
 
 def _print_element(el, as_json: bool) -> None:
@@ -306,32 +198,105 @@ def _cmd_import(args) -> int:
     return 0
 
 
-_DISPATCH = {
-    "mul": _cmd_mul,
-    "square": _cmd_square,
-    "central": _cmd_central,
-    "sqrt-check": _cmd_sqrt_check,
-    "gamma": _cmd_gamma,
-    "express": _cmd_express,
-    "eigen": _cmd_eigen,
-    "catalog": _cmd_catalog,
-    "sample-h3": _cmd_sample_h3,
-    "verify": _cmd_verify,
-    "export": _cmd_export,
-    "import": _cmd_import,
+def _arg(name: str, **kw) -> tuple[str, dict]:   # one add_argument call
+    return name, kw
+
+
+# the arguments several verbs share
+_N = _arg("--n", type=int, required=True)
+_A = _arg("a")
+_JSON = _arg("--json", action="store_true")
+_SEED = _arg("--seed", type=int, default=0)
+_ENUM_MAX = _arg("--enum-max", type=int, default=DEFAULT_CAPS.enum_max,
+                 help="cap on the degree of anything that walks all of "
+                      "S_n or parses an element (default %(default)s)")
+# only the verbs that can run a solve take it
+_LINALG_MAX = _arg("--linalg-max", type=int, default=DEFAULT_CAPS.linalg_max,
+                   help="cap on the degree of eigen searches and "
+                        "centre-basis solves (default %(default)s)")
+
+_Verb = namedtuple("_Verb", ("help", "handler", "args"))
+
+# every verb, in the order --help lists them
+_VERBS = {
+    "mul": _Verb("multiply two elements", _cmd_mul,
+                 (_N, _A, _arg("b"), _JSON, _ENUM_MAX)),
+    "square": _Verb("square an element", _cmd_square,
+                    (_N, _A, _JSON, _ENUM_MAX)),
+    "central": _Verb("test centrality (exit 0 iff central)", _cmd_central,
+                     (_N, _A, _JSON, _ENUM_MAX)),
+    "sqrt-check": _Verb(
+        "test whether the square is central (exit 0 iff it is)",
+        _cmd_sqrt_check, (_N, _A, _JSON, _ENUM_MAX)),
+    "gamma": _Verb("minimal basis of the centre", _cmd_gamma, (
+        _arg("n", type=int),
+        _arg("--lambda", dest="shape", default=None, metavar="PARTS",
+             help="one partition, e.g. 2,1,1; omit for the whole basis"),
+        _JSON, _ENUM_MAX)),
+    "express": _Verb(
+        "coordinates of a central element over the minimal basis",
+        _cmd_express, (_N, _A, _JSON, _ENUM_MAX)),
+    "eigen": _Verb(
+        "eigenvectors of multiplication by a minimal-basis element",
+        _cmd_eigen, (
+            _N,
+            _arg("--gamma", required=True, metavar="PARTS",
+                 help="partition naming the central element, e.g. 2,1"),
+            _arg("--k", required=True, metavar="SCALAR",
+                 help="candidate eigenvalue, e.g. 'q-1' or '-q'"),
+            _JSON, _ENUM_MAX, _LINALG_MAX)),
+    "catalog": _Verb("known square roots at a degree", _cmd_catalog,
+                     (_N, _JSON)),
+    "sample-h3": _Verb("random degree-3 element whose square is central",
+                       _cmd_sample_h3, (_SEED, _JSON)),
+    "verify": _Verb(
+        "run the statement registry (exit 0 iff no failures)",
+        _cmd_verify, (
+            _arg("--n-max", type=int, default=6), _SEED, _JSON,
+            _arg("--timings", action="store_true",
+                 help="include wall-clock times (not byte-deterministic)"),
+            _arg("--only", default=None, metavar="IDS",
+                 help="comma-separated statement ids to run"),
+            _arg("--list", action="store_true",
+                 help="list the ids (of --only, if given) without running"),
+            _ENUM_MAX, _LINALG_MAX)),
+    "export": _Verb("write an element as JSON", _cmd_export, (
+        _N, _A,
+        _arg("--out", required=True, metavar="FILE",
+             help="output path, or - for stdout"),
+        _arg("--basis", choices=("T", "Ttilde"), default="T"),
+        _ENUM_MAX)),
+    "import": _Verb("read an element JSON and print it", _cmd_import, (
+        _arg("file", metavar="FILE", help="input path, or - for stdin"),
+        _JSON, _ENUM_MAX)),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(
+        prog="hecke",
+        description="Exact computations in the Hecke algebra of the "
+                    "symmetric group over Z[v, v^-1] (q = v^2).")
+    sub = ap.add_subparsers(dest="verb", required=True)
+    for verb, (help_line, _, args) in _VERBS.items():
+        p = sub.add_parser(verb, help=help_line)
+        for name, kw in args:
+            p.add_argument(name, **kw)
+    return ap
 
 
 # an option, or one written as --name=value; the options that take no value
 _OPTION = re.compile(r"-h|--[a-z][a-z-]*(=.*)?", re.S)
-_FLAGS = ("-h", "--help", "--json", "--list", "--timings")
+_FLAGS = ("-h", "--help", *dict.fromkeys(
+    name for verb in _VERBS.values() for name, kw in verb.args
+    if kw.get("action") == "store_true"))
 
 
 def _join_scalar_options(argv: list[str]) -> list[str]:
     """Put a verb's options first, each joined to its value (`--k=-q`), and
     every other token after '--': values and elements may start with '-',
     as in `--k -q` or `-T[1]`, and argparse would read them as options."""
-    if not argv or argv[0] not in _DISPATCH:
+    if not argv or argv[0] not in _VERBS:
         return argv
     options, positionals = [], []
     tokens = iter(argv[1:])
@@ -354,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_join_scalar_options(argv))
     try:
-        return _DISPATCH[args.verb](args)
+        return _VERBS[args.verb].handler(args)
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -6,13 +6,14 @@ class HeckeError(Exception):
 
 
 class DegreeMismatchError(HeckeError, ValueError):
-    """Operands live in algebras of different degrees."""
+    """Operands live in algebras of different degrees, or a degree is below 1."""
 
 
 class TermTypeError(HeckeError, TypeError):
     """A Hecke element term whose key is not a Permutation or whose
-    coefficient is not a LaurentPoly, or a scalar term whose exponent or
-    coefficient is not an int."""
+    coefficient is not a LaurentPoly, a scalar term whose exponent or
+    coefficient is not an int, or a degree or generator index that is not
+    an int (bools included)."""
 
 
 class ResourceCapError(HeckeError, RuntimeError):

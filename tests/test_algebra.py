@@ -4,7 +4,7 @@ import random
 import time
 import weakref
 from collections import Counter
-from functools import reduce
+from functools import partial, reduce
 from math import factorial
 
 import hypothesis.strategies as st
@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, assume, given, settings
 import hecke.algebra
 from hecke import (
     DEFAULT_CAPS,
+    AlgebraContext,
     DegreeMismatchError,
     HeckeElement,
     HeckeError,
@@ -22,6 +23,7 @@ from hecke import (
     ResourceCapError,
     TermTypeError,
     all_permutations,
+    eigen_search,
     gamma_basis,
     group_algebra_mul,
     is_central,
@@ -29,6 +31,7 @@ from hecke import (
     q_power,
     t_longest,
     v_power,
+    x_elem,
     xbar,
     ybar,
 )
@@ -897,6 +900,46 @@ def test_constructor_rejects_non_laurent_coefficients():
 def test_scale_rejects_a_bool():
     with pytest.raises(TermTypeError):
         HeckeElement.one(3).scale(True)
+
+
+def _bad(error, fn, *args):
+    """A call that must raise error, with the call as its test id."""
+    call = f"{fn.__qualname__}({', '.join(map(repr, args))})"
+    return pytest.param(partial(fn, *args), error, id=call)
+
+
+@pytest.mark.parametrize("make, error", [
+    _bad(TermTypeError, x_elem, 2.7),
+    _bad(TermTypeError, all_permutations, 2.9),
+    _bad(TermTypeError, eigen_search, 3.5, HeckeElement.one(3), 0),
+    _bad(TermTypeError, AlgebraContext, True),
+    _bad(TermTypeError, AlgebraContext, "3"),
+    _bad(DegreeMismatchError, AlgebraContext, 0),
+    _bad(DegreeMismatchError, HeckeElement, 0),
+    _bad(DegreeMismatchError, HeckeElement, -1),
+    _bad(TermTypeError, HeckeElement, 2.5),
+    _bad(TermTypeError, HeckeElement, True),
+    _bad(DegreeMismatchError, HeckeElement.zero, 0),
+    _bad(TermTypeError, HeckeElement.zero, True),
+    _bad(DegreeMismatchError, HeckeElement.one, -1),
+    _bad(TermTypeError, HeckeElement.one, True),
+    _bad(TermTypeError, HeckeElement.basis, True, Permutation((1,))),
+    _bad(TermTypeError, HeckeElement.basis_normalized, True, Permutation((1,))),
+    _bad(TermTypeError, HeckeElement.generator, 2.0, 1),
+    _bad(TermTypeError, HeckeElement.generator, 3, True),
+    _bad(DegreeMismatchError, HeckeElement.from_word, 0, []),
+    _bad(TermTypeError, HeckeElement.from_word, 3, [True, 2]),
+    _bad(TermTypeError, HeckeElement.from_word, 3, [1.0]),
+])
+def test_a_degree_is_an_int_of_at_least_one(make, error):
+    # a generator index or word letter is an int the same way; neither is
+    # coerced, and a bool is not an int here
+    with pytest.raises(error) as info:
+        make()
+    assert isinstance(info.value, HeckeError)
+    if error is DegreeMismatchError:
+        assert isinstance(info.value, ValueError)
+        assert "degree must be at least 1, got" in str(info.value)
 
 
 def test_constructor_converts_int_coefficients():

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line, driven through main()."""
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -167,6 +168,21 @@ def test_the_flags_are_the_options_that_take_no_value():
                for a in p._actions for s in a.option_strings}
     assert {s for s, flag in options.items() if flag} == set(_FLAGS)
     assert all(_OPTION.fullmatch(s) for s in options)
+
+
+def test_each_verb_keeps_its_argument_signature():
+    # every verb, its help line and, in order, each of its arguments as
+    # argparse holds it; unlike the help text, none of this depends on the
+    # layout a given Python version prints
+    sub = next(a for a in build_parser()._actions if a.dest == "verb")
+    doc = [[c.dest, c.help] for c in sub._choices_actions]
+    for verb, p in sub.choices.items():
+        doc.append([verb, [[a.option_strings, a.dest, a.default, a.required,
+                            getattr(a.type, "__name__", a.type), a.choices,
+                            a.nargs, a.metavar, a.help] for a in p._actions]])
+    got = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+    assert got == ("0d89cf65702517e63ff075249702d264"
+                   "c6aec38d0c613b679951e28afa683f97")
 
 
 def test_eigen_answers_at_degree_five(capsys):

@@ -36,6 +36,7 @@ from hecke import (
 )
 from hecke import center, sqrtcenter, verify
 from hecke.algebra import _acc
+from hecke.laurent import Q_MINUS_1, q_power
 from hecke.center import _GAMMA_MEMO
 from hecke.linalg import SparseSystem, reduced_basis, sparse_rank
 from hecke.permutations import _all_permutations
@@ -660,6 +661,17 @@ def test_closed_forms_for_xbar_ybar_squares(ctx3, gb3):
         "ybar_gamma": True,
         "ybar_esym": True,
     }
+
+
+def test_the_closed_forms_hold_at_degree_six():
+    # the registry checks these up to degree 5 only
+    gb = gamma_basis(6)
+    assert all(verify_xbar_ybar_squares(6, gb).values())
+    tw = t_longest(6)
+    coords = express_in_gamma(tw * tw, gb)
+    for lam in partitions_of(6):
+        l = lam.min_length()
+        assert coords[lam] == q_power(15 - l) * Q_MINUS_1 ** l, lam
 
 
 def test_branch_classification(gb3, ctx3):
