@@ -101,13 +101,17 @@ class Caps(Record):
     enum_max bounds anything that walks all of S_n; linalg_max bounds the
     exact linear algebra over the centre: centre_basis and eigen searches.
     Each is compared in one place, AlgebraContext.check_enum / check_linalg.
+    A field that is not an int, a bool included, raises TermTypeError.
     """
 
     __slots__ = ("enum_max", "linalg_max")
 
     def __init__(self, enum_max: int = 7, linalg_max: int = 5):
-        _set(self, "enum_max", enum_max)
-        _set(self, "linalg_max", linalg_max)
+        for field, cap in (("enum_max", enum_max), ("linalg_max", linalg_max)):
+            if not _is_int(cap):
+                raise TermTypeError(f"cap {field}={cap!r} is a "
+                                    f"{type(cap).__name__}, not an int")
+            _set(self, field, cap)
 
 
 DEFAULT_CAPS = Caps()

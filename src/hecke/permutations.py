@@ -27,16 +27,30 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .errors import DegreeMismatchError
+from .errors import DegreeMismatchError, TermTypeError
+from .laurent import _is_int
+
+
+def _check_ints(what: str, *xs) -> None:
+    """The package's int rule: each x is an int, not a bool."""
+    for x in xs:
+        if not _is_int(x):
+            raise TermTypeError(
+                f"{what} {x!r} is a {type(x).__name__}, not an int")
 
 
 class Permutation(tuple):
-    """A permutation of {1, ..., n}, stored as its one-line notation."""
+    """A permutation of {1, ..., n}, stored as its one-line notation.
+
+    The public constructors take ints only: a degree, index, image or word
+    letter that is not an int, a bool included, raises TermTypeError.
+    """
 
     __slots__ = ()
 
     def __new__(cls, images):
         t = tuple(images)
+        _check_ints("permutation image", *t)
         if sorted(t) != list(range(1, len(t) + 1)):
             raise ValueError(f"not a permutation of 1..{len(t)}: {t!r}")
         return tuple.__new__(cls, t)
@@ -48,11 +62,13 @@ class Permutation(tuple):
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
+        _check_ints("degree", n)
         return cls._unsafe(tuple(range(1, n + 1)))
 
     @classmethod
     def simple(cls, n: int, i: int) -> "Permutation":
         """The simple transposition s_i = (i, i+1), 1 <= i <= n-1."""
+        _check_ints("degree or index", n, i)
         if not 1 <= i <= n - 1:
             raise ValueError(f"simple reflection index {i} out of range for n={n}")
         im = list(range(1, n + 1))
@@ -61,6 +77,7 @@ class Permutation(tuple):
 
     @classmethod
     def transposition(cls, n: int, a: int, b: int) -> "Permutation":
+        _check_ints("degree or point", n, a, b)
         if a == b or not (1 <= a <= n and 1 <= b <= n):
             raise ValueError(f"bad transposition ({a} {b}) for n={n}")
         im = list(range(1, n + 1))
@@ -74,6 +91,8 @@ class Permutation(tuple):
         >>> Permutation.from_word(3, (1, 2, 1))
         Permutation((3, 2, 1))
         """
+        word = tuple(word)
+        _check_ints("word letter", *word)
         w = cls.identity(n)
         for i in word:
             w = w.right_simple(i)
@@ -82,6 +101,7 @@ class Permutation(tuple):
     @classmethod
     def longest(cls, n: int) -> "Permutation":
         """The longest element w_n = (n, n-1, ..., 1)."""
+        _check_ints("degree", n)
         return cls._unsafe(tuple(range(n, 0, -1)))
 
     # -- basic structure ---------------------------------------------------
@@ -176,7 +196,7 @@ class Permutation(tuple):
                 k += 1
             lengths.append(k)
         lengths.sort(reverse=True)
-        return Partition(tuple(lengths))
+        return tuple.__new__(Partition, lengths)   # valid by construction
 
     def apply_diagram_flip(self) -> "Permutation":
         """The image under the automorphism s_i -> s_{n-i}.
@@ -222,12 +242,14 @@ def _reduced_word(w: Permutation) -> tuple[int, ...]:
 
 
 class Partition(tuple):
-    """A partition of n: a weakly decreasing tuple of positive parts."""
+    """A partition of n: a weakly decreasing tuple of positive parts, each
+    an int (not a bool; anything else raises TermTypeError)."""
 
     __slots__ = ()
 
     def __new__(cls, parts):
         t = tuple(parts)
+        _check_ints("partition part", *t)
         if any(p < 1 for p in t):
             raise ValueError(f"partition parts must be positive: {t!r}")
         if any(t[i] < t[i + 1] for i in range(len(t) - 1)):

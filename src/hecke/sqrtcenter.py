@@ -11,6 +11,8 @@ degree 3 admits a complete linear description.  This module provides:
   symmetrized pairwise products central);
 * ``even_word_centrality``: the parity pattern for monomials in the three
   commuting non-central square roots;
+* the paper's closed forms for x, y, T_w0^2, xbar^2 and ybar^2 over the
+  minimal basis and the e_i(L), stated once and checked by one comparator;
 * the degree-3 coefficient constraints with a random sampler for the
   non-central solution branch;
 * the degree-3 and degree-4 catalogs of known square roots (the degree-4
@@ -32,7 +34,8 @@ import random
 from .algebra import HeckeElement, _indexed, as_context, commutator, is_central
 from .center import (GammaBasis, _GAMMA_MEMO, _blocks, express_in_gamma,
                      gamma_basis)
-from .elements import elem_sym, poincare, t_longest, xbar, ybar
+from .elements import (_longest_length, elem_sym, poincare, t_longest, x_elem,
+                       xbar, y_elem, ybar)
 from .errors import DegreeMismatchError, MismatchError
 from .laurent import LaurentPoly, ONE, Q, Q_MINUS_1, ZERO, q_power
 from .linalg import reduced_basis, sparse_rank
@@ -99,14 +102,12 @@ def even_word_centrality(generators, max_degree: int) -> bool:
     most max_degree must be central when i+j+k is even and must square into
     the centre when i+j+k is odd.
     """
-    a, b, c = generators
-    pow_a = [HeckeElement.one(a.n)]
-    pow_b = [HeckeElement.one(b.n)]
-    pow_c = [HeckeElement.one(c.n)]
-    for _ in range(max_degree):
-        pow_a.append(pow_a[-1] * a)
-        pow_b.append(pow_b[-1] * b)
-        pow_c.append(pow_c[-1] * c)
+    pows = []
+    for g in generators:
+        pows.append([HeckeElement.one(g.n)])
+        for _ in range(max_degree):
+            pows[-1].append(pows[-1][-1] * g)
+    pow_a, pow_b, pow_c = pows
     for i in range(max_degree + 1):
         for j in range(max_degree + 1 - i):
             ab = pow_a[i] * pow_b[j]
@@ -120,62 +121,83 @@ def even_word_centrality(generators, max_degree: int) -> bool:
     return True
 
 
-def _xbar_sq_gamma_coeff(n: int, l: int) -> LaurentPoly:
-    ell = n * (n - 1) // 2
-    return (poincare(n) - q_power(ell) - q_power(ell)
-            + q_power(ell - l) * Q_MINUS_1 ** l)
+# -- the paper's closed forms over the minimal basis --------------------------
+
+def _longest_sq(n: int, l: int) -> LaurentPoly:
+    return q_power(_longest_length(n) - l) * Q_MINUS_1 ** l
 
 
-def _ybar_sq_gamma_coeff(n: int, l: int) -> LaurentPoly:
-    ell = n * (n - 1) // 2
-    sign = ONE if l % 2 == 0 else -ONE
-    inner = poincare(n) - LaurentPoly(2) + (ONE - Q) ** l
-    return sign * q_power(ell - l) * inner
+def _square(build):
+    """A function of a context c: the square of build(c)."""
+    def square(c):
+        h = build(c)
+        return h * h
+    return square
+
+
+# name -> (the element, built from a context; f, its coordinate at gamma_lam
+# as a function of n and l = l(lam)).  As e_i(L) is the sum of the gamma_lam
+# with l(lam) = i, each element is also the sum over i of f(n, i) e_i(L).
+_CLOSED_FORMS = {
+    "x": (x_elem, lambda n, l: ONE),
+    "y": (y_elem, lambda n, l: (-Q) ** (_longest_length(n) - l)),
+    "T_w0^2": (_square(t_longest), _longest_sq),
+    "xbar^2": (_square(xbar), lambda n, l: (
+        poincare(n) - q_power(_longest_length(n)) * 2 + _longest_sq(n, l))),
+    "ybar^2": (_square(ybar), lambda n, l: (
+        q_power(_longest_length(n) - l) * (-1) ** l
+        * (poincare(n) - LaurentPoly(2) + (ONE - Q) ** l))),
+}
+
+
+def _check_coords(what: str, got: dict, want: dict) -> None:
+    """MismatchError at the first shape where got differs from want."""
+    for lam, w in want.items():
+        if got[lam] != w:
+            raise MismatchError(f"{what} coefficient at {tuple(lam)}: "
+                                f"expected {w}, computed {got[lam]}")
+
+
+def _check_closed_form(ctx, name: str, gb: GammaBasis,
+                       esym: bool = False) -> None:
+    """Compare the element of a _CLOSED_FORMS entry with its coordinates
+    in gb and, when esym is set, with its sum over the e_i(L)."""
+    c = as_context(ctx)
+    n = c.n
+    build, coord = _CLOSED_FORMS[name]
+    el = build(c)
+    _check_coords(name, express_in_gamma(el, gb),
+                  {lam: coord(n, lam.min_length()) for lam in partitions_of(n)})
+    if esym and el != sum((elem_sym(c, i).scale(coord(n, i))
+                           for i in range(n)), HeckeElement.zero(n)):
+        raise MismatchError(f"{name} does not match its expansion over the "
+                            f"elementary symmetric functions")
 
 
 def verify_xbar_ybar_squares(ctx, gb: GammaBasis) -> dict[str, bool]:
     """Check the closed forms of the squares of the truncated sums.
 
     Both squares are computed by direct multiplication and compared with
-    their expansions over the minimal basis and over the elementary
-    symmetric functions of Murphy elements.  Raises MismatchError naming
-    the first differing coefficient.
+    their expansions over the minimal basis and over the e_i(L).  Raises
+    MismatchError naming the first differing coefficient.
     """
-    c = as_context(ctx)
-    n = c.n
-    if gb.n != n:
-        raise DegreeMismatchError(f"basis degree {gb.n} does not match {n}")
-    pairs = (("xbar", xbar(c), _xbar_sq_gamma_coeff),
-             ("ybar", ybar(c), _ybar_sq_gamma_coeff))
     report = {}
-    for name, el, coeff_fn in pairs:
-        square = el * el
-        got = express_in_gamma(square, gb)
-        for lam in partitions_of(n):
-            want = coeff_fn(n, lam.min_length())
-            if got[lam] != want:
-                raise MismatchError(
-                    f"{name}^2 coefficient at {tuple(lam)}: "
-                    f"expected {want}, computed {got[lam]}")
-        report[f"{name}_gamma"] = True
-        esym_form = HeckeElement.zero(n)
-        for i in range(n):
-            esym_form = esym_form + elem_sym(c, i).scale(coeff_fn(n, i))
-        if esym_form != square:
-            raise MismatchError(
-                f"{name}^2 does not match its expansion over the "
-                f"elementary symmetric functions")
-        report[f"{name}_esym"] = True
+    for name in ("xbar", "ybar"):
+        _check_closed_form(ctx, f"{name}^2", gb, esym=True)
+        report[f"{name}_gamma"] = report[f"{name}_esym"] = True
     return report
 
 
 # -- the degree-3 coefficient constraints ------------------------------------
 
-def _h3_coeffs(h: HeckeElement) -> list[LaurentPoly]:
-    if h.n != 3:
-        raise DegreeMismatchError(f"constraint check needs degree 3, got {h.n}")
-    words = ([], [1], [2], [1, 2], [2, 1], [1, 2, 1])
-    return [h.coeff(Permutation.from_word(3, w)) for w in words]
+# S_3 in the order of the coefficients a1, ..., a6
+_H3_PERMS = tuple(Permutation.from_word(3, w)
+                  for w in ([], [1], [2], [1, 2], [2, 1], [1, 2, 1]))
+
+
+def _twice_a1(a2, a3, a4, a5) -> LaurentPoly:
+    """2*a1 by the relation of the sqrt branch (sqrt_h3_from_coeffs)."""
+    return -(Q_MINUS_1 * (a2 + a3)) + Q * (a4 + a5)
 
 
 def h3_constraint_check(h: HeckeElement) -> str:
@@ -187,10 +209,12 @@ def h3_constraint_check(h: HeckeElement) -> str:
     square root), or "neither".  Both tests are exact over the ring, with
     denominators cleared.
     """
-    a1, a2, a3, a4, a5, a6 = _h3_coeffs(h)
+    if h.n != 3:
+        raise DegreeMismatchError(f"constraint check needs degree 3, got {h.n}")
+    a1, a2, a3, a4, a5, a6 = map(h.coeff, _H3_PERMS)
     if a2 == a3 and a4 == a5 and Q * a6 == a3 + Q_MINUS_1 * a5:
         return "central-branch"
-    if a1 + a1 == -(Q_MINUS_1 * (a2 + a3)) + Q * (a4 + a5):
+    if a1 + a1 == _twice_a1(a2, a3, a4, a5):
         return "sqrt-branch"
     return "neither"
 
@@ -205,15 +229,12 @@ def sqrt_h3_from_coeffs(a2: LaurentPoly, a3: LaurentPoly, a4: LaurentPoly,
     closed under scaling), so the result stays over the ring and the zero
     and recovery examples come out on the nose.
     """
-    twice_a1 = -(Q_MINUS_1 * (a2 + a3)) + Q * (a4 + a5)
+    twice_a1 = _twice_a1(a2, a3, a4, a5)
     if twice_a1.content() % 2 == 0:
-        a1 = twice_a1.divide_int(2)
-        coeffs = (a1, a2, a3, a4, a5, a6)
+        coeffs = (twice_a1.divide_int(2), a2, a3, a4, a5, a6)
     else:
         coeffs = (twice_a1, a2 + a2, a3 + a3, a4 + a4, a5 + a5, a6 + a6)
-    words = ([], [1], [2], [1, 2], [2, 1], [1, 2, 1])
-    return HeckeElement._raw(3, {Permutation.from_word(3, w): cf
-                                 for cf, w in zip(coeffs, words) if cf})
+    return HeckeElement._raw(3, {w: cf for w, cf in zip(_H3_PERMS, coeffs) if cf})
 
 
 def sample_sqrt_h3(seed: int) -> HeckeElement:
@@ -323,27 +344,19 @@ def catalog(n: int) -> dict[str, HeckeElement]:
 def catalog_checks_h3(gb: GammaBasis) -> dict[str, bool]:
     """Every printed claim about the degree-3 catalog, checked exactly."""
     cat = catalog_h3()
-    P = lambda *p: Partition(tuple(p))
     out = {}
     for name, el in cat.items():
         rep = in_sqrt_centre(el, gb)
         out[f"{name}_in_sqrt_not_centre"] = rep.in_sqrt and not rep.in_centre
     out["rank_5"] = sparse_rank(el._terms for el in cat.values()) == 5
     r4, r5 = cat["R4"], cat["R5"]
-    g21, g3 = gb[(2, 1)], gb[(3,)]
-    out["eigen_table"] = (
-        g21 * r4 == r4.scale(Q_MINUS_1)
-        and g3 * r4 == r4.scale(-Q)
-        and g21 * r5 == r5.scale(Q_MINUS_1)
-        and g3 * r5 == r5.scale(-Q))
-    r4sq = express_in_gamma(r4 * r4, gb)
-    out["r4_square"] = (r4sq[P(1, 1, 1)] == Q + Q
-                        and r4sq[P(2, 1)] == Q_MINUS_1
-                        and r4sq[P(3)] == -ONE)
-    r5sq = express_in_gamma(r5 * r5, gb)
-    out["r5_square"] = (r5sq[P(1, 1, 1)] == -(Q * Q + Q * Q)
-                        and r5sq[P(2, 1)] == -(Q * Q_MINUS_1)
-                        and r5sq[P(3)] == Q)
+    out["eigen_table"] = all(
+        gb[(2, 1)] * r == r.scale(Q_MINUS_1) and gb[(3,)] * r == r.scale(-Q)
+        for r in (r4, r5))
+    out["r4_square"] = express_in_gamma(r4 * r4, gb) == {
+        (1, 1, 1): Q + Q, (2, 1): Q_MINUS_1, (3,): -ONE}
+    out["r5_square"] = express_in_gamma(r5 * r5, gb) == {
+        (1, 1, 1): -(Q * Q + Q * Q), (2, 1): -(Q * Q_MINUS_1), (3,): Q}
     out["r5_sq_is_minus_q_r4_sq"] = r5 * r5 == (r4 * r4).scale(-Q)
     stacked = list(cat.values()) + [g for _, g in gb]
     inter = 5 + len(gb.elements) - sparse_rank(el._terms for el in stacked)
@@ -362,13 +375,9 @@ def catalog_checks_h4() -> dict[str, bool]:
     out["rank_6"] = sparse_rank(el._terms for el in cat.values()) == 6
     commuting = [cat["xbar"], cat["ybar"], cat["Twn"]]
     rs = [cat["R4"], cat["R5"], cat["R6"]]
-    ok = True
-    for i, a in enumerate(commuting):
-        for b in commuting[i + 1:]:
-            ok = ok and commutator(a, b).is_zero()
-        for b in rs:
-            ok = ok and commutator(a, b).is_zero()
-    out["truncations_commute"] = ok
+    out["truncations_commute"] = all(
+        commutator(a, b).is_zero()
+        for i, a in enumerate(commuting) for b in commuting[i + 1:] + rs)
     out["r_pairwise_noncommuting"] = all(
         not commutator(a, b).is_zero()
         for i, a in enumerate(rs) for b in rs[i + 1:])

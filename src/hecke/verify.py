@@ -36,11 +36,11 @@ from .elements import (braid_murphy, dual_murphy, elem_sym,
 from .errors import MismatchError
 from .laurent import LaurentPoly, ONE, Q, Q_MINUS_1, XI, q_power, v_power
 from .linalg import sparse_rank
-from .permutations import (Partition, Permutation, _all_permutations,
-                           partitions_of)
+from .permutations import Permutation, _all_permutations
 from .records import Record, _set
-from .sqrtcenter import (catalog_checks_h3, catalog_checks_h4, catalog_h3,
-                         catalog_h4, eigen_search, even_word_centrality,
+from .sqrtcenter import (_check_closed_form, _check_coords, catalog_checks_h3,
+                         catalog_checks_h4, catalog_h3, catalog_h4,
+                         eigen_search, even_word_centrality,
                          h3_constraint_check, in_sqrt_centre, sample_sqrt_h3,
                          span_in_sqrt, verify_xbar_ybar_squares)
 
@@ -269,16 +269,7 @@ def _chk_braidmurphy_linear(env: _Env, n: int) -> None:
 
 
 def _chk_longestsq_qform(env: _Env, n: int) -> None:
-    c, gb = env.ctx(n), env.gamma(n)
-    tw = t_longest(c)
-    coords = express_in_gamma(tw * tw, gb)
-    ell = n * (n - 1) // 2
-    for lam in partitions_of(n):
-        l = lam.min_length()
-        want = q_power(ell - l) * Q_MINUS_1 ** l
-        if coords[lam] != want:
-            raise MismatchError(f"longest-square coefficient at {tuple(lam)}: "
-                                f"expected {want}, computed {coords[lam]}")
+    _check_closed_form(env.ctx(n), "T_w0^2", env.gamma(n))
 
 
 def _chk_longestsq_printed_scale(env: _Env, n: int) -> None:
@@ -325,17 +316,8 @@ def _chk_xy_squares(env: _Env, n: int) -> None:
 
 def _chk_xy_gamma(env: _Env, n: int) -> None:
     c, gb = env.ctx(n), env.gamma(n)
-    ell = n * (n - 1) // 2
-    cx = express_in_gamma(x_elem(c), gb)
-    cy = express_in_gamma(y_elem(c), gb)
-    for lam in partitions_of(n):
-        if cx[lam] != ONE:
-            raise MismatchError(f"q-symmetrizer coordinate at {tuple(lam)}: "
-                                f"expected 1, computed {cx[lam]}")
-        want = (-Q) ** (ell - lam.min_length())
-        if cy[lam] != want:
-            raise MismatchError(f"signed symmetrizer coordinate at {tuple(lam)}: "
-                                f"expected {want}, computed {cy[lam]}")
+    for name in ("x", "y"):
+        _check_closed_form(c, name, gb)
 
 
 # -- group 06: square roots of central elements --------------------------------
@@ -409,33 +391,22 @@ def _chk_truncation_squares(env: _Env, n: int) -> None:
 
 
 def _chk_xbarsq_printed(env: _Env, n: int) -> None:
-    gb = env.gamma(3)
-    got = express_in_gamma(xbar(env.ctx(3)) ** 2, gb)
-    want = {(1, 1, 1): LaurentPoly({4: 2, 2: 2, 0: 1}),
-            (2, 1): (Q + ONE) ** 2,
-            (3,): LaurentPoly({2: 3, 0: 1})}
-    for shape, w in want.items():
-        if got[Partition(shape)] != w:
-            raise MismatchError(f"listed coefficient at {shape}: expected {w}, "
-                                f"computed {got[Partition(shape)]}")
+    _check_coords("listed", express_in_gamma(xbar(env.ctx(3)) ** 2, env.gamma(3)),
+                  {(1, 1, 1): LaurentPoly({4: 2, 2: 2, 0: 1}),
+                   (2, 1): (Q + ONE) ** 2,
+                   (3,): LaurentPoly({2: 3, 0: 1})})
 
 
 def _chk_ybarsq_printed(env: _Env, n: int) -> None:
     gb = env.gamma(3)
-    c = env.ctx(3)
-    plain = express_in_gamma((y_elem(c) - t_longest(c)) ** 2, gb)
-    want = {(1, 1, 1): q_power(4) * LaurentPoly({4: 1, 2: 2, 0: 2}),
-            (2, 1): -q_power(3) * (Q + ONE) ** 2,
-            (3,): q_power(3) * (Q + LaurentPoly(3))}
-    for shape, w in want.items():
-        if plain[Partition(shape)] != w:
-            raise MismatchError(f"listed coefficient at {shape}: expected {w}, "
-                                f"computed {plain[Partition(shape)]}")
-    scaled = express_in_gamma(catalog_h3()["ybar"] ** 2, gb)
-    for shape in want:
-        if scaled[Partition(shape)] != q_power(-6) * plain[Partition(shape)]:
-            raise MismatchError(f"rescaled square at {shape} is not q^-6 times "
-                                f"the plain one")
+    plain = express_in_gamma(ybar(env.ctx(3)) ** 2, gb)
+    _check_coords("listed", plain,
+                  {(1, 1, 1): q_power(4) * LaurentPoly({4: 1, 2: 2, 0: 2}),
+                   (2, 1): -q_power(3) * (Q + ONE) ** 2,
+                   (3,): q_power(3) * (Q + LaurentPoly(3))})
+    _check_coords("q^-6 times the listed",
+                  express_in_gamma(catalog_h3()["ybar"] ** 2, gb),
+                  {lam: q_power(-6) * a for lam, a in plain.items()})
 
 
 # -- groups 08/09: the catalogs ------------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given
@@ -10,9 +11,11 @@ import hypothesis.strategies as st
 from hecke import (
     AlgebraContext,
     Caps,
+    HeckeError,
     Partition,
     Permutation,
     ResourceCapError,
+    TermTypeError,
     all_permutations,
     conjugacy_class,
     minimal_class_elements,
@@ -154,3 +157,30 @@ def test_cycle_type_is_a_class_invariant():
     for shape in partitions_of(4):
         for w in conjugacy_class(4, shape):
             assert w.cycle_type() == tuple(shape)
+
+
+def _call(fn, *args):
+    return pytest.param(partial(fn, *args),
+                        id=f"{fn.__qualname__}({', '.join(map(repr, args))})")
+
+
+@pytest.mark.parametrize("make", [
+    _call(Permutation, (2, True)),
+    _call(Permutation, (1.0, 2.0)),
+    _call(Permutation.identity, True),
+    _call(Permutation.identity, 3.0),
+    _call(Permutation.simple, 3, True),
+    _call(Permutation.simple, True, 1),
+    _call(Permutation.transposition, 3, True, 2),
+    _call(Permutation.from_word, 3, [True]),
+    _call(Permutation.from_word, 3, [1, 2.0]),
+    _call(Permutation.longest, True),
+    _call(Partition, (True, 1)),
+    _call(Partition, (2.0,)),
+])
+def test_the_constructors_take_ints_not_bools(make):
+    # each of these once returned a permutation or partition, or raised a
+    # bare TypeError: Permutation.simple(3, True) was s_1
+    with pytest.raises(TermTypeError) as info:
+        make()
+    assert isinstance(info.value, HeckeError)

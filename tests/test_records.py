@@ -7,7 +7,7 @@ import pickle
 import pytest
 
 from hecke import (AlgebraContext, Caps, CentreBasis, DEFAULT_CAPS,
-                   GammaBasis, SqrtReport, VerificationReport)
+                   GammaBasis, SqrtReport, TermTypeError, VerificationReport)
 from hecke.verify import ItemResult, VerifyItem
 
 EMPTY = inspect.Parameter.empty
@@ -34,6 +34,15 @@ def test_record_constructor_signature(cls):
     assert [(p.name, p.default) for p in params] == SIGNATURES[cls]
     assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
     assert cls.__slots__ == tuple(name for name, _ in SIGNATURES[cls])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("enum_max", "7"), ("enum_max", 2.5), ("linalg_max", True)])
+def test_a_cap_is_an_int(field, value):
+    # before this rule Caps(enum_max="7") built, and its first cap check
+    # raised a bare TypeError
+    with pytest.raises(TermTypeError, match=field):
+        Caps(**{field: value})
 
 
 def test_record_semantics():

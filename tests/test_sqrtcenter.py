@@ -24,6 +24,7 @@ from hecke import (
     parse_element,
     parse_scalar,
     partitions_of,
+    run_verify,
     sample_sqrt_h3,
     span_in_sqrt,
     sqrt_h3_from_coeffs,
@@ -36,12 +37,12 @@ from hecke import (
 )
 from hecke import center, sqrtcenter, verify
 from hecke.algebra import _acc
-from hecke.laurent import Q_MINUS_1, q_power
+from hecke.laurent import ONE, Q, Q_MINUS_1, q_power
 from hecke.center import _GAMMA_MEMO
 from hecke.linalg import SparseSystem, reduced_basis, sparse_rank
 from hecke.permutations import _all_permutations
-from hecke.sqrtcenter import (_CERT_POINTS, _CERT_PRIME, _ModEchelon, _at,
-                              _residues, catalog_checks_h3,
+from hecke.sqrtcenter import (_CERT_POINTS, _CERT_PRIME, _CLOSED_FORMS,
+                              _ModEchelon, _at, _residues, catalog_checks_h3,
                               catalog_checks_h4)
 
 from fraction_oracle import RationalFn, _as_rf, _corank, left_mult_matrix
@@ -664,14 +665,34 @@ def test_closed_forms_for_xbar_ybar_squares(ctx3, gb3):
 
 
 def test_the_closed_forms_hold_at_degree_six():
-    # the registry checks these up to degree 5 only
+    # the registry checks these up to degree 5 only; the coordinates are
+    # written out here, apart from the table they check
     gb = gamma_basis(6)
     assert all(verify_xbar_ybar_squares(6, gb).values())
     tw = t_longest(6)
-    coords = express_in_gamma(tw * tw, gb)
-    for lam in partitions_of(6):
-        l = lam.min_length()
-        assert coords[lam] == q_power(15 - l) * Q_MINUS_1 ** l, lam
+    forms = {"T_w0^2": (tw * tw, lambda l: q_power(15 - l) * Q_MINUS_1 ** l),
+             "x": (x_elem(6), lambda l: ONE),
+             "y": (y_elem(6), lambda l: (-Q) ** (15 - l))}
+    for name, (el, coord) in forms.items():
+        coords = express_in_gamma(el, gb)
+        for lam in partitions_of(6):
+            assert coords[lam] == coord(lam.min_length()), (name, lam)
+
+
+@pytest.mark.parametrize("name, item", [
+    ("x", "05-xy-gamma-n3"),
+    ("y", "05-xy-gamma-n3"),
+    ("T_w0^2", "04-longestsq-qform-n3"),
+    ("xbar^2", "07-truncation-squares-n3"),
+    ("ybar^2", "07-truncation-squares-n3"),
+])
+def test_the_registry_reads_the_closed_form_table(monkeypatch, name, item):
+    build, coord = _CLOSED_FORMS[name]
+    off = (build, lambda n, l: coord(n, l) + (ONE if l == 0 else 0))
+    monkeypatch.setitem(_CLOSED_FORMS, name, off)
+    report = run_verify(5, only=[item])
+    assert [r.status for r in report.results] == ["fail"]
+    assert f"{name} coefficient at (1, 1, 1)" in report.results[0].detail
 
 
 def test_branch_classification(gb3, ctx3):
