@@ -44,10 +44,13 @@ per power of q: the int is the value at q = 2^B, half as long, and q c is
 c << B.  Otherwise it takes one digit per power of v, and q c is c << 2B.
 B comes from one bound (_packing): k steps multiply |.|_1 by at most 3^k,
 with k = l(w_0) for a product and 1 for a centrality test.  When B times
-the exponent window would pass _PACK_BITS, or the degree passes the
-default enumeration cap, the same walk runs on LaurentPoly coefficients
-instead; that path handles any exponent span and never enumerates S_n.
-Both paths choose the walked factor by the same rule.
+the exponent window would pass _PACK_BITS, or the work cannot fill the
+tables of S_n, the same walk runs on LaurentPoly coefficients instead;
+that path handles any exponent span and never enumerates S_n.  One rule of
+cost (_fills) says which work fills the tables: any up to degree 6, where
+they cost at most 0.2 MB and 2 ms; from degree 7 on, any once they exist,
+and otherwise work that can reach half of S_n.  Both paths choose the
+walked factor by the same rule.
 
 The packed factor that is stepped on (the one whose words are not walked,
 or the element tested for centrality) is held in one of two ways, chosen
@@ -239,11 +242,11 @@ MAX_WORD_LENGTH = 48
 # and 7-10% less at n = 4 (Python 3.11, 2-core Xeon).
 _GROUP_MIN_DEGREE = 4
 
-# Largest degree whose S_n gets index tables: the default enumeration cap,
-# so a product or centrality test never numbers a group that the caps
-# refuse to walk (7! entries, about 10 ms and 1 MB).  Higher degrees take
-# the LaurentPoly path, whose cost follows the supports alone.
-_INDEX_MAX_DEGREE = DEFAULT_CAPS.enum_max
+# Largest degree whose S_n is numbered for any product or centrality test:
+# the tables of S_6 cost at most 0.2 MB and 2 ms.  Those of S_7 take about
+# 11 ms and 1.1 MB and those of S_8 92 ms and 9 MB, so from degree 7 on
+# they are built only for work that can fill them (_fills).
+_ALWAYS_INDEXED = 6
 
 
 # S_n numbered by lexicographic position, which is Permutation order.
@@ -254,14 +257,20 @@ _INDEX_MAX_DEGREE = DEFAULT_CAPS.enum_max
 _Indexed = namedtuple("_Indexed", ("perms", "index", "right", "inv", "length"))
 
 
-@lru_cache(maxsize=None)
+# degree -> its _Indexed, for each S_n numbered so far
+_INDEXED: dict[int, _Indexed] = {}
+
+
 def _indexed(n: int) -> _Indexed:
-    perms = _all_permutations(n)
-    length = [0]
-    for m in range(2, n + 1):
-        length = [d + k for d in range(m) for k in length]
-    return _Indexed(perms, {w: k for k, w in enumerate(perms)},
-                    *_step_tables(n), length)
+    ix = _INDEXED.get(n)
+    if ix is None:
+        perms = _all_permutations(n)
+        length = [0]
+        for m in range(2, n + 1):
+            length = [d + k for d in range(m) for k in length]
+        ix = _INDEXED[n] = _Indexed(perms, {w: k for k, w in enumerate(perms)},
+                                    *_step_tables(n), length)
+    return ix
 
 
 @lru_cache(maxsize=None)
@@ -315,6 +324,31 @@ def _step_tables(n: int) -> tuple[list, list]:
     return right, inv
 
 
+def _fills(n: int, factors: list) -> bool:
+    """The rule of cost: may work on the nonempty term dicts factors of H_n,
+    the two factors of a product or the one element tested for centrality,
+    number S_n?
+
+    Always up to _ALWAYS_INDEXED, and whenever the tables of S_n exist.
+    Otherwise only when the work can reach half of S_n.  A centrality test
+    reaches the terms it tests.  A product steps the factor with more terms
+    (the first on a tie) along the words of the other, and T_u T_w has at
+    most 2^min(l(u), l(w)) terms: a step at most doubles a term dict, and
+    T_u T_w is l(w) right steps of T_u or l(u) left steps of T_w.  So every
+    partial product has at most |walked| 2^L terms, L the smaller of the
+    longest words of the two factors.
+    """
+    if n <= _ALWAYS_INDEXED or n in _INDEXED:
+        return True
+    walked = max(factors, key=len)
+    if 2 * len(walked) >= factorial(n):
+        return True
+    if len(factors) == 1:
+        return False
+    depth = min(max(map(Permutation.length, terms)) for terms in factors)
+    return 2 * len(walked) << depth >= factorial(n)
+
+
 def _packing(n: int, factors: list, steps: int) -> tuple[int, list, int] | None:
     """(bits, lows, stride) for packed work on the nonempty term dicts
     factors of H_n that takes steps generator steps, or None.
@@ -324,11 +358,11 @@ def _packing(n: int, factors: list, steps: int) -> tuple[int, list, int] | None:
     of the |f|_1; the exponents stay within sum(lo_f) .. sum(hi_f) +
     2 steps.  lows holds each lo_f.  stride is 2, one digit per power of
     q, when the exponents of each factor share one parity, and 1, one digit
-    per power of v, otherwise.  None above _INDEX_MAX_DEGREE or when the
-    digits would pass _PACK_BITS.  A product a * b takes l(w_0) steps, a
-    centrality test one.
+    per power of v, otherwise.  None when the work cannot fill the tables
+    of S_n (_fills) or the digits would pass _PACK_BITS.  A product a * b
+    takes l(w_0) steps, a centrality test one.
     """
-    if n > _INDEX_MAX_DEGREE:
+    if not _fills(n, factors):
         return None
     bound, window, lows, stride = 3 ** steps, 2 * steps, [], 2
     for terms in factors:
@@ -451,30 +485,53 @@ def _prefix_products(terms: dict | list, keyed, step):
 
     The canonical reduced words are prefix-closed: word(w) = word(w s_d) + (d)
     for the smallest right descent d.  The keys are taken in the order of
-    their words; held[d] is the product by the first d letters of the
-    current word.  When the next word comes, the products past the prefix
-    it shares with the current one are dropped, and terms * T_w is one
-    step(acc, i) per letter after that prefix.  In sorted order no later
-    word shares a longer prefix with the current one than the next word
-    does, so nothing a later key needs is dropped: each edge of the trie
-    of words is stepped once, and at most l(w_0) + 1 products are held.
-    step is _rmul_gen, or a step of _packed_terms; none changes its
-    argument.
+    their words, and terms * T_w is one step(acc, i) per letter past the
+    prefix its word shares with the previous one, its start, from the
+    product held there.  In sorted order the prefix word k shares with a
+    later word j is the least of the starts of words k + 1 .. j, so the
+    depths of word k that later words start from are the running minima of
+    the starts after it.  A pass from the last word back lists them
+    (ahead), and only the products at those depths are held, deepest on
+    top: each edge of the trie of words is stepped once, and a single long
+    key holds no partial product.  step is _rmul_gen, or a step of
+    _packed_terms; none changes its argument.
     """
-    held = [terms]
+    pairs = sorted([(w.reduced_word(), x) for w, x in keyed],
+                   key=lambda pair: pair[0])
+    starts = []
     last: tuple = ()
-    for word, x in sorted([(w.reduced_word(), x) for w, x in keyed],
-                          key=lambda pair: pair[0]):
+    for word, _ in pairs:
         depth = 0
         for i, j in zip(word, last):
             if i != j:
                 break
             depth += 1
-        del held[depth + 1:]
-        for i in word[depth:]:
-            held.append(step(held[-1], i))
-        yield held[-1], x
+        starts.append(depth)
         last = word
+    # kept[k]: the depths past its start that word k holds, deepest first;
+    # dropped[k]: whether no later word starts where word k does
+    kept, dropped, ahead = [None] * len(pairs), bytearray(len(pairs)), [-1]
+    for k in range(len(pairs) - 1, -1, -1):
+        start = starts[k]
+        if ahead[-1] > start:
+            kept[k] = []
+            while ahead[-1] > start:
+                kept[k].append(ahead.pop())
+        if ahead[-1] < start:
+            ahead.append(start)
+            dropped[k] = 1
+    held = [terms]
+    for k, (word, x) in enumerate(pairs):
+        acc = held.pop() if dropped[k] else held[-1]
+        depth = starts[k]
+        for stop in reversed(kept[k] or ()):
+            for i in word[depth:stop]:
+                acc = step(acc, i)
+            held.append(acc)
+            depth = stop
+        for i in word[depth:]:
+            acc = step(acc, i)
+        yield acc, x
 
 
 def _sides(a: dict, b: dict) -> tuple[dict, list, bool]:
@@ -534,7 +591,7 @@ def _geometric(n: int, terms: dict):
     the walk takes a step at least per key other than the identity.  The
     scan gives up at the first correction past what that allows, or past n.
     """
-    if n < 3 or n > _INDEX_MAX_DEGREE:
+    if n < 3:
         return None
     top = n * (n - 1) // 2
     allowed = min(n, (len(terms) - 2) // top - 1)
@@ -825,15 +882,16 @@ class HeckeElement:
         return NotImplemented
 
     def __pow__(self, k: int) -> "HeckeElement":
-        """k repeated products; k above MAX_WORD_LENGTH raises
-        ResourceCapError, since T_s ** k is the word s^k."""
+        """k - 1 repeated products by self, and one for k = 0; k above
+        MAX_WORD_LENGTH raises ResourceCapError, since T_s ** k is the word
+        s^k."""
         if k < 0:
             raise ValueError("negative powers of Hecke elements are not supported")
         if k > MAX_WORD_LENGTH:
             raise ResourceCapError(
                 f"a power of {k} passes the limit of {MAX_WORD_LENGTH}")
-        result = HeckeElement.one(self.n)
-        for _ in range(k):
+        result = self if k else HeckeElement.one(self.n)
+        for _ in range(k - 1):
             result = result * self
         return result
 

@@ -88,6 +88,8 @@ class Permutation(tuple):
     def from_word(cls, n: int, word) -> "Permutation":
         """Product s_{i_1} s_{i_2} ... of simple transpositions.
 
+        A letter outside 1 .. n - 1 raises ValueError.
+
         >>> Permutation.from_word(3, (1, 2, 1))
         Permutation((3, 2, 1))
         """
@@ -95,6 +97,8 @@ class Permutation(tuple):
         _check_ints("word letter", *word)
         w = cls.identity(n)
         for i in word:
+            if not 1 <= i <= n - 1:
+                raise ValueError(f"generator index {i} out of range for degree {n}")
             w = w.right_simple(i)
         return w
 

@@ -100,23 +100,34 @@ def even_word_centrality(generators, max_degree: int) -> bool:
 
     For generators (a, b, c), every monomial a^i b^j c^k of total degree at
     most max_degree must be central when i+j+k is even and must square into
-    the centre when i+j+k is odd.
+    the centre when i+j+k is odd.  The monomials are checked for i, j, k
+    ascending in that order, each built from the one before by one right
+    product by a, b or c; the square m m of an odd monomial m is built as
+    m a^i b^j c^k, one factor at a time.  Associativity alone makes these
+    the products the law names, for any generators.
     """
-    pows = []
-    for g in generators:
-        pows.append([HeckeElement.one(g.n)])
-        for _ in range(max_degree):
-            pows[-1].append(pows[-1][-1] * g)
-    pow_a, pow_b, pow_c = pows
+    a, b, c = generators
+    a_i = HeckeElement.one(a.n)
     for i in range(max_degree + 1):
+        if i:
+            a_i = a_i * a
+        ab = a_i
         for j in range(max_degree + 1 - i):
-            ab = pow_a[i] * pow_b[j]
+            if j:
+                ab = ab * b
+            m = ab
             for k in range(max_degree + 1 - i - j):
-                m = ab * pow_c[k]
+                if k:
+                    m = m * c
                 if (i + j + k) % 2 == 0:
                     if not is_central(m):
                         return False
-                elif not is_central(m * m):
+                    continue
+                square = m
+                for g, e in ((a, i), (b, j), (c, k)):
+                    for _ in range(e):
+                        square = square * g
+                if not is_central(square):
                     return False
     return True
 

@@ -301,6 +301,24 @@ def test_powers_refuse_an_oversize_exponent_at_once():
     assert time.perf_counter() - start < 0.5
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_powers_start_from_the_element(monkeypatch, n):
+    # h ** k takes k - 1 products, with the terms and key order of the k
+    # products from one it once took
+    t = t_longest(n)
+    for h in (xbar(n), ybar(n), t, xbar(n) * t):
+        assert h ** 0 == HeckeElement.one(n)
+        expected = HeckeElement.one(n)
+        for k in (1, 2, 3):
+            expected = expected * h
+            got = h ** k
+            assert got == expected
+            assert list(got._terms) == list(expected._terms)
+    calls = _count_calls(monkeypatch, "_packing")
+    t ** 3
+    assert len(calls) == 2
+
+
 def test_normalized_basis_quadratic_relation():
     # in the rescaled basis the relation reads Tt_s^2 = Tt_1 + xi Tt_s
     for n in range(2, 5):
@@ -842,15 +860,23 @@ def test_prefix_products_step_each_edge_of_the_words_once(n, data):
         alive.add(out)
         return out
 
+    def shared(u, w):
+        return next((d for d, (i, j) in enumerate(zip(u, w)) if i != j),
+                    min(len(u), len(w)))
+
     root = _Held(terms)
     alive.add(root)
     seen = []
+    ahead = sorted(w.reduced_word() for w in keys)
     for acc, w in _prefix_products(root, [(w, w) for w in keys], step):
         word = w.reduced_word()
         seen.append(w)
         assert acc.terms == reduce(real, word, terms)
-        # the products by the prefixes of this word, the root included
-        assert len(alive) <= len(word) + 1
+        assert ahead.pop(0) == word
+        # held: the root, this product and those by the prefixes that a
+        # later word starts from
+        held = {len(word)} | {shared(word, later) for later in ahead}
+        assert len(alive) == 1 + len(held - {0})
     assert sorted(seen) == sorted(keys)
     words = [w.reduced_word() for w in keys]
     assert len(steps) == len({word[:d] for word in words
@@ -982,6 +1008,106 @@ def test_products_above_the_enumeration_cap_do_not_index_the_group(monkeypatch):
     assert is_central(HeckeElement.one(12).scale(q_power(1)))
     t1, t2 = HeckeElement.generator(10, 1), HeckeElement.generator(10, 2)
     assert t1 * t2 == _fold_mul(t1, t2)
+
+
+def _numbering_refused(mp, degrees):
+    """Patch hecke.algebra so that numbering S_n for n in degrees raises,
+    with none of them numbered yet; return the table memo in force."""
+    memo = {n: ix for n, ix in hecke.algebra._INDEXED.items()
+            if n not in degrees}
+    real_indexed, real_tables = hecke.algebra._indexed, hecke.algebra._step_tables
+
+    def refusing(real):
+        def build(n):
+            if n in degrees:
+                raise AssertionError(f"numbered S_{n}")
+            return real(n)
+        return build
+
+    mp.setattr(hecke.algebra, "_INDEXED", memo)
+    mp.setattr(hecke.algebra, "_indexed", refusing(real_indexed))
+    mp.setattr(hecke.algebra, "_step_tables", refusing(real_tables))
+    return memo
+
+
+def test_sparse_work_at_degrees_7_and_8_numbers_no_group(monkeypatch):
+    # none of these can reach half of S_n: a walk of |walked| 2^L terms at
+    # most, L the smaller of the longest words of the two factors, or the
+    # terms a centrality test reads
+    memo = _numbering_refused(monkeypatch, {7, 8})
+    for n in (7, 8):
+        gens = [HeckeElement.generator(n, i) for i in range(1, n)]
+        fwd = reduce(lambda a, b: a * b, gens)
+        bwd = reduce(lambda a, b: a * b, gens[::-1])
+        # the cycle pair of 02-dual-cyclepair: one term, a 7-letter key at n = 8
+        assert fwd * bwd == _fold_mul(fwd, bwd)
+        pair = gens[0] * gens[1] + gens[1] * gens[0]
+        assert pair * pair == _fold_mul(pair, pair)
+        t = t_longest(n)
+        assert t * gens[0] == _fold_mul(t, gens[0])
+        assert gens[0] * t == _fold_mul(gens[0], t)
+        for h in (t, pair, HeckeElement.one(n).scale(q_power(1))):
+            assert is_central(h) == is_central_by_generators(h)
+    assert 7 not in memo and 8 not in memo
+
+
+def test_work_that_can_fill_degree_7_stays_packed(monkeypatch):
+    # T_w0^2 reaches all of S_7 from one term along a 21-letter word, and
+    # the top Murphy element times e_(i-1)(L) of S_6 may reach 15 2^9 terms
+    # or more for i >= 2 (words of up to 11 and 9 letters); the product by
+    # e_0(L) = 1 walks one key of length 0
+    from hecke.elements import _esym_tilde, _murphy_tilde
+
+    memo = {n: ix for n, ix in hecke.algebra._INDEXED.items() if n != 7}
+    monkeypatch.setattr(hecke.algebra, "_INDEXED", memo)
+    n, steps = 7, 21
+    t = t_longest(n)
+    assert _packing(n, [t._terms, t._terms], steps) is not None
+    murphy = _murphy_tilde(n, n)
+    lows = [_esym_tilde(n - 1, i - 1).embed(n) for i in range(1, n)]
+    assert _packing(n, [murphy._terms, lows[0]._terms], steps) is None
+    for low in lows[1:]:
+        assert _packing(n, [murphy._terms, low._terms], steps) is not None
+    assert 7 not in memo
+    square = t * t
+    assert 7 in memo
+    assert square.num_terms() == factorial(n)
+    assert square == _walked_on_laurent(lambda: t * t)
+    # once the tables of S_7 exist they serve sparse work too
+    t1 = HeckeElement.generator(n, 1)
+    assert _packing(n, [t1._terms, t1._terms], steps) is not None
+
+
+def _walked_on_laurent(compute):
+    """compute() with every product and centrality test on the LaurentPoly
+    walk."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hecke.algebra, "_packing", lambda n, factors, steps: None)
+        return compute()
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_sparse_products_at_degree_7_agree_on_both_paths(data):
+    # the LaurentPoly walk against the packed, indexed path on sparse
+    # factors of H_7: the same terms, in the same key order
+    perms = st.permutations(range(1, 8)).map(lambda w: Permutation(tuple(w)))
+    scalars = st.dictionaries(st.integers(-6, 6), st.integers(-9, 9).filter(bool),
+                              min_size=1, max_size=3).map(LaurentPoly)
+
+    def element():
+        return st.dictionaries(perms, scalars, min_size=1, max_size=4).map(
+            partial(HeckeElement, 7))
+
+    a, b = data.draw(element()), data.draw(element())
+    _indexed(7)
+    assert _packing(7, [a._terms, b._terms], 21) is not None
+    packed = a * b
+    walked = _walked_on_laurent(lambda: a * b)
+    assert packed == walked
+    assert list(packed._terms) == list(walked._terms)
+    assert is_central(a) == _walked_on_laurent(lambda: is_central(a))
 
 
 def _step_tables_by_permutations(n):

@@ -159,6 +159,14 @@ def test_cycle_type_is_a_class_invariant():
             assert w.cycle_type() == tuple(shape)
 
 
+@pytest.mark.parametrize("word", [[0], [3], [1, 0], [2, -1], [1, 2, 3]])
+def test_from_word_refuses_a_letter_out_of_range(word):
+    # [0] once returned Permutation((1, 2, 1, 3, 2, 3)), no permutation,
+    # and [3] raised a bare IndexError
+    with pytest.raises(ValueError, match="out of range for degree 3"):
+        Permutation.from_word(3, word)
+
+
 def _call(fn, *args):
     return pytest.param(partial(fn, *args),
                         id=f"{fn.__qualname__}({', '.join(map(repr, args))})")

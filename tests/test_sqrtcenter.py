@@ -654,6 +654,56 @@ def test_parity_law_for_monomials(ctx3):
     assert even_word_centrality(gens, 4)
 
 
+def _even_words_by_powers(generators, max_degree):
+    """The parity law as first stated: each monomial a^i b^j c^k as a
+    product of powers, and each odd one's square as m * m."""
+    pows = []
+    for g in generators:
+        pows.append([HeckeElement.one(g.n)])
+        for _ in range(max_degree):
+            pows[-1].append(pows[-1][-1] * g)
+    pow_a, pow_b, pow_c = pows
+    for i in range(max_degree + 1):
+        for j in range(max_degree + 1 - i):
+            ab = pow_a[i] * pow_b[j]
+            for k in range(max_degree + 1 - i - j):
+                m = ab * pow_c[k]
+                if (i + j + k) % 2 == 0:
+                    if not sqrtcenter.is_central(m):
+                        return False
+                elif not sqrtcenter.is_central(m * m):
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_parity_law_checks_the_elements_of_its_statement(monkeypatch, n):
+    # the law built by one right product at a time against the law built
+    # from powers: the same elements checked in the same order, so the same
+    # result and the same first failing monomial, on families that pass
+    # and that fail
+    x, y, t = xbar(n), ybar(n), t_longest(n)
+    s1 = HeckeElement.generator(n, 1)
+    families = [(x, y, t), (t, y, x), (x, y, s1), (s1, x, y), (x, y, x + y * t),
+                (x, t, y * t + s1)]
+    for gens in families:
+        runs = []
+        for law in (_even_words_by_powers, even_word_centrality):
+            checked = []
+
+            def record(h):
+                checked.append(h)
+                return is_central(h)
+
+            monkeypatch.setattr(sqrtcenter, "is_central", record)
+            runs.append((law(gens, 4), checked))
+        (want, want_checked), (got, got_checked) = runs
+        assert got == want
+        assert got_checked == want_checked
+    assert [even_word_centrality(f, 4) for f in families] == [
+        True, True, False, False, False, False]
+
+
 def test_closed_forms_for_xbar_ybar_squares(ctx3, gb3):
     out = verify_xbar_ybar_squares(ctx3, gb3)
     assert out == {
