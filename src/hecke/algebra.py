@@ -49,8 +49,9 @@ tables of S_n, the same walk runs on LaurentPoly coefficients instead;
 that path handles any exponent span and never enumerates S_n.  One rule of
 cost (_fills) says which work fills the tables: any up to degree 6, where
 they cost at most 0.2 MB and 2 ms; from degree 7 on, any once they exist,
-and otherwise work that can reach half of S_n.  Both paths choose the
-walked factor by the same rule.
+and otherwise work with a factor on half of S_n, or at degree 7 a product
+that can reach half of S_n.  Both paths choose the walked factor by the
+same rule.
 
 The packed factor that is stepped on (the one whose words are not walked,
 or the element tested for centrality) is held in one of two ways, chosen
@@ -330,20 +331,24 @@ def _fills(n: int, factors: list) -> bool:
     number S_n?
 
     Always up to _ALWAYS_INDEXED, and whenever the tables of S_n exist.
-    Otherwise only when the work can reach half of S_n.  A centrality test
-    reaches the terms it tests.  A product steps the factor with more terms
-    (the first on a tie) along the words of the other, and T_u T_w has at
-    most 2^min(l(u), l(w)) terms: a step at most doubles a term dict, and
-    T_u T_w is l(w) right steps of T_u or l(u) left steps of T_w.  So every
-    partial product has at most |walked| 2^L terms, L the smaller of the
-    longest words of the two factors.
+    Otherwise when a factor has at least half of S_n as terms, and up to
+    the default enumeration cap also when a product can reach half of S_n.
+    A product steps the factor with more terms (the first on a tie) along
+    the words of the other, and T_u T_w has at most 2^min(l(u), l(w))
+    terms: a step at most doubles a term dict, and T_u T_w is l(w) right
+    steps of T_u or l(u) left steps of T_w.  So every partial product has
+    at most |walked| 2^L terms, L the smaller of the longest words of the
+    two factors.  That bound is loose (T_u T_v = T_w0 has one term), so
+    above the cap, where S_8 takes 92 ms and 9 MB and S_12 gigabytes, it
+    numbers nothing: there only a factor that already holds as many
+    entries as the tables does.
     """
     if n <= _ALWAYS_INDEXED or n in _INDEXED:
         return True
     walked = max(factors, key=len)
     if 2 * len(walked) >= factorial(n):
         return True
-    if len(factors) == 1:
+    if len(factors) == 1 or n > DEFAULT_CAPS.enum_max:
         return False
     depth = min(max(map(Permutation.length, terms)) for terms in factors)
     return 2 * len(walked) << depth >= factorial(n)

@@ -1051,6 +1051,28 @@ def test_sparse_work_at_degrees_7_and_8_numbers_no_group(monkeypatch):
     assert 7 not in memo and 8 not in memo
 
 
+@pytest.mark.parametrize("n", [10, 12])
+def test_long_words_above_degree_7_number_no_group(monkeypatch, n):
+    # T_u T_v = T_w0 with l(u) and l(v) about l(w0) / 2: |walked| 2^L
+    # passes n!/2, yet the product is one term, and numbering S_12 would
+    # take gigabytes; above degree 7 only a dense factor or tables that
+    # exist number S_n
+    memo = _numbering_refused(monkeypatch, {n})
+    word = Permutation(tuple(range(n, 0, -1))).reduced_word()
+    half = len(word) // 2
+    u = HeckeElement.from_word(n, word[:half])
+    v = HeckeElement.from_word(n, word[half:])
+    assert 1 << half >= factorial(n)
+    assert _packing(n, [u._terms, v._terms], len(word)) is None
+    start = time.perf_counter()
+    got = u * v
+    assert time.perf_counter() - start < 0.5
+    assert got == t_longest(n)
+    assert got == _fold_mul(u, v)
+    assert not is_central(got)
+    assert n not in memo
+
+
 def test_work_that_can_fill_degree_7_stays_packed(monkeypatch):
     # T_w0^2 reaches all of S_7 from one term along a 21-letter word, and
     # the top Murphy element times e_(i-1)(L) of S_6 may reach 15 2^9 terms
