@@ -50,8 +50,16 @@ that path handles any exponent span and never enumerates S_n.  One rule of
 cost (_fills) says which work fills the tables: any up to degree 6, where
 they cost at most 0.2 MB and 2 ms; from degree 7 on, any once they exist,
 and otherwise work with a factor on half of S_n, or at degree 7 a product
-that can reach half of S_n.  Both paths choose the walked factor by the
-same rule.
+that can reach half of S_n.  Both paths walk the words of the factor with
+fewer terms, unless a factor takes the coset sums below.
+
+A coefficient is never changed after it is built, so terms share them:
+every coefficient of x is ONE, y has one per length, and a product gives
+its equal coefficients one shared LaurentPoly (xbar(8)^2 has 40,320 terms
+and 569 distinct coefficients).  Each conversion runs once per distinct
+coefficient object, not per term: packing a factor (_per_object) and
+sizing it (_size), unpacking a product's ints, one per distinct value,
+and HeckeElement.scale, whose result shares as its argument does.
 
 The packed factor that is stepped on (the one whose words are not walked,
 or the element tested for centrality) is held in one of two ways, chosen
@@ -69,7 +77,10 @@ its terms in index order, which is Permutation order.
 When the factor whose words the walk would follow is c X_a plus a few
 corrections, with X_a the sum of a^l(w) T_w over S_n and c = +-v^f,
 a = +-v^e (x, y, their truncations and their rescalings), its words are
-not walked one by one (_geometric).  X_a is D_2(a) D_3(a) ... D_n(a),
+not walked one by one (_geometric).  When that factor is dense and not of
+this form but the other one is, the sides swap, and the other factor is
+taken so: a rule of cost, coset sums when either factor qualifies, else
+the walk over the factor with fewer terms.  X_a is D_2(a) D_3(a) ... D_n(a),
 where D_k(a) sums a^j T_(k-1) T_(k-2) ... T_(k-j) over j < k: the
 distinguished right coset representatives of S_(k-1) in S_k, whose lengths
 add to those of S_(k-1) (Geck and Pfeiffer 2000, 2.1).  So h X_a is
@@ -77,8 +88,9 @@ l(w_0) dense steps and as many shifted adds (_coset_sums), and X_a h goes
 through the flip, since X_a is iota-fixed.  The corrections are walked as
 keys into the same sum, which is unpacked once.  The rule takes this path
 when l(w_0) (1 + corrections) is below the number of keys the walk would
-step to, with at most n corrections.  The digit width stays the walk's:
-only the final sum is unpacked, and it is the same product.
+step to, those of the factor with fewer terms, with at most n corrections.
+The digit width stays the walk's: only the final sum is unpacked, and it
+is the same product.
 
 >>> ts = HeckeElement.generator(2, 1)
 >>> print(ts * ts)
@@ -354,6 +366,34 @@ def _fills(n: int, factors: list) -> bool:
     return 2 * len(walked) << depth >= factorial(n)
 
 
+def _per_object(f, coeffs) -> dict:
+    """{id(c): f(c)} over the distinct objects c of coeffs, so f runs once
+    per object however many terms share it."""
+    done = {}
+    for c in coeffs:
+        if id(c) not in done:
+            done[id(c)] = f(c)
+    return done
+
+
+def _size(coeffs) -> tuple[int, int, int, int, bool]:
+    """(lo, hi, total, top, mixed) for nonzero LaurentPolys coeffs, each
+    distinct object read once: the least and greatest exponent, the sum and
+    the largest of the |c|_1, and whether two exponents differ in parity."""
+    norms: dict[int, int] = {}    # id -> |c|_1
+    exps: set[int] = set()
+    total = 0
+    for c in coeffs:
+        norm = norms.get(id(c))
+        if norm is None:
+            norm = norms[id(c)] = sum(map(abs, c._terms.values()))
+            exps.update(c._terms)
+        total += norm
+    lo = min(exps)
+    return (lo, max(exps), total, max(norms.values()),
+            any((e - lo) & 1 for e in exps))
+
+
 def _packing(n: int, factors: list, steps: int) -> tuple[int, list, int] | None:
     """(bits, lows, stride) for packed work on the nonempty term dicts
     factors of H_n that takes steps generator steps, or None.
@@ -371,12 +411,11 @@ def _packing(n: int, factors: list, steps: int) -> tuple[int, list, int] | None:
         return None
     bound, window, lows, stride = 3 ** steps, 2 * steps, [], 2
     for terms in factors:
-        exps = [e for c in terms.values() for e in c._terms]
-        lo = min(exps)
+        lo, hi, total, _, mixed = _size(terms.values())
         lows.append(lo)
-        window += max(exps) - lo
-        bound *= sum(abs(d) for c in terms.values() for d in c._terms.values())
-        if any((e - lo) & 1 for e in exps):
+        window += hi - lo
+        bound *= total
+        if mixed:
             stride = 1
     bits = bound.bit_length() + 1
     if bits * (window // stride + 1) > _PACK_BITS:
@@ -464,15 +503,16 @@ def _packed_terms(ix: _Indexed, terms: dict, bits: int, lo: int, stride: int):
     Terms on at least half of S_n are held in a list indexed like ix.perms
     and take _dense_step: one pass over n! entries then beats a dict get
     and store per term.  Fewer are held in a dict by index and take
-    _packed_step."""
+    _packed_step.  Each distinct coefficient object is packed once."""
     index = ix.index
+    packs = _per_object(lambda c: _pack(c, bits, lo, stride), terms.values())
     if 2 * len(terms) >= len(ix.perms):
         packed = [0] * len(ix.perms)
         for w, c in terms.items():
-            packed[index[w]] = _pack(c, bits, lo, stride)
+            packed[index[w]] = packs[id(c)]
         step = _dense_step
     else:
-        packed = {index[w]: _pack(c, bits, lo, stride) for w, c in terms.items()}
+        packed = {index[w]: packs[id(c)] for w, c in terms.items()}
         step = _packed_step
     return packed, partial(step, ix.right, 2 // stride * bits)
 
@@ -539,21 +579,22 @@ def _prefix_products(terms: dict | list, keyed, step):
         yield acc, x
 
 
-def _sides(a: dict, b: dict) -> tuple[dict, list, bool]:
-    """(walked, keyed, flipped) for a product a * b of nonempty term dicts.
-
-    The walk follows the words of the factor with fewer terms, b on a tie:
-    keyed holds its (key, coefficient) pairs, walked is the other factor.
-    When that is a, a * b = iota(iota(b) iota(a)): the keys of a are
-    inverted, and flipped tells the caller to flip b and the product.
+def _sides(a: dict, b: dict, flipped: bool) -> tuple[dict, list]:
+    """(walked, keyed) for a product a * b of nonempty term dicts whose
+    walk follows the words of a when flipped is set, else those of b:
+    keyed holds that factor's (key, coefficient) pairs, walked is the other
+    factor.  For a, a * b = iota(iota(b) iota(a)): the keys of a are
+    inverted, and the caller flips b and the product.
     """
-    if len(a) < len(b):
-        return b, [(u.inverse(), c) for u, c in a.items()], True
-    return a, list(b.items()), False
+    if flipped:
+        return b, [(u.inverse(), c) for u, c in a.items()]
+    return a, list(b.items())
 
 
 def _dict_mul(a: dict, b: dict) -> dict[Permutation, LaurentPoly]:
-    walked, keyed, flipped = _sides(a, b)
+    # the walk follows the words of the factor with fewer terms, b on a tie
+    flipped = len(a) < len(b)
+    walked, keyed = _sides(a, b, flipped)
     out: dict[Permutation, LaurentPoly] = {}
     for acc, c in _prefix_products(_flip(walked) if flipped else walked,
                                    keyed, _rmul_gen):
@@ -584,10 +625,10 @@ def _grouped_keys(keys: list, n: int) -> list:
     return [key for key, m in counts if m > 1]
 
 
-def _geometric(n: int, terms: dict):
+def _geometric(n: int, terms: dict, keys: int):
     """(s, f, sign, e, corrections) when terms is s v^f X_a plus the
     corrections, a = sign v^e with s and sign +-1, and the coset sums take
-    fewer steps than the walk; None otherwise.
+    fewer steps than a walk over keys keys; None otherwise.
 
     c = s v^f is read at the identity and c a at perms[1], a simple
     reflection.  A scan of S_n in index order then lists each term that
@@ -599,7 +640,7 @@ def _geometric(n: int, terms: dict):
     if n < 3:
         return None
     top = n * (n - 1) // 2
-    allowed = min(n, (len(terms) - 2) // top - 1)
+    allowed = min(n, (keys - 2) // top - 1)
     if allowed < 0 or len(terms) < factorial(n) - allowed:
         return None
     ix = _indexed(n)
@@ -646,14 +687,22 @@ def _coset_sums(n: int, terms: list, step, sign: int, shift: int) -> list:
 def _packed_mul(n: int, a: dict, b: dict, bits: int, lows: list,
                 stride: int) -> dict[Permutation, LaurentPoly]:
     ix = _indexed(n)
+    # the rule of cost: coset sums when a factor qualifies, else the walk
+    # over the words of the factor with fewer terms, b on a tie.  The other
+    # factor is asked only when that one is dense and not geometric, so a
+    # geometric factor, of at least n! - n terms, is held densely on either
+    # side: from n = 3 that is at least half of S_n
+    flipped = len(a) < len(b)
+    keys = len(a if flipped else b)
+    geometric = _geometric(n, a if flipped else b, keys)
+    if geometric is None and 2 * keys >= len(ix.perms):
+        geometric = _geometric(n, b if flipped else a, keys)
+        flipped ^= geometric is not None
+    walked, keyed = _sides(a, b, flipped)
     lo_a, lo_b = lows
-    walked, keyed, flipped = _sides(a, b)
     lo_walked, lo_keyed = (lo_b, lo_a) if flipped else (lo_a, lo_b)
     packed, step = _packed_terms(ix, walked, bits, lo_walked, stride)
     packed = _flip_packed(ix.inv, packed) if flipped else packed
-    # a keyed factor s v^f X_a + corrections has at least n! - n terms, and
-    # the walked factor as many: at least half of S_n from n = 3, so dense
-    geometric = _geometric(n, a if flipped else b)
     if geometric is not None:
         unit, f, sign, e, keyed = geometric
         if flipped:
@@ -666,12 +715,17 @@ def _packed_mul(n: int, a: dict, b: dict, bits: int, lows: list,
             out = [unit * x << start for x in packed]
         out = _coset_sums(n, out, step, sign, e // stride * bits)
     # c = v^e c' packs as P(c') << bits (e - lo) / stride: monomials
-    # multiply as a small int and a shift
-    scaled = []
+    # multiply as a small int and a shift.  As in _per_object, each distinct
+    # object is packed once, here in the loop: the products of a session
+    # have one to six keys, and a call per product costs more than it saves
+    scaled, packs = [], {}
     for w, c in keyed:
-        e = min(c._terms)
-        scaled.append((w, (_pack(c, bits, e, stride),
-                           (e - lo_keyed) // stride * bits)))
+        key = packs.get(id(c))
+        if key is None:
+            e = min(c._terms)
+            key = packs[id(c)] = (_pack(c, bits, e, stride),
+                                  (e - lo_keyed) // stride * bits)
+        scaled.append((w, key))
     walk = _prefix_products(packed, scaled, step)
     if isinstance(packed, list):
         # the partial products of a repeated key are summed unscaled and
@@ -704,9 +758,13 @@ def _packed_mul(n: int, a: dict, b: dict, bits: int, lows: list,
                     del out[k]
     out = _flip_packed(ix.inv, out) if flipped else out
     found = enumerate(out) if isinstance(out, list) else sorted(out.items())
-    perms = ix.perms
-    lo = lo_walked + lo_keyed
-    return {perms[k]: _unpack(x, bits, lo, stride) for k, x in found if x}
+    perms, lo = ix.perms, lo_walked + lo_keyed
+    # each distinct value is unpacked once, and its terms share the result
+    # (a nonzero value unpacks to a nonzero, so truthy, LaurentPoly)
+    coeffs: dict[int, LaurentPoly] = {}
+    return {perms[k]: coeffs.get(x) or coeffs.setdefault(
+                x, _unpack(x, bits, lo, stride))
+            for k, x in found if x}
 
 
 def _check_key(n: int, w) -> None:
@@ -864,8 +922,9 @@ class HeckeElement:
             c = LaurentPoly(c)
         if not c:
             return HeckeElement.zero(self.n)
-        return HeckeElement._raw(self.n,
-                                 {w: d * c for w, d in self._terms.items()})
+        products = _per_object(lambda d: d * c, self._terms.values())
+        return HeckeElement._raw(
+            self.n, {w: products[id(d)] for w, d in self._terms.items()})
 
     def __mul__(self, other) -> "HeckeElement":
         if isinstance(other, (LaurentPoly, int)):

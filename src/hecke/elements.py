@@ -182,12 +182,11 @@ def x_elem(ctx) -> HeckeElement:
 @lru_cache(maxsize=None)
 def _y_elem(n: int) -> HeckeElement:
     ell = _longest_length(n)
-    terms = {}
-    for w in _all_permutations(n):
-        d = ell - w.length()
-        # (-q)^d as a Laurent polynomial in v
-        terms[w] = LaurentPoly({2 * d: 1 if d % 2 == 0 else -1})
-    return HeckeElement._raw(n, terms)
+    # (-q)^d as a Laurent polynomial in v, one object per d, shared by every
+    # w of length l(w_0) - d
+    powers = [LaurentPoly({2 * d: (-1) ** d}) for d in range(ell + 1)]
+    return HeckeElement._raw(n, {w: powers[ell - w.length()]
+                                 for w in _all_permutations(n)})
 
 
 def y_elem(ctx) -> HeckeElement:

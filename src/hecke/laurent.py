@@ -80,7 +80,14 @@ def _is_int(x) -> bool:
 
 
 class LaurentPoly:
-    """An element of Z[v, v^-1] in canonical sparse form."""
+    """An element of Z[v, v^-1] in canonical sparse form.
+
+    A polynomial is never changed after it is built: every operation
+    returns a new one.  So one object may be the coefficient of many terms,
+    and the products and scalings of hecke.algebra give the equal
+    coefficients of a result one shared object, converting each distinct
+    object once.
+    """
 
     __slots__ = ("_terms",)
 

@@ -574,40 +574,78 @@ def _took_coset_sums(compute):
 def _walked(compute):
     """compute() with the geometric rule switched off: the generic walk."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hecke.algebra, "_geometric", lambda n, terms: None)
+        mp.setattr(hecke.algebra, "_geometric", lambda *args: None)
         return compute()
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
-@settings(max_examples=6, deadline=None,
+@settings(max_examples=8, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_geometric_factors_multiply_as_coset_sums(n, data):
-    # c X_a plus 0..n+1 corrections, on either side of a factor on all of
-    # S_n; the product takes the coset sums exactly when the rule allows,
-    # and equals the generic walk's, key order included
-    keyed_left = data.draw(st.booleans())
-    g, m = data.draw(_geometric_factors(n, keyed_left))
+    # c X_a plus 0..n+1 corrections, on either side of a factor h: on all
+    # of S_n, or, when g is to be walked, the factor the walk would step on,
+    # on fewer terms than g, dense (at least half of S_n) or sparse.  The
+    # product takes the coset sums exactly when the rule of cost allows (a
+    # walked g only against a dense h) and equals the generic walk's, key
+    # order included, and the product at q = 1
+    left = data.draw(st.booleans())
+    walked = data.draw(st.booleans())
+    g, m = data.draw(_geometric_factors(n, left and not walked))
     rng = random.Random(data.draw(st.integers(0, 2**32)))
+    perms = all_permutations(n)
+    full = len(perms)
+    support = perms
+    if walked:
+        # the walk follows h's words: h has fewer terms, or as many on the
+        # right of g
+        most = len(g._terms) - (not left)
+        half = (full + 1) // 2
+        if most >= half and data.draw(st.booleans()):
+            support = rng.sample(perms, data.draw(st.integers(half, most)))
+        else:
+            support = rng.sample(perms, data.draw(st.integers(1, half - 1)))
     parity = data.draw(st.sampled_from([0, 1, None]))
     exps = [e for e in range(-4, 5) if parity is None or e & 1 == parity]
     h = HeckeElement(n, {w: LaurentPoly({e: rng.choice([-1, 1]) * rng.randint(1, 99)
                                          for e in rng.sample(exps, 2)})
-                         for w in all_permutations(n)})
-    a, b = (g, h) if keyed_left else (h, g)
+                         for w in support})
+    a, b = (g, h) if left else (h, g)
     assert _packing(n, [a._terms, b._terms], n * (n - 1) // 2) is not None
     product, coset = _took_coset_sums(lambda: a * b)
-    keyed = (len(g._terms) < len(h._terms) if keyed_left
-             else len(g._terms) <= len(h._terms))
-    assert coset == (keyed and m <= _allowed_corrections(n, len(g._terms)))
-    walked = _walked(lambda: a * b) if coset else product
-    assert product == walked
-    assert list(product._terms) == list(walked._terms)
+    g_keyed = (len(g._terms) < len(h._terms) if left
+               else len(g._terms) <= len(h._terms))
+    keys = len(g._terms) if g_keyed else len(h._terms)
+    assert coset == ((g_keyed or 2 * len(h._terms) >= full)
+                     and m <= _allowed_corrections(n, keys))
+    by_walk = _walked(lambda: a * b) if coset else product
+    assert product == by_walk
+    assert list(product._terms) == list(by_walk._terms)
     if n <= 5:
-        assert product == (_left_fold_mul(a, b) if keyed_left
+        assert product == (_left_fold_mul(a, b) if len(a._terms) < len(b._terms)
                            else _fold_mul(a, b))
         assert product.specialize_group_algebra() == group_algebra_mul(
             a.specialize_group_algebra(), b.specialize_group_algebra())
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_a_geometric_factor_on_the_walked_side_is_swapped_in(n):
+    # xbar ybar has fewer terms than ybar, is dense and is not geometric,
+    # so the walk would follow its words; the rule of cost takes ybar as
+    # coset sums instead, on either side
+    x, y = xbar(n), ybar(n)
+    xy = x * y
+    assert len(xy._terms) < len(y._terms) and 2 * len(xy._terms) >= factorial(n)
+    for a, b in ((xy, y), (y, xy)):
+        product, coset = _took_coset_sums(lambda: a * b)
+        assert coset
+        by_walk = _walked(lambda: a * b)
+        assert product == by_walk
+        assert list(product._terms) == list(by_walk._terms)
+        if n <= 5:
+            assert product.specialize_group_algebra() == group_algebra_mul(
+                a.specialize_group_algebra(), b.specialize_group_algebra())
+    assert xy * y == y * xy == x * (y * y)
 
 
 def _pool_scalar(rng, parity):
