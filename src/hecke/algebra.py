@@ -274,15 +274,22 @@ _Indexed = namedtuple("_Indexed", ("perms", "index", "right", "inv", "length"))
 _INDEXED: dict[int, _Indexed] = {}
 
 
+def _lengths(n: int) -> list[int]:
+    """The lengths of S_n in lexicographic order, each the sum of the digits
+    of its index in the factorial base; no permutation is formed, and S_n
+    is not numbered."""
+    length = [0]
+    for m in range(2, n + 1):
+        length = [d + k for d in range(m) for k in length]
+    return length
+
+
 def _indexed(n: int) -> _Indexed:
     ix = _INDEXED.get(n)
     if ix is None:
         perms = _all_permutations(n)
-        length = [0]
-        for m in range(2, n + 1):
-            length = [d + k for d in range(m) for k in length]
         ix = _INDEXED[n] = _Indexed(perms, {w: k for k, w in enumerate(perms)},
-                                    *_step_tables(n), length)
+                                    *_step_tables(n), _lengths(n))
     return ix
 
 

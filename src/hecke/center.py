@@ -169,7 +169,13 @@ def _check_pinning(lam: Partition, g: HeckeElement) -> None:
 
 
 def _check_integral(lam: Partition, g: HeckeElement) -> None:
+    # each distinct coefficient object once, in term order, so the first
+    # failing term is the one named
+    seen: set[int] = set()
     for cf in g._terms.values():
+        if id(cf) in seen:
+            continue
+        seen.add(id(cf))
         if not cf.has_even_exponents():
             raise MismatchError(
                 f"basis element for {lam} has a coefficient {cf} "

@@ -1,9 +1,10 @@
 """Constructors for the distinguished elements of the Hecke algebra.
 
 Everything here is a pure function of (degree, index).  ``murphy``,
-``murphy_normalized``, ``braid_murphy``, ``elem_sym_normalized``, ``x_elem``,
-``y_elem`` and ``full_twist_product`` are memoized, so repeated identity
-checks do not recompute the towers; ``elem_sym``, ``xbar``, ``ybar``,
+``murphy_normalized``, ``braid_murphy``, ``elem_sym``,
+``elem_sym_normalized``, ``x_elem``, ``y_elem`` and ``full_twist_product``
+are memoized per degree for the life of the process, so repeated identity
+checks and references do not recompute the towers; ``xbar``, ``ybar``,
 ``dual_murphy``, ``t_longest`` and ``poincare`` build a new result on each
 call.  An index that is not an int, a bool included, raises TermTypeError.
 All elements are in the standard T-basis; callers who want the rescaled
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import HeckeElement, as_context
+from .algebra import HeckeElement, _lengths, as_context
 from .errors import TermTypeError
 from .laurent import LaurentPoly, ONE, _is_int, q_power, v_power
 from .permutations import Permutation, _all_permutations
@@ -138,6 +139,11 @@ def _esym_tilde(n: int, i: int) -> HeckeElement:
     return _murphy_tilde(n, n) * prev_low + prev_same
 
 
+@lru_cache(maxsize=None)
+def _esym(n: int, i: int) -> HeckeElement:
+    return _esym_tilde(n, i).scale(v_power(i))
+
+
 def elem_sym_normalized(ctx, i: int) -> HeckeElement:
     """The i-th elementary symmetric function of the normalized Murphy
     elements of H_n, 0 <= i <= n-1.
@@ -158,7 +164,7 @@ def elem_sym(ctx, i: int) -> HeckeElement:
     """
     c = as_context(ctx)
     _check_index(i, 0, c.n - 1, "elementary symmetric")
-    return _esym_tilde(c.n, i).scale(v_power(i))
+    return _esym(c.n, i)
 
 
 # -- the sign and trivial directions ----------------------------------------
@@ -182,11 +188,11 @@ def x_elem(ctx) -> HeckeElement:
 @lru_cache(maxsize=None)
 def _y_elem(n: int) -> HeckeElement:
     ell = _longest_length(n)
-    # (-q)^d as a Laurent polynomial in v, one object per d, shared by every
-    # w of length l(w_0) - d
-    powers = [LaurentPoly({2 * d: (-1) ** d}) for d in range(ell + 1)]
-    return HeckeElement._raw(n, {w: powers[ell - w.length()]
-                                 for w in _all_permutations(n)})
+    # (-q)^(l(w_0) - l) as a Laurent polynomial in v, one object per length
+    # l, shared by every w of that length
+    by_length = [LaurentPoly({2 * d: (-1) ** d}) for d in range(ell, -1, -1)]
+    return HeckeElement._raw(n, dict(zip(
+        _all_permutations(n), map(by_length.__getitem__, _lengths(n)))))
 
 
 def y_elem(ctx) -> HeckeElement:

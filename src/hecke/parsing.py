@@ -46,7 +46,9 @@ convert, and a NAME where @gamma or an indexed reference wants an INT.
 One scan makes the list of token strings, which the parser walks by
 index; a token's character position is worked out only when an error is
 raised there.  A power of a monomial is built as its one term, and each
-term's scalar times part goes straight into one term dict.  A text that
+term's scalar times part goes straight into one term dict, with one
+product (and one negation) per distinct coefficient object of the part,
+which the terms holding it share, as HeckeElement.scale does.  A text that
 is one unscaled, unnegated part returns that part's element as it is: @x
 is the memoized x, not a copy.
 """
@@ -257,17 +259,26 @@ class _Parser:
         get = terms.get
         while True:
             if scalar is None or scalar:
+                # id of a coefficient object of part -> its scaled, signed
+                # image, built once and shared by every term that holds it
+                signed: dict[int, LaurentPoly] = {}
                 for w, c in part._terms.items():
-                    if scalar is not None:
-                        # a reduced word's one coefficient is ONE itself
-                        c = scalar if c is ONE else c * scalar
+                    d = signed.get(id(c))
+                    if d is None:
+                        d = c
+                        if scalar is not None:
+                            # a reduced word's one coefficient is ONE itself
+                            d = scalar if c is ONE else c * scalar
+                        if negate:
+                            d = -d
+                        signed[id(c)] = d
                     cur = get(w)
                     if cur is None:
-                        terms[w] = -c if negate else c
+                        terms[w] = d
                     else:
-                        c = cur - c if negate else cur + c
-                        if c:
-                            terms[w] = c
+                        d = cur + d
+                        if d:
+                            terms[w] = d
                         else:
                             del terms[w]
             if op != "+" and op != "-":

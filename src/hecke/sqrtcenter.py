@@ -293,9 +293,21 @@ def catalog_h3() -> dict[str, HeckeElement]:
     }
 
 
-# Guard against silent edits of the transcribed degree-4 fixtures.
-_H4_FIXTURE_SHA256 = \
-    "8d08d695c1714cfa7aa18658b5c9018db328806723ccbf9a2a4e3725e043d401"
+# Guard against silent edits of the transcribed degree-4 fixtures: their
+# canonical text, name|one-line permutation|coefficient for each term in
+# support order, joined by ';' (_h4_fixture_text).
+_H4_FIXTURE_TEXT = (
+    "R4|1,3,4,2|-q;R4|1,4,2,3|q;R4|2,3,1,4|q;R4|3,1,2,4|-q;"
+    "R4|2,4,1,3|q - 1;R4|3,1,4,2|-q + 1;R4|2,4,3,1|-1;R4|3,2,4,1|1;"
+    "R4|4,1,3,2|1;R4|4,2,1,3|-1;"
+    "R5|1,2,4,3|q^2;R5|2,1,3,4|q^2;R5|1,3,4,2|q^2 - q;R5|2,1,4,3|q^2 - q;"
+    "R5|3,1,2,4|q^2 - q;R5|1,4,3,2|-q;R5|2,3,4,1|-q;"
+    "R5|3,1,4,2|q^2 - 2*q + 1;R5|3,2,1,4|-q;R5|4,1,2,3|-q;"
+    "R5|3,2,4,1|-q + 1;R5|3,4,1,2|-q + 1;R5|4,1,3,2|-q + 1;R5|3,4,2,1|1;"
+    "R5|4,3,1,2|1;"
+    "R6|1,3,2,4|q^2;R6|1,4,2,3|q^2 - q;R6|2,3,1,4|q^2 - q;R6|1,4,3,2|-q;"
+    "R6|2,3,4,1|-q;R6|2,4,1,3|q^2 - q + 1;R6|3,1,4,2|q;R6|3,2,1,4|-q;"
+    "R6|4,1,2,3|-q;R6|2,4,3,1|-q + 1;R6|4,2,1,3|-q + 1;R6|4,2,3,1|1")
 
 
 def _h4_r_fixtures() -> dict[str, HeckeElement]:
@@ -327,13 +339,12 @@ def _h4_r_fixtures() -> dict[str, HeckeElement]:
     return {"R4": r4, "R5": r5, "R6": r6}
 
 
-def _h4_fixture_digest() -> str:
-    import hashlib  # imported on use: it loads OpenSSL
-    parts = []
-    for name, el in sorted(_h4_r_fixtures().items()):
-        for w, cf in el.items():
-            parts.append(f"{name}|{','.join(map(str, w))}|{cf}")
-    return hashlib.sha256(";".join(parts).encode()).hexdigest()
+def _h4_fixture_text() -> str:
+    """The canonical text of the degree-4 fixtures, rebuilt from their
+    transcribed source on every call."""
+    return ";".join(f"{name}|{','.join(map(str, w))}|{cf}"
+                    for name, el in sorted(_h4_r_fixtures().items())
+                    for w, cf in el.items())
 
 
 def catalog_h4() -> dict[str, HeckeElement]:
@@ -344,12 +355,23 @@ def catalog_h4() -> dict[str, HeckeElement]:
     return out
 
 
+# degree -> its catalog, built once per degree for the life of the process
+_CATALOG_MEMO: dict[int, dict[str, HeckeElement]] = {}
+
+
 def catalog(n: int) -> dict[str, HeckeElement]:
-    if n == 3:
-        return catalog_h3()
-    if n == 4:
-        return catalog_h4()
-    raise ValueError(f"no catalog for degree {n}")
+    """The catalog of degree 3 or 4: a new dict on each call, of elements
+    built once per degree, so editing the dict leaves the memo as it is."""
+    table = _CATALOG_MEMO.get(n)
+    if table is None:
+        if n == 3:
+            table = catalog_h3()
+        elif n == 4:
+            table = catalog_h4()
+        else:
+            raise ValueError(f"no catalog for degree {n}")
+        _CATALOG_MEMO[n] = table
+    return dict(table)
 
 
 def catalog_checks_h3(gb: GammaBasis) -> dict[str, bool]:
@@ -392,7 +414,7 @@ def catalog_checks_h4() -> dict[str, bool]:
     out["r_pairwise_noncommuting"] = all(
         not commutator(a, b).is_zero()
         for i, a in enumerate(rs) for b in rs[i + 1:])
-    out["fixture_checksum"] = _h4_fixture_digest() == _H4_FIXTURE_SHA256
+    out["fixture_text"] = _h4_fixture_text() == _H4_FIXTURE_TEXT
     return out
 
 
