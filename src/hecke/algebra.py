@@ -213,13 +213,20 @@ def _acc(out: dict, key, val: LaurentPoly) -> None:
 
 
 def _rmul_gen(terms: dict[Permutation, LaurentPoly], i: int) -> dict:
-    """Right-multiply a term dict by T_{s_i}."""
+    """Right-multiply a term dict by T_{s_i}.
+
+    On a descent, a coefficient that is ONE gives the shared laurent.Q and
+    laurent.Q_MINUS_1 themselves, with no multiply.
+    """
     out: dict[Permutation, LaurentPoly] = {}
     j = i - 1
     for w, c in terms.items():
         ws = w.right_simple(i)
         if w[j] < w[j + 1]:
             _acc(out, ws, c)
+        elif c is ONE:
+            _acc(out, ws, Q)
+            _acc(out, w, Q_MINUS_1)
         else:
             _acc(out, ws, c * Q)
             _acc(out, w, c * Q_MINUS_1)

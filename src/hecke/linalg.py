@@ -1,13 +1,14 @@
 """Exact linear algebra over Z[v, v^-1], without fractions.
 
 SparseSystem computes the row echelon form of a sparse homogeneous system
-by fraction-free cross-multiplication elimination with per-row content
-stripping.  Row operations only rescale equations, so the kernel and rank
-are preserved while everything stays in the Laurent ring.  The nullspace
+with per-row content stripping.  A unit pivot +-v^k clears by subtraction;
+only a pivot that is not a unit cross-multiplies, fraction-free.  Row
+operations only rescale equations, so the kernel and rank are preserved
+while everything stays in the Laurent ring.  The nullspace
 comes from a fraction-free back substitution (Bareiss, Math. Comp. 1968):
 a pivot that is not a unit scales the partial vector instead of dividing
-it.  reduced_basis, which gives one canonical basis of a span, is
-fraction-free too.
+it.  reduced_basis, which gives one canonical basis of a span, clears in the
+same way.
 
 Columns are labelled by any mutually comparable keys; the algebra uses the
 permutations themselves.
@@ -36,24 +37,38 @@ def _strip_row(row: dict) -> None:
 
 
 def _eliminate(row: dict, col, prow: dict) -> None:
-    """Clear row[col] fraction-free against the pivot row prow, in place.
+    """Clear row[col] against the pivot row prow, in place, then strip the
+    row's content.
 
-    The row becomes p * row - f * prow (p the pivot entry, f the cleared
-    one), then its content is stripped.
+    With p the pivot entry and f the cleared one, a unit pivot p = +-v^k
+    clears by subtraction, row - (f/p) * prow: f/p is f shifted and signed,
+    and the entries outside prow are left as they are.  A pivot that is not
+    a unit cross-multiplies fraction-free, p * row - f * prow.  The first
+    row is the second times the unit 1/p, so both give the same zeros, term
+    counts and normalised vectors.
     """
     p = prow[col]
     f = row.pop(col)
+    if p.is_unit():
+        (e, s), = p.items()
+        p, m = None, (f.shift(-e) if s < 0 else -f.shift(-e))    # m = -f/p
+    else:
+        m = -f
+        for c in row:
+            if c not in prow:
+                row[c] = p * row[c]
     for c, pc in prow.items():
         if c == col:
             continue
         cur = row.get(c)
-        val = (p * cur - f * pc) if cur is not None else -f * pc
+        if cur is None:
+            val = m * pc
+        else:
+            val = (cur if p is None else p * cur) + m * pc
         if val:
             row[c] = val
         else:
             row.pop(c, None)
-    for c in [c for c in row if c not in prow]:
-        row[c] = p * row[c]
     _strip_row(row)
 
 
@@ -160,10 +175,9 @@ def reduced_basis(rows: list[dict], columns) -> list[dict]:
     Pivot columns are chosen from the largest label down, so they are the
     label-greatest set of columns on which the span projects
     isomorphically.  Each vector is nonzero at its own pivot column and
-    zero at every other one; elimination is fraction-free, as in
-    SparseSystem.add_rows.  Vectors come in label order of their pivot
-    columns, over their nonzero coordinates in column order, normalised as
-    in SparseSystem.nullspace.
+    zero at every other one; rows clear as in SparseSystem.add_rows.
+    Vectors come in label order of their pivot columns, over their nonzero
+    coordinates in column order, normalised as in SparseSystem.nullspace.
     """
     rows = [dict(row) for row in rows]
     done = []

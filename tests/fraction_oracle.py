@@ -7,6 +7,8 @@ centre.  This module keeps the slower routes as oracles for tests:
 * RationalFn, a reduced fraction of two Laurent polynomials;
 * ``nullspace``, the kernel of an echelonised SparseSystem by back
   substitution over RationalFn, with denominators cleared afterwards;
+* ``eliminate_fraction_free``, the clearing step that cross-multiplies
+  against every pivot, the unit pivots included;
 * ``solve_unique`` and ``solve_gamma``: the minimal basis of the centre
   solved from its pinned linear system, a reference for the class
   recursion;
@@ -24,7 +26,7 @@ from hecke import HeckeElement, HeckeError
 from hecke.algebra import _indexed, _prefix_products, _rmul_gen
 from hecke.center import GammaBasis, _commutator_rows
 from hecke.laurent import ONE, ZERO, LaurentPoly, lp_gcd
-from hecke.linalg import _eliminate, _normalise
+from hecke.linalg import _eliminate, _normalise, _strip_row
 from hecke.permutations import (_all_permutations, _minimal_classes,
                                 partitions_of)
 from hecke.sqrtcenter import _CERT_PRIME, _ModEchelon, _at
@@ -178,6 +180,26 @@ def _as_rf(x) -> "RationalFn":
     if isinstance(x, int):
         return RationalFn.from_poly(LaurentPoly(x))
     return NotImplemented
+
+
+def eliminate_fraction_free(row: dict, col, prow: dict) -> None:
+    """hecke.linalg._eliminate with no unit shortcut: the row becomes
+    p * row - f * prow (p the pivot entry, f the cleared one), then its
+    content is stripped."""
+    p = prow[col]
+    f = row.pop(col)
+    for c, pc in prow.items():
+        if c == col:
+            continue
+        cur = row.get(c)
+        val = (p * cur - f * pc) if cur is not None else -f * pc
+        if val:
+            row[c] = val
+        else:
+            row.pop(c, None)
+    for c in [c for c in row if c not in prow]:
+        row[c] = p * row[c]
+    _strip_row(row)
 
 
 RF_ZERO = RationalFn.from_poly(ZERO)

@@ -38,6 +38,7 @@ from hecke import (
 from hecke.algebra import (_acc, _dict_mul, _flip, _grouped_keys, _indexed,
                            _pack, _packed_terms, _packing, _prefix_products,
                            _rmul_gen, _unpack)
+from hecke.laurent import ONE, Q, Q_MINUS_1
 from hecke.linalg import sparse_rank
 from hecke.permutations import _all_permutations
 
@@ -1195,3 +1196,23 @@ def test_step_tables_match_the_permutation_oracle(n):
     assert all(ix.index[w] == k for k, w in enumerate(ix.perms))
     assert [None] + [list(t) for t in ix.right[1:]] == right
     assert list(ix.inv) == inv
+
+
+def test_rmul_gen_gives_one_the_shared_descent_coefficients():
+    # a coefficient that is ONE takes laurent.Q and laurent.Q_MINUS_1
+    # themselves on a descent; any other, ONE's equal included, is multiplied
+    others = [LaurentPoly(1), LaurentPoly(-1), q_power(1), XI,
+              LaurentPoly({3: 2, -1: -5})]
+    for n in range(2, 5):
+        for w in all_permutations(n):
+            for i in range(1, n):
+                if w[i - 1] < w[i]:
+                    continue
+                ws = w.right_simple(i)
+                got = _rmul_gen({w: ONE}, i)
+                assert list(got) == [ws, w]
+                assert got[ws] is Q and got[w] is Q_MINUS_1
+                for c in others:
+                    got = _rmul_gen({w: c}, i)
+                    assert list(got) == [ws, w]
+                    assert got[ws] == c * Q and got[w] == c * Q_MINUS_1

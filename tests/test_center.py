@@ -29,10 +29,13 @@ from hecke import (
     x_elem,
     y_elem,
 )
-from hecke.center import _blocks
+from hecke.algebra import _acc, _flip
+from hecke.center import _blocks, _commutator_rows
+from hecke.laurent import ONE, Q, Q_MINUS_1
 from hecke.linalg import reduced_basis, sparse_rank
 
 from content_oracle import contents, elementary, partitions, q_content
+from generator_oracle import lmul_gen
 
 
 def _coords(z, gb):
@@ -252,6 +255,38 @@ def test_commutator_nullspace_is_the_reduced_minimal_basis():
         reduced = reduced_basis(gamma, all_permutations(n))
         assert kernel == reduced
         assert [list(v) for v in kernel] == [list(v) for v in reduced]
+
+
+def _rmul_by_products(terms, i):
+    """T_w T_{s_i} with every descent coefficient an explicit product."""
+    out = {}
+    for w, c in terms.items():
+        ws = w.right_simple(i)
+        if w[i - 1] < w[i]:
+            _acc(out, ws, c)
+        else:
+            _acc(out, ws, c * Q)
+            _acc(out, w, c * Q_MINUS_1)
+    return out
+
+
+def test_commutator_rows_match_rows_built_with_products():
+    # T_s T_w - T_w T_s, the left side stepped directly (generator_oracle)
+    # and every coefficient a product: the same rows, key order included
+    for n in range(2, 6):
+        rows = {}
+        for i in range(1, n):
+            for w in all_permutations(n):
+                left = lmul_gen({w: ONE}, i)
+                assert left == _flip(_rmul_by_products({w.inverse(): ONE}, i))
+                for u, c in _rmul_by_products({w: ONE}, i).items():
+                    _acc(left, u, -c)
+                for u, c in left.items():
+                    rows.setdefault((i, u), {})[w] = c
+        want = [rows[k] for k in sorted(rows)]
+        got = _commutator_rows(n)
+        assert got == want
+        assert [list(row) for row in got] == [list(row) for row in want]
 
 
 def _in_span(z, cb):

@@ -1,12 +1,15 @@
 """Tests for the ring-only linear algebra against its fraction-field oracle."""
 
 import random
+from unittest import mock
 
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from hecke import linalg
 from hecke.laurent import LaurentPoly, lp_gcd
-from hecke.linalg import SparseSystem, _strip_row
+from hecke.linalg import (SparseSystem, _eliminate, _strip_row, reduced_basis,
+                          sparse_rank)
 
 import fraction_oracle
 
@@ -108,3 +111,80 @@ def test_strip_row_shortcut_matches_the_gcd_path(row, factor):
     got = dict(row)
     _strip_row(got)
     assert list(got.items()) == list(want.items())
+
+
+# Units +-v^k and the non-units 2, q - 1, q + 1 and 2q, so that unit and
+# cross-multiplied clearings meet in one system.
+MIXED = ([LaurentPoly({k: s}) for k in (-2, -1, 0, 1, 2) for s in (1, -1)]
+         + [LaurentPoly(2), LaurentPoly({2: 1, 0: -1}),
+            LaurentPoly({2: 1, 0: 1}), LaurentPoly({2: 2})])
+
+
+@st.composite
+def mixed_systems(draw):
+    ncols = draw(st.integers(1, 6))
+    entries = st.sampled_from(MIXED)
+    # products of two entries too, so that rows carry content
+    entries = st.one_of(entries, st.tuples(entries, entries).map(
+        lambda ab: ab[0] * ab[1]))
+    rows = draw(st.lists(
+        st.dictionaries(st.integers(0, ncols - 1), entries, min_size=1),
+        max_size=ncols + 2))
+    return ncols, rows
+
+
+def _unit_ratio(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """The unit u with a = u * b, asserting that there is one."""
+    (ea, ca), (eb, cb) = a.items()[-1], b.items()[-1]
+    assert abs(ca) == abs(cb)
+    u = LaurentPoly({ea - eb: ca // cb})
+    assert a == u * b
+    return u
+
+
+def _solve(ncols, rows):
+    columns = list(range(ncols))
+    system = SparseSystem(columns)
+    system.add_rows(rows)
+    kernel = system.nullspace()
+    # the pivot rows are linearly independent: on the pivot columns they
+    # are triangular, each row missing the columns registered before its own
+    pivot_rows = [dict(row) for _, row in system.pivots]
+    return (system, kernel, reduced_basis(kernel, columns),
+            reduced_basis(pivot_rows, columns), sparse_rank(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_systems())
+def test_unit_clearing_matches_the_cross_multiplying_step(system):
+    ncols, rows = system
+    got = _solve(ncols, rows)
+    with mock.patch.object(linalg, "_eliminate",
+                           fraction_oracle.eliminate_fraction_free):
+        want = _solve(ncols, rows)
+    # the same pivot columns in the same order, each row the oracle's
+    # times a unit, with its keys in the same order
+    assert [c for c, _ in got[0].pivots] == [c for c, _ in want[0].pivots]
+    for (_, row), (_, ref) in zip(got[0].pivots, want[0].pivots):
+        assert list(row) == list(ref)
+        u = _unit_ratio(next(iter(row.values())), next(iter(ref.values())))
+        assert all(row[c] == u * ref[c] for c in row)
+    # the same normalised vectors and rank, key order included
+    for mine, theirs in zip(got[1:4], want[1:4]):
+        assert [list(v.items()) for v in mine] == \
+               [list(v.items()) for v in theirs]
+    assert got[4] == want[4] == got[0].rank
+
+
+def test_unit_clearing_strips_the_content_it_leaves():
+    one, two = LaurentPoly(1), LaurentPoly(2)
+    # a unit pivot: {a: 1, b: -1, c: 2} - {a: 1, b: 1} = {b: -2, c: 2}
+    row = {"a": one, "b": -one, "c": two}
+    _eliminate(row, "a", {"a": one, "b": one})
+    assert row in ({"b": -one, "c": one}, {"b": one, "c": -one})
+    # and so in the system, before the row picks its pivot
+    system = SparseSystem(["a", "b", "c"])
+    system.add_rows([{"a": one, "b": one}, {"a": one, "b": -one, "c": two}])
+    assert [c for c, _ in system.pivots] == ["a", "b"]
+    assert system.pivots[1][1] in ({"b": -one, "c": one},
+                                   {"b": one, "c": -one})
