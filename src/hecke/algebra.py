@@ -53,6 +53,10 @@ and otherwise work with a factor on half of S_n, or at degree 7 a product
 that can reach half of S_n.  Both paths walk the words of the factor with
 fewer terms, unless a factor takes the coset sums below.
 
+One walk tests many elements for centrality (_central, run on a whole
+minimal basis): each takes a lane of the same ints, its digits past those
+of the others; is_central is the one-lane case.
+
 A coefficient is never changed after it is built, so terms share them:
 every coefficient of x is ONE, y has one per length, and a product gives
 its equal coefficients one shared LaurentPoly (xbar(8)^2 has 40,320 terms
@@ -107,7 +111,7 @@ from math import factorial
 from .errors import DegreeMismatchError, ResourceCapError, TermTypeError
 from .laurent import ONE, Q, Q_MINUS_1, ZERO, LaurentPoly, _is_int, v_power
 from .permutations import (Partition, Permutation, _all_permutations,
-                           _classes, _minimal_classes)
+                           _classes, _lengths, _minimal_classes)
 from .records import Record, _set
 
 
@@ -281,16 +285,6 @@ _Indexed = namedtuple("_Indexed", ("perms", "index", "right", "inv", "length"))
 _INDEXED: dict[int, _Indexed] = {}
 
 
-def _lengths(n: int) -> list[int]:
-    """The lengths of S_n in lexicographic order, each the sum of the digits
-    of its index in the factorial base; no permutation is formed, and S_n
-    is not numbered."""
-    length = [0]
-    for m in range(2, n + 1):
-        length = [d + k for d in range(m) for k in length]
-    return length
-
-
 def _indexed(n: int) -> _Indexed:
     ix = _INDEXED.get(n)
     if ix is None:
@@ -408,18 +402,21 @@ def _size(coeffs) -> tuple[int, int, int, int, bool]:
             any((e - lo) & 1 for e in exps))
 
 
-def _packing(n: int, factors: list, steps: int) -> tuple[int, list, int] | None:
-    """(bits, lows, stride) for packed work on the nonempty term dicts
-    factors of H_n that takes steps generator steps, or None.
+def _packing(n: int, factors: list,
+             steps: int) -> tuple[int, list, int, int] | None:
+    """(bits, lows, window, stride) for packed work on the nonempty term
+    dicts factors of H_n that takes steps generator steps, or None.
 
     A step maps c to q c and (q - 1) c, so |a T_s|_1 <= 3 |a|_1 and every
     coefficient of every partial sum is at most 3^steps times the product
     of the |f|_1; the exponents stay within sum(lo_f) .. sum(hi_f) +
-    2 steps.  lows holds each lo_f.  stride is 2, one digit per power of
-    q, when the exponents of each factor share one parity, and 1, one digit
-    per power of v, otherwise.  None when the work cannot fill the tables
-    of S_n (_fills) or the digits would pass _PACK_BITS.  A product a * b
-    takes l(w_0) steps, a centrality test one.
+    2 steps, and window is the width of that range.  lows holds each
+    lo_f.  stride is 2, one digit per power of q, when the exponents of
+    each factor share one parity, and 1, one digit per power of v,
+    otherwise; a packed coefficient then takes window // stride + 1
+    digits.  None when the work cannot fill the tables of S_n (_fills) or
+    the digits would pass _PACK_BITS.  A product a * b takes l(w_0) steps,
+    a centrality test one.
     """
     if not _fills(n, factors):
         return None
@@ -434,7 +431,7 @@ def _packing(n: int, factors: list, steps: int) -> tuple[int, list, int] | None:
     bits = bound.bit_length() + 1
     if bits * (window // stride + 1) > _PACK_BITS:
         return None
-    return bits, lows, stride
+    return bits, lows, window, stride
 
 
 def _pack(c: LaurentPoly, bits: int, lo: int, stride: int) -> int:
@@ -511,16 +508,22 @@ def _dense_step(steps: list, shift: int, acc: list, i: int) -> list:
             for a, j in zip(acc, steps[i])]
 
 
-def _packed_terms(ix: _Indexed, terms: dict, bits: int, lo: int, stride: int):
-    """(packed terms, the right step that takes them), the step bound to
-    ix.right and to the shift of q: 2 bits packed in v, bits packed in q.
-    Terms on at least half of S_n are held in a list indexed like ix.perms
-    and take _dense_step: one pass over n! entries then beats a dict get
-    and store per term.  Fewer are held in a dict by index and take
+def _packed_terms(ix: _Indexed, terms: dict, bits: int, lo: int, stride: int,
+                  lanes: list = ()):
+    """(packed terms, the right step that takes them) for terms packed at lo
+    and the further lanes, (term dict, lo) pairs: entry k sums
+    _pack(coefficient of ix.perms[k], bits, lo, stride) over terms and the
+    lanes (_central).  The step is bound to ix.right and to the shift of q:
+    2 bits packed in v, bits packed in q.  Terms on at least half of S_n
+    (the keys of all lanes) are held in a list indexed like ix.perms and
+    take _dense_step: one pass over n! entries then beats a dict get and
+    store per term.  Fewer are held in a dict by index and take
     _packed_step.  Each distinct coefficient object is packed once."""
     index = ix.index
+    held = len(set(terms).union(*(t for t, _ in lanes)) if lanes else terms)
     packs = _per_object(lambda c: _pack(c, bits, lo, stride), terms.values())
-    if 2 * len(terms) >= len(ix.perms):
+    # terms are stored as they are: 0 + x would copy each long int
+    if 2 * held >= len(ix.perms):
         packed = [0] * len(ix.perms)
         for w, c in terms.items():
             packed[index[w]] = packs[id(c)]
@@ -528,6 +531,16 @@ def _packed_terms(ix: _Indexed, terms: dict, bits: int, lo: int, stride: int):
     else:
         packed = {index[w]: packs[id(c)] for w, c in terms.items()}
         step = _packed_step
+    for more, low in lanes:
+        packs = _per_object(lambda c: _pack(c, bits, low, stride),
+                            more.values())
+        if step is _dense_step:
+            for w, c in more.items():
+                packed[index[w]] += packs[id(c)]
+        else:
+            for w, c in more.items():
+                k = index[w]
+                packed[k] = packed.get(k, 0) + packs[id(c)]
     return packed, partial(step, ix.right, 2 // stride * bits)
 
 
@@ -952,7 +965,9 @@ class HeckeElement:
         packing = _packing(self.n, [a, b], self.n * (self.n - 1) // 2)
         if packing is None:
             return HeckeElement._raw(self.n, _dict_mul(a, b))
-        return HeckeElement._raw(self.n, _packed_mul(self.n, a, b, *packing))
+        bits, lows, _, stride = packing
+        return HeckeElement._raw(self.n,
+                                 _packed_mul(self.n, a, b, bits, lows, stride))
 
     def __rmul__(self, other) -> "HeckeElement":
         if isinstance(other, (LaurentPoly, int)):
@@ -1055,15 +1070,60 @@ def is_central(h: HeckeElement) -> bool:
     Q(v) each rho_lam(T_s) is symmetric, so rho_lam(iota(z)) = rho_lam(z)^T,
     which is rho_lam(z) when that is a scalar, and the rho_lam together are
     faithful.  For iota-fixed h, T_s h = iota(iota(h) T_s) = iota(h T_s).
+    This is the one-lane case of _central.
     """
     terms = h._terms
     packing = _packing(h.n, [terms], 1) if terms else None
     if packing is None:
-        flip, step = _flip, _rmul_gen
-    else:
-        bits, (lo,), stride = packing
-        ix = _indexed(h.n)
-        terms, step = _packed_terms(ix, terms, bits, lo, stride)
-        flip = partial(_flip_packed, ix.inv)
+        return _commutes(h.n, terms, _flip, _rmul_gen)
+    bits, (lo,), _, stride = packing
+    ix = _indexed(h.n)
+    terms, step = _packed_terms(ix, terms, bits, lo, stride)
+    return _commutes(h.n, terms, partial(_flip_packed, ix.inv), step)
+
+
+def _central(n: int, elements: list) -> bool:
+    """Are the term dicts elements of H_n all central?  One walk tests many.
+
+    Each element that packs (_packing, one step) is a lane: packed at its
+    lo lowered by stride v per digit of the lanes before it, which shifts
+    it past them, and summed with them into one int per permutation.  A
+    lane spans its window's digits at the walk's widest digit, and every
+    value before and after a step lies in its balanced range, so two ints
+    are equal exactly when each pair of lanes is.  A walk holds lanes of
+    one stride up to _PACK_BITS; the next element starts a further walk.
+    One element is is_central's walk; one that does not pack is tested on
+    its own, on LaurentPoly coefficients.
+    """
+    lanes, bits, stride, digits = [], 0, 0, 0
+    for terms in elements:
+        packing = _packing(n, [terms], 1) if terms else None
+        if packing is None:
+            if not _commutes(n, terms, _flip, _rmul_gen):
+                return False
+            continue
+        b, (lo,), window, s = packing
+        if lanes and (s != stride or max(bits, b) * (digits + window // s + 1)
+                      > _PACK_BITS):
+            if not _lanes_commute(n, lanes, bits, stride):
+                return False
+            lanes, bits, digits = [], 0, 0
+        lanes.append((terms, lo - s * digits))
+        bits, stride, digits = max(bits, b), s, digits + window // s + 1
+    return not lanes or _lanes_commute(n, lanes, bits, stride)
+
+
+def _lanes_commute(n: int, lanes: list, bits: int, stride: int) -> bool:
+    """_commutes on lanes, (terms, lo) pairs packed and summed by
+    _packed_terms."""
+    ix = _indexed(n)
+    (terms, lo), *rest = lanes
+    terms, step = _packed_terms(ix, terms, bits, lo, stride, rest)
+    return _commutes(n, terms, partial(_flip_packed, ix.inv), step)
+
+
+def _commutes(n: int, terms, flip, step) -> bool:
+    """flip(terms) == terms and flip(terms T_s) == terms T_s for each
+    generator s, the step and the flip given for the form terms take."""
     return flip(terms) == terms and all(
-        flip(ht) == ht for ht in (step(terms, i) for i in range(1, h.n)))
+        flip(ht) == ht for ht in (step(terms, i) for i in range(1, n)))

@@ -28,10 +28,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import HeckeElement, _lengths, as_context
+from .algebra import HeckeElement, as_context
 from .errors import TermTypeError
 from .laurent import LaurentPoly, ONE, _is_int, q_power, v_power
-from .permutations import Permutation, _all_permutations
+from .permutations import Permutation, _all_permutations, _lengths
 
 
 def _check_index(i: int, lo: int, hi: int, what: str) -> None:

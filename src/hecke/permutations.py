@@ -320,8 +320,20 @@ def _classes(n: int) -> dict[Partition, tuple[Permutation, ...]]:
     return {lam: tuple(ws) for lam, ws in table.items()}
 
 
+def _lengths(n: int) -> list[int]:
+    """The lengths of S_n in lexicographic order, each the sum of the digits
+    of its index in the factorial base (its Lehmer code); no permutation is
+    formed."""
+    length = [0]
+    for m in range(2, n + 1):
+        length = [d + k for d in range(m) for k in length]
+    return length
+
+
 @lru_cache(maxsize=None)
 def _minimal_classes(n: int) -> dict[Partition, tuple[Permutation, ...]]:
-    """The minimal-length elements of each class, in lexicographic order."""
-    return {lam: tuple(w for w in ws if w.length() == lam.min_length())
+    """The minimal-length elements of each class, in lexicographic order;
+    the lengths are read off _lengths, with no inversions counted."""
+    length = dict(zip(_all_permutations(n), _lengths(n)))
+    return {lam: tuple(w for w in ws if length[w] == lam.min_length())
             for lam, ws in _classes(n).items()}

@@ -35,9 +35,9 @@ from hecke import (
     xbar,
     ybar,
 )
-from hecke.algebra import (_acc, _dict_mul, _flip, _grouped_keys, _indexed,
-                           _pack, _packed_terms, _packing, _prefix_products,
-                           _rmul_gen, _unpack)
+from hecke.algebra import (_acc, _central, _dict_mul, _flip, _grouped_keys,
+                           _indexed, _pack, _packed_terms, _packing,
+                           _prefix_products, _rmul_gen, _unpack)
 from hecke.laurent import ONE, Q, Q_MINUS_1
 from hecke.linalg import sparse_rank
 from hecke.permutations import _all_permutations
@@ -471,6 +471,123 @@ def test_centrality_matches_the_two_sided_oracle(n, data):
         assert expected
 
 
+def _lane_width(n, h):
+    """The bits of h's lane in a walk of its own: its digit width times its
+    window's digits; None when it does not pack."""
+    packing = _packing(n, [h._terms], 1) if h else None
+    if packing is None:
+        return None
+    bits, _, window, stride = packing
+    return bits * (window // stride + 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_one_walk_over_lanes_matches_a_test_per_element(n, data):
+    # 1 to p(n) + 2 elements, each a scaled minimal-basis element, a widened
+    # one (the LaurentPoly fallback), both central, or, unless all are to be
+    # central, one perturbed by a term or a flip-fixed pair c (T_w + T_(w^-1));
+    # even, odd or mixed exponents and signed coefficients up to 10^30; the
+    # supports together dense or held by index.  Or central elements and
+    # g + c T_w and g - c T_w, whose sum is central: only lanes kept apart
+    # tell them from it.  _PACK_BITS is left alone, set to the widest
+    # single lane (every element still packs alone), or set between
+    gamma = list(gamma_basis(n).elements.values())
+    perms = all_permutations(n)
+    mode = data.draw(st.sampled_from(["central", "any", "cancelling"]))
+    kinds = ["gamma", "wide", "perturbed", "pair"] if mode == "any" else [
+        "gamma", "wide"]
+    elements = []
+    for _ in range(data.draw(st.integers(1, len(gamma) + 2))):
+        scalars = data.draw(_parity_scalars)
+        kind = data.draw(st.sampled_from(kinds))
+        if kind == "pair":
+            w = data.draw(st.sampled_from(perms))
+            h = HeckeElement(n, {w: data.draw(scalars)})
+            h = h + HeckeElement(n, {w.inverse(): h.coeff(w)})
+        else:
+            h = data.draw(st.sampled_from(gamma)).scale(data.draw(scalars))
+        if kind == "perturbed":
+            h = h + HeckeElement(n, {data.draw(st.sampled_from(perms)):
+                                     data.draw(scalars)})
+        elif kind == "wide":
+            h = _widen(h)
+        elements.append(h)
+    if mode == "cancelling":
+        g = data.draw(st.sampled_from(gamma))
+        bump = HeckeElement(n, {data.draw(st.sampled_from(perms)):
+                                data.draw(data.draw(_parity_scalars))})
+        elements[data.draw(st.integers(0, len(elements))):0] = [g + bump]
+        elements.append(g - bump)
+    want = [is_central(h) for h in elements]
+    assert want == [is_central_by_generators(h) for h in elements]
+    widths = [b for b in map(partial(_lane_width, n), elements) if b]
+    cap = hecke.algebra._PACK_BITS
+    if widths:
+        cap = data.draw(st.sampled_from([cap, max(widths),
+                                         (max(widths) + sum(widths)) // 2]))
+    walks = []
+
+    def counted(*args):
+        walks.append(args)
+        return lanes_commute(*args)
+
+    lanes_commute = hecke.algebra._lanes_commute
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hecke.algebra, "_PACK_BITS", cap)
+        mp.setattr(hecke.algebra, "_lanes_commute", counted)
+        got = _central(n, [h._terms for h in elements])
+    assert got == all(want)
+    if got:
+        # the lanes of one walk are at least as wide as each lane alone,
+        # so lanes past the cap take more than one walk
+        assert len(walks) >= (sum(widths) > cap) + bool(widths)
+        assert sum(len(lanes) for _, lanes, _, _ in walks) == len(widths)
+
+
+def test_each_lane_is_packed_at_the_walk_s_widest_digit_and_its_stride():
+    # u (T_u - T_(u^-1)), u != u^-1, is not central, but it packs to 0 when
+    # u = 2^b - q and the digits have b bits (q = 2^b), or when u = 1 - v and
+    # one digit takes each power of q (v and v^0 share a digit); beside
+    # T_1, whose digits have b bits and whose exponents are even, either
+    # order of the two must read not central
+    n = 3
+    w = Permutation((2, 3, 1))
+    one = HeckeElement.one(n)
+    bits = _packing(n, [one._terms], 1)[0]
+    for c in (LaurentPoly({0: 1 << bits, 2: -1}), LaurentPoly({0: 1, 1: -1})):
+        odd = HeckeElement(n, {w: c, w.inverse(): -c})
+        assert not is_central(odd)
+        assert not _central(n, [odd._terms, one._terms])
+        assert not _central(n, [one._terms, odd._terms])
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_lanes_add_up_where_their_keys_meet(n):
+    # a minimal-basis element g on under half of S_n and T_w, w != 1 one of
+    # its keys: the walk holds the two lanes in a dict by index, and both
+    # write to the entry of w.  T_w is not central, so in either order the
+    # walk reads false; g beside q g reads true
+    small = [g for g in gamma_basis(n).elements.values()
+             if 1 < len(g._terms) and 2 * len(g._terms) < factorial(n)]
+    assert small
+    for g in small:
+        w = next(u for u in g._terms if u != Permutation.identity(n))
+        t = HeckeElement(n, {w: ONE})
+        assert not _central(n, [t._terms, g._terms])
+        assert not _central(n, [g._terms, t._terms])
+        assert _central(n, [g._terms, g.scale(Q)._terms])
+    # the lanes' keys together decide the form, not the first lane's: at
+    # n = 5 these hold at least half of S_n, though none does alone
+    lanes = [g._terms for g in small]
+    dense = 2 * len(set().union(*lanes)) >= factorial(n)
+    assert dense == (n == 5)
+    assert _steps_taken(n, lambda: _central(n, lanes)) == (
+        True, {"dense" if dense else "packed"})
+
+
 def _random_scalar(rng, parity):
     """A nonzero scalar of 1 to 3 terms with exponents in -8..8, all of the
     given parity (0 or 1) or of either (None)."""
@@ -886,7 +1003,7 @@ def test_prefix_products_step_each_edge_of_the_words_once(n, data):
     h = _random_element(random.Random(data.draw(st.integers(0, 2**32))), n)
     assume(h)
     if data.draw(st.booleans()):
-        bits, (lo,), stride = _packing(n, [h._terms], n * (n - 1) // 2)
+        bits, (lo,), _, stride = _packing(n, [h._terms], n * (n - 1) // 2)
         terms, real = _packed_terms(_indexed(n), h._terms, bits, lo, stride)
     else:
         terms, real = h._terms, _rmul_gen

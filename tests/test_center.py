@@ -30,9 +30,9 @@ from hecke import (
     y_elem,
 )
 from hecke.algebra import _acc, _flip
-from hecke.center import _blocks, _commutator_rows
-from hecke.laurent import ONE, Q, Q_MINUS_1
-from hecke.linalg import reduced_basis, sparse_rank
+from hecke.center import _blocks, _commutator_rows, _content_scalar
+from hecke.laurent import ONE, Q, Q_MINUS_1, ZERO
+from hecke.linalg import _normalise, reduced_basis, sparse_rank
 
 from content_oracle import contents, elementary, partitions, q_content
 from generator_oracle import lmul_gen
@@ -196,6 +196,20 @@ def _broken(gb, invariant):
     return GammaBasis(gb.n, elements)
 
 
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_gamma_invariants_name_the_element_that_is_not_central(n, where):
+    # the whole basis is tested in one walk; when that fails, the element
+    # named is the one that is not central, wherever it sits
+    elements = dict(gamma_basis(n).elements)
+    lams = list(elements)
+    lam = lams[{"first": 0, "middle": len(lams) // 2, "last": -1}[where]]
+    elements[lam] = elements[lam] + parse_element("q*T[1]", n)
+    with pytest.raises(MismatchError) as raised:
+        verify_gamma_invariants(GammaBasis(n, elements))
+    assert str(raised.value) == f"basis element for {lam} is not central"
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_minimal_basis_items_check_a_rebuilt_basis(monkeypatch, n):
     # the memoized basis is built and good; a broken rebuild fails exactly
@@ -336,6 +350,43 @@ def test_recursion_matches_the_pinned_solve():
 def test_identity_is_the_all_fixed_class(gb4):
     assert gb4[(1, 1, 1, 1)] == HeckeElement.one(4)
     assert gb4[Partition((1, 1, 1, 1))] == HeckeElement.one(4)
+
+
+def _blocks_by_chain(gb):
+    """[(lam, E_lam)] with each E_lam built on its own: the factors e_1 - c_mu
+    for every mu != lam applied to 1 one after another, in the order of the
+    partitions, then normalised."""
+    parts = partitions_of(gb.n)
+    one = parts[-1]
+    e1 = Partition((2,) + (1,) * (gb.n - 2)) if gb.n > 1 else None
+    row = ({mu: express_in_gamma(gb.elements[e1] * h, gb) for mu, h in gb}
+           if e1 else {one: {}})
+
+    def minus(vec, c):
+        out = {}
+        for mu, b in vec.items():
+            for nu, a in row[mu].items():
+                out[nu] = out.get(nu, ZERO) + a * b
+        return {mu: a for mu in parts
+                if (a := out.get(mu, ZERO) - c * vec.get(mu, ZERO))}
+
+    chain = []
+    for i, lam in enumerate(parts):
+        vec = {one: ONE}
+        for mu in parts[:i] + parts[i + 1:]:
+            vec = minus(vec, _content_scalar(mu))
+        chain.append((lam, _normalise(vec)))
+    return chain
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_block_elements_from_the_product_tree_match_the_chain(n):
+    # the same E_lam, key order included, and in the order of the partitions
+    gb = gamma_basis(n)
+    got = [(lam, e) for lam, e, _, _ in _blocks(gb)]
+    want = _blocks_by_chain(gb)
+    assert got == want
+    assert [list(e) for _, e in got] == [list(e) for _, e in want]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

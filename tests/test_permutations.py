@@ -21,6 +21,8 @@ from hecke import (
     minimal_class_elements,
     partitions_of,
 )
+from hecke.permutations import (_all_permutations, _classes, _lengths,
+                                _minimal_classes)
 
 FLIP_PAIRS = 300
 
@@ -140,6 +142,22 @@ def test_minimal_class_elements():
             for w in mins:
                 assert w in cls
                 assert w.length() == shape.min_length()
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_minimal_classes_match_the_length_filter(n):
+    # _minimal_classes reads the lengths off the factorial base; the oracle
+    # counts the inversions of each permutation
+    want = {lam: tuple(w for w in ws if w.length() == lam.min_length())
+            for lam, ws in _classes(n).items()}
+    got = _minimal_classes(n)
+    assert got == want
+    assert list(got) == list(want)
+
+
+def test_lengths_are_the_inversion_counts():
+    for n in range(1, 7):
+        assert _lengths(n) == [w.length() for w in _all_permutations(n)]
 
 
 def test_enumerators_check_the_enumeration_cap():
