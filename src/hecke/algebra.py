@@ -55,15 +55,19 @@ fewer terms, unless a factor takes the coset sums below.
 
 One walk tests many elements for centrality (_central, run on a whole
 minimal basis): each takes a lane of the same ints, its digits past those
-of the others; is_central is the one-lane case.
+of the others, and one loop packs the lanes (_packed_terms).  is_central
+is the one-lane case, and a product packs its stepped factor as one lane.
 
 A coefficient is never changed after it is built, so terms share them:
 every coefficient of x is ONE, y has one per length, and a product gives
 its equal coefficients one shared LaurentPoly (xbar(8)^2 has 40,320 terms
 and 569 distinct coefficients).  Each conversion runs once per distinct
-coefficient object, not per term: packing a factor (_per_object) and
-sizing it (_size), unpacking a product's ints, one per distinct value,
-and HeckeElement.scale, whose result shares as its argument does.
+coefficient object, not per term, through one memo (_per_object):
+packing a lane and the keyed factor of a product, HeckeElement.scale and
+negation, whose results share as their argument does, the check of
+center.express_in_gamma and the parser's c*@ref.  _size keeps its own
+pass, since it also sums |c|_1 over every term, a shared object once per
+term; a product's ints are unpacked once per distinct value.
 
 The packed factor that is stepped on (the one whose words are not walked,
 or the element tested for centrality) is held in one of two ways, chosen
@@ -508,40 +512,30 @@ def _dense_step(steps: list, shift: int, acc: list, i: int) -> list:
             for a, j in zip(acc, steps[i])]
 
 
-def _packed_terms(ix: _Indexed, terms: dict, bits: int, lo: int, stride: int,
-                  lanes: list = ()):
-    """(packed terms, the right step that takes them) for terms packed at lo
-    and the further lanes, (term dict, lo) pairs: entry k sums
-    _pack(coefficient of ix.perms[k], bits, lo, stride) over terms and the
-    lanes (_central).  The step is bound to ix.right and to the shift of q:
-    2 bits packed in v, bits packed in q.  Terms on at least half of S_n
-    (the keys of all lanes) are held in a list indexed like ix.perms and
-    take _dense_step: one pass over n! entries then beats a dict get and
-    store per term.  Fewer are held in a dict by index and take
-    _packed_step.  Each distinct coefficient object is packed once."""
+def _packed_terms(ix: _Indexed, lanes: list, bits: int, stride: int):
+    """(packed terms, the right step that takes them) for lanes, (term
+    dict, lo) pairs: entry k sums _pack(coefficient of ix.perms[k], bits,
+    lo, stride) over the lanes (_central; a product's stepped factor is the
+    one lane).  The step is bound to ix.right and to the shift of q: 2 bits
+    packed in v, bits packed in q.  Terms on at least half of S_n (the keys
+    of all lanes) are held in a list indexed like ix.perms and take
+    _dense_step: one pass over n! entries then beats a dict get and store
+    per term.  Fewer are held in a dict by index and take _packed_step.
+    Each distinct coefficient object of a lane is packed once."""
     index = ix.index
-    held = len(set(terms).union(*(t for t, _ in lanes)) if lanes else terms)
-    packs = _per_object(lambda c: _pack(c, bits, lo, stride), terms.values())
-    # terms are stored as they are: 0 + x would copy each long int
-    if 2 * held >= len(ix.perms):
-        packed = [0] * len(ix.perms)
+    held = len(set().union(*(t for t, _ in lanes)) if lanes[1:] else lanes[0][0])
+    dense = 2 * held >= len(ix.perms)
+    packed = [0] * len(ix.perms) if dense else {}
+    get = packed.__getitem__ if dense else packed.get
+    for terms, lo in lanes:
+        packs = _per_object(lambda c: _pack(c, bits, lo, stride),
+                            terms.values())
         for w, c in terms.items():
-            packed[index[w]] = packs[id(c)]
-        step = _dense_step
-    else:
-        packed = {index[w]: packs[id(c)] for w, c in terms.items()}
-        step = _packed_step
-    for more, low in lanes:
-        packs = _per_object(lambda c: _pack(c, bits, low, stride),
-                            more.values())
-        if step is _dense_step:
-            for w, c in more.items():
-                packed[index[w]] += packs[id(c)]
-        else:
-            for w, c in more.items():
-                k = index[w]
-                packed[k] = packed.get(k, 0) + packs[id(c)]
-    return packed, partial(step, ix.right, 2 // stride * bits)
+            k, x = index[w], packs[id(c)]
+            # a new entry takes x as it is: 0 + x would copy a long int
+            packed[k] = cur + x if (cur := get(k)) else x
+    return packed, partial(_dense_step if dense else _packed_step, ix.right,
+                           2 // stride * bits)
 
 
 def _flip_packed(inv: list, terms: dict | list) -> dict | list:
@@ -728,7 +722,7 @@ def _packed_mul(n: int, a: dict, b: dict, bits: int, lows: list,
     walked, keyed = _sides(a, b, flipped)
     lo_a, lo_b = lows
     lo_walked, lo_keyed = (lo_b, lo_a) if flipped else (lo_a, lo_b)
-    packed, step = _packed_terms(ix, walked, bits, lo_walked, stride)
+    packed, step = _packed_terms(ix, [(walked, lo_walked)], bits, stride)
     packed = _flip_packed(ix.inv, packed) if flipped else packed
     if geometric is not None:
         unit, f, sign, e, keyed = geometric
@@ -742,17 +736,13 @@ def _packed_mul(n: int, a: dict, b: dict, bits: int, lows: list,
             out = [unit * x << start for x in packed]
         out = _coset_sums(n, out, step, sign, e // stride * bits)
     # c = v^e c' packs as P(c') << bits (e - lo) / stride: monomials
-    # multiply as a small int and a shift.  As in _per_object, each distinct
-    # object is packed once, here in the loop: the products of a session
-    # have one to six keys, and a call per product costs more than it saves
-    scaled, packs = [], {}
-    for w, c in keyed:
-        key = packs.get(id(c))
-        if key is None:
-            e = min(c._terms)
-            key = packs[id(c)] = (_pack(c, bits, e, stride),
-                                  (e - lo_keyed) // stride * bits)
-        scaled.append((w, key))
+    # multiply as a small int and a shift
+    def key(c):
+        e = min(c._terms)
+        return _pack(c, bits, e, stride), (e - lo_keyed) // stride * bits
+
+    packs = _per_object(key, [c for _, c in keyed])
+    scaled = [(w, packs[id(c)]) for w, c in keyed]
     walk = _prefix_products(packed, scaled, step)
     if isinstance(packed, list):
         # the partial products of a repeated key are summed unscaled and
@@ -935,18 +925,19 @@ class HeckeElement:
     def __sub__(self, other) -> "HeckeElement":
         if not isinstance(other, HeckeElement):
             return NotImplemented
-        self._check(other)
-        out = dict(self._terms)
-        for w, c in other._terms.items():
-            _acc(out, w, -c)
-        return HeckeElement._raw(self.n, out)
+        return self + -other
 
     def __neg__(self) -> "HeckeElement":
-        return HeckeElement._raw(self.n, {w: -c for w, c in self._terms.items()})
+        return self.scale(-1)
 
     def scale(self, c) -> "HeckeElement":
-        if isinstance(c, int):
+        """c times self, c a LaurentPoly or an int (not a bool); anything
+        else raises TermTypeError."""
+        if _is_int(c):
             c = LaurentPoly(c)
+        elif not isinstance(c, LaurentPoly):
+            raise TermTypeError(
+                f"scalar {c!r} is a {type(c).__name__}, not a LaurentPoly")
         if not c:
             return HeckeElement.zero(self.n)
         products = _per_object(lambda d: d * c, self._terms.values())
@@ -978,6 +969,8 @@ class HeckeElement:
         """k - 1 repeated products by self, and one for k = 0; k above
         MAX_WORD_LENGTH raises ResourceCapError, since T_s ** k is the word
         s^k."""
+        if not _is_int(k):
+            raise TermTypeError(f"power {k!r} is a {type(k).__name__}, not an int")
         if k < 0:
             raise ValueError("negative powers of Hecke elements are not supported")
         if k > MAX_WORD_LENGTH:
@@ -1011,6 +1004,7 @@ class HeckeElement:
 
     def embed(self, m: int) -> "HeckeElement":
         """The same element inside H_m under the standard inclusion."""
+        _check_degree(m)
         if m < self.n:
             raise DegreeMismatchError(f"cannot embed H_{self.n} into H_{m}")
         if m == self.n:
@@ -1072,14 +1066,7 @@ def is_central(h: HeckeElement) -> bool:
     faithful.  For iota-fixed h, T_s h = iota(iota(h) T_s) = iota(h T_s).
     This is the one-lane case of _central.
     """
-    terms = h._terms
-    packing = _packing(h.n, [terms], 1) if terms else None
-    if packing is None:
-        return _commutes(h.n, terms, _flip, _rmul_gen)
-    bits, (lo,), _, stride = packing
-    ix = _indexed(h.n)
-    terms, step = _packed_terms(ix, terms, bits, lo, stride)
-    return _commutes(h.n, terms, partial(_flip_packed, ix.inv), step)
+    return _central(h.n, [h._terms])
 
 
 def _central(n: int, elements: list) -> bool:
@@ -1087,39 +1074,35 @@ def _central(n: int, elements: list) -> bool:
 
     Each element that packs (_packing, one step) is a lane: packed at its
     lo lowered by stride v per digit of the lanes before it, which shifts
-    it past them, and summed with them into one int per permutation.  A
-    lane spans its window's digits at the walk's widest digit, and every
-    value before and after a step lies in its balanced range, so two ints
-    are equal exactly when each pair of lanes is.  A walk holds lanes of
-    one stride up to _PACK_BITS; the next element starts a further walk.
-    One element is is_central's walk; one that does not pack is tested on
-    its own, on LaurentPoly coefficients.
+    it past them, and summed with them into one int per permutation
+    (_packed_terms).  A lane spans its window's digits at the walk's widest
+    digit, and every value before and after a step lies in its balanced
+    range, so two ints are equal exactly when each pair of lanes is.  A
+    walk holds lanes of one stride up to _PACK_BITS; the next element
+    starts a further walk.  One element is is_central's walk; one that
+    does not pack is tested on its own, on LaurentPoly coefficients.
     """
     lanes, bits, stride, digits = [], 0, 0, 0
-    for terms in elements:
+    for terms in (*elements, None):
         packing = _packing(n, [terms], 1) if terms else None
-        if packing is None:
+        if packing is None and terms is not None:
             if not _commutes(n, terms, _flip, _rmul_gen):
                 return False
             continue
-        b, (lo,), window, s = packing
+        # the walk so far is tested when this lane does not fit, or at the
+        # end (None), whose stride 0 is no lane's
+        b, (lo,), window, s = packing or (0, (0,), 0, 0)
         if lanes and (s != stride or max(bits, b) * (digits + window // s + 1)
                       > _PACK_BITS):
-            if not _lanes_commute(n, lanes, bits, stride):
+            ix = _indexed(n)
+            packed, step = _packed_terms(ix, lanes, bits, stride)
+            if not _commutes(n, packed, partial(_flip_packed, ix.inv), step):
                 return False
             lanes, bits, digits = [], 0, 0
+        if terms is None:
+            return True
         lanes.append((terms, lo - s * digits))
         bits, stride, digits = max(bits, b), s, digits + window // s + 1
-    return not lanes or _lanes_commute(n, lanes, bits, stride)
-
-
-def _lanes_commute(n: int, lanes: list, bits: int, stride: int) -> bool:
-    """_commutes on lanes, (terms, lo) pairs packed and summed by
-    _packed_terms."""
-    ix = _indexed(n)
-    (terms, lo), *rest = lanes
-    terms, step = _packed_terms(ix, terms, bits, lo, stride, rest)
-    return _commutes(n, terms, partial(_flip_packed, ix.inv), step)
 
 
 def _commutes(n: int, terms, flip, step) -> bool:

@@ -174,11 +174,7 @@ def _check_pinning(lam: Partition, g: HeckeElement) -> None:
 def _check_integral(lam: Partition, g: HeckeElement) -> None:
     # each distinct coefficient object once, in term order, so the first
     # failing term is the one named
-    seen: set[int] = set()
-    for cf in g._terms.values():
-        if id(cf) in seen:
-            continue
-        seen.add(id(cf))
+    for cf in {id(c): c for c in g._terms.values()}.values():
         if not cf.has_even_exponents():
             raise MismatchError(
                 f"basis element for {lam} has a coefficient {cf} "
@@ -265,12 +261,10 @@ def _residual_terms(z: HeckeElement, gb: GammaBasis, coeffs: dict) -> int:
     for c, g in used:
         lo = min(c._terms)
         pc = _pack(c, bits, lo, stride) << (lo + lo_g - base) // stride * bits
-        products: dict[int, int] = {}    # id -> pc times the packed object
+        products = _per_object(lambda d: pc * _pack(d, bits, lo_g, stride),
+                               g.values())
         for w, d in g.items():
-            x = products.get(id(d))
-            if x is None:
-                x = products[id(d)] = pc * _pack(d, bits, lo_g, stride)
-            residual[w] = get(w, 0) - x
+            residual[w] = get(w, 0) - products[id(d)]
     return sum(map(bool, residual.values()))
 
 

@@ -59,7 +59,7 @@ import re
 
 # MAX_WORD_LENGTH is the grammar's word bound, kept importable from here
 from .algebra import (AlgebraContext, Caps, DEFAULT_CAPS, HeckeElement,
-                      MAX_WORD_LENGTH)
+                      MAX_WORD_LENGTH, _per_object)
 from .elements import NAMED_KINDS, named_element
 from .errors import FormatError, ParseError, ResourceCapError
 from .laurent import (LaurentPoly, ONE, Q, V, XI, _DECIMAL_SMALL,
@@ -259,19 +259,16 @@ class _Parser:
         get = terms.get
         while True:
             if scalar is None or scalar:
-                # id of a coefficient object of part -> its scaled, signed
-                # image, built once and shared by every term that holds it
-                signed: dict[int, LaurentPoly] = {}
+                if negate:
+                    scalar = -(ONE if scalar is None else scalar)
+                # each coefficient object of part scaled once, and shared by
+                # every term that holds it; a reduced word's one
+                # coefficient is ONE itself
+                signed = _per_object(
+                    lambda c: c if scalar is None else scalar if c is ONE
+                    else c * scalar, part._terms.values())
                 for w, c in part._terms.items():
-                    d = signed.get(id(c))
-                    if d is None:
-                        d = c
-                        if scalar is not None:
-                            # a reduced word's one coefficient is ONE itself
-                            d = scalar if c is ONE else c * scalar
-                        if negate:
-                            d = -d
-                        signed[id(c)] = d
+                    d = signed[id(c)]
                     cur = get(w)
                     if cur is None:
                         terms[w] = d

@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import random
 
-from .algebra import HeckeElement, _indexed, as_context, commutator, is_central
+from .algebra import (HeckeElement, _check_degree, _indexed, as_context,
+                      commutator, is_central)
 from .center import (GammaBasis, _GAMMA_MEMO, _blocks, express_in_gamma,
                      gamma_basis)
 from .elements import (_longest_length, elem_sym, poincare, t_longest, x_elem,
@@ -361,7 +362,9 @@ _CATALOG_MEMO: dict[int, dict[str, HeckeElement]] = {}
 
 def catalog(n: int) -> dict[str, HeckeElement]:
     """The catalog of degree 3 or 4: a new dict on each call, of elements
-    built once per degree, so editing the dict leaves the memo as it is."""
+    built once per degree, so editing the dict leaves the memo as it is.
+    A degree that is not an int, a bool included, raises TermTypeError."""
+    _check_degree(n)
     table = _CATALOG_MEMO.get(n)
     if table is None:
         if n == 3:

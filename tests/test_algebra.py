@@ -23,6 +23,7 @@ from hecke import (
     ResourceCapError,
     TermTypeError,
     all_permutations,
+    catalog,
     eigen_search,
     gamma_basis,
     group_algebra_mul,
@@ -531,13 +532,14 @@ def test_one_walk_over_lanes_matches_a_test_per_element(n, data):
     walks = []
 
     def counted(*args):
+        # each walk packs its lanes once: (ix, lanes, bits, stride)
         walks.append(args)
-        return lanes_commute(*args)
+        return packed_terms(*args)
 
-    lanes_commute = hecke.algebra._lanes_commute
+    packed_terms = hecke.algebra._packed_terms
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hecke.algebra, "_PACK_BITS", cap)
-        mp.setattr(hecke.algebra, "_lanes_commute", counted)
+        mp.setattr(hecke.algebra, "_packed_terms", counted)
         got = _central(n, [h._terms for h in elements])
     assert got == all(want)
     if got:
@@ -1004,7 +1006,8 @@ def test_prefix_products_step_each_edge_of_the_words_once(n, data):
     assume(h)
     if data.draw(st.booleans()):
         bits, (lo,), _, stride = _packing(n, [h._terms], n * (n - 1) // 2)
-        terms, real = _packed_terms(_indexed(n), h._terms, bits, lo, stride)
+        terms, real = _packed_terms(_indexed(n), [(h._terms, lo)], bits,
+                                    stride)
     else:
         terms, real = h._terms, _rmul_gen
     alive = weakref.WeakSet()
@@ -1079,15 +1082,36 @@ def test_constructor_rejects_non_laurent_coefficients():
             HeckeElement(3, {Permutation((1, 2, 3)): c})
 
 
-def test_scale_rejects_a_bool():
-    with pytest.raises(TermTypeError):
-        HeckeElement.one(3).scale(True)
+@pytest.mark.parametrize("c", [None, 1.5, "q", True])
+def test_scale_takes_a_laurent_poly_or_an_int(c):
+    # None once read as zero, a float or a string failed inside
+    # LaurentPoly with a bare TypeError
+    with pytest.raises(TermTypeError, match=type(c).__name__):
+        xbar(3).scale(c)
 
 
 def _bad(error, fn, *args):
     """A call that must raise error, with the call as its test id."""
     call = f"{fn.__qualname__}({', '.join(map(repr, args))})"
     return pytest.param(partial(fn, *args), error, id=call)
+
+
+_T1 = HeckeElement.generator(3, 1)
+
+
+@pytest.mark.parametrize("make, error", [
+    _bad(TermTypeError, _T1.__pow__, True),
+    _bad(TermTypeError, _T1.__pow__, 2.0),
+    _bad(TermTypeError, _T1.embed, True),
+    _bad(TermTypeError, _T1.embed, 4.0),
+    _bad(TermTypeError, catalog, 3.0),
+    _bad(TermTypeError, catalog, True),
+])
+def test_a_power_or_degree_argument_is_an_int_not_a_bool(make, error):
+    # T[1] ** True returned T[1] and catalog(3.0) the degree-3 catalog;
+    # ** 2.0 and embed(4.0) failed inside range
+    with pytest.raises(error):
+        make()
 
 
 @pytest.mark.parametrize("make, error", [

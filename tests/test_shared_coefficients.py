@@ -118,6 +118,16 @@ def test_equal_coefficients_of_a_product_are_one_object(n, name):
     assert _distinct(scaled) == (values, values)
 
 
+@pytest.mark.parametrize("make", [x_elem, y_elem, xbar, ybar, t_longest])
+def test_negation_shares_one_object_per_distinct_coefficient(make):
+    # -x_elem(5) once held 120 coefficient objects, one per term
+    h = make(5)
+    for g in (h, h * h):
+        neg = -g
+        assert _distinct(neg) == _distinct(g)
+        assert list(neg._terms.items()) == [(w, -c) for w, c in g._terms.items()]
+
+
 @pytest.mark.parametrize("n, caps", [(5, Caps()), (8, Caps(enum_max=8))])
 def test_y_shares_one_coefficient_per_length(n, caps):
     ctx = AlgebraContext(n, caps)
