@@ -870,12 +870,19 @@ class HeckeElement:
             for i in word:
                 if not _is_int(i):
                     raise TermTypeError(f"generator index {i!r} is not an int")
-        terms = {Permutation.identity(n): ONE}
+        # the ascending prefix is reduced: T_w T_s = T_ws while ws > w, so it
+        # is walked as one permutation, and the terms start at its first descent
+        w, terms = Permutation.identity(n), None
         for i in word:
             if not 1 <= i <= n - 1:
                 raise ValueError(f"generator index {i} out of range for degree {n}")
-            terms = _rmul_gen(terms, i)
-        return cls._raw(n, terms)
+            if terms is not None:
+                terms = _rmul_gen(terms, i)
+            elif w[i - 1] < w[i]:
+                w = w.right_simple(i)
+            else:
+                terms = _rmul_gen({w: ONE}, i)
+        return cls._raw(n, {w: ONE} if terms is None else terms)
 
     # -- structure -------------------------------------------------------------
 

@@ -10,6 +10,13 @@ a pivot that is not a unit scales the partial vector instead of dividing
 it.  reduced_basis, which gives one canonical basis of a span, clears in the
 same way.
 
+add_rows drops two kinds of row before the elimination: an equality
+c (e_x - e_y) whose columns earlier equalities of the same call already join,
+and a row equal to +- an earlier one once each column is read as its equality
+class.  Each lies in the span of the rows already inserted, so _insert would
+reduce it to zero: the pivots, the rank and the nullspace are those of
+inserting every row.
+
 Columns are labelled by any mutually comparable keys; the algebra uses the
 permutations themselves.
 """
@@ -72,6 +79,15 @@ def _eliminate(row: dict, col, prow: dict) -> None:
     _strip_row(row)
 
 
+def _equality(row: dict):
+    """The two columns of a row c (e_x - e_y), or None for any other row."""
+    if len(row) == 2:
+        (x, a), (y, b) = row.items()
+        if not a + b:
+            return x, y
+    return None
+
+
 def _normalise(vec: dict) -> dict:
     """Strip a nonzero vector's common content (in place) and v-shift, and
     give its first coordinate a positive leading coefficient."""
@@ -104,7 +120,45 @@ class SparseSystem:
         # The sort is stable, so rows that tie keep the order they came in;
         # callers pass them in label order, which with the label tie-break
         # of the pivot choice makes the elimination canonical.
+        # An equality c (e_x - e_y) whose columns earlier equalities already
+        # join (a union-find over columns) is dropped, and so is a row equal
+        # to +- an earlier one once each column is read as its equality class
+        # (the same multiset of (class, entry)).  Either lies in the span of
+        # the rows this call already inserted, so _insert would reduce it to
+        # zero and leave every pivot as it was.
+        parent: dict = {}
+
+        def find(c):
+            while c in parent:
+                up = parent.get(parent[c], parent[c])
+                parent[c] = up                # halve the path
+                c = up
+            return c
+
+        # each distinct entry is numbered once, k, and its negative ~k, so a
+        # row's multiset is a sorted tuple of (class, number)
+        number: dict = {}
+        seen = set()
         for row in sorted(rows, key=lambda row: (len(row), sorted(row))):
+            ends = _equality(row)
+            if ends:
+                x, y = map(find, ends)
+                if x == y:
+                    continue
+                parent[y] = x
+            else:
+                entries = []
+                for c, a in row.items():
+                    k = number.get(a)
+                    if k is None:
+                        k = number[a] = len(number)
+                        number[-a] = ~k
+                    entries.append((find(c), k))
+                key = tuple(sorted(entries))
+                if key in seen:
+                    continue
+                seen.add(key)
+                seen.add(tuple(sorted((c, ~k) for c, k in entries)))
             self._insert(dict(row))
 
     def _insert(self, row: dict) -> None:

@@ -523,7 +523,8 @@ def eigen_search(ctx, z: HeckeElement, k) -> list[HeckeElement]:
     their (f^lam)^2: nothing if no block is kept, all of H if d = n!, and
     otherwise d products E_lam * T_w, found by a rank modulo a prime that
     bounds their span from below only (_spanned_basis).  Every returned
-    vector is re-verified by direct multiplication.
+    vector is re-verified by direct multiplication.  On all of H that is
+    one check, z = k: z T_w = k T_w for every w if and only if z = k T_1.
 
     Basis: the distinguished coordinates are the label-greatest set of
     permutations on which the eigenspace projects isomorphically.  Each
@@ -550,11 +551,12 @@ def eigen_search(ctx, z: HeckeElement, k) -> list[HeckeElement]:
     perms = _all_permutations(c.n)
     dim = sum(d for _, d in kept)
     if dim == len(perms):
-        vectors = [{w: ONE} for w in perms]
-    else:
-        vectors = _spanned_basis(c.n, [
-            sum((gb.elements[mu].scale(a) for mu, a in e.items()),
-                HeckeElement.zero(c.n)) for e, _ in kept], dim)
+        if z != HeckeElement.one(c.n).scale(k):
+            raise MismatchError("eigenvector failed re-verification")
+        return [HeckeElement._raw(c.n, {w: ONE}) for w in perms]
+    vectors = _spanned_basis(c.n, [
+        sum((gb.elements[mu].scale(a) for mu, a in e.items()),
+            HeckeElement.zero(c.n)) for e, _ in kept], dim)
     out = []
     for vec in vectors:
         el = HeckeElement._raw(c.n, vec)

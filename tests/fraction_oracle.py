@@ -9,6 +9,8 @@ centre.  This module keeps the slower routes as oracles for tests:
   substitution over RationalFn, with denominators cleared afterwards;
 * ``eliminate_fraction_free``, the clearing step that cross-multiplies
   against every pivot, the unit pivots included;
+* ``insert_every_row``, the elimination with no presolve: every row, in
+  the order SparseSystem.add_rows sorts them, goes through ``_insert``;
 * ``solve_unique`` and ``solve_gamma``: the minimal basis of the centre
   solved from its pinned linear system, a reference for the class
   recursion;
@@ -26,7 +28,7 @@ from hecke import HeckeElement, HeckeError
 from hecke.algebra import _indexed, _prefix_products, _rmul_gen
 from hecke.center import GammaBasis, _commutator_rows
 from hecke.laurent import ONE, ZERO, LaurentPoly, lp_gcd
-from hecke.linalg import _eliminate, _normalise, _strip_row
+from hecke.linalg import SparseSystem, _eliminate, _normalise, _strip_row
 from hecke.permutations import (_all_permutations, _minimal_classes,
                                 partitions_of)
 from hecke.sqrtcenter import _CERT_PRIME, _ModEchelon, _at
@@ -204,6 +206,14 @@ def eliminate_fraction_free(row: dict, col, prow: dict) -> None:
 
 RF_ZERO = RationalFn.from_poly(ZERO)
 RF_ONE = RationalFn.from_poly(ONE)
+
+
+def insert_every_row(columns, rows) -> SparseSystem:
+    """The system of rows echelonised with no row dropped."""
+    system = SparseSystem(columns)
+    for row in sorted(rows, key=lambda row: (len(row), sorted(row))):
+        system._insert(dict(row))
+    return system
 
 
 def _back_substitute(pivots, values: dict, rhs_at) -> dict:

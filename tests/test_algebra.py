@@ -1,5 +1,6 @@
 """Tests for the exact multiplication engine and the generic-basis change."""
 
+import itertools
 import random
 import time
 import weakref
@@ -269,6 +270,32 @@ def test_from_word_expands_unreduced_words():
     t1 = HeckeElement.generator(3, 1)
     assert HeckeElement.from_word(3, [1, 1]) == t1 * t1
     assert HeckeElement.from_word(3, [1, 2, 1]) == t1 * HeckeElement.generator(3, 2) * t1
+
+
+def _fold_word(n, word):
+    """T_{s_{i_1}} T_{s_{i_2}} ... multiplied out one letter at a time."""
+    return reduce(_rmul_gen, word, {Permutation.identity(n): ONE})
+
+
+def _same_terms(got, want):
+    # equal terms in the same order, and ONE exactly where the fold has it
+    assert list(got.items()) == list(want.items())
+    assert [c is ONE for c in got.values()] == [c is ONE for c in want.values()]
+
+
+def test_from_word_matches_the_letter_by_letter_fold():
+    words = 0
+    for n in range(1, 5):
+        for length in range(7):
+            for word in itertools.product(range(1, n), repeat=length):
+                _same_terms(HeckeElement.from_word(n, word)._terms,
+                            _fold_word(n, word))
+                words += 1
+    assert words == 1 + 7 + 127 + 1093
+    rng = random.Random(36)
+    for _ in range(40):
+        word = [rng.randint(1, 5) for _ in range(20)]
+        _same_terms(HeckeElement.from_word(6, word)._terms, _fold_word(6, word))
 
 
 def test_from_word_refuses_an_oversize_word_at_once():

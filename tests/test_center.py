@@ -32,9 +32,10 @@ from hecke import (
 from hecke.algebra import _acc, _flip
 from hecke.center import _blocks, _commutator_rows, _content_scalar
 from hecke.laurent import ONE, Q, Q_MINUS_1, ZERO
-from hecke.linalg import _normalise, reduced_basis, sparse_rank
+from hecke.linalg import SparseSystem, _normalise, reduced_basis, sparse_rank
 
 from content_oracle import contents, elementary, partitions, q_content
+from fraction_oracle import insert_every_row
 from generator_oracle import lmul_gen
 
 
@@ -269,6 +270,31 @@ def test_commutator_nullspace_is_the_reduced_minimal_basis():
         reduced = reduced_basis(gamma, all_permutations(n))
         assert kernel == reduced
         assert [list(v) for v in kernel] == [list(v) for v in reduced]
+
+
+def test_commutator_solve_matches_inserting_every_row(monkeypatch):
+    # add_rows drops the rows that earlier equalities already imply; the
+    # pivots, their rows and the nullspace are those of inserting them all,
+    # and the rows that reach the elimination are pinned
+    inserted = []
+    insert = SparseSystem._insert
+    monkeypatch.setattr(SparseSystem, "_insert",
+                        lambda system, row: inserted.append(1) or insert(
+                            system, row))
+    counts = []
+    for n in range(2, 6):
+        inserted.clear()
+        kernel = [v._terms for v in centre_basis(n).vectors]
+        counts.append(len(inserted))
+        rows = _commutator_rows(n)
+        want = insert_every_row(all_permutations(n), rows)
+        assert kernel == want.nullspace()
+        assert [list(v) for v in kernel] == [list(v) for v in want.nullspace()]
+        got = SparseSystem(all_permutations(n))
+        got.add_rows(rows)
+        assert [(c, list(row.items())) for c, row in got.pivots] == \
+               [(c, list(row.items())) for c, row in want.pivots]
+    assert counts == [0, 3, 20, 127]
 
 
 def _rmul_by_products(terms, i):

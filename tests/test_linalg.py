@@ -188,3 +188,104 @@ def test_unit_clearing_strips_the_content_it_leaves():
     assert [c for c, _ in system.pivots] == ["a", "b"]
     assert system.pivots[1][1] in ({"b": -one, "c": one},
                                    {"b": one, "c": -one})
+
+
+# an exponent no drawn entry reaches, to mark a near-duplicate row
+_MARK = 50
+
+
+@st.composite
+def presolved_systems(draw):
+    """Rows with the redundancy add_rows drops, as (ncols, rows, near):
+    chains of equalities c (e_x - e_y) with a closing one the chain already
+    implies, +- duplicates of drawn rows, copies of drawn rows with columns
+    swapped for others of their equality class, such copies with one entry
+    negated, and near-duplicates, such copies with one entry changed, which
+    must still be inserted."""
+    ncols = draw(st.integers(2, 7))
+    cols = st.integers(0, ncols - 1)
+    rows, near = [], []
+    parent = list(range(ncols))
+
+    def find(c):
+        while parent[c] != c:
+            c = parent[c]
+        return c
+
+    for _ in range(draw(st.integers(0, 4))):
+        chain = draw(st.lists(cols, min_size=2, max_size=4, unique=True))
+        for x, y in zip(chain, chain[1:] + chain[:1]):
+            c = draw(scalars)
+            rows.append({x: c, y: -c})
+            parent[find(y)] = find(x)
+    for row in draw(st.lists(st.dictionaries(cols, scalars, min_size=1),
+                             min_size=1, max_size=ncols)):
+        rows.append(row)
+        if draw(st.booleans()):
+            sign = draw(st.sampled_from([1, -1]))
+            rows.append({c: a * sign for c, a in row.items()})
+        # each column swapped for a drawn one of its class, if still free
+        moved = {}
+        for c, a in row.items():
+            to = draw(st.sampled_from([d for d in range(ncols)
+                                       if find(d) == find(c)]))
+            moved[c if to in moved else to] = a
+        if draw(st.booleans()) and len(moved) == len(row):
+            rows.append(moved)
+        if draw(st.booleans()):
+            c = draw(st.sampled_from(sorted(moved)))
+            rows.append({d: -a if d == c else a for d, a in moved.items()})
+        if draw(st.booleans()):
+            c = draw(st.sampled_from(sorted(moved)))
+            changed = dict(moved)
+            changed[c] = changed[c] + LaurentPoly({_MARK + len(near): 1})
+            rows.append(changed)
+            near.append(changed)
+    return ncols, draw(st.permutations(rows)), near
+
+
+def _add_rows_offered(ncols, rows):
+    """A system after add_rows, and the rows it passed to _insert, each as
+    a list of items."""
+    offered = []
+    insert = SparseSystem._insert
+    with mock.patch.object(SparseSystem, "_insert", autospec=True,
+                           side_effect=lambda s, row: offered.append(
+                               list(row.items())) or insert(s, row)):
+        system = SparseSystem(list(range(ncols)))
+        system.add_rows(rows)
+    return system, offered
+
+
+def _pivot_rows(system):
+    return [(c, list(row.items())) for c, row in system.pivots]
+
+
+@settings(max_examples=300, deadline=None)
+@given(presolved_systems())
+def test_add_rows_matches_inserting_every_row(system):
+    ncols, rows, near = system
+    got, offered = _add_rows_offered(ncols, rows)
+    want = fraction_oracle.insert_every_row(list(range(ncols)), rows)
+    assert _pivot_rows(got) == _pivot_rows(want)
+    assert [list(v.items()) for v in got.nullspace()] == \
+           [list(v.items()) for v in want.nullspace()]
+    assert sparse_rank(rows) == want.rank
+    for row in near:
+        assert list(row.items()) in offered
+
+
+def test_add_rows_drops_only_rows_earlier_equalities_imply():
+    one, two, q = LaurentPoly(1), LaurentPoly(2), LaurentPoly({2: 1})
+    # rows go in sorted by size and columns: 0, 1, 2, 3, 5, 4, 6
+    rows = [{0: q, 1: -q}, {0: two, 2: -two},
+            {1: one, 2: -one},                 # joined by the two before
+            {0: one, 3: q},
+            {2: -one, 3: -q},                  # -(the row before), by class
+            {1: one, 3: q + one},              # one entry off: inserted
+            {2: -one, 3: q}]                   # one sign off: inserted
+    system, offered = _add_rows_offered(4, rows)
+    assert offered == [list(rows[i].items()) for i in (0, 1, 3, 5, 6)]
+    assert system.rank == 4
+    want = fraction_oracle.insert_every_row(list(range(4)), rows)
+    assert _pivot_rows(system) == _pivot_rows(want)

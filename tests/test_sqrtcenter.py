@@ -10,6 +10,7 @@ from hecke import (
     LaurentPoly,
     MismatchError,
     NotCentralError,
+    all_permutations,
     as_context,
     catalog,
     catalog_h3,
@@ -255,6 +256,29 @@ def test_a_block_dimension_one_too_high_raises(monkeypatch, ctx3, gb3):
               in center._blocks(gb3)]
     monkeypatch.setitem(center._BLOCK_MEMO, 3, forced)
     with pytest.raises(MismatchError, match="5 independent products"):
+        eigen_search(ctx3, gb3[(2, 1)], k)
+
+
+def test_the_whole_space_is_checked_by_one_comparison(monkeypatch, ctx3,
+                                                      gb3, gb4):
+    # z T_w = k T_w for every w if and only if z = k T_1, so a scalar z
+    # keeps every block and returns the standard basis with no product
+    products = []
+    real = HeckeElement.__mul__
+    monkeypatch.setattr(HeckeElement, "__mul__",
+                        lambda a, b: products.append(1) or real(a, b))
+    for gb, k in ((gb3, parse_scalar("q - 1")), (gb4, LaurentPoly(1))):
+        z = gb[(1,) * gb.n].scale(k)
+        got = eigen_search(gb.n, z, k)
+        assert got == [HeckeElement.basis(gb.n, w)
+                       for w in all_permutations(gb.n)]
+    assert products == []
+    # a z that is not the scalar but keeps every block fails the check
+    k = parse_scalar("q - 1")
+    omega = next(om for lam, _, _, om in center._blocks(gb3) if lam == (2, 1))
+    forced = [(lam, e, d, omega) for lam, e, d, _ in center._blocks(gb3)]
+    monkeypatch.setitem(center._BLOCK_MEMO, 3, forced)
+    with pytest.raises(MismatchError, match="re-verification"):
         eigen_search(ctx3, gb3[(2, 1)], k)
 
 
