@@ -64,10 +64,11 @@ its equal coefficients one shared LaurentPoly (xbar(8)^2 has 40,320 terms
 and 569 distinct coefficients).  Each conversion runs once per distinct
 coefficient object, not per term, through one memo (_per_object):
 packing a lane and the keyed factor of a product, HeckeElement.scale and
-negation, whose results share as their argument does, the check of
-center.express_in_gamma and the parser's c*@ref.  _size keeps its own
-pass, since it also sums |c|_1 over every term, a shared object once per
-term; a product's ints are unpacked once per distinct value.
+negation, whose results share as their argument does, and the parser's
+c*@ref.  No other module packs: center.express_in_gamma reads its
+coordinates once is_central has passed.  _size keeps its own pass, since
+it also sums |c|_1 over every term, a shared object once per term; a
+product's ints are unpacked once per distinct value.
 
 The packed factor that is stepped on (the one whose words are not walked,
 or the element tested for centrality) is held in one of two ways, chosen

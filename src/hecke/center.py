@@ -13,6 +13,11 @@ Two views of the centre are computed:
   Finite Coxeter Groups and Iwahori-Hecke Algebras, 2000, sections 3.2 and
   8.2), with no linear algebra; four independent invariants are still
   checked on every result.
+
+``express_in_gamma`` gives the coordinates of a central element in the
+minimal basis.  Once ``is_central`` has shown the element central, they
+are its coefficients at one minimal-length element per class, since the
+basis is pinned there (Geck and Pfeiffer, section 8.2).
 """
 
 from __future__ import annotations
@@ -20,9 +25,8 @@ from __future__ import annotations
 from math import factorial
 
 from .algebra import (HeckeElement, as_context, is_central, _acc, _central,
-                      _indexed, _pack, _per_object, _rmul_gen, _size)
-from .errors import (DegreeMismatchError, MismatchError, NotCentralError,
-                     ResourceCapError)
+                      _indexed, _rmul_gen)
+from .errors import DegreeMismatchError, MismatchError, NotCentralError
 from .laurent import LaurentPoly, ONE, Q_MINUS_1, ZERO
 from .linalg import SparseSystem, _normalise
 from .permutations import (Partition, Permutation, _all_permutations,
@@ -225,98 +229,33 @@ def gamma_basis(ctx) -> GammaBasis:
     return gb
 
 
-# Widest exponent window, in digits, that the check of express_in_gamma
-# packs.  A window costs its digits in every packed coefficient whether or
-# not its powers occur, so a sparse coefficient spanning more, such as
-# 1 + q^1000000, raises ResourceCapError instead of taking gigabytes.  The
-# report at --n-max 6 takes at most 19 digits, the closed forms 41 at n = 7
-# and 55 at n = 8.
-_EXPAND_DIGITS = 1 << 10
-
-
-def _residual_terms(z: HeckeElement, gb: GammaBasis, coeffs: dict) -> int:
-    """The number of terms of z - sum c_lam gamma_lam over coeffs, a
-    coefficient of z per partition, computed on packed ints as
-    express_in_gamma describes."""
-    used = [(c, g) for lam, c in coeffs.items()
-            if c and (g := gb.elements[lam]._terms)]
-    if not used:
-        return len(z._terms)
-    lo_z, hi_z, _, top_z, mixed_z = _size(z._terms.values())
-    lo_g, hi_g, _, top_g, mixed_g = _size([d for _, g in used for d in g.values()])
-    # each c_lam is a coefficient of z: |c_lam|_1 <= top_z, and its
-    # exponents lie in lo_z .. hi_z
-    bits = (top_z * (1 + len(used) * top_g)).bit_length() + 1
-    stride = 1 if mixed_z or mixed_g or lo_g & 1 else 2
-    base = lo_z + min(lo_g, 0)
-    digits = (hi_z + max(hi_g, 0) - base) // stride + 1
-    if digits > _EXPAND_DIGITS:
-        raise ResourceCapError(
-            f"an expansion over {digits} powers of {'v' if stride == 1 else 'q'} "
-            f"passes the limit of {_EXPAND_DIGITS}")
-    packs = _per_object(lambda c: _pack(c, bits, base, stride),
-                        z._terms.values())
-    residual = {w: packs[id(c)] for w, c in z._terms.items()}
-    get = residual.get
-    for c, g in used:
-        lo = min(c._terms)
-        pc = _pack(c, bits, lo, stride) << (lo + lo_g - base) // stride * bits
-        products = _per_object(lambda d: pc * _pack(d, bits, lo_g, stride),
-                               g.values())
-        for w, d in g.items():
-            residual[w] = get(w, 0) - products[id(d)]
-    return sum(map(bool, residual.values()))
-
-
 def express_in_gamma(z: HeckeElement,
                      gb: GammaBasis) -> dict[Partition, LaurentPoly]:
     """Coordinates of a central element in the minimal basis.
 
-    Read off the minimal-length coefficients c_lam class by class, then
-    confirm that the expansion reproduces the element exactly: that proves
-    z central, so only a failed expansion tests centrality.
+    A central z is sum over lam of z(w_lam) gamma_lam, w_lam any
+    minimal-length element of the class lam (Geck and Pfeiffer 2000,
+    section 8.2): gamma_lam is 1 on the minimal elements of lam and 0 on
+    those of every other class, and a central element is fixed by its
+    coefficients there, since the class recursion (_recursive_gamma)
+    fills in every other coefficient from them.  So once is_central has
+    shown z central, reading one pinned coefficient per class is the
+    whole expansion; a non-central z raises NotCentralError.
 
-    The check (_residual_terms) runs on ints.  Each coefficient is packed as
-    products pack it (algebra._pack): its value at v^stride = 2^B after
-    dividing by v^base, base at most every exponent of every term.  That is
-    a ring map, so the packed residual at w is r_w(2^B), r_w the
-    coefficient of z - sum c_lam gamma_lam at w.  Each coefficient of r_w
-    is at most |z_w|_1 + sum |c_lam|_1 |gamma_lam,w|_1 in absolute value.
-    Every c_lam is a coefficient of z, so that is at most t (1 + k g), t
-    the largest |z_w|_1, g the largest |gamma_lam,w|_1 and k the number of
-    nonzero c_lam, and 2^(B-1) is above that.  So r_w(2^B) is 0 exactly
-    when r_w is: a nonzero top digit outweighs all the digits below it.
-    stride is 2 when the exponents of z share one parity and those of the
-    gamma_lam are even, as they are in Z[q, q^-1], so that every exponent
-    is base plus an even number; otherwise it is 1.  Each distinct
-    coefficient object of z is packed once, and each of a gamma_lam packed
-    and multiplied by c_lam once.  A window of more than _EXPAND_DIGITS
-    digits raises ResourceCapError.
+    That reading needs gb to be the minimal basis.  The memoized basis
+    of gamma_basis was checked when it was built; any other GammaBasis is
+    checked against the four invariants first, which fix the basis, so a
+    malformed one raises MismatchError.
     """
     if z.n != gb.n:
         raise DegreeMismatchError(
             f"element of degree {z.n} against a basis for degree {gb.n}")
-    coeffs: dict[Partition, LaurentPoly] = {}
-    try:
-        for lam in partitions_of(gb.n):
-            minimals = _minimal_classes(gb.n)[lam]
-            c0 = z.coeff(minimals[0])
-            for w in minimals[1:]:
-                if z.coeff(w) != c0:
-                    raise MismatchError(
-                        f"coefficients differ across minimal elements of "
-                        f"{lam}: {c0} vs {z.coeff(w)}")
-            coeffs[lam] = c0
-        left = _residual_terms(z, gb, coeffs)
-        if left:
-            raise MismatchError(
-                "element is central but is not an R-combination of the "
-                f"basis (residual has {left} terms)")
-    except MismatchError:
-        if not is_central(z):
-            raise NotCentralError("element is not central") from None
-        raise
-    return coeffs
+    if gb is not _GAMMA_MEMO.get(gb.n):
+        verify_gamma_invariants(gb)
+    if not is_central(z):
+        raise NotCentralError("element is not central")
+    minimal = _minimal_classes(gb.n)
+    return {lam: z.coeff(minimal[lam][0]) for lam in partitions_of(gb.n)}
 
 
 def _traces(gb: GammaBasis) -> dict[tuple[Partition, Partition], LaurentPoly]:

@@ -15,9 +15,12 @@ so do parentheses nested more than MAX_NESTING deep, which the recursive
 descent could not parse.
 Coefficient literals may have any number of digits; an exponent must
 convert with int(), within the interpreter's limit on int/str conversion
-(4,300 digits by default), since JSON writes it as a number.  A product
-can pass that limit: its text still prints, and element_to_json raises
-ResourceCapError.
+(4,300 digits by default), since JSON writes it as a number.  A power
+whose result has an exponent of v past MAX_EXPONENT in absolute value
+raises ResourceCapError, as element_from_json does for such an exponent
+in a JSON pair.  A product of powers can pass that bound, by as much as
+its text is long: its text still prints, and element_to_json raises
+ResourceCapError once an exponent has too many digits for a JSON number.
 
 Element grammar:
 
@@ -73,6 +76,9 @@ MAX_POWER_TERMS = 513
 # 2^(e * ceil(log2 |b|_1)).  Allows 3^10000 (20,000 bits); 3^10000000
 # took 5.7 s.
 MAX_POWER_BITS = 1 << 16
+# The largest |e| of a power v^e that a text power yields or a JSON pair
+# carries: q^500000000 is read, q^10000000000 is refused.
+MAX_EXPONENT = 10 ** 9
 # Each level of parentheses takes four frames of the recursive descent, so
 # about 250 levels reach the interpreter's default recursion limit.
 MAX_NESTING = 100
@@ -209,6 +215,9 @@ class _Parser:
             raise ResourceCapError(
                 f"power {exp} of a {base.num_terms()}-term scalar could have "
                 f"more than {MAX_POWER_TERMS} terms")
+        if base and exp * max(-base.min_exp(), base.max_exp()) > MAX_EXPONENT:
+            raise ResourceCapError(
+                f"power {exp} yields an exponent of v past {MAX_EXPONENT}")
         if len(base._terms) != 1:
             return base ** exp
         # a monomial's power is its one term
@@ -514,7 +523,8 @@ def element_from_json(doc, caps: Caps = DEFAULT_CAPS) -> HeckeElement:
     the coefficient a decimal string or an integer.  Anything else raises
     FormatError.  A degree above the enumeration cap raises
     ResourceCapError: lengths and reduced words cost about n^3, so an
-    unbounded degree never finishes.
+    unbounded degree never finishes.  So does an exponent past
+    MAX_EXPONENT in absolute value, the grammar's bound on powers.
     """
     if not isinstance(doc, dict):
         raise FormatError("element document must be an object")
@@ -550,6 +560,9 @@ def element_from_json(doc, caps: Caps = DEFAULT_CAPS) -> HeckeElement:
             c = LaurentPoly.from_pairs(entry["coeff"])
         except ValueError as exc:
             raise FormatError(f"bad coefficient for {list(w)}: {exc}")
+        if c and max(-c.min_exp(), c.max_exp()) > MAX_EXPONENT:
+            raise ResourceCapError(f"an exponent of the coefficient of "
+                                   f"{list(w)} is past {MAX_EXPONENT}")
         if basis == "Ttilde":
             c = c * v_power(-w.length())
         if c:

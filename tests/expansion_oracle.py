@@ -1,12 +1,13 @@
 """The minimal-basis expansion checked on LaurentPoly coefficients: the
-reference for hecke.center.express_in_gamma, which checks the residual on
-packed ints.
+reference for hecke.center.express_in_gamma, which tests centrality with
+is_central and then reads one minimal-length coefficient per class.
 
 The coordinates are read off the minimal-length coefficients class by
 class, then each c * gamma is taken off one copy of the terms of z by
-LaurentPoly arithmetic, without a product when c is 1.  A failed
-expansion tests centrality, as the package does, so the exceptions and
-their messages are the ones express_in_gamma must raise.
+LaurentPoly arithmetic, without a product when c is 1, so an expansion
+that leaves no residual proves z central without is_central.  A failed
+expansion tests centrality, so against the true minimal basis the
+exceptions and their messages are the ones express_in_gamma must raise.
 """
 
 from hecke.algebra import _acc, is_central

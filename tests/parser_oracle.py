@@ -14,8 +14,8 @@ included, and raise the same errors where this one raises a HeckeError.
 from hecke.algebra import AlgebraContext, Caps, DEFAULT_CAPS, HeckeElement
 from hecke.errors import ParseError, ResourceCapError
 from hecke.laurent import LaurentPoly, Q, V, XI, _from_decimal
-from hecke.parsing import (MAX_NESTING, MAX_POWER_BITS, MAX_POWER_TERMS,
-                           _power_terms, _resolve_reference)
+from hecke.parsing import (MAX_EXPONENT, MAX_NESTING, MAX_POWER_BITS,
+                           MAX_POWER_TERMS, _power_terms, _resolve_reference)
 
 _SYMBOLS = "+-*^()[],@:"
 
@@ -138,6 +138,9 @@ class _Parser:
             raise ResourceCapError(
                 f"power {exp} of a {base.num_terms()}-term scalar could have "
                 f"more than {MAX_POWER_TERMS} terms")
+        if base and exp * max(-base.min_exp(), base.max_exp()) > MAX_EXPONENT:
+            raise ResourceCapError(
+                f"power {exp} yields an exponent of v past {MAX_EXPONENT}")
         if not neg:
             return base ** exp
         (e, c), = base.items()

@@ -1,8 +1,11 @@
 """Tests for the centre: minimal basis, coordinates, membership."""
 
 import random
+import re
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 import hecke.verify
 from hecke import (
@@ -35,6 +38,7 @@ from hecke.laurent import ONE, Q, Q_MINUS_1, ZERO
 from hecke.linalg import SparseSystem, _normalise, reduced_basis, sparse_rank
 
 from content_oracle import contents, elementary, partitions, q_content
+from expansion_oracle import express_by_laurent, outcome
 from fraction_oracle import insert_every_row
 from generator_oracle import lmul_gen
 
@@ -118,8 +122,7 @@ def test_express_rejects_noncentral_input(gb3):
         express_in_gamma(parse_element("T[1]", 3), gb3)
 
 
-def test_express_tests_centrality_only_when_the_expansion_fails(
-        gb3, monkeypatch):
+def test_express_tests_centrality_once(gb3, monkeypatch):
     import hecke.center
 
     calls = []
@@ -133,10 +136,10 @@ def test_express_tests_centrality_only_when_the_expansion_fails(
     assert express_in_gamma(z, gb3) == {
         Partition((3,)): LaurentPoly(1), Partition((2, 1)): parse_scalar("q"),
         Partition((1, 1, 1)): LaurentPoly(0)}
-    assert calls == []
+    assert calls == [z]
     # T[1]: its coefficients differ across the minimal elements s_1, s_2
-    # of (2, 1).  T[1] + T[2] + T[1,2,1]: they agree, every coordinate
-    # reads 0 but for 1 at (2, 1), and the residual is (1 - q^-1) T_w0
+    # of (2, 1).  T[1] + T[2] + T[1,2,1]: they agree, and only the
+    # coefficient at T_w0 is off the centre
     for z, differ in ((parse_element("T[1]", 3), True),
                       (parse_element("T[1] + T[2] + T[1,2,1]", 3), False)):
         minimal = minimal_class_elements(3, Partition((2, 1)))
@@ -148,19 +151,65 @@ def test_express_tests_centrality_only_when_the_expansion_fails(
         assert calls == [z]
 
 
-def test_express_checks_the_expansion_against_the_basis_it_is_given(gb4):
-    # each basis element in turn gains a term off the minimal classes, so
-    # the coordinates read as before and the residual is c * q * T_w0
+def test_express_checks_a_basis_it_did_not_build(gb4):
+    # each basis element in turn bent by a term off the minimal classes
+    # fails the invariants, so no coordinates are read against it
     w0 = Permutation.longest(4)
     for z in (x_elem(4), gb4[(3, 1)], gb4[(3, 1)].scale(parse_scalar("q-1"))):
-        coords = express_in_gamma(z, gb4)
         for lam, g in gb4:
-            if not coords[lam]:
-                continue
             bent = dict(gb4.elements)
             bent[lam] = g + HeckeElement.basis(4, w0).scale(parse_scalar("q"))
-            with pytest.raises(MismatchError, match="residual has 1 terms"):
+            with pytest.raises(MismatchError, match=re.escape(
+                    f"basis element for {lam} is not central")):
                 express_in_gamma(z, GammaBasis(4, bent))
+
+
+@st.composite
+def _combination(draw, n):
+    """sum c_lam gamma_lam over gamma_basis(n), each c_lam 0 or a Laurent
+    polynomial in v whose exponents are even, odd or mixed."""
+    def scalar():
+        parity = draw(st.sampled_from([0, 1, None]))
+        exps = [e for e in range(-8, 9) if parity is None or e & 1 == parity]
+        return LaurentPoly(draw(st.dictionaries(
+            st.sampled_from(exps), st.integers(-50, 50), max_size=3)))
+    z = HeckeElement.zero(n)
+    for _, g in gamma_basis(n):
+        z = z + g.scale(scalar())
+    return z
+
+
+_OFF_MINIMAL = {n: [w for w in all_permutations(n) if w not in
+                    {u for lam in partitions_of(n)
+                     for u in minimal_class_elements(n, lam)}]
+                for n in (3, 4, 5)}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_express_agrees_with_the_laurent_expansion(n, data):
+    gb = gamma_basis(n)
+    # a copy is checked against the invariants, then read as the memo is
+    copy = GammaBasis(n, dict(gb.elements))
+    z = data.draw(_combination(n))
+    got = outcome(express_in_gamma, z, gb)
+    assert got[0] == "ok"
+    assert got == outcome(express_by_laurent, z, gb)
+    assert got == outcome(express_in_gamma, z, copy)
+    assert [lam for lam, _ in got[1]] == list(partitions_of(n))
+    # a term off the minimal classes leaves the coordinates readable but
+    # the element not central
+    w = data.draw(st.sampled_from(_OFF_MINIMAL[n]))
+    c = LaurentPoly(data.draw(st.dictionaries(
+        st.integers(-8, 8), st.integers(-50, 50).filter(bool),
+        min_size=1, max_size=2)))
+    bent = z + HeckeElement(n, {w: c})
+    got = outcome(express_in_gamma, bent, gb)
+    assert got == (NotCentralError, "element is not central")
+    assert got == outcome(express_by_laurent, bent, gb)
+    assert got == outcome(express_in_gamma, bent, copy)
 
 
 def test_express_is_linear(gb3):

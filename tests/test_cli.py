@@ -12,7 +12,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from hecke import Caps, HeckeError, element_from_json, parse_element
+from hecke import (Caps, HeckeElement, HeckeError, LaurentPoly, Permutation,
+                   ResourceCapError, element_from_json, element_to_json,
+                   format_element, parse_element, v_power)
 from hecke.center import _GAMMA_MEMO
 from hecke.cli import build_parser, main
 
@@ -118,6 +120,11 @@ def test_express(capsys):
     rc, out, _ = run(capsys, "express", "--n", "3", "@x")
     assert rc == 0
     assert set(out.strip().splitlines()) == {"3: 1", "2,1: 1", "1,1,1: 1"}
+    # the coordinates are read whatever the span of the exponents
+    rc, out, _ = run(capsys, "express", "--n", "3", "(q^100000000 - 1)*@x")
+    assert rc == 0
+    assert out.strip().splitlines() == [
+        f"{lam}: q^100000000 - 1" for lam in ("3", "2,1", "1,1,1")]
     rc, out, err = run(capsys, "express", "--n", "3", "T[1]")
     assert rc == 1
     assert "not central" in err
@@ -208,23 +215,64 @@ def test_coefficients_beyond_the_conversion_limit_print_and_parse_back(capsys):
 
 
 def test_exponents_beyond_the_conversion_limit(capsys):
-    # the product has exponent 2 * (10^4300 - 1) + 2, past the 4,300
-    # digits that str() converts from Python 3.11 on
+    # a text power past MAX_EXPONENT is refused before it is taken
     nines = "9" * 4300
     factor = f"v^{nines}*T[1]"
-    rc, out, _ = run(capsys, "mul", "--n", "3", factor, factor)
-    assert rc == 0
+    rc, out, err = run(capsys, "mul", "--n", "3", factor, factor)
+    assert (rc, out) == (3, "")
+    assert "past" in err
+    # built through the API, the product has exponent 2 * (10^4300 - 1) + 2,
+    # past the 4,300 digits that str() converts from Python 3.11 on: its
+    # text prints, and its JSON document is refused where that limit holds
+    a = HeckeElement(3, {Permutation.from_word(3, [1]): v_power(int(nines))})
     ten = "1" + "0" * 4300
-    assert out.strip() == f"q^{ten}*T[] + (q^{ten} - q^{nines})*T[1]"
-    rc, out, err = run(capsys, "mul", "--n", "3", factor, factor, "--json")
+    assert format_element(a * a) == f"q^{ten}*T[] + (q^{ten} - q^{nines})*T[1]"
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if 0 < limit <= 4300:
-        assert (rc, out) == (3, "")
-        assert "too many digits" in err
+        with pytest.raises(ResourceCapError, match="too many digits"):
+            element_to_json(a * a)
     else:
-        assert rc == 0
-        doc = json.loads(out)
+        doc = element_to_json(a * a)
         assert doc["terms"][0]["coeff"] == [[2 * int(nines) + 2, "1"]]
+
+
+def test_mul_bounds_the_exponents_of_its_powers(capsys):
+    from hecke.parsing import MAX_EXPONENT
+
+    half = MAX_EXPONENT // 2
+    for text, code in ((f"q^{half}*T[1]", 0), (f"v^-{MAX_EXPONENT}*T[1]", 0),
+                       (f"q^{half + 1}*T[1]", 3), ("q^10000000000*T[1]", 3),
+                       (f"(q^2)^{MAX_EXPONENT // 4 + 1}*T[1]", 3),
+                       (f"(-v)^-{MAX_EXPONENT + 1}*T[1]", 3)):
+        rc, out, err = run(capsys, "mul", "--n", "2", text, "T[1]")
+        assert rc == code, text
+        if code:
+            assert out == "" and f"past {MAX_EXPONENT}" in err
+        else:
+            # a product may pass the bound: q^(half + 1) prints here
+            assert out.strip() == format_element(
+                parse_element(text, 2) * parse_element("T[1]", 2))
+
+
+def test_import_bounds_the_exponents_of_its_pairs(capsys, monkeypatch):
+    from hecke.parsing import MAX_EXPONENT
+
+    def imported(exponent, basis="T"):
+        doc = {"n": 2, "basis": basis,
+               "terms": [{"perm": [2, 1], "coeff": [[0, 1], [exponent, "2"]]}]}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        return run(capsys, "import", "-")
+
+    for exponent in (MAX_EXPONENT, -MAX_EXPONENT):
+        rc, out, _ = imported(exponent)
+        assert rc == 0
+        assert parse_element(out.strip(), 2).coeff(
+            Permutation.from_word(2, [1])) == LaurentPoly({0: 1, exponent: 2})
+    for exponent in (MAX_EXPONENT + 1, -MAX_EXPONENT - 1, 2 * 10 ** 10):
+        for basis in ("T", "Ttilde"):
+            rc, out, err = imported(exponent, basis)
+            assert (rc, out) == (3, ""), (exponent, basis)
+            assert f"past {MAX_EXPONENT}" in err
 
 
 def test_catalog(capsys):

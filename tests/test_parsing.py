@@ -20,6 +20,7 @@ from hecke import (
     HeckeError,
     LaurentPoly,
     ParseError,
+    Permutation,
     ResourceCapError,
     all_permutations,
     element_from_json,
@@ -32,8 +33,8 @@ from hecke import (
     v_power,
     x_elem,
 )
-from hecke.parsing import (MAX_NESTING, MAX_POWER_BITS, MAX_POWER_TERMS,
-                           MAX_WORD_LENGTH)
+from hecke.parsing import (MAX_EXPONENT, MAX_NESTING, MAX_POWER_BITS,
+                           MAX_POWER_TERMS, MAX_WORD_LENGTH)
 
 from parser_oracle import oracle_element, oracle_scalar
 
@@ -140,7 +141,7 @@ def test_powers_of_multi_term_scalars_are_bounded():
     with pytest.raises(ParseError):
         parse_scalar("(v-1)^-2000")
     # monomials never grow past one term, so only their coefficients bound
-    # their powers, and unit monomials are not bounded at all
+    # their powers, and unit monomials only by the exponent they yield
     assert parse_scalar("v^100000") == v_power(100000)
     assert parse_scalar("(-v)^1000001") == -v_power(1000001)
     assert parse_scalar("(2*q)^3") == LaurentPoly({6: 8})
@@ -201,10 +202,46 @@ def test_exponents_keep_the_conversion_limit():
         parse_scalar(f"v^{long}")
     with pytest.raises(ParseError, match="5001 digits"):
         parse_element(f"(v+1)^{long}*T[1]", 3)
+    # within the limit, such an exponent is past MAX_EXPONENT; its scalar
+    # still prints, and its text is refused as the literal is
     e = 10 ** 4000
-    big = parse_scalar(f"v^{e}")
-    assert big == v_power(e)
-    assert parse_scalar(str(big)) == big
+    with pytest.raises(ResourceCapError, match="past"):
+        parse_scalar(f"v^{e}")
+    assert str(v_power(e)) == f"q^{e // 2}"
+    with pytest.raises(ResourceCapError, match="past"):
+        parse_scalar(str(v_power(e)))
+
+
+def test_exponents_are_bounded_where_text_and_json_are_read():
+    half = MAX_EXPONENT // 2
+    assert parse_scalar(f"v^{MAX_EXPONENT}") == v_power(MAX_EXPONENT)
+    assert parse_scalar(f"(-v)^-{MAX_EXPONENT}") == v_power(-MAX_EXPONENT)
+    assert parse_scalar("(q^250000000 + 1)^2").max_exp() == MAX_EXPONENT
+    # the bound is on each power, so a product of powers may pass it
+    assert parse_scalar(f"q^{half}*q") == v_power(MAX_EXPONENT + 2)
+    start = time.perf_counter()
+    for text in (f"v^{MAX_EXPONENT + 1}", f"q^{half + 1}",
+                 f"v^-{MAX_EXPONENT + 1}", f"(q^-1)^{half + 1}",
+                 "(q^250000001 + 1)^2", "q^10000000000"):
+        with pytest.raises(ResourceCapError, match=f"past {MAX_EXPONENT}"):
+            parse_scalar(text)
+        with pytest.raises(ResourceCapError, match=f"past {MAX_EXPONENT}"):
+            parse_element(f"{text}*T[1]", 2)
+    assert time.perf_counter() - start < 1.0
+    # a zero base yields no exponent
+    assert parse_scalar(f"0^{10 * MAX_EXPONENT}").is_zero()
+
+    def doc(exponent, basis="T"):
+        return {"n": 2, "basis": basis,
+                "terms": [{"perm": [2, 1], "coeff": [[exponent, 1]]}]}
+
+    for e in (MAX_EXPONENT, -MAX_EXPONENT):
+        assert element_from_json(doc(e)).coeff(
+            Permutation.from_word(2, [1])) == v_power(e)
+    for e in (MAX_EXPONENT + 1, -MAX_EXPONENT - 1, 2 * 10 ** 10):
+        for basis in ("T", "Ttilde"):
+            with pytest.raises(ResourceCapError, match=f"past {MAX_EXPONENT}"):
+                element_from_json(doc(e, basis))
 
 
 def test_scalar_parser_rejects_elements():

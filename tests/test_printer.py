@@ -3,22 +3,29 @@
 Every scalar and element must print to the same bytes as before and parse
 back to itself: small and huge exponents on both sides of the token-cache
 bound, coefficients on both sides of the direct-conversion limit, and
-negative single terms, which print through the negate flag.
+negative single terms, which print through the negate flag.  A text with
+an exponent past the grammar's bound (MAX_EXPONENT) still prints the same,
+and reading it back raises ResourceCapError.
 """
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import example, given, settings
 
-from hecke import (Caps, HeckeElement, LaurentPoly, all_permutations,
-                   format_element, format_scalar, parse_element, parse_scalar)
+from hecke import (Caps, HeckeElement, LaurentPoly, ResourceCapError,
+                   all_permutations, format_element, format_scalar,
+                   parse_element, parse_scalar)
 from hecke.laurent import _DECIMAL_SMALL, _TOKEN_BOUND, _TOKENS
-from hecke.parsing import _T_WORDS
+from hecke.parsing import MAX_EXPONENT, _T_WORDS
 from printer_oracle import element_text, scalar_text
 
 _exponents = st.one_of(
     st.integers(-40, 40),
     st.integers(_TOKEN_BOUND - 3, _TOKEN_BOUND + 3),
     st.integers(-_TOKEN_BOUND - 3, -_TOKEN_BOUND + 3),
+    # both sides of the grammar's exponent bound
+    st.builds(lambda s, d: s * (MAX_EXPONENT + d), st.sampled_from((1, -1)),
+              st.integers(-3, 3)),
     # as in test_exponents_keep_the_conversion_limit: a JSON number's limit
     st.builds(lambda k, s, d: s * 10 ** k + d, st.integers(4, 4000),
               st.sampled_from((1, -1)), st.integers(-2, 2)),
@@ -39,12 +46,25 @@ _FIXED_SCALARS = [LaurentPoly(0), LaurentPoly(1), LaurentPoly(-1)] + [
     LaurentPoly({2: -(10 ** 5000 + 7), -1: 10 ** 4400})]
 
 
+def _past_bound(p):
+    """Whether p has an exponent the grammar refuses to read."""
+    return any(abs(e) > MAX_EXPONENT for e in p._terms)
+
+
+def _parses_back(parse, text, value, past):
+    if past:
+        with pytest.raises(ResourceCapError, match=f"past {MAX_EXPONENT}"):
+            parse(text)
+    else:
+        assert parse(text) == value
+
+
 def _check_scalar(p):
     want = scalar_text(p)
     assert str(p) == want
     assert format_scalar(p) == want
     assert p._text(negate=True) == scalar_text(-p)
-    assert parse_scalar(want) == p
+    _parses_back(parse_scalar, want, p, _past_bound(p))
 
 
 def test_fixed_scalars_print_as_before():
@@ -86,7 +106,8 @@ def test_elements_print_as_before_and_parse_back(el):
     text = format_element(el)
     assert text == element_text(el)
     assert str(el) == text
-    assert parse_element(text, el.n) == el
+    _parses_back(lambda t: parse_element(t, el.n), text, el,
+                 any(map(_past_bound, el._terms.values())))
 
 
 def test_the_word_cache_stops_at_the_enumeration_cap():

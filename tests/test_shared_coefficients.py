@@ -3,7 +3,7 @@ convert each distinct coefficient object once, and a product's equal
 coefficients are one object.  Each is checked against a computation that
 converts every term on its own: the LaurentPoly walk for products, a
 product per term for scale, the two-sided generator comparison for
-is_central, and the LaurentPoly residual loop for express_in_gamma.
+is_central, and the LaurentPoly expansion for express_in_gamma.
 """
 
 import random
@@ -18,14 +18,15 @@ from hecke import (
     GammaBasis,
     HeckeElement,
     LaurentPoly,
+    MismatchError,
     Permutation,
-    ResourceCapError,
     all_permutations,
     express_in_gamma,
     gamma_basis,
     is_central,
     minimal_class_elements,
     Partition,
+    partitions_of,
     t_longest,
     x_elem,
     xbar,
@@ -173,27 +174,35 @@ def test_edges_of_the_packed_window_raise_as_the_laurent_check(where, change):
     assert (got[0] == "ok") == (where == "identity")
 
 
-def test_a_bent_basis_leaves_the_residual_the_laurent_check_counts(gb4):
-    # gamma_lam plus c (T_w0 + T_(w0 s_1) + T_(w0 s_2)), or 0: the
-    # coordinates of a central z read as before, and the residual has up to
-    # three terms, or all of gamma_lam's
+def test_a_bent_basis_raises_where_the_true_one_reads_the_oracle(gb4):
+    # gamma_lam plus c (T_w0 + T_(w0 s_1) + T_(w0 s_2)), or 0: each fails
+    # the basis invariants, while the true basis reads the coordinates the
+    # LaurentPoly expansion reads
     w0 = Permutation.longest(4)
     extra = HeckeElement(4, {w: LaurentPoly({2: 1, -1: 3}) for w in
                              (w0, w0.right_simple(1), w0.right_simple(2))})
+    zs = (x_elem(4), y_elem(4), gb4[(3, 1)].scale(LaurentPoly({0: 2, 2: -1})))
+    for z in zs:
+        got = outcome(express_in_gamma, z, gb4)
+        assert got[0] == "ok"
+        assert got == outcome(express_by_laurent, z, gb4)
     for lam, g in gb4:
         for changed in (g + extra, HeckeElement.zero(4)):
             bent = GammaBasis(4, {**gb4.elements, lam: changed})
-            for z in (x_elem(4), y_elem(4),
-                      gb4[(3, 1)].scale(LaurentPoly({0: 2, 2: -1}))):
-                assert (outcome(express_in_gamma, z, bent)
-                        == outcome(express_by_laurent, z, bent))
+            for z in zs:
+                with pytest.raises(MismatchError):
+                    express_in_gamma(z, bent)
 
 
-def test_an_expansion_past_the_window_limit_raises_a_cap_error():
+def test_a_wide_expansion_reads_the_oracle_coordinates():
+    # (1 + q^4000) x spans 4,001 powers of q, and the coordinates are read
+    # off its coefficients, whatever their span
     gb = gamma_basis(3)
     wide = x_elem(3).scale(LaurentPoly({0: 1, 4000: 1}))
-    with pytest.raises(ResourceCapError, match="powers of q passes the limit"):
-        express_in_gamma(wide, gb)
+    got = outcome(express_in_gamma, wide, gb)
+    assert got == ("ok", [(lam, LaurentPoly({0: 1, 4000: 1}))
+                          for lam in partitions_of(3)])
+    assert got == outcome(express_by_laurent, wide, gb)
     # a large coefficient widens each digit, not the window
     big = x_elem(5).scale(LaurentPoly({0: 10 ** 5000, 2: -1}))
     assert (outcome(express_in_gamma, big, gamma_basis(5))
