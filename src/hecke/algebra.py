@@ -68,7 +68,9 @@ negation, whose results share as their argument does, and the parser's
 c*@ref.  No other module packs: center.express_in_gamma reads its
 coordinates once is_central has passed.  _size keeps its own pass, since
 it also sums |c|_1 over every term, a shared object once per term; a
-product's ints are unpacked once per distinct value.
+product's ints are unpacked once per distinct value.  The few-term path
+below packs a coefficient per term, and _size reads one per term for at
+most _FEW_TERMS terms: so few terms rarely share one.
 
 The packed factor that is stepped on (the one whose words are not walked,
 or the element tested for centrality) is held in one of two ways, chosen
@@ -100,6 +102,17 @@ when l(w_0) (1 + corrections) is below the number of keys the walk would
 step to, those of the factor with fewer terms, with at most n corrections.
 The digit width stays the walk's: only the final sum is unpacked, and it
 is the same product.
+
+A product whose factors both have at most _FEW_TERMS terms, and which that
+rule does not take as coset sums, skips the setup built for dense factors
+(_few_terms_sum): it packs each coefficient as it reads it, steps each
+key's word from the factor on its own, and groups no repeated key.  The
+few words of a few keys share few edges, so laying out their trie
+(_prefix_products) costs more than the steps it saves, and a few terms
+rarely share a coefficient, so the memos save nothing.  The choice reads
+the sizes of the factors alone; every product in H_3 but the coset sums
+takes this path.  Its terms, their order and their shared coefficients
+are those of the trie walk.
 
 >>> ts = HeckeElement.generator(2, 1)
 >>> print(ts * ts)
@@ -264,12 +277,15 @@ _PACK_BITS = 1 << 14
 # 1.7-2.1 s (Python 3.11, 2-core Xeon).
 MAX_WORD_LENGTH = 48
 
-# Smallest degree whose dense products sum the partial products of a
-# repeated keyed coefficient before scaling them (_grouped_keys).  In S_3 the
-# multiply of 6 entries that a sum saves costs less than the bookkeeping:
-# xbar^2, ybar^2 and (ybar T_w0) xbar took 17-30% longer grouped at n = 3,
-# and 7-10% less at n = 4 (Python 3.11, 2-core Xeon).
-_GROUP_MIN_DEGREE = 4
+# Most terms of either factor of a product that takes the few-term path
+# (_few_terms_sum), which walks each key's word on its own and packs each
+# coefficient as it reads it.  That holds every product in H_3 but the
+# coset sums, so the grouped dense sums start at degree 4, where they
+# save.  Products of 1- to 4-term factors at n = 4 took 30% less time so,
+# two 6-term factors 6% less at n = 4 and the same at n = 5 and 6, two
+# 8-term factors the same, and two 10-term factors 3-8% more at n = 4..6
+# (Python 3.11, 2-core Xeon).
+_FEW_TERMS = 6
 
 # Largest degree whose S_n is numbered for any product or centrality test:
 # the tables of S_6 cost at most 0.2 MB and 2 ms.  Those of S_7 take about
@@ -389,22 +405,28 @@ def _per_object(f, coeffs) -> dict:
     return done
 
 
-def _size(coeffs) -> tuple[int, int, int, int, bool]:
-    """(lo, hi, total, top, mixed) for nonzero LaurentPolys coeffs, each
-    distinct object read once: the least and greatest exponent, the sum and
-    the largest of the |c|_1, and whether two exponents differ in parity."""
-    norms: dict[int, int] = {}    # id -> |c|_1
+def _size(coeffs) -> tuple[int, int, int, bool]:
+    """(lo, hi, total, mixed) for nonzero LaurentPolys coeffs: the least
+    and greatest exponent, the sum of the |c|_1, and whether two exponents
+    differ in parity.  Past _FEW_TERMS coefficients each distinct object is
+    read once."""
     exps: set[int] = set()
     total = 0
-    for c in coeffs:
-        norm = norms.get(id(c))
-        if norm is None:
-            norm = norms[id(c)] = sum(map(abs, c._terms.values()))
-            exps.update(c._terms)
-        total += norm
-    lo = min(exps)
-    return (lo, max(exps), total, max(norms.values()),
-            any((e - lo) & 1 for e in exps))
+    if len(coeffs) <= _FEW_TERMS:
+        for c in coeffs:
+            terms = c._terms
+            total += sum(map(abs, terms.values()))
+            exps.update(terms)
+    else:
+        norms: dict[int, int] = {}    # id -> |c|_1
+        for c in coeffs:
+            norm = norms.get(id(c))
+            if norm is None:
+                terms = c._terms
+                norm = norms[id(c)] = sum(map(abs, terms.values()))
+                exps.update(terms)
+            total += norm
+    return min(exps), max(exps), total, len({e & 1 for e in exps}) > 1
 
 
 def _packing(n: int, factors: list,
@@ -427,7 +449,7 @@ def _packing(n: int, factors: list,
         return None
     bound, window, lows, stride = 3 ** steps, 2 * steps, [], 2
     for terms in factors:
-        lo, hi, total, _, mixed = _size(terms.values())
+        lo, hi, total, mixed = _size(terms.values())
         lows.append(lo)
         window += hi - lo
         bound *= total
@@ -633,15 +655,14 @@ def _grouped_keys(keys: list, n: int) -> list:
     """The keys of a dense product in H_n whose partial products _packed_mul
     sums before scaling: those that occur at least twice in keys, most
     frequent first (the first seen first on a tie), and no more than
-    l(w_0) + 1 of them.  None below _GROUP_MIN_DEGREE, and none, with no
-    count taken, when no key repeats.
+    l(w_0) + 1 of them.  None, with no count taken, when no key repeats.
 
     Each key kept costs a list of n! sums held through the walk, so the cap
     bounds the memory; l(w_0) + 1, the number of lengths in S_n, holds every
     key of a coefficient that depends on the length alone, as those of ybar
     do.
     """
-    if n < _GROUP_MIN_DEGREE or len(set(keys)) == len(keys):
+    if len(set(keys)) == len(keys):
         return []
     counts = Counter(keys).most_common()[:n * (n - 1) // 2 + 1]
     return [key for key, m in counts if m > 1]
@@ -720,18 +741,86 @@ def _packed_mul(n: int, a: dict, b: dict, bits: int, lows: list,
     if geometric is None and 2 * keys >= len(ix.perms):
         geometric = _geometric(n, b if flipped else a, keys)
         flipped ^= geometric is not None
-    walked, keyed = _sides(a, b, flipped)
-    lo_a, lo_b = lows
-    lo_walked, lo_keyed = (lo_b, lo_a) if flipped else (lo_a, lo_b)
+    lo_walked, lo_keyed = lows[::-1] if flipped else lows
+    if geometric is not None:
+        # the coset sums start at v^f, over v^(e l(w_0)) when e < 0
+        _, f, _, e, _ = geometric
+        lo_keyed = min(lo_keyed, f + min(0, e * n * (n - 1) // 2))
+    if geometric is None and len(b if flipped else a) <= _FEW_TERMS:
+        out = _few_terms_sum(ix, b if flipped else a, a if flipped else b,
+                             flipped, bits, lo_walked, lo_keyed, stride)
+    else:
+        walked, keyed = _sides(a, b, flipped)
+        out = _walked_sum(n, ix, walked, keyed, flipped, geometric, bits,
+                          lo_walked, lo_keyed, stride)
+    out = _flip_packed(ix.inv, out) if flipped else out
+    found = enumerate(out) if isinstance(out, list) else sorted(out.items())
+    perms, lo = ix.perms, lo_walked + lo_keyed
+    # each distinct value is unpacked once, and its terms share the result
+    # (a nonzero value unpacks to a nonzero, so truthy, LaurentPoly)
+    coeffs: dict[int, LaurentPoly] = {}
+    return {perms[k]: coeffs.get(x) or coeffs.setdefault(
+                x, _unpack(x, bits, lo, stride))
+            for k, x in found if x}
+
+
+def _few_terms_sum(ix: _Indexed, walked: dict, keyed: dict, flipped: bool,
+                   bits: int, lo_walked: int, lo_keyed: int,
+                   stride: int) -> dict | list:
+    """The packed sum of _walked_sum for factors of at most _FEW_TERMS
+    terms that take no coset sums, with none of the setup built for dense
+    factors: each coefficient is packed as it is read, with no memo of
+    objects, and each key's word is stepped from walked on its own, with no
+    trie of words laid out, since a few words share few edges.  A key u of
+    a flipped product steps along the reverse of the word of u, a reduced
+    word of u^-1."""
+    index, shift = ix.index, 2 // stride * bits
+    packs = [(index[w], _pack(c, bits, lo_walked, stride))
+             for w, c in walked.items()]
+    if flipped:
+        inv = ix.inv
+        packs = [(inv[k], x) for k, x in packs]
+    dense = 2 * len(packs) >= len(ix.perms)
+    if dense:
+        packed, out = [0] * len(ix.perms), [0] * len(ix.perms)
+        for k, x in packs:
+            packed[k] = x
+        step = _dense_step
+    else:
+        packed, out = dict(packs), {}
+        get = out.get
+        step = _packed_step
+    right = ix.right
+    for w, c in keyed.items():
+        word = w.reduced_word()
+        acc = packed
+        for i in reversed(word) if flipped else word:
+            acc = step(right, shift, acc, i)
+        e = min(c._terms)
+        x, by = _pack(c, bits, e, stride), (e - lo_keyed) // stride * bits
+        if dense:
+            out = [y + (d * x << by) for y, d in zip(out, acc)]
+        else:
+            # an entry that cancels to 0 is dropped when the sum is unpacked
+            for k, d in acc.items():
+                out[k] = get(k, 0) + (d * x << by)
+    return out
+
+
+def _walked_sum(n: int, ix: _Indexed, walked: dict, keyed: list,
+                flipped: bool, geometric, bits: int, lo_walked: int,
+                lo_keyed: int, stride: int) -> dict | list:
+    """The packed product of walked by the keyed terms, in the flipped
+    frame when flipped is set: the coset sums of geometric, if any, then
+    the trie walk over the words of the keys.  lo_keyed is already lowered
+    to where the coset sums start."""
     packed, step = _packed_terms(ix, [(walked, lo_walked)], bits, stride)
     packed = _flip_packed(ix.inv, packed) if flipped else packed
     if geometric is not None:
         unit, f, sign, e, keyed = geometric
         if flipped:
             keyed = [(w.inverse(), d) for w, d in keyed]
-        base = min(0, e * n * (n - 1) // 2)
-        lo_keyed = min(lo_keyed, f + base)
-        start = (f + base - lo_keyed) // stride * bits
+        start = (f + min(0, e * n * (n - 1) // 2) - lo_keyed) // stride * bits
         out = packed
         if unit != 1 or start:
             out = [unit * x << start for x in packed]
@@ -774,15 +863,7 @@ def _packed_mul(n: int, a: dict, b: dict, bits: int, lows: list,
                     out[k] = s
                 else:
                     del out[k]
-    out = _flip_packed(ix.inv, out) if flipped else out
-    found = enumerate(out) if isinstance(out, list) else sorted(out.items())
-    perms, lo = ix.perms, lo_walked + lo_keyed
-    # each distinct value is unpacked once, and its terms share the result
-    # (a nonzero value unpacks to a nonzero, so truthy, LaurentPoly)
-    coeffs: dict[int, LaurentPoly] = {}
-    return {perms[k]: coeffs.get(x) or coeffs.setdefault(
-                x, _unpack(x, bits, lo, stride))
-            for k, x in found if x}
+    return out
 
 
 def _check_key(n: int, w) -> None:

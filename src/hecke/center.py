@@ -247,12 +247,22 @@ def express_in_gamma(z: HeckeElement,
     checked against the four invariants first, which fix the basis, so a
     malformed one raises MismatchError.
     """
+    return _pinned_coordinates(z, gb, proven=False)
+
+
+def _pinned_coordinates(z: HeckeElement, gb: GammaBasis,
+                        proven: bool) -> dict[Partition, LaurentPoly]:
+    """express_in_gamma's reading: the degree check, the invariants of a
+    basis gamma_basis did not memoize, then one pinned coefficient per
+    class.  proven says the caller has already shown z central (as
+    in_sqrt_centre has for a square); otherwise is_central runs here, so
+    each element is walked once."""
     if z.n != gb.n:
         raise DegreeMismatchError(
             f"element of degree {z.n} against a basis for degree {gb.n}")
     if gb is not _GAMMA_MEMO.get(gb.n):
         verify_gamma_invariants(gb)
-    if not is_central(z):
+    if not (proven or is_central(z)):
         raise NotCentralError("element is not central")
     minimal = _minimal_classes(gb.n)
     return {lam: z.coeff(minimal[lam][0]) for lam in partitions_of(gb.n)}

@@ -33,8 +33,8 @@ import random
 
 from .algebra import (HeckeElement, _check_degree, _indexed, as_context,
                       commutator, is_central)
-from .center import (GammaBasis, _GAMMA_MEMO, _blocks, express_in_gamma,
-                     gamma_basis)
+from .center import (GammaBasis, _GAMMA_MEMO, _blocks, _pinned_coordinates,
+                     express_in_gamma, gamma_basis)
 from .elements import (_longest_length, elem_sym, poincare, t_longest, x_elem,
                        xbar, y_elem, ybar)
 from .errors import DegreeMismatchError, MismatchError
@@ -65,7 +65,8 @@ def in_sqrt_centre(h: HeckeElement, gb: GammaBasis | None = None) -> SqrtReport:
     if passed, else the basis gamma_basis has memoized for the degree, if
     any.  Without gb the coordinates therefore appear only once something
     in the process (gamma_basis, an eigen search) has built that basis;
-    pass gb for a report that depends on the input alone.
+    pass gb for a report that depends on the input alone.  The square is
+    walked for centrality once: its coordinates are read on that proof.
     """
     in_centre = is_central(h)
     square = h * h
@@ -74,7 +75,7 @@ def in_sqrt_centre(h: HeckeElement, gb: GammaBasis | None = None) -> SqrtReport:
     if in_sqrt:
         basis = gb if gb is not None else _GAMMA_MEMO.get(h.n)
         if basis is not None:
-            coords = express_in_gamma(square, basis)
+            coords = _pinned_coordinates(square, basis, proven=True)
     return SqrtReport(in_sqrt=in_sqrt, in_centre=in_centre,
                       square_in_gamma=coords)
 

@@ -37,9 +37,10 @@ from hecke import (
     xbar,
     ybar,
 )
-from hecke.algebra import (_acc, _central, _dict_mul, _flip, _grouped_keys,
-                           _indexed, _pack, _packed_terms, _packing,
-                           _prefix_products, _rmul_gen, _unpack)
+from hecke.algebra import (_FEW_TERMS, _acc, _central, _dict_mul, _flip,
+                           _geometric, _grouped_keys, _indexed, _pack,
+                           _packed_terms, _packing, _prefix_products,
+                           _rmul_gen, _unpack)
 from hecke.laurent import ONE, Q, Q_MINUS_1
 from hecke.linalg import sparse_rank
 from hecke.permutations import _all_permutations
@@ -804,6 +805,75 @@ def _pool_scalar(rng, parity):
     return _random_scalar(rng, parity)
 
 
+def _product_path(compute):
+    """compute(), one product, and the path it took: "few"
+    (_few_terms_sum), "coset" (_coset_sums) or "walk" (the trie walk
+    alone)."""
+    taken = set()
+
+    def spy(path, real):
+        def call(*args):
+            taken.add(path)
+            return real(*args)
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name, path in (("_few_terms_sum", "few"), ("_coset_sums", "coset"),
+                           ("_prefix_products", "walk")):
+            mp.setattr(hecke.algebra, name,
+                       spy(path, getattr(hecke.algebra, name)))
+        result = compute()
+    return result, next(p for p in ("few", "coset", "walk") if p in taken)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_few_term_products_match_the_generator_fold(n, data):
+    # factors of 1 to _FEW_TERMS terms on either side, the exponents of
+    # each all even, all odd or mixed, so that both strides occur; at
+    # n = 3 a 6-term factor may stand next to c X_a, which the rule of
+    # cost takes as coset sums.  Each product equals the fold of
+    # generator_oracle.lmul_gen, key order included, gives equal
+    # coefficients one object, and takes the few-term path unless a
+    # factor is geometric
+    perms = all_permutations(n)
+
+    def factor(support):
+        scalars = data.draw(_parity_scalars)
+        return HeckeElement(n, {w: data.draw(scalars) for w in support})
+
+    if n == 3 and data.draw(st.booleans()):
+        sign, a_sign = data.draw(st.sampled_from([(1, 1), (1, -1), (-1, 1),
+                                                  (-1, -1)]))
+        f, e = data.draw(st.integers(-4, 4)), data.draw(st.integers(-2, 2))
+        g = HeckeElement(n, {w: LaurentPoly({f + e * w.length():
+                                             sign * a_sign ** w.length()})
+                             for w in perms})
+        a, b = g, factor(perms)
+    else:
+        a, b = (factor(data.draw(st.lists(st.sampled_from(perms), min_size=1,
+                                          max_size=_FEW_TERMS, unique=True)))
+                for _ in range(2))
+    if data.draw(st.booleans()):
+        a, b = b, a
+    packing = _packing(n, [a._terms, b._terms], n * (n - 1) // 2)
+    assert packing[-1] == (2 if _one_parity(a) and _one_parity(b) else 1)
+    product, path = _product_path(lambda: a * b)
+    keys = min(len(a._terms), len(b._terms))
+    geometric = any(len(h._terms) == len(perms)
+                    and _geometric(n, h._terms, keys) is not None
+                    for h in (a, b))
+    assert path == ("coset" if geometric else "few")
+    fold = _left_fold_mul(a, b)
+    assert product == fold
+    assert list(product._terms) == sorted(fold._terms)
+    coeffs = product._terms.values()
+    assert len({id(c) for c in coeffs}) == len(
+        {tuple(sorted(c._terms.items())) for c in coeffs})
+
+
 @st.composite
 def _repeated_key_pairs(draw, n):
     """(a, b, over_cap, cancel): a product whose walked factor covers at
@@ -862,7 +932,7 @@ def _repeated_key_pairs(draw, n):
 
 def _grouping(compute):
     """compute() and the (keys, grouped keys) of the one call to
-    _grouped_keys that it makes."""
+    _grouped_keys that it makes, or None when it makes none."""
     calls = []
 
     def spy(keys, n):
@@ -873,8 +943,8 @@ def _grouping(compute):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hecke.algebra, "_grouped_keys", spy)
         result = compute()
-    call, = calls
-    return result, call
+    assert len(calls) <= 1
+    return result, calls[0] if calls else None
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -887,15 +957,19 @@ def test_dense_products_sum_repeated_keys_exactly(n, data):
     assert 2 * len(walked._terms) >= factorial(n)
     packing = _packing(n, [a._terms, b._terms], n * (n - 1) // 2)
     assert packing[-1] == (2 if _one_parity(a) and _one_parity(b) else 1)
-    product, (keys, grouped) = _grouping(lambda: a * b)
-    most = n * (n - 1) // 2 + 1
-    repeated = [k for k, m in Counter(keys).items() if m > 1]
-    assert (len(repeated) > most) == over_cap
-    # S_3 folds every keyed term on its own
-    assert len(grouped) == (min(len(repeated), most) if n > 3 else 0)
-    if cancel and n > 3:
-        # the first key is that of c (T_1 + T_s), seen first on a tie
-        assert keys[0] in grouped and Counter(keys)[keys[0]] == 2
+    product, call = _grouping(lambda: a * b)
+    # no factor in H_3 has more than _FEW_TERMS terms: S_3 walks every
+    # keyed term on its own (_few_terms_sum) and groups none
+    assert (call is None) == (n == 3)
+    if call is not None:
+        keys, grouped = call
+        most = n * (n - 1) // 2 + 1
+        repeated = [k for k, m in Counter(keys).items() if m > 1]
+        assert (len(repeated) > most) == over_cap
+        assert len(grouped) == min(len(repeated), most)
+        if cancel:
+            # the first key is that of c (T_1 + T_s), seen first on a tie
+            assert keys[0] in grouped and Counter(keys)[keys[0]] == 2
     fold = _left_fold_mul(a, b) if keyed_left else _fold_mul(a, b)
     assert product == fold
     # key order included
@@ -922,8 +996,6 @@ def test_grouped_keys_keep_the_most_frequent_repeated_keys():
     assert _grouped_keys([(1, 0), (1, 2), (2, 0), (1, 0)], 4) == [(1, 0)]
     # the first seen first on a tie
     assert _grouped_keys([(2, 0), (1, 0), (1, 0), (2, 0)], 4) == [(2, 0), (1, 0)]
-    # below degree 4 nothing is grouped
-    assert _grouped_keys(keys, 3) == []
 
 
 def test_grouped_keys_count_nothing_when_no_key_repeats(monkeypatch):

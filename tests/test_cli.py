@@ -275,6 +275,45 @@ def test_import_bounds_the_exponents_of_its_pairs(capsys, monkeypatch):
             assert f"past {MAX_EXPONENT}" in err
 
 
+def test_mul_bounds_the_terms_of_its_scalars(capsys):
+    from hecke.parsing import MAX_TERMS
+
+    # (1+v)^255 (1+v^256)^255 has one term per exponent below 2^16, exactly
+    # MAX_TERMS: a product with one more 2-term factor, a sum with one
+    # more term, itself times a 2-term coefficient of @gamma:3 (1 - q^-1 at
+    # T_w0) and a product of three powers, 513 times as large again, are
+    # refused before they are built
+    wide = "(1+v)^255*(1+v^256)^255"
+    for text in (f"{wide}*(1+v^65536)*T[1]", f"({wide} + v^-1)*T[1]",
+                 f"{wide}*T[1] + v^-1*T[1]", f"{wide}*@gamma:3",
+                 "(1+v)^512*(1+v^513)^512*T[1]",
+                 "(1+v)^512*(1+v^513)^512*(1+v^263169)^512*T[1]"):
+        rc, out, err = run(capsys, "mul", "--n", "3", text, "T[1]")
+        assert (rc, out) == (3, ""), text
+        assert f"more than {MAX_TERMS} terms" in err
+    rc, out, _ = run(capsys, "mul", "--n", "3", "(1+v)^255*(1+v^2)*T[1]", "T[]")
+    assert rc == 0
+    assert parse_element(out.strip(), 3).coeff(
+        Permutation.from_word(3, [1])).num_terms() == 258
+
+
+def test_import_bounds_the_pairs_of_a_coefficient(capsys, monkeypatch):
+    from hecke.parsing import MAX_TERMS
+
+    def imported(pairs):
+        doc = {"n": 2, "basis": "T",
+               "terms": [{"perm": [2, 1], "coeff": pairs}]}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        return run(capsys, "import", "-", "--json")
+
+    rc, out, _ = imported([[e, "1"] for e in range(MAX_TERMS)])
+    assert rc == 0
+    assert len(json.loads(out)["terms"][0]["coeff"]) == MAX_TERMS
+    rc, out, err = imported([[e, "1"] for e in range(MAX_TERMS + 1)])
+    assert (rc, out) == (3, "")
+    assert f"{MAX_TERMS + 1} pairs, more than {MAX_TERMS}" in err
+
+
 def test_catalog(capsys):
     rc, out, _ = run(capsys, "catalog", "--n", "3")
     assert rc == 0

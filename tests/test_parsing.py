@@ -113,6 +113,28 @@ def test_parse_errors_carry_positions():
         assert err.value.pos == pos, text
 
 
+def test_scalar_products_and_sums_are_bounded_in_terms():
+    from hecke.parsing import MAX_TERMS, _product
+
+    # the bound on a product is the smaller of the exponent sums and the
+    # window they fill, so dense and sparse products are told apart
+    wide = parse_scalar("(1+v)^255*(1+v^256)^255")
+    assert sorted(wide._terms) == list(range(MAX_TERMS))
+    assert parse_scalar("(1+v)^512*(1+v)^512").num_terms() == 1025
+    for text in ("(1+v)^255*(1+v^256)^255*(1+v^65536)",
+                 "(1+v)^255*(1+v^256)^255 - v^-1",
+                 "(1+v)^512*(1+v^513)^512"):
+        with pytest.raises(ResourceCapError, match=f"more than {MAX_TERMS}"):
+            parse_scalar(text)
+    # a sum is bounded by the terms it has, not by those of its summands
+    assert parse_scalar("(1+v)^255*(1+v^256)^255 + (1+v)^255*(1+v^256)^255"
+                        ) == wide * LaurentPoly(2)
+    for c in (LaurentPoly({0: 1, 1: 1}), LaurentPoly({0: 1, MAX_TERMS: 1})):
+        with pytest.raises(ResourceCapError):
+            _product(wide, c)
+    assert _product(wide, LaurentPoly({7: -2})) == wide * LaurentPoly({7: -2})
+
+
 def test_fractional_power_needs_a_unit_base():
     assert parse_scalar("v^-3") == v_power(-3)
     with pytest.raises(ParseError):

@@ -1,6 +1,7 @@
 """Tests for square roots of the centre: membership, catalogs, branches."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -39,7 +40,7 @@ from hecke import (
 from hecke import center, sqrtcenter, verify
 from hecke.algebra import _acc
 from hecke.laurent import ONE, Q, Q_MINUS_1, q_power
-from hecke.center import _GAMMA_MEMO
+from hecke.center import _GAMMA_MEMO, GammaBasis
 from hecke.linalg import SparseSystem, reduced_basis, sparse_rank
 from hecke.permutations import _all_permutations
 from hecke.sqrtcenter import (_CERT_POINTS, _CERT_PRIME, _CLOSED_FORMS,
@@ -581,6 +582,49 @@ def test_square_coordinates_come_from_the_basis_at_hand(monkeypatch, gb3):
     assert 3 not in _GAMMA_MEMO
     assert in_sqrt_centre(r4, gb3).square_in_gamma == express_in_gamma(
         r4 * r4, gb3)
+
+
+def test_a_square_is_walked_for_centrality_once(monkeypatch):
+    # h, then its square, whose coordinates are read on that one proof
+    from hecke import algebra
+    h, gb = xbar(5), gamma_basis(5)
+    want = express_in_gamma(h * h, gb)
+    walks = []
+    central = algebra._central
+    monkeypatch.setattr(algebra, "_central", lambda n, elements: (
+        walks.append(len(elements)) or central(n, elements)))
+    rep = in_sqrt_centre(h, gb)
+    assert walks == [1, 1]
+    assert rep.in_sqrt and not rep.in_centre
+    assert rep.square_in_gamma == want
+
+
+def test_membership_reports_read_the_coordinates_of_the_square(gb3, gb4):
+    # the report as is_central and express_in_gamma give it, for roots,
+    # central elements and elements that are neither, at degrees 3 to 5
+    elements = [*catalog_h3().values(), x_elem(3), parse_element("T[] + T[1]", 3),
+                *catalog(4).values(), ybar(4), parse_element("T[1] - T[2]", 4),
+                xbar(5), ybar(5), t_longest(5)]
+    for h in elements:
+        gb = {3: gb3, 4: gb4, 5: gamma_basis(5)}[h.n]
+        square = h * h
+        rep = in_sqrt_centre(h, gb)
+        assert rep.in_centre == is_central(h)
+        assert rep.in_sqrt == is_central(square)
+        assert rep.square_in_gamma == (express_in_gamma(square, gb)
+                                       if rep.in_sqrt else None)
+
+
+def test_a_bent_basis_passed_in_raises_before_any_coordinate(gb4):
+    # the square of ybar is central; a basis with one element bent by a
+    # term off the minimal classes fails the invariants
+    w0 = all_permutations(4)[-1]
+    for lam, g in gb4:
+        bent = dict(gb4.elements)
+        bent[lam] = g + HeckeElement(4, {w0: parse_scalar("q")})
+        with pytest.raises(MismatchError, match=re.escape(
+                f"basis element for {lam} is not central")):
+            in_sqrt_centre(ybar(4), GammaBasis(4, bent))
 
 
 def test_eigen_searches_share_one_memoized_basis(monkeypatch, gb4):
