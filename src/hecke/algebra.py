@@ -59,18 +59,20 @@ of the others, and one loop packs the lanes (_packed_terms).  is_central
 is the one-lane case, and a product packs its stepped factor as one lane.
 
 A coefficient is never changed after it is built, so terms share them:
-every coefficient of x is ONE, y has one per length, and a product gives
-its equal coefficients one shared LaurentPoly (xbar(8)^2 has 40,320 terms
-and 569 distinct coefficients).  Each conversion runs once per distinct
-coefficient object, not per term, through one memo (_per_object):
-packing a lane and the keyed factor of a product, HeckeElement.scale and
-negation, whose results share as their argument does, and the parser's
-c*@ref.  No other module packs: center.express_in_gamma reads its
-coordinates once is_central has passed.  _size keeps its own pass, since
-it also sums |c|_1 over every term, a shared object once per term; a
-product's ints are unpacked once per distinct value.  The few-term path
-below packs a coefficient per term, and _size reads one per term for at
-most _FEW_TERMS terms: so few terms rarely share one.
+every coefficient of x is ONE, y has one per length, and a packed product
+gives its equal coefficients one shared LaurentPoly (xbar(8)^2 has 40,320
+terms and 569 distinct coefficients).  A product on the LaurentPoly path
+(_dict_mul) does not: it gives each term its own coefficient.  Each
+conversion runs once per distinct coefficient object, not per term, through
+one memo (_per_object): packing a lane and the keyed factor of a product,
+HeckeElement.scale and negation, whose results share as their argument
+does, and the parser's c*@ref.  No other module packs:
+center.express_in_gamma reads its coordinates once is_central has passed.
+_size keeps its own pass, since it also sums |c|_1 over every term, a
+shared object once per term; a product's ints are unpacked once per
+distinct value.  The few-term path below packs a coefficient per term, and
+_size reads one per term for at most _FEW_TERMS terms: so few terms rarely
+share one.
 
 The packed factor that is stepped on (the one whose words are not walked,
 or the element tested for centrality) is held in one of two ways, chosen
@@ -84,6 +86,11 @@ summed unscaled and scaled once per coefficient, with a sum kept for at most
 l(w_0) + 1 of the most frequent ones.  With fewer terms it is a dict by
 index, and a step costs a dict get and store per term.  Every path returns
 its terms in index order, which is Permutation order.
+
+One rule for zeros: a step (_packed_step, _rmul_gen) drops an entry that
+cancels to 0 at once, since _commutes compares the dicts steps give; a
+packed sum of partial products (_few_terms_sum, _walked_sum) keeps it
+until the sum is unpacked, and the unpacking drops it.
 
 When the factor whose words the walk would follow is c X_a plus a few
 corrections, with X_a the sum of a^l(w) T_w over S_n and c = +-v^f,
@@ -498,20 +505,18 @@ def _unpack(x: int, bits: int, lo: int, stride: int) -> LaurentPoly:
 def _packed_step(steps: list, shift: int, terms: dict[int, int], i: int) -> dict:
     """A right step of packed, indexed terms by T_{s_i}; steps is
     _Indexed.right and c << shift is q c: twice the digit width when packed
-    in v, the digit width when packed in q."""
+    in v, the digit width when packed in q.
+
+    When w s is shorter than w, T_(w s) is reached from T_w alone, so its
+    entry is q c_w as it is.  T_w gets (q - 1) c_w + c_(w s), which may
+    cancel: the only zero a step drops."""
     out: dict[int, int] = {}
     get = out.get
     tab = steps[i]
     for k, c in terms.items():
         j = tab[k]
         if j < 0:
-            j = ~j
-            qc = c << shift
-            s = get(j, 0) + qc
-            if s:
-                out[j] = s
-            else:
-                del out[j]
+            qc = out[~j] = c << shift
             j = k
             c = qc - c
         s = get(j, 0) + c
@@ -801,7 +806,6 @@ def _few_terms_sum(ix: _Indexed, walked: dict, keyed: dict, flipped: bool,
         if dense:
             out = [y + (d * x << by) for y, d in zip(out, acc)]
         else:
-            # an entry that cancels to 0 is dropped when the sum is unpacked
             for k, d in acc.items():
                 out[k] = get(k, 0) + (d * x << by)
     return out
@@ -858,11 +862,7 @@ def _walked_sum(n: int, ix: _Indexed, walked: dict, keyed: list,
         get = out.get
         for acc, (c, shift) in walk:
             for k, d in acc.items():
-                s = get(k, 0) + (d * c << shift)
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
+                out[k] = get(k, 0) + (d * c << shift)
     return out
 
 
@@ -875,7 +875,11 @@ def _check_key(n: int, w) -> None:
 
 
 class HeckeElement:
-    """An element of H_n, stored over the standard basis {T_w}."""
+    """An element of H_n, stored over the standard basis {T_w}.
+
+    As for a Record, assigning or deleting a field after construction
+    raises AttributeError: named elements are shared by the whole process.
+    """
 
     __slots__ = ("n", "_terms")
 
@@ -883,7 +887,7 @@ class HeckeElement:
         """Keys must be Permutations of degree n; coefficients LaurentPolys
         or ints (not bools).  Zero coefficients are dropped."""
         _check_degree(n)
-        self.n = n
+        _set(self, "n", n)
         clean: dict[Permutation, LaurentPoly] = {}
         if terms:
             for w, c in terms.items():
@@ -896,14 +900,21 @@ class HeckeElement:
                         f"not a LaurentPoly")
                 if c:
                     clean[w] = c
-        self._terms = clean
+        _set(self, "_terms", clean)
 
     @classmethod
     def _raw(cls, n: int, terms: dict[Permutation, LaurentPoly]) -> "HeckeElement":
         h = object.__new__(cls)
-        h.n = n
-        h._terms = terms
+        _set(h, "n", n)
+        _set(h, "_terms", terms)
         return h
+
+    __setattr__ = Record.__setattr__
+    __delattr__ = Record.__delattr__
+
+    def __reduce__(self):
+        # copies and pickles rebuild through the constructor
+        return HeckeElement, (self.n, self._terms)
 
     # -- constructors --------------------------------------------------------
 
@@ -1072,19 +1083,24 @@ class HeckeElement:
 
     # -- algebra maps -------------------------------------------------------------
 
+    def _rescaled(self, sign: int) -> "HeckeElement":
+        """The coefficient of each w times v^(sign length(w))."""
+        return HeckeElement._raw(self.n, {w: c * v_power(sign * w.length())
+                                          for w, c in self._terms.items()})
+
     def to_normalized(self) -> "HeckeElement":
         """Rescale the coefficient of each w by v^(-length(w)).
 
         This is the module map T_w -> T~_w; products of images of the
-        generators satisfy the normalised quadratic relation.
+        generators satisfy the normalised quadratic relation.  Read as
+        coordinates, it takes the T~ coordinates of an element to its T
+        coordinates, and from_normalized the T coordinates to the T~ ones.
         """
-        return HeckeElement._raw(
-            self.n, {w: c * v_power(-w.length()) for w, c in self._terms.items()})
+        return self._rescaled(-1)
 
     def from_normalized(self) -> "HeckeElement":
         """Inverse of to_normalized: rescale by v^(+length(w))."""
-        return HeckeElement._raw(
-            self.n, {w: c * v_power(w.length()) for w, c in self._terms.items()})
+        return self._rescaled(1)
 
     def apply_diagram_flip(self) -> "HeckeElement":
         """The algebra automorphism T_{s_i} -> T_{s_{n-i}} applied termwise."""

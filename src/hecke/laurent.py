@@ -167,12 +167,7 @@ class LaurentPoly:
 
     def content(self) -> int:
         """Non-negative gcd of the integer coefficients (0 for the zero poly)."""
-        g = 0
-        for c in self._terms.values():
-            g = _igcd(g, c)
-            if g == 1:
-                return 1
-        return g
+        return _content(self._terms)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -213,14 +208,7 @@ class LaurentPoly:
             other = LaurentPoly(other)
         elif not isinstance(other, LaurentPoly):
             return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e, 0) - c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return LaurentPoly._raw(out)
+        return self.__add__(-other)
 
     def __rsub__(self, other) -> "LaurentPoly":
         return (-self).__add__(other)
@@ -432,15 +420,21 @@ def q_power(k: int) -> LaurentPoly:
 # power of v, keeping the sign of the leading coefficient.
 
 
-def _strip(terms: dict[int, int]) -> dict[int, int]:
-    """Divide by content and v^(min exponent); {} stays {}."""
-    if not terms:
-        return {}
+def _content(terms: dict[int, int]) -> int:
+    """LaurentPoly.content of a term dict."""
     g = 0
     for c in terms.values():
         g = _igcd(g, c)
         if g == 1:
-            break
+            return 1
+    return g
+
+
+def _strip(terms: dict[int, int]) -> dict[int, int]:
+    """Divide by content and v^(min exponent); {} stays {}."""
+    if not terms:
+        return {}
+    g = _content(terms)
     m = min(terms)
     if g == 1 and m == 0:
         return dict(terms)
@@ -477,17 +471,12 @@ def lp_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """
     if a.is_zero() and b.is_zero():
         return ZERO
-    if a.is_zero() or b.is_zero():
-        p = b if a.is_zero() else a
-        t = {e - p.min_exp(): c for e, c in p._terms.items()}
-        if t[max(t)] < 0:
-            t = {e: -c for e, c in t.items()}
-        return LaurentPoly._raw(t)
     ca, cb = a.content(), b.content()
     c = _igcd(ca, cb)
     pa = _strip(dict(a._terms))
     pb = _strip(dict(b._terms))
-    if max(pa) < max(pb):
+    # a zero operand strips to {}, which sorts below every other
+    if max(pa, default=-1) < max(pb, default=-1):
         pa, pb = pb, pa
     while pb:
         r = _prem(pa, pb)

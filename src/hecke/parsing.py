@@ -70,7 +70,7 @@ from .algebra import (AlgebraContext, Caps, DEFAULT_CAPS, HeckeElement,
 from .elements import NAMED_KINDS, named_element
 from .errors import FormatError, ParseError, ResourceCapError
 from .laurent import (LaurentPoly, ONE, Q, V, XI, _DECIMAL_SMALL,
-                      _from_decimal, _is_int, v_power)
+                      _from_decimal, _is_int)
 from .permutations import Partition, Permutation
 
 # Allows (v - 1)^512, which takes about 0.04 s; (v - 1)^2000 takes about
@@ -539,9 +539,7 @@ def element_to_json(el: HeckeElement, basis: str = "T") -> dict:
     if basis not in ("T", "Ttilde"):
         raise ValueError(f"basis must be 'T' or 'Ttilde', got {basis!r}")
     terms = []
-    for w, c in el.items():
-        if basis == "Ttilde":
-            c = c * v_power(w.length())
+    for w, c in (el.from_normalized() if basis == "Ttilde" else el).items():
         pairs = c.to_pairs()
         # ascending, so the widest exponent is at one end; every limit
         # converts numbers below _DECIMAL_SMALL
@@ -611,8 +609,7 @@ def element_from_json(doc, caps: Caps = DEFAULT_CAPS) -> HeckeElement:
         if c and max(-c.min_exp(), c.max_exp()) > MAX_EXPONENT:
             raise ResourceCapError(f"an exponent of the coefficient of "
                                    f"{list(w)} is past {MAX_EXPONENT}")
-        if basis == "Ttilde":
-            c = c * v_power(-w.length())
         if c:
             terms[w] = c
-    return HeckeElement._raw(n, terms)
+    el = HeckeElement._raw(n, terms)
+    return el.to_normalized() if basis == "Ttilde" else el

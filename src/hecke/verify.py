@@ -512,9 +512,9 @@ def _chk_oracle_products(env: _Env, n: int) -> None:
 # by the class recursion, not on the memoized one: gamma_basis ran the same
 # checks on that one when it built it, so there they could not fail.
 
-def _chk_gamma_classsums(env: _Env, n: int) -> None:
+def _chk_rebuilt_gamma(check, env: _Env, n: int) -> None:
     for lam, g in _recursive_gamma(n):
-        _check_class_sum(lam, g)
+        check(lam, g)
 
 
 # -- group 12: nonzerodivisors ---------------------------------------------------
@@ -528,18 +528,6 @@ def _chk_nonzerodivisor(env: _Env, n: int) -> None:
         kernel = eigen_search(c, el * el, 0)
         _true(not kernel,
               f"{name}: its square kills {len(kernel)} independent elements")
-
-
-# -- group 13: minimal-basis integrality -----------------------------------------
-
-def _chk_gamma_integrality(env: _Env, n: int) -> None:
-    for lam, g in _recursive_gamma(n):
-        _check_integral(lam, g)
-
-
-def _chk_gamma_pinning(env: _Env, n: int) -> None:
-    for lam, g in _recursive_gamma(n):
-        _check_pinning(lam, g)
 
 
 # -- group 14: the degenerate degree ----------------------------------------------
@@ -667,13 +655,16 @@ _TABLE = (
      "the central-branch relations cut out exactly the minimal basis", None),
     ("11-oracle-products", _chk_oracle_products, (4,), (),
      "1000 random products match the group-algebra oracle at q=1", None),
-    ("11-gamma-classsums", _chk_gamma_classsums, _N3_5, _ENUM,
+    ("11-gamma-classsums", partial(_chk_rebuilt_gamma, _check_class_sum),
+     _N3_5, _ENUM,
      "at q=1 the minimal basis collapses to class sums (n={n})", None),
     ("12-nonzerodivisor", _chk_nonzerodivisor, (3, 4), _BOTH,
      "both truncations are nonzerodivisors (n={n})", None),
-    ("13-gamma-integrality", _chk_gamma_integrality, _N3_5, _ENUM,
+    ("13-gamma-integrality", partial(_chk_rebuilt_gamma, _check_integral),
+     _N3_5, _ENUM,
      "minimal-basis coefficients stay in Z[q, q^-1] (n={n})", None),
-    ("13-gamma-pinning", _chk_gamma_pinning, _N3_5, _ENUM,
+    ("13-gamma-pinning", partial(_chk_rebuilt_gamma, _check_pinning),
+     _N3_5, _ENUM,
      "minimal-length coefficients are Kronecker deltas (n={n})", None),
     ("14-commutative", _chk_h2_commutative, (2,), _LINALG,
      "degree 2 is commutative and its centre is everything", None),

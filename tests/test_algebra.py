@@ -29,6 +29,7 @@ from hecke import (
     gamma_basis,
     group_algebra_mul,
     is_central,
+    parse_element,
     parse_scalar,
     q_power,
     t_longest,
@@ -1456,3 +1457,107 @@ def test_rmul_gen_gives_one_the_shared_descent_coefficients():
                     got = _rmul_gen({w: c}, i)
                     assert list(got) == [ws, w]
                     assert got[ws] == c * Q and got[w] == c * Q_MINUS_1
+
+
+def test_scalars_multiply_from_either_side():
+    h = x_elem(3) + HeckeElement.generator(3, 1)
+    q = q_power(1)
+    for c in (2, -1, q, XI):
+        assert c * h == h * c == h.scale(c)
+        assert list((c * h)._terms) == list(h._terms)
+    assert (0 * h).is_zero()
+    with pytest.raises(TermTypeError):
+        True * h
+    with pytest.raises(TypeError):
+        1.5 * h
+
+
+def _cancelling(n):
+    """T_s1 + (1 - q) T_1 in H_n: stepped by T_s1 its T_s1 entry cancels,
+    (q - 1) + (1 - q), leaving q T_1."""
+    s1, e = Permutation.simple(n, 1), Permutation.identity(n)
+    return HeckeElement(n, {s1: 1, e: ONE - Q})
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_a_packed_step_drops_the_entry_that_cancels(monkeypatch, n):
+    steps = []
+    real = hecke.algebra._packed_step
+
+    def spy(*args):
+        steps.append(real(*args))
+        return steps[-1]
+
+    monkeypatch.setattr(hecke.algebra, "_packed_step", spy)
+    product = _cancelling(n) * HeckeElement.generator(n, 1)
+    assert product == HeckeElement(n, {Permutation.identity(n): Q})
+    assert list(product._terms) == [Permutation.identity(n)]
+    assert steps and all(0 not in out.values() for out in steps)
+    assert [len(out) for out in steps] == [1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_centrality_agrees_with_the_oracle_when_a_step_cancels(n):
+    # at n = 2 H_n is commutative; above it T_s1 + (1 - q) T_1 does not
+    # commute with T_s2
+    h = _cancelling(n)
+    assert is_central(h) == is_central_by_generators(h) == (n == 2)
+    for other in (h + x_elem(n), h * h, h.scale(XI) + ybar(n)):
+        assert is_central(other) == is_central_by_generators(other)
+
+
+def test_a_sparse_walked_sum_keeps_zeros_until_it_unpacks():
+    # z T_s1 = q T_1, so z (T_s1 B) = q B: in the sum over the keys of z,
+    # the terms of T_s1 B cancel.  B has 7 terms, each w with 1 before 2,
+    # so T_s1 B has 7 terms off the support of B.  The stepped factor
+    # T_s1 B passes _FEW_TERMS, so the product takes the trie walk, and its
+    # 7 of 120 entries are held in a dict
+    n = 5
+    z = _cancelling(n)
+    ascents = [w for w in all_permutations(n) if w.index(1) < w.index(2)]
+    b = HeckeElement(n, {w: LaurentPoly({k: k + 1}) for k, w in
+                         enumerate(ascents[:: len(ascents) // 7][:7])})
+    tb = HeckeElement.generator(n, 1) * b
+    assert tb.num_terms() == 7 > _FEW_TERMS
+    sums = []
+    real = hecke.algebra._walked_sum
+
+    def spy(*args):
+        sums.append(real(*args))
+        return sums[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hecke.algebra, "_walked_sum", spy)
+        product, path = _product_path(lambda: z * tb)
+    assert path == "walk"
+    (packed,) = sums
+    assert isinstance(packed, dict) and list(packed.values()).count(0) == 7
+    assert product == b.scale(Q)
+    assert all(product._terms.values())
+    assert list(product._terms.items()) == list(_dict_mul(z._terms,
+                                                          tb._terms).items())
+
+
+def test_a_memoized_element_refuses_a_new_degree():
+    x = x_elem(3)
+    for name, value in (("n", 4), ("_terms", {})):
+        with pytest.raises(AttributeError):
+            setattr(x, name, value)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert x is x_elem(3) and x.n == 3
+    assert parse_element("@x", 3) == x
+    assert x * x == x.scale(sum(q_power(w.length()) for w in
+                                all_permutations(3)))
+
+
+@pytest.mark.parametrize("h", [x_elem(3), HeckeElement.zero(4),
+                               xbar(4), _cancelling(3)],
+                         ids=["x3", "zero4", "xbar4", "cancelling3"])
+def test_copies_and_pickles_of_an_element_are_equal(h):
+    import copy
+    import pickle
+    for back in (copy.copy(h), copy.deepcopy(h),
+                 pickle.loads(pickle.dumps(h))):
+        assert back == h and back.n == h.n
+        assert list(back._terms.items()) == list(h._terms.items())

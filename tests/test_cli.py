@@ -688,3 +688,90 @@ def _json_documents(draw):
 @given(_json_documents())
 def test_fuzzed_json_import_gets_an_exit_code(text):
     assert _exit_code(["import", "-"], stdin=text) in (0, 1, 2, 3)
+
+
+def test_gamma_json_writes_the_whole_basis(capsys):
+    from hecke import gamma_basis
+    rc, out, _ = run(capsys, "gamma", "3", "--json")
+    assert rc == 0
+    assert json.loads(out) == {",".join(map(str, lam)): element_to_json(g)
+                               for lam, g in gamma_basis(3)}
+    assert sorted(json.loads(out)) == ["1,1,1", "2,1", "3"]
+
+
+def test_express_json(capsys):
+    rc, out, _ = run(capsys, "express", "--n", "3", "(q - 1)*@x", "--json")
+    assert rc == 0
+    assert json.loads(out) == {"1,1,1": "q - 1", "2,1": "q - 1", "3": "q - 1"}
+    assert list(json.loads(out)) == ["1,1,1", "2,1", "3"]
+
+
+def test_catalog_json(capsys):
+    from hecke import catalog
+    rc, out, _ = run(capsys, "catalog", "--n", "3", "--json")
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc == {name: element_to_json(el)
+                   for name, el in catalog(3).items()}
+    assert list(doc) == sorted(doc)
+
+
+def test_sample_h3_json_is_the_text_element_and_its_branch(capsys):
+    _, text, _ = run(capsys, "sample-h3", "--seed", "5")
+    rc, out, _ = run(capsys, "sample-h3", "--seed", "5", "--json")
+    assert rc == 0
+    doc = json.loads(out)
+    element, branch = text.splitlines()
+    assert f"branch: {doc.pop('branch')}" == branch == "branch: sqrt-branch"
+    assert format_element(element_from_json(doc)) == element
+
+
+@pytest.mark.parametrize("basis", ["T", "Ttilde"])
+def test_export_to_stdout_is_the_file_export(tmp_path, capsys, basis):
+    path = tmp_path / "el.json"
+    rc, out, _ = run(capsys, "export", "--n", "4", "@ybar", "--out", "-",
+                     "--basis", basis)
+    assert rc == 0
+    run(capsys, "export", "--n", "4", "@ybar", "--out", str(path),
+        "--basis", basis)
+    assert out == path.read_text()
+    doc = json.loads(out)
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert doc["basis"] == basis
+    assert element_from_json(doc) == parse_element("@ybar", 4)
+
+
+def test_verify_text_notes_the_three_flagged_items(capsys):
+    rc, out, _ = run(capsys, "verify", "--n-max", "3")
+    assert rc == 0
+    assert "items=41 pass=38 flag=3 fail=0" in out
+    flagged = [line for line in out.splitlines() if line.startswith("FLAG")]
+    assert [line.split()[1] for line in flagged] == [
+        "04-longestsq-printed-scale-n3", "06-sqrt-r4r5-span-note-n3",
+        "07-ybarsq-printed-n3"]
+    notes = [line.split("  :: ", 1)[1] for line in flagged]
+    assert notes[0].startswith("the reference table at degree 3 omits")
+    assert notes[1].startswith("R4 and R5 anticommute exactly")
+    assert notes[2].startswith("the listed square matches the unscaled")
+    assert all(" :: " not in line for line in out.splitlines()
+               if line.startswith("PASS"))
+
+
+def test_verify_timings_in_text_and_json(capsys):
+    import re
+    rc, text, _ = run(capsys, "verify", "--n-max", "2", "--timings")
+    assert rc == 0
+    _, plain, _ = run(capsys, "verify", "--n-max", "2")
+    lines = text.splitlines()
+    items = [line for line in lines if line.startswith("PASS")]
+    assert len(items) == 2
+    assert all(re.search(r"\S  \[\d+\.\d{3}s\]$", line) for line in items)
+    assert [re.sub(r"  \[\d+\.\d{3}s\]$", "", line) for line in lines] \
+        == plain.splitlines()
+    rc, out, _ = run(capsys, "verify", "--n-max", "2", "--timings", "--json")
+    assert rc == 0
+    _, canonical, _ = run(capsys, "verify", "--n-max", "2", "--json")
+    doc = json.loads(out)
+    seconds = [item.pop("seconds") for item in doc["items"]]
+    assert all(isinstance(s, float) and s >= 0 for s in seconds)
+    assert doc == json.loads(canonical)

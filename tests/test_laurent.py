@@ -161,3 +161,46 @@ def test_xi_squared():
     xi = parse_scalar("xi")
     assert xi == V - v_power(-1)
     assert xi * xi == Q - LaurentPoly(2) + q_power(-1)
+
+
+def test_negative_powers_of_units_and_the_error_for_a_non_unit():
+    assert V ** -3 == v_power(-3)
+    assert (-Q) ** -2 == q_power(-2)
+    assert (-V) ** -1 == -v_power(-1)
+    assert LaurentPoly(-1) ** -5 == LaurentPoly(-1)
+    for non_unit in (LaurentPoly(2), Q - ONE, ZERO):
+        with pytest.raises(ArithmeticError, match="non-unit"):
+            non_unit ** -1
+
+
+@given(scalars, scalars)
+def test_subtraction_is_addition_of_the_negation(a, b):
+    # the same terms in the same order, for a scalar or an int subtrahend
+    for got, want in ((a - b, a + (-b)), (a - 3, a + LaurentPoly(-3)),
+                      (3 - a, -a + LaurentPoly(3))):
+        assert list(got._terms.items()) == list(want._terms.items())
+
+
+def test_subtraction_keeps_its_type_rules():
+    with pytest.raises(TermTypeError):
+        Q - True
+    with pytest.raises(TypeError):
+        Q - 1.5
+    with pytest.raises(TypeError):
+        Q - "q"
+
+
+@given(scalars, st.sampled_from([1, 2, -3, 6]))
+def test_gcd_with_zero_is_the_canonical_associate(p, k):
+    # min exponent 0 and a positive leading coefficient, content kept, the
+    # terms in the order of p, whichever side the zero is on
+    from hecke.laurent import lp_gcd
+    p = p * k
+    assert lp_gcd(ZERO, ZERO) == ZERO
+    if p.is_zero():
+        return
+    sign = 1 if p.leading_coeff() > 0 else -1
+    want = [(e - p.min_exp(), sign * c) for e, c in p._terms.items()]
+    for got in (lp_gcd(ZERO, p), lp_gcd(p, ZERO)):
+        assert list(got._terms.items()) == want
+    assert lp_gcd(p, ZERO).content() == p.content()
