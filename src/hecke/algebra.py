@@ -134,7 +134,8 @@ from functools import lru_cache, partial
 from math import factorial
 
 from .errors import DegreeMismatchError, ResourceCapError, TermTypeError
-from .laurent import ONE, Q, Q_MINUS_1, ZERO, LaurentPoly, _is_int, v_power
+from .laurent import (ONE, Q, Q_MINUS_1, ZERO, LaurentPoly, _check_ints,
+                      _scalar, v_power)
 from .permutations import (Partition, Permutation, _all_permutations,
                            _classes, _lengths, _minimal_classes)
 from .records import Record, _set
@@ -153,9 +154,7 @@ class Caps(Record):
 
     def __init__(self, enum_max: int = 7, linalg_max: int = 5):
         for field, cap in (("enum_max", enum_max), ("linalg_max", linalg_max)):
-            if not _is_int(cap):
-                raise TermTypeError(f"cap {field}={cap!r} is a "
-                                    f"{type(cap).__name__}, not an int")
+            _check_ints(f"cap {field}", cap)
             _set(self, field, cap)
 
 
@@ -164,8 +163,7 @@ DEFAULT_CAPS = Caps()
 
 def _check_degree(n) -> None:
     """A degree is an int, not a bool, and at least 1."""
-    if not _is_int(n):
-        raise TermTypeError(f"degree {n!r} is a {type(n).__name__}, not an int")
+    _check_ints("degree", n)
     if n < 1:
         raise DegreeMismatchError(f"degree must be at least 1, got {n}")
 
@@ -892,12 +890,7 @@ class HeckeElement:
         if terms:
             for w, c in terms.items():
                 _check_key(n, w)
-                if _is_int(c):
-                    c = LaurentPoly(c)
-                elif not isinstance(c, LaurentPoly):
-                    raise TermTypeError(
-                        f"coefficient {c!r} is a {type(c).__name__}, "
-                        f"not a LaurentPoly")
+                c = _scalar(c, "coefficient")
                 if c:
                     clean[w] = c
         _set(self, "_terms", clean)
@@ -960,9 +953,7 @@ class HeckeElement:
                 f"a word of {len(word)} letters passes the limit of "
                 f"{MAX_WORD_LENGTH}")
         if not set(map(type, word)) <= {int}:   # one pass over the letters
-            for i in word:
-                if not _is_int(i):
-                    raise TermTypeError(f"generator index {i!r} is not an int")
+            _check_ints("generator index", *word)
         # the ascending prefix is reduced: T_w T_s = T_ws while ws > w, so it
         # is walked as one permutation, and the terms start at its first descent
         w, terms = Permutation.identity(n), None
@@ -1033,11 +1024,7 @@ class HeckeElement:
     def scale(self, c) -> "HeckeElement":
         """c times self, c a LaurentPoly or an int (not a bool); anything
         else raises TermTypeError."""
-        if _is_int(c):
-            c = LaurentPoly(c)
-        elif not isinstance(c, LaurentPoly):
-            raise TermTypeError(
-                f"scalar {c!r} is a {type(c).__name__}, not a LaurentPoly")
+        c = _scalar(c, "scalar")
         if not c:
             return HeckeElement.zero(self.n)
         products = _per_object(lambda d: d * c, self._terms.values())
@@ -1060,17 +1047,15 @@ class HeckeElement:
         return HeckeElement._raw(self.n,
                                  _packed_mul(self.n, a, b, bits, lows, stride))
 
-    def __rmul__(self, other) -> "HeckeElement":
-        if isinstance(other, (LaurentPoly, int)):
-            return self.scale(other)
-        return NotImplemented
+    # a scalar on the left scales as on the right; an element on the left
+    # never gets here, since its own __mul__ takes the product
+    __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "HeckeElement":
         """k - 1 repeated products by self, and one for k = 0; k above
         MAX_WORD_LENGTH raises ResourceCapError, since T_s ** k is the word
         s^k."""
-        if not _is_int(k):
-            raise TermTypeError(f"power {k!r} is a {type(k).__name__}, not an int")
+        _check_ints("power", k)
         if k < 0:
             raise ValueError("negative powers of Hecke elements are not supported")
         if k > MAX_WORD_LENGTH:

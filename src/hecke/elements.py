@@ -29,16 +29,14 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .algebra import HeckeElement, as_context
-from .errors import TermTypeError
-from .laurent import LaurentPoly, ONE, _is_int, q_power, v_power
+from .laurent import LaurentPoly, ONE, _check_ints, q_power, v_power
 from .permutations import Permutation, _all_permutations, _lengths
 
 
 def _check_index(i: int, lo: int, hi: int, what: str) -> None:
-    if not _is_int(i):
-        raise TermTypeError(f"{what} index {i!r} is not an int")
+    _check_ints(what, i)
     if not lo <= i <= hi:
-        raise IndexError(f"{what} index {i} not in [{lo}, {hi}]")
+        raise IndexError(f"{what} {i} not in [{lo}, {hi}]")
 
 
 # -- Murphy elements -------------------------------------------------------
@@ -64,7 +62,7 @@ def murphy(ctx, i: int) -> HeckeElement:
     2
     """
     c = as_context(ctx)
-    _check_index(i, 1, c.n, "Murphy")
+    _check_index(i, 1, c.n, "Murphy index")
     return _murphy(c.n, i)
 
 
@@ -80,7 +78,7 @@ def _murphy_tilde(n: int, i: int) -> HeckeElement:
 def murphy_normalized(ctx, i: int) -> HeckeElement:
     """Sum of Tt_(k i) over k < i; equals v^-1 times ``murphy(ctx, i)``."""
     c = as_context(ctx)
-    _check_index(i, 1, c.n, "Murphy")
+    _check_index(i, 1, c.n, "Murphy index")
     return _murphy_tilde(c.n, i)
 
 
@@ -93,9 +91,7 @@ def dual_murphy(ctx, m: int, i: int) -> HeckeElement:
     reflections.  The first one (i = 1) is zero.
     """
     c = as_context(ctx)
-    if not (_is_int(m) and _is_int(i)):
-        raise TermTypeError(
-            f"dual Murphy indices (m={m!r}, i={i!r}) are not both ints")
+    _check_ints("dual Murphy index", m, i)
     if not 1 <= i <= m <= c.n:
         raise IndexError(f"dual Murphy indices (m={m}, i={i}) need 1 <= i <= m <= {c.n}")
     el = HeckeElement.zero(c.n)
@@ -120,7 +116,7 @@ def braid_murphy(ctx, i: int) -> HeckeElement:
     Satisfies braid_murphy(n, i) = xi * murphy_normalized(n, i) + 1.
     """
     c = as_context(ctx)
-    _check_index(i, 1, c.n, "braid Murphy")
+    _check_index(i, 1, c.n, "braid Murphy index")
     return _braid_murphy(c.n, i)
 
 
@@ -152,7 +148,7 @@ def elem_sym_normalized(ctx, i: int) -> HeckeElement:
     costs n-1 products of elements already in hand.
     """
     c = as_context(ctx)
-    _check_index(i, 0, c.n - 1, "elementary symmetric")
+    _check_index(i, 0, c.n - 1, "elementary symmetric index")
     return _esym_tilde(c.n, i)
 
 
@@ -163,7 +159,7 @@ def elem_sym(ctx, i: int) -> HeckeElement:
     carries one power of v.
     """
     c = as_context(ctx)
-    _check_index(i, 0, c.n - 1, "elementary symmetric")
+    _check_index(i, 0, c.n - 1, "elementary symmetric index")
     return _esym(c.n, i)
 
 

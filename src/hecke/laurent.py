@@ -13,6 +13,10 @@ the ring.  Coefficients are Python ints and never overflow.
 No fractions of Laurent polynomials are formed: the exact linear algebra
 is fraction-free, and the eigenvalues it searches for lie in the ring.
 lp_gcd, a content-and-primitive-part gcd, is the one gcd the package uses.
+
+It also states the package's two argument rules once each, raising
+TermTypeError in one message form: _check_ints (an int, not a bool) and
+_scalar (a LaurentPoly, or such an int taken as one).
 """
 
 from __future__ import annotations
@@ -79,6 +83,25 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _check_ints(what: str, *xs) -> None:
+    """The package's int rule: each x is an int, not a bool."""
+    for x in xs:
+        if not _is_int(x):
+            raise TermTypeError(
+                f"{what} {x!r} is a {type(x).__name__}, not an int")
+
+
+def _scalar(c, what: str) -> "LaurentPoly":
+    """The package's scalar rule: c as a LaurentPoly, c being one or an int
+    (not a bool)."""
+    if isinstance(c, LaurentPoly):
+        return c
+    if not _is_int(c):
+        raise TermTypeError(
+            f"{what} {c!r} is a {type(c).__name__}, not a LaurentPoly")
+    return LaurentPoly(c)
+
+
 class LaurentPoly:
     """An element of Z[v, v^-1] in canonical sparse form.
 
@@ -97,17 +120,11 @@ class LaurentPoly:
         if _is_int(terms):
             self._terms = {0: terms} if terms else {}
             return
-        items = getattr(terms, "items", None)
-        if items is None:
-            raise TermTypeError(
-                f"a scalar is an int or a mapping of exponents to "
-                f"coefficients, not a {type(terms).__name__}")
+        if not hasattr(terms, "items"):  # nor a mapping: this raises
+            _check_ints("scalar", terms)
         out = {}
-        for e, c in items():
-            if not (_is_int(e) and _is_int(c)):
-                raise TermTypeError(
-                    f"scalar term {e!r}: {c!r} is not an int exponent "
-                    f"with an int coefficient")
+        for e, c in terms.items():
+            _check_ints("scalar exponent or coefficient", e, c)
             if c:
                 out[e] = c
         self._terms = out
@@ -406,10 +423,12 @@ XI = LaurentPoly({1: 1, -1: -1})
 
 
 def v_power(k: int) -> LaurentPoly:
+    _check_ints("power of v", k)
     return LaurentPoly._raw({k: 1})
 
 
 def q_power(k: int) -> LaurentPoly:
+    _check_ints("power of q", k)
     return LaurentPoly._raw({2 * k: 1})
 
 
@@ -430,15 +449,16 @@ def _content(terms: dict[int, int]) -> int:
     return g
 
 
-def _strip(terms: dict[int, int]) -> dict[int, int]:
-    """Divide by content and v^(min exponent); {} stays {}."""
+def _strip(terms: dict[int, int]) -> tuple[int, dict[int, int]]:
+    """(content, terms divided by it and by v^(min exponent)): (0, {}) for
+    {}, and terms themselves, not a copy, when there is nothing to divide."""
     if not terms:
-        return {}
+        return 0, terms
     g = _content(terms)
     m = min(terms)
     if g == 1 and m == 0:
-        return dict(terms)
-    return {e - m: c // g for e, c in terms.items()}
+        return 1, terms
+    return g, {e - m: c // g for e, c in terms.items()}
 
 
 def _prem(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
@@ -471,16 +491,15 @@ def lp_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """
     if a.is_zero() and b.is_zero():
         return ZERO
-    ca, cb = a.content(), b.content()
+    ca, pa = _strip(a._terms)
+    cb, pb = _strip(b._terms)
     c = _igcd(ca, cb)
-    pa = _strip(dict(a._terms))
-    pb = _strip(dict(b._terms))
     # a zero operand strips to {}, which sorts below every other
     if max(pa, default=-1) < max(pb, default=-1):
         pa, pb = pb, pa
     while pb:
         r = _prem(pa, pb)
-        pa, pb = pb, _strip(r)
+        pa, pb = pb, _strip(r)[1]
     if pa[max(pa)] < 0:
         pa = {e: -k for e, k in pa.items()}
     return LaurentPoly._raw({e: k * c for e, k in pa.items()})

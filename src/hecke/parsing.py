@@ -16,7 +16,9 @@ descent could not parse.  No scalar built from text or JSON has more than
 MAX_TERMS terms: a product whose result could pass it raises
 ResourceCapError before it is multiplied, a scalar times each coefficient
 of a part (c*@ref) included, and so does a sum that passes it; a power
-stays below it by MAX_POWER_TERMS.
+stays below it by MAX_POWER_TERMS.  The scalar products of one parse, of
+both kinds, multiply at most MAX_PAIRS pairs of terms in all: the one that
+would pass it raises ResourceCapError before it is multiplied.
 Coefficient literals may have any number of digits; an exponent must
 convert with int(), within the interpreter's limit on int/str conversion
 (4,300 digits by default), since JSON writes it as a number.  A power
@@ -93,6 +95,10 @@ MAX_EXPONENT = 10 ** 9
 # bound, no scalar that the tests, CI or the benchmark read has more than
 # 600 terms.
 MAX_TERMS = 1 << 16
+# The most pairs of terms t_a * t_b the scalar products of one parse may
+# multiply: 20 factors (1+v)^255, under every other bound, took 17 s.  It
+# allows about 0.6 s of products of (1+v)^512's coefficients (Python 3.11).
+MAX_PAIRS = 1 << 20
 # Each level of parentheses takes four frames of the recursive descent, so
 # about 250 levels reach the interpreter's default recursion limit.
 MAX_NESTING = 100
@@ -135,23 +141,6 @@ def _power_terms(base: LaurentPoly, exp: int) -> int:
     return min(window, sums)
 
 
-def _product(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """a * b, refused with ResourceCapError before it is multiplied when it
-    could have more than MAX_TERMS terms.
-
-    Its exponents are sums of one exponent of each factor, so it has at
-    most as many terms as there are such sums and as their window holds:
-    a bound as exact as to whether it passes MAX_TERMS as _power_terms'.
-    """
-    ta, tb = a._terms, b._terms
-    if (len(ta) * len(tb) > MAX_TERMS
-            and max(ta) - min(ta) + max(tb) - min(tb) >= MAX_TERMS):
-        raise ResourceCapError(
-            f"a product of a {len(ta)}-term and a {len(tb)}-term scalar "
-            f"could have more than {MAX_TERMS} terms")
-    return a * b
-
-
 def _past_max_terms() -> ResourceCapError:
     return ResourceCapError(f"a sum of scalars has more than {MAX_TERMS} "
                             f"terms")
@@ -168,6 +157,7 @@ class _Parser:
         self.n = n
         self.caps = caps
         self.depth = 0
+        self.pairs = 0
 
     def fail(self, message: str, k: int) -> ParseError:
         """A ParseError at the start of token k, found by scanning again."""
@@ -184,6 +174,28 @@ class _Parser:
         tok = self.toks[self.k]
         if tok:
             raise self.fail(f"unexpected trailing input {tok!r}", self.k)
+
+    def multiply(self, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+        """a * b, refused with ResourceCapError before it is multiplied when
+        its pairs of terms take the parse past MAX_PAIRS, or when it could
+        have more than MAX_TERMS terms.
+
+        Its exponents are sums of one exponent of each factor, so it has at
+        most as many terms as there are such sums and as their window holds:
+        a bound as exact as to whether it passes MAX_TERMS as _power_terms'.
+        """
+        ta, tb = a._terms, b._terms
+        pairs = len(ta) * len(tb)
+        self.pairs += pairs
+        if self.pairs > MAX_PAIRS:
+            raise ResourceCapError(f"the scalar products of one text would "
+                                   f"multiply more than {MAX_PAIRS} pairs")
+        if (pairs > MAX_TERMS
+                and max(ta) - min(ta) + max(tb) - min(tb) >= MAX_TERMS):
+            raise ResourceCapError(
+                f"a product of a {len(ta)}-term and a {len(tb)}-term scalar "
+                f"could have more than {MAX_TERMS} terms")
+        return a * b
 
     def _starts_part(self, k: int) -> bool:
         tok = self.toks[k]
@@ -216,10 +228,7 @@ class _Parser:
             if stop_at_part and self._starts_part(self.k + 1):
                 break
             self.k += 1
-            rhs = self.scalar_power()
-            # the parser's hot path: _product only when the sums can pass
-            out = (out * rhs if len(out._terms) * len(rhs._terms) <= MAX_TERMS
-                   else _product(out, rhs))
+            out = self.multiply(out, self.scalar_power())
         return out
 
     def scalar_power(self) -> LaurentPoly:
@@ -316,7 +325,7 @@ class _Parser:
                 # coefficient is ONE itself
                 signed = _per_object(
                     lambda c: c if scalar is None else scalar if c is ONE
-                    else _product(c, scalar), part._terms.values())
+                    else self.multiply(c, scalar), part._terms.values())
                 for w, c in part._terms.items():
                     d = signed[id(c)]
                     cur = get(w)

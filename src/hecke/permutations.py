@@ -27,16 +27,8 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .errors import DegreeMismatchError, TermTypeError
-from .laurent import _is_int
-
-
-def _check_ints(what: str, *xs) -> None:
-    """The package's int rule: each x is an int, not a bool."""
-    for x in xs:
-        if not _is_int(x):
-            raise TermTypeError(
-                f"{what} {x!r} is a {type(x).__name__}, not an int")
+from .errors import DegreeMismatchError
+from .laurent import _check_ints
 
 
 class Permutation(tuple):

@@ -38,7 +38,7 @@ from .center import (GammaBasis, _GAMMA_MEMO, _blocks, _pinned_coordinates,
 from .elements import (_longest_length, elem_sym, poincare, t_longest, x_elem,
                        xbar, y_elem, ybar)
 from .errors import DegreeMismatchError, MismatchError
-from .laurent import LaurentPoly, ONE, Q, Q_MINUS_1, ZERO, q_power
+from .laurent import LaurentPoly, ONE, Q, Q_MINUS_1, ZERO, _scalar, q_power
 from .linalg import reduced_basis, sparse_rank
 from .permutations import (Partition, Permutation, _all_permutations,
                            partitions_of)
@@ -505,15 +505,15 @@ def _spanned_basis(n: int, central: list[HeckeElement],
 def eigen_search(ctx, z: HeckeElement, k) -> list[HeckeElement]:
     """A basis of the eigenspace ker(z - k) of a central element z.
 
-    k is a LaurentPoly or an int; anything else raises TypeError.  No
-    other eigenvalue can occur: the matrix of left multiplication by z on
-    the free Z[v, v^-1]-module H has entries in the ring, so its
-    characteristic polynomial is monic over it, and an eigenvalue in Q(v)
-    is a root of that polynomial, hence integral over Z[v, v^-1], which
-    is integrally closed.  Because z is central, ker(z - k) is a two-sided
-    ideal, the sum of the Wedderburn blocks (over Q(v)) on which z acts by
-    k (Geck and Pfeiffer, Characters of Finite Coxeter Groups and
-    Iwahori-Hecke Algebras, 2000, chapters 7-9).
+    k is a LaurentPoly or an int (not a bool); anything else raises
+    TermTypeError.  No other eigenvalue can occur: the matrix of left
+    multiplication by z on the free Z[v, v^-1]-module H has entries in the
+    ring, so its characteristic polynomial is monic over it, and an
+    eigenvalue in Q(v) is a root of that polynomial, hence integral over
+    Z[v, v^-1], which is integrally closed.  Because z is central,
+    ker(z - k) is a two-sided ideal, the sum of the Wedderburn blocks (over
+    Q(v)) on which z acts by k (Geck and Pfeiffer, Characters of Finite
+    Coxeter Groups and Iwahori-Hecke Algebras, 2000, chapters 7-9).
 
     Method: z acts on the block of lam (center._blocks) by the scalar
     omega_lam(z) = sum over nu of z_nu omega_lam(gamma_nu), with z_nu the
@@ -538,11 +538,7 @@ def eigen_search(ctx, z: HeckeElement, k) -> list[HeckeElement]:
     c.check_linalg()
     if z.n != c.n:
         raise DegreeMismatchError(f"element degree {z.n} does not match {c.n}")
-    if isinstance(k, int):
-        k = LaurentPoly(k)
-    elif not isinstance(k, LaurentPoly):
-        raise TypeError(f"eigenvalue must be a LaurentPoly or an int, "
-                        f"not {k!r}")
+    k = _scalar(k, "eigenvalue")
     gb = gamma_basis(c)
     zs = express_in_gamma(z, gb)
     kept = [(e, d) for _, e, d, omega in _blocks(gb)

@@ -16,6 +16,7 @@ import hecke.algebra
 from hecke import (
     DEFAULT_CAPS,
     AlgebraContext,
+    Caps,
     DegreeMismatchError,
     HeckeElement,
     HeckeError,
@@ -25,10 +26,12 @@ from hecke import (
     TermTypeError,
     all_permutations,
     catalog,
+    dual_murphy,
     eigen_search,
     gamma_basis,
     group_algebra_mul,
     is_central,
+    murphy,
     parse_element,
     parse_scalar,
     q_power,
@@ -1246,6 +1249,34 @@ def test_a_degree_is_an_int_of_at_least_one(make, error):
     if error is DegreeMismatchError:
         assert isinstance(info.value, ValueError)
         assert "degree must be at least 1, got" in str(info.value)
+
+
+_ONE3 = HeckeElement.one(3)
+
+
+@pytest.mark.parametrize("x", [1.5, True, "2"])
+@pytest.mark.parametrize("what, make, kind", [
+    ("cap enum_max", lambda x: Caps(enum_max=x), "an int"),
+    ("degree", HeckeElement, "an int"),
+    ("generator index", lambda x: HeckeElement.from_word(3, [1, x]), "an int"),
+    ("power", _T1.__pow__, "an int"),
+    ("Murphy index", lambda x: murphy(3, x), "an int"),
+    ("dual Murphy index", lambda x: dual_murphy(3, 3, x), "an int"),
+    ("scalar exponent or coefficient", lambda x: LaurentPoly({0: x}), "an int"),
+    ("power of v", v_power, "an int"),
+    ("power of q", q_power, "an int"),
+    ("coefficient", lambda x: HeckeElement(3, {Permutation((1, 2, 3)): x}),
+     "a LaurentPoly"),
+    ("scalar", _T1.scale, "a LaurentPoly"),
+    ("eigenvalue", lambda x: eigen_search(3, _ONE3, x), "a LaurentPoly"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_each_argument_rule_has_one_message(what, make, kind, x):
+    # laurent._check_ints and laurent._scalar write every such message; the
+    # sites once had four forms, and eigen_search raised a bare TypeError
+    with pytest.raises(TermTypeError) as info:
+        make(x)
+    assert isinstance(info.value, HeckeError)
+    assert str(info.value) == f"{what} {x!r} is a {type(x).__name__}, not {kind}"
 
 
 def test_constructor_converts_int_coefficients():

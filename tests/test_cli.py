@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import sys
+import time
 from datetime import timedelta
 from unittest import mock
 
@@ -295,6 +296,19 @@ def test_mul_bounds_the_terms_of_its_scalars(capsys):
     assert rc == 0
     assert parse_element(out.strip(), 3).coeff(
         Permutation.from_word(3, [1])).num_terms() == 258
+
+
+def test_mul_bounds_the_work_of_its_scalar_products(capsys):
+    from hecke.parsing import MAX_PAIRS
+
+    # 16 powers of 256 terms, each product under MAX_TERMS: before the
+    # budget this exited 0 after about 5 s and printed 3.6 MB
+    chain = "*".join(["(1+v)^255"] * 16)
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "mul", "--n", "3", f"{chain}*T[1]", "T[2]")
+    assert time.perf_counter() - start < 1
+    assert (rc, out) == (3, "")
+    assert err.startswith("error: ") and f"more than {MAX_PAIRS} pairs" in err
 
 
 def test_import_bounds_the_pairs_of_a_coefficient(capsys, monkeypatch):

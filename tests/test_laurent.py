@@ -204,3 +204,24 @@ def test_gcd_with_zero_is_the_canonical_associate(p, k):
     for got in (lp_gcd(ZERO, p), lp_gcd(p, ZERO)):
         assert list(got._terms.items()) == want
     assert lp_gcd(p, ZERO).content() == p.content()
+
+
+@pytest.mark.parametrize("k", [1.5, True, "2"])
+def test_v_power_and_q_power_take_an_int(k):
+    # v_power(1.5) built v^1.5, q_power(True) was q, and v_power("2") built
+    # a scalar that raised a bare TypeError when it was printed
+    for make in (v_power, q_power):
+        with pytest.raises(TermTypeError) as info:
+            make(k)
+        assert isinstance(info.value, HeckeError)
+
+
+@given(scalars, scalars)
+def test_gcd_leaves_its_operands_unchanged(a, b):
+    # _strip hands back a term dict with nothing to divide without copying
+    # it, so the gcd must build its result apart from both operands
+    from hecke.laurent import lp_gcd
+    before = [list(a._terms.items()), list(b._terms.items())]
+    g = lp_gcd(a, b)
+    assert [list(a._terms.items()), list(b._terms.items())] == before
+    assert g._terms is not a._terms and g._terms is not b._terms

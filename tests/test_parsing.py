@@ -114,7 +114,10 @@ def test_parse_errors_carry_positions():
 
 
 def test_scalar_products_and_sums_are_bounded_in_terms():
-    from hecke.parsing import MAX_TERMS, _product
+    from hecke.parsing import MAX_TERMS, _Parser
+
+    def _product(a, b):
+        return _Parser("").multiply(a, b)
 
     # the bound on a product is the smaller of the exponent sums and the
     # window they fill, so dense and sparse products are told apart
@@ -133,6 +136,45 @@ def test_scalar_products_and_sums_are_bounded_in_terms():
         with pytest.raises(ResourceCapError):
             _product(wide, c)
     assert _product(wide, LaurentPoly({7: -2})) == wide * LaurentPoly({7: -2})
+
+
+# the largest texts that README.md and these tests read, each under every
+# bound: the widest product, the widest result, and a sum of two of them
+_DOCUMENTED_WIDE = (
+    "(1+v)^512*(1+v)^512", "(1+v)^255*(1+v^256)^255",
+    "(1+v)^255*(1+v^256)^255 + (1+v)^255*(1+v^256)^255", "(v-1)^512",
+    "(q^300+1)^2", "3^10000", "q^500000000*q", "v^-1000000000")
+
+
+def test_the_scalar_products_of_a_parse_share_one_budget_of_pairs(monkeypatch):
+    import hecke.parsing
+    from hecke.parsing import MAX_PAIRS
+
+    # a chain of 256-term powers passes every other bound, but costs the
+    # square of its length: 20 of them took 17 s before this budget
+    for count in (16, 40):
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError, match=f"more than {MAX_PAIRS} pairs"):
+            parse_scalar("*".join(["(1+v)^255"] * count))
+        assert time.perf_counter() - start < 1
+    # each parse has a budget of its own
+    for _ in range(2):
+        for text in _DOCUMENTED_WIDE:
+            parse_scalar(text)
+    assert parse_element("(1+v)^255*(1+v^2)*T[1]", 3).num_terms() == 1
+    # (1+v)*T[1,1] multiplies 1 + v by q and by q - 1: 2 + 4 pairs
+    want = parse_element("T[1,1]", 3).scale(parse_scalar("1+v"))
+    monkeypatch.setattr(hecke.parsing, "MAX_PAIRS", 6)
+    assert parse_element("(1+v)*T[1,1]", 3) == want
+    monkeypatch.setattr(hecke.parsing, "MAX_PAIRS", 5)
+    with pytest.raises(ResourceCapError, match="more than 5 pairs"):
+        parse_element("(1+v)*T[1,1]", 3)
+    # (1+v)*(1+v)*(1+v) multiplies 2*2 and then 3*2 pairs
+    monkeypatch.setattr(hecke.parsing, "MAX_PAIRS", 10)
+    assert parse_scalar("(1+v)*(1+v)*(1+v)") == parse_scalar("(1+v)^3")
+    monkeypatch.setattr(hecke.parsing, "MAX_PAIRS", 9)
+    with pytest.raises(ResourceCapError):
+        parse_scalar("(1+v)*(1+v)*(1+v)")
 
 
 def test_fractional_power_needs_a_unit_base():
