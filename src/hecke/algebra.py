@@ -74,12 +74,13 @@ distinct value.  The few-term path below packs a coefficient per term, and
 _size reads one per term for at most _FEW_TERMS terms: so few terms rarely
 share one.
 
-The packed factor that is stepped on (the one whose words are not walked,
-or the element tested for centrality) is held in one of two ways, chosen
-by its size.  With terms on at least half of S_n it is a list indexed like
-S_n, 0 off the support, and a step is one pass over the step table: each
-entry of the result is read from at most two entries of the list.  The
-product is then summed into a list of the same shape.  From S_4 on, the
+The packed factor that the trie walk or the coset sums step on (the one
+whose words are not walked, or the element tested for centrality) is held
+in one of two ways, chosen by its size.  With terms on at least half of
+S_n it is a list indexed like S_n, 0 off the support, and a step is one
+pass over the step table: each entry of the result is read from at most
+two entries of the list.  The product is then summed into a list of the
+same shape.  From S_4 on, the
 partial products of keyed terms whose packed coefficient repeats (the same
 int and shift, as the one coefficient of ybar per length does) are first
 summed unscaled and scaled once per coefficient, with a sum kept for at most
@@ -112,14 +113,15 @@ is the same product.
 
 A product whose factors both have at most _FEW_TERMS terms, and which that
 rule does not take as coset sums, skips the setup built for dense factors
-(_few_terms_sum): it packs each coefficient as it reads it, steps each
-key's word from the factor on its own, and groups no repeated key.  The
-few words of a few keys share few edges, so laying out their trie
-(_prefix_products) costs more than the steps it saves, and a few terms
-rarely share a coefficient, so the memos save nothing.  The choice reads
-the sizes of the factors alone; every product in H_3 but the coset sums
-takes this path.  Its terms, their order and their shared coefficients
-are those of the trie walk.
+(_few_terms_sum): it packs each coefficient as it reads it, holds the
+terms in a dict by index at every degree, steps each key's word from the
+factor on its own, and groups no repeated key.  The few words of a few
+keys share few edges, so laying out their trie (_prefix_products) costs
+more than the steps it saves, and a few terms rarely share a coefficient,
+so the memos save nothing.  The choice reads the sizes of the factors
+alone; every product in H_3 but the coset sums takes this path.  Its
+terms, their order and their shared coefficients are those of the trie
+walk.
 
 >>> ts = HeckeElement.generator(2, 1)
 >>> print(ts * ts)
@@ -658,7 +660,7 @@ def _grouped_keys(keys: list, n: int) -> list:
     """The keys of a dense product in H_n whose partial products _packed_mul
     sums before scaling: those that occur at least twice in keys, most
     frequent first (the first seen first on a tie), and no more than
-    l(w_0) + 1 of them.  None, with no count taken, when no key repeats.
+    l(w_0) + 1 of them.  Empty, with no count taken, when no key repeats.
 
     Each key kept costs a list of n! sums held through the walk, so the cap
     bounds the memory; l(w_0) + 1, the number of lengths in S_n, holds every
@@ -769,43 +771,30 @@ def _packed_mul(n: int, a: dict, b: dict, bits: int, lows: list,
 
 def _few_terms_sum(ix: _Indexed, walked: dict, keyed: dict, flipped: bool,
                    bits: int, lo_walked: int, lo_keyed: int,
-                   stride: int) -> dict | list:
+                   stride: int) -> dict:
     """The packed sum of _walked_sum for factors of at most _FEW_TERMS
     terms that take no coset sums, with none of the setup built for dense
     factors: each coefficient is packed as it is read, with no memo of
-    objects, and each key's word is stepped from walked on its own, with no
-    trie of words laid out, since a few words share few edges.  A key u of
-    a flipped product steps along the reverse of the word of u, a reduced
+    objects, the terms are held in a dict by index at every degree, and
+    each key's word is stepped from walked on its own, with no trie of
+    words laid out, since a few words share few edges.  A key u of a
+    flipped product steps along the reverse of the word of u, a reduced
     word of u^-1."""
-    index, shift = ix.index, 2 // stride * bits
-    packs = [(index[w], _pack(c, bits, lo_walked, stride))
-             for w, c in walked.items()]
-    if flipped:
-        inv = ix.inv
-        packs = [(inv[k], x) for k, x in packs]
-    dense = 2 * len(packs) >= len(ix.perms)
-    if dense:
-        packed, out = [0] * len(ix.perms), [0] * len(ix.perms)
-        for k, x in packs:
-            packed[k] = x
-        step = _dense_step
-    else:
-        packed, out = dict(packs), {}
-        get = out.get
-        step = _packed_step
-    right = ix.right
+    index, shift, right = ix.index, 2 // stride * bits, ix.right
+    packed = {index[w]: _pack(c, bits, lo_walked, stride)
+              for w, c in walked.items()}
+    packed = _flip_packed(ix.inv, packed) if flipped else packed
+    out: dict[int, int] = {}
+    get = out.get
     for w, c in keyed.items():
         word = w.reduced_word()
         acc = packed
         for i in reversed(word) if flipped else word:
-            acc = step(right, shift, acc, i)
+            acc = _packed_step(right, shift, acc, i)
         e = min(c._terms)
         x, by = _pack(c, bits, e, stride), (e - lo_keyed) // stride * bits
-        if dense:
-            out = [y + (d * x << by) for y, d in zip(out, acc)]
-        else:
-            for k, d in acc.items():
-                out[k] = get(k, 0) + (d * x << by)
+        for k, d in acc.items():
+            out[k] = get(k, 0) + (d * x << by)
     return out
 
 
@@ -930,9 +919,7 @@ class HeckeElement:
     @classmethod
     def basis_normalized(cls, n: int, w: Permutation) -> "HeckeElement":
         """The normalised basis element T~_w = v^(-length(w)) T_w."""
-        _check_degree(n)
-        _check_key(n, w)
-        return cls._raw(n, {w: v_power(-w.length())})
+        return cls.basis(n, w)._rescaled(-1)
 
     @classmethod
     def generator(cls, n: int, i: int) -> "HeckeElement":

@@ -68,11 +68,7 @@ def murphy(ctx, i: int) -> HeckeElement:
 
 @lru_cache(maxsize=None)
 def _murphy_tilde(n: int, i: int) -> HeckeElement:
-    el = HeckeElement.zero(n)
-    for k in range(1, i):
-        el = el + HeckeElement.basis_normalized(
-            n, Permutation.transposition(n, k, i))
-    return el
+    return _murphy(n, i).scale(v_power(-1))
 
 
 def murphy_normalized(ctx, i: int) -> HeckeElement:

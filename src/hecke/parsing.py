@@ -16,8 +16,10 @@ descent could not parse.  No scalar built from text or JSON has more than
 MAX_TERMS terms: a product whose result could pass it raises
 ResourceCapError before it is multiplied, a scalar times each coefficient
 of a part (c*@ref) included, and so does a sum that passes it; a power
-stays below it by MAX_POWER_TERMS.  The scalar products of one parse, of
-both kinds, multiply at most MAX_PAIRS pairs of terms in all: the one that
+stays below it by MAX_POWER_TERMS.  A sum is built in place, in one term
+dict.  The scalar products of one parse, of both kinds and those inside a
+power of a multi-term base, multiply at most MAX_PAIRS pairs of terms in
+all, a pair of wide coefficients counted by its 64-bit words: the one that
 would pass it raises ResourceCapError before it is multiplied.
 Coefficient literals may have any number of digits; an exponent must
 convert with int(), within the interpreter's limit on int/str conversion
@@ -96,8 +98,11 @@ MAX_EXPONENT = 10 ** 9
 # 600 terms.
 MAX_TERMS = 1 << 16
 # The most pairs of terms t_a * t_b the scalar products of one parse may
-# multiply: 20 factors (1+v)^255, under every other bound, took 17 s.  It
-# allows about 0.6 s of products of (1+v)^512's coefficients (Python 3.11).
+# multiply, the squares and products of a power included, a pair of wide
+# coefficients counted by its 64-bit words (_Parser.product): 20 factors
+# (1+v)^255, under every other bound, took 17 s, and (N+N*v)^255 with
+# N = 2^255 - 19 9.0 s.  The slowest texts measured under it take about
+# 0.25 s, such as (1+2*v)^512*(1+2*v)^512 (Python 3.11, 2-core Xeon).
 MAX_PAIRS = 1 << 20
 # Each level of parentheses takes four frames of the recursive descent, so
 # about 250 levels reach the interpreter's default recursion limit.
@@ -141,6 +146,11 @@ def _power_terms(base: LaurentPoly, exp: int) -> int:
     return min(window, sums)
 
 
+def _words(terms: dict[int, int]) -> int:
+    """The 64-bit words of the widest coefficient of terms."""
+    return (max(map(int.bit_length, terms.values())) + 63) >> 6
+
+
 def _past_max_terms() -> ResourceCapError:
     return ResourceCapError(f"a sum of scalars has more than {MAX_TERMS} "
                             f"terms")
@@ -175,27 +185,39 @@ class _Parser:
         if tok:
             raise self.fail(f"unexpected trailing input {tok!r}", self.k)
 
-    def multiply(self, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    def product(self, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         """a * b, refused with ResourceCapError before it is multiplied when
-        its pairs of terms take the parse past MAX_PAIRS, or when it could
-        have more than MAX_TERMS terms.
+        it takes the parse past MAX_PAIRS.
+
+        A product of at least 64 pairs of terms is charged each pair times
+        1 plus the product of the 64-bit words of the widest coefficient of
+        each factor, over 64; a smaller one is not weighed, which would
+        cost more than its pairs.
+        """
+        ta, tb = a._terms, b._terms
+        pairs = len(ta) * len(tb)
+        self.pairs += (pairs if pairs < 64 else
+                       pairs * (1 + (_words(ta) * _words(tb) >> 6)))
+        if self.pairs > MAX_PAIRS:
+            raise ResourceCapError(f"the scalar products of one text would "
+                                   f"multiply more than {MAX_PAIRS} pairs")
+        return a * b
+
+    def multiply(self, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+        """product(a, b), refused with ResourceCapError before it is
+        multiplied when it could have more than MAX_TERMS terms.
 
         Its exponents are sums of one exponent of each factor, so it has at
         most as many terms as there are such sums and as their window holds:
         a bound as exact as to whether it passes MAX_TERMS as _power_terms'.
         """
         ta, tb = a._terms, b._terms
-        pairs = len(ta) * len(tb)
-        self.pairs += pairs
-        if self.pairs > MAX_PAIRS:
-            raise ResourceCapError(f"the scalar products of one text would "
-                                   f"multiply more than {MAX_PAIRS} pairs")
-        if (pairs > MAX_TERMS
+        if (len(ta) * len(tb) > MAX_TERMS
                 and max(ta) - min(ta) + max(tb) - min(tb) >= MAX_TERMS):
             raise ResourceCapError(
                 f"a product of a {len(ta)}-term and a {len(tb)}-term scalar "
                 f"could have more than {MAX_TERMS} terms")
-        return a * b
+        return self.product(a, b)
 
     def _starts_part(self, k: int) -> bool:
         tok = self.toks[k]
@@ -204,22 +226,33 @@ class _Parser:
     # -- scalars -------------------------------------------------------------
 
     def scalar_sum(self) -> LaurentPoly:
+        """The sum of the products, added in place into one term dict, in
+        the order, key order included, that adding them one by one gives;
+        a lone product is returned as it is."""
         toks = self.toks
         negate = toks[self.k] == "-"
         if negate:
             self.k += 1
-        out = self.scalar_product()
-        if negate:
-            out = -out
+        first = self.scalar_product()
         op = toks[self.k]
+        if op != "+" and op != "-":
+            return -first if negate else first
+        out = ({e: -c for e, c in first._terms.items()} if negate
+               else dict(first._terms))
+        get, pop = out.get, out.pop
         while op == "+" or op == "-":
             self.k += 1
-            rhs = self.scalar_product()
-            out = out + rhs if op == "+" else out - rhs
-            if len(out._terms) > MAX_TERMS:
+            minus = op == "-"
+            for e, c in self.scalar_product()._terms.items():
+                s = get(e, 0) - c if minus else get(e, 0) + c
+                if s:
+                    out[e] = s
+                else:
+                    pop(e, None)
+            if len(out) > MAX_TERMS:
                 raise _past_max_terms()
             op = toks[self.k]
-        return out
+        return LaurentPoly._raw(out)
 
     def scalar_product(self, stop_at_part: bool = False) -> LaurentPoly:
         out = self.scalar_power()
@@ -269,7 +302,19 @@ class _Parser:
             raise ResourceCapError(
                 f"power {exp} yields an exponent of v past {MAX_EXPONENT}")
         if len(base._terms) != 1:
-            return base ** exp
+            # square and multiply, as LaurentPoly.__pow__ does but from the
+            # base rather than 1, each product charged to the parse.  The
+            # bounds above hold the terms of every partial power, which the
+            # sums of multiply would not: a square inside (1+v^513)^512, of
+            # 513 terms, has 66,049 sums in a window of 262,657
+            out = None
+            while exp:
+                if exp & 1:
+                    out = base if out is None else self.product(out, base)
+                exp >>= 1
+                if exp:
+                    base = self.product(base, base)
+            return ONE if out is None else out
         # a monomial's power is its one term
         (e, c), = base._terms.items()
         return LaurentPoly._raw({(-e if neg else e) * exp: c ** exp})

@@ -60,12 +60,7 @@ class Permutation(tuple):
     @classmethod
     def simple(cls, n: int, i: int) -> "Permutation":
         """The simple transposition s_i = (i, i+1), 1 <= i <= n-1."""
-        _check_ints("degree or index", n, i)
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"simple reflection index {i} out of range for n={n}")
-        im = list(range(1, n + 1))
-        im[i - 1], im[i] = im[i], im[i - 1]
-        return cls._unsafe(tuple(im))
+        return cls.from_word(n, (i,))
 
     @classmethod
     def transposition(cls, n: int, a: int, b: int) -> "Permutation":

@@ -140,24 +140,16 @@ def _longest_sq(n: int, l: int) -> LaurentPoly:
     return q_power(_longest_length(n) - l) * Q_MINUS_1 ** l
 
 
-def _square(build):
-    """A function of a context c: the square of build(c)."""
-    def square(c):
-        h = build(c)
-        return h * h
-    return square
-
-
 # name -> (the element, built from a context; f, its coordinate at gamma_lam
 # as a function of n and l = l(lam)).  As e_i(L) is the sum of the gamma_lam
 # with l(lam) = i, each element is also the sum over i of f(n, i) e_i(L).
 _CLOSED_FORMS = {
     "x": (x_elem, lambda n, l: ONE),
     "y": (y_elem, lambda n, l: (-Q) ** (_longest_length(n) - l)),
-    "T_w0^2": (_square(t_longest), _longest_sq),
-    "xbar^2": (_square(xbar), lambda n, l: (
+    "T_w0^2": (lambda c: t_longest(c) ** 2, _longest_sq),
+    "xbar^2": (lambda c: xbar(c) ** 2, lambda n, l: (
         poincare(n) - q_power(_longest_length(n)) * 2 + _longest_sq(n, l))),
-    "ybar^2": (_square(ybar), lambda n, l: (
+    "ybar^2": (lambda c: ybar(c) ** 2, lambda n, l: (
         q_power(_longest_length(n) - l) * (-1) ** l
         * (poincare(n) - LaurentPoly(2) + (ONE - Q) ** l))),
 }

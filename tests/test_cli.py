@@ -509,6 +509,20 @@ def test_oversize_scalar_power_exits_with_the_cap_code(capsys):
     assert rc == 3
 
 
+def test_wide_powers_exit_with_the_cap_code(capsys):
+    # powers of wide two-term bases, N = 2^255 - 19 and M = 2^127 - 1,
+    # under every bound but the pairs' budget: they ran for 9.0, 32.4 and
+    # 94.9 s when a pair of wide coefficients cost what a small one does
+    n_, m_ = 2**255 - 19, 2**127 - 1
+    for text in (f"({n_}+{n_}*v)^255", f"({m_}+{m_}*v)^511",
+                 f"({n_}+{n_}*v)^255*({n_}+{n_}*v)^255"):
+        start = time.perf_counter()
+        rc, out, err = run(capsys, "mul", "--n", "3", f"{text}*T[1]", "T[]")
+        assert (rc, out) == (3, ""), text
+        assert "pairs" in err
+        assert time.perf_counter() - start < 1, text
+
+
 def test_deep_parentheses_exit_with_the_cap_code(capsys):
     from hecke.parsing import MAX_NESTING
 

@@ -33,6 +33,7 @@ from hecke import (
     v_power,
     x_elem,
 )
+from hecke.laurent import Q
 from hecke.parsing import (MAX_EXPONENT, MAX_NESTING, MAX_POWER_BITS,
                            MAX_POWER_TERMS, MAX_WORD_LENGTH)
 
@@ -175,6 +176,59 @@ def test_the_scalar_products_of_a_parse_share_one_budget_of_pairs(monkeypatch):
     monkeypatch.setattr(hecke.parsing, "MAX_PAIRS", 9)
     with pytest.raises(ResourceCapError):
         parse_scalar("(1+v)*(1+v)*(1+v)")
+
+
+def test_powers_and_wide_products_are_charged_to_the_budget(monkeypatch):
+    import hecke.parsing
+    from hecke.parsing import MAX_PAIRS
+
+    # powers of wide two-term bases, N = 2^255 - 19 and M = 2^127 - 1,
+    # under every bound but the pairs' budget: they took 9.0, 32.4 and
+    # 94.9 s when a pair of wide coefficients cost what a small one does
+    n_, m_ = 2**255 - 19, 2**127 - 1
+    for text in (f"({n_}+{n_}*v)^255", f"({m_}+{m_}*v)^511",
+                 f"({n_}+{n_}*v)^255*({n_}+{n_}*v)^255"):
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError, match=f"more than {MAX_PAIRS} pairs"):
+            parse_scalar(text)
+        assert time.perf_counter() - start < 1, text
+    # a power costs the products of its squares and multiplies, from the
+    # base: (1+v)^3 is (1+v)^2 * (1+v), 2*2 and then 3*2 pairs, as the
+    # chain of three factors costs
+    monkeypatch.setattr(hecke.parsing, "MAX_PAIRS", 10)
+    assert parse_scalar("(1+v)^3") == parse_scalar("(1+v)*(1+v)*(1+v)")
+    monkeypatch.setattr(hecke.parsing, "MAX_PAIRS", 9)
+    with pytest.raises(ResourceCapError):
+        parse_scalar("(1+v)^3")
+    # the power bounds hold the terms of its partial powers: the square of
+    # (1+v^513)^256 has 66,049 sums of exponents, past MAX_TERMS, but 513
+    # terms, as the power has
+    monkeypatch.setattr(hecke.parsing, "MAX_PAIRS", MAX_PAIRS)
+    assert parse_scalar("(1+v^513)^512").num_terms() == 513
+
+
+def test_sums_are_built_in_one_term_dict():
+    from hecke.parsing import MAX_TERMS
+
+    # each sum once copied the 65,536 terms: 4,000 of them took 3.4 s
+    wide = parse_scalar("(1+v)^255*(1+v^256)^255")
+    text = "((1+v)^255*(1+v^256)^255" + "+1" * 4000 + ")"
+    start = time.perf_counter()
+    got = parse_scalar(text)
+    assert time.perf_counter() - start < 0.5
+    assert len(wide._terms) == MAX_TERMS
+    assert list(got._terms) == list(wide._terms)
+    assert got == wide + LaurentPoly(4000)
+    # terms that cancel and come back take the place adding them one at a
+    # time gives, as do the terms of a power squared and multiplied by the
+    # parser, and a lone product is returned as it is
+    for text in ("1+v-1+1-v+v^2+v", "-(1+v)+v-v^3+1", "v-v", "-q+q-1",
+                 "2*v^2 - 2*v^2 + v^-1 + v^2 - v^-1 + 3", "(1+v)^0",
+                 "(1+v)^1", "(1-v+v^2)^7 - (v^-3+2+v)^12", "(q-xi)^5",
+                 "0^3", "(1-1)^4"):
+        got, want = parse_scalar(text), oracle_scalar(text)
+        assert got == want and list(got._terms) == list(want._terms), text
+    assert parse_scalar("q") is Q and parse_scalar("(q)") is Q
 
 
 def test_fractional_power_needs_a_unit_base():

@@ -185,6 +185,14 @@ def test_from_word_refuses_a_letter_out_of_range(word):
         Permutation.from_word(3, word)
 
 
+@pytest.mark.parametrize("i", [0, 3, -1])
+def test_simple_reflections_follow_the_letter_rule(i):
+    # simple(n, i) is the one-letter word (i,), with from_word's message
+    with pytest.raises(ValueError,
+                       match=f"generator index {i} out of range for degree 3"):
+        Permutation.simple(3, i)
+
+
 def _call(fn, *args):
     return pytest.param(partial(fn, *args),
                         id=f"{fn.__qualname__}({', '.join(map(repr, args))})")
