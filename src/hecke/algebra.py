@@ -674,9 +674,10 @@ def _grouped_keys(keys: list, n: int) -> list:
 
 
 def _geometric(n: int, terms: dict, keys: int):
-    """(s, f, sign, e, corrections) when terms is s v^f X_a plus the
-    corrections, a = sign v^e with s and sign +-1, and the coset sums take
-    fewer steps than a walk over keys keys; None otherwise.
+    """(s, start, sign, e, corrections) when terms is s v^f X_a plus the
+    corrections, a = sign v^e with s and sign +-1, and the coset sums,
+    which start at v^start = v^(f + min(0, e l(w_0))), take fewer steps
+    than a walk over keys keys; None otherwise.
 
     c = s v^f is read at the identity and c a at perms[1], a simple
     reflection.  A scan of S_n in index order then lists each term that
@@ -709,7 +710,7 @@ def _geometric(n: int, terms: dict, keys: int):
             if len(corrections) == allowed:
                 return None
             corrections.append((w, (d or ZERO) - LaurentPoly(want[k])))
-    return s, f, sign, e, corrections
+    return s, f + min(0, e * top), sign, e, corrections
 
 
 def _coset_sums(n: int, terms: list, step, sign: int, shift: int) -> list:
@@ -748,9 +749,7 @@ def _packed_mul(n: int, a: dict, b: dict, bits: int, lows: list,
         flipped ^= geometric is not None
     lo_walked, lo_keyed = lows[::-1] if flipped else lows
     if geometric is not None:
-        # the coset sums start at v^f, over v^(e l(w_0)) when e < 0
-        _, f, _, e, _ = geometric
-        lo_keyed = min(lo_keyed, f + min(0, e * n * (n - 1) // 2))
+        lo_keyed = min(lo_keyed, geometric[1])   # where the coset sums start
     if geometric is None and len(b if flipped else a) <= _FEW_TERMS:
         out = _few_terms_sum(ix, b if flipped else a, a if flipped else b,
                              flipped, bits, lo_walked, lo_keyed, stride)
@@ -808,10 +807,10 @@ def _walked_sum(n: int, ix: _Indexed, walked: dict, keyed: list,
     packed, step = _packed_terms(ix, [(walked, lo_walked)], bits, stride)
     packed = _flip_packed(ix.inv, packed) if flipped else packed
     if geometric is not None:
-        unit, f, sign, e, keyed = geometric
+        unit, start, sign, e, keyed = geometric
         if flipped:
             keyed = [(w.inverse(), d) for w, d in keyed]
-        start = (f + min(0, e * n * (n - 1) // 2) - lo_keyed) // stride * bits
+        start = (start - lo_keyed) // stride * bits
         out = packed
         if unit != 1 or start:
             out = [unit * x << start for x in packed]

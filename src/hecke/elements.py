@@ -90,11 +90,9 @@ def dual_murphy(ctx, m: int, i: int) -> HeckeElement:
     _check_ints("dual Murphy index", m, i)
     if not 1 <= i <= m <= c.n:
         raise IndexError(f"dual Murphy indices (m={m}, i={i}) need 1 <= i <= m <= {c.n}")
-    el = HeckeElement.zero(c.n)
-    for j in range(m - i + 2, m + 1):
-        el = el + HeckeElement.basis_normalized(
-            c.n, Permutation.transposition(c.n, m - i + 1, j))
-    return el
+    ts = (Permutation.transposition(c.n, m - i + 1, j)
+          for j in range(m - i + 2, m + 1))
+    return HeckeElement._raw(c.n, {t: v_power(-t.length()) for t in ts})
 
 
 @lru_cache(maxsize=None)

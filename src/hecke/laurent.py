@@ -260,6 +260,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "LaurentPoly":
+        _check_ints("power", k)
         if k < 0:
             if not self.is_unit():
                 raise ArithmeticError("negative power of a non-unit scalar")
@@ -281,16 +282,9 @@ class LaurentPoly:
         return LaurentPoly._raw({e + k: c for e, c in self._terms.items()})
 
     def divide_int(self, k: int) -> "LaurentPoly":
-        """Exact division by a nonzero integer."""
-        if k == 0:
-            raise ZeroDivisionError("division of a scalar by zero")
-        out = {}
-        for e, c in self._terms.items():
-            q, r = divmod(c, k)
-            if r:
-                raise ArithmeticError("inexact integer division of scalar")
-            out[e] = q
-        return LaurentPoly._raw(out)
+        """Exact division by a nonzero int, which the package's int rule
+        takes (a bool raises TermTypeError): divexact by the constant k."""
+        return self.divexact(LaurentPoly(k))
 
     def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact division in Z[v, v^-1]; raises if the division is inexact."""

@@ -19,8 +19,10 @@ of a part (c*@ref) included, and so does a sum that passes it; a power
 stays below it by MAX_POWER_TERMS.  A sum is built in place, in one term
 dict.  The scalar products of one parse, of both kinds and those inside a
 power of a multi-term base, multiply at most MAX_PAIRS pairs of terms in
-all, a pair of wide coefficients counted by its 64-bit words: the one that
-would pass it raises ResourceCapError before it is multiplied.
+all, a pair of wide coefficients counted by its 64-bit words whatever the
+size of the product, and a power of a non-unit monomial is charged the
+square of its words: the one that would pass it raises ResourceCapError
+before it is multiplied.
 Coefficient literals may have any number of digits; an exponent must
 convert with int(), within the interpreter's limit on int/str conversion
 (4,300 digits by default), since JSON writes it as a number.  A power
@@ -99,10 +101,13 @@ MAX_EXPONENT = 10 ** 9
 MAX_TERMS = 1 << 16
 # The most pairs of terms t_a * t_b the scalar products of one parse may
 # multiply, the squares and products of a power included, a pair of wide
-# coefficients counted by its 64-bit words (_Parser.product): 20 factors
-# (1+v)^255, under every other bound, took 17 s, and (N+N*v)^255 with
-# N = 2^255 - 19 9.0 s.  The slowest texts measured under it take about
-# 0.25 s, such as (1+2*v)^512*(1+2*v)^512 (Python 3.11, 2-core Xeon).
+# coefficients counted by its 64-bit words (_Parser.product), and a power
+# of a non-unit monomial charged the square of its words over 64: 20
+# factors (1+v)^255, under every other bound, took 17 s, (N+N*v)^255 with
+# N = 2^255 - 19 9.0 s, 200 factors 3^10000 3.0 s and a sum of 4,000
+# 7^21000 2.3 s.  The slowest texts measured under it take about 0.25 s,
+# such as (1+2*v)^512*(1+2*v)^512, or 0.4 s for a text of 55 KB, 11,000
+# factors 2^60 (Python 3.11, 2-core Xeon).
 MAX_PAIRS = 1 << 20
 # Each level of parentheses takes four frames of the recursive descent, so
 # about 250 levels reach the interpreter's default recursion limit.
@@ -148,7 +153,7 @@ def _power_terms(base: LaurentPoly, exp: int) -> int:
 
 def _words(terms: dict[int, int]) -> int:
     """The 64-bit words of the widest coefficient of terms."""
-    return (max(map(int.bit_length, terms.values())) + 63) >> 6
+    return (max(map(int.bit_length, terms.values()), default=0) + 63) >> 6
 
 
 def _past_max_terms() -> ResourceCapError:
@@ -168,6 +173,12 @@ class _Parser:
         self.caps = caps
         self.depth = 0
         self.pairs = 0
+        # a product's pairs count 1 each, with no widths read, while the
+        # pairs counted, its own included, stay below this: until then
+        # every coefficient is made by fewer than 64 products of narrow
+        # literals and powers, and has at most about 64 words.  A literal
+        # or power that may pass 64 bits sets it to 0
+        self.plain = 64
 
     def fail(self, message: str, k: int) -> ParseError:
         """A ParseError at the start of token k, found by scanning again."""
@@ -185,22 +196,28 @@ class _Parser:
         if tok:
             raise self.fail(f"unexpected trailing input {tok!r}", self.k)
 
+    def charge(self, pairs: int) -> None:
+        """Count pairs against MAX_PAIRS: ResourceCapError once the parse
+        passes it."""
+        self.pairs += pairs
+        if self.pairs > MAX_PAIRS:
+            raise ResourceCapError(f"the scalar products of one text would "
+                                   f"multiply more than {MAX_PAIRS} pairs")
+
     def product(self, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         """a * b, refused with ResourceCapError before it is multiplied when
         it takes the parse past MAX_PAIRS.
 
-        A product of at least 64 pairs of terms is charged each pair times
-        1 plus the product of the 64-bit words of the widest coefficient of
-        each factor, over 64; a smaller one is not weighed, which would
-        cost more than its pairs.
+        Each pair of terms is charged 1 plus the product of the 64-bit
+        words of the widest coefficient of each factor, over 64.  While the
+        parse may hold no wide coefficient (self.plain) a pair is charged
+        1, with no widths read, which would cost more than the product.
         """
         ta, tb = a._terms, b._terms
         pairs = len(ta) * len(tb)
-        self.pairs += (pairs if pairs < 64 else
-                       pairs * (1 + (_words(ta) * _words(tb) >> 6)))
-        if self.pairs > MAX_PAIRS:
-            raise ResourceCapError(f"the scalar products of one text would "
-                                   f"multiply more than {MAX_PAIRS} pairs")
+        if self.pairs + pairs >= self.plain:
+            pairs *= 1 + (_words(ta) * _words(tb) >> 6)
+        self.charge(pairs)
         return a * b
 
     def multiply(self, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -290,10 +307,13 @@ class _Parser:
             raise self.fail("negative power of a non-unit scalar", k)
         if not unit:
             norm = sum(abs(c) for _, c in base.items())
-            if exp * max(norm - 1, 0).bit_length() > MAX_POWER_BITS:
+            bits = exp * max(norm - 1, 0).bit_length()
+            if bits > MAX_POWER_BITS:
                 raise ResourceCapError(
                     f"power could have coefficients of more than "
                     f"{MAX_POWER_BITS} bits")
+            if bits >= 64:
+                self.plain = 0
         if exp > 1 and base and _power_terms(base, exp) > MAX_POWER_TERMS:
             raise ResourceCapError(
                 f"power {exp} of a {base.num_terms()}-term scalar could have "
@@ -315,8 +335,12 @@ class _Parser:
                 if exp:
                     base = self.product(base, base)
             return ONE if out is None else out
-        # a monomial's power is its one term
+        # a monomial's power is its one term, charged as the square of its
+        # words when it is not a unit's
         (e, c), = base._terms.items()
+        if not unit:
+            words = (bits + 63) >> 6
+            self.charge(1 + (words * words >> 6))
         return LaurentPoly._raw({(-e if neg else e) * exp: c ** exp})
 
     def scalar_atom(self) -> LaurentPoly:
@@ -324,6 +348,8 @@ class _Parser:
         tok = self.toks[k]
         if tok.isdigit():
             self.k = k + 1
+            if len(tok) > 19:   # may pass 64 bits
+                self.plain = 0
             return LaurentPoly(_from_decimal(tok))
         if tok == "(":
             if self.depth == MAX_NESTING:

@@ -1273,6 +1273,7 @@ _ONE3 = HeckeElement.one(3)
     ("degree", HeckeElement, "an int"),
     ("generator index", lambda x: HeckeElement.from_word(3, [1, x]), "an int"),
     ("power", _T1.__pow__, "an int"),
+    ("power", lambda x: Q ** x, "an int"),
     ("Murphy index", lambda x: murphy(3, x), "an int"),
     ("dual Murphy index", lambda x: dual_murphy(3, 3, x), "an int"),
     ("scalar exponent or coefficient", lambda x: LaurentPoly({0: x}), "an int"),

@@ -512,15 +512,20 @@ def test_oversize_scalar_power_exits_with_the_cap_code(capsys):
 def test_wide_powers_exit_with_the_cap_code(capsys):
     # powers of wide two-term bases, N = 2^255 - 19 and M = 2^127 - 1,
     # under every bound but the pairs' budget: they ran for 9.0, 32.4 and
-    # 94.9 s when a pair of wide coefficients cost what a small one does
+    # 94.9 s when a pair of wide coefficients cost what a small one does;
+    # then 200 factors 3^10000, 31 factors 3^10000 + v and a sum of 4,000
+    # 7^21000, which ran for 3.0, 1.2 and 2.3 s when a product of fewer
+    # than 64 pairs and a monomial's power were charged as narrow ones
     n_, m_ = 2**255 - 19, 2**127 - 1
     for text in (f"({n_}+{n_}*v)^255", f"({m_}+{m_}*v)^511",
-                 f"({n_}+{n_}*v)^255*({n_}+{n_}*v)^255"):
+                 f"({n_}+{n_}*v)^255*({n_}+{n_}*v)^255",
+                 "*".join(["3^10000"] * 200), "*".join(["(3^10000+v)"] * 31),
+                 "(" + "+".join(["7^21000"] * 4000) + ")"):
         start = time.perf_counter()
         rc, out, err = run(capsys, "mul", "--n", "3", f"{text}*T[1]", "T[]")
-        assert (rc, out) == (3, ""), text
+        assert (rc, out) == (3, ""), text[:60]
         assert "pairs" in err
-        assert time.perf_counter() - start < 1, text
+        assert time.perf_counter() - start < 1, text[:60]
 
 
 def test_deep_parentheses_exit_with_the_cap_code(capsys):

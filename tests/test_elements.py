@@ -6,6 +6,7 @@ import pytest
 
 from hecke import (
     HeckeElement,
+    Permutation,
     TermTypeError,
     as_context,
     braid_murphy,
@@ -71,6 +72,23 @@ def test_dual_murphy_is_the_flipped_murphy(ctx3, ctx4):
         for i in range(2, ctx.n + 1):
             flipped = murphy_normalized(ctx, i).apply_diagram_flip()
             assert dual_murphy(ctx, ctx.n, i) == flipped
+
+
+def test_dual_murphy_builds_the_sum_of_its_basis_terms():
+    # the sum dual_murphy once built, one basis_normalized term at a time,
+    # is the oracle: the same terms, key order and coefficient objects,
+    # one to a term
+    for n in range(1, 8):
+        for m in range(1, n + 1):
+            for i in range(1, m + 1):
+                want = HeckeElement.zero(n)
+                for j in range(m - i + 2, m + 1):
+                    want = want + HeckeElement.basis_normalized(
+                        n, Permutation.transposition(n, m - i + 1, j))
+                got = dual_murphy(n, m, i)
+                assert got == want
+                assert list(got._terms) == list(want._terms)
+                assert len({id(c) for c in got._terms.values()}) == i - 1
 
 
 def test_cycle_pair_product_gives_dual_murphy():

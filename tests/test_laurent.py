@@ -73,6 +73,30 @@ def test_content_and_integer_division():
     assert ZERO.content() == 0
 
 
+def test_divide_int_is_exact_division_by_an_int():
+    # one exact division: divide_int(k) is divexact by the constant k, so
+    # it takes the package's int rule and says what divexact says
+    p = LaurentPoly({2: 4, 0: -6, -3: 10})
+    for k in (1, -1, 2, -2):
+        got = p.divide_int(k)
+        assert got == p.divexact(LaurentPoly(k))
+        assert got == LaurentPoly({e: c // k for e, c in p.items()})
+        assert list(got._terms) == list(p._terms)
+    assert ZERO.divide_int(3) == ZERO
+    # a float divisor once gave LaurentPoly({0: 4.0, 1: 2.0}), and True
+    # divided by 1
+    for k in (1.5, True):
+        with pytest.raises(TermTypeError) as info:
+            p.divide_int(k)
+        assert isinstance(info.value, HeckeError)
+        assert str(info.value) == (
+            f"scalar {k!r} is a {type(k).__name__}, not an int")
+    with pytest.raises(ArithmeticError, match="^inexact scalar division$"):
+        p.divide_int(4)
+    with pytest.raises(ZeroDivisionError):
+        p.divide_int(0)
+
+
 def test_exponent_queries():
     p = LaurentPoly({4: 2, -3: 5})
     assert p.max_exp() == 4

@@ -207,6 +207,56 @@ def test_powers_and_wide_products_are_charged_to_the_budget(monkeypatch):
     assert parse_scalar("(1+v^513)^512").num_terms() == 513
 
 
+def test_wide_monomials_are_charged_at_any_size(monkeypatch):
+    import hecke.parsing
+    from hecke.parsing import MAX_PAIRS
+
+    # wide monomials under every other bound ran for 3.0, 1.2 and 2.3 s
+    # when a product of fewer than 64 pairs was not weighed and a
+    # monomial's power was charged nothing (Python 3.11, 2-core Xeon)
+    for text in ("*".join(["3^10000"] * 200), "*".join(["(3^10000+v)"] * 31),
+                 "(" + "+".join(["7^21000"] * 4000) + ")"):
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError, match=f"more than {MAX_PAIRS} pairs"):
+            parse_scalar(text)
+        assert time.perf_counter() - start < 0.5, text[:20]
+    # 3^10000 is charged 1 + 313 * 313 // 64 for the 313 words its 20,000
+    # bits could fill, and the product of two 248-word coefficients
+    # 1 + 248 * 248 // 64
+    monkeypatch.setattr(hecke.parsing, "MAX_PAIRS", 1531)
+    assert parse_scalar("3^10000") == LaurentPoly(3 ** 10000)
+    monkeypatch.setattr(hecke.parsing, "MAX_PAIRS", 1530)
+    with pytest.raises(ResourceCapError):
+        parse_scalar("3^10000")
+    monkeypatch.setattr(hecke.parsing, "MAX_PAIRS", 2 * 1531 + 962)
+    assert parse_scalar("3^10000*3^10000") == LaurentPoly(3 ** 20000)
+    monkeypatch.setattr(hecke.parsing, "MAX_PAIRS", 2 * 1531 + 961)
+    with pytest.raises(ResourceCapError):
+        parse_scalar("3^10000*3^10000")
+    # after a literal of 20 or more digits a product of one pair is weighed:
+    # two 9-word coefficients count 1 + 81 // 64 = 2
+    wide = "9" * 170
+    monkeypatch.setattr(hecke.parsing, "MAX_PAIRS", 2)
+    assert parse_scalar(f"{wide}*{wide}") == LaurentPoly(int(wide) ** 2)
+    monkeypatch.setattr(hecke.parsing, "MAX_PAIRS", 1)
+    with pytest.raises(ResourceCapError):
+        parse_scalar(f"{wide}*{wide}")
+    # a weighed product may have a zero factor, which has no widest term
+    assert parse_scalar(f"{wide}*0*(1-1)") == 0
+    # until 64 are counted, narrow products count their pairs, a unit's
+    # power nothing and a narrow power 1: 2 + 4 for q^40*(1+v)*(1+v), and
+    # 3 + 1 + 1 for 2^60*2^60*2^60
+    monkeypatch.setattr(hecke.parsing, "MAX_PAIRS", 6)
+    assert parse_scalar("q^40*(1+v)*(1+v)") == parse_scalar("q^40+2*v^81+q^41")
+    monkeypatch.setattr(hecke.parsing, "MAX_PAIRS", 5)
+    with pytest.raises(ResourceCapError):
+        parse_scalar("q^40*(1+v)*(1+v)")
+    assert parse_scalar("2^60*2^60*2^60") == LaurentPoly(2 ** 180)
+    monkeypatch.setattr(hecke.parsing, "MAX_PAIRS", 4)
+    with pytest.raises(ResourceCapError):
+        parse_scalar("2^60*2^60*2^60")
+
+
 def test_sums_are_built_in_one_term_dict():
     from hecke.parsing import MAX_TERMS
 
