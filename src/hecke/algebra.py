@@ -147,7 +147,8 @@ class Caps(Record):
     """Size limits for the expensive operations.
 
     enum_max bounds anything that walks all of S_n; linalg_max bounds the
-    exact linear algebra over the centre: centre_basis and eigen searches.
+    exact linear algebra over the centre: centre_basis and eigen searches,
+    which walk S_n too and so fall under both.
     Each is compared in one place, AlgebraContext.check_enum / check_linalg.
     A field that is not an int, a bool included, raises TermTypeError.
     """

@@ -66,9 +66,11 @@ class CentreBasis(Record):
 
 
 def centre_basis(ctx) -> CentreBasis:
-    """Solve for everything that commutes with all the generators."""
+    """Solve for everything that commutes with all the generators; the
+    solve walks all of S_n, so it falls under both caps."""
     c = as_context(ctx)
     c.check_linalg()
+    c.check_enum()
     system = SparseSystem(_all_permutations(c.n))
     system.add_rows(_commutator_rows(c.n))
     return CentreBasis(c.n, tuple(HeckeElement._raw(c.n, vec)

@@ -4,9 +4,9 @@ Exit codes: 0 success (and "true" for the predicate verbs), 1 mathematical
 false or a failed verification, 2 usage or input errors, 3 a resource cap.
 
 Element expressions follow the grammar in `parsing`; the degree always
-comes from --n.  Parsed and imported degrees and the minimal basis of the
-centre fall under --enum-max; eigen searches and the registry's
-centre-basis solve under --linalg-max, which only `eigen` and `verify` take.
+comes from --n.  Parsed and imported degrees, the minimal basis and every
+solve fall under --enum-max; eigen searches and the registry's centre-basis
+solve under --linalg-max too, which only `eigen` and `verify` take.
 """
 
 from __future__ import annotations
@@ -43,6 +43,15 @@ def _print_element(el, as_json: bool) -> None:
         print(json.dumps(element_to_json(el), sort_keys=True))
     else:
         print(format_element(el))
+
+
+def _print_table(rows, as_json: bool, to_json, to_text) -> None:
+    """(key, value) rows as one sorted JSON object or as `key: text` lines."""
+    if as_json:
+        print(json.dumps({key: to_json(v) for key, v in rows}, sort_keys=True))
+    else:
+        for key, v in rows:
+            print(f"{key}: {to_text(v)}")
 
 
 def _cmd_mul(args) -> int:
@@ -90,12 +99,8 @@ def _cmd_gamma(args) -> int:
     if lam is not None:
         _print_element(gb[lam], args.json)
         return 0
-    if args.json:
-        doc = {_shape_key(lam): element_to_json(g) for lam, g in gb}
-        print(json.dumps(doc, sort_keys=True))
-    else:
-        for lam, g in gb:
-            print(f"{_shape_key(lam)}: {format_element(g)}")
+    _print_table(((_shape_key(lam), g) for lam, g in gb), args.json,
+                 element_to_json, format_element)
     return 0
 
 
@@ -104,12 +109,8 @@ def _cmd_express(args) -> int:
     a = parse_element(args.a, args.n, ctx.caps)
     gb = gamma_basis(ctx)
     coords = express_in_gamma(a, gb)
-    if args.json:
-        print(json.dumps({_shape_key(lam): format_scalar(c)
-                          for lam, c in coords.items()}, sort_keys=True))
-    else:
-        for lam, c in coords.items():
-            print(f"{_shape_key(lam)}: {format_scalar(c)}")
+    _print_table(((_shape_key(lam), c) for lam, c in coords.items()),
+                 args.json, format_scalar, format_scalar)
     return 0
 
 
@@ -131,13 +132,8 @@ def _cmd_eigen(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    table = catalog(args.n)
-    if args.json:
-        print(json.dumps({name: element_to_json(el)
-                          for name, el in table.items()}, sort_keys=True))
-    else:
-        for name, el in table.items():
-            print(f"{name}: {format_element(el)}")
+    _print_table(catalog(args.n).items(), args.json, element_to_json,
+                 format_element)
     return 0
 
 

@@ -16,7 +16,8 @@ degree 3 admits a complete linear description.  This module provides:
 * the degree-3 coefficient constraints with a random sampler for the
   non-central solution branch;
 * the degree-3 and degree-4 catalogs of known square roots (the degree-4
-  ones are literal fixtures, guarded by a checksum);
+  ones are literal fixtures, guarded by their canonical text), built once
+  per degree by ``catalog`` and shared by every reader;
 * ``eigen_search``: exact eigenvectors for multiplication by a central
   element, for a caller-supplied eigenvalue in Z[v, v^-1], where every
   eigenvalue of a central element lies.  The eigenspace is a sum of
@@ -258,13 +259,13 @@ def sample_sqrt_h3(seed: int) -> HeckeElement:
 # -- catalogs ----------------------------------------------------------------
 
 def _fixture(n: int, parts) -> HeckeElement:
-    out = HeckeElement.zero(n)
+    terms = {}
     for cf, word in parts:
         w = Permutation.from_word(n, word)
         if w.length() != len(word):
             raise ValueError(f"fixture word {word} is not reduced")
-        out = out + HeckeElement.basis(n, w).scale(cf)
-    return out
+        terms[w] = cf
+    return HeckeElement(n, terms)
 
 
 def catalog_h3() -> dict[str, HeckeElement]:
@@ -372,7 +373,7 @@ def catalog(n: int) -> dict[str, HeckeElement]:
 
 def catalog_checks_h3(gb: GammaBasis) -> dict[str, bool]:
     """Every printed claim about the degree-3 catalog, checked exactly."""
-    cat = catalog_h3()
+    cat = catalog(3)
     out = {}
     for name, el in cat.items():
         rep = in_sqrt_centre(el, gb)
@@ -395,7 +396,7 @@ def catalog_checks_h3(gb: GammaBasis) -> dict[str, bool]:
 
 def catalog_checks_h4() -> dict[str, bool]:
     """Every printed claim about the degree-4 catalog, checked exactly."""
-    cat = catalog_h4()
+    cat = catalog(4)
     out = {}
     for name in ("R4", "R5", "R6"):
         el = cat[name]

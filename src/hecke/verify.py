@@ -5,7 +5,7 @@ degrees it is checked at, and the caps (fields of Caps) that bound what
 the check computes.  A row gives an item at each of its degrees up to
 n_max and up to each cap it names: enum_max for a check that enumerates
 S_n (the symmetrizers, their truncations, or the minimal basis of the
-centre), linalg_max for one that solves over the centre.  The first check
+centre), both for one that solves over the centre.  The first check
 that reads a basis builds it.  Items run in id order; `only` runs the
 named ones, each once.  Running them recomputes both sides of every
 statement from scratch, exactly over Z[v, v^-1]; there are no tolerances
@@ -31,18 +31,19 @@ from .center import (_check_class_sum, _check_integral, _check_pinning,
                      _recursive_gamma, centre_basis, express_in_gamma,
                      gamma_basis)
 from .elements import (braid_murphy, dual_murphy, elem_sym,
-                       elem_sym_normalized, murphy, murphy_normalized,
-                       poincare, t_longest, x_elem, xbar, y_elem, ybar)
+                       elem_sym_normalized, full_twist_product, murphy,
+                       murphy_normalized, poincare, t_longest, x_elem, xbar,
+                       y_elem, ybar)
 from .errors import MismatchError
 from .laurent import LaurentPoly, ONE, Q, Q_MINUS_1, XI, q_power, v_power
 from .linalg import sparse_rank
 from .permutations import Permutation, _all_permutations
 from .records import Record, _set
-from .sqrtcenter import (_check_closed_form, _check_coords, catalog_checks_h3,
-                         catalog_checks_h4, catalog_h3, catalog_h4,
-                         eigen_search, even_word_centrality,
-                         h3_constraint_check, in_sqrt_centre, sample_sqrt_h3,
-                         span_in_sqrt, verify_xbar_ybar_squares)
+from .sqrtcenter import (_check_closed_form, _check_coords, catalog,
+                         catalog_checks_h3, catalog_checks_h4, eigen_search,
+                         even_word_centrality, h3_constraint_check,
+                         in_sqrt_centre, sample_sqrt_h3, span_in_sqrt,
+                         verify_xbar_ybar_squares)
 
 
 class VerifyItem(Record):
@@ -191,14 +192,8 @@ def _chk_dual_nested(env: _Env, n: int) -> None:
 
 def _chk_dual_cyclepair(env: _Env, n: int) -> None:
     m = n + 1
-    fwd = HeckeElement.one(m)
-    bwd = HeckeElement.one(m)
-    for i in range(1, n + 1):
-        fwd = fwd * HeckeElement.generator(m, i)
-    for i in range(n, 0, -1):
-        bwd = bwd * HeckeElement.generator(m, i)
-    fwd = fwd.scale(v_power(-n))
-    bwd = bwd.scale(v_power(-n))
+    fwd = HeckeElement.from_word(m, range(1, n + 1)).scale(v_power(-n))
+    bwd = HeckeElement.from_word(m, range(n, 0, -1)).scale(v_power(-n))
     rhs = HeckeElement.one(m) + dual_murphy(env.ctx(m), m, m).scale(XI)
     _eq(fwd * bwd, rhs, "cycle pair product in the next degree up")
 
@@ -254,10 +249,8 @@ def _chk_longestsq_esym(env: _Env, n: int) -> None:
 def _chk_longestsq_twist(env: _Env, n: int) -> None:
     c = env.ctx(n)
     tw = t_longest(c).to_normalized()
-    prod = HeckeElement.one(n)
-    for i in range(1, n + 1):
-        prod = prod * braid_murphy(c, i)
-    _eq(tw * tw, prod, "normalized longest-element square vs braid product")
+    _eq(tw * tw, full_twist_product(c),
+        "normalized longest-element square vs braid product")
 
 
 def _chk_braidmurphy_linear(env: _Env, n: int) -> None:
@@ -364,8 +357,7 @@ def _chk_sqrt_mixed_not(env: _Env, n: int) -> None:
 
 
 def _chk_sqrt_increment(env: _Env, n: int) -> None:
-    table = catalog_h3() if n == 3 else catalog_h4()
-    for name, el in table.items():
+    for name, el in catalog(n).items():
         h = el + el * el
         _true(not is_central(h * h),
               f"{name} plus its square should leave the square-root set")
@@ -378,7 +370,7 @@ def _chk_even_words(env: _Env, n: int) -> None:
 
 
 def _chk_r4r5_span_note(env: _Env, n: int) -> None:
-    cat = catalog_h3()
+    cat = catalog(3)
     r4, r5 = cat["R4"], cat["R5"]
     _true((r4 * r5 + r5 * r4).is_zero(), "R4 and R5 should anticommute")
     _true(span_in_sqrt([r4, r5]), "the R4,R5 span should pass the span test")
@@ -405,7 +397,7 @@ def _chk_ybarsq_printed(env: _Env, n: int) -> None:
                    (2, 1): -q_power(3) * (Q + ONE) ** 2,
                    (3,): q_power(3) * (Q + LaurentPoly(3))})
     _check_coords("q^-6 times the listed",
-                  express_in_gamma(catalog_h3()["ybar"] ** 2, gb),
+                  express_in_gamma(catalog(3)["ybar"] ** 2, gb),
                   {lam: q_power(-6) * a for lam, a in plain.items()})
 
 
@@ -413,7 +405,7 @@ def _chk_ybarsq_printed(env: _Env, n: int) -> None:
 
 def _chk_h3_fixtures(env: _Env, n: int) -> None:
     c = env.ctx(3)
-    cat = catalog_h3()
+    cat = catalog(3)
     tw = t_longest(c)
     _eq(cat["xbar"], x_elem(c) - tw, "catalog truncation vs definition")
     _eq(cat["ybar"], (y_elem(c) - tw).scale(-q_power(-3)),
@@ -432,7 +424,7 @@ def _chk_h3_checks(env: _Env, n: int) -> None:
 
 def _chk_h3_eigen_search(env: _Env, n: int) -> None:
     gb = env.gamma(3)
-    cat = catalog_h3()
+    cat = catalog(3)
     vecs = eigen_search(env.ctx(3), gb[(2, 1)], Q_MINUS_1)
     _true(len(vecs) >= 2, "eigenvalue q-1 should have at least two directions")
     base = sparse_rank(el._terms for el in vecs)
@@ -478,7 +470,7 @@ def _chk_h3_central_branch(env: _Env, n: int) -> None:
 
 def _chk_h3_classify(env: _Env, n: int) -> None:
     c = env.ctx(3)
-    cat = catalog_h3()
+    cat = catalog(3)
     for name in ("xbar", "ybar", "Twn", "R4", "R5"):
         got = h3_constraint_check(cat[name])
         _true(got == "sqrt-branch", f"{name} classified as {got}")
@@ -557,10 +549,9 @@ def _chk_h2_sqrt_all(env: _Env, n: int) -> None:
 _N3_6 = (3, 4, 5, 6)
 _N3_5 = (3, 4, 5)
 
-# The caps a row's check reaches: enumerating S_n, solving over the centre.
+# The caps a row's check reaches: enumerating S_n; a solve enumerates it too.
 _ENUM = ("enum_max",)
-_LINALG = ("linalg_max",)
-_BOTH = _ENUM + _LINALG
+_BOTH = _ENUM + ("linalg_max",)
 
 # One row per statement: id stem, check, degrees, the caps its check
 # reaches, statement ({n} is the degree, {m} = n+1) and the flag note of a
@@ -666,7 +657,7 @@ _TABLE = (
     ("13-gamma-pinning", partial(_chk_rebuilt_gamma, _check_pinning),
      _N3_5, _ENUM,
      "minimal-length coefficients are Kronecker deltas (n={n})", None),
-    ("14-commutative", _chk_h2_commutative, (2,), _LINALG,
+    ("14-commutative", _chk_h2_commutative, (2,), _BOTH,
      "degree 2 is commutative and its centre is everything", None),
     ("14-sqrt-is-everything", _chk_h2_sqrt_all, (2,), (),
      "at degree 2 every element is a central square root", None),
@@ -717,13 +708,12 @@ def _run_item(item: VerifyItem, env: _Env) -> ItemResult:
     start = time.perf_counter()
     try:
         item.fn(env)
+        status, detail = ("flag" if item.flag_note else "pass",
+                          item.flag_note or "")
     except Exception as exc:  # noqa: BLE001 - any failure is a finding
-        return ItemResult(item.item_id, item.statement, item.n, "fail",
-                          f"{type(exc).__name__}: {exc}",
-                          time.perf_counter() - start)
-    status = "flag" if item.flag_note else "pass"
-    return ItemResult(item.item_id, item.statement, item.n, status,
-                      item.flag_note or "", time.perf_counter() - start)
+        status, detail = "fail", f"{type(exc).__name__}: {exc}"
+    return ItemResult(item.item_id, item.statement, item.n, status, detail,
+                      time.perf_counter() - start)
 
 
 def run_verify(n_max: int = 6, seed: int = 0, caps: Caps = DEFAULT_CAPS,

@@ -15,6 +15,7 @@ import pytest
 
 from hecke import (
     Caps,
+    MismatchError,
     build_registry,
     catalog_h3,
     commutator,
@@ -26,6 +27,8 @@ from hecke import (
     run_verify,
     sample_sqrt_h3,
     statement_ids,
+    x_elem,
+    y_elem,
 )
 
 SEED = 0
@@ -338,3 +341,21 @@ def test_a_low_enumeration_cap_drops_the_basis_items_above_it():
         assert set(statement_ids(N_MAX)) - ran == dropped
         assert ran == set(statement_ids(N_MAX, Caps(linalg_max=cap)))
         assert report.passed
+
+
+def test_the_degree_two_centre_item_follows_both_caps():
+    # centre_basis walks S_n, so its row names both caps: an enumeration
+    # cap below 2 leaves the item out instead of failing it
+    report = run_verify(3, caps=Caps(enum_max=1))
+    ran = {r.item_id for r in report.results}
+    assert report.passed and ran
+    assert "14-commutative-n2" not in ran
+    assert "14-commutative-n2" in statement_ids(3, Caps(enum_max=2))
+
+
+def test_a_failed_identity_names_its_first_differing_term():
+    from hecke.verify import _eq
+
+    with pytest.raises(MismatchError) as info:
+        _eq(x_elem(3), y_elem(3), "probe")
+    assert str(info.value) == "probe: sides differ at T_[1, 2, 3]: 1 vs -q^3"

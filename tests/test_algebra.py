@@ -18,9 +18,11 @@ from hecke import (
     AlgebraContext,
     Caps,
     DegreeMismatchError,
+    GammaBasis,
     HeckeElement,
     HeckeError,
     LaurentPoly,
+    MismatchError,
     Permutation,
     ResourceCapError,
     TermTypeError,
@@ -28,8 +30,11 @@ from hecke import (
     catalog,
     dual_murphy,
     eigen_search,
+    element_to_json,
+    express_in_gamma,
     gamma_basis,
     group_algebra_mul,
+    h3_constraint_check,
     is_central,
     murphy,
     parse_element,
@@ -37,6 +42,7 @@ from hecke import (
     q_power,
     t_longest,
     v_power,
+    verify_gamma_invariants,
     x_elem,
     xbar,
     ybar,
@@ -1262,6 +1268,50 @@ def test_a_degree_is_an_int_of_at_least_one(make, error):
     if error is DegreeMismatchError:
         assert isinstance(info.value, ValueError)
         assert "degree must be at least 1, got" in str(info.value)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    pytest.param(lambda: HeckeElement(3, {Permutation((2, 1)): 1}),
+                 DegreeMismatchError, "support element of degree 2 in H_3",
+                 id="key-of-another-degree"),
+    pytest.param(lambda: HeckeElement.from_word(3, [3]), ValueError,
+                 "generator index 3 out of range for degree 3",
+                 id="letter-out-of-range"),
+    pytest.param(lambda: _T1 ** -1, ValueError, "negative powers",
+                 id="negative-power"),
+    pytest.param(lambda: _T1.embed(2), DegreeMismatchError,
+                 "cannot embed H_3 into H_2", id="element-embed-down"),
+    pytest.param(lambda: Permutation((2, 1)).compose(Permutation((1, 3, 2))),
+                 DegreeMismatchError,
+                 "cannot compose permutations of degrees 2 and 3",
+                 id="compose-across-degrees"),
+    pytest.param(lambda: Permutation((2, 1, 3)).embed(2), DegreeMismatchError,
+                 "cannot embed degree 3 into 2", id="permutation-embed-down"),
+    pytest.param(lambda: Permutation.transposition(3, 1, 1), ValueError,
+                 r"bad transposition \(1 1\) for n=3", id="transposition-a-a"),
+    pytest.param(lambda: dual_murphy(3, 4, 2), IndexError,
+                 r"dual Murphy indices \(m=4, i=2\)", id="dual-murphy-m-past-n"),
+    pytest.param(lambda: h3_constraint_check(x_elem(4)), DegreeMismatchError,
+                 "constraint check needs degree 3, got 4",
+                 id="h3-constraint-degree"),
+    pytest.param(lambda: eigen_search(3, x_elem(4), 0), DegreeMismatchError,
+                 "element degree 4 does not match 3", id="eigen-search-degree"),
+    pytest.param(lambda: express_in_gamma(x_elem(4), gamma_basis(3)),
+                 DegreeMismatchError,
+                 "element of degree 4 against a basis for degree 3",
+                 id="express-degree"),
+    pytest.param(lambda: verify_gamma_invariants(GammaBasis(3, {})),
+                 MismatchError, "basis for degree 3 has wrong index set",
+                 id="gamma-invariants-index-set"),
+    pytest.param(lambda: element_to_json(_T1, basis="S"), ValueError,
+                 "basis must be 'T' or 'Ttilde', got 'S'",
+                 id="json-basis"),
+])
+def test_each_boundary_names_what_it_refuses(make, error, message):
+    # each argument has the right type, but a degree, index or basis the
+    # call cannot take
+    with pytest.raises(error, match=message):
+        make()
 
 
 _ONE3 = HeckeElement.one(3)

@@ -9,6 +9,8 @@ from hypothesis import HealthCheck, given, settings
 
 import hecke.verify
 from hecke import (
+    AlgebraContext,
+    Caps,
     GammaBasis,
     HeckeElement,
     LaurentPoly,
@@ -16,6 +18,7 @@ from hecke import (
     NotCentralError,
     Partition,
     Permutation,
+    ResourceCapError,
     all_permutations,
     centre_basis,
     elem_sym,
@@ -285,6 +288,15 @@ def test_coefficients_avoid_odd_powers(gb3, gb4):
         for _, z in gb:
             for _, c in z.items():
                 assert c.has_even_exponents()
+
+
+def test_centre_basis_falls_under_the_enumeration_cap():
+    # the solve walks all of S_n, so it refuses where gamma_basis and
+    # all_permutations on the same context do
+    ctx = AlgebraContext(5, Caps(enum_max=3, linalg_max=5))
+    for walk in (centre_basis, gamma_basis, all_permutations):
+        with pytest.raises(ResourceCapError, match="enumeration cap 3"):
+            walk(ctx)
 
 
 def test_centre_membership(ctx3, gb3):

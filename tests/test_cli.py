@@ -93,11 +93,13 @@ _PARTITION_VERBS = [("gamma", "3", "--lambda"),
                     ("eigen", "--n", "3", "--k", "q-1", "--gamma")]
 
 
-@pytest.mark.parametrize("parts", ["\uff12,\uff11", "+2,1", "2,x", "2,2"])
+@pytest.mark.parametrize("parts", ["\uff12,\uff11", "+2,1", "2,x", "2,2",
+                                   "1,2", "0,3"])
 @pytest.mark.parametrize("verb", _PARTITION_VERBS, ids=lambda v: v[0])
 def test_partition_options_refuse_what_the_grammar_refuses(capsys, verb,
                                                            parts):
-    # int() took full-width digits and a plus sign
+    # int() took full-width digits and a plus sign; parts that sum to n
+    # but rise or hold a zero are no partition
     rc, out, err = run(capsys, *verb, parts)
     assert (rc, out) == (2, "")
     assert err.startswith("error: ")
@@ -462,12 +464,15 @@ def test_import_refuses_truncated_numbers_and_deep_nesting(capsys, monkeypatch):
                 term % ("[2, 1]", '[[0.5, "1"]]'),
                 term % ("[2, 1]", "[[0, 2.5]]"),
                 term % ("[2, 1]", "[[0, true]]"),
-                term % ("[2, 1]", '[[0, "1_0"]]')):
+                term % ("[2, 1]", '[[0, "1_0"]]'),
+                term % ("[2, 1]", '[[0, "1"], [0, "2"]]')):
         rc, _, err = imported('{"n": 2, "basis": "T", "terms": [%s]}' % bad)
         assert rc == 2, bad
         assert "error:" in err
-    rc, _, _ = imported('{"n": 2.7, "basis": "T", "terms": []}')
-    assert rc == 2
+    for doc in ('{"n": 2.7, "basis": "T", "terms": []}',
+                '{"n": 2, "basis": "T", "terms": {}}'):
+        rc, _, _ = imported(doc)
+        assert rc == 2, doc
     rc, out, _ = imported('{"n": 2, "basis": "T", "terms": [%s]}'
                           % term % ("[2, 1]", '[[0, 3], [2, "-12"]]'))
     assert (rc, out.strip()) == (0, "-(12*q - 3)*T[1]")

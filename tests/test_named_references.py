@@ -3,19 +3,22 @@
 `c*@ref` and `-@ref` parse to the elements the earlier parser builds
 (tests/parser_oracle.py), key order included, with no more coefficient
 objects than `@ref` has; `elem_sym`, `y_elem` and `catalog` are built once
-per degree; the minimal basis's integrality check names the term it named
-when it read every term.
+per degree, and the registry reads the catalogs and the full twist from
+their one builder; the minimal basis's integrality check names the term it
+named when it read every term.
 """
 
 import pytest
 
 import hecke.algebra
 import hecke.elements
+from hecke import sqrtcenter, verify
 from hecke import (
     HeckeElement,
     LaurentPoly,
     MismatchError,
     Partition,
+    Permutation,
     all_permutations,
     catalog,
     catalog_h3,
@@ -24,11 +27,12 @@ from hecke import (
     elem_sym_normalized,
     gamma_basis,
     parse_element,
+    run_verify,
     y_elem,
 )
 from hecke.center import _check_integral
 from hecke.elements import NAMED_KINDS
-from hecke.laurent import V, v_power
+from hecke.laurent import ONE, V, v_power
 
 from parser_oracle import oracle_element
 
@@ -130,6 +134,51 @@ def test_catalog_is_built_once_and_returned_as_a_fresh_dict():
         assert all(again[k] is v for k, v in catalog(n).items())
     with pytest.raises(ValueError, match="no catalog for degree 5"):
         catalog(5)
+
+
+def _summed_fixture(n, parts):
+    """A fixture as first built: the sum of its scaled basis elements."""
+    out = HeckeElement.zero(n)
+    for cf, word in parts:
+        w = Permutation.from_word(n, word)
+        out = out + HeckeElement.basis(n, w).scale(cf)
+    return out
+
+
+@pytest.mark.parametrize("build", [catalog_h3, catalog_h4])
+def test_the_fixtures_are_the_sums_of_their_terms(monkeypatch, build):
+    got = build()
+    monkeypatch.setattr(sqrtcenter, "_fixture", _summed_fixture)
+    want = build()
+    assert list(got) == list(want)
+    for name, el in want.items():
+        assert list(got[name]._terms.items()) == list(el._terms.items())
+    # the constructor keeps each coefficient as given: a unit is ONE itself
+    assert all(c is ONE for el in got.values() for c in el._terms.values()
+               if c == ONE)
+
+
+def test_a_cold_registry_builds_each_catalog_once(monkeypatch):
+    calls = []
+    for name in ("catalog_h3", "catalog_h4"):
+        build = getattr(sqrtcenter, name)
+
+        def counted(build=build, name=name):
+            calls.append(name)
+            return build()
+        # a module that kept its own reference to a builder is counted too
+        monkeypatch.setattr(sqrtcenter, name, counted)
+        monkeypatch.setattr(verify, name, counted, raising=False)
+    monkeypatch.setattr(sqrtcenter, "_CATALOG_MEMO", {})
+    assert run_verify(n_max=4).passed
+    assert sorted(calls) == ["catalog_h3", "catalog_h4"]
+
+
+def test_the_registry_reads_the_memoized_full_twist(monkeypatch):
+    monkeypatch.setattr(verify, "full_twist_product",
+                        lambda c: HeckeElement.one(c.n))
+    [item] = run_verify(3, only=["04-longestsq-twist-n3"]).results
+    assert item.status == "fail" and "braid product" in item.detail
 
 
 def _first_failure(lam, g):

@@ -107,6 +107,9 @@ def test_parse_errors_carry_positions():
         "@nosuchname": 1,
         "@gamma:2,2": 1,
         "@catalog:nope": 1,
+        "@3": 1,
+        "@catalog": 1,
+        "@catalog:R4,R5": 1,
     }
     for text, pos in cases.items():
         with pytest.raises(ParseError) as err:
@@ -491,6 +494,9 @@ def test_json_validation_rejects_malformed_documents():
         {"n": 2, "basis": "T", "terms": [{"perm": [2, 1], "coeff": [[0, 2.5]]}]},
         {"n": 2, "basis": "T", "terms": [{"perm": [2, 1], "coeff": [[0, " 2"]]}]},
         {"n": 2, "basis": "T", "terms": [{"perm": [2, 1], "coeff": {"12": 1}}]},
+        {"n": 3, "basis": "T", "terms": {}},
+        {"n": 3, "basis": "T",
+         "terms": [dict(good_term, coeff=[[0, "1"], [0, "2"]])]},
     ]
     for doc in bad_docs:
         with pytest.raises(FormatError):

@@ -692,6 +692,10 @@ def test_catalog_dispatch(ctx3):
 def test_span_of_catalog_is_in_sqrt():
     assert span_in_sqrt(list(catalog_h3().values()))
     assert not span_in_sqrt([parse_element("T[] + T[1]", 3)])
+    # both squares central, the symmetrized product not
+    pair = [xbar(4), catalog(4)["R4"]]
+    assert span_in_sqrt(pair[:1]) and span_in_sqrt(pair[1:])
+    assert not span_in_sqrt(pair)
 
 
 def test_sum_and_difference_structure(ctx3):
@@ -720,6 +724,11 @@ def test_r4_r5_anticommute():
 def test_parity_law_for_monomials(ctx3):
     gens = (xbar(ctx3), ybar(ctx3), t_longest(ctx3))
     assert even_word_centrality(gens, 4)
+    # the degree-4 fixtures square into the centre but do not commute, so
+    # the law first fails on an even word of two of them
+    r456 = tuple(catalog(4)[name] for name in ("R4", "R5", "R6"))
+    assert even_word_centrality(r456, 1)
+    assert not even_word_centrality(r456, 2)
 
 
 def _even_words_by_powers(generators, max_degree):
