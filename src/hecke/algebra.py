@@ -18,10 +18,10 @@ single generator T_{s_i}:
 
 The left side goes through the flip iota(T_w) = T_(w^-1), an
 anti-automorphism of H_n: iota(a b) = iota(b) iota(a).  A general product
-a * b takes the canonical reduced words of the keys in sorted order, one
-generator step per letter past the prefix a word shares with the previous
-one: the words are prefix-closed, so a T_w = (a T_{w s_d}) T_{s_d} reuses
-a partial product, and each edge of the trie of words is stepped once.
+a * b walks the trie of the canonical reduced words of the keys depth
+first, one generator step per edge: the words are prefix-closed, so
+a T_w = (a T_{w s_d}) T_{s_d} reuses a partial product, and each edge of
+the trie is stepped once.
 The walk follows the words of the factor with fewer terms: those of
 supp(b) by right steps on a, or, for a, a b = iota(iota(b) iota(a)), those
 of u^-1 for u in supp(a) by right steps on iota(b).  h is central exactly
@@ -576,57 +576,36 @@ def _flip_packed(inv: list, terms: dict | list) -> dict | list:
 
 
 def _prefix_products(terms: dict | list, keyed, step):
-    """Yield (terms * T_w, x) for every pair (w, x) in keyed.
+    """Yield (terms * T_w, x) for every pair (w, x) in keyed, whose keys
+    are distinct, in the order of their words.
 
     The canonical reduced words are prefix-closed: word(w) = word(w s_d) + (d)
-    for the smallest right descent d.  The keys are taken in the order of
-    their words, and terms * T_w is one step(acc, i) per letter past the
-    prefix its word shares with the previous one, its start, from the
-    product held there.  In sorted order the prefix word k shares with a
-    later word j is the least of the starts of words k + 1 .. j, so the
-    depths of word k that later words start from are the running minima of
-    the starts after it.  A pass from the last word back lists them
-    (ahead), and only the products at those depths are held, deepest on
-    top: each edge of the trie of words is stepped once, and a single long
-    key holds no partial product.  step is _rmul_gen, or a step of
-    _packed_terms; none changes its argument.
+    for the smallest right descent d.  So terms * T_w is one step(acc, i)
+    per edge on the path to w in the trie of the keys' words, built here as
+    nested dicts by letter, with x under key 0 where a word ends.  The walk
+    is depth first on a stack of (node, parent's product, letter): a child
+    is stepped when it is popped, and children are pushed in decreasing
+    letter order, so words come out sorted, each before its extensions.  A
+    product is held only by its pending children: each edge is stepped
+    once, and a single long key holds no partial product.  step is
+    _rmul_gen, or a step of _packed_terms; none changes its argument.
     """
-    pairs = sorted([(w.reduced_word(), x) for w, x in keyed],
-                   key=lambda pair: pair[0])
-    starts = []
-    last: tuple = ()
-    for word, _ in pairs:
-        depth = 0
-        for i, j in zip(word, last):
-            if i != j:
-                break
-            depth += 1
-        starts.append(depth)
-        last = word
-    # kept[k]: the depths past its start that word k holds, deepest first;
-    # dropped[k]: whether no later word starts where word k does
-    kept, dropped, ahead = [None] * len(pairs), bytearray(len(pairs)), [-1]
-    for k in range(len(pairs) - 1, -1, -1):
-        start = starts[k]
-        if ahead[-1] > start:
-            kept[k] = []
-            while ahead[-1] > start:
-                kept[k].append(ahead.pop())
-        if ahead[-1] < start:
-            ahead.append(start)
-            dropped[k] = 1
-    held = [terms]
-    for k, (word, x) in enumerate(pairs):
-        acc = held.pop() if dropped[k] else held[-1]
-        depth = starts[k]
-        for stop in reversed(kept[k] or ()):
-            for i in word[depth:stop]:
-                acc = step(acc, i)
-            held.append(acc)
-            depth = stop
-        for i in word[depth:]:
+    trie: dict = {}
+    for w, x in keyed:
+        node = trie
+        for i in w.reduced_word():
+            node = node.setdefault(i, {})
+        node[0] = x
+    stack = [(trie, terms, 0)]
+    while stack:
+        node, acc, i = stack.pop()
+        if i:
             acc = step(acc, i)
-        yield acc, x
+        if 0 in node:
+            yield acc, node[0]
+        for j in sorted(node, reverse=True):
+            if j:
+                stack.append((node[j], acc, j))
 
 
 def _sides(a: dict, b: dict, flipped: bool) -> tuple[dict, list]:

@@ -117,9 +117,10 @@ def _cmd_express(args) -> int:
 def _cmd_eigen(args) -> int:
     ctx = AlgebraContext(args.n, _caps(args))
     lam = read_partition("--gamma", args.gamma.split(","), args.n)
-    gb = gamma_basis(ctx)
+    # the cap and --k are checked before the minimal basis is built
+    ctx.check_linalg()
     k = parse_scalar(args.k)
-    vecs = eigen_search(ctx, gb[lam], k)
+    vecs = eigen_search(ctx, gamma_basis(ctx)[lam], k)
     if args.json:
         print(json.dumps({"count": len(vecs),
                           "vectors": [element_to_json(v) for v in vecs]},

@@ -266,14 +266,7 @@ class LaurentPoly:
                 raise ArithmeticError("negative power of a non-unit scalar")
             (e, c), = self._terms.items()
             return LaurentPoly._raw({-e: c}) ** (-k)
-        result = ONE
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return _power(self, k, LaurentPoly.__mul__) if k else ONE
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by v^k."""
@@ -424,6 +417,20 @@ def v_power(k: int) -> LaurentPoly:
 def q_power(k: int) -> LaurentPoly:
     _check_ints("power of q", k)
     return LaurentPoly._raw({2 * k: 1})
+
+
+def _power(base, k: int, mul):
+    """base ** k for k >= 1 by square and multiply from base, each of the
+    k.bit_length() + k.bit_count() - 2 products taken by mul: the parser's
+    mul charges its budget before each one runs."""
+    out = None
+    while True:
+        if k & 1:
+            out = base if out is None else mul(out, base)
+        k >>= 1
+        if not k:
+            return out
+        base = mul(base, base)
 
 
 # -- gcd machinery -----------------------------------------------------------

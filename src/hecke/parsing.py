@@ -76,7 +76,7 @@ from .algebra import (AlgebraContext, Caps, DEFAULT_CAPS, HeckeElement,
 from .elements import NAMED_KINDS, named_element
 from .errors import FormatError, ParseError, ResourceCapError
 from .laurent import (LaurentPoly, ONE, Q, V, XI, _DECIMAL_SMALL,
-                      _from_decimal, _is_int)
+                      _from_decimal, _is_int, _power)
 from .permutations import Partition, Permutation
 
 # Allows (v - 1)^512, which takes about 0.04 s; (v - 1)^2000 takes about
@@ -322,19 +322,12 @@ class _Parser:
             raise ResourceCapError(
                 f"power {exp} yields an exponent of v past {MAX_EXPONENT}")
         if len(base._terms) != 1:
-            # square and multiply, as LaurentPoly.__pow__ does but from the
-            # base rather than 1, each product charged to the parse.  The
-            # bounds above hold the terms of every partial power, which the
-            # sums of multiply would not: a square inside (1+v^513)^512, of
-            # 513 terms, has 66,049 sums in a window of 262,657
-            out = None
-            while exp:
-                if exp & 1:
-                    out = base if out is None else self.product(out, base)
-                exp >>= 1
-                if exp:
-                    base = self.product(base, base)
-            return ONE if out is None else out
+            # the products of LaurentPoly.__pow__, each charged to the parse
+            # by product.  The bounds above hold the terms of every partial
+            # power, which the sums of multiply would not: a square inside
+            # (1+v^513)^512, of 513 terms, has 66,049 sums in a window of
+            # 262,657
+            return _power(base, exp, self.product) if exp else ONE
         # a monomial's power is its one term, charged as the square of its
         # words when it is not a unit's
         (e, c), = base._terms.items()

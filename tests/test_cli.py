@@ -588,6 +588,23 @@ def test_gamma_falls_under_the_enumeration_cap(capsys):
     assert "cap" in err
 
 
+def test_eigen_checks_its_cap_and_scalar_before_the_basis(capsys):
+    # above the linear-algebra cap the search is refused, whatever --k
+    # holds, and under it a malformed --k is a usage error, both before the
+    # minimal basis is built: at n = 8 that took more than a second
+    with mock.patch("hecke.cli.gamma_basis",
+                    side_effect=AssertionError("built the basis")):
+        for k in ("0", "(("):
+            rc, out, err = run(capsys, "eigen", "--n", "8", "--gamma", "8",
+                               "--k", k, "--enum-max", "8")
+            assert (rc, out) == (3, "")
+            assert "linear-algebra cap" in err
+        rc, out, err = run(capsys, "eigen", "--n", "6", "--gamma", "6",
+                           "--k", "((", "--linalg-max", "6")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 @pytest.mark.parametrize("n", ["7", "9"])
 def test_gamma_reads_its_partition_before_the_basis(capsys, n):
     # a bad --lambda is a usage error at any degree, found before the

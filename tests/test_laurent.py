@@ -197,6 +197,38 @@ def test_negative_powers_of_units_and_the_error_for_a_non_unit():
             non_unit ** -1
 
 
+@pytest.mark.parametrize("text", ["1+v", "q-xi", "3*v^-2"])
+def test_square_and_multiply_from_the_base(text):
+    # laurent._power against square and multiply from 1, whose first
+    # product is 1 * base: the same values in the same key order, in
+    # k.bit_length() + k.bit_count() - 2 products, each of which the
+    # parser charges to its budget
+    from hecke.laurent import _power
+    base = parse_scalar(text)
+
+    def from_one(k):
+        out, b = ONE, base
+        while k:
+            if k & 1:
+                out = out * b
+            b = b * b if k > 1 else b
+            k >>= 1
+        return out
+
+    products = []
+
+    def mul(a, b):
+        products.append((a, b))
+        return a * b
+
+    for k in (1, 2, 3, 5, 8, 13, 63, 64, 100, 255, 256, 257, 600):
+        products.clear()
+        got = _power(base, k, mul)
+        for want in (from_one(k), base ** k):
+            assert list(got._terms.items()) == list(want._terms.items())
+        assert len(products) == k.bit_length() + k.bit_count() - 2
+
+
 @given(scalars, scalars)
 def test_subtraction_is_addition_of_the_negation(a, b):
     # the same terms in the same order, for a scalar or an int subtrahend
