@@ -18,7 +18,7 @@ import sys
 from collections import namedtuple
 
 from .algebra import DEFAULT_CAPS, AlgebraContext, Caps, is_central
-from .center import express_in_gamma, gamma_basis
+from .center import _pinned_coordinates, gamma_basis
 from .errors import (FormatError, HeckeError, MismatchError,
                      NotCentralError, ResourceCapError)
 from .parsing import (element_from_json, element_to_json, format_element,
@@ -107,8 +107,11 @@ def _cmd_gamma(args) -> int:
 def _cmd_express(args) -> int:
     ctx = AlgebraContext(args.n, _caps(args))
     a = parse_element(args.a, args.n, ctx.caps)
-    gb = gamma_basis(ctx)
-    coords = express_in_gamma(a, gb)
+    # centrality is tested before the minimal basis is built, which takes
+    # more than a second at n = 8
+    if not is_central(a):
+        raise NotCentralError("element is not central")
+    coords = _pinned_coordinates(a, gamma_basis(ctx), proven=True)
     _print_table(((_shape_key(lam), c) for lam, c in coords.items()),
                  args.json, format_scalar, format_scalar)
     return 0

@@ -605,6 +605,23 @@ def test_eigen_checks_its_cap_and_scalar_before_the_basis(capsys):
     assert err.startswith("error: ")
 
 
+def test_express_tests_centrality_before_the_basis(capsys):
+    # an element that is not central is refused before the minimal basis is
+    # built, which takes more than a second at n = 8
+    with mock.patch("hecke.cli.gamma_basis",
+                    side_effect=AssertionError("built the basis")):
+        rc, out, err = run(capsys, "express", "--n", "6", "T[1]")
+    assert (rc, out, err) == (1, "", "error: element is not central\n")
+
+
+def test_express_reads_a_central_element_as_before(capsys):
+    rc, out, _ = run(capsys, "express", "--n", "4", "@fulltwist")
+    assert rc == 0
+    assert out.splitlines() == [
+        "4: 1 - 3*q^-1 + 3*q^-2 - q^-3", "3,1: 1 - 2*q^-1 + q^-2",
+        "2,2: 1 - 2*q^-1 + q^-2", "2,1,1: 1 - q^-1", "1,1,1,1: 1"]
+
+
 @pytest.mark.parametrize("n", ["7", "9"])
 def test_gamma_reads_its_partition_before_the_basis(capsys, n):
     # a bad --lambda is a usage error at any degree, found before the
