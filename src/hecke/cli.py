@@ -7,12 +7,15 @@ Element expressions follow the grammar in `parsing`; the degree always
 comes from --n.  Parsed and imported degrees, the minimal basis and every
 solve fall under --enum-max; eigen searches and the registry's centre-basis
 solve under --linalg-max too, which only `eigen` and `verify` take.
+
+Each call is a fresh process, so `main` builds the parser of only the verb
+it runs (of every verb for --help, no verb or an unknown one), and `json` is
+imported only where JSON is read or written.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from collections import namedtuple
@@ -38,9 +41,14 @@ def _shape_key(lam) -> str:
     return ",".join(str(p) for p in lam)
 
 
+def _print_json(doc, **kw) -> None:
+    import json   # imported on use: no call that prints text needs it
+    print(json.dumps(doc, **kw))
+
+
 def _print_element(el, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(element_to_json(el), sort_keys=True))
+        _print_json(element_to_json(el), sort_keys=True)
     else:
         print(format_element(el))
 
@@ -48,7 +56,7 @@ def _print_element(el, as_json: bool) -> None:
 def _print_table(rows, as_json: bool, to_json, to_text) -> None:
     """(key, value) rows as one sorted JSON object or as `key: text` lines."""
     if as_json:
-        print(json.dumps({key: to_json(v) for key, v in rows}, sort_keys=True))
+        _print_json({key: to_json(v) for key, v in rows}, sort_keys=True)
     else:
         for key, v in rows:
             print(f"{key}: {to_text(v)}")
@@ -72,7 +80,7 @@ def _cmd_central(args) -> int:
     a = parse_element(args.a, args.n, _caps(args))
     ok = is_central(a)
     if args.json:
-        print(json.dumps({"n": args.n, "central": ok}))
+        _print_json({"n": args.n, "central": ok})
     else:
         print("true" if ok else "false")
     return 0 if ok else 1
@@ -82,8 +90,8 @@ def _cmd_sqrt_check(args) -> int:
     a = parse_element(args.a, args.n, _caps(args))
     rep = in_sqrt_centre(a)
     if args.json:
-        print(json.dumps({"n": args.n, "in_sqrt": rep.in_sqrt,
-                          "in_centre": rep.in_centre}, sort_keys=True))
+        _print_json({"n": args.n, "in_sqrt": rep.in_sqrt,
+                     "in_centre": rep.in_centre}, sort_keys=True)
     else:
         print(f"in_sqrt: {'true' if rep.in_sqrt else 'false'}")
         print(f"in_centre: {'true' if rep.in_centre else 'false'}")
@@ -125,9 +133,9 @@ def _cmd_eigen(args) -> int:
     k = parse_scalar(args.k)
     vecs = eigen_search(ctx, gamma_basis(ctx)[lam], k)
     if args.json:
-        print(json.dumps({"count": len(vecs),
-                          "vectors": [element_to_json(v) for v in vecs]},
-                         sort_keys=True))
+        _print_json({"count": len(vecs),
+                     "vectors": [element_to_json(v) for v in vecs]},
+                    sort_keys=True)
     else:
         print(f"count: {len(vecs)}")
         for v in vecs:
@@ -147,7 +155,7 @@ def _cmd_sample_h3(args) -> int:
     if args.json:
         doc = element_to_json(h)
         doc["branch"] = branch
-        print(json.dumps(doc, sort_keys=True))
+        _print_json(doc, sort_keys=True)
     else:
         print(format_element(h))
         print(f"branch: {branch}")
@@ -170,6 +178,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    import json
     a = parse_element(args.a, args.n, _caps(args))
     text = json.dumps(element_to_json(a, basis=args.basis), indent=2,
                       sort_keys=True) + "\n"
@@ -182,6 +191,7 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_import(args) -> int:
+    import json
     if args.file == "-":
         raw = sys.stdin.read()
     else:
@@ -272,24 +282,30 @@ _VERBS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(verbs=None) -> argparse.ArgumentParser:
+    """The parser of the named verbs, all of them by default.  Its usage
+    line lists every verb either way, as argparse prints it on an error."""
     ap = argparse.ArgumentParser(
         prog="hecke",
         description="Exact computations in the Hecke algebra of the "
                     "symmetric group over Z[v, v^-1] (q = v^2).")
-    sub = ap.add_subparsers(dest="verb", required=True)
-    for verb, (help_line, _, args) in _VERBS.items():
+    sub = ap.add_subparsers(
+        dest="verb", required=True,
+        metavar=None if verbs is None else "{" + ",".join(_VERBS) + "}")
+    for verb in _VERBS if verbs is None else verbs:
+        help_line, _, args = _VERBS[verb]
         p = sub.add_parser(verb, help=help_line)
         for name, kw in args:
             p.add_argument(name, **kw)
     return ap
 
 
-# an option, or one written as --name=value; the options that take no value
+# an option, or one written as --name=value; each verb's options that take
+# no value
 _OPTION = re.compile(r"-h|--[a-z][a-z-]*(=.*)?", re.S)
-_FLAGS = ("-h", "--help", *dict.fromkeys(
-    name for verb in _VERBS.values() for name, kw in verb.args
-    if kw.get("action") == "store_true"))
+_FLAGS = {verb: ("-h", "--help", *(name for name, kw in args
+                                   if kw.get("action") == "store_true"))
+          for verb, (_, _, args) in _VERBS.items()}
 
 
 def _join_scalar_options(argv: list[str]) -> list[str]:
@@ -298,6 +314,7 @@ def _join_scalar_options(argv: list[str]) -> list[str]:
     as in `--k -q` or `-T[1]`, and argparse would read them as options."""
     if not argv or argv[0] not in _VERBS:
         return argv
+    flags = _FLAGS[argv[0]]
     options, positionals = [], []
     tokens = iter(argv[1:])
     for tok in tokens:
@@ -305,8 +322,9 @@ def _join_scalar_options(argv: list[str]) -> list[str]:
             positionals += tokens
         elif not _OPTION.fullmatch(tok):
             positionals.append(tok)
-        # a prefix of a flag is that flag, as argparse abbreviates it
-        elif "=" in tok or any(f.startswith(tok) for f in _FLAGS):
+        # a prefix of one of the verb's flags is that flag, as argparse
+        # abbreviates it
+        elif "=" in tok or any(f.startswith(tok) for f in flags):
             options.append(tok)
         else:
             value = next(tokens, None)
@@ -317,7 +335,8 @@ def _join_scalar_options(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_join_scalar_options(argv))
+    verbs = argv[:1] if argv and argv[0] in _VERBS else None
+    args = build_parser(verbs).parse_args(_join_scalar_options(argv))
     try:
         return _VERBS[args.verb].handler(args)
     except ResourceCapError as exc:

@@ -20,7 +20,6 @@ canonical forms and only appear when explicitly requested.
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from functools import lru_cache, partial
@@ -109,6 +108,7 @@ class VerificationReport(Record):
         return "\n".join(lines) + "\n"
 
     def to_json(self, timings: bool = False) -> str:
+        import json   # imported on use: a text report needs none
         items = []
         for r in self.results:
             entry = {"id": r.item_id, "statement": r.statement, "n": r.n,

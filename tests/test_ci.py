@@ -11,9 +11,9 @@ ci_run = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ci_run)
 
 CHECKS = ["bounds", "centrality_n7", "centre_basis_n6", "closed_forms_n7",
-          "closed_forms_n8", "eigen_n5_n6", "eigen_two_blocks", "fingerprint",
-          "lines", "parser_agreement", "root_products_n7", "root_products_n8",
-          "small_products", "squares_n6"]
+          "closed_forms_n8", "cold_cli", "eigen_n5_n6", "eigen_two_blocks",
+          "fingerprint", "lines", "parser_agreement", "root_products_n7",
+          "root_products_n8", "small_products", "squares_n6"]
 
 
 def test_the_runner_finds_exactly_the_checks():

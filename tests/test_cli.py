@@ -17,6 +17,7 @@ from hecke import (Caps, HeckeElement, HeckeError, LaurentPoly, Permutation,
                    ResourceCapError, element_from_json, element_to_json,
                    format_element, parse_element, v_power)
 from hecke.center import _GAMMA_MEMO
+from hecke import cli
 from hecke.cli import build_parser, main
 
 
@@ -171,13 +172,27 @@ def test_element_arguments_may_start_with_a_minus(capsys):
 
 
 def test_the_flags_are_the_options_that_take_no_value():
-    # the pre-scan joins every other option to the token after it
+    # the pre-scan joins every other option of a verb to the token after it
     from hecke.cli import _FLAGS, _OPTION
     sub = next(a for a in build_parser()._actions if a.dest == "verb")
-    options = {s: a.nargs == 0 for p in sub.choices.values()
-               for a in p._actions for s in a.option_strings}
-    assert {s for s, flag in options.items() if flag} == set(_FLAGS)
-    assert all(_OPTION.fullmatch(s) for s in options)
+    assert list(_FLAGS) == list(sub.choices)
+    for verb, p in sub.choices.items():
+        options = {s: a.nargs == 0 for a in p._actions
+                   for s in a.option_strings}
+        assert {s for s, flag in options.items() if flag} == set(_FLAGS[verb])
+        assert all(_OPTION.fullmatch(s) for s in options)
+
+
+def test_an_option_prefix_is_read_against_its_own_verbs_flags(capsys):
+    # --l abbreviates eigen's --linalg-max; that it is also a prefix of
+    # verify's --list flag does not make it a flag of eigen
+    head = ("eigen", "--n", "4", "--gamma", "3,1", "--k", "0")
+    want = run(capsys, *head, "--linalg-max", "5")
+    assert want[0] == 0
+    for spelling in ("--l", "--lin"):
+        assert run(capsys, *head, spelling, "5") == want
+        rc, _, err = run(capsys, *head, spelling, "3")
+        assert rc == 3 and "linear-algebra cap" in err
 
 
 def test_each_verb_keeps_its_argument_signature():
@@ -193,6 +208,49 @@ def test_each_verb_keeps_its_argument_signature():
     got = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
     assert got == ("0d89cf65702517e63ff075249702d264"
                    "c6aec38d0c613b679951e28afa683f97")
+
+
+# argv whose answer comes from argparse, or from the verb's first step
+PARITY_CORPUS = [
+    ["--help"], [], ["bogus"], ["mu"], ["-h", "mul"],
+    *([verb, "-h"] for verb in cli._VERBS),
+    # each verb that has a required argument, without it
+    *([verb] for verb in ("mul", "square", "central", "sqrt-check", "gamma",
+                          "express", "eigen", "catalog", "export", "import")),
+    ["mul", "--n", "3", "T[1]", "T[2]", "extra"], ["mul", "--bogus", "1"],
+    ["mul", "--n", "3", "T[1]", "T[2]"], ["gamma", "3", "--json"],
+    ["eigen", "--n", "3", "--gamma", "3", "--k", "-q", "--l", "5"],
+]
+
+
+def _outcome(argv):
+    """main(argv)'s exit code, stdout and stderr; a usage error, which
+    argparse raises as SystemExit, counts as its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_main_answers_as_the_parser_of_every_verb_does():
+    asked = []
+
+    def every_verb(verbs=None):
+        asked.append(verbs)
+        return build_parser()
+
+    for argv in PARITY_CORPUS:
+        got = _outcome(argv)
+        with mock.patch.object(cli, "build_parser", every_verb):
+            assert _outcome(argv) == got, argv
+        # main built the parser of a known verb alone
+        assert asked.pop() == (argv[:1] if argv and argv[0] in cli._VERBS
+                               else None)
+        if len(argv) == 1 and argv[0] in cli._VERBS:
+            assert got[0] == 2 and "required" in got[2], argv
 
 
 def test_eigen_answers_at_degree_five(capsys):
