@@ -1,4 +1,7 @@
-"""Every trivial- and sign-character eigen search at n = 5, k read off
+"""First the Wedderburn blocks behind the searches, center._blocks at
+n = 5 and 6, built cold and pinned by sha256: E_lam, the dimensions and
+omega_lam of each block, key order included; each build time is printed.
+Then every trivial- and sign-character eigen search at n = 5, k read off
 gamma_lam * x and gamma_lam * y at the identity: 14 searches and 252
 vectors, where tier-1 runs one; the vectors, key order included,
 are pinned by the sha256 of their JSON form, and each count, the
@@ -12,6 +15,7 @@ import sys
 from _common import json_sha256, terms, timed
 from hecke import (AlgebraContext, Caps, Permutation, eigen_search,
                    gamma_basis, x_elem, xbar, y_elem, ybar)
+from hecke.center import _blocks
 from hecke.sqrtcenter import _CERT_POINTS, _at
 from fraction_oracle import _corank
 
@@ -34,7 +38,22 @@ def searches(ctx, x, y, ident):
                     wrong += 1
     return json_sha256(doc), count, wrong
 
+def blocks_sha256(blocks):
+    """The sha256 of _blocks' list: each block's shape, E_lam, dimension
+    and omega_lam, with the keys in their order."""
+    return json_sha256([[list(lam), [[list(mu), a.to_pairs()] for mu, a in e.items()],
+                         d, [[list(nu), a.to_pairs()] for nu, a in omega.items()]]
+                        for lam, e, d, omega in blocks])
+
 wrong = 0
+for n, pin in (
+        (5, "c0e7b6315bbb53bb169fa738bab064fb07a60d4a3cc4ae108e01beefc251e87a"),
+        (6, "079f90fed1fc1a54bcc52fe9b788c7169ed302bc5e461c201d03823b32162343")):
+    blocks, took = timed(_blocks, gamma_basis(n))
+    got = blocks_sha256(blocks)
+    print(f"n = {n} blocks: {len(blocks)}, built cold in {took:.3f} s, sha256 {got}")
+    wrong += got != pin
+
 for n, caps, pin in (
         (5, Caps(), "ddd52bd7acca3ecf2a8a653724718d31a9b12c35d8a43737b2c279380aeed736"),
         (6, Caps(linalg_max=6), "b446115356f0937936fca4c9c0c322c2de7efbb668e64b7367d906262ba90731")):

@@ -138,8 +138,8 @@ from math import factorial
 from .errors import DegreeMismatchError, ResourceCapError, TermTypeError
 from .laurent import (ONE, Q, Q_MINUS_1, ZERO, LaurentPoly, _check_ints,
                       _scalar, v_power)
-from .permutations import (Partition, Permutation, _all_permutations,
-                           _classes, _lengths, _minimal_classes)
+from .permutations import (Partition, Permutation, _all_permutations, _classes,
+                           _lengths, _longest_length, _minimal_classes)
 from .records import Record, _set
 
 
@@ -649,7 +649,7 @@ def _grouped_keys(keys: list, n: int) -> list:
     """
     if len(set(keys)) == len(keys):
         return []
-    counts = Counter(keys).most_common()[:n * (n - 1) // 2 + 1]
+    counts = Counter(keys).most_common()[:_longest_length(n) + 1]
     return [key for key, m in counts if m > 1]
 
 
@@ -668,7 +668,7 @@ def _geometric(n: int, terms: dict, keys: int):
     """
     if n < 3:
         return None
-    top = n * (n - 1) // 2
+    top = _longest_length(n)
     allowed = min(n, (keys - 2) // top - 1)
     if allowed < 0 or len(terms) < factorial(n) - allowed:
         return None
@@ -1006,7 +1006,7 @@ class HeckeElement:
         a, b = self._terms, other._terms
         if not a or not b:
             return HeckeElement.zero(self.n)
-        packing = _packing(self.n, [a, b], self.n * (self.n - 1) // 2)
+        packing = _packing(self.n, [a, b], _longest_length(self.n))
         if packing is None:
             return HeckeElement._raw(self.n, _dict_mul(a, b))
         bits, lows, _, stride = packing

@@ -257,8 +257,9 @@ def _pinned_coordinates(z: HeckeElement, gb: GammaBasis,
     """express_in_gamma's reading: the degree check, the invariants of a
     basis gamma_basis did not memoize, then one pinned coefficient per
     class.  proven says the caller has already shown z central (as
-    in_sqrt_centre has for a square); otherwise is_central runs here, so
-    each element is walked once."""
+    in_sqrt_centre has for a square, or as _blocks knows of a product of
+    two central elements); otherwise is_central runs here, so each
+    element is walked once."""
     if z.n != gb.n:
         raise DegreeMismatchError(
             f"element of degree {z.n} against a basis for degree {gb.n}")
@@ -321,7 +322,9 @@ def _blocks(gb: GammaBasis) -> list[tuple[Partition, dict, int, dict]]:
     gamma_(1^n) = 1, is a multiple of tau(e_lam) = f^lam / (the Schur
     element of lam).  Checked: that coordinate is nonzero, e_1 E_lam =
     c_lam E_lam, the divisions are exact, omega_lam(e_1) = c_lam and the
-    dimensions add up to n!.
+    dimensions add up to n!.  The row of e_1 is read on the product's
+    proof: e_1 gamma_mu is a product of two central elements, so it is
+    central without a walk.
 
     The E_lam are built by a product tree: the partitions split in halves,
     the factors of each half are applied once for all the lam of the
@@ -336,8 +339,8 @@ def _blocks(gb: GammaBasis) -> list[tuple[Partition, dict, int, dict]]:
     # the row of e_1 in the multiplication table of the centre; degree 1
     # has no gamma_(2,...), and its e_1 is 0
     e1 = Partition((2,) + (1,) * (gb.n - 2)) if gb.n > 1 else None
-    row = ({mu: express_in_gamma(gb.elements[e1] * h, gb) for mu, h in gb}
-           if e1 else {one: {}})
+    row = ({mu: _pinned_coordinates(gb.elements[e1] * h, gb, proven=True)
+            for mu, h in gb} if e1 else {one: {}})
     contents = {lam: _content_scalar(lam) for lam in parts}
     traces = _traces(gb)
 

@@ -30,7 +30,8 @@ from functools import lru_cache
 
 from .algebra import HeckeElement, as_context
 from .laurent import LaurentPoly, ONE, _check_ints, q_power, v_power
-from .permutations import Permutation, _all_permutations, _lengths
+from .permutations import (Permutation, _all_permutations, _lengths,
+                           _longest_length)
 
 
 def _check_index(i: int, lo: int, hi: int, what: str) -> None:
@@ -158,10 +159,6 @@ def elem_sym(ctx, i: int) -> HeckeElement:
 
 
 # -- the sign and trivial directions ----------------------------------------
-
-def _longest_length(n: int) -> int:
-    return n * (n - 1) // 2
-
 
 @lru_cache(maxsize=None)
 def _x_elem(n: int) -> HeckeElement:

@@ -269,7 +269,8 @@ class LaurentPoly:
         return _power(self, k, LaurentPoly.__mul__) if k else ONE
 
     def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by v^k."""
+        """Multiply by v^k; k is an int, not a bool (TermTypeError)."""
+        _check_ints("power of v", k)
         if k == 0:
             return self
         return LaurentPoly._raw({e + k: c for e, c in self._terms.items()})

@@ -314,7 +314,9 @@ class _Parser:
                     f"{MAX_POWER_BITS} bits")
             if bits >= 64:
                 self.plain = 0
-        if exp > 1 and base and _power_terms(base, exp) > MAX_POWER_TERMS:
+        # a monomial's power has one term, so only a wider base is bounded
+        if (exp > 1 and len(base._terms) > 1
+                and _power_terms(base, exp) > MAX_POWER_TERMS):
             raise ResourceCapError(
                 f"power {exp} of a {base.num_terms()}-term scalar could have "
                 f"more than {MAX_POWER_TERMS} terms")

@@ -28,7 +28,7 @@ import itertools
 from functools import lru_cache
 
 from .errors import DegreeMismatchError
-from .laurent import _check_ints
+from .laurent import _check_ints, _is_int
 
 
 class Permutation(tuple):
@@ -84,8 +84,6 @@ class Permutation(tuple):
         _check_ints("word letter", *word)
         w = cls.identity(n)
         for i in word:
-            if not 1 <= i <= n - 1:
-                raise ValueError(f"generator index {i} out of range for degree {n}")
             w = w.right_simple(i)
         return w
 
@@ -102,6 +100,10 @@ class Permutation(tuple):
         return len(self)
 
     def __call__(self, i: int) -> int:
+        """w(i); a point outside 1 .. n raises ValueError."""
+        if not (_is_int(i) and 0 < i <= len(self)):
+            _check_ints("point", i)
+            raise ValueError(f"point {i} out of range for degree {len(self)}")
         return self[i - 1]
 
     def __mul__(self, other) -> "Permutation":
@@ -123,12 +125,17 @@ class Permutation(tuple):
         return Permutation._unsafe(tuple(im))
 
     def right_simple(self, i: int) -> "Permutation":
-        """self * s_i (swap positions i, i+1)."""
+        """self * s_i (swap positions i, i+1); a letter i outside 1 .. n - 1
+        raises what from_word raises for it."""
+        if type(i) is not int or not 0 < i < len(self):
+            _check_letter(len(self), i)
         return Permutation._unsafe(
             self[:i - 1] + (self[i], self[i - 1]) + self[i + 1:])
 
     def left_simple(self, i: int) -> "Permutation":
-        """s_i * self (swap values i, i+1)."""
+        """s_i * self (swap values i, i+1), with right_simple's letter rule."""
+        if type(i) is not int or not 0 < i < len(self):
+            _check_letter(len(self), i)
         a = self.index(i)
         b = self.index(i + 1)
         im = list(self)
@@ -208,6 +215,14 @@ class Permutation(tuple):
 
     def __repr__(self) -> str:
         return f"Permutation({tuple(self)!r})"
+
+
+def _check_letter(n: int, i) -> None:
+    """The rule for a letter i of a word in S_n: an int, not a bool
+    (TermTypeError), in 1 .. n - 1 (ValueError)."""
+    _check_ints("word letter", i)
+    if not 0 < i < n:
+        raise ValueError(f"generator index {i} out of range for degree {n}")
 
 
 @lru_cache(maxsize=None)
@@ -305,6 +320,11 @@ def _classes(n: int) -> dict[Partition, tuple[Permutation, ...]]:
     for w in _all_permutations(n):
         table[w.cycle_type()].append(w)
     return {lam: tuple(ws) for lam, ws in table.items()}
+
+
+def _longest_length(n: int) -> int:
+    """l(w_0), the length of the longest element of S_n."""
+    return n * (n - 1) // 2
 
 
 def _lengths(n: int) -> list[int]:

@@ -36,13 +36,13 @@ from .algebra import (HeckeElement, _check_degree, _indexed, as_context,
                       commutator, is_central)
 from .center import (GammaBasis, _GAMMA_MEMO, _blocks, _pinned_coordinates,
                      express_in_gamma, gamma_basis)
-from .elements import (_longest_length, elem_sym, poincare, t_longest, x_elem,
-                       xbar, y_elem, ybar)
+from .elements import (elem_sym, poincare, t_longest, x_elem, xbar, y_elem,
+                       ybar)
 from .errors import DegreeMismatchError, MismatchError
 from .laurent import LaurentPoly, ONE, Q, Q_MINUS_1, ZERO, _scalar, q_power
 from .linalg import reduced_basis, sparse_rank
 from .permutations import (Partition, Permutation, _all_permutations,
-                           partitions_of)
+                           _longest_length, partitions_of)
 from .records import Record, _set
 
 
@@ -68,15 +68,15 @@ def in_sqrt_centre(h: HeckeElement, gb: GammaBasis | None = None) -> SqrtReport:
     in the process (gamma_basis, an eigen search) has built that basis;
     pass gb for a report that depends on the input alone.  The square is
     walked for centrality once: its coordinates are read on that proof.
+    h is walked only when its square is central, since a central h has
+    a central square: a non-root costs one walk, a root two.
     """
-    in_centre = is_central(h)
     square = h * h
     in_sqrt = is_central(square)
-    coords = None
-    if in_sqrt:
-        basis = gb if gb is not None else _GAMMA_MEMO.get(h.n)
-        if basis is not None:
-            coords = _pinned_coordinates(square, basis, proven=True)
+    in_centre = in_sqrt and is_central(h)
+    basis = gb if gb is not None else _GAMMA_MEMO.get(h.n)
+    coords = (_pinned_coordinates(square, basis, proven=True)
+              if in_sqrt and basis is not None else None)
     return SqrtReport(in_sqrt=in_sqrt, in_centre=in_centre,
                       square_in_gamma=coords)
 
@@ -187,11 +187,10 @@ def verify_xbar_ybar_squares(ctx, gb: GammaBasis) -> dict[str, bool]:
     their expansions over the minimal basis and over the e_i(L).  Raises
     MismatchError naming the first differing coefficient.
     """
-    report = {}
     for name in ("xbar", "ybar"):
         _check_closed_form(ctx, f"{name}^2", gb, esym=True)
-        report[f"{name}_gamma"] = report[f"{name}_esym"] = True
-    return report
+    return dict.fromkeys(("xbar_gamma", "xbar_esym", "ybar_gamma",
+                          "ybar_esym"), True)
 
 
 # -- the degree-3 coefficient constraints ------------------------------------

@@ -36,13 +36,12 @@ from .elements import (braid_murphy, dual_murphy, elem_sym,
 from .errors import MismatchError
 from .laurent import LaurentPoly, ONE, Q, Q_MINUS_1, XI, q_power, v_power
 from .linalg import sparse_rank
-from .permutations import Permutation, _all_permutations
+from .permutations import Permutation, _all_permutations, _longest_length
 from .records import Record, _set
 from .sqrtcenter import (_check_closed_form, _check_coords, catalog,
                          catalog_checks_h3, catalog_checks_h4, eigen_search,
                          even_word_centrality, h3_constraint_check,
-                         in_sqrt_centre, sample_sqrt_h3, span_in_sqrt,
-                         verify_xbar_ybar_squares)
+                         in_sqrt_centre, sample_sqrt_h3, span_in_sqrt)
 
 
 class VerifyItem(Record):
@@ -154,6 +153,14 @@ def _true(cond: bool, what: str) -> None:
         raise MismatchError(what)
 
 
+def _chk_closed_forms(names, esym: bool, env: _Env, n: int) -> None:
+    """The _CLOSED_FORMS entries named, each against its minimal-basis
+    coordinates and, when esym is set, its sum over the e_i(L)."""
+    c, gb = env.ctx(n), env.gamma(n)
+    for name in names:
+        _check_closed_form(c, name, gb, esym)
+
+
 # -- group 01: Murphy elements commute ----------------------------------------
 
 def _chk_murphy_commute(env: _Env, n: int) -> None:
@@ -261,10 +268,6 @@ def _chk_braidmurphy_linear(env: _Env, n: int) -> None:
             f"braid form vs linear form, i={i}")
 
 
-def _chk_longestsq_qform(env: _Env, n: int) -> None:
-    _check_closed_form(env.ctx(n), "T_w0^2", env.gamma(n))
-
-
 def _chk_longestsq_printed_scale(env: _Env, n: int) -> None:
     gb = env.gamma(3)
     tw = t_longest(env.ctx(3))
@@ -302,15 +305,9 @@ def _chk_xy_squares(env: _Env, n: int) -> None:
     c = env.ctx(n)
     x, y = x_elem(c), y_elem(c)
     p = poincare(c)
-    sign = ONE if (n * (n - 1) // 2) % 2 == 0 else -ONE
+    sign = ONE if _longest_length(n) % 2 == 0 else -ONE
     _eq(x * x, x.scale(p), "square of the q-symmetrizer")
     _eq(y * y, y.scale(sign * p), "square of the signed symmetrizer")
-
-
-def _chk_xy_gamma(env: _Env, n: int) -> None:
-    c, gb = env.ctx(n), env.gamma(n)
-    for name in ("x", "y"):
-        _check_closed_form(c, name, gb)
 
 
 # -- group 06: square roots of central elements --------------------------------
@@ -377,10 +374,6 @@ def _chk_r4r5_span_note(env: _Env, n: int) -> None:
 
 
 # -- group 07: closed forms for the truncation squares -------------------------
-
-def _chk_truncation_squares(env: _Env, n: int) -> None:
-    verify_xbar_ybar_squares(env.ctx(n), env.gamma(n))
-
 
 def _chk_xbarsq_printed(env: _Env, n: int) -> None:
     _check_coords("listed", express_in_gamma(xbar(env.ctx(3)) ** 2, env.gamma(3)),
@@ -585,7 +578,8 @@ _TABLE = (
      "longest-element square equals the braid Murphy product (n={n})", None),
     ("04-braidmurphy-linear", _chk_braidmurphy_linear, _N3_6, (),
      "braid Murphy elements are affine in the normalized ones (n={n})", None),
-    ("04-longestsq-qform", _chk_longestsq_qform, _N3_5, _ENUM,
+    ("04-longestsq-qform", partial(_chk_closed_forms, ("T_w0^2",), False),
+     _N3_5, _ENUM,
      "longest-element square has the stated minimal-basis coordinates (n={n})",
      None),
     ("04-longestsq-printed-scale", _chk_longestsq_printed_scale, (3,), _ENUM,
@@ -598,7 +592,8 @@ _TABLE = (
      "both symmetrizers are central and multiply to zero (n={n})", None),
     ("05-xy-squares", _chk_xy_squares, _N3_5, _ENUM,
      "symmetrizer squares are the right scalar multiples (n={n})", None),
-    ("05-xy-gamma", _chk_xy_gamma, _N3_5, _ENUM,
+    ("05-xy-gamma", partial(_chk_closed_forms, ("x", "y"), False),
+     _N3_5, _ENUM,
      "symmetrizer coordinates over the minimal basis (n={n})", None),
     ("06-sqrt-membership", _chk_sqrt_membership, _N3_5, _ENUM,
      "the three truncations are non-central square roots (n={n})", None),
@@ -621,7 +616,8 @@ _TABLE = (
      "R4 and R5 anticommute exactly, so their span passes the operational "
      "span test; the source remark asserting the span leaves the "
      "square-root set does not hold under this test"),
-    ("07-truncation-squares", _chk_truncation_squares, _N3_5, _ENUM,
+    ("07-truncation-squares",
+     partial(_chk_closed_forms, ("xbar^2", "ybar^2"), True), _N3_5, _ENUM,
      "closed forms of both truncation squares, in both bases (n={n})", None),
     ("07-xbarsq-printed", _chk_xbarsq_printed, (3,), _ENUM,
      "listed degree-3 coefficients of the q-truncation square", None),

@@ -115,6 +115,18 @@ def test_shift_is_multiplication_by_v_power():
     assert p.shift(-2) == p * v_power(-2)
 
 
+@pytest.mark.parametrize("k", [0.5, True, 2.0])
+def test_shift_takes_ints_as_v_power_does(k):
+    # shift(0.5) once printed as v^0.5, outside Z[v, v^-1], and shift(True)
+    # shifted by one
+    for f in (LaurentPoly({0: 1}).shift, ZERO.shift, v_power):
+        with pytest.raises(TermTypeError) as info:
+            f(k)
+        assert isinstance(info.value, HeckeError)
+        assert str(info.value) == (
+            f"power of v {k!r} is a {type(k).__name__}, not an int")
+
+
 def test_str_forms():
     assert str(ZERO) == "0"
     assert str(ONE) == "1"

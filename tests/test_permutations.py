@@ -193,6 +193,45 @@ def test_simple_reflections_follow_the_letter_rule(i):
         Permutation.simple(3, i)
 
 
+@pytest.mark.parametrize("i", [0, 3, -1, 4])
+def test_the_simple_steps_follow_the_letter_rule(i):
+    # right_simple(0) once returned the 6-tuple (2, 1, 2, 3, 1, 3), no
+    # permutation, right_simple(3) raised a bare IndexError and
+    # left_simple(0) the ValueError of tuple.index
+    w = Permutation((2, 1, 3))
+    for step in (w.right_simple, w.left_simple):
+        with pytest.raises(ValueError,
+                           match=f"^generator index {i} out of range for degree 3$"):
+            step(i)
+
+
+@pytest.mark.parametrize("i", [True, 1.0, "1"])
+def test_the_simple_steps_take_ints_as_from_word_does(i):
+    w = Permutation((2, 1, 3))
+    with pytest.raises(TermTypeError) as want:
+        Permutation.from_word(3, [i])
+    for step in (w.right_simple, w.left_simple):
+        with pytest.raises(TermTypeError) as info:
+            step(i)
+        assert str(info.value) == str(want.value)
+
+
+@pytest.mark.parametrize("i", [0, 4, -1])
+def test_a_point_out_of_range_is_named(i):
+    # w(0) once returned w(3), read from the end of the tuple
+    w = Permutation((2, 3, 1))
+    assert [w(1), w(2), w(3)] == [2, 3, 1]
+    with pytest.raises(ValueError,
+                       match=f"^point {i} out of range for degree 3$"):
+        w(i)
+
+
+@pytest.mark.parametrize("i", [True, 1.0])
+def test_a_point_is_an_int(i):
+    with pytest.raises(TermTypeError, match=f"^point {i!r} is a "):
+        Permutation((2, 3, 1))(i)
+
+
 def _call(fn, *args):
     return pytest.param(partial(fn, *args),
                         id=f"{fn.__qualname__}({', '.join(map(repr, args))})")

@@ -387,21 +387,24 @@ def test_eigen_search_of_a_two_term_central_element():
 def test_the_blocks_are_read_not_rebuilt(monkeypatch):
     z, k = gamma_basis(4)[(2, 1, 1)], parse_scalar("q - 1")
     expansions = []
+    pinned = center._pinned_coordinates
 
-    def counted(el, gb):
-        expansions.append(el)
-        return express_in_gamma(el, gb)
+    def counted(el, gb, proven):
+        expansions.append((el, proven))
+        return pinned(el, gb, proven)
 
-    monkeypatch.setattr(center, "express_in_gamma", counted)
+    monkeypatch.setattr(center, "_pinned_coordinates", counted)
     monkeypatch.delitem(center._BLOCK_MEMO, 4, raising=False)
-    # a cold search expands the row of e_1 in the multiplication table of
-    # the centre, p(n) products, and nothing else
+    # a cold search expands z, proven central by its walk, and the row of
+    # e_1 in the multiplication table of the centre, p(n) products read
+    # on their own proof, and nothing else
     cold = eigen_search(4, z, k)
     gb = gamma_basis(4)
-    assert expansions == [gb[(2, 1, 1)] * g for _, g in gb]
-    # a warm one expands none
+    assert expansions == [(z, False)] + [(gb[(2, 1, 1)] * g, True)
+                                         for _, g in gb]
+    # a warm one expands z alone
     warm = eigen_search(4, z, k)
-    assert len(expansions) == len(partitions_of(4))
+    assert expansions[len(partitions_of(4)) + 1:] == [(z, False)]
     assert warm == cold and len(cold) == 4
     # the output does not depend on what the process computed before
     monkeypatch.delitem(center._BLOCK_MEMO, 4)
@@ -597,6 +600,40 @@ def test_a_square_is_walked_for_centrality_once(monkeypatch):
     assert walks == [1, 1]
     assert rep.in_sqrt and not rep.in_centre
     assert rep.square_in_gamma == want
+
+
+def _count_walks(monkeypatch) -> list:
+    """The number of elements of each centrality walk from now on."""
+    from hecke import algebra
+    walks = []
+    central = algebra._central
+    monkeypatch.setattr(algebra, "_central", lambda n, elements: (
+        walks.append(len(elements)) or central(n, elements)))
+    return walks
+
+
+def test_a_non_root_is_walked_for_centrality_once(monkeypatch, gb3):
+    # the square first: a central h has a central square, so h itself is
+    # walked only for a root
+    h = parse_element("T[] + T[1]", 3)
+    walks = _count_walks(monkeypatch)
+    rep = in_sqrt_centre(h, gb3)
+    assert walks == [1]
+    assert (rep.in_sqrt, rep.in_centre, rep.square_in_gamma) == (
+        False, False, None)
+
+
+def test_cold_blocks_walk_nothing(monkeypatch):
+    # each e_1 gamma_mu is a product of two central elements, so the row of
+    # e_1 is read with no centrality walk
+    gb = gamma_basis(4)
+    warm = center._blocks(gb)
+    monkeypatch.delitem(center._BLOCK_MEMO, 4)
+    walks = _count_walks(monkeypatch)
+    cold = center._blocks(gb)
+    assert walks == []
+    assert cold == warm and cold is not warm
+    assert [lam for lam, *_ in cold] == list(partitions_of(4))
 
 
 def test_membership_reports_read_the_coordinates_of_the_square(gb3, gb4):
@@ -806,20 +843,39 @@ def test_the_closed_forms_hold_at_degree_six():
             assert coords[lam] == coord(lam.min_length()), (name, lam)
 
 
-@pytest.mark.parametrize("name, item", [
-    ("x", "05-xy-gamma-n3"),
-    ("y", "05-xy-gamma-n3"),
-    ("T_w0^2", "04-longestsq-qform-n3"),
-    ("xbar^2", "07-truncation-squares-n3"),
-    ("ybar^2", "07-truncation-squares-n3"),
+@pytest.mark.parametrize("name, item, want", [
+    ("x", "05-xy-gamma-n3", "2, computed 1"),
+    ("y", "05-xy-gamma-n3", "-q^3 + 1, computed -q^3"),
+    ("T_w0^2", "04-longestsq-qform-n3", "q^3 + 1, computed q^3"),
+    ("xbar^2", "07-truncation-squares-n3",
+     "2*q^2 + 2*q + 2, computed 2*q^2 + 2*q + 1"),
+    ("ybar^2", "07-truncation-squares-n3",
+     "q^6 + 2*q^5 + 2*q^4 + 1, computed q^6 + 2*q^5 + 2*q^4"),
 ])
-def test_the_registry_reads_the_closed_form_table(monkeypatch, name, item):
+def test_the_registry_reads_the_closed_form_table(monkeypatch, name, item,
+                                                  want):
     build, coord = _CLOSED_FORMS[name]
     off = (build, lambda n, l: coord(n, l) + (ONE if l == 0 else 0))
     monkeypatch.setitem(_CLOSED_FORMS, name, off)
     report = run_verify(5, only=[item])
     assert [r.status for r in report.results] == ["fail"]
-    assert f"{name} coefficient at (1, 1, 1)" in report.results[0].detail
+    assert report.results[0].detail == (
+        f"MismatchError: {name} coefficient at (1, 1, 1): expected {want}")
+
+
+def test_the_three_closed_form_rows_run_one_check_in_order(monkeypatch):
+    calls = []
+    check = verify._check_closed_form
+    monkeypatch.setattr(verify, "_check_closed_form", lambda c, name, gb, esym: (
+        calls.append((c.n, name, esym)) or check(c, name, gb, esym)))
+    stems = ("04-longestsq-qform", "05-xy-gamma", "07-truncation-squares")
+    report = run_verify(5, only=[f"{s}-n{n}" for s in stems for n in (3, 4, 5)])
+    assert report.passed and len(report.results) == 9
+    assert calls == [(n, name, esym)
+                     for names, esym in ((("T_w0^2",), False),
+                                         (("x", "y"), False),
+                                         (("xbar^2", "ybar^2"), True))
+                     for n in (3, 4, 5) for name in names]
 
 
 def test_branch_classification(gb3, ctx3):
